@@ -44,7 +44,8 @@ from repro.soap.messages import (
 )
 from repro.soap.serializer import deserialize, serialize
 from repro.soap.transport import SimTransport
-from repro.util.errors import AuthenticationError, RegistryError
+from repro.soap.xml_binding import envelope_from_xml, envelope_to_xml
+from repro.util.errors import AuthenticationError, InvalidRequestError, RegistryError
 
 
 def _local_authenticate(ctx: RequestContext, spec: OperationSpec):
@@ -87,11 +88,14 @@ class ConnectionFactory:
             if self.transport is None:
                 self.transport = SimTransport()
             if self.wire_xml:
-                from repro.soap.xml_binding import envelope_from_xml, envelope_to_xml
-
                 def xml_endpoint(wire_text: str) -> str:
-                    envelope = envelope_from_xml(wire_text)
-                    response = self.binding.handle(envelope)
+                    try:
+                        envelope = envelope_from_xml(wire_text)
+                    except InvalidRequestError as error:
+                        # undecodable wire text faults like any other bad request
+                        response = SoapFault.from_error(error)
+                    else:
+                        response = self.binding.handle(envelope)
                     return envelope_to_xml(SoapEnvelope(body=response))
 
                 self.transport.register_endpoint(self.binding.endpoint_uri, xml_endpoint)
@@ -143,8 +147,6 @@ class Connection:
             traceparent=traceparent,
         )
         if self.factory.wire_xml:
-            from repro.soap.xml_binding import envelope_from_xml, envelope_to_xml
-
             wire = envelope_to_xml(envelope)
             raw = self.factory.transport.request(
                 self.factory.binding.endpoint_uri, wire

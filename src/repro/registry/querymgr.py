@@ -56,8 +56,10 @@ class QueryManager:
 
     # -- direct gets -----------------------------------------------------------
 
-    def get_registry_object(self, object_id: str) -> RegistryObject:
-        obj = self.daos.store.get_object(object_id)
+    def get_registry_object(self, object_id: str, *, copy: bool = True) -> RegistryObject:
+        """The object by id; ``copy=False`` is the stored view (read-only)."""
+        store = self.daos.store
+        obj = store.get_object(object_id) if copy else store.get_view(object_id)
         if obj is None:
             raise ObjectNotFoundError(object_id)
         return obj
@@ -165,18 +167,19 @@ class QueryManager:
 
     # -- service discovery (the load-balanced path) --------------------------------------
 
-    def get_service_bindings(self, service_id: str) -> list[ServiceBinding]:
+    def get_service_bindings(self, service_id: str, *, copy: bool = True) -> list[ServiceBinding]:
         """Bindings for a service, post binding-resolver.
 
         With the default resolver this returns all bindings in publisher
         order (vanilla freebXML); with the constraint resolver installed it
         returns only/first the hosts currently satisfying the service's
-        constraints — the thesis' modified discovery.
+        constraints — the thesis' modified discovery.  ``copy=False`` returns
+        the stored views (read-only), for callers that only serialize them.
         """
         service = self.daos.services.get_view(service_id)
         if service is None:
             raise ObjectNotFoundError(service_id)
-        return self.daos.services.resolve_bindings(service)
+        return self.daos.services.resolve_bindings(service, copy=copy)
 
     def get_access_uris(self, service_id: str) -> list[str]:
         """Access URIs for a service — the registry's discovery answer.
@@ -234,7 +237,7 @@ class QueryManager:
             )
 
         def get_registry_object(ctx):
-            obj = self.get_registry_object(ctx.body.object_id)
+            obj = self.get_registry_object(ctx.body.object_id, copy=False)
             return RegistryResponse(objects=[serialize(obj)])
 
         def build_get_registry_object(params):
@@ -244,7 +247,7 @@ class QueryManager:
             return GetRegistryObjectRequest(object_id=object_id)
 
         def get_service_bindings(ctx):
-            bindings = self.get_service_bindings(ctx.body.service_id)
+            bindings = self.get_service_bindings(ctx.body.service_id, copy=False)
             return RegistryResponse(objects=[serialize(b) for b in bindings])
 
         kernel.register_operation(

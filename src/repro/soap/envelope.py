@@ -2,11 +2,19 @@
 
 The freebXML registry exposes SOAP 1.1-with-attachments bindings (thesis
 §2.2.3); clients wrap every registry protocol request in an envelope whose
-header carries the session credentials.  This simulation keeps the envelope
-as a structured object (header dict + body payload) rather than angle
-brackets — serialization to XML-ish dicts lives in
-:mod:`repro.soap.serializer` and exists so the transport moves *data*, not
-live Python objects.
+header carries the session credentials.  In memory the envelope is a header
+dict + a body message; :mod:`repro.soap.xml_binding` writes it as literal XML.
+The wire contract, byte-stable across PRs (``tests/test_soap_xml_binding.py``
+holds golden documents and the ElementTree oracle):
+
+* prefixes ``ns0`` (SOAP envelope) and ``ns1`` (ebRS ``rs:3.0``), both declared
+  on the root — a fault without headers declares only ``ns0``; headers are
+  ``ns1:HeaderEntry`` elements in sorted ``name`` order;
+* a message is one ``ns1:<MessageType>`` element whose text is its fields as
+  sorted-key JSON; a fault is ``ns0:Fault`` with ``faultcode``, ``faultstring``
+  and, unless empty, ``detail``;
+* character data escapes ``& < >``, attribute values also ``"`` and CR/LF/TAB
+  (``&#13; &#10; &#09;``); empty content is written ``<tag />``.
 """
 
 from __future__ import annotations

@@ -3,14 +3,15 @@
 The in-memory envelopes move structured dicts; this module renders them as
 actual ``<soap:Envelope>`` documents and parses them back, so a wire capture
 of the simulated traffic looks like what freebXML's SAAJ layer produced.
-Round-tripping is exact for every protocol message type.
+Round-tripping is exact for every protocol message type.  Encoding is one
+pass of string assembly that copies nothing; decoding is a full expat parse
+(the well-formedness check).  Wire contract: :mod:`repro.soap.envelope`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import xml.etree.ElementTree as ET
-from typing import Any
 
 from repro.soap.envelope import SoapEnvelope, SoapFault
 from repro.soap.messages import (
@@ -53,40 +54,61 @@ _MESSAGE_TYPES = {
 }
 
 
-def _payload_of(message: Any) -> dict:
-    """Dataclass fields as a JSON-safe dict."""
-    import dataclasses
+#: the dataclass fields each message's JSON body carries, read shallowly
+_FIELD_NAMES = {c: tuple(f.name for f in dataclasses.fields(c)) for c in _MESSAGE_TYPES.values()}
 
-    return dataclasses.asdict(message)
+# the root as ElementTree writes it: prefixes numbered in order of first use
+# and declared on the root; a fault without headers never uses the second
+_ENVELOPE_OPEN = f'<ns0:Envelope xmlns:ns0="{SOAP_NS}" xmlns:ns1="{RS_NS}">'
+_FAULT_ENVELOPE_OPEN = f'<ns0:Envelope xmlns:ns0="{SOAP_NS}">'
+
+# ElementTree's two escaping rules: character data, and attribute values
+_TEXT_REFS = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_ATTR_REFS = _TEXT_REFS + (('"', "&quot;"), ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
+
+
+def _escape(text: str, refs: tuple = _TEXT_REFS) -> str:
+    for char, ref in refs:
+        if char in text:
+            text = text.replace(char, ref)
+    return text
+
+
+def _element(tag: str, text: str | None, attrs: str = "") -> str:
+    """``<tag>text</tag>`` — ``<tag />`` for empty content, as ElementTree."""
+    if not text:
+        return f"<{tag}{attrs} />"
+    return f"<{tag}{attrs}>{_escape(text)}</{tag}>"
 
 
 def envelope_to_xml(envelope: SoapEnvelope) -> str:
     """Render an envelope as a SOAP 1.1 document."""
-    body_message = envelope.body
-    type_name = type(body_message).__name__
-    if type_name not in _MESSAGE_TYPES and not isinstance(body_message, SoapFault):
-        raise InvalidRequestError(
-            f"cannot render body of type {type_name!r} as SOAP XML"
-        )
-    root = ET.Element(f"{{{SOAP_NS}}}Envelope")
-    header = ET.SubElement(root, f"{{{SOAP_NS}}}Header")
-    for key, value in sorted(envelope.headers.items()):
-        entry = ET.SubElement(header, f"{{{RS_NS}}}HeaderEntry")
-        entry.set("name", key)
-        entry.text = value
-    body = ET.SubElement(root, f"{{{SOAP_NS}}}Body")
-    if isinstance(body_message, SoapFault):
-        fault = ET.SubElement(body, f"{{{SOAP_NS}}}Fault")
-        ET.SubElement(fault, "faultcode").text = body_message.fault_code
-        ET.SubElement(fault, "faultstring").text = body_message.fault_string
-        if body_message.detail:
-            ET.SubElement(fault, "detail").text = body_message.detail
-    else:
-        message_el = ET.SubElement(body, f"{{{RS_NS}}}{type_name}")
+    message = envelope.body
+    type_name = type(message).__name__
+    fields = _FIELD_NAMES.get(type(message))
+    headers = "".join(
+        _element("ns1:HeaderEntry", value, f' name="{_escape(key, _ATTR_REFS)}"')
+        for key, value in sorted(envelope.headers.items())
+    )
+    if fields is not None:
         # the structured payload travels as canonical JSON inside the
         # message element — the registry protocol's "attachment"
-        message_el.text = json.dumps(_payload_of(body_message), sort_keys=True)
-    return ET.tostring(root, encoding="unicode")
+        try:
+            text = json.dumps({name: getattr(message, name) for name in fields}, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise InvalidRequestError(f"cannot render {type_name} payload: {exc}") from exc
+        body = _element(f"ns1:{type_name}", text)
+    elif isinstance(message, SoapFault):
+        detail = _element("detail", message.detail) if message.detail else ""
+        body = (
+            f"<ns0:Fault>{_element('faultcode', message.fault_code)}"
+            f"{_element('faultstring', message.fault_string)}{detail}</ns0:Fault>"
+        )
+    else:
+        raise InvalidRequestError(f"cannot render body of type {type_name!r} as SOAP XML")
+    header = f"<ns0:Header>{headers}</ns0:Header>" if headers else "<ns0:Header />"
+    root = _ENVELOPE_OPEN if headers or fields is not None else _FAULT_ENVELOPE_OPEN
+    return f"{root}{header}<ns0:Body>{body}</ns0:Body></ns0:Envelope>"
 
 
 def envelope_from_xml(text: str) -> SoapEnvelope:
@@ -116,5 +138,9 @@ def envelope_from_xml(text: str) -> SoapEnvelope:
     message_cls = _MESSAGE_TYPES.get(local)
     if message_cls is None:
         raise InvalidRequestError(f"unknown SOAP body element: {local!r}")
-    payload = json.loads(child.text or "{}")
-    return SoapEnvelope(body=message_cls(**payload), headers=headers)
+    try:
+        message = message_cls(**json.loads(child.text or "{}"))
+    except (ValueError, TypeError) as exc:
+        # not JSON, not a JSON object, or not this message's fields
+        raise InvalidRequestError(f"malformed {local} body: {exc}") from exc
+    return SoapEnvelope(body=message, headers=headers)

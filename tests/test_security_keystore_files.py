@@ -1,4 +1,4 @@
-"""Tests for keystore file persistence."""
+"""Tests for keystore file persistence and the keystoremover CLI over it."""
 
 import pytest
 
@@ -61,3 +61,50 @@ class TestKeystoreFiles:
         save_keystore(Keystore(), str(path))
         restored = load_keystore(str(path))
         assert restored.aliases() == []
+
+
+class TestKeystoreMoverCli:
+    def test_move_between_keystore_files(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ca = CertificateAuthority(seed=3)
+        source = Keystore(store_type="PKCS12")
+        source.set_entry("gold", ca.issue("gold"), "gold123")
+        source.import_trusted("registryOperator", ca.certificate)
+        src_path = tmp_path / "generated-key_gold123.p12.json"
+        dst_path = tmp_path / "keystore.jks.json"
+        save_keystore(source, str(src_path))
+
+        rc = main(
+            [
+                "keystoremover",
+                "--sourceKeystorePath", str(src_path),
+                "--sourceAlias", "gold",
+                "--sourceKeyPassword", "gold123",
+                "--destinationKeystorePath", str(dst_path),
+            ]
+        )
+        assert rc == 0
+        destination = load_keystore(str(dst_path))
+        assert destination.has_alias("gold")
+        assert destination.trusts(ca.certificate)
+
+    def test_wrong_password_fails(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ca = CertificateAuthority(seed=3)
+        source = Keystore()
+        source.set_entry("gold", ca.issue("gold"), "gold123")
+        src_path = tmp_path / "src.json"
+        save_keystore(source, str(src_path))
+        rc = main(
+            [
+                "keystoremover",
+                "--sourceKeystorePath", str(src_path),
+                "--sourceAlias", "gold",
+                "--sourceKeyPassword", "wrong",
+                "--destinationKeystorePath", str(tmp_path / "dst.json"),
+            ]
+        )
+        assert rc == 1
+        assert "error" in capsys.readouterr().err
