@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.persistence.nodestate import NodeSample, NodeStateStore
+from repro.persistence.views import QueryResultView
 from repro.rim.service import host_of_uri
 from repro.sim.engine import PeriodicTask, SimEngine
 from repro.sim.nodestatus import NODESTATUS_SERVICE_NAME, NodeStatusReading
@@ -67,22 +68,15 @@ class TimeHits:
         self.failures = 0
         #: callables invoked after every sweep (e.g. the AutoScaler)
         self.post_sweep_hooks: list = []
-        #: (heap version, target list) — stamped with the version captured
-        #: *before* the scan, so a topology write landing mid-scan leaves a
-        #: tuple that fails validation (recompute) instead of a stale cache;
-        #: safe to race with request dispatch (None = dirty)
-        self._target_cache: tuple[int, list[str]] | None = None
-        registry.store.add_write_listener(self._on_store_write)
+        #: the target list, dropped by a Service/ServiceBinding record or a
+        #: rollback barrier; filled ``as_of`` the watermark read *before* the
+        #: scan, so a topology write landing mid-scan strands the fill
+        self._targets = QueryResultView(registry.store, capacity=1)
         if self.telemetry is not None:
             self.telemetry.register_health_check("node_staleness", self.staleness_check)
             self.telemetry.slos.register_gauge("node_staleness", self.max_sample_age)
 
     # -- target discovery ----------------------------------------------------
-
-    def _on_store_write(self, type_name: str | None, object_id: str | None) -> None:
-        """Invalidate the target cache when the published topology changes."""
-        if type_name in (None, "Service", "ServiceBinding"):
-            self._target_cache = None
 
     def target_uris(self) -> list[str]:
         """Access URIs of every published NodeStatus deployment.
@@ -93,10 +87,11 @@ class TimeHits:
         ServiceBinding write (a NodeStatus publish/retire), so the 25 s sweep
         does no registry scan in steady state.
         """
-        cached = self._target_cache
-        version = self.registry.store.version
-        if cached is not None and cached[0] == version:
-            return list(cached[1])
+        view = self._targets
+        as_of = view.catch_up()
+        cached = view.get("targets")
+        if cached is not None:
+            return list(cached)
         daos = self.registry.daos
         services = daos.services.find_views_by_name(self.monitor_service_name)
         uris: list[str] = []
@@ -104,7 +99,7 @@ class TimeHits:
             for binding in daos.service_bindings.for_service(service, copy=False):
                 if binding.access_uri and binding.access_uri not in uris:
                     uris.append(binding.access_uri)
-        self._target_cache = (version, uris)
+        view.put("targets", ("Service", "ServiceBinding"), uris, as_of=as_of)
         return list(uris)
 
     # -- collection ---------------------------------------------------------------

@@ -13,11 +13,11 @@ which tells ServiceDAO to fall back to vanilla behaviour.
 
 Fast path: parses are memoized per service id, keyed on the description
 content (hash + equality), so steady-state discovery does **zero** XML
-parsing.  The cache is self-validating — a republished description never
-serves a stale parse — and :meth:`ServiceConstraint.invalidate` additionally
-hooks into the datastore's write listeners (wired by
-:func:`repro.core.balancer.attach_load_balancer`) so entries for rewritten
-or deleted services are evicted eagerly.
+parsing.  The memo is self-validating — a republished description never
+serves a stale parse — and, once :meth:`ServiceConstraint.follow` points it
+at a store (:func:`repro.core.balancer.attach_load_balancer` does), entries
+for rewritten or deleted services are evicted as the memo catches up with
+that store's changelog.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.constraints import ConstraintSet, parse_constraints
+from repro.persistence.changelog import ChangeRecord
+from repro.persistence.datastore import DataStore
+from repro.persistence.views import ChangelogView
 from repro.rim import Service
 from repro.util.clock import Clock
 
@@ -50,31 +53,50 @@ class ConstraintCheck:
         )
 
 
+class _ServiceEvictions(ChangelogView):
+    """Drops a memo entry when its Service is rewritten or deleted."""
+
+    def __init__(self, store: DataStore, entries: dict) -> None:
+        super().__init__(store)
+        self._entries = entries
+
+    def _apply(self, record: ChangeRecord) -> None:
+        if record.type_name == "Service":
+            self._entries.pop(record.object_id, None)
+
+    def _reset(self) -> None:
+        self._entries.clear()
+
+
 class ServiceConstraint:
     """Validates a service's embedded constraints against the current time.
 
-    Thread-safe without locks: cache entries are *self-validating* — each
+    Thread-safe without locks: memo entries are *self-validating* — each
     stores the description (hash + text) it was parsed from and a hit
     requires content equality, so a fill racing an eviction can at worst
     re-serve a parse of the exact same text or force a re-parse, never a
-    stale answer.  Wholesale eviction swap-publishes a fresh map.  The
+    stale answer (which is why fills need no ``as_of`` token here).  The
     hit/miss counters are plain ``+=`` (observability, near-exact).
     """
 
-    def __init__(self, clock: Clock, *, cache: bool = True) -> None:
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        self.cache_enabled = cache
         #: service id → (description hash, description, parsed constraints)
         self._cache: dict[str, tuple[int, str, ConstraintSet | None]] = {}
+        self._evictions: _ServiceEvictions | None = None
         self.cache_hits = 0
         self.cache_misses = 0
 
     # -- cache ---------------------------------------------------------------
 
+    def follow(self, store: DataStore) -> None:
+        """Evict rewritten or deleted services as *store*'s changelog advances."""
+        self._evictions = _ServiceEvictions(store, self._cache)
+
     def constraints_of(self, service: Service) -> ConstraintSet | None:
         """The service's parsed constraint block, memoized by content."""
-        if not self.cache_enabled:
-            return parse_constraints(service.description.value)
+        if self._evictions is not None:
+            self._evictions.catch_up()
         description = service.description.value
         description_hash = hash(description)
         cached = self._cache.get(service.id)
@@ -97,18 +119,6 @@ class ServiceConstraint:
             "misses": self.cache_misses,
             "entries": len(self._cache),
         }
-
-    def invalidate(self, object_id: str | None = None) -> None:
-        """Drop one service's cached parse (or all, with ``None``)."""
-        if object_id is None:
-            self._cache = {}
-        else:
-            self._cache.pop(object_id, None)
-
-    def on_store_write(self, type_name: str | None, object_id: str | None) -> None:
-        """Datastore write-listener adapter: evict on Service writes/rollback."""
-        if type_name is None or type_name == "Service":
-            self.invalidate(object_id)
 
     # -- validation ----------------------------------------------------------
 

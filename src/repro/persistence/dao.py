@@ -128,10 +128,11 @@ class BindingResolver(Protocol):
     def fingerprint(self) -> object:
         """Hashable token capturing every resolver input *besides* the store.
 
-        ServiceDAO memoizes resolved access-URI lists while both the store
-        version and this token are unchanged.  Resolvers whose output depends
-        only on the service and its bindings return a constant; a resolver
-        may omit the method entirely to opt out of caching.
+        ServiceDAO memoizes a resolved access-URI list until a changelog
+        record touches the service or this token changes.  Resolvers whose
+        output depends only on the service and its bindings return a
+        constant; a resolver may omit the method entirely to opt out of
+        caching.
         """
         ...
 

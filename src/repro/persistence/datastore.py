@@ -43,10 +43,10 @@ Unpinned reads are lock-free and see the latest committed state; they are
 individually consistent (each call runs over one published generation) but
 two successive calls may span a write.  Multi-step read transactions pin.
 
-Write listeners (``add_write_listener``) observe every heap mutation —
-including transaction rollback — so caches layered above the store
-(constraint cache, monitor target list) invalidate without polling; they
-run under the writer lock, making invalidation atomic with publication.
+Freshness: nothing is called back from a write.  Every cache derived from
+the heap is a :class:`~repro.persistence.views.ChangelogView` that pulls the
+changelog tail up to its own watermark; the writer's critical section runs
+store code only (see DESIGN.md "Freshness").
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ from repro.util.errors import (
     ObjectExistsError,
     ObjectNotFoundError,
 )
-
-#: ``listener(type_name, object_id)`` called after each heap write;
-#: ``(None, None)`` means "anything may have changed" (transaction rollback).
-WriteListener = Callable[[str | None, str | None], None]
 
 _EMPTY_IDS: frozenset[str] = frozenset()
 
@@ -260,7 +256,6 @@ class DataStore:
             version=0, by_type={}, sorted_ids={}, by_name={}, sorted_names={}
         )
         self._tables: dict[str, Table] = {}
-        self._listeners: list[WriteListener] = []
         #: the single writer lock (re-entrant: transactions nest mutators)
         self._lock = threading.RLock()
         self._pins: list[HeapSnapshot] = []
@@ -280,10 +275,10 @@ class DataStore:
         self.write_lock_contended = 0
         self.snapshots_pinned = 0
         self.preimages_preserved = 0
-        #: monotonic heap-write counter, a plain-attribute mirror of
+        #: published-generation counter, a plain-attribute mirror of
         #: ``_indexes.version`` (kept in sync by ``_publish`` under the
-        #: writer lock) — caches validate against it on every discovery
-        #: query, so it must cost one attribute read, not a property call
+        #: writer lock); stamps change records and stats — caches validate
+        #: against the changelog watermark, never against this
         self.version = 0
 
     # -- relational tables ---------------------------------------------------
@@ -324,21 +319,6 @@ class DataStore:
             yield
         finally:
             self._lock.release()
-
-    # -- write listeners -----------------------------------------------------
-
-    def add_write_listener(self, listener: WriteListener) -> None:
-        """Subscribe to heap writes (insert/save/delete and rollback)."""
-        self._listeners.append(listener)
-
-    def remove_write_listener(self, listener: WriteListener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def _notify(self, type_name: str | None, object_id: str | None) -> None:
-        self.writes += 1
-        for listener in self._listeners:
-            listener(type_name, object_id)
 
     # -- snapshot pinning ------------------------------------------------------
 
@@ -417,14 +397,14 @@ class DataStore:
     # -- write spine (changelog + write-behind batching) -----------------------
 
     def _commit_write(self, op, type_name, object_id, payload, previous, builders):
-        """Finish one mutator: publish + log + notify, or defer to the batch."""
+        """Finish one mutator: publish + log, or defer to the batch."""
         state = self._batch
         if state is not None:
             state.record(op, type_name, object_id, payload, previous)
             return
         self._publish(*builders)
         self._log_change(op, type_name, object_id, payload, previous, None)
-        self._notify(type_name, object_id)
+        self.writes += 1
 
     def _log_change(self, op, type_name, object_id, payload, previous, key) -> None:
         """Append one record — via the transaction buffer when one is open."""
@@ -465,9 +445,8 @@ class DataStore:
         Inside the batch every mutator updates the heap map immediately
         (point reads stay exact) but accumulates its index changes into one
         builder set and its change record into a per-object coalescing
-        buffer.  Batch exit publishes a *single* new index generation — one
-        version bump for N ops, so version-keyed caches re-key once — then
-        flushes the coalesced records and notifies listeners per record.
+        buffer.  Batch exit publishes a *single* new index generation (one
+        version bump for N ops), then flushes the coalesced records.
 
         Index-driven readers during the batch see the pre-batch generation
         over the live heap: post-batch inserts are invisible to them and
@@ -506,8 +485,7 @@ class DataStore:
         key = state.idempotency_key
         for object_id, (op, type_name, payload, previous) in state.pending.items():
             self._log_change(op, type_name, object_id, payload, previous, key)
-        for object_id, (op, type_name, _payload, _previous) in state.pending.items():
-            self._notify(type_name, object_id)
+        self.writes += len(state.pending)
 
     def write_stats(self) -> dict[str, Any]:
         """The write-spine telemetry surface: changelog + batching counters."""
@@ -861,4 +839,4 @@ class DataStore:
         # that entries filled from its intermediate generations are invalid
         self._txn_changes.clear()
         self.changelog.append(OP_RESET, version=self.version)
-        self._notify(None, None)
+        self.writes += 1

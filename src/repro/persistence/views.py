@@ -1,13 +1,14 @@
-"""Materialized discovery views, incrementally maintained off the changelog.
+"""Changelog views — the one way a heap-derived cache learns about a write.
 
-PR 1–5 cached discovery answers behind coarse version keys: any heap write
-re-keyed every cache, so a mixed read/write workload rebuilt the whole
-cache population once per write.  These views replace that with
-**per-record delta application**: each view tracks an applied-sequence
-watermark into the store's :class:`~repro.persistence.changelog.ChangeLog`
-and, on :meth:`~ChangelogView.catch_up`, drops exactly the entries each
-new record affects.  A write to one service invalidates one view entry,
-not the population.
+Each view tracks an applied-sequence watermark into the store's
+:class:`~repro.persistence.changelog.ChangeLog` and, on
+:meth:`~ChangelogView.catch_up`, drops exactly the entries each new record
+affects (**per-record delta application**): a write to one service
+invalidates one entry, not the population.  Nothing else signals
+freshness for heap state — no callbacks from the writer, no version
+stamps; relational tables are outside the changelog and ride
+``Table.mutations`` instead, and non-store inputs (clock minute, staleness
+second) ride the resolver's ``fingerprint()``.
 
 Fill protocol (the swap-publish discipline, sequenced): a reader calls
 ``catch_up()`` and keeps the returned watermark as its ``as_of`` token,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.persistence.changelog import OP_RESET, ChangeRecord
 
@@ -136,29 +137,31 @@ class ServiceUriView(ChangelogView):
 
 
 class QueryResultView(ChangelogView):
-    """query text → projected rows, for hot ad-hoc plans over virtual tables.
+    """key → value derived from whole RIM types, dropped per written type.
 
-    Entries register under every RIM type their statement (including
-    subqueries) reads — the ``RegistryObject`` union view registers under
-    ``"*"`` — and a changelog record drops exactly the entries registered
-    for its type (plus all ``"*"`` entries).  Statements touching
-    relational tables are never cached here: ``Table`` writes (NodeState
-    samples) bypass the heap and therefore the changelog.
+    The engine keeps hot ad-hoc results (query text → projected rows) and
+    subquery value sets (``Select`` node → values) here; TimeHits keeps its
+    target list.  Entries register under every RIM type they were computed
+    from — the ``RegistryObject`` union view registers under ``"*"`` — and
+    a changelog record drops exactly the entries registered for its type
+    (plus all ``"*"`` entries).  Anything read from a relational table is
+    never cached here: ``Table`` writes (NodeState samples) bypass the heap
+    and therefore the changelog.
     """
 
     def __init__(self, store: "DataStore", *, capacity: int = 256) -> None:
         super().__init__(store)
         self.capacity = capacity
-        #: query text → (registered type names, result rows); LRU-ordered
-        self._entries: "OrderedDict[str, tuple[frozenset[str], tuple]]" = (
+        #: key → (registered type names, value); LRU-ordered
+        self._entries: "OrderedDict[Hashable, tuple[frozenset[str], object]]" = (
             OrderedDict()
         )
         #: reverse index: type name → keys registered for it
-        self._by_type: dict[str, set[str]] = {}
+        self._by_type: dict[str, set[Hashable]] = {}
         self.invalidations = 0
 
     def _apply(self, record: ChangeRecord) -> None:
-        affected: set[str] = set()
+        affected: set[Hashable] = set()
         for type_name in (record.type_name, "*"):
             keys = self._by_type.get(type_name)
             if keys:
@@ -167,7 +170,7 @@ class QueryResultView(ChangelogView):
             self._drop(key)
             self.invalidations += 1
 
-    def _drop(self, key: str) -> None:
+    def _drop(self, key: Hashable) -> None:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
@@ -182,7 +185,7 @@ class QueryResultView(ChangelogView):
         self._entries.clear()
         self._by_type.clear()
 
-    def get(self, key: str) -> tuple | None:
+    def get(self, key: Hashable):
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -191,7 +194,7 @@ class QueryResultView(ChangelogView):
             return entry[1]
 
     def put(
-        self, key: str, type_names: Iterable[str], rows: tuple, *, as_of: int
+        self, key: Hashable, type_names: Iterable[str], value: object, *, as_of: int
     ) -> None:
         with self._lock:
             if as_of < self._applied:
@@ -200,7 +203,7 @@ class QueryResultView(ChangelogView):
             while len(self._entries) >= self.capacity:
                 self._drop(next(iter(self._entries)))
             names = frozenset(type_names)
-            self._entries[key] = (names, rows)
+            self._entries[key] = (names, value)
             for type_name in names:
                 self._by_type.setdefault(type_name, set()).add(key)
 

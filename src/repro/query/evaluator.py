@@ -206,6 +206,7 @@ class QueryEngine:
         }
         self._plans = None
         self._results = None
+        self._subqueries = None
         if planner:
             from repro.persistence.views import QueryResultView
             from repro.query.planner import PlanCache
@@ -215,11 +216,11 @@ class QueryEngine:
             #: string-keyed statements over virtual tables participate; the
             #: ``planner=False`` scan path stays the untouched parity oracle
             self._results = QueryResultView(store)
-        #: subquery Select → (heap version, materialized value set);
-        #: mutated only under ``_subquery_lock``
-        self._subquery_cache: dict[Select, tuple[int, frozenset | tuple]] = {}
-        #: guards shared-plan cell binding and the subquery cache; re-entrant
-        #: because materializing a subquery recurses into :meth:`execute`
+            #: subquery Select → materialized value set, under the same
+            #: rule: registered per RIM type read, never for relational tables
+            self._subqueries = QueryResultView(store, capacity=64)
+        #: guards shared-plan cell binding; re-entrant because
+        #: materializing a subquery recurses into :meth:`execute`
         self._subquery_lock = threading.RLock()
 
     # -- row sources -----------------------------------------------------------
@@ -280,31 +281,25 @@ class QueryEngine:
     def _subquery_values(self, select: Select, column: str) -> frozenset | tuple:
         """Materialized value set of one uncorrelated subquery.
 
-        Cached per heap version: classification-style semi-joins run once
-        per write generation, not once per outer query.
+        Memoized until a write lands on a RIM type the subquery reads:
+        classification-style semi-joins run once per such write, not once
+        per outer query.  A subquery over a relational table always runs.
         """
-        version = self.store.version
-        hit = self._subquery_cache.get(select)
-        if hit is not None and hit[0] == version:
+        view = self._subqueries
+        as_of = view.catch_up()
+        hit = view.get(select)
+        if hit is not None:
             self.stats["subquery_hits"] += 1
-            return hit[1]
+            return hit
         rows = self.execute(select)
         values = [row[column] for row in rows if row.get(column) is not None]
         try:
             materialized: frozenset | tuple = frozenset(values)
         except TypeError:
             materialized = tuple(values)
-        if len(self._subquery_cache) >= 64:
-            stale = [
-                key
-                for key, (cached_version, _) in self._subquery_cache.items()
-                if cached_version != version
-            ]
-            for key in stale:
-                del self._subquery_cache[key]
-            if len(self._subquery_cache) >= 64:
-                self._subquery_cache.pop(next(iter(self._subquery_cache)))
-        self._subquery_cache[select] = (version, materialized)
+        types = self._view_types(select)
+        if types is not None:
+            view.put(select, types, materialized, as_of=as_of)
         self.stats["subquery_materializations"] += 1
         return materialized
 

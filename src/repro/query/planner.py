@@ -12,12 +12,13 @@ planner lowers each statement **once** into a :class:`CompiledPlan`:
   with LIKE regexes hoisted, IN lists pre-hashed, and literals captured, so
   the per-row cost is one function call;
 * **subquery cells** — uncorrelated ``IN (SELECT …)`` subqueries compile to
-  a cell the engine re-binds per execution from a heap-version-keyed
-  materialization cache (see ``QueryEngine._subquery_values``).
+  a cell the engine re-binds per execution from a changelog view of
+  materialized value sets (see ``QueryEngine._subquery_values``).
 
 Plans depend only on the statement, never on the data: probes read the live
-indexes at execution time, and subquery cells re-validate against the heap
-version, so the plan cache needs no write invalidation.  Results are
+indexes at execution time, and subquery cells are re-bound from a view that
+drops a value set when a type it read is written, so the plan cache needs
+no write invalidation.  Results are
 bit-identical to the scan path — same rows, same order, same NULL/coercion
 semantics — which ``benchmarks/test_bench_adhoc_query.py`` asserts query by
 query.  One deliberate asymmetry: a probe that empties the candidate set
@@ -103,7 +104,7 @@ class SubqueryCell:
     """Holder for one ``IN (SELECT …)``'s materialized value set.
 
     The compiled closure reads ``values`` at row time; the engine re-binds
-    it before each execution from the version-keyed subquery cache.
+    it before each execution from the engine's subquery view.
     """
 
     __slots__ = ("select", "column", "values")

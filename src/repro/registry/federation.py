@@ -148,13 +148,9 @@ class ReplicationLink:
     * records without a ``home`` — member-local infrastructure objects
       (users, credentials, audit trail) that never replicate.
 
-    The link also subscribes to the source changelog, so :attr:`notified`
-    counts appends seen since attach — a cheap "work is pending" signal the
-    cluster supervisor can poll without touching the record list.  The
-    subscription callback only increments a counter: applying records from
-    inside an append (which runs under the source's writer lock) could
-    deadlock two stores against each other, so actual apply work always
-    happens in an explicit :meth:`pump`.
+    Nothing runs inside a source append (that would hold one store's writer
+    lock while writing another): apply work happens only in an explicit
+    :meth:`pump`, and "work is pending" is ``lag() > 0``.
     """
 
     def __init__(self, source: RegistryServer, target: RegistryServer) -> None:
@@ -167,16 +163,6 @@ class ReplicationLink:
         self.skipped_barriers = 0
         self.filtered = 0
         self.pumps = 0
-        self.notified = 0
-        self._subscription = source.store.changelog.subscribe(self._on_append)
-
-    # -- subscription ----------------------------------------------------------
-
-    def _on_append(self, record: "ChangeRecord") -> None:
-        self.notified += 1
-
-    def close(self) -> None:
-        self.source.store.changelog.unsubscribe(self._subscription)
 
     # -- the consistency model -------------------------------------------------
 
@@ -232,7 +218,6 @@ class ReplicationLink:
             "skipped_barriers": self.skipped_barriers,
             "filtered": self.filtered,
             "pumps": self.pumps,
-            "notified": self.notified,
         }
 
 
@@ -420,13 +405,11 @@ class RegistryFederation:
         self.transport.unregister_endpoint(member.endpoint)
         registry.kernel.remove_interceptor("route")
         registry.telemetry.unregister_source("route")
-        for link in [
+        self._links = [
             link
             for link in self._links
-            if registry.home in (link.source.home, link.target.home)
-        ]:
-            link.close()
-            self._links.remove(link)
+            if registry.home not in (link.source.home, link.target.home)
+        ]
 
     def members(self) -> list[RegistryServer]:
         return [self._members[home].registry for home in sorted(self._members)]

@@ -1,8 +1,11 @@
 """Tests for the constraint-aware binding resolver — the thesis' modification."""
 
+import sys
+
 import pytest
 
 from repro.core import BalanceMode, attach_load_balancer
+from repro.rim import Organization
 from repro.sim import Task
 
 from conftest import HOSTS, publish_nodestatus, publish_service_with_bindings
@@ -162,3 +165,48 @@ class TestAccounting:
         hosts = [u.split("//")[1].split(":")[0] for u in uris]
         assert hosts == HOSTS
         assert not balancer.monitor.running
+
+    def test_attach_detach_cycles_leave_nothing_on_the_store(
+        self, sim_registry, admin, transport, engine
+    ):
+        """Regression: every attach used to leave a TimeHits write listener on
+        the store for good — run under the writer lock on every later write."""
+        store = sim_registry.store
+
+        def container_sizes():
+            return {
+                (type(owner).__name__, name): len(value)
+                for owner in (store, store.changelog)
+                for name, value in vars(owner).items()
+                if isinstance(value, (list, dict, set))
+            }
+
+        def one_cycle():
+            balancer = attach_load_balancer(
+                sim_registry, transport, engine, start_monitor=False
+            )
+            balancer.monitor.target_uris()
+            balancer.detach(sim_registry)
+
+        publish_nodestatus(sim_registry, admin)
+        one_cycle()
+        before = container_sizes()
+        for _ in range(20):
+            one_cycle()
+        assert container_sizes() == before
+
+        # and a later write runs store code only: nothing of a detached
+        # TimeHits / ServiceConstraint is called from inside it
+        called: set[str] = set()
+
+        def profiler(frame, event, _arg):
+            if event == "call":
+                called.add(frame.f_code.co_filename)
+
+        sys.setprofile(profiler)
+        try:
+            store.insert_object(Organization(sim_registry.ids.new_id(), name="Later"))
+        finally:
+            sys.setprofile(None)
+        assert called
+        assert not [name for name in called if "/repro/core/" in name]

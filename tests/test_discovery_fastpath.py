@@ -13,6 +13,8 @@ Covers the invalidation/consistency corners the fast path introduces:
 * the TimeHits target-list cache invalidates on NodeStatus publishes.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core import (
@@ -103,25 +105,58 @@ class TestConstraintCache:
         assert lb.service_constraint.cache_misses >= 2
 
     def test_cache_disabled_still_correct(self, clock):
-        from repro.core import ServiceConstraint
-
-        sc = ServiceConstraint(clock, cache=False)
-        svc = Service(ids.new_id(), name="S", description=CONSTRAINT_LS)
-        assert sc.check(svc).active
-        assert sc.cache_hits == 0 and sc.cache_misses == 0
-
-    def test_invalidate_scoped_to_service_writes(self, clock):
-        from repro.core import ServiceConstraint
-
+        """No store followed (eviction off, as AutoScaler uses it): the memo
+        is content-validated, so a rewritten description is never served
+        from the old parse."""
         sc = ServiceConstraint(clock)
         svc = Service(ids.new_id(), name="S", description=CONSTRAINT_LS)
+        assert sc.check(svc).constraints == parse_constraints(CONSTRAINT_LS)
+        rewritten = Service(svc.id, name="S", description=CONSTRAINT_GR)
+        assert sc.check(rewritten).constraints == parse_constraints(CONSTRAINT_GR)
+        assert not sc.check(Service(svc.id, name="S", description="plain")).present
+        assert sc.cache_stats() == {"hits": 0, "misses": 3, "entries": 1}
+
+    def test_invalidate_scoped_to_service_writes(self, clock):
+        store = DataStore()
+        sc = ServiceConstraint(clock)
+        sc.follow(store)
+        svc = Service(ids.new_id(), name="S", description=CONSTRAINT_LS)
+        store.insert_object(svc)
         sc.check(svc)
-        sc.on_store_write("Organization", "urn:uuid:whatever")
+        store.insert_object(Organization(ids.new_id(), name="Unrelated"))
         sc.check(svc)
         assert sc.cache_misses == 1  # Organization writes don't evict
-        sc.on_store_write("Service", svc.id)
+        store.save_object(svc)
         sc.check(svc)
         assert sc.cache_misses == 2
+        # a rollback barrier may hide intermediate generations: drop all
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                raise RuntimeError("boom")
+        sc.check(svc)
+        assert sc.cache_misses == 3
+
+    def test_deleted_services_leave_the_memo(self, balanced):
+        registry, lb = balanced
+        _, cred = registry.register_user("owner")
+        session = registry.login(cred)
+        sc = lb.service_constraint
+        _, keeper = publish_service_with_bindings(
+            registry, session, description=CONSTRAINT_LS
+        )
+        sc.check(keeper)
+        baseline = sc.cache_stats()["entries"]
+        doomed = [
+            Service(registry.ids.new_id(), name=f"Doomed{n}", description=CONSTRAINT_LS)
+            for n in range(8)
+        ]
+        registry.lcm.submit_objects(session, doomed)
+        for svc in doomed:
+            sc.check(svc)
+        assert sc.cache_stats()["entries"] == baseline + len(doomed)
+        registry.lcm.remove_objects(session, [svc.id for svc in doomed])
+        sc.check(keeper)
+        assert sc.cache_stats()["entries"] == baseline
 
 
 def balanced_manual_registry(description=CONSTRAINT_LS, *, max_age=None):
@@ -129,7 +164,7 @@ def balanced_manual_registry(description=CONSTRAINT_LS, *, max_age=None):
     clock = ManualClock(start=11 * 3600.0)  # 11:00
     registry = RegistryServer(RegistryConfig(seed=7), clock=clock)
     service_constraint = ServiceConstraint(clock)
-    registry.store.add_write_listener(service_constraint.on_store_write)
+    service_constraint.follow(registry.store)
     load_status = LoadStatus(registry.node_state, clock=clock, max_age=max_age)
     resolver = ConstraintBindingResolver(service_constraint, load_status)
     registry.daos.services.set_resolver(resolver)
@@ -338,6 +373,24 @@ class TestSnapshotRanking:
         assert ls.rank(["x", "y", "z"], constraints) == ["y", "z", "x"]
 
 
+@contextmanager
+def count_binding_scans(registry):
+    """Records each NodeStatus binding scan TimeHits makes (its only heap read)."""
+    dao = registry.daos.service_bindings
+    scans = []
+    original = dao.for_service
+
+    def counting(service, **kwargs):
+        scans.append(service.id)
+        return original(service, **kwargs)
+
+    dao.for_service = counting
+    try:
+        yield scans
+    finally:
+        del dao.for_service
+
+
 class TestMonitorTargetCache:
     def test_targets_cached_and_invalidated_on_publish(self, sim_registry, transport, engine):
         _, cred = sim_registry.register_user("admin", roles={"RegistryAdministrator"})
@@ -346,8 +399,9 @@ class TestMonitorTargetCache:
         monitor = TimeHits(sim_registry, transport, engine)
         first = monitor.target_uris()
         assert first == [nodestatus_uri(h) for h in HOSTS[:2]]
-        assert monitor._target_cache is not None  # primed
-        assert monitor.target_uris() == first
+        with count_binding_scans(sim_registry) as scans:
+            assert monitor.target_uris() == first
+        assert scans == []  # primed: answered without a registry scan
         # publishing another NodeStatus binding must invalidate the cache
         sim_registry.lcm.submit_objects(
             admin,
@@ -368,16 +422,19 @@ class TestMonitorTargetCache:
         admin = sim_registry.login(cred)
         publish_nodestatus(sim_registry, admin)
         monitor = TimeHits(sim_registry, transport, engine)
-        monitor.target_uris()
-        assert monitor._target_cache is not None
+        first = monitor.target_uris()
         sim_registry.lcm.submit_objects(
             admin, [Organization(sim_registry.ids.new_id(), name="Unrelated")]
         )
-        assert monitor._target_cache is not None
+        with count_binding_scans(sim_registry) as scans:
+            assert monitor.target_uris() == first
+        assert scans == []
         with pytest.raises(RuntimeError):
             with sim_registry.store.transaction():
                 raise RuntimeError("boom")
-        assert monitor._target_cache is None
+        with count_binding_scans(sim_registry) as scans:
+            assert monitor.target_uris() == first
+        assert len(scans) == 1  # the barrier dropped the list: one re-scan
 
 
 class TestWindowing:

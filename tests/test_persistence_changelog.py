@@ -186,30 +186,6 @@ class TestReplay:
             assert source.execute(query) == target.execute(query), query
 
 
-class TestSubscriptions:
-    def test_listener_sees_every_append(self, store):
-        seen = []
-        subscription = store.changelog.subscribe(seen.append)
-        store.insert_object(Service(ids.new_id(), name="a"))
-        store.insert_object(Service(ids.new_id(), name="b"))
-        assert [r.seq for r in seen] == [1, 2]
-        assert store.changelog.subscriber_count() == 1
-        assert store.changelog.unsubscribe(subscription)
-
-    def test_unsubscribed_listener_stops_receiving(self, store):
-        seen = []
-        subscription = store.changelog.subscribe(seen.append)
-        store.insert_object(Service(ids.new_id(), name="a"))
-        store.changelog.unsubscribe(subscription)
-        store.insert_object(Service(ids.new_id(), name="b"))
-        assert len(seen) == 1
-        assert not store.changelog.unsubscribe(subscription)  # already gone
-
-    def test_stats_count_subscribers(self, store):
-        store.changelog.subscribe(lambda record: None)
-        assert store.changelog.stats()["subscribers"] == 1
-
-
 class TestIterBatches:
     def test_batches_partition_the_tail(self, store):
         for n in range(7):

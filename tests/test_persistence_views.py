@@ -1,12 +1,33 @@
-"""Tests for the materialized discovery views: delta application, parity."""
+"""Tests for the changelog views: delta application, parity, freshness.
+
+This is the one invalidation suite every changelog consumer depends on: the
+view classes themselves, the planner-vs-scan parity of the engine's result
+and subquery views, and a generated-schedule machine asserting that every
+cache-backed read equals its uncached recompute after every write.
+"""
 
 import threading
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.core import (
+    ConstraintBindingResolver,
+    LoadStatus,
+    ServiceConstraint,
+    attach_load_balancer,
+)
+from repro.core.constraints import parse_constraints
 from repro.persistence import DataStore, QueryResultView, ServiceUriView
+from repro.persistence.nodestate import NodeSample, NodeStateStore
 from repro.query.evaluator import QueryEngine
+from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization, Service, ServiceBinding
+from repro.sim import SimEngine
+from repro.soap import SimTransport
+from repro.util.clock import ManualClock
 from repro.util.ids import IdFactory
 
 ids = IdFactory(88)
@@ -179,6 +200,51 @@ class TestEngineParity:
         assert planned.execute(query) == scan.execute(query)
         assert len(planned.execute(query)) == 5
 
+    def test_relational_subquery_tracks_table_writes(self, store):
+        """Regression: the subquery memo was stamped with the heap version,
+        which Table writes never bump — a NodeState subquery went stale."""
+        store.insert_object(Service(ids.new_id(), name="h1", description="d"))
+        node_state = NodeStateStore(store)
+        planned = QueryEngine(store, planner=True)
+        scan = QueryEngine(store, planner=False)
+        query = (
+            "SELECT name FROM Service WHERE name IN "
+            "(SELECT HOST FROM NodeState WHERE LOAD < 1)"
+        )
+
+        def sample(load):
+            node_state.record_sample(
+                NodeSample(host="h1", load=load, memory=1, swap_memory=1, updated=0.0)
+            )
+
+        sample(0.5)
+        assert planned.execute(query) == scan.execute(query) == [{"name": "h1"}]
+        sample(5.0)  # no heap write in between
+        assert planned.execute(query) == scan.execute(query) == []
+        sample(0.2)
+        assert planned.execute(query) == scan.execute(query) == [{"name": "h1"}]
+
+    def test_subquery_memo_is_scoped_to_the_types_it_reads(self, store):
+        publish(store, hosts=("h1",))
+        planned = QueryEngine(store, planner=True)
+        scan = QueryEngine(store, planner=False)
+        query = (
+            "SELECT name FROM Service WHERE id IN "
+            "(SELECT service FROM ServiceBinding WHERE host = 'h1')"
+        )
+        assert planned.execute(query) == scan.execute(query) == [{"name": "Adder"}]
+        # an Organization write drops neither the subquery nor (on the
+        # second run) forces a re-materialization
+        store.insert_object(Organization(ids.new_id(), name="SDSU"))
+        materializations = planned.stats["subquery_materializations"]
+        assert planned.execute(query) == scan.execute(query)
+        assert planned.stats["subquery_materializations"] == materializations
+        # a ServiceBinding write does
+        publish(store, name="Other", hosts=("h1",))
+        assert planned.execute(query) == scan.execute(query)
+        assert {row["name"] for row in planned.execute(query)} == {"Adder", "Other"}
+        assert planned.stats["subquery_materializations"] > materializations
+
     def test_cached_rows_are_isolated_copies(self, store):
         publish(store)
         planned = QueryEngine(store, planner=True)
@@ -229,3 +295,244 @@ class TestEngineParity:
         assert planned.execute(
             "SELECT * FROM Service ORDER BY name"
         ) == scan.execute("SELECT * FROM Service ORDER BY name")
+
+
+# -- generated schedules: every cache-backed read == its uncached recompute ----
+
+HOST_NAMES = ["h0", "h1", "h2"]
+#: service names: the monitor's service, and host names so the relational
+#: subquery below (Service.name IN NodeState.HOST) has something to match
+SERVICE_NAMES = ["NodeStatus", "h0", "h1"]
+DESCRIPTIONS = [
+    "<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>",
+    "<constraint><cpuLoad>load gr 1.0</cpuLoad></constraint>",
+    "no constraints here",
+    "<constraint><cpuLoad>load ls",
+]
+PARITY_QUERIES = [
+    "SELECT id, name FROM Service ORDER BY name, id",
+    "SELECT COUNT(*) FROM ServiceBinding",
+    "SELECT name FROM Service WHERE id IN "
+    "(SELECT service FROM ServiceBinding WHERE host = 'h1')",
+    "SELECT name FROM Service WHERE name IN "
+    "(SELECT HOST FROM NodeState WHERE LOAD < 1)",
+    "SELECT id FROM Service WHERE name IN (SELECT HOST FROM NodeState WHERE LOAD < 1) "
+    "AND id IN (SELECT service FROM ServiceBinding WHERE host = 'h0')",
+]
+
+
+class FreshnessMachine(RuleBasedStateMachine):
+    """Interleaves every kind of write with reads through every cache."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.registry = RegistryServer(
+            RegistryConfig(seed=77), clock=ManualClock(start=11 * 3600.0)
+        )
+        self.store = self.registry.store
+        self.lb = attach_load_balancer(
+            self.registry,
+            SimTransport(),
+            SimEngine(),
+            start_monitor=False,
+            max_sample_age=None,
+        )
+        self.scan = QueryEngine(self.store, planner=False)
+        self.ids = IdFactory(99)
+        self.service_ids: list[str] = []
+        self.binding_ids: list[str] = []
+
+    # -- writes ---------------------------------------------------------------
+
+    def _new_service(self, name, description) -> Service:
+        service = Service(self.ids.new_id(), name=name, description=description)
+        self.service_ids.append(service.id)
+        return service
+
+    def _new_binding(self, service: Service, host) -> ServiceBinding:
+        binding = ServiceBinding(
+            self.ids.new_id(),
+            service=service.id,
+            access_uri=f"http://{host}:8080/{len(self.binding_ids)}",
+        )
+        service.binding_ids.append(binding.id)
+        self.binding_ids.append(binding.id)
+        return binding
+
+    @rule(name=st.sampled_from(SERVICE_NAMES), description=st.sampled_from(DESCRIPTIONS))
+    def insert_service(self, name, description):
+        self.store.insert_object(self._new_service(name, description))
+
+    @rule(name=st.text(min_size=1, max_size=6))
+    def insert_organization(self, name):
+        self.store.insert_object(Organization(self.ids.new_id(), name=name))
+
+    @precondition(lambda self: self.service_ids)
+    @rule(data=st.data(), description=st.sampled_from(DESCRIPTIONS))
+    def rewrite_description(self, data, description):
+        service = self.store.get_object(data.draw(st.sampled_from(self.service_ids)))
+        service.description.set(description)
+        self.store.save_object(service)
+
+    @precondition(lambda self: self.service_ids)
+    @rule(data=st.data(), host=st.sampled_from(HOST_NAMES))
+    def add_binding(self, data, host):
+        service = self.store.get_object(data.draw(st.sampled_from(self.service_ids)))
+        binding = self._new_binding(service, host)
+        with self.store.batch():
+            self.store.insert_object(binding)
+            self.store.save_object(service)
+
+    @precondition(lambda self: self.binding_ids and len(self.service_ids) > 1)
+    @rule(data=st.data())
+    def repoint_binding(self, data):
+        binding = self.store.get_object(data.draw(st.sampled_from(self.binding_ids)))
+        old = self.store.get_object(binding.service)
+        new = self.store.get_object(data.draw(st.sampled_from(self.service_ids)))
+        if new.id == old.id:
+            return
+        old.binding_ids.remove(binding.id)
+        new.binding_ids.append(binding.id)
+        binding.service = new.id
+        with self.store.batch():
+            for obj in (binding, old, new):
+                self.store.save_object(obj)
+
+    @precondition(lambda self: self.service_ids)
+    @rule(data=st.data())
+    def delete_service(self, data):
+        service = self.store.get_object(data.draw(st.sampled_from(self.service_ids)))
+        with self.store.batch():
+            for binding_id in service.binding_ids:
+                self.store.delete_object(binding_id)
+                self.binding_ids.remove(binding_id)
+            self.store.delete_object(service.id)
+        self.service_ids.remove(service.id)
+
+    @rule(
+        name=st.sampled_from(SERVICE_NAMES),
+        description=st.sampled_from(DESCRIPTIONS),
+        hosts=st.lists(st.sampled_from(HOST_NAMES), max_size=3),
+    )
+    def batched_burst(self, name, description, hosts):
+        """insert + save of one object in a batch coalesce to one record."""
+        service = self._new_service(name, DESCRIPTIONS[2])
+        with self.store.batch():
+            self.store.insert_object(service)
+            for host in hosts:
+                self.store.insert_object(self._new_binding(service, host))
+            service.description.set(description)
+            self.store.save_object(service)
+
+    @rule(
+        data=st.data(),
+        name=st.sampled_from(SERVICE_NAMES),
+        description=st.sampled_from(DESCRIPTIONS),
+        host=st.sampled_from(HOST_NAMES),
+        load=st.sampled_from([0.5, 5.0]),
+    )
+    def rolled_back_transaction(self, data, name, description, host, load):
+        """Reads inside the transaction fill caches from generations that the
+        rollback then takes back — the reset barrier must drop those fills."""
+        doomed = Service(self.ids.new_id(), name=name, description=description)
+        victim_id = (
+            data.draw(st.sampled_from(self.service_ids)) if self.service_ids else None
+        )
+        with pytest.raises(RuntimeError):
+            with self.store.transaction():
+                binding = ServiceBinding(
+                    self.ids.new_id(),
+                    service=doomed.id,
+                    access_uri=f"http://{host}:8080/doomed",
+                )
+                doomed.binding_ids.append(binding.id)
+                self.store.insert_object(binding)
+                self.store.insert_object(doomed)
+                if victim_id is not None:
+                    victim = self.store.get_object(victim_id)
+                    victim.description.set(description)
+                    self.store.save_object(victim)
+                self._sample(host, load)
+                self._cached_reads(self.service_ids + [doomed.id])
+                raise RuntimeError("abort")
+
+    @rule(host=st.sampled_from(HOST_NAMES), load=st.sampled_from([0.5, 5.0]))
+    def record_sample(self, host, load):
+        self._sample(host, load)
+
+    def _sample(self, host, load):
+        self.registry.node_state.record_sample(
+            NodeSample(
+                host=host,
+                load=load,
+                memory=1 << 30,
+                swap_memory=1 << 30,
+                updated=self.registry.clock.now(),
+            )
+        )
+
+    # -- reads ----------------------------------------------------------------
+
+    def _cached_reads(self, service_ids):
+        """Every cache-backed read of the system, through its public surface."""
+        return {
+            "uris": {sid: self.registry.qm.get_access_uris(sid) for sid in service_ids},
+            "targets": self.lb.monitor.target_uris(),
+            "queries": [self.registry.engine.execute(q) for q in PARITY_QUERIES],
+            "constraints": {
+                sid: self.lb.service_constraint.check(self.store.get_view(sid))
+                for sid in service_ids
+            },
+        }
+
+    def _recomputed_reads(self, service_ids):
+        """The same answers from the live heap and tables, nothing cached."""
+        store = self.store
+        clock = self.registry.clock
+        resolver = ConstraintBindingResolver(
+            ServiceConstraint(clock), LoadStatus(NodeStateStore(store), clock=clock)
+        )
+
+        def bindings_of(service):
+            found = (store.get_view(bid) for bid in service.binding_ids)
+            return [b for b in found if b is not None]
+
+        targets: list[str] = []
+        for service in store.iter_views_of_type("Service"):  # id order
+            if service.name.value == "NodeStatus":
+                for binding in bindings_of(service):
+                    if binding.access_uri not in targets:
+                        targets.append(binding.access_uri)
+        uris, constraints = {}, {}
+        for sid in service_ids:
+            service = store.get_view(sid)
+            uris[sid] = [
+                b.access_uri for b in resolver.resolve(service, bindings_of(service))
+            ]
+            constraints[sid] = parse_constraints(service.description.value)
+        return {
+            "uris": uris,
+            "targets": targets,
+            "queries": [self.scan.execute(q) for q in PARITY_QUERIES],
+            "constraints": constraints,
+        }
+
+    @invariant()
+    def cached_reads_equal_uncached_recompute(self):
+        cached = self._cached_reads(self.service_ids)
+        fresh = self._recomputed_reads(self.service_ids)
+        assert cached["uris"] == fresh["uris"]
+        assert cached["targets"] == fresh["targets"]
+        for query, planned, scanned in zip(
+            PARITY_QUERIES, cached["queries"], fresh["queries"]
+        ):
+            assert planned == scanned, query
+        for sid, check in cached["constraints"].items():
+            assert check.constraints == fresh["constraints"][sid]
+            assert check.present == (fresh["constraints"][sid] is not None)
+
+
+FreshnessMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None, derandomize=True
+)
+TestFreshnessSchedules = FreshnessMachine.TestCase

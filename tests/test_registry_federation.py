@@ -202,7 +202,6 @@ class TestReplicationLink:
         assert serialize(r1.store.get_object(org.id)) == serialize(
             r0.store.get_object(org.id)
         )
-        fresh.close()
 
     def test_deletes_replicate(self, federation):
         fed, (r0, r1) = federation
@@ -249,17 +248,6 @@ class TestReplicationLink:
         assert link.filtered > 0  # users/credentials carry no home
         assert not r1.store.contains(user.id)
 
-    def test_subscription_counts_appends_until_closed(self, federation):
-        fed, (r0, r1) = federation
-        link = fed.link(r0, r1)
-        _publish(r0, "OrgZero")
-        seen = link.notified
-        assert seen > 0
-        link.close()
-        _publish(r0, "OrgAfterClose")
-        assert link.notified == seen
-        assert r0.store.changelog.subscriber_count() == 0
-
     def test_link_requires_membership_and_distinct_homes(self, federation):
         fed, (r0, r1) = federation
         with pytest.raises(InvalidRequestError):
@@ -275,9 +263,25 @@ class TestReplicationLink:
         fed, (r0, r1) = federation
         link = fed.link(r0, r1)
         assert fed.link(r0, r1) is link
+        before = r0.store.changelog.stats()
         fed.leave(r0)
         assert fed.links() == []
-        assert r0.store.changelog.subscriber_count() == 0
+        # a link holds a watermark and nothing else: the source's log never
+        # knew it existed, and pending work is just lag() > 0
+        assert r0.store.changelog.stats() == before
+        assert set(before) == {"records", "resets"}
+        assert set(link.stats()) == {
+            "source",
+            "target",
+            "watermark",
+            "lag",
+            "applied",
+            "skipped_barriers",
+            "filtered",
+            "pumps",
+        }
+        _publish(r0, "OrgAfterLeave")
+        assert link.lag() > 0
 
 
 class TestShardRouting:

@@ -17,9 +17,11 @@ a daemon thread dying silently must fail the test, not pass it.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.core import attach_load_balancer
+from repro.core.constraints import parse_constraints
 from repro.rim import Service, ServiceBinding
 from repro.sim.nodestatus import nodestatus_uri
 
@@ -246,10 +248,60 @@ class TestSweepAndRankConcurrency:
 
         errors = run_stress(stop, [sweeper], [dispatcher] * 3 + [topology_writer])
         assert errors == [], errors
-        # most dispatches hit the version-keyed URI cache; every topology
+        # most dispatches hit the changelog-backed URI view; every topology
         # write forces at least one fresh constraint ranking
         assert balancer.load_status.load_status_stats()["rankings"] >= 1
         # after the dust settles, targets are exactly the published hosts
         assert sorted(balancer.monitor.target_uris()) == sorted(
             nodestatus_uri(host) for host in HOSTS
         )
+
+    def test_constraint_memo_evictions_race_fills(
+        self, engine, sim_registry, transport
+    ):
+        """Checks fill the parse memo while catch-up evicts rewritten and
+        deleted services from it: every check must still answer for the
+        exact description it was handed, and the memo must end bounded."""
+        balancer = attach_load_balancer(
+            sim_registry, transport, engine, start_monitor=False
+        )
+        sc = balancer.service_constraint
+        store = sim_registry.store
+        descriptions = [
+            "<constraint><cpuLoad>load ls 4.0</cpuLoad></constraint>",
+            "<constraint><cpuLoad>load gr 1.0</cpuLoad></constraint>",
+            "no constraints",
+        ]
+        keeper = Service(sim_registry.ids.new_id(), name="Keeper", description=CONSTRAINT)
+        store.insert_object(keeper)
+        stop = threading.Event()
+
+        def rewriter():
+            n = 0
+            while not stop.is_set():
+                n += 1
+                store.save_object(
+                    Service(keeper.id, name="Keeper", description=descriptions[n % 3])
+                )
+                doomed = Service(
+                    sim_registry.ids.new_id(), name="Doomed", description=CONSTRAINT
+                )
+                store.insert_object(doomed)
+                sc.check(doomed)
+                store.delete_object(doomed.id)
+
+        def checker():
+            for _ in range(400):
+                view = store.get_view(keeper.id)
+                expected = parse_constraints(view.description.value)
+                assert sc.check(view).constraints == expected
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = run_stress(stop, [rewriter], [checker] * 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [], errors
+        sc.check(store.get_view(keeper.id))
+        assert sc.cache_stats()["entries"] == 1  # every Doomed service is gone
