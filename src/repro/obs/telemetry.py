@@ -119,6 +119,9 @@ class Telemetry:
         self._cost_hist = None
         self._stage_hist = None
         self._queue_wait_hist = None
+        #: (metric name, *label values) → child series, resolved through
+        #: ``labels()`` once and observed directly from then on
+        self._series: dict[tuple[str, ...], Any] = {}
         self._attr_lock = threading.Lock()
         self._attr_requests = 0
         self._attr_totals = {
@@ -223,16 +226,27 @@ class Telemetry:
 
     # -- kernel hookup ---------------------------------------------------------
 
+    def _child(self, metric: Any, *values: str) -> Any:
+        """*metric*'s series for *values* (in ``labelnames`` order)."""
+        key = (metric.name, *values)
+        child = self._series.get(key)
+        if child is None:
+            child = self._series[key] = metric.labels(
+                **dict(zip(metric.labelnames, values))
+            )
+        return child
+
     def record_request(self, ctx: "RequestContext") -> None:
         """Account one finished kernel request (called by the account stage)."""
         latency = ctx.latency
         # exemplar: the active trace id rides on whichever bucket this
         # observation lands in, so a p99 bucket names its slowest trace
         exemplar = {"trace_id": ctx.trace_id} if ctx.trace_id is not None else None
-        self._request_latency.labels(
-            edge=ctx.edge.name,
-            operation=ctx.operation,
-            worker=ctx.tags.get("worker", "main"),
+        self._child(
+            self._request_latency,
+            ctx.edge.name,
+            ctx.operation,
+            ctx.tags.get("worker", "main"),
         ).observe(latency, exemplar)
         if self.attribution_enabled:
             attribution = ctx.tags.get("attribution")
@@ -276,7 +290,7 @@ class Telemetry:
                 "Dispatch-queue wait from enqueue to worker pick-up.",
                 ("worker",),
             )
-        hist.labels(worker=worker).observe(seconds)
+        self._child(hist, worker).observe(seconds)
         if self.history.enabled:
             self.history.record("serving.queue_wait", seconds)
 
@@ -304,24 +318,19 @@ class Telemetry:
                 ("stage",),
             )
         edge = ctx.edge.name
-        cost.labels(edge=edge, component="queue_wait").observe(
-            attribution["queue_wait_s"], exemplar
-        )
-        cost.labels(edge=edge, component="stage").observe(
-            attribution["stage_s"], exemplar
-        )
+        child = self._child
+        child(cost, edge, "queue_wait").observe(attribution["queue_wait_s"], exemplar)
+        child(cost, edge, "stage").observe(attribution["stage_s"], exemplar)
         # hop/wire components only exist on forwarded / wire-delayed
         # requests; zero observations would drown the distributions
         if attribution["forward_hop_s"]:
-            cost.labels(edge=edge, component="forward_hop").observe(
+            child(cost, edge, "forward_hop").observe(
                 attribution["forward_hop_s"], exemplar
             )
         if attribution["wire_s"]:
-            cost.labels(edge=edge, component="wire").observe(
-                attribution["wire_s"], exemplar
-            )
+            child(cost, edge, "wire").observe(attribution["wire_s"], exemplar)
         for stage_name, seconds in attribution["stages"].items():
-            stage_hist.labels(stage=stage_name).observe(seconds)
+            child(stage_hist, stage_name).observe(seconds)
         with self._attr_lock:
             self._attr_requests += 1
             for key in self._attr_totals:

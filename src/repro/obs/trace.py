@@ -223,7 +223,8 @@ class Tracer:
         """Open a child of the current span (or a new root) as a context manager."""
         if not self.enabled:
             return _NoopContext(name)
-        trace_id = self._stack[-1].trace_id if self._stack else self._new_trace_id()
+        stack = self._stack
+        trace_id = stack[-1].trace_id if stack else self._new_trace_id()
         span = Span(
             name=name,
             start=self.clock.now(),
@@ -231,7 +232,7 @@ class Tracer:
             trace_id=trace_id,
             span_id=self._new_span_id(),
         )
-        self._stack.append(span)
+        stack.append(span)
         return _SpanContext(self, span)
 
     def span_in_trace(self, name: str, traceparent: str | None, **tags: Any):
@@ -306,14 +307,16 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         span.end = self.clock.now()
-        assert self._stack and self._stack[-1] is span, "span closed out of order"
-        self._stack.pop()
+        stack = self._stack
+        assert stack and stack[-1] is span, "span closed out of order"
+        stack.pop()
         self._record(span)
         self.spans_recorded += 1
 
     def _record(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
+        stack = self._stack
+        if stack:
+            stack[-1].children.append(span)
         else:
             self.traces.append(span)
 

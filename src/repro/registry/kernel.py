@@ -64,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # -- request context -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestContext:
     """One request's journey through the pipeline.
 
@@ -243,7 +243,9 @@ class PipelineStats:
             with self._lock:
                 self._shards.append((current_worker_label(), shard))
             self._local.shard = shard
-        ops = shard.setdefault(edge, {})
+        ops = shard.get(edge)
+        if ops is None:
+            ops = shard[edge] = {}
         stats = ops.get(operation)
         if stats is None:
             stats = ops[operation] = OperationStats()
@@ -302,13 +304,18 @@ class Interceptor(Protocol):  # pragma: no cover - typing aid
 
 @dataclass(frozen=True)
 class _Stage:
-    """A named pipeline stage wrapping a ``(kernel, ctx, proceed)`` callable."""
+    """A named default stage, in one of two shapes.
+
+    A **step** is linear: it does its work on the context and falls through
+    to whatever follows, so consecutive steps can run back to back inside
+    one layer.  A **wrapping** stage (``account``, ``fault-map``) owns a
+    ``try`` block around the rest of the chain and therefore takes the
+    ``proceed`` continuation, exactly like a custom :class:`Interceptor`.
+    """
 
     name: str
-    run: Callable[["RegistryKernel", RequestContext, Proceed], Any]
-
-    def __call__(self, kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
-        return self.run(kernel, ctx, proceed)
+    step: Callable[["RegistryKernel", RequestContext], None] | None = None
+    wrap: Callable[["RegistryKernel", RequestContext, Proceed], Any] | None = None
 
 
 def _account_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
@@ -322,7 +329,7 @@ def _account_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proce
         kernel.stats.record(ctx.edge.name, ctx.operation, ctx.latency, fault_code)
         telemetry = kernel.telemetry
         if telemetry is not None:
-            if telemetry.attribution_enabled:
+            if "stage_inclusive_s" in ctx.tags:
                 # inner stages have recorded their inclusive times by now;
                 # fold them into the per-request cost split before telemetry
                 # accounts the request
@@ -342,13 +349,12 @@ def _fault_map_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Pro
         return fault
 
 
-def _admit_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
+def _admit_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     if ctx.edge.admit is not None:
         ctx.edge.admit(ctx)
-    return proceed()
 
 
-def _resolve_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
+def _resolve_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     if ctx.spec is None:
         if ctx.via_http:
             spec = kernel.operation_for_http_method(ctx.http_method)
@@ -357,46 +363,49 @@ def _resolve_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proce
             ctx.spec = spec
         else:
             ctx.spec = kernel.operation_for_body(ctx.body)
-    return proceed()
 
 
-def _authenticate_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
+def _authenticate_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
     ctx.session = ctx.edge.authenticate(ctx, ctx.spec)
-    return proceed()
 
 
-def _authorize_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
+def _authorize_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
     if ctx.spec.read_gate and ctx.edge.enforce_read_gate:
         kernel.server.check_read(ctx.session)
-    return proceed()
 
 
-def _validate_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
+def _validate_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
     if ctx.spec.validator is not None:
         ctx.spec.validator(ctx)
-    return proceed()
 
 
-def _dispatch_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
+def _dispatch_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
     ctx.response = ctx.spec.handler(ctx)
-    return ctx.response
 
 
 #: the default chain, outermost first; account/fault-map wrap everything
 DEFAULT_CHAIN: tuple[_Stage, ...] = (
-    _Stage("account", _account_stage),
-    _Stage("fault-map", _fault_map_stage),
-    _Stage("admit", _admit_stage),
-    _Stage("resolve", _resolve_stage),
-    _Stage("authenticate", _authenticate_stage),
-    _Stage("authorize", _authorize_stage),
-    _Stage("validate", _validate_stage),
-    _Stage("dispatch", _dispatch_stage),
+    _Stage("account", wrap=_account_stage),
+    _Stage("fault-map", wrap=_fault_map_stage),
+    _Stage("admit", step=_admit_step),
+    _Stage("resolve", step=_resolve_step),
+    _Stage("authenticate", step=_authenticate_step),
+    _Stage("authorize", step=_authorize_step),
+    _Stage("validate", step=_validate_step),
+    _Stage("dispatch", step=_dispatch_step),
 )
+
+#: the stage that ends every request: it never proceeds, so whatever follows
+#: it in the chain is unreachable
+_DISPATCH = DEFAULT_CHAIN[-1]
+
+
+def _terminal(ctx: RequestContext) -> Any:
+    return ctx.response
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -422,10 +431,11 @@ class RegistryKernel:
         self._by_http_method: dict[str, OperationSpec] = {}
         self._by_name: dict[str, OperationSpec] = {}
         self._chain: list[Interceptor] = list(DEFAULT_CHAIN)
-        #: lazily (re)composed chain.  Benign race under concurrent execute:
-        #: two threads may compose equivalent callables and one wins — chain
-        #: *edits* (add/remove_interceptor) are configuration-time only.
-        self._composed: Callable[[RequestContext], Any] | None = None
+        #: lazily (re)composed chain per (tracing, attributing) state.  Benign
+        #: race under concurrent execute: two threads may compose equivalent
+        #: callables and one wins — chain *edits* (add/remove_interceptor)
+        #: are configuration-time only.
+        self._composed: dict[tuple[bool, bool], Callable[[RequestContext], Any]] = {}
         #: atomic under the GIL — a single next() per request, so concurrent
         #: execute() calls can never mint duplicate request ids
         self._request_counter = itertools.count(1)
@@ -484,65 +494,105 @@ class RegistryKernel:
                 raise ValueError(f"unknown pipeline stage: {anchor!r}")
             index = names.index(anchor) + (1 if after else 0)
         self._chain.insert(index, interceptor)
-        self._composed = None
+        self._composed = {}
 
     def remove_interceptor(self, name: str) -> bool:
         for i, stage in enumerate(self._chain):
             if getattr(stage, "name", None) == name and stage not in DEFAULT_CHAIN:
                 del self._chain[i]
-                self._composed = None
+                self._composed = {}
                 return True
         return False
 
-    def _compose(self) -> Callable[[RequestContext], Any]:
-        """Fold the chain into one callable (recomposed on chain edits).
+    def _compose(
+        self, tracing: bool, attributing: bool
+    ) -> Callable[[RequestContext], Any]:
+        """Fold the chain into one callable for one instrumentation state.
 
-        Each layer carries its own tracing check: with the tracer enabled,
-        every stage — default or custom — runs inside a span named after it,
-        nesting naturally (account's span contains fault-map's, and so on
-        down to dispatch).  Disabled tracing costs one attribute check per
-        stage.
+        What a layer needs is decided here, once per composition, not per
+        request.  There are two kinds of layer: a run of default steps
+        called back to back, and a wrapping stage or custom interceptor
+        handed ``proceed``.  With tracing and attribution both off, every
+        stretch of consecutive steps is one run, split only where the chain
+        puts a wrapper or an interceptor.  With either on, every stage —
+        default or custom — is a layer of its own inside an instrumenting
+        one: a span named after it when tracing (nesting naturally:
+        account's span contains fault-map's, and so on down to dispatch),
+        its inclusive wall time when attributing.
         """
+        instrumented = tracing or attributing
+        composed: Callable[[RequestContext], Any] = _terminal
+        run: list[Callable[["RegistryKernel", RequestContext], None]] = []
 
-        def terminal(ctx: RequestContext) -> Any:
-            return ctx.response
+        def close_run() -> None:
+            nonlocal composed, run
+            if run:
+                composed = self._fused(tuple(run), composed)
+                run = []
 
-        composed: Callable[[RequestContext], Any] = terminal
-        for stage in reversed(self._chain):
-            stage_name = getattr(stage, "name", "interceptor")
-            span_name = "stage:" + stage_name
-
-            def layer(
-                ctx: RequestContext,
-                *,
-                _stage=stage,
-                _next=composed,
-                _span=span_name,
-                _name=stage_name,
-            ) -> Any:
-                telemetry = self.telemetry
-                attributing = (
-                    telemetry is not None and telemetry.attribution_enabled
+        for stage in reversed(self._chain[: self._chain.index(_DISPATCH) + 1]):
+            if isinstance(stage, _Stage) and stage.step is not None:
+                run.insert(0, stage.step)
+            else:
+                close_run()
+                composed = self._wrapped(
+                    stage.wrap if isinstance(stage, _Stage) else stage, composed
                 )
-                if attributing:
-                    started = self.clock.now()
-                try:
-                    tracer = self._tracer
-                    if tracer is not None and tracer.enabled:
-                        with tracer.span(_span):
-                            return _stage(self, ctx, lambda: _next(ctx))
-                    return _stage(self, ctx, lambda: _next(ctx))
-                finally:
-                    if attributing:
-                        # inclusive wall time; _attribution telescopes these
-                        # into exclusive per-stage costs at account time
-                        timings = ctx.tags.get("stage_inclusive_s")
-                        if timings is None:
-                            timings = ctx.tags["stage_inclusive_s"] = {}
-                        timings[_name] = self.clock.now() - started
-
-            composed = layer
+            if instrumented:
+                close_run()
+                composed = self._instrumented(
+                    getattr(stage, "name", "interceptor"),
+                    composed,
+                    tracing,
+                    attributing,
+                )
+        close_run()
         return composed
+
+    def _fused(
+        self,
+        steps: tuple[Callable[["RegistryKernel", RequestContext], None], ...],
+        following: Callable[[RequestContext], Any],
+    ) -> Callable[[RequestContext], Any]:
+        def layer(ctx: RequestContext) -> Any:
+            for step in steps:
+                step(self, ctx)
+            return following(ctx)
+
+        return layer
+
+    def _wrapped(
+        self, run: Interceptor, following: Callable[[RequestContext], Any]
+    ) -> Callable[[RequestContext], Any]:
+        def layer(ctx: RequestContext) -> Any:
+            return run(self, ctx, lambda: following(ctx))
+
+        return layer
+
+    def _instrumented(
+        self,
+        name: str,
+        inner: Callable[[RequestContext], Any],
+        tracing: bool,
+        attributing: bool,
+    ) -> Callable[[RequestContext], Any]:
+        span_name = "stage:" + name
+
+        def layer(ctx: RequestContext) -> Any:
+            if attributing:
+                started = self.clock.now()
+            try:
+                if tracing:
+                    with self.telemetry.tracer.span(span_name):
+                        return inner(ctx)
+                return inner(ctx)
+            finally:
+                if attributing:
+                    # inclusive wall time; _attribution telescopes these
+                    # into exclusive per-stage costs at account time
+                    ctx.tags["stage_inclusive_s"][name] = self.clock.now() - started
+
+        return layer
 
     @property
     def _tracer(self):
@@ -621,6 +671,13 @@ class RegistryKernel:
         marks requests another cluster member forwarded, so the ``route``
         interceptor serves them locally instead of forwarding again).
         """
+        telemetry = self.telemetry
+        tracing = attributing = False
+        if telemetry is not None:
+            # the only read of the two flags this request makes: the chain
+            # composed for this state carries no checks of its own
+            tracing = telemetry.tracer.enabled
+            attributing = telemetry.attribution_enabled
         ctx = RequestContext(
             edge=edge,
             request_id=self.new_request_id(),
@@ -631,35 +688,38 @@ class RegistryKernel:
             token=token,
             session=session,
             spec=spec,
+            tags=dict(tags) if tags else {},
         )
-        if tags:
-            ctx.tags.update(tags)
-        if self._composed is None:
-            self._composed = self._compose()
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span_in_trace(
-                "request", traceparent, edge=edge.name, request_id=ctx.request_id
-            ) as root:
-                ctx.trace_id = root.trace_id
-                try:
-                    result = self._composed(ctx)
-                finally:
-                    root.tags["operation"] = ctx.operation
-                    # routing identity + the cost split ride on the root span,
-                    # so a trace alone explains where its wall time went
-                    for key in ("route", "route_owner", "forwarded_by"):
-                        value = ctx.tags.get(key)
-                        if value is not None:
-                            root.tags[key] = value
-                    attribution = ctx.tags.get("attribution")
-                    if attribution is not None:
-                        root.tags["attribution"] = attribution
-            slow_entry = ctx.tags.get("slow_request")
-            if slow_entry is not None:
-                slow_entry["trace"] = root.to_dict()
-            return result
-        return self._composed(ctx)
+        if attributing:
+            ctx.tags["stage_inclusive_s"] = {}
+        composed = self._composed.get((tracing, attributing))
+        if composed is None:
+            composed = self._composed[tracing, attributing] = self._compose(
+                tracing, attributing
+            )
+        if not tracing:
+            return composed(ctx)
+        with telemetry.tracer.span_in_trace(
+            "request", traceparent, edge=edge.name, request_id=ctx.request_id
+        ) as root:
+            ctx.trace_id = root.trace_id
+            try:
+                result = composed(ctx)
+            finally:
+                root.tags["operation"] = ctx.operation
+                # routing identity + the cost split ride on the root span,
+                # so a trace alone explains where its wall time went
+                for key in ("route", "route_owner", "forwarded_by"):
+                    value = ctx.tags.get(key)
+                    if value is not None:
+                        root.tags[key] = value
+                attribution = ctx.tags.get("attribution")
+                if attribution is not None:
+                    root.tags["attribution"] = attribution
+        slow_entry = ctx.tags.get("slow_request")
+        if slow_entry is not None:
+            slow_entry["trace"] = root.to_dict()
+        return result
 
     # -- observability ---------------------------------------------------------
 

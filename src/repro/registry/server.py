@@ -12,6 +12,7 @@ they did to freebXML.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.events.notifier import SubscriptionManager
 from repro.obs.telemetry import Telemetry
@@ -25,9 +26,23 @@ from repro.registry.querymgr import QueryManager
 from repro.registry.repository import RepositoryManager
 from repro.security.authn import Authenticator, Session
 from repro.security.certs import CertificateAuthority
-from repro.security.xacml import PolicyDecisionPoint
+from repro.security.xacml import (
+    PolicyDecisionPoint,
+    Request,
+    registry_type_policies,
+)
 from repro.util.clock import Clock, PerfClock, WallClock
+from repro.util.errors import AuthorizationError
 from repro.util.ids import IdFactory
+
+#: what every discovery read is authorized against; read-only, so one
+#: instance serves every request
+_REGISTRY_RESOURCE = MappingProxyType(
+    {"id": "urn:repro:registry", "owner": None, "type": "Registry"}
+)
+
+#: sessions whose read decision is remembered; the map is emptied when full
+_READ_DECISION_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -69,11 +84,15 @@ class RegistryServer:
         self.authenticator = Authenticator(
             self.daos, ids=self.ids, authority=self.authority
         )
-        from repro.security.xacml import registry_type_policies
-
         self.pdp = PolicyDecisionPoint(
             registry_type_policies(self.config.registry_type)
         )
+        #: (policy set, session → permitted) — the read decision is a pure
+        #: function of the frozen session and the policy set, so it is
+        #: remembered per session for as long as the set holds the same
+        #: policies with the same rules in the same order (see check_read);
+        #: swapped as one tuple so concurrent workers never see a torn memo
+        self._read_decisions: tuple[list[tuple], dict[Session, bool]] = ([], {})
         self.lcm = LifeCycleManager(
             self.daos,
             pdp=self.pdp,
@@ -182,15 +201,33 @@ class RegistryServer:
         private ones restrict reads.  Enforced at the protocol bindings —
         in-process QueryManager access is the trusted localCall path.
         """
-        from repro.security.xacml import Request
-        from repro.util.errors import AuthorizationError
-
-        request = Request(
-            subject={"id": session.user_id, "roles": session.roles, "alias": session.alias},
-            resource={"id": "urn:repro:registry", "owner": None, "type": "Registry"},
-            action="read",
-        )
-        if not self.pdp.is_permitted(request):
+        # the policy set as it stands for this request: every policy and
+        # every rule it holds (rules are frozen).  The memo keeps the objects
+        # themselves, not their ids, so any edit — a policy appended, swapped
+        # or removed, a rule inserted, replaced or reordered — compares
+        # unequal and the decisions made under the old set are dropped
+        policy_set = [(policy, *policy.rules) for policy in self.pdp.policies]
+        decided_under, decisions = self._read_decisions
+        if policy_set != decided_under:
+            decisions = {}
+            self._read_decisions = (policy_set, decisions)
+        permitted = decisions.get(session)
+        if permitted is None:
+            permitted = self.pdp.is_permitted(
+                Request(
+                    subject={
+                        "id": session.user_id,
+                        "roles": session.roles,
+                        "alias": session.alias,
+                    },
+                    resource=_REGISTRY_RESOURCE,
+                    action="read",
+                )
+            )
+            if len(decisions) >= _READ_DECISION_CAPACITY:
+                decisions.clear()
+            decisions[session] = permitted
+        if not permitted:
             raise AuthorizationError(
                 f"{self.config.registry_type} registry denies read access to "
                 f"{session.alias!r}"

@@ -35,6 +35,14 @@ class Session:
 #: sentinel session for anonymous (read-only) access to the QueryManager
 GUEST_ALIAS = "guest"
 
+#: sessions are frozen, so every anonymous request shares this one
+_GUEST_SESSION = Session(
+    token="urn:repro:session:guest",
+    user_id="urn:repro:user:guest",
+    alias=GUEST_ALIAS,
+    roles=frozenset({"RegistryGuest"}),
+)
+
 
 class Authenticator:
     """User registration and session establishment."""
@@ -106,12 +114,7 @@ class Authenticator:
 
     def guest_session(self) -> Session:
         """Anonymous read-only session (unauthenticated QueryManager access)."""
-        return Session(
-            token="urn:repro:session:guest",
-            user_id="urn:repro:user:guest",
-            alias=GUEST_ALIAS,
-            roles=frozenset({"RegistryGuest"}),
-        )
+        return _GUEST_SESSION
 
     def close(self, session: Session) -> None:
         self._sessions.pop(session.token, None)

@@ -49,7 +49,13 @@ Matcher = Callable[[Request], bool]
 
 @dataclass(frozen=True)
 class Rule:
-    """One rule: a name, a match predicate, and an effect."""
+    """One rule: a name, a match predicate, and an effect.
+
+    ``matches`` must be a pure function of the request: the registry
+    remembers read decisions for as long as the policy set holds the same
+    rules (``RegistryServer.check_read``), and a predicate that consults a
+    clock or other state would be remembered at its first answer.
+    """
 
     name: str
     matches: Matcher

@@ -1,7 +1,7 @@
 """ServingSupervisor — bounded dispatch queue in front of N worker threads.
 
 The supervisor plays the acceptor role of a threaded registry server: it
-owns one bounded :class:`queue.Queue`, spawns ``config.workers``
+owns one bounded :class:`DispatchQueue`, spawns ``config.workers``
 :class:`~repro.serving.worker.RegistryWorker` threads against the shared
 kernel, and exposes three admission surfaces:
 
@@ -12,7 +12,12 @@ kernel, and exposes three admission surfaces:
   load-shedding behaviour a saturated registry node exhibits to the
   paper's balancer;
 * :meth:`call` — submit and wait, for callers that want synchronous
-  semantics over the concurrent core.
+  semantics over the concurrent core; a wait that times out cancels its
+  request, so work nobody is waiting for is dropped at dequeue.
+
+The returned future is the only handle on a request.  Cancelling it before
+a worker picks the request up means it is never executed (counted as
+``cancelled``); once running it completes normally.
 
 Requests execute through the ``serving`` protocol edge, which follows the
 SOAP edge's session discipline: an explicit token resolves against
@@ -30,9 +35,10 @@ kernel already maintains.
 
 from __future__ import annotations
 
-import queue
-from concurrent.futures import Future
+import threading
+from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
+from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any
 
 from repro.registry.kernel import EdgeProfile, OperationSpec, RequestContext
@@ -52,10 +58,77 @@ class ServingConfig:
     #: worker threads sharing the kernel
     workers: int = 4
     #: dispatch queue bound; submissions beyond it block (submit) or shed
-    #: (try_submit)
+    #: (try_submit); zero or less means unbounded, as for ``queue.Queue``
     queue_capacity: int = 1024
     #: simulated per-request wire/IO seconds spent off-CPU in the worker
     wire_delay_s: float = 0.0
+
+
+class DispatchQueue:
+    """The hand-off between admission and the workers.
+
+    Items travel through a C-level :class:`queue.SimpleQueue`, which has no
+    bound and no notion of completion; this class adds exactly those two —
+    the ``capacity`` bound on items waiting for pick-up and the count of
+    accepted items not yet finished — under one plain lock that is only
+    ever held for a few integer updates.  Its condition is waited on only
+    by a :meth:`put` blocked on a full queue and by :meth:`join`.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._items: "SimpleQueue[WorkItem | None]" = SimpleQueue()
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        #: put, not yet picked up — what ``capacity`` bounds
+        self.depth = 0
+        #: put, not yet reported :meth:`done`
+        self._unfinished = 0
+
+    def put(self, item: WorkItem, *, block: bool) -> int:
+        """Enqueue *item* and return the depth that includes it.
+
+        A full queue makes a blocking put wait for a slot and a
+        non-blocking one return 0 without enqueuing.
+        """
+        with self._lock:
+            while 0 < self.capacity <= self.depth:
+                if not block:
+                    return 0
+                self._changed.wait()
+            self.depth = depth = self.depth + 1
+            self._unfinished += 1
+        self._items.put(item)
+        return depth
+
+    def get(self) -> "WorkItem | None":
+        """Next item (worker side); a picked-up item frees its slot."""
+        item = self._items.get()
+        if item is not SHUTDOWN:
+            with self._lock:
+                if self.depth == self.capacity:
+                    # every blocked put rechecks; at most capacity proceed
+                    self._changed.notify_all()
+                self.depth -= 1
+        return item
+
+    def done(self) -> None:
+        """One picked-up item finished (executed, failed or skipped)."""
+        with self._lock:
+            self._unfinished -= 1
+            if not self._unfinished:
+                self._changed.notify_all()
+
+    def join(self) -> None:
+        """Block until every item put so far has been reported done."""
+        with self._lock:
+            while self._unfinished:
+                self._changed.wait()
+
+    def shut_down(self, workers: int) -> None:
+        """Queue one exit sentinel per worker, behind every accepted item."""
+        for _ in range(workers):
+            self._items.put(SHUTDOWN)
 
 
 class ServingSupervisor:
@@ -69,9 +142,7 @@ class ServingSupervisor:
         if self.config.workers < 1:
             raise ValueError("ServingConfig.workers must be >= 1")
         self.kernel = registry.kernel
-        self._queue: "queue.Queue[WorkItem | None]" = queue.Queue(
-            maxsize=self.config.queue_capacity
-        )
+        self._queue = DispatchQueue(self.config.queue_capacity)
         self._workers: list[RegistryWorker] = []
         #: token → session, maintained via register_session (SOAP discipline)
         self._sessions: dict[str, "Session"] = {}
@@ -130,8 +201,7 @@ class ServingSupervisor:
         """Drain the queue, retire every worker, and unblock pending futures."""
         if not self.started:
             return
-        for _ in self._workers:
-            self._queue.put(SHUTDOWN)
+        self._queue.shut_down(len(self._workers))
         for worker in self._workers:
             worker.join(timeout)
         self.started = False
@@ -149,45 +219,44 @@ class ServingSupervisor:
 
     # -- admission -------------------------------------------------------------
 
-    def _item(self, kwargs: dict[str, Any]) -> WorkItem:
+    def _admit(self, kwargs: dict[str, Any], *, block: bool) -> Future | None:
+        """Queue one request; ``None`` when *block* is false and the queue full."""
         if not self.started:
             raise RuntimeError("ServingSupervisor is not started")
-        # the enqueue stamp the picking worker turns into queue_wait
-        return WorkItem(
-            edge=self.edge, kwargs=kwargs, enqueued_at=self.kernel.clock.now()
-        )
-
-    def _note_depth(self) -> None:
-        depth = self._queue.qsize()
-        if depth > self.queue_depth_high_water:
-            self.queue_depth_high_water = depth
-
-    def submit(self, **kwargs: Any) -> Future:
-        """Enqueue one request (kernel.execute kwargs); blocks when full."""
-        item = self._item(kwargs)
-        self._queue.put(item)
-        self.accepted += 1
-        self._note_depth()
-        return item.future
-
-    def try_submit(self, **kwargs: Any) -> Future | None:
-        """Non-blocking admission: ``None`` (and a shed count) when full."""
-        item = self._item(kwargs)
-        try:
-            self._queue.put_nowait(item)
-        except queue.Full:
+        # stamped first, so queue_wait covers everything between admission
+        # and the worker's pick-up
+        enqueued_at = self.kernel.clock.now()
+        item = WorkItem(self.edge, kwargs, Future(), enqueued_at)
+        depth = self._queue.put(item, block=block)
+        if not depth:
             self.rejected += 1
             return None
         self.accepted += 1
-        self._note_depth()
+        if depth > self.queue_depth_high_water:
+            self.queue_depth_high_water = depth
         return item.future
+
+    def submit(self, **kwargs: Any) -> Future:
+        """Enqueue one request (kernel.execute kwargs); blocks when full."""
+        return self._admit(kwargs, block=True)
+
+    def try_submit(self, **kwargs: Any) -> Future | None:
+        """Non-blocking admission: ``None`` (and a shed count) when full."""
+        return self._admit(kwargs, block=False)
 
     def call(self, *, timeout: float | None = None, **kwargs: Any) -> Any:
         """Submit and wait: synchronous semantics over the concurrent core."""
-        return self.submit(**kwargs).result(timeout)
+        future = self._admit(kwargs, block=True)
+        try:
+            return future.result(timeout)
+        except FutureTimeoutError:
+            # nobody is waiting any more: if no worker has started on it,
+            # the request is dropped at dequeue instead of executed
+            future.cancel()
+            raise
 
     def drain(self) -> None:
-        """Block until every accepted request has been executed."""
+        """Block until every accepted request has been executed or dropped."""
         self._queue.join()
 
     # -- surfaces --------------------------------------------------------------
@@ -202,11 +271,12 @@ class ServingSupervisor:
         return {
             "workers": len(self._workers),
             "started": self.started,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self._queue.depth,
             "queue_depth_high_water": self.queue_depth_high_water,
             "queue_capacity": self.config.queue_capacity,
             "accepted": self.accepted,
             "rejected": self.rejected,
+            "cancelled": sum(worker.cancelled for worker in self._workers),
             "wire_delay_s": self.config.wire_delay_s,
             "served_per_worker": {
                 worker.label: worker.requests_served for worker in self._workers

@@ -16,7 +16,6 @@ pure-Python compute serializes on the interpreter lock.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -27,9 +26,10 @@ from repro.util.workers import set_worker_label
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.registry.kernel import EdgeProfile, RegistryKernel
+    from repro.serving.supervisor import DispatchQueue
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkItem:
     """One queued request: the kernel-execute arguments plus its Future.
 
@@ -55,7 +55,7 @@ class RegistryWorker:
         self,
         label: str,
         kernel: "RegistryKernel",
-        work_queue: "queue.Queue[WorkItem | None]",
+        work_queue: "DispatchQueue",
         *,
         wire_delay_s: float = 0.0,
     ) -> None:
@@ -63,9 +63,12 @@ class RegistryWorker:
         self.kernel = kernel
         self.queue = work_queue
         self.wire_delay_s = wire_delay_s
+        # these counters and the queue-wait aggregates are only ever written
+        # by this worker's own thread, so they need no lock; the supervisor
+        # snapshots them
         self.requests_served = 0
-        # queue-wait aggregates are only ever written by this worker's own
-        # thread, so they need no lock; the supervisor snapshots them
+        #: items whose future was cancelled before pick-up (never executed)
+        self.cancelled = 0
         self.queue_wait_count = 0
         self.queue_wait_total_s = 0.0
         self.queue_wait_max_s = 0.0
@@ -95,20 +98,24 @@ class RegistryWorker:
             telemetry.record_queue_wait(self.label, wait)
         # ride the wait (and the simulated wire time) into the kernel's
         # per-request tag bag so the attribution split can include them
-        tags = item.kwargs.get("tags")
-        tags = dict(tags) if tags else {}
-        tags["queue_wait_s"] = wait
+        tags = {"queue_wait_s": wait}
         if self.wire_delay_s > 0.0:
             tags["wire_delay_s"] = self.wire_delay_s
-        item.kwargs["tags"] = tags
+        seeded = item.kwargs.get("tags")
+        item.kwargs["tags"] = {**seeded, **tags} if seeded else tags
 
     def _run(self) -> None:
         set_worker_label(self.label)
         while True:
             item = self.queue.get()
             if item is SHUTDOWN:
-                self.queue.task_done()
                 return
+            future = item.future
+            if not future.set_running_or_notify_cancel():
+                # abandoned before pick-up: dropped at dequeue, never executed
+                self.cancelled += 1
+                self.queue.done()
+                continue
             try:
                 if item.enqueued_at is not None:
                     self._measure_queue_wait(item)
@@ -118,9 +125,8 @@ class RegistryWorker:
                     time.sleep(self.wire_delay_s)
                 result = self.kernel.execute(item.edge, **item.kwargs)
             except BaseException as error:  # noqa: BLE001 - delivered via Future
-                item.future.set_exception(error)
+                future.set_exception(error)
             else:
-                item.future.set_result(result)
-            finally:
-                self.requests_served += 1
-                self.queue.task_done()
+                future.set_result(result)
+            self.requests_served += 1
+            self.queue.done()

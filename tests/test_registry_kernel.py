@@ -1,10 +1,16 @@
 """Tests for the registry kernel: pipeline stages, stats, interceptors."""
 
+import dataclasses
+import itertools
+import sys
+
 import pytest
 
-from repro.registry.kernel import UNRESOLVED_OPERATION
+from repro.registry.kernel import UNRESOLVED_OPERATION, OperationSpec
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization
+from repro.security.xacml import Effect, Policy, Rule, default_policy
+from repro.serving import ServingSupervisor
 from repro.soap import (
     AdhocQueryRequest,
     GetRegistryObjectRequest,
@@ -16,7 +22,11 @@ from repro.soap import (
     serialize,
 )
 
+from repro.util.clock import ManualClock
+from repro.util.errors import AuthorizationError
+
 from conftest import publish_service_with_bindings
+from test_obs_costattr import TickingClock
 
 
 @pytest.fixture
@@ -146,6 +156,210 @@ class TestCustomInterceptors:
             registry.kernel.add_interceptor(Noop(), before="nonexistent")
 
 
+DEFAULT_STAGES = (
+    "account",
+    "fault-map",
+    "admit",
+    "resolve",
+    "authenticate",
+    "authorize",
+    "validate",
+    "dispatch",
+)
+
+#: (tracing, attribution) — the uninstrumented composition first
+FLAG_STATES = tuple(itertools.product((False, True), repeat=2))
+
+#: where the tagger goes: nowhere, then before/after each default stage
+POSITIONS = (None,) + tuple(
+    (side, anchor) for anchor in DEFAULT_STAGES for side in ("before", "after")
+)
+
+
+class RecordingTagger:
+    name = "tagger"
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def __call__(self, kernel, ctx, proceed):
+        ctx.tags["tagged"] = True
+        before = (ctx.operation, ctx.session is not None, ctx.response is None)
+        try:
+            result = proceed()
+        except Exception as error:
+            self.seen.append((before, type(error).__name__))
+            raise
+        self.seen.append((before, type(result).__name__))
+        return result
+
+
+def _reached(names, last):
+    """The chain as far as a request that ends in stage *last* gets."""
+    return names[: names.index(last) + 1]
+
+
+def _run_composition(position, tracing, attribution):
+    """Three requests through one chain in one instrumentation state."""
+    registry = RegistryServer(
+        RegistryConfig(seed=42), clock=ManualClock(), monotonic=TickingClock()
+    )
+    _, credential = registry.register_user("composer")
+    org = Organization(registry.ids.new_id(), name="Composed")
+    registry.lcm.submit_objects(registry.login(credential), [org])
+    tagger = RecordingTagger()
+    if position is not None:
+        side, anchor = position
+        registry.kernel.add_interceptor(tagger, **{side: anchor})
+    registry.enable_tracing(tracing)
+    registry.enable_attribution(attribution)
+    binding = SoapRegistryBinding(registry)
+    names = registry.kernel.interceptor_names()
+    tracer = registry.telemetry.tracer
+    outcomes, split = [], None
+    for body, last in (
+        (GetRegistryObjectRequest(object_id=org.id), "dispatch"),
+        (GetRegistryObjectRequest(object_id="urn:uuid:missing"), "dispatch"),
+        (object(), "resolve"),
+    ):
+        response = binding.handle(SoapEnvelope(body=body))
+        outcomes.append(
+            dataclasses.asdict(response)
+            if isinstance(response, SoapFault)
+            else (response.status, response.objects)
+        )
+        if tracing:
+            spans = [
+                span.name
+                for span in tracer.last_trace().iter_spans()
+                if span.name.startswith("stage:")
+            ]
+            assert spans == ["stage:" + name for name in _reached(names, last)]
+        if attribution and split is None:
+            # after the success request only: every stage account encloses
+            # and the request reached took time
+            split = registry.telemetry.attribution_stats()
+            accounted = _reached(names, "dispatch")[names.index("account") :]
+            assert list(split["stages"]) == sorted(accounted)
+            assert split["total_s"] == pytest.approx(
+                split["queue_wait_s"]
+                + split["stage_s"]
+                + split["forward_hop_s"]
+                + split["wire_s"]
+            )
+            assert sum(split["stages"].values()) == pytest.approx(split["stage_s"])
+    assert tracer.stats()["traces_kept"] == (3 if tracing else 0)
+    assert registry.telemetry.attribution_stats()["requests"] == (
+        3 if attribution else 0
+    )
+    counts = {
+        operation: (stats["count"], stats["faults"], stats["fault_codes"])
+        for operation, stats in registry.pipeline_stats()["soap"].items()
+    }
+    return outcomes, counts, names, tagger.seen
+
+
+class TestCompositionEquivalence:
+    """The fused and the instrumented composition are one chain."""
+
+    @pytest.mark.parametrize(
+        "position", POSITIONS, ids=lambda p: "default" if p is None else "-".join(p)
+    )
+    def test_every_flag_state_behaves_alike(self, position):
+        plain, *instrumented = [
+            _run_composition(position, tracing, attribution)
+            for tracing, attribution in FLAG_STATES
+        ]
+        outcomes, counts, names, seen = plain
+        for other in instrumented:
+            assert other == plain
+        expected = list(DEFAULT_STAGES)
+        if position is not None:
+            side, anchor = position
+            expected.insert(expected.index(anchor) + (side == "after"), "tagger")
+        assert names == expected
+        status, objects = outcomes[0]
+        assert status == "Success" and len(objects) == 1
+        assert outcomes[1]["fault_code"] == "urn:repro:error:ObjectNotFound"
+        assert outcomes[2]["fault_code"] == "urn:repro:error:InvalidRequest"
+        assert counts == {
+            "getRegistryObject": (2, 1, {"urn:repro:error:ObjectNotFound": 1}),
+            UNRESOLVED_OPERATION: (1, 1, {"urn:repro:error:InvalidRequest": 1}),
+        }
+        if position is None or position == ("after", "dispatch"):
+            # dispatch ends the request: nothing placed after it is reached
+            assert seen == []
+        else:
+            # the unknown type faults in resolve, before a later tagger
+            reached_by_all = names.index("tagger") < names.index("resolve")
+            assert len(seen) == (3 if reached_by_all else 2)
+
+    def test_flag_flips_reach_the_next_request(self, registry, binding):
+        """No recomposition call: execute reads the flags per request."""
+        envelope = SoapEnvelope(
+            body=AdhocQueryRequest(query="SELECT name FROM Organization")
+        )
+        tracer = registry.telemetry.tracer
+        attributed = lambda: registry.telemetry.attribution_stats()["requests"]
+        binding.handle(envelope)
+        assert tracer.last_trace() is None and attributed() == 0
+        registry.enable_tracing()
+        binding.handle(envelope)
+        assert len(tracer.last_trace().find("stage:dispatch")) == 1
+        assert attributed() == 0
+        registry.enable_attribution()
+        binding.handle(envelope)
+        assert attributed() == 1
+        assert "attribution" in tracer.last_trace().tags
+        registry.enable_tracing(False)
+        binding.handle(envelope)
+        assert tracer.stats()["traces_kept"] == 2 and attributed() == 2
+        registry.enable_attribution(False)
+        binding.handle(envelope)
+        assert tracer.stats()["traces_kept"] == 2 and attributed() == 2
+
+
+class TestCallBudget:
+    #: call + c_call events of one no-op read-gated request at the commit
+    #: before the chain was fused (CPython 3.11)
+    UNFUSED_EVENTS = 90
+
+    def test_noop_request_stays_within_two_thirds_of_the_unfused_chain(
+        self, registry
+    ):
+        """A clock-free guard against stages leaking work back onto the path.
+
+        Observability is at its defaults (tracing and attribution off), the
+        handler does nothing, so every event counted is the fixed path:
+        context, chain, stages, read decision, accounting.
+        """
+        edge = ServingSupervisor(registry).edge
+        noop = OperationSpec(name="noop", handler=lambda ctx: None, read_gate=True)
+        body = AdhocQueryRequest(query="SELECT id FROM Service")
+        events = 0
+
+        def profiler(frame, event, arg):
+            nonlocal events
+            if event in ("call", "c_call"):
+                events += 1
+
+        def count() -> int:
+            nonlocal events
+            events = 0
+            sys.setprofile(profiler)
+            try:
+                registry.kernel.execute(edge, body=body, spec=noop)
+            finally:
+                sys.setprofile(None)
+            return events
+
+        for _ in range(3):
+            registry.kernel.execute(edge, body=body, spec=noop)
+        first, second = count(), count()
+        assert first == second
+        assert first <= self.UNFUSED_EVENTS * 2 // 3
+
+
 class TestRequestIds:
     def test_request_ids_never_touch_idfactory(self):
         """Kernel request ids must not perturb seeded object-id sequences."""
@@ -175,3 +389,102 @@ class TestReadGate:
         )
         assert isinstance(response, SoapFault)
         assert "AuthorizationFailed" in response.fault_code
+
+
+class TestReadDecisionMemo:
+    """check_read decides once per session, and never outlives the policies."""
+
+    @staticmethod
+    def _deny_alias(alias):
+        asked = []
+
+        def matches(request):
+            asked.append(request.subject["alias"])
+            return request.subject["alias"] == alias
+
+        policy = Policy(
+            name=f"urn:test:deny:{alias}",
+            rules=[Rule(name="deny-alias", matches=matches, effect=Effect.DENY)],
+        )
+        return policy, asked
+
+    def test_decided_once_until_the_policy_set_changes(self, registry, binding):
+        envelope = SoapEnvelope(body=AdhocQueryRequest(query="SELECT id FROM Service"))
+        bystander, asked = self._deny_alias("nobody")
+        registry.pdp.policies.append(bystander)
+        for _ in range(3):
+            assert not isinstance(binding.handle(envelope), SoapFault)
+        assert asked == ["guest"]
+
+        # appended: the very next read is decided again, and denied
+        deny_guest, _ = self._deny_alias("guest")
+        registry.pdp.policies.append(deny_guest)
+        fault = binding.handle(envelope)
+        assert isinstance(fault, SoapFault)
+        assert "AuthorizationFailed" in fault.fault_code
+        with pytest.raises(AuthorizationError):
+            registry.check_read(registry.guest())
+        # a remembered denial denies again
+        with pytest.raises(AuthorizationError):
+            registry.check_read(registry.guest())
+
+        # replaced by a list of the same length: decided again, permitted
+        registry.pdp.policies = [default_policy(), bystander, bystander]
+        assert not isinstance(binding.handle(envelope), SoapFault)
+        # and again, denied
+        registry.pdp.policies = [default_policy(), bystander, deny_guest]
+        assert isinstance(binding.handle(envelope), SoapFault)
+
+    def test_edits_inside_the_policy_set_are_seen_by_the_next_read(self, registry):
+        """Same list object, same length: the memo must still notice."""
+        guest = registry.guest()
+        policies = registry.pdp.policies
+        bystander, _ = self._deny_alias("nobody")
+        deny_guest, _ = self._deny_alias("guest")
+        deny_rule = deny_guest.rules[0]
+
+        def permitted():
+            try:
+                registry.check_read(guest)
+            except AuthorizationError:
+                return False
+            return True
+
+        policies.append(bystander)
+        assert permitted()
+        # a policy swapped in place
+        policies[-1] = deny_guest
+        assert not permitted()
+        # removed and another appended: the length never changed between reads
+        policies.remove(deny_guest)
+        policies.append(bystander)
+        assert permitted()
+        # a rule inserted into a policy the set already holds
+        bystander.rules.insert(0, deny_rule)
+        assert not permitted()
+        # rules reordered: first-applicable now reaches the permit first
+        permit_all = Rule(name="permit", matches=lambda r: True, effect=Effect.PERMIT)
+        bystander.rules[:] = [permit_all, deny_rule]
+        assert permitted()
+        bystander.rules[:] = [deny_rule, permit_all]
+        assert not permitted()
+        # a rule replaced in place
+        bystander.rules[0] = permit_all
+        assert permitted()
+
+    def test_equal_roles_are_not_one_decision(self, registry):
+        deny_mallory, asked = self._deny_alias("mallory")
+        registry.pdp.policies.append(deny_mallory)
+        alice = dataclasses.replace(
+            registry.guest(), token="urn:t:1", user_id="urn:u:1", alias="alice"
+        )
+        mallory = dataclasses.replace(alice, token="urn:t:2", alias="mallory")
+        assert alice.roles == mallory.roles
+        registry.check_read(alice)
+        with pytest.raises(AuthorizationError):
+            registry.check_read(mallory)
+        registry.check_read(alice)
+        assert asked == ["alice", "mallory"]
+        # same alias and roles under another token: its own decision
+        registry.check_read(dataclasses.replace(alice, token="urn:t:3"))
+        assert asked == ["alice", "mallory", "alice"]

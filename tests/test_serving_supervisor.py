@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import pytest
 
@@ -92,12 +95,130 @@ class TestAdmission:
         finally:
             sup.close()
 
+    def test_zero_capacity_is_unbounded(self, registry, session):
+        publish_service_with_bindings(registry, session)
+        body = AdhocQueryRequest(query="SELECT id FROM Service")
+        sup = ServingSupervisor(
+            registry, ServingConfig(workers=1, queue_capacity=0, wire_delay_s=0.005)
+        )
+        try:
+            with sup:
+                futures = [sup.try_submit(body=body) for _ in range(16)]
+                assert None not in futures and sup.rejected == 0
+                for future in futures:
+                    assert future.result(timeout=30.0).status == "Success"
+        finally:
+            sup.close()
+
     def test_faults_delivered_as_values_not_raised(self, supervisor):
         with supervisor:
             result = supervisor.call(
                 body=AdhocQueryRequest(query="SELECT nonsense FROM Nowhere")
             )
         assert isinstance(result, SoapFault)
+
+
+class TestCancellation:
+    def test_cancelled_future_is_dropped_and_the_worker_survives(
+        self, registry, session
+    ):
+        publish_service_with_bindings(registry, session)
+        body = AdhocQueryRequest(query="SELECT id FROM Service")
+        sup = ServingSupervisor(
+            registry, ServingConfig(workers=1, wire_delay_s=0.05)
+        )
+        try:
+            with sup:
+                first = sup.submit(body=body)
+                second = sup.submit(body=body)
+                # the one worker is busy with (or yet to start) the first
+                assert second.cancel()
+                assert first.result(timeout=30.0).status == "Success"
+                sup.drain()
+                assert [worker.alive for worker in sup._workers] == [True]
+                assert sup.call(body=body, timeout=5.0).status == "Success"
+                stats = sup.serving_stats()
+            served = sum(stats["served_per_worker"].values())
+            assert (stats["accepted"], served, stats["cancelled"]) == (3, 2, 1)
+            # a dropped request never reached the kernel or the wait accounting
+            assert stats["queue_wait"]["count"] == served
+            assert registry.pipeline_stats()["serving"]["executeQuery"]["count"] == 2
+        finally:
+            sup.close()
+
+    def test_call_timeout_cancels_work_nobody_waits_for(self, registry, session):
+        publish_service_with_bindings(registry, session)
+        body = AdhocQueryRequest(query="SELECT id FROM Service")
+        sup = ServingSupervisor(registry, ServingConfig(workers=1, wire_delay_s=0.2))
+        try:
+            with sup:
+                blocker = sup.submit(body=body)
+                with pytest.raises(FutureTimeoutError):
+                    sup.call(body=body, timeout=0.01)
+                assert blocker.result(timeout=30.0).status == "Success"
+                sup.drain()
+                stats = sup.serving_stats()
+            assert stats["cancelled"] == 1
+            assert sum(stats["served_per_worker"].values()) == 1
+        finally:
+            sup.close()
+
+
+class TestQueueBound:
+    def test_four_producers_never_overfill_a_slow_worker(self, registry, session):
+        """More producers than cores against capacity 8, switching every 10 µs."""
+        publish_service_with_bindings(registry, session)
+        body = AdhocQueryRequest(query="SELECT id FROM Service")
+        capacity, producers, each = 8, 4, 25
+        sup = ServingSupervisor(
+            registry,
+            ServingConfig(workers=1, queue_capacity=capacity, wire_delay_s=0.002),
+        )
+        futures, depths = [], []
+
+        def produce():
+            for _ in range(each):
+                futures.append(sup.submit(body=body))
+                depths.append(sup.serving_stats()["queue_depth"])
+
+        threads = [threading.Thread(target=produce) for _ in range(producers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with sup:
+                for thread in threads:
+                    thread.start()
+                shed = 0
+                deadline = time.monotonic() + 60.0
+                while (
+                    any(thread.is_alive() for thread in threads)
+                    and time.monotonic() < deadline
+                ):
+                    depths.append(sup.serving_stats()["queue_depth"])
+                    extra = sup.try_submit(body=body)
+                    if extra is None:
+                        shed += 1
+                    else:
+                        futures.append(extra)
+                    time.sleep(0.001)
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                sup.drain()
+                # drained: every accepted request has finished, none is queued
+                assert all(future.done() for future in futures)
+                stats = sup.serving_stats()
+        finally:
+            sys.setswitchinterval(interval)
+            sup.close()
+        assert max(depths) <= capacity
+        assert stats["queue_depth_high_water"] == capacity
+        assert stats["queue_depth"] == 0
+        # the blocked producers kept the queue full, so the prober was shed
+        assert shed > 0 and stats["rejected"] == shed
+        assert stats["accepted"] == len(futures) >= producers * each
+        assert sum(stats["served_per_worker"].values()) == stats["accepted"]
+        assert all(future.result(0).status == "Success" for future in futures)
 
 
 class TestSessions:
