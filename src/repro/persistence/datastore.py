@@ -52,7 +52,7 @@ store code only (see DESIGN.md "Freshness").
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
@@ -105,6 +105,33 @@ def _tuple_remove(values: tuple[str, ...], value: str) -> tuple[str, ...]:
     if pos < len(values) and values[pos] == value:
         return values[:pos] + values[pos + 1 :]
     return values
+
+
+def _names_with_prefix(
+    idx: HeapIndexes, type_name: str, prefix: str
+) -> tuple[str, ...]:
+    """The distinct names of one type that start with *prefix*, sorted.
+
+    Two bisections: the smallest string above every string with the prefix
+    is the prefix with its last character bumped (trailing U+10FFFF cannot
+    be bumped and carry into the character before them).
+    """
+    keys = idx.sorted_names.get(type_name, ())
+    low = bisect_left(keys, prefix)
+    bumpable = prefix.rstrip("\U0010ffff")
+    if not bumpable:
+        return keys[low:]
+    above = bumpable[:-1] + chr(ord(bumpable[-1]) + 1)
+    return keys[low : bisect_left(keys, above, low)]
+
+
+def _ids_of_names(idx: HeapIndexes, type_name: str, names: Iterable[str]) -> list[str]:
+    """Sorted ids of the objects of one type named any of the indexed *names*."""
+    buckets = idx.by_name.get(type_name, {})
+    out: list[str] = []
+    for name in names:
+        out.extend(buckets.get(name, ()))
+    return sorted(out)
 
 
 class HeapSnapshot:
@@ -726,15 +753,34 @@ class DataStore:
     def find_ids_by_name_prefix(self, type_name: str, prefix: str) -> list[str]:
         """Ids of objects whose name starts with *prefix*, via a range scan."""
         idx = self._indexes
+        return _ids_of_names(idx, type_name, _names_with_prefix(idx, type_name, prefix))
+
+    def find_ids_by_name_match(
+        self, type_name: str, prefix: str, match: Callable[[str], object]
+    ) -> list[str]:
+        """Ids of objects whose name starts with *prefix* and satisfies *match*.
+
+        The query planner's ``name LIKE`` probe: *match* (an anchored regex's
+        ``match``) runs once per **distinct name** of the sorted range that
+        shares the pattern's literal prefix — not once per object, and no
+        object is touched.
+        """
+        idx = self._indexes
+        return _ids_of_names(
+            idx, type_name, filter(match, _names_with_prefix(idx, type_name, prefix))
+        )
+
+    def find_ids_by_name_range(self, type_name: str, low: str, high: str) -> list[str]:
+        """Ids of objects with ``low <= name <= high`` (string order, sorted).
+
+        The query planner's ``name BETWEEN`` probe: two bisections over the
+        sorted distinct names; reversed bounds select nothing.
+        """
+        idx = self._indexes
         keys = idx.sorted_names.get(type_name, ())
-        names = idx.by_name.get(type_name, {})
-        out: list[str] = []
-        for pos in range(bisect_left(keys, prefix), len(keys)):
-            key = keys[pos]
-            if not key.startswith(prefix):
-                break
-            out.extend(names.get(key, ()))
-        return sorted(out)
+        return _ids_of_names(
+            idx, type_name, keys[bisect_left(keys, low) : bisect_right(keys, high)]
+        )
 
     def find_by_name_prefix(self, type_name: str, prefix: str) -> list[RegistryObject]:
         return [

@@ -12,10 +12,15 @@ NULL are false, which matches how the registry's discovery queries use it.
 
 Execution is planned by default: statements lower once into a
 :class:`~repro.query.planner.CompiledPlan` (plan cache keyed on query text,
-index-backed access paths, compiled predicate closures, version-validated
-subquery materialization) — see :mod:`repro.query.planner`.  Construct with
-``planner=False`` to force the original parse-and-scan path; the two must
-return bit-identical rows, which the ad-hoc bench asserts per query.
+index-backed access paths, predicate closures compiled against the virtual
+table's column catalogue, changelog-validated subquery materialization) and
+run as *probe → filter the stored objects → project the survivors* — see
+:mod:`repro.query.planner` and :meth:`QueryEngine._run_plan`.  Construct
+with ``planner=False`` to force the original path, which projects every
+object of the table into a row and evaluates the AST over the rows
+(:func:`eval_predicate`); it is the oracle: the two must return
+bit-identical rows, which the ad-hoc bench asserts per query and
+``tests/test_property_query.py`` over generated statements.
 """
 
 from __future__ import annotations
@@ -228,9 +233,10 @@ class QueryEngine:
     def _rows_for_table(self, table_name: str) -> list[Row]:
         key = table_name.lower()
         if key in VIRTUAL_TABLES:
-            type_name, project = VIRTUAL_TABLES[key]
-            # project straight off the stored views — the projection functions
-            # only read, so the per-object copy() would be pure overhead
+            table = VIRTUAL_TABLES[key]
+            type_name, project = table.type_name, table.project
+            # project straight off the stored views — the projection only
+            # reads, so the per-object copy() would be pure overhead
             if type_name == "*":
                 rows: list[Row] = []
                 for tname in self.store.type_names():
@@ -359,7 +365,7 @@ class QueryEngine:
         tables: set[str] = set()
         if not self._collect_tables(select, tables):
             return None
-        return frozenset(VIRTUAL_TABLES[table][0] for table in tables)
+        return frozenset(VIRTUAL_TABLES[table].type_name for table in tables)
 
     def _collect_tables(self, select: Select, acc: set[str]) -> bool:
         key = select.table.lower()
@@ -382,20 +388,31 @@ class QueryEngine:
         return True
 
     def _run_plan(self, plan, select: Select) -> list[Row]:
-        """Bind subquery cells, probe, filter, finish — one plan execution."""
+        """Bind subquery cells, probe, filter, project, finish — one execution.
+
+        Rows are built late: the residual runs on the candidate *objects*,
+        a ``COUNT(*)`` answers with the number of survivors, and only the
+        survivors of any other statement are projected into row dicts for
+        the shared tail.  ``stats["rows_materialized"]`` counts those dicts.
+        """
         for cell in plan.cells:
             cell.values = self._subquery_values(cell.select, cell.column)
         fast_count = plan.fast_count(self.store)
         if fast_count is not None:
             return [{"count": fast_count}]
+        residual = plan.residual
         if plan.relational:
             rows = self._relational_rows(select.table)
-        else:
-            rows, considered = plan.candidate_rows(self.store)
-            self.stats["rows_materialized"] += considered
-        if plan.residual is not None:
-            residual = plan.residual
-            rows = [row for row in rows if residual(row)]
+            if residual is not None:
+                rows = list(filter(residual, rows))
+            return self._finish(select, rows)
+        survivors = plan.candidates(self.store)
+        if residual is not None:
+            survivors = list(filter(residual, survivors))
+        if select.count:
+            return [{"count": len(survivors)}]
+        rows = list(map(plan.project, survivors))
+        self.stats["rows_materialized"] += len(rows)
         return self._finish(select, rows)
 
     def _finish(self, select: Select, rows: list[Row]) -> list[Row]:

@@ -1,16 +1,27 @@
 """Ad-hoc query planner: plan cache, index-backed access paths, compiled predicates.
 
-The seed evaluator re-parses every SQL string, scans the whole virtual
-table, and walks the WHERE tree with per-row ``isinstance`` dispatch.  The
-planner lowers each statement **once** into a :class:`CompiledPlan`:
+The seed evaluator re-parses every SQL string, projects every object of the
+table into a row dict, and walks the WHERE tree over those rows with
+per-row ``isinstance`` dispatch.  The planner lowers each statement **once**
+into a :class:`CompiledPlan` and executes it as *probe → filter objects →
+project survivors*:
 
 * **access path** — the cheapest sargable conjunct of the WHERE tree is
-  pushed down into the datastore's secondary indexes (sorted-id partition
-  probes, name index, name-prefix range scan) so non-matching objects are
-  never materialized as row dicts;
+  pushed down into the datastore's secondary indexes: sorted-id partition
+  probes, the name buckets, and three reads of the sorted distinct names —
+  ``name-prefix`` (``LIKE 'p%'``), ``name-like`` (any other non-negated
+  ``LIKE``: the hoisted regex runs over the distinct names from the
+  literal prefix on) and ``name-range`` (non-negated ``BETWEEN`` two string
+  literals).  Every index path enforces its conjunct exactly, so the
+  conjunct leaves the residual.  Negated forms, ``OR`` trees, other columns
+  and non-string literals (the scan path coerces ``name = 123``) stay
+  residual;
 * **compiled predicate** — the residual WHERE tree becomes a closure chain
-  with LIKE regexes hoisted, IN lists pre-hashed, and literals captured, so
-  the per-row cost is one function call;
+  with LIKE regexes hoisted, IN lists pre-hashed, and literals captured.
+  Column reads compile to the virtual table's catalogue getters
+  (:mod:`repro.query.virtual`), so the residual runs on the **stored
+  objects**: no row dict exists until an object has survived the filter,
+  and ``COUNT(*)`` never builds one;
 * **subquery cells** — uncorrelated ``IN (SELECT …)`` subqueries compile to
   a cell the engine re-binds per execution from a changelog view of
   materialized value sets (see ``QueryEngine._subquery_values``).
@@ -21,7 +32,8 @@ drops a value set when a type it read is written, so the plan cache needs
 no write invalidation.  Results are
 bit-identical to the scan path — same rows, same order, same NULL/coercion
 semantics — which ``benchmarks/test_bench_adhoc_query.py`` asserts query by
-query.  One deliberate asymmetry: a probe that empties the candidate set
+query and ``tests/test_property_query.py`` over generated statements.  One
+deliberate asymmetry: a probe that empties the candidate set
 skips residual evaluation entirely, so an unknown-column error hiding in the
 residual of a no-match query is not raised (the scan path short-circuits the
 same way whenever the sargable conjunct is leftmost).
@@ -36,7 +48,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro.query.ast import (
     Between,
@@ -59,10 +71,14 @@ from repro.query.evaluator import (
     coerce_between,
     like_to_regex,
 )
-from repro.query.virtual import VIRTUAL_TABLES, Row
+from repro.query.virtual import VIRTUAL_TABLES, Getter, Row
 from repro.util.errors import QuerySyntaxError
 
-RowFilter = Callable[[Row], bool]
+#: a virtual table's column catalogue (``virtual.VirtualTable.columns``)
+Columns = Mapping[str, Getter]
+#: a compiled predicate over what a plan filters: a stored object of a
+#: virtual table, or a row dict of a relational one
+ItemFilter = Callable[[Any], bool]
 
 #: access-path kinds, cheapest first (the tie-break order of ``_classify``)
 _COSTS = {
@@ -71,7 +87,9 @@ _COSTS = {
     "id-in": 2,
     "name-in": 3,
     "name-prefix": 4,
-    "id-in-subquery": 5,
+    "name-like": 5,
+    "name-range": 6,
+    "id-in-subquery": 7,
 }
 
 #: virtual-table columns backed by the datastore name index
@@ -80,11 +98,13 @@ _NAME_COLUMNS = ("name", "name_")
 
 @dataclass(frozen=True)
 class AccessPath:
-    """How a plan generates candidate rows.
+    """How a plan generates candidate objects.
 
     ``kind`` is one of ``scan`` / ``id-eq`` / ``id-in`` / ``name-eq`` /
-    ``name-in`` / ``name-prefix``; ``values`` holds the probe arguments
-    (object ids, names, or the single prefix).
+    ``name-in`` / ``name-prefix`` / ``name-like`` / ``name-range`` /
+    ``id-in-subquery``; ``values`` holds the probe arguments (object ids,
+    names, the single prefix, the ``(literal prefix, LIKE pattern)`` pair,
+    or the ``(low, high)`` bounds).
     """
 
     kind: str
@@ -95,6 +115,13 @@ class AccessPath:
             return "full scan"
         if self.kind == "name-prefix":
             return f"name-prefix probe {self.values[0]!r}"
+        if self.kind == "name-like":
+            return (
+                f"name-pattern probe {self.values[1]!r} over the distinct names "
+                f"from {self.values[0]!r} on"
+            )
+        if self.kind == "name-range":
+            return f"name-range probe {self.values[0]!r} .. {self.values[1]!r}"
         if self.kind == "id-in-subquery":
             return "id probes over the materialized subquery set"
         return f"{self.kind} probe ({len(self.values)} key{'s' if len(self.values) != 1 else ''})"
@@ -118,10 +145,27 @@ class SubqueryCell:
 # -- predicate compilation -----------------------------------------------------
 
 
-def _compile_value(expr: Any) -> Callable[[Row], Any]:
+def _compile_value(expr: Any, columns: Columns | None) -> Callable[[Any], Any]:
+    """One operand as a reader of the filtered item.
+
+    Against a virtual table (*columns* given) a column read **is** the
+    catalogue getter over the stored object; against a relational table
+    (``None``) it indexes the row dict.  An unknown column compiles to a
+    reader that raises when — and only when — it is evaluated, exactly as
+    the scan path does.
+    """
     if isinstance(expr, Column):
         key = expr.name.lower()
         name = expr.name
+        if columns is not None:
+            getter = columns.get(key)
+            if getter is not None:
+                return getter
+
+            def unknown(obj: Any, name=name) -> Any:
+                raise QuerySyntaxError(f"unknown column: {name!r}")
+
+            return unknown
 
         def get(row: Row, key=key, name=name) -> Any:
             if key not in row:
@@ -130,21 +174,26 @@ def _compile_value(expr: Any) -> Callable[[Row], Any]:
 
         return get
     value = expr.value
-    return lambda row, value=value: value
+    return lambda item, value=value: value
 
 
 def compile_predicate(
-    predicate: Predicate, cells: list[SubqueryCell]
-) -> RowFilter:
-    """Lower one predicate tree into a closure; appends subquery cells found."""
+    predicate: Predicate, cells: list[SubqueryCell], columns: Columns | None
+) -> ItemFilter:
+    """Lower one predicate tree into a closure; appends subquery cells found.
+
+    The closure runs on what the plan filters: stored objects of a virtual
+    table (column reads go through its *columns* catalogue) or, with
+    ``columns=None``, the row dicts of a relational table.
+    """
     if isinstance(predicate, Comparison):
-        left = _compile_value(predicate.left)
-        right = _compile_value(predicate.right)
+        left = _compile_value(predicate.left, columns)
+        right = _compile_value(predicate.right, columns)
         op = _OPS[predicate.op]
 
-        def cmp_fn(row: Row, left=left, right=right, op=op) -> bool:
-            a = left(row)
-            b = right(row)
+        def cmp_fn(item: Any, left=left, right=right, op=op) -> bool:
+            a = left(item)
+            b = right(item)
             if a is None or b is None:
                 return False
             a, b = _coerce_pair(a, b)
@@ -155,27 +204,27 @@ def compile_predicate(
 
         return cmp_fn
     if isinstance(predicate, Like):
-        get = _compile_value(predicate.column)
+        get = _compile_value(predicate.column, columns)
         regex = like_to_regex(predicate.pattern)
         negated = predicate.negated
 
-        def like_fn(row: Row, get=get, regex=regex, negated=negated) -> bool:
-            value = get(row)
+        def like_fn(item: Any, get=get, regex=regex, negated=negated) -> bool:
+            value = get(item)
             if value is None:
                 return False
             return bool(regex.match(str(value))) != negated
 
         return like_fn
     if isinstance(predicate, InList):
-        get = _compile_value(predicate.column)
+        get = _compile_value(predicate.column, columns)
         try:
             members: frozenset | tuple = frozenset(predicate.values)
         except TypeError:  # pragma: no cover - parser only emits hashables
             members = predicate.values
         negated = predicate.negated
 
-        def in_fn(row: Row, get=get, members=members, negated=negated) -> bool:
-            value = get(row)
+        def in_fn(item: Any, get=get, members=members, negated=negated) -> bool:
+            value = get(item)
             if value is None:
                 return False
             return (value in members) != negated
@@ -184,26 +233,26 @@ def compile_predicate(
     if isinstance(predicate, InSubquery):
         cell = SubqueryCell(predicate.subquery, predicate.subquery.columns[0])
         cells.append(cell)
-        get = _compile_value(predicate.column)
+        get = _compile_value(predicate.column, columns)
         negated = predicate.negated
 
-        def sub_fn(row: Row, get=get, cell=cell, negated=negated) -> bool:
-            value = get(row)
+        def sub_fn(item: Any, get=get, cell=cell, negated=negated) -> bool:
+            value = get(item)
             if value is None:
                 return False
             return (value in cell.values) != negated
 
         return sub_fn
     if isinstance(predicate, Between):
-        get = _compile_value(predicate.column)
-        low = _compile_value(predicate.low)
-        high = _compile_value(predicate.high)
+        get = _compile_value(predicate.column, columns)
+        low = _compile_value(predicate.low, columns)
+        high = _compile_value(predicate.high, columns)
         negated = predicate.negated
 
-        def between_fn(row: Row, get=get, low=low, high=high, negated=negated) -> bool:
-            value = get(row)
-            lo = low(row)
-            hi = high(row)
+        def between_fn(item: Any, get=get, low=low, high=high, negated=negated) -> bool:
+            value = get(item)
+            lo = low(item)
+            hi = high(item)
             if value is None or lo is None or hi is None:
                 return False
             value, lo, hi = coerce_between(value, lo, hi)
@@ -215,29 +264,29 @@ def compile_predicate(
 
         return between_fn
     if isinstance(predicate, IsNull):
-        get = _compile_value(predicate.column)
+        get = _compile_value(predicate.column, columns)
         negated = predicate.negated
-        return lambda row, get=get, negated=negated: (get(row) is None) != negated
+        return lambda item, get=get, negated=negated: (get(item) is None) != negated
     if isinstance(predicate, Not):
-        inner = compile_predicate(predicate.operand, cells)
-        return lambda row, inner=inner: not inner(row)
+        inner = compile_predicate(predicate.operand, cells, columns)
+        return lambda item, inner=inner: not inner(item)
     # And inside a residual conjunct cannot appear (flatten_conjuncts split it),
     # but nested And under Or/Not arrives here via the generic path:
     if isinstance(predicate, Or):
-        left_fn = compile_predicate(predicate.left, cells)
-        right_fn = compile_predicate(predicate.right, cells)
-        return lambda row, a=left_fn, b=right_fn: a(row) or b(row)
+        left_fn = compile_predicate(predicate.left, cells, columns)
+        right_fn = compile_predicate(predicate.right, cells, columns)
+        return lambda item, a=left_fn, b=right_fn: a(item) or b(item)
     conjuncts = flatten_conjuncts(predicate)
     if len(conjuncts) > 1:
-        return _chain([compile_predicate(c, cells) for c in conjuncts])
+        return _chain([compile_predicate(c, cells, columns) for c in conjuncts])
     raise QuerySyntaxError(f"unsupported predicate node: {predicate!r}")
 
 
-def _chain(filters: list[RowFilter]) -> RowFilter:
+def _chain(filters: list[ItemFilter]) -> ItemFilter:
     if len(filters) == 1:
         return filters[0]
     chained = tuple(filters)
-    return lambda row, chained=chained: all(f(row) for f in chained)
+    return lambda item, chained=chained: all(f(item) for f in chained)
 
 
 # -- access-path selection -----------------------------------------------------
@@ -257,13 +306,13 @@ def _like_prefix(pattern: str) -> str:
     return pattern
 
 
-def _classify(conjunct: Predicate) -> tuple[AccessPath, bool] | None:
-    """``(access path, fully covered)`` if the conjunct is sargable, else None.
+def _classify(conjunct: Predicate) -> AccessPath | None:
+    """The index probe that enforces the conjunct, or None if there is none.
 
-    *Fully covered* means the probe enforces the conjunct exactly, so it can
-    be dropped from the residual.  Only string keys are sargable: the scan
-    path coerces numeric literals against string columns (``name = 123``
-    matches name ``"123"``), which an index probe would miss.
+    Every path returned enforces its conjunct *exactly*, so the chosen
+    conjunct is dropped from the residual.  Only string keys are sargable:
+    the scan path coerces numeric literals against string columns
+    (``name = 123`` matches name ``"123"``), which an index probe would miss.
     """
     if isinstance(conjunct, Comparison) and conjunct.op == "=":
         for column, other in (
@@ -277,9 +326,9 @@ def _classify(conjunct: Predicate) -> tuple[AccessPath, bool] | None:
                 continue
             name = column.name.lower()
             if name == "id":
-                return AccessPath("id-eq", (key,)), True
+                return AccessPath("id-eq", (key,))
             if name in _NAME_COLUMNS:
-                return AccessPath("name-eq", (key,)), True
+                return AccessPath("name-eq", (key,))
         return None
     if isinstance(conjunct, InList) and not conjunct.negated:
         name = conjunct.column.name.lower()
@@ -287,14 +336,14 @@ def _classify(conjunct: Predicate) -> tuple[AccessPath, bool] | None:
         if name == "id":
             # non-string members can never equal a string id under scan
             # semantics (InList does not coerce), so dropping them is exact
-            return AccessPath("id-in", keys), True
+            return AccessPath("id-in", keys)
         if name in _NAME_COLUMNS:
-            return AccessPath("name-in", keys), True
+            return AccessPath("name-in", keys)
         return None
     if isinstance(conjunct, InSubquery) and not conjunct.negated:
         if conjunct.column.name.lower() == "id":
             # probe arguments live in the subquery cell, bound per execution
-            return AccessPath("id-in-subquery"), True
+            return AccessPath("id-in-subquery")
         return None
     if isinstance(conjunct, Like) and not conjunct.negated:
         name = conjunct.column.name.lower()
@@ -304,11 +353,22 @@ def _classify(conjunct: Predicate) -> tuple[AccessPath, bool] | None:
         prefix = _like_prefix(pattern)
         if prefix == pattern:
             # no wildcards: LIKE 'Foo' is exact equality on a string column
-            return AccessPath("name-eq", (prefix,)), True
-        if not prefix:
+            return AccessPath("name-eq", (prefix,))
+        if pattern == prefix + "%":
+            return AccessPath("name-prefix", (prefix,))
+        # any other shape: the pattern's regex runs over the *distinct
+        # names* of the index (from the literal prefix on), never over rows
+        return AccessPath("name-like", (prefix, pattern))
+    if isinstance(conjunct, Between) and not conjunct.negated:
+        if conjunct.column.name.lower() not in _NAME_COLUMNS:
             return None
-        covered = pattern == prefix + "%"  # pure prefix pattern
-        return AccessPath("name-prefix", (prefix,)), covered
+        low = _literal_str(conjunct.low)
+        high = _literal_str(conjunct.high)
+        if low is None or high is None:
+            # a numeric bound makes the scan path coerce numeric-looking
+            # names; the sorted name index orders strings only
+            return None
+        return AccessPath("name-range", (low, high))
     return None
 
 
@@ -322,21 +382,18 @@ def choose_access_path(
     only exist at execution time.
     """
     best_index = -1
-    best: tuple[AccessPath, bool] | None = None
+    best: AccessPath | None = None
     for index, conjunct in enumerate(conjuncts):
-        classified = _classify(conjunct)
-        if classified is None:
+        access = _classify(conjunct)
+        if access is None:
             continue
-        if best is None or _COSTS[classified[0].kind] < _COSTS[best[0].kind]:
-            best = classified
+        if best is None or _COSTS[access.kind] < _COSTS[best.kind]:
+            best = access
             best_index = index
     if best is None:
         return AccessPath("scan"), list(conjuncts), None
-    access, covered = best
-    residual = [
-        c for i, c in enumerate(conjuncts) if i != best_index or not covered
-    ]
-    return access, residual, conjuncts[best_index]
+    residual = [c for i, c in enumerate(conjuncts) if i != best_index]
+    return best, residual, conjuncts[best_index]
 
 
 # -- the compiled plan ---------------------------------------------------------
@@ -352,6 +409,7 @@ class CompiledPlan:
         "project",
         "access",
         "access_cell",
+        "name_match",
         "residual",
         "residual_count",
         "cells",
@@ -362,9 +420,14 @@ class CompiledPlan:
         key = select.table.lower()
         self.cells: list[SubqueryCell] = []
         self.access_cell: SubqueryCell | None = None
+        #: the ``name-like`` probe's matcher, hoisted once per plan
+        self.name_match: Callable[[str], Any] | None = None
+        columns: Columns | None = None
         if key in VIRTUAL_TABLES:
+            table = VIRTUAL_TABLES[key]
             self.relational = False
-            self.type_name, self.project = VIRTUAL_TABLES[key]
+            self.type_name, self.project = table.type_name, table.project
+            columns = table.columns
             conjuncts = (
                 flatten_conjuncts(select.where) if select.where is not None else []
             )
@@ -375,6 +438,8 @@ class CompiledPlan:
                     chosen.subquery, chosen.subquery.columns[0]
                 )
                 self.cells.append(self.access_cell)
+            if self.access.kind == "name-like":
+                self.name_match = like_to_regex(self.access.values[1]).match
         elif store.has_table(select.table):
             self.relational = True
             self.type_name, self.project = select.table, None
@@ -385,13 +450,19 @@ class CompiledPlan:
         else:
             raise QuerySyntaxError(f"unknown table: {select.table!r}")
         self.residual_count = len(residual_conjuncts)
-        self.residual: RowFilter | None = (
-            _chain([compile_predicate(c, self.cells) for c in residual_conjuncts])
+        self.residual: ItemFilter | None = (
+            _chain(
+                [compile_predicate(c, self.cells, columns) for c in residual_conjuncts]
+            )
             if residual_conjuncts
             else None
         )
 
     # -- candidate generation ----------------------------------------------
+
+    def _type_names(self, store: Any) -> list[str]:
+        """The concrete RIM types behind the table (all, for the union view)."""
+        return store.type_names() if self.type_name == "*" else [self.type_name]
 
     def _probe_ids(self, store: Any, type_name: str) -> list[str]:
         """Sorted candidate ids of one concrete type, from the chosen index."""
@@ -411,38 +482,34 @@ class CompiledPlan:
             return store.find_ids_by_names(type_name, values)
         if kind == "name-prefix":
             return store.find_ids_by_name_prefix(type_name, values[0])
+        if kind == "name-like":
+            return store.find_ids_by_name_match(type_name, values[0], self.name_match)
+        if kind == "name-range":
+            return store.find_ids_by_name_range(type_name, values[0], values[1])
         raise AssertionError(f"not an index path: {kind}")  # pragma: no cover
 
-    def candidate_rows(self, store: Any) -> tuple[list[Row], int]:
-        """``(materialized candidate rows, objects considered)``.
+    def candidates(self, store: Any) -> list[Any]:
+        """The stored objects (read-only views) the residual has to look at.
 
         Candidates come out in the scan path's pre-filter order — ids sorted
         within a type, types in sorted order for the union view — so ORDER BY
-        tie-breaking and DISTINCT keep bit-identical behaviour.
+        tie-breaking and DISTINCT keep bit-identical behaviour.  No row is
+        built here: the residual filters these objects and only the
+        survivors are projected.  An id whose object was deleted between the
+        index probe and the heap read is skipped, as a scan skips it.
         """
-        project = self.project
+        type_names = self._type_names(store)
         if self.access.kind == "scan":
-            if self.type_name == "*":
-                rows = [
-                    project(obj)
-                    for tname in store.type_names()
-                    for obj in store.iter_views_of_type(tname)
-                ]
-            else:
-                rows = [
-                    project(obj) for obj in store.iter_views_of_type(self.type_name)
-                ]
-            return rows, len(rows)
-        if self.type_name == "*":
-            type_names = store.type_names()
-        else:
-            type_names = [self.type_name]
-        rows = []
-        for tname in type_names:
-            rows.extend(
-                project(store.get_view(i)) for i in self._probe_ids(store, tname)
-            )
-        return rows, len(rows)
+            return [
+                obj for tname in type_names for obj in store.iter_views_of_type(tname)
+            ]
+        get_view = store.get_view
+        return [
+            obj
+            for tname in type_names
+            for object_id in self._probe_ids(store, tname)
+            if (obj := get_view(object_id)) is not None
+        ]
 
     def fast_count(self, store: Any) -> int | None:
         """COUNT(*) without materialization, when no filtering remains."""
@@ -450,11 +517,7 @@ class CompiledPlan:
             return None
         if self.access.kind == "scan":
             return store.count(None if self.type_name == "*" else self.type_name)
-        if self.type_name == "*":
-            return sum(
-                len(self._probe_ids(store, t)) for t in store.type_names()
-            )
-        return len(self._probe_ids(store, self.type_name))
+        return sum(len(self._probe_ids(store, t)) for t in self._type_names(store))
 
     def explain(self) -> dict[str, Any]:
         return {

@@ -1,232 +1,155 @@
 """Virtual tables: ebRIM classes exposed as relational rows for SQL queries.
 
 freebXML ships a normative SQL schema in which each ebRIM class is a table.
-Here each class maps to a row-projection function; the evaluator runs
-predicates over those rows.  Column names follow the freebXML schema
-conventions (lower-case, e.g. ``id``, ``name_``, ``description``), with
-pragmatic aliases so queries can say either ``name`` or ``name_``.
+Here each class maps to a **column catalogue**: every column is defined
+once, as an expression over the stored object ``o``, and both of its
+readers are compiled from that one definition —
+
+* the column's **getter** (``column → getter(obj)``), which the planner
+  compiles predicates' column reads to, so filters run on the stored
+  objects and no row is built for an object that does not survive;
+* the table's **full-row projection** (``SELECT *``, the ``planner=False``
+  oracle, the survivors of a planned statement): one dict display over all
+  the expressions, as fast as a hand-written row function.
+
+The expressions are this module's own constants, never request input.
+Column names follow the freebXML schema conventions (lower-case, e.g.
+``id``, ``name_``, ``description``), with pragmatic aliases so queries can
+say either ``name`` or ``name_``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
-from repro.rim import (
-    AdhocQuery,
-    Association,
-    AuditableEvent,
-    Classification,
-    ClassificationNode,
-    ClassificationScheme,
-    ExternalIdentifier,
-    ExternalLink,
-    ExtrinsicObject,
-    Organization,
-    RegistryObject,
-    RegistryPackage,
-    Service,
-    ServiceBinding,
-    SpecificationLink,
-    Subscription,
-    User,
-)
+from dataclasses import dataclass
+from functools import cache
+from typing import Any, Callable, Mapping
 
 Row = dict[str, Any]
+Getter = Callable[[Any], Any]
 
 
-def _base_row(obj: RegistryObject) -> Row:
-    row: Row = {
-        "id": obj.id,
-        "lid": obj.lid,
-        "name": obj.name.value,
-        "name_": obj.name.value,
-        "description": obj.description.value,
-        "status": obj.status.value,
-        "objecttype": obj.object_type,
-        "owner": obj.owner,
-        "versionname": obj.version.version_name,
-        "home": obj.home,
-    }
-    return row
+@dataclass(frozen=True)
+class VirtualTable:
+    """One ebRIM class as a table: its RIM type and its compiled catalogue."""
+
+    #: RIM class name, or ``"*"`` for the union view over every class
+    type_name: str
+    #: column (lower case) → getter over a stored object, in row order
+    columns: Mapping[str, Getter]
+    #: stored object → its full row: every catalogue column, in order
+    project: Callable[[Any], Row]
 
 
-def _organization_row(obj: Organization) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "parent": obj.parent,
-            "primarycontact": obj.primary_contact,
-            "city": obj.addresses[0].city if obj.addresses else None,
-            "country": obj.addresses[0].country if obj.addresses else None,
-        }
-    )
-    return row
+#: column → expression over the stored object ``o``, common to every class
+_BASE = {
+    "id": "o.id",
+    "lid": "o.lid",
+    "name": "o.name.value",
+    "name_": "o.name.value",
+    "description": "o.description.value",
+    "status": "o.status.value",
+    "objecttype": "o.object_type",
+    "owner": "o.owner",
+    "versionname": "o.version.version_name",
+    "home": "o.home",
+}
 
 
-def _service_row(obj: Service) -> Row:
-    row = _base_row(obj)
-    row["provider"] = obj.provider
-    return row
+@cache
+def _reader(body: str) -> Callable[[Any], Any]:
+    """``lambda o: <body>``, compiled once per distinct body."""
+    return eval(f"lambda o: {body}")  # noqa: S307 - module constants only
 
 
-def _binding_row(obj: ServiceBinding) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "service": obj.service,
-            "accessuri": obj.access_uri,
-            "targetbinding": obj.target_binding,
-            "host": obj.host,
-        }
-    )
-    return row
+def _table(type_name: str, **own: str) -> VirtualTable:
+    """Compile the base columns plus the class's *own* into a table."""
+    expressions = {**_BASE, **own}
+    columns = {column: _reader(expr) for column, expr in expressions.items()}
+    display = ", ".join(f"{column!r}: {expr}" for column, expr in expressions.items())
+    return VirtualTable(type_name, columns, _reader(f"{{{display}}}"))
 
 
-def _association_row(obj: Association) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "sourceobject": obj.source_object,
-            "targetobject": obj.target_object,
-            "associationtype": obj.association_type.value,
-        }
-    )
-    return row
+_USER = _table(
+    "User",
+    alias="o.alias",
+    firstname="o.person_name.first_name",
+    lastname="o.person_name.last_name",
+    organization="o.organization",
+)
 
-
-def _classification_row(obj: Classification) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "classifiedobject": obj.classified_object,
-            "classificationnode": obj.classification_node,
-            "classificationscheme": obj.classification_scheme,
-            "noderepresentation": obj.node_representation,
-        }
-    )
-    return row
-
-
-def _node_row(obj: ClassificationNode) -> Row:
-    row = _base_row(obj)
-    row.update({"code": obj.code, "parent": obj.parent, "path": obj.path})
-    return row
-
-
-def _scheme_row(obj: ClassificationScheme) -> Row:
-    row = _base_row(obj)
-    row.update({"isinternal": obj.is_internal, "nodetype": obj.node_type})
-    return row
-
-
-def _external_identifier_row(obj: ExternalIdentifier) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "registryobject": obj.registry_object,
-            "identificationscheme": obj.identification_scheme,
-            "value": obj.value,
-        }
-    )
-    return row
-
-
-def _external_link_row(obj: ExternalLink) -> Row:
-    row = _base_row(obj)
-    row["externaluri"] = obj.external_uri
-    return row
-
-
-def _extrinsic_row(obj: ExtrinsicObject) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "mimetype": obj.mime_type,
-            "isopaque": obj.is_opaque,
-            "contentversion": obj.content_version,
-        }
-    )
-    return row
-
-
-def _user_row(obj: User) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "alias": obj.alias,
-            "firstname": obj.person_name.first_name,
-            "lastname": obj.person_name.last_name,
-            "organization": obj.organization,
-        }
-    )
-    return row
-
-
-def _event_row(obj: AuditableEvent) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "eventtype": obj.event_type.value,
-            "affectedobject": obj.affected_object,
-            "user_": obj.user_id,
-            "timestamp_": obj.timestamp,
-        }
-    )
-    return row
-
-
-def _package_row(obj: RegistryPackage) -> Row:
-    return _base_row(obj)
-
-
-def _speclink_row(obj: SpecificationLink) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "servicebinding": obj.service_binding,
-            "specificationobject": obj.specification_object,
-        }
-    )
-    return row
-
-
-def _adhoc_row(obj: AdhocQuery) -> Row:
-    row = _base_row(obj)
-    row.update({"query": obj.query, "querylanguage": obj.query_language})
-    return row
-
-
-def _subscription_row(obj: Subscription) -> Row:
-    row = _base_row(obj)
-    row.update(
-        {
-            "selector": obj.selector,
-            "starttime": obj.start_time,
-            "endtime": obj.end_time,
-        }
-    )
-    return row
-
-
-#: canonical-table-name (lower case) → (RIM class name, projection)
-VIRTUAL_TABLES: dict[str, tuple[str, Callable[[Any], Row]]] = {
-    "organization": ("Organization", _organization_row),
-    "service": ("Service", _service_row),
-    "servicebinding": ("ServiceBinding", _binding_row),
-    "association": ("Association", _association_row),
-    "classification": ("Classification", _classification_row),
-    "classificationnode": ("ClassificationNode", _node_row),
-    "classificationscheme": ("ClassificationScheme", _scheme_row),
-    "externalidentifier": ("ExternalIdentifier", _external_identifier_row),
-    "externallink": ("ExternalLink", _external_link_row),
-    "extrinsicobject": ("ExtrinsicObject", _extrinsic_row),
-    "user_": ("User", _user_row),
-    "user": ("User", _user_row),
-    "auditableevent": ("AuditableEvent", _event_row),
-    "registrypackage": ("RegistryPackage", _package_row),
-    "specificationlink": ("SpecificationLink", _speclink_row),
-    "adhocquery": ("AdhocQuery", _adhoc_row),
-    "subscription": ("Subscription", _subscription_row),
+#: canonical-table-name (lower case) → virtual table
+VIRTUAL_TABLES: dict[str, VirtualTable] = {
+    "organization": _table(
+        "Organization",
+        parent="o.parent",
+        primarycontact="o.primary_contact",
+        city="o.addresses[0].city if o.addresses else None",
+        country="o.addresses[0].country if o.addresses else None",
+    ),
+    "service": _table("Service", provider="o.provider"),
+    "servicebinding": _table(
+        "ServiceBinding",
+        service="o.service",
+        accessuri="o.access_uri",
+        targetbinding="o.target_binding",
+        host="o.host",
+    ),
+    "association": _table(
+        "Association",
+        sourceobject="o.source_object",
+        targetobject="o.target_object",
+        associationtype="o.association_type.value",
+    ),
+    "classification": _table(
+        "Classification",
+        classifiedobject="o.classified_object",
+        classificationnode="o.classification_node",
+        classificationscheme="o.classification_scheme",
+        noderepresentation="o.node_representation",
+    ),
+    "classificationnode": _table(
+        "ClassificationNode", code="o.code", parent="o.parent", path="o.path"
+    ),
+    "classificationscheme": _table(
+        "ClassificationScheme", isinternal="o.is_internal", nodetype="o.node_type"
+    ),
+    "externalidentifier": _table(
+        "ExternalIdentifier",
+        registryobject="o.registry_object",
+        identificationscheme="o.identification_scheme",
+        value="o.value",
+    ),
+    "externallink": _table("ExternalLink", externaluri="o.external_uri"),
+    "extrinsicobject": _table(
+        "ExtrinsicObject",
+        mimetype="o.mime_type",
+        isopaque="o.is_opaque",
+        contentversion="o.content_version",
+    ),
+    "user_": _USER,
+    "user": _USER,
+    "auditableevent": _table(
+        "AuditableEvent",
+        eventtype="o.event_type.value",
+        affectedobject="o.affected_object",
+        user_="o.user_id",
+        timestamp_="o.timestamp",
+    ),
+    "registrypackage": _table("RegistryPackage"),
+    "specificationlink": _table(
+        "SpecificationLink",
+        servicebinding="o.service_binding",
+        specificationobject="o.specification_object",
+    ),
+    "adhocquery": _table(
+        "AdhocQuery", query="o.query", querylanguage="o.query_language"
+    ),
+    "subscription": _table(
+        "Subscription",
+        selector="o.selector",
+        starttime="o.start_time",
+        endtime="o.end_time",
+    ),
     # RegistryObject is the union view over every class
-    "registryobject": ("*", _base_row),
+    "registryobject": _table("*"),
 }

@@ -314,7 +314,9 @@ class LifeCycleManager:
         with self._write_scope(idempotency_key):
             updated: list[str] = []
             for obj in objects:
-                current = self.daos.store.get_object(obj.id)
+                # the stored instance itself: the save below replaces it (never
+                # mutates it), so history retains it without a private copy
+                current = self.daos.store.get_view(obj.id)
                 if current is None:
                     raise ObjectNotFoundError(obj.id)
                 self._authorize(session, "update", current)

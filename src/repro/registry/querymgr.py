@@ -99,6 +99,24 @@ class QueryManager:
 
         Diagnostic twin of :meth:`execute_adhoc_query`: same language
         dispatch, but returns the planner's explanation instead of rows.
+        ``access_path`` names how candidate objects are found:
+
+        * ``id-eq`` / ``id-in`` — ``id = 'x'`` / ``id IN (…)`` against the
+          type partition;
+        * ``name-eq`` / ``name-in`` — name buckets (a wildcard-less ``LIKE``
+          is a ``name-eq``);
+        * ``name-prefix`` — ``name LIKE 'p%'``, a range of the sorted names;
+        * ``name-like`` — any other non-negated ``name LIKE``: the pattern
+          runs over the distinct names from its literal prefix on;
+        * ``name-range`` — non-negated ``name BETWEEN 'a' AND 'b'`` (string
+          bounds), two bisections over the sorted names;
+        * ``id-in-subquery`` — ``id IN (SELECT …)`` against the materialized
+          value set;
+        * ``scan`` — every object of the table (always, for relational
+          tables).
+
+        ``residual_conjuncts`` counts the conditions evaluated on the
+        candidates afterwards; ``probe_values`` are the probe's arguments.
         """
         if query_language == QUERY_LANGUAGE_SQL:
             parsed: Any = query

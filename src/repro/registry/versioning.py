@@ -33,11 +33,18 @@ class VersionHistory:
         self._history: dict[str, list[VersionRecord]] = {}
 
     def retain(self, previous: RegistryObject, *, at: float) -> None:
-        """Store the snapshot an update is about to supersede."""
+        """Store the snapshot an update is about to supersede.
+
+        *previous* is retained as given, not copied: the caller hands over
+        the stored instance the datastore is about to replace (instances are
+        replaced, never mutated — the ``get_view`` contract), which the
+        changelog record's pre-image pins anyway.  Readers get copies from
+        :meth:`get_version`; ``VersionRecord.snapshot`` is read-only.
+        """
         record = VersionRecord(
             lid=previous.lid,
             version_name=previous.version.version_name,
-            snapshot=previous.copy(),
+            snapshot=previous,
             superseded_at=at,
         )
         self._history.setdefault(previous.lid, []).append(record)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.persistence import DataStore, DAORegistry, NodeSample, NodeStateStore
+import repro.rim as rim
 from repro.query import QueryEngine
+from repro.query.virtual import VIRTUAL_TABLES
 from repro.rim import Organization, Service, ServiceBinding
 from repro.util.errors import QuerySyntaxError
 from repro.util.ids import IdFactory
@@ -298,3 +300,74 @@ class TestThreeValuedConservatism:
             "SELECT name FROM Organization WHERE name NOT IN ('SDSU')"
         )
         assert len(rows) == 2
+
+
+class TestColumnCatalogue:
+    """Every virtual table's getters and full-row projection agree.
+
+    Both are compiled from one expression per column
+    (``repro.query.virtual``); an attribute misspelt there would only show
+    when that class is queried, so one object of every class goes through.
+    """
+
+    def objects(self):
+        a, b = ids.new_id(), ids.new_id()
+        org = Organization(ids.new_id(), name="Org")
+        org.addresses.append(rim.PostalAddress(city="San Diego", country="US"))
+        return [
+            org,
+            Organization(ids.new_id(), name="no address"),
+            Service(ids.new_id(), name="svc"),
+            ServiceBinding(ids.new_id(), service=a, access_uri="http://h.example:80/x"),
+            rim.Association(ids.new_id(), source_object=a, target_object=b),
+            rim.Classification(ids.new_id(), classified_object=a, classification_node=b),
+            rim.ClassificationNode(ids.new_id(), code="c", parent=a),
+            rim.ClassificationScheme(ids.new_id()),
+            rim.ExternalIdentifier(
+                ids.new_id(), registry_object=a, identification_scheme=b, value="v"
+            ),
+            rim.ExternalLink(ids.new_id(), external_uri="http://x.example"),
+            rim.ExtrinsicObject(ids.new_id()),
+            rim.User(ids.new_id(), alias="gold"),
+            rim.AuditableEvent(
+                ids.new_id(),
+                event_type=rim.EventType.CREATED,
+                affected_object=a,
+                user_id=b,
+                timestamp=1.5,
+            ),
+            rim.RegistryPackage(ids.new_id()),
+            rim.SpecificationLink(
+                ids.new_id(), service_binding=a, specification_object=b
+            ),
+            rim.AdhocQuery(ids.new_id(), query="SELECT id FROM Service"),
+            rim.Subscription(
+                ids.new_id(),
+                selector=a,
+                actions=[rim.NotifyAction(mode="email", endpoint="a@b.example")],
+            ),
+        ]
+
+    def test_projection_is_the_getters_in_catalogue_order(self):
+        union = VIRTUAL_TABLES["registryobject"]
+        covered = set()
+        for obj in self.objects():
+            tables = [t for t in VIRTUAL_TABLES.values() if t.type_name == obj.type_name]
+            assert tables, obj.type_name
+            covered.add(obj.type_name)
+            for table in (*tables, union):
+                row = table.project(obj)
+                assert list(row) == list(table.columns)
+                assert row == {c: get(obj) for c, get in table.columns.items()}
+                # every class leads with the RegistryObject columns, in order
+                assert list(row)[: len(union.columns)] == list(union.columns)
+                assert row["name"] == row["name_"] == obj.name.value
+        assert covered == {t.type_name for t in VIRTUAL_TABLES.values()} - {"*"}
+
+    def test_organization_address_columns(self):
+        with_address, without = self.objects()[:2]
+        columns = VIRTUAL_TABLES["organization"].columns
+        assert columns["city"](with_address) == "San Diego"
+        assert columns["country"](with_address) == "US"
+        assert columns["city"](without) is None
+        assert VIRTUAL_TABLES["organization"].project(without)["country"] is None

@@ -114,9 +114,51 @@ class TestAccessPathSelection:
         assert plan["residual_conjuncts"] == 0
 
     def test_prefix_like_with_inner_wildcard_keeps_residual(self, planned):
+        # the name is history: an inner wildcard used to probe the prefix and
+        # keep the LIKE as a residual; the pattern now runs over the index's
+        # distinct names and the conjunct is fully covered
         plan = planned.explain("SELECT * FROM Service WHERE name LIKE 'Svc0_'")
-        assert plan["access_path"] == "name-prefix"
+        assert plan["access_path"] == "name-like"
+        assert plan["probe_values"] == ["Svc0", "Svc0_"]
+        assert plan["residual_conjuncts"] == 0
+
+    def test_suffix_like_reads_the_name_index(self, planned):
+        plan = planned.explain("SELECT id FROM Service WHERE name LIKE '%01'")
+        assert plan["access_path"] == "name-like"
+        assert plan["probe_values"] == ["", "%01"]
+        assert plan["residual_conjuncts"] == 0
+
+    def test_name_between_strings_is_a_range_probe(self, planned):
+        for column in ("name", "name_"):
+            plan = planned.explain(
+                f"SELECT * FROM Service WHERE {column} BETWEEN 'Svc01' AND 'Svc03'"
+            )
+            assert plan["access_path"] == "name-range"
+            assert plan["probe_values"] == ["Svc01", "Svc03"]
+            assert plan["residual_conjuncts"] == 0
+
+    def test_negated_between_stays_residual(self, planned):
+        plan = planned.explain(
+            "SELECT * FROM Service WHERE name NOT BETWEEN 'Svc01' AND 'Svc03'"
+        )
+        assert plan["access_path"] == "scan"
         assert plan["residual_conjuncts"] == 1
+
+    def test_numeric_between_bounds_stay_residual(self, planned):
+        # the scan path coerces numeric-looking names against a numeric
+        # bound; the sorted name index orders strings only
+        for bounds in ("1 AND 5", "'1' AND 5", "1 AND '5'", "NULL AND 'z'"):
+            plan = planned.explain(
+                f"SELECT * FROM Service WHERE name BETWEEN {bounds}"
+            )
+            assert plan["access_path"] == "scan", bounds
+            assert plan["residual_conjuncts"] == 1
+
+    def test_between_on_other_columns_stays_residual(self, planned):
+        plan = planned.explain(
+            "SELECT * FROM Service WHERE description BETWEEN 'a' AND 'b'"
+        )
+        assert plan["access_path"] == "scan"
 
     def test_name_in_list(self, planned):
         plan = planned.explain(
@@ -249,6 +291,101 @@ class TestLazyMaterialization:
         rows = planned.execute("SELECT COUNT(*) FROM Service")
         assert rows == [{"count": len(store.service_objects)}]
         assert planned.stats["rows_materialized"] == 0
+
+
+class TestProbeDeleteRace:
+    """A delete landing between the index probe and the heap read.
+
+    Probes read ids off the published index generation; the object can be
+    gone by the time the plan fetches it.  The statement must answer with
+    the remaining objects, as a scan (which skips vanished ids) does.
+    """
+
+    @pytest.mark.parametrize(
+        "probe, where",
+        [
+            ("find_ids_by_name_prefix", "name LIKE 'Svc0%'"),
+            ("find_ids_by_name_match", "name LIKE '%0_'"),
+            ("find_ids_by_name_range", "name BETWEEN 'Svc00' AND 'Svc05'"),
+            ("find_ids_by_name", "name = 'Svc01'"),
+            ("find_ids_by_names", "name IN ('Svc01', 'Svc02')"),
+            ("filter_ids_of_type", "id IN ({ids})"),
+        ],
+    )
+    def test_statement_answers_with_the_remaining_rows(
+        self, planned, store, monkeypatch, probe, where
+    ):
+        victim = store.service_objects[1]  # 'Svc01': every probe above finds it
+        where = where.format(
+            ids=", ".join(f"'{svc.id}'" for svc in store.service_objects[:3])
+        )
+        real = getattr(store, probe)
+
+        def probe_then_delete(*args, **kwargs):
+            found = real(*args, **kwargs)
+            if store.contains(victim.id):
+                assert victim.id in found
+                store.delete_object(victim.id)
+            return found
+
+        monkeypatch.setattr(store, probe, probe_then_delete)
+        rows = planned.execute(f"SELECT id FROM Service WHERE {where}")
+        assert rows and victim.id not in [row["id"] for row in rows]
+        monkeypatch.undo()
+        assert rows == QueryEngine(store, planner=False).execute(
+            f"SELECT id FROM Service WHERE {where}"
+        )
+
+
+class TestWorkBound:
+    """Row dicts are built for what a statement returns, not what it reads.
+
+    In the spirit of the kernel's call-budget test: a 1 000-service store,
+    the three unindexed-at-the-parent shapes of ``adhoc_mix``, and a bound on
+    ``stats["rows_materialized"]`` (row dicts built) instead of a timing.
+    """
+
+    @pytest.fixture(scope="class")
+    def big_store(self) -> DataStore:
+        store = DataStore()
+        local = IdFactory(1000)
+        with store.batch():
+            for index in range(1000):
+                svc = Service(local.new_id(), name=f"Svc{index:04d}", description="d")
+                store.insert_object(svc)
+                store.insert_object(
+                    ServiceBinding(
+                        local.new_id(),
+                        service=svc.id,
+                        access_uri=f"http://host{index % 16:02d}.bench:80/x",
+                        name=f"Svc{index:04d}.b0",
+                    )
+                )
+        return store
+
+    @pytest.mark.parametrize(
+        "query, returned",
+        [
+            ("SELECT id FROM Service WHERE name LIKE '%007'", 1),
+            ("SELECT * FROM Service WHERE name BETWEEN 'Svc0100' AND 'Svc0139'", 40),
+            (
+                "SELECT COUNT(*) FROM ServiceBinding WHERE host = 'host03.bench' "
+                "AND name LIKE 'Svc01%'",
+                0,
+            ),
+            ("SELECT COUNT(*) FROM Service WHERE description = 'd'", 0),
+            ("SELECT COUNT(*) FROM Service WHERE name LIKE '%7' AND description = 'd'", 0),
+        ],
+    )
+    def test_builds_no_more_rows_than_it_returns(self, big_store, query, returned):
+        engine = QueryEngine(big_store)
+        rows = engine.execute(query)
+        assert rows == QueryEngine(big_store, planner=False).execute(query)
+        if returned:
+            assert len(rows) == returned
+        else:
+            assert rows[0]["count"] > 0  # a COUNT(*) that did filter something
+        assert engine.stats["rows_materialized"] == returned
 
 
 class TestScanParity:

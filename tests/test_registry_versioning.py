@@ -62,3 +62,70 @@ class TestRetention:
 
     def test_history_len(self, registry, versioned_org):
         assert len(registry.lcm.versions) == 2
+
+
+class TestRetentionSharesTheStoredInstance:
+    """History keeps the instance the store replaced — no private clone.
+
+    Stored instances are replaced, never mutated, and the changelog record's
+    pre-image pins the superseded one anyway; retaining it as is drops one
+    ``RegistryObject`` clone per update.
+    """
+
+    def test_snapshot_is_the_changelog_preimage(self, registry, session):
+        org = Organization(registry.ids.new_id(), name="n", description="first")
+        registry.lcm.submit_objects(session, [org])
+        stored = registry.store.get_view(org.id)
+        fresh = registry.daos.organizations.require(org.id)
+        fresh.description.set("second")
+        registry.lcm.update_objects(session, [fresh])
+        [record] = registry.lcm.versions.versions_of(org.lid)
+        assert record.snapshot is stored
+        [change] = [
+            r
+            for r in registry.store.changelog.tail(8)
+            if r.object_id == org.id and r.previous is not None
+        ]
+        assert record.snapshot is change.previous
+        # and the live object moved on without touching the retained one
+        assert registry.store.get_view(org.id) is not stored
+        assert stored.description.value == "first"
+        assert stored.version.version_name == "1.1"
+
+    def test_retained_bytes_per_update_stay_under_three_clones(
+        self, registry, session
+    ):
+        import gc
+        import tracemalloc
+
+        org = Organization(registry.ids.new_id(), name="n", description="first")
+        registry.lcm.submit_objects(session, [org])
+
+        def update(n: int) -> None:
+            fresh = registry.daos.organizations.require(org.id)
+            fresh.description.set(f"description {n}")
+            registry.lcm.update_objects(session, [fresh])
+
+        rounds = 100
+        for n in range(20):  # let caches and interned strings settle
+            update(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            clones = [org.copy() for _ in range(rounds)]
+            clone_bytes = (tracemalloc.get_traced_memory()[0] - base) / rounds
+            del clones
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for n in range(rounds):
+                update(100 + n)
+            gc.collect()
+            retained = (tracemalloc.get_traced_memory()[0] - base) / rounds
+        finally:
+            tracemalloc.stop()
+        # an update keeps, by design: the new stored instance (the old one
+        # lives on as pre-image and history at once), its audit event, and
+        # two changelog records — 2.3 clones' worth.  A private history copy
+        # made it 3.3.
+        assert retained < 2.8 * clone_bytes, (retained, clone_bytes)
