@@ -579,19 +579,26 @@ class LifeCycleManager:
             # transport-level retry replays the recorded result exactly-once
             return getattr(ctx.body, "idempotency_key", None)
 
+        def received_objects(ctx):
+            # the payload is whatever JSON the sender wrote: a malformed one
+            # must fault (InvalidRequestError), not crash the worker
+            if not isinstance(ctx.body.objects, list):
+                raise InvalidRequestError(
+                    f"{type(ctx.body).__name__}.objects must be a list of object dicts"
+                )
+            return [deserialize(data) for data in ctx.body.objects]
+
         def submit(ctx):
-            objects = [deserialize(data) for data in ctx.body.objects]
             return RegistryResponse(
                 ids=self.submit_objects(
-                    ctx.session, objects, idempotency_key=request_key(ctx)
+                    ctx.session, received_objects(ctx), idempotency_key=request_key(ctx)
                 )
             )
 
         def update(ctx):
-            objects = [deserialize(data) for data in ctx.body.objects]
             return RegistryResponse(
                 ids=self.update_objects(
-                    ctx.session, objects, idempotency_key=request_key(ctx)
+                    ctx.session, received_objects(ctx), idempotency_key=request_key(ctx)
                 )
             )
 

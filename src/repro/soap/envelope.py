@@ -15,6 +15,17 @@ holds golden documents and the ElementTree oracle):
   and, unless empty, ``detail``;
 * character data escapes ``& < >``, attribute values also ``"`` and CR/LF/TAB
   (``&#13; &#10; &#09;``); empty content is written ``<tag />``.
+
+The decode rule: ``envelope_from_xml`` reads a document in one pass, without a
+parser, only if it is a message document as written above — that root, that
+``Header`` (entry names and values printable ASCII with no reference), one
+``ns1:<MessageType>`` whose text is ASCII, holds no ``<`` or ``>`` and no
+reference but ``&amp; &lt; &gt;``, un-escapes to JSON and builds the message,
+then exactly the closing tags.  Such a text is well-formed by construction and
+a parser would find the same headers and the same payload in it.  Every other
+text — faults, other prefixes or spellings, whitespace, comments, CDATA, a
+DOCTYPE, anything malformed — goes to the ElementTree decoder, which raises
+every error a caller can see.  Nothing selects between the two but the text.
 """
 
 from __future__ import annotations

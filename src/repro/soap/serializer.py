@@ -4,11 +4,17 @@ The simulated SOAP boundary moves plain data, not live objects: this module
 flattens each RIM class to a tagged dict (``{"_type": "Service", ...}``) and
 reconstructs it on the other side.  Round-tripping is exact for every field
 the model carries, which the property tests verify.
+
+One table drives both directions: each RIM type lists its fields once (wire
+key ↔ attribute, optional converters) after the fields every RegistryObject
+shares, and :class:`_Codec` resolves the lists at import.  The key order of a
+serialized dict is the table's order.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 from repro.rim import (
     AdhocQuery,
@@ -33,6 +39,7 @@ from repro.rim import (
     Service,
     ServiceBinding,
     Slot,
+    SlotMap,
     SpecificationLink,
     Subscription,
     TelephoneNumber,
@@ -42,6 +49,43 @@ from repro.rim.status import ObjectStatus
 from repro.util.errors import InvalidRequestError
 
 SerializedObject = dict[str, Any]
+
+
+#: marks a wire key every sender must write
+_REQUIRED = object()
+#: what reading a dict this module did not write raises, short of the model's
+#: own refusals (``RegistryError``, which pass through)
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
+
+
+class _Field(NamedTuple):
+    """One wire key of a serialized object.
+
+    ``attr`` is the attribute path read on the way out.  On the way in the
+    value is assigned to that path after construction, or, for an ``init``
+    field, handed to the constructor under the path's last segment.  A key with
+    a ``default`` may be left out.
+    """
+
+    wire: str
+    attr: str
+    encode: Callable[[Any], Any] | None = None
+    decode: Callable[[Any], Any] | None = None
+    init: bool = False
+    default: Any = _REQUIRED
+
+
+def _records(cls: type, **attrs: str) -> tuple[Callable, Callable]:
+    """Converters for a list of value objects: ``wire key=attribute`` pairs."""
+    pairs = tuple(attrs.items())
+
+    def encode(values):
+        return [{wire: getattr(value, attr) for wire, attr in pairs} for value in values]
+
+    def decode(entries):
+        return [cls(**{attr: entry[wire] for wire, attr in pairs}) for entry in entries]
+
+    return encode, decode
 
 
 def _istring(value: InternationalString) -> list[dict[str, str]]:
@@ -58,328 +102,231 @@ def _istring_back(data: list[dict[str, str]]) -> InternationalString:
     return out
 
 
-def _base_fields(obj: RegistryObject) -> SerializedObject:
-    return {
-        "_type": obj.type_name,
-        "id": obj.id,
-        "lid": obj.lid,
-        "name": _istring(obj.name),
-        "description": _istring(obj.description),
-        "status": obj.status.value,
-        "versionName": obj.version.version_name,
-        "owner": obj.owner,
-        "home": obj.home,
-        "slots": [
-            {"name": s.name, "values": list(s.values), "slotType": s.slot_type}
-            for s in obj.slots
-        ],
-        "classificationIds": list(obj.classification_ids),
-        "externalIdentifierIds": list(obj.external_identifier_ids),
-    }
+def _slots(slots: SlotMap) -> list[dict[str, Any]]:
+    return [
+        {"name": s.name, "values": list(s.values), "slotType": s.slot_type} for s in slots
+    ]
 
 
-def _apply_base(obj: RegistryObject, data: SerializedObject) -> None:
-    obj.lid = data["lid"]
-    obj.name = _istring_back(data["name"])
-    obj.description = _istring_back(data["description"])
-    obj.status = ObjectStatus(data["status"])
-    obj.version.version_name = data["versionName"]
-    obj.owner = data["owner"]
-    obj.home = data["home"]
-    for slot in data["slots"]:
-        obj.slots.add(
-            Slot(name=slot["name"], values=slot["values"], slot_type=slot["slotType"])
+def _slots_back(data: list[dict[str, Any]]) -> SlotMap:
+    out = SlotMap()
+    for slot in data:
+        out.add(Slot(name=slot["name"], values=slot["values"], slot_type=slot["slotType"]))
+    return out
+
+
+def _user(id: str, *, first_name: str, middle_name: str, last_name: str, **kwargs) -> User:
+    return User(id, person_name=PersonName(first_name, middle_name, last_name), **kwargs)
+
+
+_enum_value = attrgetter("value")
+
+
+def _enum(cls: type) -> tuple[Callable, Callable]:
+    """Converters for an enum that travels as its value."""
+    return _enum_value, {member.value: member for member in cls}.__getitem__
+
+
+_ID_LIST = (list, list)
+_ADDRESSES = _records(
+    PostalAddress, streetNumber="street_number", street="street", city="city",
+    state="state", country="country", postalCode="postal_code", type="type",
+)  # fmt: skip
+_EMAILS = _records(EmailAddress, address="address", type="type")
+_TELEPHONES = _records(
+    TelephoneNumber, number="number", countryCode="country_code",
+    areaCode="area_code", extension="extension", type="type",
+)  # fmt: skip
+_ACTIONS = _records(NotifyAction, mode="mode", endpoint="endpoint")
+
+#: the fields every RegistryObject carries, after ``_type``
+_BASE_FIELDS = (
+    _Field("id", "id", init=True),
+    _Field("lid", "lid"),
+    _Field("name", "name", _istring, _istring_back, init=True),
+    _Field("description", "description", _istring, _istring_back, init=True),
+    _Field("status", "status", *_enum(ObjectStatus)),
+    _Field("versionName", "version.version_name"),
+    _Field("owner", "owner"),
+    _Field("home", "home"),
+    _Field("slots", "slots", _slots, _slots_back),
+    _Field("classificationIds", "classification_ids", *_ID_LIST),
+    _Field("externalIdentifierIds", "external_identifier_ids", *_ID_LIST),
+)
+
+#: the fields each RIM type adds, in wire order
+_TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
+    Organization: (
+        _Field("parent", "parent", init=True),
+        _Field("primaryContact", "primary_contact", init=True),
+        _Field("addresses", "addresses", *_ADDRESSES),
+        _Field("emails", "emails", *_EMAILS),
+        _Field("telephones", "telephones", *_TELEPHONES),
+        _Field("serviceIds", "service_ids", *_ID_LIST),
+    ),
+    Service: (
+        _Field("provider", "provider", init=True),
+        _Field("bindingIds", "binding_ids", *_ID_LIST),
+    ),
+    ServiceBinding: (
+        _Field("service", "service", init=True),
+        _Field("accessUri", "access_uri", init=True),
+        _Field("targetBinding", "target_binding", init=True),
+        _Field("specificationLinkIds", "specification_link_ids", *_ID_LIST),
+    ),
+    Association: (
+        _Field("sourceObject", "source_object", init=True),
+        _Field("targetObject", "target_object", init=True),
+        # read back by short name or URN
+        _Field("associationType", "association_type", _enum_value, AssociationType.from_name, True),
+        _Field("confirmedBySource", "confirmed_by_source"),
+        _Field("confirmedByTarget", "confirmed_by_target"),
+    ),
+    Classification: (
+        _Field("classifiedObject", "classified_object", init=True),
+        _Field("classificationNode", "classification_node", init=True),
+        _Field("classificationScheme", "classification_scheme", init=True),
+        _Field("nodeRepresentation", "node_representation", init=True),
+    ),
+    ClassificationScheme: (
+        _Field("isInternal", "is_internal", init=True),
+        _Field("nodeType", "node_type", init=True),
+        _Field("childNodeIds", "child_node_ids", *_ID_LIST),
+    ),
+    ClassificationNode: (
+        _Field("code", "code", init=True),
+        _Field("parent", "parent", init=True),
+        _Field("path", "path", init=True),
+        _Field("childNodeIds", "child_node_ids", *_ID_LIST),
+    ),
+    ExternalIdentifier: (
+        _Field("registryObject", "registry_object", init=True),
+        _Field("identificationScheme", "identification_scheme", init=True),
+        _Field("value", "value", init=True),
+    ),
+    ExternalLink: (_Field("externalUri", "external_uri", init=True),),
+    ExtrinsicObject: (
+        _Field("mimeType", "mime_type", init=True),
+        _Field("isOpaque", "is_opaque", init=True),
+        _Field("contentVersion", "content_version", init=True),
+    ),
+    RegistryPackage: (_Field("memberIds", "member_ids", *_ID_LIST),),
+    SpecificationLink: (
+        _Field("serviceBinding", "service_binding", init=True),
+        _Field("specificationObject", "specification_object", init=True),
+        _Field("usageDescription", "usage_description", init=True),
+    ),
+    User: (
+        _Field("alias", "alias", init=True),
+        _Field("firstName", "person_name.first_name", init=True),
+        _Field("middleName", "person_name.middle_name", init=True),
+        _Field("lastName", "person_name.last_name", init=True),
+        _Field("organization", "organization", init=True),
+        _Field("roles", "roles", sorted, set),
+    ),
+    AuditableEvent: (
+        _Field("eventType", "event_type", *_enum(EventType), init=True),
+        _Field("affectedObject", "affected_object", init=True),
+        _Field("userId", "user_id", init=True),
+        _Field("timestamp", "timestamp", init=True),
+        _Field("requestId", "request_id", init=True),
+        _Field("sequence", "sequence", default=0),
+    ),
+    AdhocQuery: (
+        _Field("query", "query", init=True),
+        _Field("queryLanguage", "query_language", init=True),
+    ),
+    Subscription: (
+        _Field("selector", "selector", init=True),
+        _Field("actions", "actions", *_ACTIONS, init=True),
+        _Field("startTime", "start_time", init=True),
+        _Field("endTime", "end_time", init=True),
+    ),
+}
+
+#: constructors that do not take every ``init`` field as a keyword
+_FACTORIES = {User: _user}
+
+
+class _Codec:
+    """One type's field list, compiled to a straight-line function per direction.
+
+    The source is generated as ``dataclasses`` generates ``__init__``: a dict
+    display for the way out, one constructor call and one assignment per
+    remaining field for the way in, with the converters bound by position.
+    """
+
+    def __init__(self, cls: type[RegistryObject]) -> None:
+        self.fields = fields = _BASE_FIELDS + _TYPE_FIELDS.get(cls, ())
+        scope: dict[str, Any] = {"new": _FACTORIES.get(cls, cls)}
+        display, keywords, assignments = ['"_type": type(obj).__name__'], [], []
+        for n, field in enumerate(fields):
+            scope[f"encode{n}"], scope[f"decode{n}"] = field.encode, field.decode
+            value = f"obj.{field.attr}"
+            value = f"encode{n}({value})" if field.encode else value
+            display.append(f'"{field.wire}": {value}')
+            value = f'data["{field.wire}"]'
+            if field.default is not _REQUIRED:
+                value = f'data.get("{field.wire}", {field.default!r})'
+            value = f"decode{n}({value})" if field.decode else value
+            if field.init:
+                keywords.append(f"{field.attr.rpartition('.')[2]}={value}")
+            else:
+                assignments.append(f"    obj.{field.attr} = {value}\n")
+        exec(
+            f"def write(obj):\n    return {{{', '.join(display)}}}\n"
+            f"def read(data):\n    obj = new({', '.join(keywords)})\n"
+            f"{''.join(assignments)}    return obj\n",
+            scope,
         )
-    obj.classification_ids = list(data["classificationIds"])
-    obj.external_identifier_ids = list(data["externalIdentifierIds"])
+        self.write: Callable[[RegistryObject], SerializedObject] = scope["write"]
+        self.read: Callable[[SerializedObject], RegistryObject] = scope["read"]
+
+    def blame(self, data: SerializedObject) -> str:
+        """Which field made :attr:`read` fail: the error path walks the table."""
+        for field in self.fields:
+            if field.wire not in data:
+                if field.default is _REQUIRED:
+                    return f"field {field.wire!r} is missing"
+            elif field.decode is not None:
+                try:
+                    field.decode(data[field.wire])
+                except _MALFORMED as exc:
+                    return f"field {field.wire!r} is malformed ({exc!r})"
+        return "its constructor cannot take the fields as typed"
 
 
-def _address(a: PostalAddress) -> dict[str, str]:
-    return {
-        "streetNumber": a.street_number,
-        "street": a.street,
-        "city": a.city,
-        "state": a.state,
-        "country": a.country,
-        "postalCode": a.postal_code,
-        "type": a.type,
-    }
-
-
-def _address_back(d: dict[str, str]) -> PostalAddress:
-    return PostalAddress(
-        street_number=d["streetNumber"],
-        street=d["street"],
-        city=d["city"],
-        state=d["state"],
-        country=d["country"],
-        postal_code=d["postalCode"],
-        type=d["type"],
-    )
+_BY_NAME = {cls.__name__: _Codec(cls) for cls in _TYPE_FIELDS}
+_BY_CLASS = {cls: _BY_NAME[cls.__name__] for cls in _TYPE_FIELDS}
+_BY_CLASS[RegistryObject] = _Codec(RegistryObject)
 
 
 def serialize(obj: RegistryObject) -> SerializedObject:
     """Flatten one RIM object to a transport dict."""
-    data = _base_fields(obj)
-    if isinstance(obj, Organization):
-        data.update(
-            {
-                "parent": obj.parent,
-                "primaryContact": obj.primary_contact,
-                "addresses": [_address(a) for a in obj.addresses],
-                "emails": [{"address": e.address, "type": e.type} for e in obj.emails],
-                "telephones": [
-                    {
-                        "number": t.number,
-                        "countryCode": t.country_code,
-                        "areaCode": t.area_code,
-                        "extension": t.extension,
-                        "type": t.type,
-                    }
-                    for t in obj.telephones
-                ],
-                "serviceIds": list(obj.service_ids),
-            }
-        )
-    elif isinstance(obj, Service):
-        data.update({"provider": obj.provider, "bindingIds": list(obj.binding_ids)})
-    elif isinstance(obj, ServiceBinding):
-        data.update(
-            {
-                "service": obj.service,
-                "accessUri": obj.access_uri,
-                "targetBinding": obj.target_binding,
-                "specificationLinkIds": list(obj.specification_link_ids),
-            }
-        )
-    elif isinstance(obj, Association):
-        data.update(
-            {
-                "sourceObject": obj.source_object,
-                "targetObject": obj.target_object,
-                "associationType": obj.association_type.value,
-                "confirmedBySource": obj.confirmed_by_source,
-                "confirmedByTarget": obj.confirmed_by_target,
-            }
-        )
-    elif isinstance(obj, Classification):
-        data.update(
-            {
-                "classifiedObject": obj.classified_object,
-                "classificationNode": obj.classification_node,
-                "classificationScheme": obj.classification_scheme,
-                "nodeRepresentation": obj.node_representation,
-            }
-        )
-    elif isinstance(obj, ClassificationScheme):
-        data.update(
-            {
-                "isInternal": obj.is_internal,
-                "nodeType": obj.node_type,
-                "childNodeIds": list(obj.child_node_ids),
-            }
-        )
-    elif isinstance(obj, ClassificationNode):
-        data.update(
-            {
-                "code": obj.code,
-                "parent": obj.parent,
-                "path": obj.path,
-                "childNodeIds": list(obj.child_node_ids),
-            }
-        )
-    elif isinstance(obj, ExternalIdentifier):
-        data.update(
-            {
-                "registryObject": obj.registry_object,
-                "identificationScheme": obj.identification_scheme,
-                "value": obj.value,
-            }
-        )
-    elif isinstance(obj, ExternalLink):
-        data.update({"externalUri": obj.external_uri})
-    elif isinstance(obj, ExtrinsicObject):
-        data.update(
-            {
-                "mimeType": obj.mime_type,
-                "isOpaque": obj.is_opaque,
-                "contentVersion": obj.content_version,
-            }
-        )
-    elif isinstance(obj, RegistryPackage):
-        data.update({"memberIds": list(obj.member_ids)})
-    elif isinstance(obj, SpecificationLink):
-        data.update(
-            {
-                "serviceBinding": obj.service_binding,
-                "specificationObject": obj.specification_object,
-                "usageDescription": obj.usage_description,
-            }
-        )
-    elif isinstance(obj, User):
-        data.update(
-            {
-                "alias": obj.alias,
-                "firstName": obj.person_name.first_name,
-                "middleName": obj.person_name.middle_name,
-                "lastName": obj.person_name.last_name,
-                "organization": obj.organization,
-                "roles": sorted(obj.roles),
-            }
-        )
-    elif isinstance(obj, AuditableEvent):
-        data.update(
-            {
-                "eventType": obj.event_type.value,
-                "affectedObject": obj.affected_object,
-                "userId": obj.user_id,
-                "timestamp": obj.timestamp,
-                "requestId": obj.request_id,
-                "sequence": obj.sequence,
-            }
-        )
-    elif isinstance(obj, AdhocQuery):
-        data.update({"query": obj.query, "queryLanguage": obj.query_language})
-    elif isinstance(obj, Subscription):
-        data.update(
-            {
-                "selector": obj.selector,
-                "actions": [
-                    {"mode": a.mode, "endpoint": a.endpoint} for a in obj.actions
-                ],
-                "startTime": obj.start_time,
-                "endTime": obj.end_time,
-            }
-        )
-    return data
+    codec = _BY_CLASS.get(type(obj))
+    if codec is None:
+        # an unlisted subclass travels as its nearest listed ancestor
+        codec = next(_BY_CLASS[base] for base in type(obj).__mro__ if base in _BY_CLASS)
+    return codec.write(obj)
 
 
 def deserialize(data: SerializedObject) -> RegistryObject:
-    """Rebuild a RIM object from a transport dict."""
+    """Rebuild a RIM object from a transport dict.
+
+    A dict this module could not have written — no dict at all, an unknown
+    ``_type``, a missing or ill-typed field — is an :class:`InvalidRequestError`
+    naming the type and the field.
+    """
+    if not isinstance(data, dict):
+        raise InvalidRequestError(f"cannot deserialize a {type(data).__name__}: not a dict")
     type_name = data.get("_type")
-    object_id = data["id"]
-    obj: RegistryObject
-    if type_name == "Organization":
-        obj = Organization(
-            object_id, parent=data["parent"], primary_contact=data["primaryContact"]
-        )
-        obj.addresses = [_address_back(a) for a in data["addresses"]]
-        obj.emails = [
-            EmailAddress(address=e["address"], type=e["type"]) for e in data["emails"]
-        ]
-        obj.telephones = [
-            TelephoneNumber(
-                number=t["number"],
-                country_code=t["countryCode"],
-                area_code=t["areaCode"],
-                extension=t["extension"],
-                type=t["type"],
-            )
-            for t in data["telephones"]
-        ]
-        obj.service_ids = list(data["serviceIds"])
-    elif type_name == "Service":
-        obj = Service(object_id, provider=data["provider"])
-        obj.binding_ids = list(data["bindingIds"])
-    elif type_name == "ServiceBinding":
-        obj = ServiceBinding(
-            object_id,
-            service=data["service"],
-            access_uri=data["accessUri"],
-            target_binding=data["targetBinding"],
-        )
-        obj.specification_link_ids = list(data["specificationLinkIds"])
-    elif type_name == "Association":
-        obj = Association(
-            object_id,
-            source_object=data["sourceObject"],
-            target_object=data["targetObject"],
-            association_type=AssociationType.from_name(data["associationType"]),
-        )
-        obj.confirmed_by_source = data["confirmedBySource"]
-        obj.confirmed_by_target = data["confirmedByTarget"]
-    elif type_name == "Classification":
-        obj = Classification(
-            object_id,
-            classified_object=data["classifiedObject"],
-            classification_node=data["classificationNode"],
-            classification_scheme=data["classificationScheme"],
-            node_representation=data["nodeRepresentation"],
-        )
-    elif type_name == "ClassificationScheme":
-        obj = ClassificationScheme(
-            object_id, is_internal=data["isInternal"], node_type=data["nodeType"]
-        )
-        obj.child_node_ids = list(data["childNodeIds"])
-    elif type_name == "ClassificationNode":
-        obj = ClassificationNode(
-            object_id, code=data["code"], parent=data["parent"], path=data["path"]
-        )
-        obj.child_node_ids = list(data["childNodeIds"])
-    elif type_name == "ExternalIdentifier":
-        obj = ExternalIdentifier(
-            object_id,
-            registry_object=data["registryObject"],
-            identification_scheme=data["identificationScheme"],
-            value=data["value"],
-        )
-    elif type_name == "ExternalLink":
-        obj = ExternalLink(object_id, external_uri=data["externalUri"])
-    elif type_name == "ExtrinsicObject":
-        obj = ExtrinsicObject(
-            object_id,
-            mime_type=data["mimeType"],
-            is_opaque=data["isOpaque"],
-            content_version=data["contentVersion"],
-        )
-    elif type_name == "RegistryPackage":
-        obj = RegistryPackage(object_id)
-        obj.member_ids = list(data["memberIds"])
-    elif type_name == "SpecificationLink":
-        obj = SpecificationLink(
-            object_id,
-            service_binding=data["serviceBinding"],
-            specification_object=data["specificationObject"],
-            usage_description=data["usageDescription"],
-        )
-    elif type_name == "User":
-        obj = User(
-            object_id,
-            alias=data["alias"],
-            person_name=PersonName(
-                first_name=data["firstName"],
-                middle_name=data["middleName"],
-                last_name=data["lastName"],
-            ),
-            organization=data["organization"],
-        )
-        obj.roles = set(data["roles"])
-    elif type_name == "AuditableEvent":
-        obj = AuditableEvent(
-            object_id,
-            event_type=EventType(data["eventType"]),
-            affected_object=data["affectedObject"],
-            user_id=data["userId"],
-            timestamp=data["timestamp"],
-            request_id=data["requestId"],
-        )
-        obj.sequence = data.get("sequence", 0)
-    elif type_name == "AdhocQuery":
-        obj = AdhocQuery(
-            object_id, query=data["query"], query_language=data["queryLanguage"]
-        )
-    elif type_name == "Subscription":
-        obj = Subscription(
-            object_id,
-            selector=data["selector"],
-            actions=[
-                NotifyAction(mode=a["mode"], endpoint=a["endpoint"])
-                for a in data["actions"]
-            ],
-            start_time=data["startTime"],
-            end_time=data["endTime"],
-        )
-    else:
-        raise InvalidRequestError(f"cannot deserialize object type {type_name!r}")
-    _apply_base(obj, data)
-    return obj
+    try:
+        codec = _BY_NAME[type_name]
+    except (KeyError, TypeError):
+        raise InvalidRequestError(f"cannot deserialize object type {type_name!r}") from None
+    try:
+        return codec.read(data)
+    except _MALFORMED as exc:
+        raise InvalidRequestError(
+            f"cannot deserialize {type_name} object: {codec.blame(data)}"
+        ) from exc

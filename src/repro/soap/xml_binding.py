@@ -4,55 +4,32 @@ The in-memory envelopes move structured dicts; this module renders them as
 actual ``<soap:Envelope>`` documents and parses them back, so a wire capture
 of the simulated traffic looks like what freebXML's SAAJ layer produced.
 Round-tripping is exact for every protocol message type.  Encoding is one
-pass of string assembly that copies nothing; decoding is a full expat parse
-(the well-formedness check).  Wire contract: :mod:`repro.soap.envelope`.
+pass of string assembly that copies nothing.  Decoding reads a message
+document this writer could have written in one pass over the frame — prefix,
+header entries, message element, suffix — and hands everything else (faults,
+other prefixes, whitespace, comments, any reference but ``&amp; &lt; &gt;``)
+to a full expat parse, which stays the judge of well-formedness and raises
+every error.  Wire contract and decode rule: :mod:`repro.soap.envelope`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
+from repro.soap import messages
 from repro.soap.envelope import SoapEnvelope, SoapFault
-from repro.soap.messages import (
-    AddSlotsRequest,
-    AdhocQueryRequest,
-    ApproveObjectsRequest,
-    DeprecateObjectsRequest,
-    GetRegistryObjectRequest,
-    GetServiceBindingsRequest,
-    RegistryResponse,
-    RemoveObjectsRequest,
-    RemoveSlotsRequest,
-    SubmitObjectsRequest,
-    UndeprecateObjectsRequest,
-    UpdateObjectsRequest,
-)
 from repro.util.errors import InvalidRequestError
 from repro.util.xmlutil import parse_xml
 
 SOAP_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 RS_NS = "urn:oasis:names:tc:ebxml-regrep:xsd:rs:3.0"
 
-#: message classes by their XML element name
+#: message classes by their XML element name: every dataclass of the protocol module
 _MESSAGE_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        SubmitObjectsRequest,
-        UpdateObjectsRequest,
-        ApproveObjectsRequest,
-        DeprecateObjectsRequest,
-        UndeprecateObjectsRequest,
-        RemoveObjectsRequest,
-        AddSlotsRequest,
-        RemoveSlotsRequest,
-        AdhocQueryRequest,
-        GetRegistryObjectRequest,
-        GetServiceBindingsRequest,
-        RegistryResponse,
-    )
+    name: cls for name, cls in vars(messages).items() if dataclasses.is_dataclass(cls)
 }
-
 
 #: the dataclass fields each message's JSON body carries, read shallowly
 _FIELD_NAMES = {c: tuple(f.name for f in dataclasses.fields(c)) for c in _MESSAGE_TYPES.values()}
@@ -111,8 +88,67 @@ def envelope_to_xml(envelope: SoapEnvelope) -> str:
     return f"{root}{header}<ns0:Body>{body}</ns0:Body></ns0:Envelope>"
 
 
+# what the writer puts around a message, for the reader to recognise
+_BARE_OPEN = _ENVELOPE_OPEN + "<ns0:Header /><ns0:Body><ns1:"
+_HEADERS_OPEN = _ENVELOPE_OPEN + "<ns0:Header>"
+_HEADERS_CLOSE = "</ns0:Header><ns0:Body><ns1:"
+_BARE_END, _HEADERS_END, _CLOSE_LEN = len(_BARE_OPEN), len(_HEADERS_OPEN), len(_HEADERS_CLOSE)
+#: element name → the text that follows its payload to the end of the document
+_MESSAGE_TAILS = {name: f"</ns1:{name}></ns0:Body></ns0:Envelope>" for name in _MESSAGE_TYPES}
+# a header entry whose name and value are printable ASCII that needs no reference
+_PLAIN = r"[ !#-%'-;=?-~]"
+_HEADER_ENTRY = re.compile(
+    rf'<ns1:HeaderEntry name="({_PLAIN}+)"(?: />|>({_PLAIN}*)</ns1:HeaderEntry>)'
+)
+_FOREIGN_REFERENCE = re.compile("&(?!amp;|lt;|gt;)")
+
+
+def _scan_envelope(text: str) -> SoapEnvelope | None:
+    """Read a message document :func:`envelope_to_xml` could have written.
+
+    ``None`` for any other text, well-formed or not: the frame is matched
+    exactly, the payload must hold no markup and only the writer's three
+    references, and it must build the message.  What passes is ASCII without
+    ``<`` or ``>`` between fixed tags, so a parser would find the same text.
+    """
+    headers: dict[str, str] = {}
+    if text.startswith(_BARE_OPEN):
+        pos = _BARE_END
+    elif text.startswith(_HEADERS_OPEN):
+        pos = _HEADERS_END
+        while entry := _HEADER_ENTRY.match(text, pos):
+            headers[entry[1]] = entry[2] or ""
+            pos = entry.end()
+        if not text.startswith(_HEADERS_CLOSE, pos):
+            return None
+        pos += _CLOSE_LEN
+    else:
+        return None
+    end = text.find(">", pos)
+    name = text[pos:end]
+    tail = _MESSAGE_TAILS.get(name)
+    if tail is None or not text.endswith(tail) or not text.isascii():
+        return None
+    payload = text[end + 1 : -len(tail)]
+    if "<" in payload or ">" in payload:
+        return None
+    if "&" in payload:
+        if _FOREIGN_REFERENCE.search(payload):
+            return None
+        payload = payload.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
+    try:
+        return SoapEnvelope(_MESSAGE_TYPES[name](**json.loads(payload)), headers)
+    except (ValueError, TypeError):
+        return None
+
+
 def envelope_from_xml(text: str) -> SoapEnvelope:
-    """Parse a SOAP 1.1 document back into an envelope."""
+    """Read a SOAP 1.1 document back into an envelope."""
+    return _scan_envelope(text) or _parse_envelope(text)
+
+
+def _parse_envelope(text: str) -> SoapEnvelope:
+    """The tree decoder: any legal SOAP 1.1 document, and every error."""
     root = parse_xml(text, what="SOAP envelope")
     if root.tag != f"{{{SOAP_NS}}}Envelope":
         raise InvalidRequestError("not a SOAP envelope")

@@ -1,15 +1,22 @@
 """Round-trip tests for the RIM object serializer."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.rim import (
+    CONCRETE_TYPES,
+    QUERY_LANGUAGE_FILTER,
     AdhocQuery,
     Association,
     AssociationType,
+    AuditableEvent,
     Classification,
     ClassificationNode,
     ClassificationScheme,
     EmailAddress,
+    EventType,
     ExternalIdentifier,
     ExternalLink,
     ExtrinsicObject,
@@ -17,6 +24,7 @@ from repro.rim import (
     Organization,
     PersonName,
     PostalAddress,
+    RegistryObject,
     RegistryPackage,
     Service,
     ServiceBinding,
@@ -175,3 +183,178 @@ class TestErrors:
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidRequestError):
             deserialize({"_type": "Mystery", "id": ids.new_id()})
+
+    @pytest.mark.parametrize("data", ["x", None, 5, ["_type"], {"id": ids.new_id()}, {"_type": ["Service"]}])
+    def test_not_a_serialized_object(self, data):
+        with pytest.raises(InvalidRequestError, match="cannot deserialize"):
+            deserialize(data)
+
+    @pytest.mark.parametrize("type_name", list(CONCRETE_TYPES))
+    def test_every_missing_field_is_named_with_its_type(self, type_name):
+        complete = serialize(populated_objects()[type_name])
+        for wire in complete:
+            data = {key: value for key, value in complete.items() if key != wire}
+            if (type_name, wire) == ("AuditableEvent", "sequence"):
+                assert deserialize(data).sequence == 0  # older senders leave it out
+                continue
+            what = "object type None" if wire == "_type" else f"{type_name}.*{wire!r} is missing"
+            with pytest.raises(InvalidRequestError, match=what):
+                deserialize(data)
+
+    @pytest.mark.parametrize(
+        "wire, value",
+        [
+            ("slots", "abc"),
+            ("slots", [{"name": "n"}]),
+            ("name", [{"value": "no locale"}]),
+            ("status", "Bogus"),
+            ("status", ["Approved"]),
+            ("classificationIds", 7),
+            ("addresses", [{"city": "only"}]),
+            ("telephones", None),
+        ],
+    )
+    def test_an_ill_typed_field_is_named_with_its_type(self, wire, value):
+        data = {**serialize(populated_objects()["Organization"]), wire: value}
+        with pytest.raises(InvalidRequestError, match=f"Organization.*{wire!r} is malformed"):
+            deserialize(data)
+
+    def test_a_value_the_constructor_cannot_take(self):
+        data = {**serialize(populated_objects()["AdhocQuery"]), "query": None}
+        with pytest.raises(InvalidRequestError, match="AdhocQuery object: its constructor"):
+            deserialize(data)
+
+    def test_the_models_own_refusals_pass_through(self):
+        data = {**serialize(populated_objects()["Service"]), "id": "not-a-urn"}
+        with pytest.raises(InvalidRequestError, match="must be urn:uuid"):
+            deserialize(data)
+        data = {**serialize(populated_objects()["Service"])}
+        data["slots"] = data["slots"] + data["slots"][:1]
+        with pytest.raises(InvalidRequestError, match="duplicate slot name"):
+            deserialize(data)
+
+
+# -- the wire keys, their order and their values, as the ladders wrote them ----
+
+GOLDEN_PATH = Path(__file__).with_name("golden_serialized_objects.json")
+
+
+def _uid(n: int) -> str:
+    return f"urn:uuid:00000000-0000-4000-8000-{n:012x}"
+
+
+def _populate_base(obj, n: int):
+    """Give every shared field a value its default does not have."""
+    obj.lid = _uid(0xF00 + n)
+    obj.name.set(f"nom {n}", locale="fr_FR")
+    obj.description.set(f"described <{n}> & more")
+    obj.status = ObjectStatus.DEPRECATED
+    obj.version.version_name = "1.7"
+    obj.owner = _uid(0xA00)
+    obj.home = "http://home.example:8080/registry"
+    obj.add_slot("copyright", "2011", "SDSU", slot_type="legal")
+    obj.add_slot("empty")
+    obj.classification_ids = [_uid(0xC01), _uid(0xC02)]
+    obj.external_identifier_ids = [_uid(0xE01)]
+    return obj
+
+
+def populated_objects() -> dict:
+    """One populated instance of every type the serializer knows, by type name."""
+    org = Organization(_uid(1), name="SDSU", parent=_uid(0x11), primary_contact=_uid(0x12))
+    org.addresses = [
+        PostalAddress("5500", "Campanile Dr", "San Diego", "CA", "US", "92182", "Office"),
+        PostalAddress(city="La Jolla"),
+    ]
+    org.emails = [EmailAddress("info@sdsu.edu"), EmailAddress("lab@sdsu.edu", "LabEmail")]
+    org.telephones = [TelephoneNumber("5945200", "1", "619", "12", "MobilePhone")]
+    org.service_ids = [_uid(0x13), _uid(0x14)]
+    service = Service(_uid(2), name="Adder", provider=_uid(1))
+    service.binding_ids = [_uid(3), _uid(0x31)]
+    binding = ServiceBinding(
+        _uid(3), name="Adder.b0", service=_uid(2),
+        access_uri="http://exergy.sdsu.edu:8080/Adder?x=1&y=<2>", target_binding=_uid(0x31),
+    )  # fmt: skip
+    binding.specification_link_ids = [_uid(0x32)]
+    association = Association(
+        _uid(4), source_object=_uid(1), target_object=_uid(2),
+        association_type=AssociationType.OFFERS_SERVICE,
+    )  # fmt: skip
+    association.confirmed_by_source = False
+    association.confirmed_by_target = True
+    scheme = ClassificationScheme(_uid(6), name="NAICS", is_internal=False, node_type="Path")
+    scheme.child_node_ids = [_uid(7)]
+    node = ClassificationNode(_uid(7), code="111330", parent=_uid(6), path="/NAICS/111330")
+    node.child_node_ids = [_uid(0x71)]
+    package = RegistryPackage(_uid(11), name="pkg")
+    package.member_ids = [_uid(2), _uid(3)]
+    user = User(
+        _uid(13), alias="gold", organization=_uid(1),
+        person_name=PersonName("Sadhana", "V.", "Sahasrabudhe"),
+    )  # fmt: skip
+    user.roles = {"RegistryUser", "RegistryAdministrator", "Auditor"}
+    event = AuditableEvent(
+        _uid(14), event_type=EventType.VERSIONED, affected_object=_uid(2),
+        user_id=_uid(13), timestamp=36000.5, request_id="req-7",
+    )  # fmt: skip
+    event.sequence = 41
+    objects = [
+        org, service, binding, association,
+        Classification(
+            _uid(5), classified_object=_uid(2), classification_scheme=_uid(6),
+            node_representation="111330",
+        ),
+        scheme, node,
+        ExternalIdentifier(
+            _uid(8), registry_object=_uid(1), identification_scheme="DUNS", value="123456789"
+        ),
+        ExternalLink(_uid(9), external_uri="http://docs.example.com/adder?a=1&b=2"),
+        ExtrinsicObject(
+            _uid(10), name="x.wsdl", mime_type="text/xml", is_opaque=True, content_version="1.4"
+        ),
+        package,
+        SpecificationLink(
+            _uid(12), service_binding=_uid(3), specification_object=_uid(10),
+            usage_description="how to call",
+        ),
+        user, event,
+        AdhocQuery(
+            _uid(15), query="SELECT * FROM Service WHERE name = $n",
+            query_language=QUERY_LANGUAGE_FILTER,
+        ),
+        Subscription(
+            _uid(16), selector=_uid(15), start_time=1.5, end_time=99.0,
+            actions=[
+                NotifyAction(mode="email", endpoint="x@y.z"),
+                NotifyAction(mode="service", endpoint="http://listener.example/notify"),
+            ],
+        ),
+        RegistryObject(_uid(17), name="bare"),
+    ]  # fmt: skip
+    return {
+        type(obj).__name__: _populate_base(obj, n) for n, obj in enumerate(objects, start=1)
+    }
+
+
+class TestWireKeyParity:
+    """The table writes what the 17-arm ladders wrote (goldens captured at a17853e)."""
+
+    GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+    def test_every_type_has_a_golden(self):
+        assert list(populated_objects()) == list(self.GOLDEN)
+        assert set(self.GOLDEN) == set(CONCRETE_TYPES) | {"RegistryObject"}
+
+    @pytest.mark.parametrize("type_name", list(GOLDEN))
+    def test_same_keys_same_order_same_values(self, type_name):
+        golden = self.GOLDEN[type_name]
+        data = serialize(populated_objects()[type_name])
+        assert list(data.items()) == list(golden.items())
+        # what leaves is JSON-clean: the text on the wire does not move either
+        assert json.dumps(data) == json.dumps(golden)
+        if type_name == "RegistryObject":
+            with pytest.raises(InvalidRequestError, match="RegistryObject"):
+                deserialize(data)
+        else:
+            again = serialize(deserialize(data))
+            assert list(again.items()) == list(golden.items())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -12,7 +13,8 @@ from conftest import HOSTS, publish_service_with_bindings
 from repro.client.jaxr import ConnectionFactory
 from repro.core import attach_load_balancer
 from repro.persistence.nodestate import NodeSample
-from repro.rim import Organization, ServiceBinding
+from repro.rim import Organization, Service, ServiceBinding
+from repro.serving import ServingConfig, ServingSupervisor
 from repro.soap import (
     AdhocQueryRequest,
     GetServiceBindingsRequest,
@@ -22,11 +24,13 @@ from repro.soap import (
     SoapFault,
     SoapRegistryBinding,
     SubmitObjectsRequest,
+    UpdateObjectsRequest,
     envelope_from_xml,
     envelope_to_xml,
     serialize,
+    xml_binding,
 )
-from repro.soap.xml_binding import _MESSAGE_TYPES, RS_NS, SOAP_NS
+from repro.soap.xml_binding import _MESSAGE_TYPES, RS_NS, SOAP_NS, _parse_envelope
 from repro.util.errors import InvalidRequestError
 from repro.util.ids import IdFactory
 
@@ -311,6 +315,304 @@ class TestMalformedPayloads:
         nested = RegistryResponse(rows=[{"fault": SoapFault("urn:x", "broken")}])
         with pytest.raises(InvalidRequestError, match="cannot render RegistryResponse"):
             envelope_to_xml(SoapEnvelope(body=nested))
+
+
+# -- one pass over the writer's own documents, the tree for everything else ------
+
+#: header names and values as deployments write them, and as nobody should
+real_headers = st.fixed_dictionaries(
+    {},
+    optional={
+        SoapEnvelope.SESSION_HEADER: st.just("urn:uuid:59bd7041-781f-4c57-b985-f0293588642b"),
+        SoapEnvelope.TRACEPARENT_HEADER: st.just("00-0af7651916cd43dd8448eb211c80319c-b7ad6b71-01"),
+        SoapEnvelope.FORWARDED_HEADER: st.just("http://member-2.example:8080/omar/registry/soap"),
+    },
+)
+any_headers = real_headers | st.dictionaries(text, text, max_size=3)
+
+#: what a mutation splices in, by what it is to the two decoders
+SPLICES = {
+    # keeps JSON valid somewhere: the scanner may go on reading the document
+    "json": (" ", "\n", "\t", "\r", "a", "0", '"', "'", "{", "}", ",", ";", "/", "\\", "\x7f", "&amp;", "&lt;"),
+    # characters the writer never leaves raw, or XML forbids
+    "character": ("<", ">", "&", "é", "\x01", "\x0b", "\ufffe"),
+    # references the writer never writes
+    "reference": ("&foo;", "&#x41;", "&#65;", "&quot;", "&apos;", "&#10;", "&AMP;", "&amp"),
+    # markup the writer never emits
+    "markup": (
+        "]]>", "<!-- c -->", "<?pi x?>", "<![CDATA[x]]>", "<![CDATA[{}]]>", "<x/>",
+        '<ns1:RemoveObjectsRequest>{"ids": []}</ns1:RemoveObjectsRequest>',
+        "<ns1:HeaderEntry>v</ns1:HeaderEntry>", '<ns1:HeaderEntry name="a">v</ns1:HeaderEntry>',
+        '<ns1:HeaderEntry name="">v</ns1:HeaderEntry>', '<ns1:HeaderEntry name="a"></ns1:HeaderEntry>',
+    ),
+}  # fmt: skip
+splices = st.sampled_from(sorted(SPLICES)).flatmap(lambda kind: st.sampled_from(SPLICES[kind]))
+DOCTYPE = '<!DOCTYPE x [<!ENTITY foo "bar">]>'
+
+
+def outcome(decode, document):
+    """What a decoder makes of a document: the envelope, or its refusal."""
+    try:
+        return decode(document)
+    except InvalidRequestError as error:
+        return type(error), str(error)
+
+
+def _swap_prefixes(document):
+    return document.replace("ns0", "\0").replace("ns1", "ns0").replace("\0", "ns1")
+
+
+def _reprefix(document):
+    return document.replace("ns0:", "soap:").replace("xmlns:ns0", "xmlns:soap")
+
+
+def _duplicate_first_header(document):
+    start = document.find("<ns1:HeaderEntry")
+    if start < 0:
+        return document.replace("<ns0:Header />", "<ns0:Header></ns0:Header>")
+    close = document.find("</ns1:HeaderEntry>", start)
+    end = document.find(">", start) if close < 0 else close + len("</ns1:HeaderEntry>") - 1
+    return document[: end + 1] + document[start : end + 1] + document[end + 1 :]
+
+
+WHOLE_DOCUMENT_MUTATIONS = {
+    "swap-prefixes": _swap_prefixes,
+    "soap-prefix": _reprefix,
+    "whitespace-between-elements": lambda d: d.replace("><", ">\n  <"),
+    "doctype-with-entity": lambda d: DOCTYPE + d,
+    "doctype-and-entity-used": lambda d: DOCTYPE + d.replace("</ns1:", "&foo;</ns1:", 1),
+    "xml-declaration": lambda d: '<?xml version="1.0"?>' + d,
+    "trailing-whitespace": lambda d: d + "\n",
+    "trailing-comment": lambda d: d + "<!-- bye -->",
+    "duplicated-header": _duplicate_first_header,
+    "self-closed-header-spelled-out": lambda d: d.replace("<ns0:Header />", "<ns0:Header/>"),
+}
+
+
+@st.composite
+def mutated(draw, document):
+    """One edit of *document*: at an offset, or of the whole text."""
+    kind = draw(st.sampled_from(["truncate", "delete", "duplicate", "replace", "splice", "whole"]))
+    if kind == "whole":
+        return WHOLE_DOCUMENT_MUTATIONS[draw(st.sampled_from(sorted(WHOLE_DOCUMENT_MUTATIONS)))](
+            document
+        )
+    # mostly past the root's start tag: the headers and the payload are where
+    # the two decoders could come to disagree
+    start = max(document.find(draw(st.sampled_from(["<", "<ns0:Header", "<ns0:Body>"]))), 0)
+    at = draw(st.integers(min(start, len(document) - 1), len(document) - 1))
+    if kind == "truncate":
+        return document[:at]
+    if kind == "delete":
+        return document[:at] + document[at + 1 :]
+    if kind == "duplicate":
+        return document[: at + 1] + document[at:]
+    return document[:at] + draw(splices) + document[at + (kind == "replace") :]
+
+
+class TestScannerMatchesTree:
+    """``envelope_from_xml`` is the tree decoder, on every text, error for error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=bodies(), headers=any_headers)
+    def test_written_documents(self, body, headers):
+        document = envelope_to_xml(SoapEnvelope(body=body, headers=headers))
+        assert outcome(envelope_from_xml, document) == outcome(_parse_envelope, document)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(data=st.data(), body=bodies(), headers=any_headers)
+    def test_mutated_documents(self, data, body, headers):
+        document = envelope_to_xml(SoapEnvelope(body=body, headers=headers))
+        for _ in range(data.draw(st.integers(1, 2))):
+            document = data.draw(mutated(document)) or "<"
+        assert outcome(envelope_from_xml, document) == outcome(_parse_envelope, document)
+
+    @pytest.mark.parametrize("mutation", sorted(WHOLE_DOCUMENT_MUTATIONS))
+    @pytest.mark.parametrize("case", [c for c in GOLDEN if "fault" not in c])
+    def test_foreign_but_legal_spellings_of_the_golden_documents(self, case, mutation):
+        envelope, document = GOLDEN[case]
+        foreign = WHOLE_DOCUMENT_MUTATIONS[mutation](document)
+        assert outcome(envelope_from_xml, foreign) == outcome(_parse_envelope, foreign)
+        if mutation not in ("swap-prefixes", "doctype-and-entity-used"):
+            assert envelope_from_xml(foreign) == envelope
+
+    def test_every_splice_where_it_could_matter(self):
+        """In a payload string, a header name, a header value: same outcome, and
+        nothing but plain characters is the scanner's to read."""
+        written = envelope_to_xml(
+            SoapEnvelope(body=RemoveObjectsRequest(ids=["abc"]), headers={"name": "value"})
+        )
+        assert xml_binding._scan_envelope(written) is not None
+        for anchor in ('bc"]', 'ame">', "alue</"):
+            at = written.index(anchor)
+            for kind, members in SPLICES.items():
+                for splice in members:
+                    document = written[:at] + splice + written[at:]
+                    assert outcome(envelope_from_xml, document) == outcome(
+                        _parse_envelope, document
+                    ), (anchor, splice)
+                    if kind != "json":
+                        assert xml_binding._scan_envelope(document) is None, (anchor, splice)
+
+    def test_the_scanner_declines_every_foreign_spelling(self):
+        written = envelope_to_xml(SoapEnvelope(body=RemoveObjectsRequest(ids=["a"])))
+        for name, mutate in WHOLE_DOCUMENT_MUTATIONS.items():
+            # a repeated entry is still the writer's grammar: last one wins, as in the tree
+            if name != "duplicated-header":
+                assert xml_binding._scan_envelope(mutate(written)) is None
+
+
+def _sample_messages():
+    """One populated message of every wire type; strings hold ``< > &``."""
+    service = serialize(Service(ids.new_id(), name="A<B> & C", description=LOAD_BELOW_ONE))
+    some = [ids.new_id(), ids.new_id()]
+    slot = {"name": "n&", "values": ["<v>"], "slotType": None}
+    fields = {
+        "SubmitObjectsRequest": {"objects": [service], "idempotency_key": "k<1>&"},
+        "UpdateObjectsRequest": {"objects": [service, service]},
+        "ApproveObjectsRequest": {"ids": some},
+        "DeprecateObjectsRequest": {"ids": some, "idempotency_key": "again"},
+        "UndeprecateObjectsRequest": {"ids": some},
+        "RemoveObjectsRequest": {"ids": []},
+        "AddSlotsRequest": {"object_id": some[0], "slots": [slot]},
+        "RemoveSlotsRequest": {"object_id": some[0], "names": ["n&", "<m>"]},
+        "AdhocQueryRequest": {"query": "SELECT * FROM Service WHERE name < 'b' AND id > 'a' & 1"},
+        "GetRegistryObjectRequest": {"object_id": some[0]},
+        "GetServiceBindingsRequest": {"service_id": some[0]},
+        "RegistryResponse": {
+            "ids": some, "rows": [{"name": "<x> & y"}], "objects": [service],
+            "total_result_count": 1,
+        },
+    }  # fmt: skip
+    assert set(fields) == set(_MESSAGE_TYPES)
+    return [_MESSAGE_TYPES[name](**values) for name, values in fields.items()]
+
+
+WIRE_HEADERS = {
+    SoapEnvelope.SESSION_HEADER: "urn:uuid:59bd7041-781f-4c57-b985-f0293588642b",
+    SoapEnvelope.TRACEPARENT_HEADER: "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+    SoapEnvelope.FORWARDED_HEADER: "http://member-2.example:8080/omar/registry/soap",
+}
+
+
+class TestDecodeBudget:
+    """Clock-free guards on the decoder, in the spirit of the kernel's TestCallBudget."""
+
+    #: call + c_call events of decoding one header-less GetServiceBindingsRequest
+    #: at a17853e (CPython 3.11).  expat's whole parse is two of them (one C
+    #: call does all the work), and 13 are json.loads, the two constructors
+    #: and the profiler switch, which any decoder pays: event counts cannot
+    #: show the tree going away — the parse counter below does — but they do
+    #: bound the Python-level work the scanner may add in its place.
+    TREE_EVENTS = 23
+
+    @pytest.fixture
+    def tree_parses(self, monkeypatch):
+        parses = []
+
+        def counting_parse_xml(document, **kwargs):
+            parses.append(document)
+            return parse_xml(document, **kwargs)
+
+        parse_xml = xml_binding.parse_xml
+        monkeypatch.setattr(xml_binding, "parse_xml", counting_parse_xml)
+        return parses
+
+    @pytest.mark.parametrize("headers", [{}, WIRE_HEADERS], ids=["no-headers", "headers"])
+    def test_no_written_message_is_parsed_into_a_tree(self, tree_parses, headers):
+        for message in _sample_messages():
+            envelope = SoapEnvelope(body=message, headers=dict(headers))
+            assert envelope_from_xml(envelope_to_xml(envelope)) == envelope
+        assert tree_parses == []
+        # the counter counts: a fault is the tree decoder's to read
+        envelope_from_xml(envelope_to_xml(SoapEnvelope(body=SoapFault("urn:x", "broken"))))
+        assert len(tree_parses) == 1
+
+    def test_decoding_a_discovery_request_stays_under_the_tree_decoders_events(self):
+        document = envelope_to_xml(
+            SoapEnvelope(body=GetServiceBindingsRequest(service_id=_SERVICE_ID))
+        )
+        events = 0
+
+        def profiler(frame, event, arg):
+            nonlocal events
+            if event in ("call", "c_call"):
+                events += 1
+
+        def count() -> int:
+            nonlocal events
+            events = 0
+            sys.setprofile(profiler)
+            try:
+                envelope_from_xml(document)
+            finally:
+                sys.setprofile(None)
+            return events
+
+        for _ in range(3):
+            envelope_from_xml(document)
+        first, second = count(), count()
+        assert first == second
+        assert first < self.TREE_EVENTS
+
+
+# -- objects the serializer could not have written ---------------------------------
+
+_AN_ID = "urn:uuid:00000000-0000-4000-8000-0000000000c1"
+MALFORMED_OBJECTS = {
+    "no-id": ([{"_type": "Service"}], "Service.*'id' is missing"),
+    "bad-id-and-no-provider": ([{"_type": "Service", "id": "nope"}], "Service.*is missing"),
+    "not-a-dict": (["x"], "a str: not a dict"),
+    "objects-not-a-list": (5, "objects must be a list"),
+    "objects-null": (None, "objects must be a list"),
+    "ill-typed-slots": (
+        [{**serialize(Service(_AN_ID, name="S")), "slots": "abc"}],
+        "Service.*'slots' is malformed",
+    ),
+    "unknown-status": (
+        [{**serialize(Service(_AN_ID, name="S")), "status": "Bogus"}],
+        "Service.*'status' is malformed",
+    ),
+    "id-not-a-string": ([{**serialize(Service(_AN_ID, name="S")), "id": 5}], "Service"),
+}
+
+
+def _faults(registry) -> int:
+    return sum(
+        op["faults"] for edge in registry.pipeline_stats().values() for op in edge.values()
+    )
+
+
+class TestMalformedObjects:
+    """A write whose objects are not serialized objects must fault, not crash."""
+
+    @pytest.mark.parametrize("request_cls", [SubmitObjectsRequest, UpdateObjectsRequest])
+    @pytest.mark.parametrize("case", list(MALFORMED_OBJECTS))
+    def test_both_edges_answer_with_an_invalid_request_fault(
+        self, registry, session, request_cls, case
+    ):
+        objects, message = MALFORMED_OBJECTS[case]
+        wire_text = envelope_to_xml(
+            SoapEnvelope.with_session(request_cls(objects=objects), session.token)
+        )
+        factory = ConnectionFactory(registry=registry, wire_xml=True)
+        factory.binding.register_session(session)
+        before = _faults(registry)
+        reply = factory.transport.request(factory.binding.endpoint_uri, wire_text)
+        answers = [envelope_from_xml(reply).body]
+        with ServingSupervisor(registry, ServingConfig(workers=1)) as supervisor:
+            supervisor.register_session(session)
+            request = envelope_from_xml(wire_text)
+            answers.append(
+                supervisor.call(body=request.body, token=request.session_token, timeout=30)
+            )
+        for fault in answers:
+            assert isinstance(fault, SoapFault)
+            assert fault.fault_code == InvalidRequestError.code
+            with pytest.raises(InvalidRequestError, match=message):
+                fault.raise_()
+        assert _faults(registry) == before + 2
+        assert registry.store.count("Service") == 0
 
 
 # -- the copy-free getServiceBindings handler ----------------------------------------
