@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs.metrics import MetricsRegistry
+from repro.util.workers import CALLER_WORKER_LABEL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.load_status import LoadStatus
@@ -230,6 +231,8 @@ def serving_collector(supervisor: "ServingSupervisor") -> Collector:
         )
         for label, count in snap["served_per_worker"].items():
             served.labels(worker=label).sync(count)
+        # runs on the callers' own threads, under their one bounded label
+        served.labels(worker=CALLER_WORKER_LABEL).sync(snap["served_inline"])
 
     return collect
 

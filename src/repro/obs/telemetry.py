@@ -103,8 +103,9 @@ class Telemetry:
         self._collectors: dict[str, "Collector"] = {}
         self._health_checks: dict[str, Callable[[], Any]] = {}
         #: pushed by the kernel account stage; everything else is pulled.
-        #: ``worker`` is the serving-worker label ("main" outside the
-        #: supervisor), so fleet latency can be sliced per worker.
+        #: ``worker`` is the serving-worker label ("caller" for a request the
+        #: serving gate ran inline, "main" outside the supervisor), so fleet
+        #: latency can be sliced per worker.
         self._request_latency = self.metrics.histogram(
             "repro_request_latency_seconds",
             "Kernel request latency by edge, operation, and serving worker.",

@@ -274,6 +274,8 @@ class RouteInterceptor:
             ctx.tags["route"] = "forwarded-serve"
             return proceed()
         object_id = extract(ctx.body)
+        if not isinstance(object_id, str):
+            return proceed()  # malformed: the validate stage faults it
         if self.registry.store.contains(object_id):
             self.local += 1
             ctx.tags["route"] = "local"

@@ -214,35 +214,49 @@ class OperationStats:
         }
 
 
+#: one thread's accounting under one worker label: edge → operation → stats
+_Shard = dict[str, dict[str, OperationStats]]
+
+
 class PipelineStats:
     """Per-edge, per-operation accounting recorded by the account stage.
 
-    Sharded for the concurrent serving core: each recording thread owns a
-    private shard (``threading.local``), labelled with its worker identity,
+    Sharded for the concurrent serving core: each recording thread owns one
+    private shard (``threading.local``) per worker label it records under,
     so the hot path never takes a lock and counts are *exact* — no two
     threads ever increment the same :class:`OperationStats`.  Snapshots
     merge the shards: fleet-wide by default, or grouped per worker label
     with ``per_worker=True``.  A snapshot taken while traffic is in flight
     is near-consistent (a shard may be mid-record); once recording threads
-    are quiescent it is exact.
+    are quiescent it is exact.  The shards of threads that have finished
+    are folded into one retired shard per label, so what is kept grows with
+    the threads alive, not with the threads that ever recorded.
     """
 
     def __init__(self) -> None:
         self._local = threading.local()
-        #: every thread's (worker label, shard) — appended under the lock,
-        #: iterated via atomic list() capture at snapshot time
-        self._shards: list[tuple[str, dict[str, dict[str, OperationStats]]]] = []
+        #: live threads' (worker label, shard, thread) — read and replaced
+        #: under the lock only
+        self._shards: list[tuple[str, _Shard, threading.Thread]] = []
+        #: worker label → everything finished threads recorded under it
+        self._retired: dict[str, _Shard] = {}
         self._lock = threading.Lock()
 
     def record(
-        self, edge: str, operation: str, latency: float, fault_code: str | None
+        self,
+        edge: str,
+        operation: str,
+        latency: float,
+        fault_code: str | None,
+        worker: str,
     ) -> None:
-        shard = getattr(self._local, "shard", None)
+        shards = self._local.__dict__
+        shard = shards.get(worker)
         if shard is None:
-            shard = {}
+            shard = shards[worker] = {}
             with self._lock:
-                self._shards.append((current_worker_label(), shard))
-            self._local.shard = shard
+                self._retire_finished()
+                self._shards.append((worker, shard, threading.current_thread()))
         ops = shard.get(edge)
         if ops is None:
             ops = shard[edge] = {}
@@ -252,18 +266,41 @@ class PipelineStats:
         stats.record(latency, fault_code)
 
     @staticmethod
-    def _merge_shards(
-        shards: list[dict[str, dict[str, OperationStats]]]
-    ) -> dict[str, dict[str, dict[str, Any]]]:
-        merged: dict[str, dict[str, OperationStats]] = {}
-        for shard in shards:
-            for edge, ops in shard.items():
-                out = merged.setdefault(edge, {})
-                for op, stats in ops.items():
-                    agg = out.get(op)
-                    if agg is None:
-                        agg = out[op] = OperationStats()
-                    agg.merge(stats)
+    def _fold(shard: "_Shard", into: "_Shard") -> None:
+        for edge, ops in shard.items():
+            out = into.setdefault(edge, {})
+            for op, stats in ops.items():
+                agg = out.get(op)
+                if agg is None:
+                    agg = out[op] = OperationStats()
+                agg.merge(stats)
+
+    def _retire_finished(self) -> None:
+        """Fold finished threads' shards into their label's retired shard
+        (a finished thread records no more, so no count is lost or doubled).
+        Runs under the lock."""
+        live = []
+        for entry in self._shards:
+            label, shard, thread = entry
+            if thread.is_alive():
+                live.append(entry)
+            else:
+                self._fold(shard, self._retired.setdefault(label, {}))
+        self._shards = live
+
+    def _by_worker(self) -> dict[str, "_Shard"]:
+        """Worker label → one merged copy of everything recorded under it."""
+        with self._lock:
+            self._retire_finished()
+            shards = [(label, shard) for label, shard, _ in self._shards]
+            shards += self._retired.items()
+            by_worker: dict[str, _Shard] = {}
+            for label, shard in shards:
+                self._fold(shard, by_worker.setdefault(label, {}))
+        return by_worker
+
+    @staticmethod
+    def _snapshot_of(merged: "_Shard") -> dict[str, dict[str, dict[str, Any]]]:
         return {
             edge: {op: stats.snapshot() for op, stats in sorted(ops.items())}
             for edge, ops in sorted(merged.items())
@@ -271,22 +308,17 @@ class PipelineStats:
 
     def snapshot(self) -> dict[str, dict[str, dict[str, Any]]]:
         """Fleet-wide per-edge → per-operation aggregates (all shards merged)."""
-        shards = list(self._shards)
-        return self._merge_shards([shard for _, shard in shards])
+        merged: _Shard = {}
+        for shard in self._by_worker().values():
+            self._fold(shard, merged)
+        return self._snapshot_of(merged)
 
     def snapshot_per_worker(self) -> dict[str, dict[str, dict[str, dict[str, Any]]]]:
         """Worker label → per-edge → per-operation aggregates."""
-        by_worker: dict[str, list[dict[str, dict[str, OperationStats]]]] = {}
-        for label, shard in list(self._shards):
-            by_worker.setdefault(label, []).append(shard)
         return {
-            label: self._merge_shards(shards)
-            for label, shards in sorted(by_worker.items())
+            label: self._snapshot_of(shard)
+            for label, shard in sorted(self._by_worker().items())
         }
-
-    def workers(self) -> list[str]:
-        """Distinct worker labels that have recorded at least one request."""
-        return sorted({label for label, _ in list(self._shards)})
 
 
 # -- interceptors --------------------------------------------------------------
@@ -320,13 +352,19 @@ class _Stage:
 
 def _account_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
     ctx.started = kernel.clock.now()
-    ctx.tags.setdefault("worker", current_worker_label())
+    # an edge that runs requests on threads it does not own (the serving
+    # gate's inline runs) names the worker itself, keeping labels bounded
+    worker = ctx.tags.get("worker")
+    if worker is None:
+        worker = ctx.tags["worker"] = current_worker_label()
     try:
         return proceed()
     finally:
         ctx.finished = kernel.clock.now()
         fault_code = ctx.error.code if ctx.error is not None else None
-        kernel.stats.record(ctx.edge.name, ctx.operation, ctx.latency, fault_code)
+        kernel.stats.record(
+            ctx.edge.name, ctx.operation, ctx.latency, fault_code, worker
+        )
         telemetry = kernel.telemetry
         if telemetry is not None:
             if "stage_inclusive_s" in ctx.tags:

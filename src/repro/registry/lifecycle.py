@@ -571,7 +571,8 @@ class LifeCycleManager:
         module-level dependency on :mod:`repro.soap`.
         """
         from repro.registry.kernel import OperationSpec
-        from repro.soap.messages import RegistryResponse
+        from repro.soap import messages
+        from repro.soap.messages import RegistryResponse, field_validator
         from repro.soap.serializer import deserialize
 
         def request_key(ctx):
@@ -580,12 +581,7 @@ class LifeCycleManager:
             return getattr(ctx.body, "idempotency_key", None)
 
         def received_objects(ctx):
-            # the payload is whatever JSON the sender wrote: a malformed one
-            # must fault (InvalidRequestError), not crash the worker
-            if not isinstance(ctx.body.objects, list):
-                raise InvalidRequestError(
-                    f"{type(ctx.body).__name__}.objects must be a list of object dicts"
-                )
+            # the validator saw a list; a malformed element faults here
             return [deserialize(data) for data in ctx.body.objects]
 
         def submit(ctx):
@@ -653,20 +649,21 @@ class LifeCycleManager:
             return RegistryResponse(ids=[ctx.body.object_id])
 
         for name, request_type, handler in (
-            ("submitObjects", "SubmitObjectsRequest", submit),
-            ("updateObjects", "UpdateObjectsRequest", update),
-            ("approveObjects", "ApproveObjectsRequest", approve),
-            ("deprecateObjects", "DeprecateObjectsRequest", deprecate),
-            ("undeprecateObjects", "UndeprecateObjectsRequest", undeprecate),
-            ("removeObjects", "RemoveObjectsRequest", remove),
-            ("addSlots", "AddSlotsRequest", add_slots),
-            ("removeSlots", "RemoveSlotsRequest", remove_slots),
+            ("submitObjects", messages.SubmitObjectsRequest, submit),
+            ("updateObjects", messages.UpdateObjectsRequest, update),
+            ("approveObjects", messages.ApproveObjectsRequest, approve),
+            ("deprecateObjects", messages.DeprecateObjectsRequest, deprecate),
+            ("undeprecateObjects", messages.UndeprecateObjectsRequest, undeprecate),
+            ("removeObjects", messages.RemoveObjectsRequest, remove),
+            ("addSlots", messages.AddSlotsRequest, add_slots),
+            ("removeSlots", messages.RemoveSlotsRequest, remove_slots),
         ):
             kernel.register_operation(
                 OperationSpec(
                     name=name,
-                    request_type=request_type,
+                    request_type=request_type.__name__,
                     requires_session=True,
                     handler=handler,
+                    validator=field_validator(request_type),
                 )
             )

@@ -230,7 +230,9 @@ class QueryManager:
         from repro.soap.messages import (
             AdhocQueryRequest,
             GetRegistryObjectRequest,
+            GetServiceBindingsRequest,
             RegistryResponse,
+            field_validator,
         )
         from repro.soap.serializer import serialize
 
@@ -276,6 +278,7 @@ class QueryManager:
                 handler=execute_query,
                 http_method="executeQuery",
                 http_builder=build_execute_query,
+                validator=field_validator(AdhocQueryRequest),
             )
         )
         kernel.register_operation(
@@ -286,6 +289,7 @@ class QueryManager:
                 handler=get_registry_object,
                 http_method="getRegistryObject",
                 http_builder=build_get_registry_object,
+                validator=field_validator(GetRegistryObjectRequest),
             )
         )
         kernel.register_operation(
@@ -294,6 +298,7 @@ class QueryManager:
                 request_type="GetServiceBindingsRequest",
                 read_gate=True,
                 handler=get_service_bindings,
+                validator=field_validator(GetServiceBindingsRequest),
             )
         )
 

@@ -128,8 +128,8 @@ class ClusterSupervisor:
 
     # -- admission -------------------------------------------------------------
 
-    def submit(self, **kwargs: Any) -> "Future":
-        """Enqueue one request on the next member, round-robin.
+    def _next_member(self) -> ServingSupervisor:
+        """The next member's fleet, round-robin.
 
         The chosen member serves or forwards per its ``route`` stage, so the
         caller needs no placement knowledge — any member is a valid edge.
@@ -139,10 +139,15 @@ class ClusterSupervisor:
         homes = self.homes()
         home = homes[self._round_robin % len(homes)]
         self._round_robin += 1
-        return self._supervisors[home].submit(**kwargs)
+        return self._supervisors[home]
+
+    def submit(self, **kwargs: Any) -> "Future":
+        """Enqueue one request on the next member."""
+        return self._next_member().submit(**kwargs)
 
     def call(self, *, timeout: float | None = None, **kwargs: Any) -> Any:
-        return self.submit(**kwargs).result(timeout)
+        """The next member's ``call``: inline if its gate admits, else queued."""
+        return self._next_member().call(timeout=timeout, **kwargs)
 
     def drain(self) -> None:
         for supervisor in self._supervisors.values():

@@ -1,7 +1,7 @@
-"""ServingSupervisor — bounded dispatch queue in front of N worker threads.
+"""ServingSupervisor — one admission gate in front of N worker threads.
 
-The supervisor plays the acceptor role of a threaded registry server: it
-owns one bounded :class:`DispatchQueue`, spawns ``config.workers``
+The supervisor owns one :class:`DispatchQueue` — the gate every request is
+counted in and out of — and ``config.workers``
 :class:`~repro.serving.worker.RegistryWorker` threads against the shared
 kernel, and exposes three admission surfaces:
 
@@ -11,13 +11,24 @@ kernel, and exposes three admission surfaces:
   request (counted in ``rejected``) and returns ``None``, which is the
   load-shedding behaviour a saturated registry node exhibits to the
   paper's balancer;
-* :meth:`call` — submit and wait, for callers that want synchronous
-  semantics over the concurrent core; a wait that times out cancels its
-  request, so work nobody is waiting for is dropped at dequeue.
+* :meth:`call` — run one request and return its response.  Pure-Python
+  handlers serialize on the interpreter lock, so a worker thread adds two
+  thread switches and no throughput: the request runs **inline**, on the
+  caller's thread, whenever the gate has a permit for it, and is queued
+  for a worker only otherwise.
 
-The returned future is the only handle on a request.  Cancelling it before
-a worker picks the request up means it is never executed (counted as
-``cancelled``); once running it completes normally.
+What the gate guarantees.  A request runs inline only while nothing is
+queued — it overtakes no queued request — and fewer than ``workers``
+admitted requests are unfinished, so at most ``workers`` run inline at once
+(and at most ``workers`` on workers); never when ``wire_delay_s`` is set,
+because threads asleep on the wire do overlap.  An inline run raises what
+``future.result()`` would have raised and frees its permit either way;
+:meth:`drain` and :meth:`stop` return only when none is in flight, and
+after :meth:`stop` every admission surface raises ``RuntimeError``.  ``timeout``
+bounds the wait for a worker — a wait that times out cancels its request,
+and a future cancelled before pick-up is dropped at dequeue, never executed
+(``cancelled``) — while an inline run, like a request a worker has started,
+runs to completion.
 
 Requests execute through the ``serving`` protocol edge, which follows the
 SOAP edge's session discipline: an explicit token resolves against
@@ -29,8 +40,8 @@ what the benchmark's parity assertion compares.
 
 The supervisor registers a ``serving`` telemetry source so ``repro stats``
 and ``/metrics``-adjacent snapshots see queue depth, admission counters,
-and per-worker served counts alongside the per-worker pipeline shards the
-kernel already maintains.
+and served counts per worker (inline runs under the one label ``caller``)
+alongside the per-worker pipeline shards the kernel already maintains.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from repro.registry.kernel import EdgeProfile, OperationSpec, RequestContext
 from repro.serving.worker import SHUTDOWN, RegistryWorker, WorkItem
 from repro.soap.envelope import SoapFault
 from repro.util.errors import AuthenticationError
+from repro.util.workers import CALLER_WORKER_LABEL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.registry.server import RegistryServer
@@ -55,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class ServingConfig:
     """Sizing knobs for the serving core."""
 
-    #: worker threads sharing the kernel
+    #: worker threads sharing the kernel, and inline runs allowed at once
     workers: int = 4
     #: dispatch queue bound; submissions beyond it block (submit) or shed
     #: (try_submit); zero or less means unbounded, as for ``queue.Queue``
@@ -65,41 +77,66 @@ class ServingConfig:
 
 
 class DispatchQueue:
-    """The hand-off between admission and the workers.
+    """The admission gate, and the hand-off to the workers behind it.
 
-    Items travel through a C-level :class:`queue.SimpleQueue`, which has no
-    bound and no notion of completion; this class adds exactly those two —
-    the ``capacity`` bound on items waiting for pick-up and the count of
-    accepted items not yet finished — under one plain lock that is only
-    ever held for a few integer updates.  Its condition is waited on only
-    by a :meth:`put` blocked on a full queue and by :meth:`join`.
+    Queued items travel through a C-level :class:`queue.SimpleQueue`, which
+    has no bound and no notion of completion; this class adds the
+    ``capacity`` bound on items waiting for pick-up, the count of admitted
+    requests not yet finished (queued, on a worker or inline) that
+    ``permits`` bounds for an inline run, and the admission counters — under
+    one plain lock that is only ever held for a few integer updates.  Its
+    condition is waited on only by a :meth:`put` blocked on a full queue
+    and by :meth:`join`.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, permits: int) -> None:
         self.capacity = capacity
+        self.permits = permits
         self._items: "SimpleQueue[WorkItem | None]" = SimpleQueue()
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
+        #: admitting — between the supervisor's start() and stop()
+        self.open = False
         #: put, not yet picked up — what ``capacity`` bounds
-        self.depth = 0
-        #: put, not yet reported :meth:`done`
+        self.depth = self.depth_high_water = 0
+        #: admitted, not yet reported :meth:`done`
         self._unfinished = 0
+        self.accepted = self.rejected = self.served_inline = 0
 
-    def put(self, item: WorkItem, *, block: bool) -> int:
-        """Enqueue *item* and return the depth that includes it.
+    def _count_in(self) -> None:
+        if not self.open:
+            raise RuntimeError("ServingSupervisor is not started")
+        self.accepted += 1
+        self._unfinished += 1
+
+    def admit_inline(self) -> bool:
+        """Count one request in to run on its caller's thread, which then
+        reports ``done(inline=True)`` — unless anything is queued or
+        ``permits`` admitted requests are unfinished."""
+        with self._lock:
+            if self.depth or self._unfinished >= self.permits:
+                return False
+            self._count_in()
+        return True
+
+    def put(self, item: WorkItem, *, block: bool) -> bool:
+        """Enqueue *item*.
 
         A full queue makes a blocking put wait for a slot and a
-        non-blocking one return 0 without enqueuing.
+        non-blocking one return false without enqueuing (``rejected``).
         """
         with self._lock:
             while 0 < self.capacity <= self.depth:
                 if not block:
-                    return 0
+                    self.rejected += 1
+                    return False
                 self._changed.wait()
-            self.depth = depth = self.depth + 1
-            self._unfinished += 1
+            self._count_in()
+            self.depth += 1
+            if self.depth > self.depth_high_water:
+                self.depth_high_water = self.depth
         self._items.put(item)
-        return depth
+        return True
 
     def get(self) -> "WorkItem | None":
         """Next item (worker side); a picked-up item frees its slot."""
@@ -112,21 +149,23 @@ class DispatchQueue:
                 self.depth -= 1
         return item
 
-    def done(self) -> None:
-        """One picked-up item finished (executed, failed or skipped)."""
+    def done(self, *, inline: bool = False) -> None:
+        """One admitted request finished (executed, failed or skipped)."""
         with self._lock:
+            self.served_inline += inline
             self._unfinished -= 1
             if not self._unfinished:
                 self._changed.notify_all()
 
-    def join(self) -> None:
-        """Block until every item put so far has been reported done."""
+    def join(self, timeout: float | None = None) -> None:
+        """Block until every request admitted so far has been reported done."""
         with self._lock:
-            while self._unfinished:
-                self._changed.wait()
+            self._changed.wait_for(lambda: not self._unfinished, timeout)
 
     def shut_down(self, workers: int) -> None:
-        """Queue one exit sentinel per worker, behind every accepted item."""
+        """Stop admitting; one exit sentinel per worker, behind every item."""
+        with self._lock:
+            self.open = False
         for _ in range(workers):
             self._items.put(SHUTDOWN)
 
@@ -142,7 +181,11 @@ class ServingSupervisor:
         if self.config.workers < 1:
             raise ValueError("ServingConfig.workers must be >= 1")
         self.kernel = registry.kernel
-        self._queue = DispatchQueue(self.config.queue_capacity)
+        self._queue = DispatchQueue(
+            self.config.queue_capacity,
+            # nothing that will sleep on the wire runs inline
+            permits=0 if self.config.wire_delay_s > 0.0 else self.config.workers,
+        )
         self._workers: list[RegistryWorker] = []
         #: token → session, maintained via register_session (SOAP discipline)
         self._sessions: dict[str, "Session"] = {}
@@ -151,12 +194,6 @@ class ServingSupervisor:
             authenticate=self._authenticate,
             fault_mapper=SoapFault.from_error,
         )
-        self.accepted = 0
-        self.rejected = 0
-        #: deepest queue observed at admission (benign races may undercount
-        #: by a submission or two; the saturation signal survives)
-        self.queue_depth_high_water = 0
-        self.started = False
         from repro.obs.adapters import serving_collector
 
         registry.telemetry.register_source(
@@ -180,6 +217,10 @@ class ServingSupervisor:
 
     # -- lifecycle -------------------------------------------------------------
 
+    @property
+    def started(self) -> bool:
+        return self._queue.open
+
     def start(self) -> "ServingSupervisor":
         if self.started:
             return self
@@ -194,17 +235,17 @@ class ServingSupervisor:
         ]
         for worker in self._workers:
             worker.start()
-        self.started = True
+        self._queue.open = True
         return self
 
     def stop(self, *, timeout: float | None = 10.0) -> None:
-        """Drain the queue, retire every worker, and unblock pending futures."""
+        """Stop admitting, finish what was admitted, retire every worker."""
         if not self.started:
             return
         self._queue.shut_down(len(self._workers))
         for worker in self._workers:
             worker.join(timeout)
-        self.started = False
+        self._queue.join(timeout)
 
     def __enter__(self) -> "ServingSupervisor":
         return self.start()
@@ -221,20 +262,11 @@ class ServingSupervisor:
 
     def _admit(self, kwargs: dict[str, Any], *, block: bool) -> Future | None:
         """Queue one request; ``None`` when *block* is false and the queue full."""
-        if not self.started:
-            raise RuntimeError("ServingSupervisor is not started")
         # stamped first, so queue_wait covers everything between admission
         # and the worker's pick-up
         enqueued_at = self.kernel.clock.now()
         item = WorkItem(self.edge, kwargs, Future(), enqueued_at)
-        depth = self._queue.put(item, block=block)
-        if not depth:
-            self.rejected += 1
-            return None
-        self.accepted += 1
-        if depth > self.queue_depth_high_water:
-            self.queue_depth_high_water = depth
-        return item.future
+        return item.future if self._queue.put(item, block=block) else None
 
     def submit(self, **kwargs: Any) -> Future:
         """Enqueue one request (kernel.execute kwargs); blocks when full."""
@@ -245,7 +277,16 @@ class ServingSupervisor:
         return self._admit(kwargs, block=False)
 
     def call(self, *, timeout: float | None = None, **kwargs: Any) -> Any:
-        """Submit and wait: synchronous semantics over the concurrent core."""
+        """Run one request: inline when the gate admits it, else queued with
+        *timeout* bounding the wait for a worker's answer."""
+        queue = self._queue
+        if queue.admit_inline():
+            # one worker label for every inline run, whichever thread called
+            kwargs["tags"] = {**(kwargs.get("tags") or {}), "worker": CALLER_WORKER_LABEL}
+            try:
+                return self.kernel.execute(self.edge, **kwargs)
+            finally:
+                queue.done(inline=True)
         future = self._admit(kwargs, block=True)
         try:
             return future.result(timeout)
@@ -272,15 +313,16 @@ class ServingSupervisor:
             "workers": len(self._workers),
             "started": self.started,
             "queue_depth": self._queue.depth,
-            "queue_depth_high_water": self.queue_depth_high_water,
+            "queue_depth_high_water": self._queue.depth_high_water,
             "queue_capacity": self.config.queue_capacity,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
+            "accepted": self._queue.accepted,
+            "rejected": self._queue.rejected,
             "cancelled": sum(worker.cancelled for worker in self._workers),
             "wire_delay_s": self.config.wire_delay_s,
             "served_per_worker": {
                 worker.label: worker.requests_served for worker in self._workers
             },
+            "served_inline": self._queue.served_inline,
             "queue_wait": {
                 "count": wait_count,
                 "total_s": sum(total for _, total, _ in waits),

@@ -13,10 +13,11 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 from repro.rim import QUERY_LANGUAGE_SQL
+from repro.util.errors import InvalidRequestError
 
 SerializedObject = dict[str, Any]
 
@@ -91,6 +92,65 @@ class GetServiceBindingsRequest:
     """Discovery request for a service's (load-balanced) access bindings."""
 
     service_id: str
+
+
+def _string(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _strings(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+
+
+def _slot_dicts(value: Any) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(slot, dict)
+        and isinstance(slot.get("name"), str)
+        and isinstance(slot.get("values"), list)
+        for slot in value
+    )
+
+
+#: request field name → (is it well-formed?, what a well-formed value is).  A
+#: field means the same in every request that carries it.  ``objects`` is
+#: checked to be a list only: ``deserialize`` faults a malformed element,
+#: naming its type and field.
+_FIELD_SHAPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "objects": (lambda value: isinstance(value, list), "a list of object dicts"),
+    "ids": (_strings, "a list of id strings"),
+    "names": (_strings, "a list of name strings"),
+    "slots": (_slot_dicts, "a list of slot dicts with a name and a list of values"),
+    "object_id": (_string, "an id string"),
+    "service_id": (_string, "an id string"),
+    "query": (_string, "a query string"),
+    "query_language": (_string, "a string"),
+    "start_index": (lambda value: isinstance(value, int), "an integer"),
+    "max_results": (lambda value: value is None or isinstance(value, int), "an integer or null"),
+    "idempotency_key": (lambda value: value is None or isinstance(value, str), "a string or null"),
+}
+
+
+def field_validator(message_type: type) -> Callable[[Any], None]:
+    """The kernel ``validator`` of the operation *message_type* requests.
+
+    A message is whatever JSON the sender wrote, so any field can hold any
+    JSON value; one of the wrong shape must fault
+    (:class:`InvalidRequestError`) at the ``validate`` stage, not escape
+    the handler as a ``TypeError`` past the edge's fault mapper.
+    """
+    type_name = message_type.__name__
+    checks = tuple((f.name, *_FIELD_SHAPES[f.name]) for f in fields(message_type))
+
+    def validate(ctx: Any) -> None:
+        body = ctx.body
+        for name, well_formed, expected in checks:
+            value = getattr(body, name)
+            if not well_formed(value):
+                raise InvalidRequestError(
+                    f"{type_name}.{name} must be {expected}, got {type(value).__name__}"
+                )
+
+    return validate
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ import threading
 #: label reported by the process main thread when no worker label is set
 MAIN_WORKER_LABEL = "main"
 
+#: the one label of requests the serving gate runs on their callers' own
+#: threads: bounded however many threads call
+CALLER_WORKER_LABEL = "caller"
+
 _local = threading.local()
 
 #: thread ident → declared worker label; lets *other* threads (the sampling

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import sys
+import threading
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.registry.kernel import UNRESOLVED_OPERATION, OperationSpec
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization
 from repro.security.xacml import Effect, Policy, Rule, default_policy
-from repro.serving import ServingSupervisor
+from repro.serving import ServingConfig, ServingSupervisor
 from repro.soap import (
     AdhocQueryRequest,
     GetRegistryObjectRequest,
@@ -324,6 +325,25 @@ class TestCallBudget:
     #: before the chain was fused (CPython 3.11)
     UNFUSED_EVENTS = 90
 
+    @staticmethod
+    def call_events(run) -> int:
+        """Interpreter call + c_call events of one warmed-up ``run()``."""
+        events = 0
+
+        def profiler(frame, event, arg):
+            nonlocal events
+            if event in ("call", "c_call"):
+                events += 1
+
+        for _ in range(3):
+            run()
+        sys.setprofile(profiler)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return events
+
     def test_noop_request_stays_within_two_thirds_of_the_unfused_chain(
         self, registry
     ):
@@ -336,28 +356,51 @@ class TestCallBudget:
         edge = ServingSupervisor(registry).edge
         noop = OperationSpec(name="noop", handler=lambda ctx: None, read_gate=True)
         body = AdhocQueryRequest(query="SELECT id FROM Service")
-        events = 0
 
-        def profiler(frame, event, arg):
-            nonlocal events
-            if event in ("call", "c_call"):
-                events += 1
-
-        def count() -> int:
-            nonlocal events
-            events = 0
-            sys.setprofile(profiler)
-            try:
-                registry.kernel.execute(edge, body=body, spec=noop)
-            finally:
-                sys.setprofile(None)
-            return events
-
-        for _ in range(3):
+        def run():
             registry.kernel.execute(edge, body=body, spec=noop)
-        first, second = count(), count()
+
+        first, second = self.call_events(run), self.call_events(run)
         assert first == second
         assert first <= self.UNFUSED_EVENTS * 2 // 3
+
+    def test_inline_serving_call_adds_at_most_twelve_events_and_no_hand_off(
+        self, registry, monkeypatch
+    ):
+        """The serving layer's own cost on the path `call` takes when a permit
+        is free: no Future, no WorkItem, no second thread."""
+        from repro.serving import supervisor as serving
+
+        built: list[str] = []
+        for name in ("Future", "WorkItem"):
+            real = getattr(serving, name)
+            monkeypatch.setattr(
+                serving,
+                name,
+                lambda *args, _real=real, _name=name, **kw: (
+                    built.append(_name),
+                    _real(*args, **kw),
+                )[1],
+            )
+        ran_on: list[int] = []
+        noop = OperationSpec(
+            name="noop",
+            handler=lambda ctx: ran_on.append(threading.get_ident()),
+            read_gate=True,
+        )
+        body = AdhocQueryRequest(query="SELECT id FROM Service")
+        with ServingSupervisor(registry, ServingConfig(workers=1)) as supervisor:
+            kernel_events = self.call_events(
+                lambda: registry.kernel.execute(supervisor.edge, body=body, spec=noop)
+            )
+            inline = lambda: supervisor.call(body=body, spec=noop)  # noqa: E731
+            first, second = self.call_events(inline), self.call_events(inline)
+            assert supervisor.submit(body=body, spec=noop).result(timeout=30.0) is None
+            assert supervisor.serving_stats()["served_inline"] == 8
+        assert first == second
+        assert first - kernel_events <= 12
+        assert built == ["Future", "WorkItem"]  # the submit, and only it
+        assert set(ran_on[:-1]) == {threading.get_ident()} != {ran_on[-1]}
 
 
 class TestRequestIds:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import TimeoutError as FutureTimeoutError
+
 import pytest
 
 from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
@@ -10,6 +12,7 @@ from repro.serving import ClusterConfig, ClusterSupervisor, ServingConfig
 from repro.soap.messages import GetRegistryObjectRequest, SubmitObjectsRequest
 from repro.soap.serializer import serialize
 from repro.util.clock import ManualClock
+from repro.util.errors import InvalidRequestError
 
 
 @pytest.fixture
@@ -106,9 +109,49 @@ class TestAdmission:
                 assert future.result(timeout=30.0).status == "Success"
             cluster.drain()
             accepted = {
-                home: cluster.supervisor(home).accepted for home in cluster.homes()
+                home: cluster.supervisor(home).serving_stats()["accepted"]
+                for home in cluster.homes()
             }
         assert accepted == {r0.home: 3, r1.home: 3}
+
+    def test_call_delegates_to_the_members_inline_path(self, federation, cluster):
+        fed, (r0, r1) = federation
+        org0, _ = _publish(r0, "OrgZero")
+        with cluster:
+            cluster.pump_until_converged()
+            for _ in range(4):
+                response = cluster.call(body=GetRegistryObjectRequest(object_id=org0.id))
+                assert response.status == "Success"
+            inline = {
+                home: cluster.supervisor(home).serving_stats()["served_inline"]
+                for home in cluster.homes()
+            }
+        # round-robin as for submit, and no request crossed to a worker
+        assert inline == {r0.home: 2, r1.home: 2}
+
+    def test_call_timeout_cancels_work_nobody_waits_for(self, federation):
+        fed, (r0, r1) = federation
+        org0, _ = _publish(r0, "OrgZero")
+        body = GetRegistryObjectRequest(object_id=org0.id)
+        config = ClusterConfig(serving=ServingConfig(workers=1, wire_delay_s=0.2))
+        cluster = ClusterSupervisor(fed, config)
+        try:
+            with cluster:
+                cluster.pump_until_converged()
+                blockers = [cluster.submit(body=body) for _ in cluster.homes()]
+                with pytest.raises(FutureTimeoutError):
+                    cluster.call(body=body, timeout=0.01)
+                for blocker in blockers:
+                    assert blocker.result(timeout=30.0).status == "Success"
+                cluster.drain()
+                stats = [
+                    cluster.supervisor(home).serving_stats() for home in cluster.homes()
+                ]
+        finally:
+            cluster.close()
+        # the abandoned request was dropped at dequeue, not executed for nobody
+        assert sum(member["cancelled"] for member in stats) == 1
+        assert [sum(m["served_per_worker"].values()) for m in stats] == [1, 1]
 
     def test_any_member_is_a_valid_edge(self, federation, cluster):
         # no pumping: the non-holding member must forward through its router
@@ -124,6 +167,15 @@ class TestAdmission:
         assert all(response.status == "Success" for response in responses)
         routed = [fed.router_for(home).stats() for home in (r0.home, r1.home)]
         assert sum(stats["local"] + stats["forwarded"] for stats in routed) == 2
+
+    def test_malformed_id_faults_instead_of_crashing_the_router(self, cluster):
+        # the route stage runs before validate and must not hash a non-string
+        with cluster:
+            answers = [
+                cluster.call(body=GetRegistryObjectRequest(object_id=[1]))
+                for _ in cluster.homes()
+            ]
+        assert [answer.fault_code for answer in answers] == [InvalidRequestError.code] * 2
 
     def test_registered_session_valid_at_every_edge(self, federation, cluster):
         fed, (r0, r1) = federation

@@ -169,3 +169,46 @@ def test_worker_labels_isolated_per_thread():
     assert sorted(per_worker) == ["main", "side-thread"]
     for label in ("main", "side-thread"):
         assert per_worker[label]["http"]["getRegistryObject"]["count"] == 1
+
+
+def test_caller_threads_leave_bounded_shards_and_labels():
+    """One-request caller threads must not grow what the kernel keeps."""
+    from repro.registry.kernel import OperationSpec
+    from repro.serving import ServingConfig, ServingSupervisor
+
+    registry = RegistryServer(RegistryConfig(seed=42))
+    noop = OperationSpec(name="noop", handler=lambda ctx: None)
+    callers, batch = 2000, 20
+    with ServingSupervisor(registry, ServingConfig(workers=2)) as supervisor:
+        for _ in range(callers // batch):
+            # 20 at a time against 2 permits: most run inline, some queue
+            threads = [
+                threading.Thread(target=supervisor.call, kwargs={"spec": noop})
+                for _ in range(batch)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+        supervisor.drain()
+        stats = registry.kernel.stats
+        # before any snapshot: the shards of finished threads are folded away
+        # whenever a new thread registers one
+        assert len(stats._shards) <= batch + 3
+        per_worker = registry.pipeline_stats(per_worker=True)
+        assert len(stats._shards) <= 3  # the two workers, perhaps a live caller
+        serving = supervisor.serving_stats()
+        supervisor.close()
+
+    assert set(per_worker) <= {"caller", "worker-0", "worker-1"}
+    counts = {label: tree["serving"]["noop"]["count"] for label, tree in per_worker.items()}
+    assert counts["caller"] == serving["served_inline"]
+    assert sum(counts.values()) == callers
+    assert registry.pipeline_stats()["serving"]["noop"]["count"] == callers
+    # the same bounded label set on the per-worker telemetry series
+    latency = registry.telemetry.metrics.histogram(
+        "repro_request_latency_seconds", "", ("edge", "operation", "worker")
+    )
+    series = {worker for (_, _, worker), _ in latency.series()}
+    assert series and series <= {"caller", "worker-0", "worker-1"}

@@ -9,10 +9,15 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import pytest
 
+from repro.registry.kernel import OperationSpec
 from repro.serving import ServingConfig, ServingSupervisor
-from repro.soap.envelope import SoapFault
+from repro.serving.supervisor import DispatchQueue
+from repro.soap.binding import SoapRegistryBinding
+from repro.soap.envelope import SoapEnvelope, SoapFault
 from repro.soap.messages import (
     AdhocQueryRequest,
+    ApproveObjectsRequest,
+    GetRegistryObjectRequest,
     GetServiceBindingsRequest,
     SubmitObjectsRequest,
 )
@@ -88,8 +93,9 @@ class TestAdmission:
                     else:
                         accepted.append(future)
                 assert rejected > 0
-                assert sup.rejected == rejected
-                assert sup.accepted == len(accepted)
+                stats = sup.serving_stats()
+                assert stats["rejected"] == rejected
+                assert stats["accepted"] == len(accepted)
                 for future in accepted:
                     assert future.result(timeout=30.0).status == "Success"
         finally:
@@ -104,7 +110,8 @@ class TestAdmission:
         try:
             with sup:
                 futures = [sup.try_submit(body=body) for _ in range(16)]
-                assert None not in futures and sup.rejected == 0
+                assert None not in futures
+                assert sup.serving_stats()["rejected"] == 0
                 for future in futures:
                     assert future.result(timeout=30.0).status == "Success"
         finally:
@@ -289,3 +296,311 @@ class TestTelemetrySurface:
             assert elapsed >= 0.05
         finally:
             sup.close()
+
+
+# -- the admission gate: inline runs on the caller's thread ---------------------
+
+
+def _wait_until(condition, what: str) -> None:
+    """Spin until *condition* holds (a synchronisation point, not a timing)."""
+    deadline = time.monotonic() + 30.0
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting until {what}"
+        time.sleep(0.001)
+
+
+def _finishes(target) -> bool:
+    """Whether *target*() returns within the test's patience."""
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(30.0)
+    return not thread.is_alive()
+
+
+class _Gated:
+    """A handler that reports who entered it and blocks until released."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.idents: list[int] = []
+        self.spec = OperationSpec(name="gated", handler=self)
+
+    def __call__(self, ctx) -> str:
+        self.idents.append(threading.get_ident())
+        self.entered.release()
+        assert self.release.wait(30.0)
+        return "done"
+
+
+NOOP = OperationSpec(name="noop", handler=lambda ctx: None, read_gate=True)
+
+
+class TestInlineGate:
+    def test_exactly_workers_run_inline_and_the_rest_queue(self, registry):
+        k = 2
+        gated = _Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=k))
+        callers = [
+            threading.Thread(target=sup.call, kwargs={"spec": gated.spec}, daemon=True)
+            for _ in range(4 * k)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with sup:
+                for caller in callers:
+                    caller.start()
+                # nothing finishes until released, so the first k admitted hold
+                # every permit and everyone after them queues: k more run on
+                # the workers and 2·k wait in the queue
+                _wait_until(
+                    lambda: sup.serving_stats()["accepted"] == 4 * k, "all are admitted"
+                )
+                for _ in range(2 * k):
+                    assert gated.entered.acquire(timeout=30.0)
+                blocked = sup.serving_stats()
+                running = list(gated.idents)
+                gated.release.set()
+                for caller in callers:
+                    caller.join(30.0)
+                    assert not caller.is_alive()
+                assert _finishes(sup.drain)
+                stats = sup.serving_stats()
+        finally:
+            sys.setswitchinterval(interval)
+            gated.release.set()
+            sup.close()
+        caller_idents = {caller.ident for caller in callers}
+        inline = [ident for ident in running if ident in caller_idents]
+        assert len(running) == 2 * k and len(set(inline)) == len(inline) == k
+        assert set(running) - caller_idents == {w.thread.ident for w in sup._workers}
+        assert blocked["queue_depth"] == blocked["queue_depth_high_water"] == 2 * k
+        assert stats["served_inline"] == k
+        assert sum(stats["served_per_worker"].values()) == 3 * k
+        assert stats["queue_wait"]["count"] == 3 * k
+
+    def test_gate_admits_inline_only_with_nothing_queued_and_a_free_permit(self):
+        gate = DispatchQueue(capacity=8, permits=2)
+        with pytest.raises(RuntimeError):
+            gate.admit_inline()
+        gate.open = True
+        assert gate.put(object(), block=True)
+        # one of two permits is free, but an inline run would overtake the item
+        assert not gate.admit_inline()
+        gate.get()
+        assert gate.admit_inline()  # picked up: 1 on a worker + this one
+        assert not gate.admit_inline()  # every permit taken
+        gate.done(inline=True)
+        assert gate.admit_inline()
+        assert (gate.accepted, gate.served_inline, gate.rejected) == (3, 1, 0)
+
+    def test_a_call_never_overtakes_a_queued_request(self, registry):
+        ran: list[str] = []
+
+        def spec(name: str) -> OperationSpec:
+            return OperationSpec(name=name, handler=lambda ctx: ran.append(name))
+
+        sup = ServingSupervisor(registry, ServingConfig(workers=2))
+        pick_up = threading.Event()
+        items = sup._queue._items
+
+        class Stalled:
+            """The workers cannot dequeue until *pick_up* is set."""
+
+            put = items.put
+
+            def get(self):
+                assert pick_up.wait(30.0)
+                return items.get()
+
+        sup._queue._items = Stalled()
+        caller = threading.Thread(
+            target=sup.call, kwargs={"spec": spec("called")}, daemon=True
+        )
+        try:
+            with sup:
+                submitted = sup.submit(spec=spec("submitted"))
+                caller.start()  # a permit is free, but "submitted" is queued
+                _wait_until(
+                    lambda: sup.serving_stats()["accepted"] == 2, "the call is admitted"
+                )
+                stats = sup.serving_stats()
+                assert ran == []
+                assert (stats["queue_depth"], stats["served_inline"]) == (2, 0)
+                pick_up.set()
+                caller.join(30.0)
+                assert not caller.is_alive()
+                submitted.result(timeout=30.0)
+        finally:
+            pick_up.set()
+            sup.close()
+        assert sorted(ran) == ["called", "submitted"]
+        assert sup.serving_stats()["served_inline"] == 0
+
+    def test_inline_exception_reaches_the_caller_and_frees_the_permit(self, registry):
+        def explode(ctx):
+            raise ValueError("boom")
+
+        exploding = OperationSpec(name="explode", handler=explode)
+        sup = ServingSupervisor(registry, ServingConfig(workers=1))
+        try:
+            with sup:
+                with pytest.raises(ValueError, match="boom") as inline:
+                    sup.call(spec=exploding)
+                assert sup.serving_stats()["served_inline"] == 1
+                # what the queued path delivers through future.result()
+                with pytest.raises(ValueError, match="boom") as queued:
+                    sup.submit(spec=exploding).result(timeout=30.0)
+                assert type(inline.value) is type(queued.value)
+                assert _finishes(sup.drain)
+                # the one permit is free again: the next call is inline too
+                assert sup.call(spec=NOOP) is None
+                stats = sup.serving_stats()
+        finally:
+            sup.close()
+        assert (stats["accepted"], stats["served_inline"]) == (3, 2)
+        assert stats["served_per_worker"] == {"worker-0": 1}
+
+    def test_wire_delay_never_runs_inline(self, registry):
+        idents: list[int] = []
+        spec = OperationSpec(
+            name="who", handler=lambda ctx: idents.append(threading.get_ident())
+        )
+        sup = ServingSupervisor(registry, ServingConfig(workers=2, wire_delay_s=0.001))
+        try:
+            with sup:
+                for _ in range(5):
+                    sup.call(spec=spec, timeout=30.0)
+                stats = sup.serving_stats()
+                worker_idents = {worker.thread.ident for worker in sup._workers}
+        finally:
+            sup.close()
+        assert stats["served_inline"] == 0
+        assert stats["queue_wait"]["count"] == 5
+        assert set(idents) <= worker_idents
+
+    def test_inline_run_ignores_timeout_and_runs_to_completion(self, registry):
+        gated = _Gated()
+
+        def release_once_entered():
+            assert gated.entered.acquire(timeout=30.0)
+            gated.release.set()
+
+        helper = threading.Thread(target=release_once_entered, daemon=True)
+        sup = ServingSupervisor(registry, ServingConfig(workers=1))
+        try:
+            with sup:
+                helper.start()
+                # a queued call would raise TimeoutError at once
+                assert sup.call(spec=gated.spec, timeout=0.0) == "done"
+                helper.join(30.0)
+                assert sup.serving_stats()["served_inline"] == 1
+        finally:
+            gated.release.set()
+            sup.close()
+        assert gated.idents == [threading.get_ident()]
+
+    def test_stop_and_drain_wait_for_an_inline_run_and_then_refuse(self, registry):
+        gated = _Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1))
+        caller = threading.Thread(
+            target=sup.call, kwargs={"spec": gated.spec}, daemon=True
+        )
+        drainer = threading.Thread(target=sup.drain, daemon=True)
+        stopper = threading.Thread(target=sup.stop, daemon=True)
+        try:
+            sup.start()
+            caller.start()
+            assert gated.entered.acquire(timeout=30.0)
+            drainer.start()
+            stopper.start()
+            _wait_until(lambda: not sup.started, "stop() has closed admission")
+            with pytest.raises(RuntimeError):
+                sup.call(spec=NOOP, timeout=5.0)
+            drainer.join(0.2)
+            stopper.join(0.2)
+            # the inline run is still in flight, so neither may have returned
+            assert drainer.is_alive() and stopper.is_alive()
+            gated.release.set()
+            for thread in (caller, drainer, stopper):
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            gated.release.set()
+            sup.close()
+        stats = sup.serving_stats()
+        assert (stats["accepted"], stats["served_inline"]) == (1, 1)
+        with pytest.raises(RuntimeError):
+            sup.call(spec=NOOP, timeout=5.0)
+
+    def test_accounting_identities_hold_exactly_under_racing_callers(self, registry):
+        threads, each = 8, 2000
+        sup = ServingSupervisor(registry, ServingConfig(workers=2))
+        errors: list[BaseException] = []
+
+        def hammer():
+            try:
+                for i in range(each):
+                    if i % 40 == 0:
+                        # abandoned work: dropped at dequeue when the cancel wins
+                        sup.submit(spec=NOOP).cancel()
+                    assert sup.call(spec=NOOP, timeout=30.0) is None
+            except BaseException as error:  # noqa: BLE001 - collected for assert
+                errors.append(error)
+
+        callers = [threading.Thread(target=hammer, daemon=True) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with sup:
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(120.0)
+                    assert not caller.is_alive()
+                assert _finishes(sup.drain)
+                stats = sup.serving_stats()
+        finally:
+            sys.setswitchinterval(interval)
+            sup.close()
+        assert errors == []
+        served = sum(stats["served_per_worker"].values())
+        assert stats["accepted"] == threads * (each + each // 40)
+        assert stats["accepted"] == served + stats["served_inline"] + stats["cancelled"]
+        assert stats["queue_wait"]["count"] == (
+            stats["accepted"] - stats["cancelled"] - stats["served_inline"]
+        )
+        assert stats["served_inline"] > 0 and served > 0
+        assert (stats["queue_depth"], stats["rejected"]) == (0, 0)
+        # the kernel saw every executed request, under bounded labels
+        per_worker = registry.pipeline_stats(per_worker=True)
+        assert set(per_worker) <= {"caller", "worker-0", "worker-1"}
+        assert per_worker["caller"]["serving"]["noop"]["count"] == stats["served_inline"]
+        assert registry.pipeline_stats()["serving"]["noop"]["count"] == (
+            served + stats["served_inline"]
+        )
+
+    def test_inline_queued_and_soap_answers_are_equal(self, registry, session):
+        _, service = publish_service_with_bindings(registry, session)
+        missing = "urn:uuid:00000000-0000-4000-8000-00000000dead"
+        requests = [
+            (GetServiceBindingsRequest(service.id), None),
+            (GetRegistryObjectRequest(service.id), None),
+            (AdhocQueryRequest(query="SELECT id, name FROM Service"), None),
+            (AdhocQueryRequest(query="SELECT nonsense FROM Nowhere"), None),  # faults
+            (GetRegistryObjectRequest(missing), None),
+            (ApproveObjectsRequest(ids=[missing]), session.token),
+            (ApproveObjectsRequest(ids=5), session.token),
+        ]
+        soap = SoapRegistryBinding(registry)
+        soap.register_session(session)
+        with ServingSupervisor(registry, ServingConfig(workers=1)) as sup:
+            sup.register_session(session)
+            for body, token in requests:
+                inline = sup.call(body=body, token=token)
+                queued = sup.submit(body=body, token=token).result(timeout=30.0)
+                assert inline == queued == soap.handle(SoapEnvelope.with_session(body, token))
+            stats = sup.serving_stats()
+            sup.close()
+        assert stats["served_inline"] == stats["served_per_worker"]["worker-0"] == len(requests)

@@ -615,6 +615,78 @@ class TestMalformedObjects:
         assert registry.store.count("Service") == 0
 
 
+_A_SLOT = {"name": "n", "values": ["v"]}
+#: request type → a well-formed value for each required field
+WELL_FORMED = {
+    "ApproveObjectsRequest": {"ids": [_AN_ID]},
+    "DeprecateObjectsRequest": {"ids": [_AN_ID]},
+    "UndeprecateObjectsRequest": {"ids": [_AN_ID]},
+    "RemoveObjectsRequest": {"ids": [_AN_ID]},
+    "AddSlotsRequest": {"object_id": _AN_ID, "slots": [_A_SLOT]},
+    "RemoveSlotsRequest": {"object_id": _AN_ID, "names": ["n"]},
+    "AdhocQueryRequest": {"query": "SELECT id FROM Service"},
+    "GetRegistryObjectRequest": {"object_id": _AN_ID},
+    "GetServiceBindingsRequest": {"service_id": _AN_ID},
+}
+#: a scalar, a list (of the wrong things) and null in every id, query and list
+#: field, then the optional and numeric fields holding the wrong type
+MALFORMED_FIELDS = [
+    (type_name, field, bad)
+    for type_name, required in WELL_FORMED.items()
+    for field in required
+    for bad in (5, [1], None)
+] + [
+    ("ApproveObjectsRequest", "ids", _AN_ID),
+    ("ApproveObjectsRequest", "idempotency_key", 5),
+    ("AddSlotsRequest", "slots", [{"name": "n"}]),
+    ("AddSlotsRequest", "slots", [{"name": 5, "values": []}]),
+    ("AdhocQueryRequest", "query_language", None),
+    ("AdhocQueryRequest", "start_index", "0"),
+    ("AdhocQueryRequest", "max_results", [10]),
+]
+
+
+class TestMalformedFields:
+    """A request field of the wrong shape must fault at validate, not escape."""
+
+    @pytest.mark.parametrize(
+        "type_name,field,bad", MALFORMED_FIELDS, ids=lambda value: str(value)[:24]
+    )
+    def test_both_edges_answer_with_an_invalid_request_fault(
+        self, registry, session, type_name, field, bad
+    ):
+        body = _MESSAGE_TYPES[type_name](**{**WELL_FORMED[type_name], field: bad})
+        wire_text = envelope_to_xml(SoapEnvelope.with_session(body, session.token))
+        factory = ConnectionFactory(registry=registry, wire_xml=True)
+        factory.binding.register_session(session)
+        before = _faults(registry)
+        reply = factory.transport.request(factory.binding.endpoint_uri, wire_text)
+        answers = [envelope_from_xml(reply).body]
+        with ServingSupervisor(registry, ServingConfig(workers=1)) as supervisor:
+            supervisor.register_session(session)
+            request = envelope_from_xml(wire_text)
+            # inline, then through a worker: neither thread may see it escape
+            answers.append(supervisor.call(body=request.body, token=session.token))
+            queued = supervisor.submit(body=request.body, token=session.token)
+            answers.append(queued.result(timeout=30))
+        for fault in answers:
+            assert isinstance(fault, SoapFault)
+            assert fault.fault_code == InvalidRequestError.code
+            with pytest.raises(InvalidRequestError, match=f"{type_name}.{field} must be"):
+                fault.raise_()
+        assert _faults(registry) == before + 3
+
+    def test_well_formed_requests_pass_the_validator(self, registry, session):
+        with ServingSupervisor(registry, ServingConfig(workers=1)) as supervisor:
+            supervisor.register_session(session)
+            for type_name, fields in WELL_FORMED.items():
+                answer = supervisor.call(
+                    body=_MESSAGE_TYPES[type_name](**fields), token=session.token
+                )
+                # an unknown id may fault, but never as a malformed request
+                assert getattr(answer, "fault_code", None) != InvalidRequestError.code
+
+
 # -- the copy-free getServiceBindings handler ----------------------------------------
 
 LOAD_BELOW_ONE = "<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>"
