@@ -8,14 +8,13 @@ structure so classification schemes and federation metadata round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_LOCALE = "en_US"
 DEFAULT_CHARSET = "UTF-8"
 
 
-@dataclass(frozen=True)
-class LocalizedString:
+class LocalizedString(NamedTuple):
     """A single (locale, charset, value) triple."""
 
     value: str
@@ -29,9 +28,9 @@ class InternationalString:
     __slots__ = ("_strings",)
 
     def __init__(self, value: str | None = None, *, locale: str = DEFAULT_LOCALE) -> None:
-        self._strings: dict[str, LocalizedString] = {}
-        if value is not None:
-            self.set(value, locale=locale)
+        self._strings: dict[str, LocalizedString] = (
+            {} if value is None else {locale: LocalizedString(value, locale)}
+        )
 
     @classmethod
     def of(cls, value: "InternationalString | str | None") -> "InternationalString":
@@ -40,9 +39,11 @@ class InternationalString:
             return value
         return cls(value)
 
-    def set(self, value: str, *, locale: str = DEFAULT_LOCALE) -> None:
+    def set(
+        self, value: str, *, locale: str = DEFAULT_LOCALE, charset: str = DEFAULT_CHARSET
+    ) -> None:
         """Set the value for one locale."""
-        self._strings[locale] = LocalizedString(value=value, locale=locale)
+        self._strings[locale] = LocalizedString(value, locale, charset)
 
     def get(self, locale: str = DEFAULT_LOCALE) -> str | None:
         """Return the value for *locale*, falling back to any available locale."""
@@ -60,7 +61,11 @@ class InternationalString:
         return sorted(self._strings)
 
     def localized(self) -> list[LocalizedString]:
-        return [self._strings[loc] for loc in self.locales()]
+        """The entries in locale order."""
+        strings = self._strings
+        if len(strings) < 2:
+            return [*strings.values()]
+        return [strings[loc] for loc in sorted(strings)]
 
     def copy(self) -> "InternationalString":
         clone = InternationalString()

@@ -26,6 +26,16 @@ a parser would find the same headers and the same payload in it.  Every other
 text — faults, other prefixes or spellings, whitespace, comments, CDATA, a
 DOCTYPE, anything malformed — goes to the ElementTree decoder, which raises
 every error a caller can see.  Nothing selects between the two but the text.
+
+The encode rule: ``envelope_to_xml`` writes a message's JSON, and that of every
+element of ``objects`` that is a plain ``dict`` whose ``_type`` is a known name
+and whose key set is exactly that type's, from field tables compiled at import
+— keys pre-sorted; strings, ``null``, ``[]``, integers and name/description
+entries in place.  Every other value (``rows``, id lists, slots, floats) and
+every other element — an extra or missing key, an unknown type, a ``dict`` or
+``str`` subclass — goes to one ``json.JSONEncoder(sort_keys=True)``, which
+raises every error a caller can see; the bytes are the same either way.  Nothing
+selects between the two but the dict.
 """
 
 from __future__ import annotations

@@ -5,16 +5,19 @@ flattens each RIM class to a tagged dict (``{"_type": "Service", ...}``) and
 reconstructs it on the other side.  Round-tripping is exact for every field
 the model carries, which the property tests verify.
 
-One table drives both directions: each RIM type lists its fields once (wire
+One table drives every direction: each RIM type lists its fields once (wire
 key ↔ attribute, optional converters) after the fields every RegistryObject
-shares, and :class:`_Codec` resolves the lists at import.  The key order of a
-serialized dict is the table's order.
+shares, and :class:`_Codec` resolves the lists at import — object → dict, dict →
+object, dict → JSON text.  The key order of a serialized dict is the table's
+order; its JSON text is in sorted-key order, as the wire writes it.
 """
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from repro.rim import (
     AdhocQuery,
@@ -51,8 +54,8 @@ from repro.util.errors import InvalidRequestError
 SerializedObject = dict[str, Any]
 
 
-#: marks a wire key every sender must write
-_REQUIRED = object()
+#: a column left unset: the key must be written, no wire value is skipped
+_UNSET = object()
 #: what reading a dict this module did not write raises, short of the model's
 #: own refusals (``RegistryError``, which pass through)
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
@@ -63,19 +66,21 @@ class _Field(NamedTuple):
 
     ``attr`` is the attribute path read on the way out.  On the way in the
     value is assigned to that path after construction, or, for an ``init``
-    field, handed to the constructor under the path's last segment.  A key with
-    a ``default`` may be left out.
+    field, handed to the constructor under the path's last segment.  ``fresh``
+    is the wire value a newly constructed object already stands for: reading it
+    assigns nothing.  A key with a ``default`` may be left out.
     """
 
     wire: str
     attr: str
     encode: Callable[[Any], Any] | None = None
     decode: Callable[[Any], Any] | None = None
+    fresh: Any = _UNSET
     init: bool = False
-    default: Any = _REQUIRED
+    default: Any = _UNSET
 
 
-def _records(cls: type, **attrs: str) -> tuple[Callable, Callable]:
+def _records(cls: type, **attrs: str) -> tuple[Callable, Callable, list]:
     """Converters for a list of value objects: ``wire key=attribute`` pairs."""
     pairs = tuple(attrs.items())
 
@@ -85,20 +90,30 @@ def _records(cls: type, **attrs: str) -> tuple[Callable, Callable]:
     def decode(entries):
         return [cls(**{attr: entry[wire] for wire, attr in pairs}) for entry in entries]
 
-    return encode, decode
+    return encode, decode, []
+
+
+def _strings(values: list[str]) -> list[str]:
+    """A copy of a list of strings; anything else is malformed."""
+    if not (isinstance(values, list) and all(isinstance(value, str) for value in values)):
+        raise TypeError(f"{values!r} is not a list of strings")
+    return values[:]
 
 
 def _istring(value: InternationalString) -> list[dict[str, str]]:
     return [
-        {"locale": s.locale, "charset": s.charset, "value": s.value}
-        for s in value.localized()
+        {"locale": locale, "charset": charset, "value": text}
+        for text, locale, charset in value.localized()
     ]
 
 
 def _istring_back(data: list[dict[str, str]]) -> InternationalString:
     out = InternationalString()
     for entry in data:
-        out.set(entry["value"], locale=entry["locale"])
+        value, locale, charset = entry["value"], entry["locale"], entry["charset"]
+        if not (isinstance(value, str) and isinstance(locale, str) and isinstance(charset, str)):
+            raise TypeError(f"{entry!r} is not a localized string")
+        out.set(value, locale=locale, charset=charset)
     return out
 
 
@@ -111,7 +126,7 @@ def _slots(slots: SlotMap) -> list[dict[str, Any]]:
 def _slots_back(data: list[dict[str, Any]]) -> SlotMap:
     out = SlotMap()
     for slot in data:
-        out.add(Slot(name=slot["name"], values=slot["values"], slot_type=slot["slotType"]))
+        out.add(Slot(slot["name"], _strings(slot["values"]), slot["slotType"]))
     return out
 
 
@@ -127,7 +142,7 @@ def _enum(cls: type) -> tuple[Callable, Callable]:
     return _enum_value, {member.value: member for member in cls}.__getitem__
 
 
-_ID_LIST = (list, list)
+_ID_LIST = (list, _strings, [])
 _ADDRESSES = _records(
     PostalAddress, streetNumber="street_number", street="street", city="city",
     state="state", country="country", postalCode="postal_code", type="type",
@@ -149,7 +164,7 @@ _BASE_FIELDS = (
     _Field("versionName", "version.version_name"),
     _Field("owner", "owner"),
     _Field("home", "home"),
-    _Field("slots", "slots", _slots, _slots_back),
+    _Field("slots", "slots", _slots, _slots_back, []),
     _Field("classificationIds", "classification_ids", *_ID_LIST),
     _Field("externalIdentifierIds", "external_identifier_ids", *_ID_LIST),
 )
@@ -178,7 +193,9 @@ _TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
         _Field("sourceObject", "source_object", init=True),
         _Field("targetObject", "target_object", init=True),
         # read back by short name or URN
-        _Field("associationType", "association_type", _enum_value, AssociationType.from_name, True),
+        _Field(
+            "associationType", "association_type", _enum_value, AssociationType.from_name, init=True
+        ),
         _Field("confirmedBySource", "confirmed_by_source"),
         _Field("confirmedByTarget", "confirmed_by_target"),
     ),
@@ -247,17 +264,63 @@ _TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
 #: constructors that do not take every ``init`` field as a keyword
 _FACTORIES = {User: _user}
 
+#: the wire's one generic JSON encoder: what no table writes is its to write or refuse
+encode_json = json.JSONEncoder(sort_keys=True).encode
+
+# the text of the value ``{0}`` reads: what objects are mostly made of in place
+_VALUE = (
+    '(quote(v) if type(v := {0}) is str else "null" if v is None'
+    ' else "[]" if type(v) is list and not v else repr(v) if type(v) is int else encode(v))'
+)
+# ... and of a list whose elements ``{1}`` writes
+_ARRAY = (
+    '(("[" + ", ".join(map({1}, v)) + "]" if v else "[]") if type(v := {0}) is list else encode(v))'
+)
+
+
+def json_writer(
+    keys: Iterable[str], arrays: Mapping[str, Callable[[Any], str]] = {}, **literals: str
+) -> Callable[[Any], str]:
+    """Compile ``x -> sorted-key JSON text`` for a plain dict of exactly *keys*.
+
+    *arrays* maps a key to the writer of its list's elements; *literals* are keys
+    present with a known text.  Any other ``x`` — another type, a subclass, a
+    missing or extra key — is the encoder's: the text is ``json.dumps``'s, always.
+    """
+    scope = {"quote": encode_basestring_ascii, "encode": encode_json}
+    scope.update((f"each_{key}", each) for key, each in arrays.items())
+    for key in keys:
+        template = _ARRAY if key in arrays else _VALUE
+        literals[key] = "{" + template.format(f'x["{key}"]', f"each_{key}") + "}"
+    body = ", ".join(f'"{key}": {literals[key]}' for key in sorted(literals))
+    exec(
+        f"def text(x):\n    if type(x) is dict and len(x) == {len(literals)}:\n"
+        f"        try:\n            return f'''{{{{{body}}}}}'''\n"
+        f"        except KeyError:\n            pass\n    return encode(x)\n",
+        scope,
+    )
+    return scope["text"]
+
+
+_localized_json = json_writer(("locale", "charset", "value"))
+
 
 class _Codec:
     """One type's field list, compiled to a straight-line function per direction.
 
     The source is generated as ``dataclasses`` generates ``__init__``: a dict
     display for the way out, one constructor call and one assignment per
-    remaining field for the way in, with the converters bound by position.
+    remaining field for the way in, with the converters bound by position; and
+    :func:`json_writer`'s f-string for a written dict's JSON text.
     """
 
     def __init__(self, cls: type[RegistryObject]) -> None:
         self.fields = fields = _BASE_FIELDS + _TYPE_FIELDS.get(cls, ())
+        self.text = json_writer(
+            [field.wire for field in fields],
+            {field.wire: _localized_json for field in fields if field.encode is _istring},
+            _type=f'"{cls.__name__}"',
+        )
         scope: dict[str, Any] = {"new": _FACTORIES.get(cls, cls)}
         display, keywords, assignments = ['"_type": type(obj).__name__'], [], []
         for n, field in enumerate(fields):
@@ -266,13 +329,18 @@ class _Codec:
             value = f"encode{n}({value})" if field.encode else value
             display.append(f'"{field.wire}": {value}')
             value = f'data["{field.wire}"]'
-            if field.default is not _REQUIRED:
+            if field.default is not _UNSET:
                 value = f'data.get("{field.wire}", {field.default!r})'
-            value = f"decode{n}({value})" if field.decode else value
+            decoded = f"decode{n}({{}})" if field.decode else "{}"
             if field.init:
-                keywords.append(f"{field.attr.rpartition('.')[2]}={value}")
+                keywords.append(f"{field.attr.rpartition('.')[2]}={decoded.format(value)}")
+            elif field.fresh is _UNSET:
+                assignments.append(f"    obj.{field.attr} = {decoded.format(value)}\n")
             else:
-                assignments.append(f"    obj.{field.attr} = {value}\n")
+                assignments.append(
+                    f"    if (v := {value}) != {field.fresh!r}:\n"
+                    f"        obj.{field.attr} = {decoded.format('v')}\n"
+                )
         exec(
             f"def write(obj):\n    return {{{', '.join(display)}}}\n"
             f"def read(data):\n    obj = new({', '.join(keywords)})\n"
@@ -286,7 +354,7 @@ class _Codec:
         """Which field made :attr:`read` fail: the error path walks the table."""
         for field in self.fields:
             if field.wire not in data:
-                if field.default is _REQUIRED:
+                if field.default is _UNSET:
                     return f"field {field.wire!r} is missing"
             elif field.decode is not None:
                 try:
@@ -308,6 +376,14 @@ def serialize(obj: RegistryObject) -> SerializedObject:
         # an unlisted subclass travels as its nearest listed ancestor
         codec = next(_BY_CLASS[base] for base in type(obj).__mro__ if base in _BY_CLASS)
     return codec.write(obj)
+
+
+def object_json(data: Any) -> str:
+    """One element of ``objects`` as sorted-key JSON text: the table's to write if
+    it is a plain dict of a known ``_type`` and exactly its keys, else the encoder's."""
+    if type(data) is dict and type(name := data.get("_type")) is str and name in _BY_NAME:
+        return _BY_NAME[name].text(data)
+    return encode_json(data)
 
 
 def deserialize(data: SerializedObject) -> RegistryObject:

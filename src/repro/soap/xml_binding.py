@@ -4,12 +4,14 @@ The in-memory envelopes move structured dicts; this module renders them as
 actual ``<soap:Envelope>`` documents and parses them back, so a wire capture
 of the simulated traffic looks like what freebXML's SAAJ layer produced.
 Round-tripping is exact for every protocol message type.  Encoding is one
-pass of string assembly that copies nothing.  Decoding reads a message
+pass of string assembly that copies nothing: the JSON of a message and of the
+object dicts it carries is written from field tables, any other value by the
+serializer's one sorted-key encoder.  Decoding reads a message
 document this writer could have written in one pass over the frame — prefix,
 header entries, message element, suffix — and hands everything else (faults,
 other prefixes, whitespace, comments, any reference but ``&amp; &lt; &gt;``)
 to a full expat parse, which stays the judge of well-formedness and raises
-every error.  Wire contract and decode rule: :mod:`repro.soap.envelope`.
+every error.  Wire contract, encode and decode rules: :mod:`repro.soap.envelope`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 
 from repro.soap import messages
 from repro.soap.envelope import SoapEnvelope, SoapFault
+from repro.soap.serializer import json_writer, object_json
 from repro.util.errors import InvalidRequestError
 from repro.util.xmlutil import parse_xml
 
@@ -31,8 +34,11 @@ _MESSAGE_TYPES = {
     name: cls for name, cls in vars(messages).items() if dataclasses.is_dataclass(cls)
 }
 
-#: the dataclass fields each message's JSON body carries, read shallowly
-_FIELD_NAMES = {c: tuple(f.name for f in dataclasses.fields(c)) for c in _MESSAGE_TYPES.values()}
+#: each message's JSON body, written from its instance dict: the dataclass fields
+_WRITERS = {
+    cls: json_writer([f.name for f in dataclasses.fields(cls)], {"objects": object_json})
+    for cls in _MESSAGE_TYPES.values()
+}
 
 # the root as ElementTree writes it: prefixes numbered in order of first use
 # and declared on the root; a fault without headers never uses the second
@@ -62,16 +68,16 @@ def envelope_to_xml(envelope: SoapEnvelope) -> str:
     """Render an envelope as a SOAP 1.1 document."""
     message = envelope.body
     type_name = type(message).__name__
-    fields = _FIELD_NAMES.get(type(message))
+    writer = _WRITERS.get(type(message))
     headers = "".join(
         _element("ns1:HeaderEntry", value, f' name="{_escape(key, _ATTR_REFS)}"')
         for key, value in sorted(envelope.headers.items())
     )
-    if fields is not None:
+    if writer is not None:
         # the structured payload travels as canonical JSON inside the
         # message element — the registry protocol's "attachment"
         try:
-            text = json.dumps({name: getattr(message, name) for name in fields}, sort_keys=True)
+            text = writer(vars(message))
         except (TypeError, ValueError) as exc:
             raise InvalidRequestError(f"cannot render {type_name} payload: {exc}") from exc
         body = _element(f"ns1:{type_name}", text)
@@ -84,7 +90,7 @@ def envelope_to_xml(envelope: SoapEnvelope) -> str:
     else:
         raise InvalidRequestError(f"cannot render body of type {type_name!r} as SOAP XML")
     header = f"<ns0:Header>{headers}</ns0:Header>" if headers else "<ns0:Header />"
-    root = _ENVELOPE_OPEN if headers or fields is not None else _FAULT_ENVELOPE_OPEN
+    root = _ENVELOPE_OPEN if headers or writer is not None else _FAULT_ENVELOPE_OPEN
     return f"{root}{header}<ns0:Body>{body}</ns0:Body></ns0:Envelope>"
 
 

@@ -178,6 +178,13 @@ class TestRoundTrips:
         restored = round_trip(org)
         assert restored.name.get("es_ES") == "UESD"
 
+    def test_charset_survives(self):
+        data = serialize(Organization(ids.new_id(), name="SDSU"))
+        data["name"][0]["charset"] = "ISO-8859-1"
+        restored = deserialize(data)
+        assert restored.name.localized()[0].charset == "ISO-8859-1"
+        assert serialize(restored) == data
+
 
 class TestErrors:
     def test_unknown_type_rejected(self):
@@ -212,6 +219,15 @@ class TestErrors:
             ("classificationIds", 7),
             ("addresses", [{"city": "only"}]),
             ("telephones", None),
+            # a string is iterable, and is no list of strings
+            ("classificationIds", "abc"),
+            ("classificationIds", ""),
+            ("serviceIds", ["urn:uuid:a", 5]),
+            ("slots", [{"name": "s", "values": "abc", "slotType": None}]),
+            ("slots", [{"name": "s", "values": [["nested"]], "slotType": None}]),
+            ("name", [{"locale": "en_US", "charset": "UTF-8", "value": 7}]),
+            ("description", [{"locale": None, "charset": "UTF-8", "value": "x"}]),
+            ("name", [{"locale": "en_US", "value": "no charset"}]),
         ],
     )
     def test_an_ill_typed_field_is_named_with_its_type(self, wire, value):
@@ -261,7 +277,8 @@ def _populate_base(obj, n: int):
 
 def populated_objects() -> dict:
     """One populated instance of every type the serializer knows, by type name."""
-    org = Organization(_uid(1), name="SDSU", parent=_uid(0x11), primary_contact=_uid(0x12))
+    org = Organization(_uid(1), parent=_uid(0x11), primary_contact=_uid(0x12))
+    org.name.set("SDSU", charset="ISO-8859-1")
     org.addresses = [
         PostalAddress("5500", "Campanile Dr", "San Diego", "CA", "US", "92182", "Office"),
         PostalAddress(city="La Jolla"),
@@ -358,3 +375,12 @@ class TestWireKeyParity:
         else:
             again = serialize(deserialize(data))
             assert list(again.items()) == list(golden.items())
+
+    @pytest.mark.parametrize("type_name", list(CONCRETE_TYPES))
+    def test_an_empty_list_is_what_a_new_object_holds(self, type_name):
+        """The reader assigns nothing for ``[]`` where the table says a fresh object has it."""
+        data = {
+            key: [] if isinstance(value, list) and key not in ("name", "actions") else value
+            for key, value in self.GOLDEN[type_name].items()
+        }
+        assert serialize(deserialize(data)) == data

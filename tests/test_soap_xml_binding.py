@@ -2,18 +2,21 @@
 
 import dataclasses
 import json
+import math
 import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HOSTS, publish_service_with_bindings
+from test_soap_serializer import populated_objects
 from repro.client.jaxr import ConnectionFactory
 from repro.core import attach_load_balancer
 from repro.persistence.nodestate import NodeSample
-from repro.rim import Organization, Service, ServiceBinding
+from repro.rim import Organization, Service, ServiceBinding, Slot
 from repro.serving import ServingConfig, ServingSupervisor
 from repro.soap import (
     AdhocQueryRequest,
@@ -28,6 +31,7 @@ from repro.soap import (
     envelope_from_xml,
     envelope_to_xml,
     serialize,
+    serializer,
     xml_binding,
 )
 from repro.soap.xml_binding import _MESSAGE_TYPES, RS_NS, SOAP_NS, _parse_envelope
@@ -243,10 +247,14 @@ class TestWireBytes:
 
     def test_the_message_is_read_not_copied_or_changed(self):
         rows = [{"name": "x", "nested": {"k": [1, 2]}}]
-        response = RegistryResponse(rows=rows)
-        before = json.dumps(rows)
+        objects = [serialize(obj) for obj in populated_objects().values()]
+        elements = list(objects)
+        response = RegistryResponse(rows=rows, objects=objects)
+        before = json.dumps([rows, objects])
         envelope_to_xml(SoapEnvelope(body=response))
-        assert response.rows is rows and json.dumps(rows) == before
+        assert response.rows is rows and response.objects is objects
+        assert all(a is b for a, b in zip(objects, elements, strict=True))
+        assert json.dumps([rows, objects]) == before
 
 
 class TestXmlErrors:
@@ -315,6 +323,188 @@ class TestMalformedPayloads:
         nested = RegistryResponse(rows=[{"fault": SoapFault("urn:x", "broken")}])
         with pytest.raises(InvalidRequestError, match="cannot render RegistryResponse"):
             envelope_to_xml(SoapEnvelope(body=nested))
+
+
+# -- the table writer against the expression it replaced -----------------------------
+
+
+def dumps_document(envelope: SoapEnvelope) -> str:
+    """A header-less message document with the payload ``envelope_to_xml`` used
+    to compute per call: ``json.dumps`` over the message's fields, keys sorted."""
+    message = envelope.body
+    name = type(message).__name__
+    payload = json.dumps(
+        {f.name: getattr(message, f.name) for f in dataclasses.fields(message)}, sort_keys=True
+    )
+    return (
+        f"{xml_binding._ENVELOPE_OPEN}<ns0:Header /><ns0:Body><ns1:{name}>{escape(payload)}"
+        f"</ns1:{name}></ns0:Body></ns0:Envelope>"
+    )
+
+
+def written(encode, envelope):
+    """The document, or that it could not be rendered (and why)."""
+    try:
+        return encode(envelope)
+    except (TypeError, ValueError, InvalidRequestError) as error:
+        return "unrenderable", str(error).rpartition("payload: ")[2]
+
+
+class _Dict(dict):
+    """A mapping the encoder reads through ``items``, not as the dict it also is."""
+
+    def items(self):
+        return [("seen-through-items", len(self))]
+
+
+class _Str(str):
+    pass
+
+
+# markup, JSON syntax, controls, non-ASCII, non-BMP, lone surrogates
+HOSTILE = "ab <&>\"'\\/{}[]:,\x00\x01\x1f\x7f\n\r\t\u00e9\u4e2d\U0001f600\ud800\udfff"
+hostile = st.text(alphabet=st.sampled_from(HOSTILE), max_size=8) | st.text(max_size=6)
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+any_json = json_values | any_float | hostile
+
+
+@st.composite
+def serialized_objects(draw):
+    """What ``serialize`` writes for an object of any listed type, populated or
+    nearly bare, its text hostile."""
+    obj = populated_objects()[draw(st.sampled_from(sorted(serializer._BY_NAME)))]
+    for istring in (obj.name, obj.description):
+        for locale in draw(st.lists(st.sampled_from(["en_US", "fr_FR", "zz"]), max_size=2)):
+            istring.set(draw(hostile), locale=locale, charset=draw(hostile))
+    slot = Slot(draw(hostile.filter(bool)), draw(st.lists(hostile, max_size=2)))
+    obj.slots.add(slot, replace=True)
+    obj.owner, obj.home = draw(st.none() | hostile), draw(st.none() | hostile)
+    if hasattr(obj, "timestamp"):
+        obj.timestamp = draw(any_float)
+    data = serialize(obj)
+    lists = sorted(key for key, value in data.items() if isinstance(value, list))
+    for key in draw(st.sets(st.sampled_from(lists))):
+        data[key] = []
+    return data
+
+
+def _drop_a_key(draw, data):
+    del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+def _add_a_key(draw, data):
+    data[draw(hostile | st.integers(0, 3) | st.none())] = draw(any_json)
+    return data
+
+
+def _rename_a_key(draw, data):
+    return _add_a_key(draw, _drop_a_key(draw, data))
+
+
+def _swap_a_value(draw, data):
+    data[draw(st.sampled_from(sorted(data)))] = draw(any_json)
+    return data
+
+
+def _str_subclass_value(draw, data):
+    key = draw(st.sampled_from(sorted(k for k, v in data.items() if isinstance(v, str))))
+    data[key] = _Str(data[key])
+    return data
+
+
+def _another_type(draw, data):
+    name = data["_type"]
+    others = st.sampled_from(["RegistryObject", name.lower(), *serializer._BY_NAME])
+    data["_type"] = draw(hostile | others.filter(lambda other: other != name) | any_json)
+    return data
+
+
+def _foreign_name_entry(draw, data):
+    entry = {"locale": "en_US", "charset": "UTF-8", "value": draw(hostile)}
+    data["name"] = [draw(st.sampled_from(OF_ANY_DICT))(draw, entry), *data["name"]]
+    return data
+
+
+OF_ANY_DICT = (
+    _drop_a_key, _add_a_key, _rename_a_key, _swap_a_value, _str_subclass_value,
+    lambda draw, data: _Dict(data),
+)  # fmt: skip
+OF_AN_OBJECT = (*OF_ANY_DICT, _another_type, _foreign_name_entry)
+
+
+@st.composite
+def perturbed(draw, data):
+    """*data* with one thing about it no longer what the table wrote."""
+    return draw(st.sampled_from(OF_AN_OBJECT))(draw, dict(data))
+
+
+object_lists = st.lists(
+    serialized_objects().flatmap(lambda data: st.just(data) | perturbed(data)) | any_json,
+    max_size=3,
+)
+
+
+class TestWriterMatchesDumps:
+    """``envelope_to_xml`` writes what ``json.dumps(fields, sort_keys=True)`` wrote."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        objects=object_lists | any_json,
+        ids=st.lists(hostile, max_size=2) | any_json,
+        rows=st.lists(st.dictionaries(hostile, any_json, max_size=3), max_size=2),
+        status=hostile,
+        total=st.none() | st.integers() | st.booleans() | any_float,
+    )
+    def test_responses(self, objects, ids, rows, status, total):
+        envelope = SoapEnvelope(body=RegistryResponse(status, ids, rows, objects, total))
+        assert written(envelope_to_xml, envelope) == written(dumps_document, envelope)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        message_cls=st.sampled_from([SubmitObjectsRequest, UpdateObjectsRequest]),
+        objects=object_lists,
+        key=st.none() | hostile | any_json,
+    )
+    def test_object_carrying_requests(self, message_cls, objects, key):
+        envelope = SoapEnvelope(body=message_cls(objects, key))
+        assert written(envelope_to_xml, envelope) == written(dumps_document, envelope)
+
+    @pytest.mark.parametrize("perturb", OF_AN_OBJECT, ids=lambda f: f.__name__.strip("_<>"))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_way_of_not_being_what_the_table_wrote(self, perturb, data):
+        objects = [perturb(data.draw, data.draw(serialized_objects()))]
+        for body in (RegistryResponse(objects=objects), UpdateObjectsRequest(objects=objects)):
+            envelope = SoapEnvelope(body=body)
+            assert written(envelope_to_xml, envelope) == written(dumps_document, envelope)
+
+    def test_every_golden_object_is_the_tables_to_write(self, monkeypatch):
+        monkeypatch.setattr(serializer, "encode_json", None)  # not the fallback's doing
+        for name, obj in populated_objects().items():
+            data = serialize(obj)
+            if name != "RegistryObject":
+                assert serializer._BY_NAME[name].text(data) == json.dumps(data, sort_keys=True)
+
+    @pytest.mark.parametrize("unserialisable", [{1, 2}, object()], ids=["set", "object"])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            lambda data, bad: data.update(owner=bad),
+            lambda data, bad: data.update(extra=bad),
+            lambda data, bad: data["name"][0].update(value=bad),
+            lambda data, bad: data["slots"][0]["values"].append(bad),
+            lambda data, bad: data["classificationIds"].append(bad),
+            lambda data, bad: data.update(description=bad),
+        ],
+        ids=["field", "extra-key", "name-entry", "slot-value", "id-list", "for-a-list"],
+    )
+    def test_an_unserialisable_value_anywhere_is_an_invalid_request(self, where, unserialisable):
+        data = serialize(populated_objects()["Service"])
+        where(data, unserialisable)
+        for body in (RegistryResponse(objects=[data]), SubmitObjectsRequest(objects=[data])):
+            with pytest.raises(InvalidRequestError, match=f"cannot render {type(body).__name__}"):
+                envelope_to_xml(SoapEnvelope(body=body))
 
 
 # -- one pass over the writer's own documents, the tree for everything else ------
@@ -556,6 +746,68 @@ class TestDecodeBudget:
         assert first < self.TREE_EVENTS
 
 
+class TestEncodeBudget:
+    """Clock-free guards on the writer, beside the decoder's."""
+
+    #: call + c_call events of encoding one header-less RegistryResponse at
+    #: cf56c3e (CPython 3.11), whatever it carried: one ``json.dumps`` wrote it
+    #: all inside the C encoder.  The table writer pays Python-level events per
+    #: object instead — a call and one C call per string written — so the
+    #: bound is on what is left once those are taken out, and on their number.
+    PARENT_EVENTS = 22
+    EVENTS_PER_BINDING = 17
+
+    @staticmethod
+    def response(bindings: int) -> SoapEnvelope:
+        objects = [
+            serialize(
+                ServiceBinding(
+                    ids.new_id(), service=_SERVICE_ID, access_uri=f"http://h{n}.example/", name="b"
+                )
+            )
+            for n in range(bindings)
+        ]
+        return SoapEnvelope(body=RegistryResponse(objects=objects))
+
+    @staticmethod
+    def calls(encode, *args) -> list[str]:
+        """The qualified name of every function entered by a warm ``encode(*args)``."""
+        names: list[str] = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                names.append(frame.f_code.co_qualname)
+            elif event == "c_call":
+                names.append(arg.__qualname__)
+
+        encode(*args)
+        sys.setprofile(profiler)
+        try:
+            encode(*args)
+        finally:
+            sys.setprofile(None)
+        return names
+
+    def test_events_are_the_envelopes_plus_a_constant_per_object(self):
+        none, three, six = (self.calls(envelope_to_xml, self.response(n)) for n in (0, 3, 6))
+        assert three == self.calls(envelope_to_xml, self.response(3))
+        per_binding, remainder = divmod(len(six) - len(three), 3)
+        assert remainder == 0 and per_binding <= self.EVENTS_PER_BINDING
+        assert len(none) <= len(three) - 3 * per_binding < self.PARENT_EVENTS
+
+    def test_no_encoder_is_built_and_table_shaped_objects_need_none(self):
+        discovery = self.response(3)
+        adhoc = SoapEnvelope(body=RegistryResponse(rows=[{"n": 1}, {"n": 2}], total_result_count=2))
+        foreign = self.response(3)
+        foreign.body.objects[1]["extra"] = None
+        for envelope, entered in ((discovery, 0), (adhoc, 1), (foreign, 1)):
+            names = self.calls(envelope_to_xml, envelope)
+            assert names.count("JSONEncoder.encode") == entered
+            assert "JSONEncoder.__init__" not in names
+        # the counter counts: this is what the writer used to do per envelope
+        assert "JSONEncoder.__init__" in self.calls(lambda: json.dumps({}, sort_keys=True))
+
+
 # -- objects the serializer could not have written ---------------------------------
 
 _AN_ID = "urn:uuid:00000000-0000-4000-8000-0000000000c1"
@@ -574,6 +826,28 @@ MALFORMED_OBJECTS = {
         "Service.*'status' is malformed",
     ),
     "id-not-a-string": ([{**serialize(Service(_AN_ID, name="S")), "id": 5}], "Service"),
+    "string-for-an-id-list": (
+        [{**serialize(Service(_AN_ID, name="S")), "bindingIds": "abc"}],
+        "Service.*'bindingIds' is malformed",
+    ),
+    "string-for-slot-values": (
+        [
+            {
+                **serialize(Service(_AN_ID, name="S")),
+                "slots": [{"name": "s", "values": "abc", "slotType": None}],
+            }
+        ],
+        "Service.*'slots' is malformed",
+    ),
+    "number-for-a-localized-value": (
+        [
+            {
+                **serialize(Service(_AN_ID)),
+                "name": [{"locale": "en_US", "charset": "UTF-8", "value": 7}],
+            }
+        ],
+        "Service.*'name' is malformed",
+    ),
 }
 
 
