@@ -36,7 +36,6 @@ import random
 import time
 
 from repro.obs.metrics import parse_exposition
-from repro.obs.profile import SamplingProfiler
 from repro.persistence.nodestate import NodeSample
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Service, ServiceBinding
@@ -172,12 +171,12 @@ def run_fleet(
     return report, responses
 
 
-#: fleet size for the cost-attribution + profiler section
+#: fleet size for the cost-attribution section
 ATTR_WORKERS = 4
 
 
 def run_attribution_profile(workload: list[tuple[str, object]]) -> dict:
-    """The cost-attribution section: a profiled, traced 4-worker cpu run.
+    """The cost-attribution section: a traced 4-worker cpu run.
 
     Request wall time is measured *outside* the serving stack (submit →
     completion callback on ``time.perf_counter``), so the acceptance gate —
@@ -194,7 +193,6 @@ def run_attribution_profile(workload: list[tuple[str, object]]) -> dict:
             workers=ATTR_WORKERS, queue_capacity=len(workload) + ATTR_WORKERS
         ),
     )
-    profiler = SamplingProfiler(interval_s=0.002)
     submits: list[float] = [0.0] * len(workload)
     completions: list[float] = [0.0] * len(workload)
 
@@ -205,22 +203,15 @@ def run_attribution_profile(workload: list[tuple[str, object]]) -> dict:
         return record
 
     with supervisor:
-        profiler.start()
-        try:
-            futures = []
-            for index, (_kind, body) in enumerate(workload):
-                submits[index] = time.perf_counter()
-                future = supervisor.submit(body=body)
-                future.add_done_callback(completion_recorder(index))
-                futures.append(future)
-            for future in futures:
-                future.result(timeout=120.0)
-            supervisor.drain()
-            # guarantee a non-empty profile even if the workload outran the
-            # sampling interval
-            profiler.sample_once()
-        finally:
-            profiler.stop()
+        futures = []
+        for index, (_kind, body) in enumerate(workload):
+            submits[index] = time.perf_counter()
+            future = supervisor.submit(body=body)
+            future.add_done_callback(completion_recorder(index))
+            futures.append(future)
+        for future in futures:
+            future.result(timeout=120.0)
+        supervisor.drain()
         attr = registry.telemetry.attribution_stats()
         exemplar_series = registry.telemetry.exemplar_index()
         exposition = registry.telemetry.render_prometheus()
@@ -239,7 +230,6 @@ def run_attribution_profile(workload: list[tuple[str, object]]) -> dict:
         "trace_id" in entry["labels"] and entry["value"] >= 0.0
         for entry in latency_exemplars.values()
     )
-    profile_stats = profiler.stats()
     return {
         "workers": ATTR_WORKERS,
         "requests": attr["requests"],
@@ -262,12 +252,6 @@ def run_attribution_profile(workload: list[tuple[str, object]]) -> dict:
         "exemplar_series": len(exemplar_series),
         "exemplar_round_trip": round_trip,
         "exposition_families": len(parsed),
-        "profile": {
-            "samples": profile_stats["samples"],
-            "distinct_stacks": profile_stats["distinct_stacks"],
-            "threads": profile_stats["threads"],
-            "top": profiler.top_functions(5),
-        },
     }
 
 
@@ -346,9 +330,7 @@ def test_serving_scaling(save_artifact, bench_history_writer, benchmark):
         f"(queue_wait {components['queue_wait']:.3f}s, "
         f"stage {components['stage']:.3f}s, "
         f"hop {components['forward_hop']:.3f}s); "
-        f"{attribution['exemplar_series']} exemplar series; "
-        f"profiler {attribution['profile']['samples']} samples / "
-        f"{attribution['profile']['distinct_stacks']} stacks"
+        f"{attribution['exemplar_series']} exemplar series"
     )
     save_artifact("SERV1_serving_scaling", "\n".join(lines))
 
@@ -380,8 +362,6 @@ def test_serving_scaling(save_artifact, bench_history_writer, benchmark):
     assert attribution["coverage_vs_wall"] >= 0.9, attribution
     assert attribution["coverage_internal"] >= 0.9, attribution
     assert attribution["exemplar_round_trip"] is True, attribution
-    assert attribution["profile"]["samples"] > 0
-    assert attribution["profile"]["distinct_stacks"] > 0
     benchmark.extra_info["attribution_coverage_vs_wall"] = round(
         attribution["coverage_vs_wall"], 4
     )
@@ -409,4 +389,3 @@ def test_bench_json_valid():
     attribution = data["attribution"]
     assert attribution["coverage_vs_wall"] >= 0.9
     assert attribution["exemplar_round_trip"] is True
-    assert attribution["profile"]["samples"] > 0

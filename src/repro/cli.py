@@ -25,12 +25,6 @@ that workflow plus the experiment harness:
     exit code assert the availability SLO reached that state (the CI
     ``slo-smoke`` contract) and ``--export-trace out.json`` writes the
     Chrome trace export;
-``repro profile [--workers W --requests R --out stacks.txt --svg fg.svg]``
-    profile a serving-fleet workload under the sampling profiler: print
-    the hot leaf frames and the queue-wait/stage/hop cost-attribution
-    split, optionally exporting collapsed stacks and a flamegraph SVG
-    (``--expect-samples`` makes the exit code assert a non-empty profile,
-    the CI ``profile-smoke`` contract);
 ``repro experiment [--duration N] [--policies a,b,c]``
     run the LB-1 policy comparison and print the metrics table;
 ``repro sweep-period [--periods 5,10,25,60]``
@@ -326,101 +320,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile a serving-fleet workload; export stacks / flamegraph."""
-    import random
-
-    from repro.obs.profile import SamplingProfiler
-    from repro.rim import Organization
-    from repro.serving import ServingConfig, ServingSupervisor
-    from repro.soap.messages import GetRegistryObjectRequest
-
-    registry = RegistryServer(
-        RegistryConfig(seed=11, home=DEFAULT_URL), clock=WallClock()
-    )
-    registry.enable_tracing()
-    registry.enable_attribution()
-    _, credential = registry.register_user("profiler")
-    session = registry.login(credential)
-    supervisor = ServingSupervisor(
-        registry,
-        ServingConfig(
-            workers=args.workers, wire_delay_s=args.wire_ms / 1000.0
-        ),
-    )
-    profiler = SamplingProfiler(interval_s=args.interval_ms / 1000.0)
-    object_ids = [registry.ids.new_id() for _ in range(args.objects)]
-    registry.lcm.submit_objects(
-        session,
-        [
-            Organization(object_id, name=f"ProfiledOrg{index:03d}")
-            for index, object_id in enumerate(object_ids)
-        ],
-    )
-    rng = random.Random(7)
-    with supervisor:
-        profiler.start()
-        try:
-            futures = [
-                supervisor.submit(
-                    body=GetRegistryObjectRequest(rng.choice(object_ids))
-                )
-                for _ in range(args.requests)
-            ]
-            for future in futures:
-                future.result(timeout=60.0)
-            supervisor.drain()
-            # even a run shorter than one sampling interval yields a profile
-            profiler.sample_once()
-        finally:
-            profiler.stop()
-
-    stats = profiler.stats()
-    print(
-        f"profile: {stats['samples']} sample(s), "
-        f"{stats['distinct_stacks']} distinct stack(s), "
-        f"{stats['wall_s']:.2f} s wall, "
-        f"interval {stats['interval_s'] * 1000.0:g} ms"
-    )
-    for row in profiler.top_functions(args.top):
-        print(f"  {row['share'] * 100.0:5.1f}%  {row['samples']:6d}  {row['frame']}")
-
-    attr = registry.telemetry.attribution_stats()
-    print(
-        f"attribution: {attr['requests']} request(s), "
-        f"coverage {attr['coverage'] * 100.0:.1f}%"
-    )
-    print(
-        "  components (s): "
-        f"queue_wait {attr['queue_wait_s']:.4f}, "
-        f"stage {attr['stage_s']:.4f}, "
-        f"forward_hop {attr['forward_hop_s']:.4f}, "
-        f"wire {attr['wire_s']:.4f}, "
-        f"total {attr['total_s']:.4f}"
-    )
-    for stage, seconds in attr["stages"].items():
-        print(f"  stage {stage}: {seconds:.4f} s")
-    exemplars = registry.telemetry.exemplar_index()
-    if exemplars:
-        print(
-            f"exemplars: {len(exemplars)} slow-bucket series carry trace ids "
-            "(inspect with 'repro top')"
-        )
-
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(profiler.export_collapsed())
-        print(f"collapsed stacks written to {args.out}")
-    if args.svg is not None:
-        with open(args.svg, "w") as fh:
-            fh.write(profiler.export_flamegraph_svg())
-        print(f"flamegraph written to {args.svg}")
-    if args.expect_samples and stats["samples"] == 0:
-        print("error: profiler collected no samples", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_keystoremover(args: argparse.Namespace) -> int:
     """The thesis §3.4.3 KeystoreMover, option-for-option (Table 3.2)."""
     from repro.security.keystore import KeystoreMover
@@ -654,36 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", choices=("warning", "page"))
     p.add_argument("--expect-slo")
     p.set_defaults(func=cmd_slo)
-
-    p = sub.add_parser(
-        "profile",
-        help="profile a serving-fleet workload; export collapsed "
-        "stacks / flamegraph and print the cost-attribution split",
-    )
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--objects", type=int, default=32)
-    p.add_argument("--requests", type=int, default=256)
-    p.add_argument(
-        "--wire-ms",
-        type=float,
-        default=0.0,
-        help="simulated per-request wire/IO milliseconds in each worker",
-    )
-    p.add_argument(
-        "--interval-ms",
-        type=float,
-        default=5.0,
-        help="sampling interval in milliseconds",
-    )
-    p.add_argument("--top", type=int, default=10, help="hot leaf frames to print")
-    p.add_argument("--out", metavar="PATH", help="write collapsed-stack text")
-    p.add_argument("--svg", metavar="PATH", help="write the flamegraph SVG")
-    p.add_argument(
-        "--expect-samples",
-        action="store_true",
-        help="exit 1 if the profiler collected no samples (CI smoke contract)",
-    )
-    p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
         "keystoremover", help="copy a credential between keystores (thesis §3.4.3)"

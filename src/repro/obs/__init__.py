@@ -17,7 +17,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_exposition,
 )
-from repro.obs.profile import SamplingProfiler
 from repro.obs.slo import SLO, SloEngine, default_slos, replication_lag_slo
 from repro.obs.telemetry import Telemetry
 from repro.obs.timeseries import TimeSeries, TimeSeriesStore
@@ -36,7 +35,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SLO",
-    "SamplingProfiler",
     "SloEngine",
     "Span",
     "StructuredLog",

@@ -1,21 +1,21 @@
-"""Adapters syncing the legacy ``*_stats()`` surfaces into a MetricsRegistry.
+"""Adapters syncing the cold ``*_stats()`` counters into a scrape's MetricsRegistry.
 
-Each adapter is a factory: it captures the component owning one ad-hoc stats
-surface (the kernel's PipelineStats, the transport's TransportStats, the
-query planner counters, the constraint/URI caches, the TimeHits collector,
-the LoadStatus/resolver pair) and returns a **collector** — a callable the
-:class:`repro.obs.telemetry.Telemetry` facade runs at scrape time to mirror
-the surface's current values into Prometheus-shaped series.
+Each adapter is a factory: it captures the component owning one stats
+surface (the transport's TransportStats, the query planner counters, the
+constraint/URI caches, the serving gate, the write spine, the TimeHits
+collector, the LoadStatus/resolver pair) and returns a **collector** — a
+callable the :class:`repro.obs.telemetry.Telemetry` facade runs on the
+registry it builds for each scrape, to mirror the surface's current values
+into Prometheus-shaped series.  Request accounting is not here: the kernel
+records it straight into pushed families.
 
-Pull-at-scrape keeps two properties the tentpole requires:
+Pull-at-scrape keeps two properties:
 
-* the legacy snapshot APIs stay intact and remain the source of truth, so
-  exported values are *identical by construction* to what
-  ``pipeline_stats()`` / ``transport_stats()`` / ``query_plan_stats()`` /
-  ``cache_stats()`` / ``collector_stats()`` report;
+* the snapshot APIs remain the source of truth, so exported values are
+  *identical by construction* to what ``transport_stats()`` /
+  ``query_plan_stats()`` / ``cache_stats()`` / ``collector_stats()`` report;
 * nothing is added to any hot path — components keep bumping their plain
-  ints, and the conversion cost is paid only when ``/metrics`` is scraped
-  or a snapshot is taken.
+  ints, and the conversion cost is paid only when ``/metrics`` is scraped.
 """
 
 from __future__ import annotations
@@ -36,45 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.soap.transport import SimTransport
 
 Collector = Callable[[MetricsRegistry], None]
-
-
-def pipeline_collector(server: "RegistryServer") -> Collector:
-    """Mirror the kernel's per-edge, per-operation PipelineStats."""
-
-    def collect(metrics: MetricsRegistry) -> None:
-        labels = ("edge", "operation")
-        requests = metrics.counter(
-            "repro_pipeline_requests_total", "Requests through the kernel pipeline.", labels
-        )
-        faults = metrics.counter(
-            "repro_pipeline_faults_total", "Requests that ended in a registry fault.", labels
-        )
-        fault_codes = metrics.counter(
-            "repro_pipeline_fault_codes_total",
-            "Faults by registry error code.",
-            labels + ("code",),
-        )
-        latency_total = metrics.counter(
-            "repro_pipeline_latency_seconds_total",
-            "Summed request latency per edge and operation.",
-            labels,
-        )
-        latency_max = metrics.gauge(
-            "repro_pipeline_latency_seconds_max",
-            "Maximum observed request latency.",
-            labels,
-        )
-        for edge, ops in server.pipeline_stats().items():
-            for operation, stats in ops.items():
-                series = {"edge": edge, "operation": operation}
-                requests.labels(**series).sync(stats["count"])
-                faults.labels(**series).sync(stats["faults"])
-                latency_total.labels(**series).sync(stats["total_latency_s"])
-                latency_max.labels(**series).set(stats["max_latency_s"])
-                for code, count in stats["fault_codes"].items():
-                    fault_codes.labels(code=code, **series).sync(count)
-
-    return collect
 
 
 def transport_collector(transport: "SimTransport") -> Collector:

@@ -1,9 +1,8 @@
 """MetricsRegistry — labeled Counters/Gauges/Histograms with Prometheus text exposition.
 
-The registry's runtime signals historically lived in five unrelated ad-hoc
-surfaces (``PipelineStats``, ``TransportStats``, ``query_plan_stats``, the
-constraint-cache counters, ``TimeHits`` tallies).  This module gives them
-one common vocabulary:
+The registry's runtime signals — request accounting, ``TransportStats``,
+``query_plan_stats``, the constraint-cache counters, ``TimeHits`` tallies —
+share one vocabulary:
 
 * :class:`Counter` — monotonically increasing totals (requests, faults);
 * :class:`Gauge` — point-in-time values (cache entries, monitor targets);
@@ -17,9 +16,12 @@ combination.  :meth:`MetricsRegistry.snapshot` and
 series sorted by label values — so telemetry output is stable under a fixed
 workload and directly assertable in tests.
 
-The legacy ``*_stats()`` surfaces remain the source of truth: adapters
-(:mod:`repro.obs.adapters`) sync their values into this registry at scrape
-time, which is why :meth:`Counter.sync` exists alongside :meth:`Counter.inc`.
+Two kinds of family meet here.  A request is recorded once, into a *pushed*
+family (:meth:`Histogram.observe`, :meth:`Counter.inc`), and
+``pipeline_stats()`` / ``attribution_stats()`` are views of those.  The cold
+counters stay plain ints on their components; adapters
+(:mod:`repro.obs.adapters`) sync them into the registry of one scrape, which
+is why :meth:`Counter.sync` exists alongside :meth:`Counter.inc`.
 
 :func:`parse_exposition` is the strict inverse of :meth:`render` — the
 telemetry smoke tests use it to prove ``/metrics`` output is valid
@@ -169,15 +171,18 @@ class Metric:
 
 
 class _CounterChild:
-    __slots__ = ("value",)
+    __slots__ = ("value", "_lock")
 
     def __init__(self) -> None:
         self.value = 0.0
+        # inc is a read-modify-write; threads sharing a series must not lose one
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters can only increase")
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def sync(self, total: float) -> None:
         """Mirror an authoritative legacy counter (adapter use only)."""
@@ -229,16 +234,20 @@ class Gauge(Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("buckets", "counts", "sum", "count", "exemplars", "_lock")
+    __slots__ = (
+        "buckets", "counts", "sum", "count", "min", "max", "exemplars", "_lock"
+    )
 
     def __init__(self, buckets: tuple[float, ...]) -> None:
         self.buckets = buckets
         self.counts = [0] * (len(buckets) + 1)  # last slot: > max bucket (+Inf)
         self.sum = 0.0
         self.count = 0
+        self.min = math.inf
+        self.max = -math.inf
         #: bucket index → latest Exemplar observed into that bucket
         self.exemplars: dict[int, Exemplar] = {}
-        # observe is a three-field mutation; concurrent workers push the
+        # observe mutates several fields; concurrent workers push the
         # request-latency histogram, and sum/count must never tear apart
         self._lock = threading.Lock()
 
@@ -248,6 +257,10 @@ class _HistogramChild:
             self.counts[index] += 1
             self.sum += value
             self.count += 1
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
             if exemplar:
                 # latest-wins per bucket: the freshest trace that landed here
                 self.exemplars[index] = Exemplar(
@@ -264,6 +277,11 @@ class _HistogramChild:
             running += count
             out.append(running)
         return out
+
+    def aggregates(self) -> tuple[int, float, float, float]:
+        """``(count, sum, min, max)`` of one moment, read under the lock."""
+        with self._lock:
+            return self.count, self.sum, self.min, self.max
 
     def exemplars_snapshot(self) -> dict[int, Exemplar]:
         """Bucket index → exemplar, copied under the lock."""
@@ -343,6 +361,13 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, help, labelnames, buckets=buckets
         )
+
+    def overlay(self) -> "MetricsRegistry":
+        """A new registry starting from this one's families (shared, not
+        copied): what is added to it never shows here."""
+        over = MetricsRegistry()
+        over._metrics.update(self._metrics)
+        return over
 
     def metrics(self) -> list[Metric]:
         """Families sorted by name (the deterministic family order)."""

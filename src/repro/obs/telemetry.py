@@ -4,11 +4,12 @@ One :class:`Telemetry` instance owns the three unified mechanisms the
 ``repro/obs`` subsystem provides and is the object
 ``RegistryServer.telemetry`` exposes:
 
-* a :class:`~repro.obs.metrics.MetricsRegistry` populated at scrape time by
-  registered **collectors** (see :mod:`repro.obs.adapters`) plus one pushed
-  metric — the per-request latency histogram the kernel's account stage
-  observes directly (a distribution cannot be reconstructed from the legacy
-  aggregates);
+* a :class:`~repro.obs.metrics.MetricsRegistry` of **pushed** families —
+  the per-request latency histogram and the fault-code counter the kernel's
+  account stage records into, the only record a finished request leaves
+  (``pipeline_stats()`` is a view of them) — which every scrape overlays
+  with what the **collectors** of the sources mounted at that moment report
+  (see :mod:`repro.obs.adapters`);
 * a :class:`~repro.obs.trace.Tracer` sharing the kernel's injectable
   monotonic clock, so pipeline latencies and span trees agree on what time
   it is (deterministic under ``ManualClock``/sim time);
@@ -37,17 +38,17 @@ PR 9 adds the **cost-attribution plane**: with :attr:`attribution_enabled`
 the kernel decomposes each request's wall time into ``queue_wait`` (serving
 dispatch queue), ``stage`` (kernel pipeline, per-stage exclusive times),
 ``forward_hop`` (cross-member routing wire time), and ``wire`` (simulated
-off-CPU IO), and this facade folds the split into histogram families
-(``repro_request_cost_seconds``, ``repro_request_stage_seconds``), time
-series, and the :meth:`attribution_stats` aggregate whose ``coverage``
-field is the "attribution sums to ~total latency" acceptance gauge.
+off-CPU IO), and this facade observes the split into histogram families
+(``repro_request_cost_seconds``, ``repro_request_stage_seconds``) and time
+series; :meth:`attribution_stats` reads the families' sums back, and its
+``coverage`` field is the "attribution sums to ~total latency" acceptance
+gauge.
 Latency histograms carry trace-id **exemplars** whenever tracing is on, so
 a top bucket links to the recorded span tree (:meth:`exemplar_index`).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -102,14 +103,21 @@ class Telemetry:
         self._sources: dict[str, Callable[[], Any]] = {}
         self._collectors: dict[str, "Collector"] = {}
         self._health_checks: dict[str, Callable[[], Any]] = {}
-        #: pushed by the kernel account stage; everything else is pulled.
+        #: pushed by the kernel account stage, one observation per request;
+        #: the kernel's ``pipeline_stats()`` groups these children.
         #: ``worker`` is the serving-worker label ("caller" for a request the
         #: serving gate ran inline, "main" outside the supervisor), so fleet
         #: latency can be sliced per worker.
-        self._request_latency = self.metrics.histogram(
+        self.request_latency = self.metrics.histogram(
             "repro_request_latency_seconds",
             "Kernel request latency by edge, operation, and serving worker.",
             ("edge", "operation", "worker"),
+        )
+        #: incremented beside it when the request ended in a fault
+        self.request_faults = self.metrics.counter(
+            "repro_pipeline_fault_codes_total",
+            "Faults by registry error code.",
+            ("edge", "operation", "worker", "code"),
         )
         #: cost-attribution toggle — one bool the kernel layers check per
         #: stage; off by default so the hot path stays untouched
@@ -123,16 +131,6 @@ class Telemetry:
         #: (metric name, *label values) → child series, resolved through
         #: ``labels()`` once and observed directly from then on
         self._series: dict[tuple[str, ...], Any] = {}
-        self._attr_lock = threading.Lock()
-        self._attr_requests = 0
-        self._attr_totals = {
-            "queue_wait_s": 0.0,
-            "stage_s": 0.0,
-            "forward_hop_s": 0.0,
-            "wire_s": 0.0,
-            "total_s": 0.0,
-        }
-        self._attr_stages: dict[str, float] = {}
 
     # -- sources ---------------------------------------------------------------
 
@@ -145,9 +143,9 @@ class Telemetry:
     ) -> None:
         """Add (or replace) one named stats surface.
 
-        ``snapshot`` is the legacy ``*_stats()`` callable merged verbatim by
+        ``snapshot`` is the ``*_stats()`` callable merged verbatim by
         :meth:`snapshot`; ``collector`` optionally mirrors the same surface
-        into :attr:`metrics` at scrape time.
+        into each scrape for as long as the source stays mounted.
         """
         self._sources[name] = snapshot
         if collector is not None:
@@ -176,18 +174,24 @@ class Telemetry:
         return merged
 
     def collect(self) -> MetricsRegistry:
-        """Run every collector, syncing the metrics registry to the sources."""
+        """The registry of one scrape: the pushed families plus what the
+        collectors mounted now report.
+
+        Built anew each time, so a source that was unmounted, or a label
+        value that left its snapshot, is gone from the next scrape.
+        """
+        scrape = self.metrics.overlay()
         for name in sorted(self._collectors):
-            self._collectors[name](self.metrics)
+            self._collectors[name](scrape)
         if self.tracer.traces_restarted:
-            # created lazily: the family appears only once a malformed
-            # traceparent has actually restarted a trace
-            self.metrics.counter(
+            # the family appears only once a malformed traceparent has
+            # actually restarted a trace
+            scrape.counter(
                 "repro_trace_restarts_total",
                 "Incoming requests whose malformed traceparent restarted "
                 "the trace.",
             ).labels().sync(self.tracer.traces_restarted)
-        return self.metrics
+        return scrape
 
     def render_prometheus(self) -> str:
         """The ``/metrics`` payload: collect, then render text exposition."""
@@ -238,23 +242,31 @@ class Telemetry:
         return child
 
     def record_request(self, ctx: "RequestContext") -> None:
-        """Account one finished kernel request (called by the account stage)."""
-        latency = ctx.latency
+        """Account one finished kernel request (called by the account stage).
+
+        The latency observation is the request's one record; a fault adds
+        its code beside it.  Every other consumer below is off by default.
+        """
+        latency = ctx.finished - ctx.started
+        edge = ctx.edge.name
+        operation = ctx.operation
+        worker = ctx.tags["worker"]
         # exemplar: the active trace id rides on whichever bucket this
         # observation lands in, so a p99 bucket names its slowest trace
         exemplar = {"trace_id": ctx.trace_id} if ctx.trace_id is not None else None
-        self._child(
-            self._request_latency,
-            ctx.edge.name,
-            ctx.operation,
-            ctx.tags.get("worker", "main"),
-        ).observe(latency, exemplar)
+        self._child(self.request_latency, edge, operation, worker).observe(
+            latency, exemplar
+        )
+        if ctx.error is not None:
+            self._child(
+                self.request_faults, edge, operation, worker, ctx.error.code
+            ).inc()
         if self.attribution_enabled:
             attribution = ctx.tags.get("attribution")
             if attribution is not None:
                 self._record_attribution(ctx, attribution, exemplar)
         if self.history.enabled:
-            self.history.record(f"request.{ctx.edge.name}.latency", latency)
+            self.history.record(f"request.{edge}.latency", latency)
         if self.slos.active:
             self.slos.record_event("request", ok=ctx.error is None, latency=latency)
         if self.log.enabled:
@@ -262,8 +274,8 @@ class Telemetry:
                 "request",
                 trace_id=ctx.trace_id,
                 request_id=ctx.request_id,
-                edge=ctx.edge.name,
-                operation=ctx.operation,
+                edge=edge,
+                operation=operation,
                 latency_s=latency,
                 fault_code=ctx.error.code if ctx.error is not None else None,
             )
@@ -271,8 +283,8 @@ class Telemetry:
         if threshold is not None and latency >= threshold:
             entry: dict[str, Any] = {
                 "request_id": ctx.request_id,
-                "edge": ctx.edge.name,
-                "operation": ctx.operation,
+                "edge": edge,
+                "operation": operation,
                 "latency_s": latency,
                 "fault_code": ctx.error.code if ctx.error is not None else None,
             }
@@ -301,7 +313,7 @@ class Telemetry:
         attribution: dict[str, Any],
         exemplar: dict[str, str] | None,
     ) -> None:
-        """Fold one request's cost split into families, series, aggregates."""
+        """Observe one request's cost split into its families and series."""
         cost = self._cost_hist
         if cost is None:
             cost = self._cost_hist = self.metrics.histogram(
@@ -332,14 +344,6 @@ class Telemetry:
             child(cost, edge, "wire").observe(attribution["wire_s"], exemplar)
         for stage_name, seconds in attribution["stages"].items():
             child(stage_hist, stage_name).observe(seconds)
-        with self._attr_lock:
-            self._attr_requests += 1
-            for key in self._attr_totals:
-                self._attr_totals[key] += attribution[key]
-            for stage_name, seconds in attribution["stages"].items():
-                self._attr_stages[stage_name] = (
-                    self._attr_stages.get(stage_name, 0.0) + seconds
-                )
         if self.history.enabled:
             self.history.record("attribution.queue_wait", attribution["queue_wait_s"])
             self.history.record("attribution.stage", attribution["stage_s"])
@@ -353,19 +357,27 @@ class Telemetry:
         ``coverage`` is the fraction of measured request wall time (queue
         wait + wire + kernel) the named components account for — the
         "splits sum to ~total latency" gauge the serving bench gates on.
+        Every number is read off the cost and stage histograms' children:
+        each attributed request observes ``stage`` once, and a request's
+        kernel latency is its ``stage`` plus its ``forward_hop``.
         """
-        with self._attr_lock:
-            totals = dict(self._attr_totals)
-            stages = dict(sorted(self._attr_stages.items()))
-            requests = self._attr_requests
-        attributed = (
-            totals["queue_wait_s"] + totals["stage_s"] + totals["forward_hop_s"]
-        )
-        total = totals["total_s"]
+        sums = dict.fromkeys(("queue_wait", "stage", "forward_hop", "wire"), 0.0)
+        requests = 0
+        stages: dict[str, float] = {}
+        if self._cost_hist is not None:  # both families appear together
+            for (_edge, component), child in self._cost_hist.series():
+                count, seconds, _, _ = child.aggregates()
+                sums[component] += seconds
+                if component == "stage":
+                    requests += count
+            stages = {stage: child.sum for (stage,), child in self._stage_hist.series()}
+        attributed = sums["queue_wait"] + sums["stage"] + sums["forward_hop"]
+        total = attributed + sums["wire"]
         return {
             "enabled": self.attribution_enabled,
             "requests": requests,
-            **totals,
+            **{f"{component}_s": seconds for component, seconds in sums.items()},
+            "total_s": total,
             "attributed_s": attributed,
             "coverage": (attributed / total) if total > 0 else 1.0,
             "stages": stages,

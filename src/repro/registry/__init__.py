@@ -16,7 +16,6 @@ from repro.registry.federation import (
 from repro.registry.kernel import (
     EdgeProfile,
     OperationSpec,
-    PipelineStats,
     RegistryKernel,
     RequestContext,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ShardMap",
     "EdgeProfile",
     "OperationSpec",
-    "PipelineStats",
     "RegistryKernel",
     "RequestContext",
     "LifeCycleManager",

@@ -311,8 +311,8 @@ class RouteInterceptor:
             hop = kernel.clock.now() - hop_started
             self.forward_hop_total_s += hop
             ctx.tags["forward_hop_s"] = ctx.tags.get("forward_hop_s", 0.0) + hop
-            tracer = kernel._tracer
-            if tracer is not None and tracer.enabled:
+            tracer = kernel.telemetry.tracer
+            if tracer.enabled:
                 span = tracer.current_span()
                 if span is not None:
                     span.tags["forward_hop_s"] = hop
@@ -325,8 +325,8 @@ class RouteInterceptor:
 
     @staticmethod
     def _traceparent(kernel: "RegistryKernel") -> str | None:
-        tracer = kernel._tracer
-        if tracer is not None and tracer.enabled:
+        tracer = kernel.telemetry.tracer
+        if tracer.enabled:
             return tracer.current_traceparent()
         return None
 

@@ -26,11 +26,14 @@ an authenticated session, whether it is read-gated, and its handler.
 construction, so the SOAP body-type dispatch and the HTTP ``method=``
 dispatch are two lookups into the same table.
 
-The kernel is also the observability seam: :meth:`RegistryKernel.
-pipeline_stats` reports per-edge, per-operation request counts, latency
-aggregates, and fault tallies by error code, and custom interceptors can be
-inserted anywhere in the chain (timing, admission control, retries) without
-touching any binding.  Latency accounting runs over an injectable
+The kernel is also the observability seam: the account stage records each
+finished request once, into the telemetry facade's request-latency
+histogram (and its fault-code counter on a fault), and :meth:`RegistryKernel.
+pipeline_stats` reads per-edge, per-operation request counts, latency
+aggregates, and fault tallies by error code back off those series; custom
+interceptors can be inserted anywhere in the chain (timing, admission
+control, retries) without touching any binding.  Latency accounting runs
+over an injectable
 :class:`~repro.util.clock.Clock` (default: the monotonic
 :class:`~repro.util.clock.PerfClock`), shared with the telemetry tracer so
 pipeline latencies and span trees agree on one time source — deterministic
@@ -47,9 +50,8 @@ level — the protocol packages depend on the kernel, never the reverse.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
 
 from repro.util.clock import Clock, PerfClock
 from repro.util.errors import InvalidRequestError, RegistryError
@@ -168,157 +170,36 @@ class EdgeProfile:
 # -- pipeline statistics -------------------------------------------------------
 
 
-@dataclass
-class OperationStats:
-    """Latency/fault aggregates for one (edge, operation) pair."""
-
-    count: int = 0
-    faults: int = 0
-    total_latency: float = 0.0
-    min_latency: float = float("inf")
-    max_latency: float = 0.0
-    fault_codes: dict[str, int] = field(default_factory=dict)
-
-    def record(self, latency: float, fault_code: str | None) -> None:
-        self.count += 1
-        self.total_latency += latency
-        if latency < self.min_latency:
-            self.min_latency = latency
-        if latency > self.max_latency:
-            self.max_latency = latency
-        if fault_code is not None:
-            self.faults += 1
-            self.fault_codes[fault_code] = self.fault_codes.get(fault_code, 0) + 1
-
-    def merge(self, other: "OperationStats") -> None:
-        """Fold *other*'s aggregates into this one (shard merging)."""
-        self.count += other.count
-        self.faults += other.faults
-        self.total_latency += other.total_latency
-        if other.min_latency < self.min_latency:
-            self.min_latency = other.min_latency
-        if other.max_latency > self.max_latency:
-            self.max_latency = other.max_latency
-        for code, n in other.fault_codes.items():
-            self.fault_codes[code] = self.fault_codes.get(code, 0) + n
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "faults": self.faults,
-            "total_latency_s": self.total_latency,
-            "mean_latency_s": (self.total_latency / self.count) if self.count else 0.0,
-            "min_latency_s": self.min_latency if self.count else 0.0,
-            "max_latency_s": self.max_latency,
-            "fault_codes": dict(self.fault_codes),
-        }
+#: edge → operation → one ``pipeline_stats()`` aggregate
+StatsTree = dict[str, dict[str, dict[str, Any]]]
 
 
-#: one thread's accounting under one worker label: edge → operation → stats
-_Shard = dict[str, dict[str, OperationStats]]
+def fold_operation_stats(trees: Iterable[StatsTree]) -> StatsTree:
+    """Fold ``pipeline_stats()`` trees into one, sorted edge → operation.
 
-
-class PipelineStats:
-    """Per-edge, per-operation accounting recorded by the account stage.
-
-    Sharded for the concurrent serving core: each recording thread owns one
-    private shard (``threading.local``) per worker label it records under,
-    so the hot path never takes a lock and counts are *exact* — no two
-    threads ever increment the same :class:`OperationStats`.  Snapshots
-    merge the shards: fleet-wide by default, or grouped per worker label
-    with ``per_worker=True``.  A snapshot taken while traffic is in flight
-    is near-consistent (a shard may be mid-record); once recording threads
-    are quiescent it is exact.  The shards of threads that have finished
-    are folded into one retired shard per label, so what is kept grows with
-    the threads alive, not with the threads that ever recorded.
+    Counts, faults, latency totals and fault codes sum, min/max combine and
+    the mean is recomputed — workers into a registry, registries into a
+    cluster.  The inputs are left as they were.
     """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-        #: live threads' (worker label, shard, thread) — read and replaced
-        #: under the lock only
-        self._shards: list[tuple[str, _Shard, threading.Thread]] = []
-        #: worker label → everything finished threads recorded under it
-        self._retired: dict[str, _Shard] = {}
-        self._lock = threading.Lock()
-
-    def record(
-        self,
-        edge: str,
-        operation: str,
-        latency: float,
-        fault_code: str | None,
-        worker: str,
-    ) -> None:
-        shards = self._local.__dict__
-        shard = shards.get(worker)
-        if shard is None:
-            shard = shards[worker] = {}
-            with self._lock:
-                self._retire_finished()
-                self._shards.append((worker, shard, threading.current_thread()))
-        ops = shard.get(edge)
-        if ops is None:
-            ops = shard[edge] = {}
-        stats = ops.get(operation)
-        if stats is None:
-            stats = ops[operation] = OperationStats()
-        stats.record(latency, fault_code)
-
-    @staticmethod
-    def _fold(shard: "_Shard", into: "_Shard") -> None:
-        for edge, ops in shard.items():
-            out = into.setdefault(edge, {})
-            for op, stats in ops.items():
+    merged: StatsTree = {}
+    for tree in trees:
+        for edge, ops in tree.items():
+            out = merged.setdefault(edge, {})
+            for op, part in ops.items():
                 agg = out.get(op)
                 if agg is None:
-                    agg = out[op] = OperationStats()
-                agg.merge(stats)
-
-    def _retire_finished(self) -> None:
-        """Fold finished threads' shards into their label's retired shard
-        (a finished thread records no more, so no count is lost or doubled).
-        Runs under the lock."""
-        live = []
-        for entry in self._shards:
-            label, shard, thread = entry
-            if thread.is_alive():
-                live.append(entry)
-            else:
-                self._fold(shard, self._retired.setdefault(label, {}))
-        self._shards = live
-
-    def _by_worker(self) -> dict[str, "_Shard"]:
-        """Worker label → one merged copy of everything recorded under it."""
-        with self._lock:
-            self._retire_finished()
-            shards = [(label, shard) for label, shard, _ in self._shards]
-            shards += self._retired.items()
-            by_worker: dict[str, _Shard] = {}
-            for label, shard in shards:
-                self._fold(shard, by_worker.setdefault(label, {}))
-        return by_worker
-
-    @staticmethod
-    def _snapshot_of(merged: "_Shard") -> dict[str, dict[str, dict[str, Any]]]:
-        return {
-            edge: {op: stats.snapshot() for op, stats in sorted(ops.items())}
-            for edge, ops in sorted(merged.items())
-        }
-
-    def snapshot(self) -> dict[str, dict[str, dict[str, Any]]]:
-        """Fleet-wide per-edge → per-operation aggregates (all shards merged)."""
-        merged: _Shard = {}
-        for shard in self._by_worker().values():
-            self._fold(shard, merged)
-        return self._snapshot_of(merged)
-
-    def snapshot_per_worker(self) -> dict[str, dict[str, dict[str, dict[str, Any]]]]:
-        """Worker label → per-edge → per-operation aggregates."""
-        return {
-            label: self._snapshot_of(shard)
-            for label, shard in sorted(self._by_worker().items())
-        }
+                    out[op] = dict(part, fault_codes=dict(part["fault_codes"]))
+                    continue
+                agg["count"] += part["count"]
+                agg["faults"] += part["faults"]
+                agg["total_latency_s"] += part["total_latency_s"]
+                agg["mean_latency_s"] = agg["total_latency_s"] / agg["count"]
+                agg["min_latency_s"] = min(agg["min_latency_s"], part["min_latency_s"])
+                agg["max_latency_s"] = max(agg["max_latency_s"], part["max_latency_s"])
+                codes = agg["fault_codes"]
+                for code, n in part["fault_codes"].items():
+                    codes[code] = codes.get(code, 0) + n
+    return {edge: dict(sorted(ops.items())) for edge, ops in sorted(merged.items())}
 
 
 # -- interceptors --------------------------------------------------------------
@@ -354,25 +235,18 @@ def _account_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proce
     ctx.started = kernel.clock.now()
     # an edge that runs requests on threads it does not own (the serving
     # gate's inline runs) names the worker itself, keeping labels bounded
-    worker = ctx.tags.get("worker")
-    if worker is None:
-        worker = ctx.tags["worker"] = current_worker_label()
+    if "worker" not in ctx.tags:
+        ctx.tags["worker"] = current_worker_label()
     try:
         return proceed()
     finally:
         ctx.finished = kernel.clock.now()
-        fault_code = ctx.error.code if ctx.error is not None else None
-        kernel.stats.record(
-            ctx.edge.name, ctx.operation, ctx.latency, fault_code, worker
-        )
-        telemetry = kernel.telemetry
-        if telemetry is not None:
-            if "stage_inclusive_s" in ctx.tags:
-                # inner stages have recorded their inclusive times by now;
-                # fold them into the per-request cost split before telemetry
-                # accounts the request
-                ctx.tags["attribution"] = kernel._attribution(ctx)
-            telemetry.record_request(ctx)
+        if "stage_inclusive_s" in ctx.tags:
+            # inner stages have recorded their inclusive times by now; fold
+            # them into the per-request cost split before telemetry accounts
+            # the request
+            ctx.tags["attribution"] = kernel._attribution(ctx)
+        kernel.telemetry.record_request(ctx)
 
 
 def _fault_map_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
@@ -456,15 +330,15 @@ class RegistryKernel:
         self,
         server: "RegistryServer",
         *,
+        telemetry: "Telemetry",
         clock: Clock | None = None,
-        telemetry: "Telemetry | None" = None,
     ) -> None:
         self.server = server
         #: latency/tracing time source — monotonic by default, injectable for
         #: deterministic accounting under ManualClock or simulation time
         self.clock: Clock = clock or PerfClock()
+        #: where the account stage records; ``pipeline_stats()`` reads it back
         self.telemetry = telemetry
-        self.stats = PipelineStats()
         self._by_request_type: dict[str, OperationSpec] = {}
         self._by_http_method: dict[str, OperationSpec] = {}
         self._by_name: dict[str, OperationSpec] = {}
@@ -632,11 +506,6 @@ class RegistryKernel:
 
         return layer
 
-    @property
-    def _tracer(self):
-        telemetry = self.telemetry
-        return telemetry.tracer if telemetry is not None else None
-
     def _attribution(self, ctx: RequestContext) -> dict[str, Any]:
         """Decompose one finished request's wall time into cost components.
 
@@ -710,12 +579,10 @@ class RegistryKernel:
         interceptor serves them locally instead of forwarding again).
         """
         telemetry = self.telemetry
-        tracing = attributing = False
-        if telemetry is not None:
-            # the only read of the two flags this request makes: the chain
-            # composed for this state carries no checks of its own
-            tracing = telemetry.tracer.enabled
-            attributing = telemetry.attribution_enabled
+        # the only read of the two flags this request makes: the chain
+        # composed for this state carries no checks of its own
+        tracing = telemetry.tracer.enabled
+        attributing = telemetry.attribution_enabled
         ctx = RequestContext(
             edge=edge,
             request_id=self.new_request_id(),
@@ -764,9 +631,31 @@ class RegistryKernel:
     def pipeline_stats(self, *, per_worker: bool = False) -> dict:
         """Per-edge → per-operation counts, latency aggregates, fault tallies.
 
-        With ``per_worker=True`` the same tree is reported under each worker
-        label instead of fleet-merged (the ``repro stats --per-worker`` view).
+        A view of the two series the account stage records into: every
+        ``repro_request_latency_seconds{edge,operation,worker}`` child is one
+        aggregate, its faults the ``repro_pipeline_fault_codes_total`` series
+        beside it.  With ``per_worker=True`` the tree is reported under each
+        worker label instead of fleet-merged (the ``repro stats
+        --per-worker`` view).  A snapshot taken while requests are in flight
+        is near-consistent; once they have finished it is exact.
         """
+        fault_codes: dict[tuple[str, ...], dict[str, int]] = {}
+        for (*key, code), child in self.telemetry.request_faults.series():
+            fault_codes.setdefault(tuple(key), {})[code] = int(child.value)
+        by_worker: dict[str, StatsTree] = {}
+        for series, child in self.telemetry.request_latency.series():
+            edge, operation, worker = series
+            count, total, low, high = child.aggregates()
+            codes = fault_codes.get(series, {})
+            by_worker.setdefault(worker, {}).setdefault(edge, {})[operation] = {
+                "count": count,
+                "faults": sum(codes.values()),
+                "total_latency_s": total,
+                "mean_latency_s": total / count,
+                "min_latency_s": low,
+                "max_latency_s": high,
+                "fault_codes": codes,
+            }
         if per_worker:
-            return self.stats.snapshot_per_worker()
-        return self.stats.snapshot()
+            return dict(sorted(by_worker.items()))
+        return fold_operation_stats(by_worker.values())

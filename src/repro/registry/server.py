@@ -126,15 +126,13 @@ class RegistryServer:
         runs; protocol-edge tracing of the DAO resolve path hooks in here.
         """
         from repro.obs.adapters import (
-            pipeline_collector,
             planner_collector,
             uri_cache_collector,
             writes_collector,
         )
 
-        self.telemetry.register_source(
-            "pipeline", self.kernel.pipeline_stats, collector=pipeline_collector(self)
-        )
+        # a view of the request families the account stage pushes: no collector
+        self.telemetry.register_source("pipeline", self.kernel.pipeline_stats)
         self.telemetry.register_source(
             "planner", self.qm.query_plan_stats, collector=planner_collector(self.qm)
         )

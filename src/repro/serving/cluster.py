@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.obs.slo import REPLICATION_LAG_SOURCE, replication_lag_slo
 from repro.obs.telemetry import Telemetry
+from repro.registry.kernel import fold_operation_stats
 from repro.serving.supervisor import ServingConfig, ServingSupervisor
 from repro.util.clock import Clock
 
@@ -226,25 +227,7 @@ class ClusterSupervisor:
             registry.home: registry.pipeline_stats()
             for registry in self.federation.members()
         }
-        total: dict[str, dict[str, dict[str, Any]]] = {}
-        for tree in per_member.values():
-            for edge, ops in tree.items():
-                out = total.setdefault(edge, {})
-                for op, snap in ops.items():
-                    agg = out.get(op)
-                    if agg is None:
-                        out[op] = dict(snap, fault_codes=dict(snap["fault_codes"]))
-                        continue
-                    agg["count"] += snap["count"]
-                    agg["faults"] += snap["faults"]
-                    agg["total_latency_s"] += snap["total_latency_s"]
-                    agg["min_latency_s"] = min(agg["min_latency_s"], snap["min_latency_s"])
-                    agg["max_latency_s"] = max(agg["max_latency_s"], snap["max_latency_s"])
-                    for code, n in snap["fault_codes"].items():
-                        agg["fault_codes"][code] = agg["fault_codes"].get(code, 0) + n
-        for ops in total.values():
-            for agg in ops.values():
-                agg["mean_latency_s"] = (
-                    agg["total_latency_s"] / agg["count"] if agg["count"] else 0.0
-                )
-        return {"per_member": per_member, "total": total}
+        return {
+            "per_member": per_member,
+            "total": fold_operation_stats(per_member.values()),
+        }

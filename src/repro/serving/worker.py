@@ -1,12 +1,13 @@
 """RegistryWorker — one serving thread executing the shared kernel pipeline.
 
 A worker is deliberately thin: it declares its worker label (which threads
-pipeline-stats shards, histogram labels, and structured-log fields through
-the whole observability stack), then loops taking
+histogram labels, per-worker pipeline stats, and structured-log fields
+through the whole observability stack), then loops taking
 :class:`WorkItem` entries off the supervisor's queue and running them
 through ``kernel.execute``.  The kernel pipeline is re-entrant — request
-ids, span stacks, and stats shards are all per-thread — so N workers share
-one kernel and one registry without coordination beyond the queue itself.
+ids and span stacks are per-thread, request series per worker label — so N
+workers share one kernel and one registry without coordination beyond the
+queue itself.
 
 ``wire_delay_s`` simulates the per-request wire/IO time a real deployment
 spends off-CPU (``time.sleep`` releases the GIL), which is what lets the
@@ -93,9 +94,7 @@ class RegistryWorker:
         self.queue_wait_total_s += wait
         if wait > self.queue_wait_max_s:
             self.queue_wait_max_s = wait
-        telemetry = self.kernel.telemetry
-        if telemetry is not None:
-            telemetry.record_queue_wait(self.label, wait)
+        self.kernel.telemetry.record_queue_wait(self.label, wait)
         # ride the wait (and the simulated wire time) into the kernel's
         # per-request tag bag so the attribution split can include them
         tags = {"queue_wait_s": wait}

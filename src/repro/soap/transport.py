@@ -105,6 +105,18 @@ class TransportStats:
         self.exhausted_retries += 1
         self.per_endpoint_exhausted[uri] = self.per_endpoint_exhausted.get(uri, 0) + 1
 
+    def forget(self, uri: str) -> None:
+        """Drop the attribution kept under *uri*; the totals keep its share."""
+        for per_endpoint in (
+            self.per_endpoint,
+            self.per_endpoint_failures,
+            self.per_endpoint_retries,
+            self.per_endpoint_backoff,
+            self.per_endpoint_recovered,
+            self.per_endpoint_exhausted,
+        ):
+            per_endpoint.pop(uri, None)
+
     def snapshot(self) -> dict[str, Any]:
         """Deterministic plain-dict view (the telemetry surface)."""
         return {
@@ -149,7 +161,10 @@ class SimTransport:
         self._endpoints[uri] = handler
 
     def unregister_endpoint(self, uri: str) -> None:
+        """Remove the endpoint and what was attributed to it: the per-endpoint
+        maps hold the endpoints that exist, not every one that ever did."""
         self._endpoints.pop(uri, None)
+        self.stats.forget(uri)
 
     def endpoints(self) -> list[str]:
         return sorted(self._endpoints)

@@ -2,8 +2,8 @@
 
 The supervisor (:mod:`repro.serving`) runs N registry worker threads against
 one shared :class:`~repro.registry.kernel.RegistryKernel`.  Observability
-surfaces — pipeline stats shards, the request-latency histogram, structured
-request logs — label samples by *worker*, and this module is where that
+surfaces — the request-latency histogram, pipeline stats, structured request
+logs — label samples by *worker*, and this module is where that
 label lives: a ``threading.local`` the worker thread sets once at startup.
 
 Anything that runs outside a declared worker (the single-threaded CLI, unit
@@ -25,30 +25,10 @@ CALLER_WORKER_LABEL = "caller"
 
 _local = threading.local()
 
-#: thread ident → declared worker label; lets *other* threads (the sampling
-#: profiler) attribute a thread's stack to its worker.  Idents of exited
-#: threads linger until reused — acceptable for an observability surface.
-_labels_by_ident: dict[int, str] = {}
-
 
 def set_worker_label(label: str | None) -> None:
     """Declare the current thread's worker label (``None`` clears it)."""
     _local.label = label
-    ident = threading.get_ident()
-    if label is None:
-        _labels_by_ident.pop(ident, None)
-    else:
-        _labels_by_ident[ident] = label
-
-
-def worker_labels_by_ident() -> dict[int, str]:
-    """Snapshot of declared worker labels keyed by thread ident.
-
-    The cross-thread view :func:`current_worker_label` cannot provide (it
-    reads a ``threading.local``); the sampling profiler uses this to label
-    stacks it collects via ``sys._current_frames``.
-    """
-    return dict(_labels_by_ident)
 
 
 def current_worker_label() -> str:

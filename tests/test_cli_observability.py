@@ -84,38 +84,6 @@ class TestSloCommand:
         assert rc == 1
 
 
-class TestProfileCommand:
-    def test_profile_smoke_exports_and_attribution(self, tmp_path, capsys):
-        stacks = tmp_path / "stacks.txt"
-        svg = tmp_path / "flame.svg"
-        assert (
-            main(
-                [
-                    "profile",
-                    "--workers", "2",
-                    "--objects", "4",
-                    "--requests", "16",
-                    "--top", "3",
-                    "--out", str(stacks),
-                    "--svg", str(svg),
-                    "--expect-samples",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "profile:" in out
-        assert "attribution: 16 request(s)" in out
-        assert "coverage 100.0%" in out
-        collapsed = stacks.read_text()
-        assert collapsed.strip()
-        for line in collapsed.splitlines():
-            path, count = line.rsplit(" ", 1)
-            assert int(count) >= 1
-            assert ";" in path
-        assert svg.read_text().startswith("<svg ")
-
-
 class TestTopExemplars:
     def build_live_registry(self):
         from repro.registry import RegistryConfig, RegistryServer

@@ -35,36 +35,17 @@ class TestAdapterParity:
         parsed = parse_exposition(registry.telemetry.render_prometheus())
         stats = registry.pipeline_stats()["http"]
         op = stats["getRegistryObject"]
+        served = {"edge": "http", "operation": "getRegistryObject", "worker": "main"}
         assert (
-            series(
-                parsed,
-                "repro_pipeline_requests_total",
-                edge="http",
-                operation="getRegistryObject",
-            )
+            series(parsed, "repro_request_latency_seconds_count", **served)
             == op["count"]
             == 3
         )
         assert (
-            series(
-                parsed,
-                "repro_pipeline_latency_seconds_total",
-                edge="http",
-                operation="getRegistryObject",
-            )
+            series(parsed, "repro_request_latency_seconds_sum", **served)
             == op["total_latency_s"]
         )
         unresolved = stats["<unresolved>"]
-        assert (
-            series(
-                parsed,
-                "repro_pipeline_faults_total",
-                edge="http",
-                operation="<unresolved>",
-            )
-            == unresolved["faults"]
-            == 1
-        )
         (code,) = unresolved["fault_codes"]
         assert (
             series(
@@ -72,10 +53,19 @@ class TestAdapterParity:
                 "repro_pipeline_fault_codes_total",
                 edge="http",
                 operation="<unresolved>",
+                worker="main",
                 code=code,
             )
+            == unresolved["faults"]
             == 1
         )
+        # the families that only restated the histogram are gone
+        assert not {
+            "repro_pipeline_requests_total",
+            "repro_pipeline_faults_total",
+            "repro_pipeline_latency_seconds_total",
+            "repro_pipeline_latency_seconds_max",
+        } & set(parsed)
 
     def test_planner_metrics_match_query_plan_stats(self, registry):
         for _ in range(2):

@@ -5,7 +5,7 @@ kernel at once.  These tests hammer a single kernel from several labelled
 threads and then demand *exact* accounting:
 
 * request ids are globally unique and exactly as many as requests made;
-* PipelineStats merged counts are exact, and the per-worker shards
+* pipeline_stats() merged counts are exact, and the per-worker trees
   partition the fleet total with no leakage between labels;
 * every finished span tree is self-consistent — one trace id throughout,
   the full stage chain nested in order — i.e. no thread's spans ever
@@ -95,7 +95,7 @@ def test_concurrent_execute_exact_accounting():
     errors = hammer(registry, target)
     assert errors == [], errors
 
-    # -- PipelineStats: fleet-exact, per-worker partitioned -------------------
+    # -- pipeline_stats: fleet-exact, per-worker partitioned ------------------
     fleet = registry.pipeline_stats()["http"]["getRegistryObject"]
     assert fleet["count"] == total
     assert fleet["faults"] == 0
@@ -172,7 +172,9 @@ def test_worker_labels_isolated_per_thread():
 
 
 def test_caller_threads_leave_bounded_shards_and_labels():
-    """One-request caller threads must not grow what the kernel keeps."""
+    """One-request caller threads must not grow what the kernel keeps: the
+    request series (which replaced the per-thread stats shards) are per
+    worker label, not per thread."""
     from repro.registry.kernel import OperationSpec
     from repro.serving import ServingConfig, ServingSupervisor
 
@@ -192,12 +194,12 @@ def test_caller_threads_leave_bounded_shards_and_labels():
                 thread.join(60.0)
                 assert not thread.is_alive()
         supervisor.drain()
-        stats = registry.kernel.stats
-        # before any snapshot: the shards of finished threads are folded away
-        # whenever a new thread registers one
-        assert len(stats._shards) <= batch + 3
+        # what the kernel keeps per request is a series per (edge, operation,
+        # worker label): 2 000 caller threads share the one "caller" label
+        latency = registry.telemetry.request_latency
+        assert len(latency.series()) <= 3  # the two workers and "caller"
         per_worker = registry.pipeline_stats(per_worker=True)
-        assert len(stats._shards) <= 3  # the two workers, perhaps a live caller
+        assert len(latency.series()) <= 3  # reading a snapshot adds none
         serving = supervisor.serving_stats()
         supervisor.close()
 
@@ -207,8 +209,5 @@ def test_caller_threads_leave_bounded_shards_and_labels():
     assert sum(counts.values()) == callers
     assert registry.pipeline_stats()["serving"]["noop"]["count"] == callers
     # the same bounded label set on the per-worker telemetry series
-    latency = registry.telemetry.metrics.histogram(
-        "repro_request_latency_seconds", "", ("edge", "operation", "worker")
-    )
     series = {worker for (_, _, worker), _ in latency.series()}
     assert series and series <= {"caller", "worker-0", "worker-1"}
