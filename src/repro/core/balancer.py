@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.load_status import LoadStatus
 from repro.core.monitor import DEFAULT_PERIOD, TimeHits
 from repro.core.service_constraint import ServiceConstraint
+from repro.persistence.views import BoundBindings
 from repro.rim import Service, ServiceBinding
 from repro.sim.engine import SimEngine
 from repro.soap.transport import SimTransport
@@ -90,18 +91,12 @@ class ConstraintBindingResolver:
             return list(bindings)
         assert check.constraints is not None
         self.balanced_resolutions += 1
-        # one pass, one (memoized) host parse per binding
-        hosts: list[str] = []
-        by_host: dict[str, list[ServiceBinding]] = {}
-        for binding in bindings:
-            host = binding.host
-            if host is not None:
-                hosts.append(host)
-                by_host.setdefault(host, []).append(binding)
-        ranked_hosts = self.load_status.rank(hosts, check.constraints)
-        satisfying: list[ServiceBinding] = []
-        for host in ranked_hosts:
-            satisfying.extend(by_host.pop(host, ()))
+        # the DAO hands over the stored join; any other sequence is joined here
+        if not isinstance(bindings, BoundBindings):
+            bindings = BoundBindings(bindings)
+        ranked_hosts = self.load_status.rank(bindings.positions, check.constraints)
+        by_host = bindings.by_host
+        satisfying = [b for host in ranked_hosts for b in by_host[host]]
         if self.mode is BalanceMode.FILTER:
             if satisfying:
                 return satisfying

@@ -129,7 +129,7 @@ class TimeHits:
         if slos is not None and not slos.active:
             slos = None
         now = self.engine.now
-        stored = 0
+        samples: list[NodeSample] = []
         failed = 0
         for uri in self.target_uris():
             host = host_of_uri(uri)
@@ -148,7 +148,7 @@ class TimeHits:
                 if slos is not None:
                     slos.record_event("probe", ok=False, latency=probe_latency)
                 continue
-            self.node_state.record_sample(
+            samples.append(
                 NodeSample(
                     host=host,
                     load=reading.cpu_load,
@@ -157,7 +157,6 @@ class TimeHits:
                     updated=now,
                 )
             )
-            stored += 1
             if history is not None:
                 history.record(f"node.{host}.load", reading.cpu_load, t=now)
                 history.record(f"node.{host}.memory", reading.memory_available, t=now)
@@ -166,6 +165,9 @@ class TimeHits:
                 history.record(f"node.{host}.probe_latency", probe_latency, t=now)
             if slos is not None:
                 slos.record_event("probe", ok=True, latency=probe_latency)
+        # the sweep lands as one write: a ranking sees all of it or none of it
+        self.node_state.record_samples(samples)
+        stored = len(samples)
         if history is not None:
             # sample *age* per monitored host — grows between sweeps for any
             # host whose probe keeps failing (the staleness signal over time)

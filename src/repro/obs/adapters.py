@@ -272,10 +272,6 @@ def load_status_collector(load_status: "LoadStatus", resolver=None) -> Collector
         metrics.counter(
             "repro_loadstatus_rankings_total", "LoadStatus host rankings computed."
         ).labels().sync(snap["rankings"])
-        metrics.counter(
-            "repro_loadstatus_stale_samples_total",
-            "Sample lookups rejected as stale.",
-        ).labels().sync(snap["stale_samples"])
         if resolver is not None:
             metrics.counter(
                 "repro_resolver_resolutions_total", "Binding resolutions performed."

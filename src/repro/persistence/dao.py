@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence
 
 from repro.persistence.datastore import DataStore
+from repro.persistence.views import BoundBindings, ServiceUriView
 from repro.rim import (
     AdhocQuery,
     Association,
@@ -37,6 +38,10 @@ from repro.rim import (
     User,
 )
 from repro.util.errors import InvalidRequestError, ObjectNotFoundError
+
+
+#: services whose bindings ``ServiceDAO`` keeps joined to their hosts at most
+MAX_BOUND_SERVICES = 4096
 
 
 class GenericDAO:
@@ -195,9 +200,9 @@ class ServiceDAO(GenericDAO):
         #: service id → (resolver fingerprint, access URIs), maintained
         #: incrementally off the store's changelog: a write drops exactly
         #: the entries it affects instead of re-keying the population
-        from repro.persistence.views import ServiceUriView
-
         self._uri_view = ServiceUriView(store)
+        #: the partition, read once per write to the service, not per request
+        self._bindings_view = ServiceUriView(store)
         self.uri_cache_hits = 0
         self.uri_cache_misses = 0
         #: optional telemetry tracer; spans the (cache-miss) resolve path only
@@ -219,16 +224,32 @@ class ServiceDAO(GenericDAO):
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             with tracer.span("dao.resolve_bindings", service=service.id) as span:
-                raw = self.binding_dao.for_service(service, copy=False)
+                raw = self._bound(service)
                 resolved = self.resolver.resolve(service, raw)
                 span.tags["bindings"] = len(raw)
                 span.tags["resolved"] = len(resolved)
         else:
-            raw = self.binding_dao.for_service(service, copy=False)
-            resolved = self.resolver.resolve(service, raw)
+            resolved = self.resolver.resolve(service, self._bound(service))
         if copy:
             return [b.copy() for b in resolved]
         return resolved
+
+    def _bound(self, service: Service) -> BoundBindings:
+        """The service's stored bindings joined to their hosts (changelog view)."""
+        view = self._bindings_view
+        as_of = view.catch_up()
+        ids = service.binding_ids
+        cached = view.get(service.id)
+        if cached is not None and cached[0] == ids:
+            return cached[1]
+        bound = BoundBindings(self.binding_dao.for_service(service, copy=False))
+        # the view hears of a binding through its owner: file the join only
+        # when every listed binding is stored and names this service
+        if len(bound) == len(ids) and {b.service for b in bound} <= {service.id}:
+            if len(view) >= MAX_BOUND_SERVICES:
+                view.invalidate_all()  # start over rather than grow without bound
+            view.put(service.id, list(ids), bound, as_of=as_of)
+        return bound
 
     def resolve_access_uris(self, service: Service) -> list[str]:
         """Access URIs for discovery — what execute()/the Web UI displays.

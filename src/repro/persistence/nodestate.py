@@ -5,15 +5,23 @@ most recent performance sample per monitored host.  We add an ``UPDATED``
 timestamp column (the registry needs it to age out dead hosts and it is what
 the staleness ablation LB-2 measures) — freebXML overwrote rows in place,
 which is exactly ``record_sample``'s upsert.
+
+Readers see the table one *generation* at a time: per table version
+(``Table.mutations``) the store publishes one read-only ``host → NodeSample``
+map, built on the first read after a write; ``get`` / ``all_samples`` /
+``fresh_samples`` and :class:`~repro.core.load_status.LoadStatus` read it.
+A sweep stored with ``record_samples`` is one write, hence one generation.
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import suppress
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.persistence.datastore import DataStore
 from repro.persistence.table import Table
+from repro.util.errors import ObjectNotFoundError
 
 NODESTATE_TABLE = "NodeState"
 
@@ -43,31 +51,19 @@ class NodeSample:
 
     @classmethod
     def from_row(cls, row: dict) -> "NodeSample":
-        return cls(
-            host=row["HOST"],
-            load=row["LOAD"],
-            memory=row["MEMORY"],
-            swap_memory=row["SWAPMEMORY"],
-            updated=row["UPDATED"],
-        )
+        return cls(row["HOST"], row["LOAD"], row["MEMORY"], row["SWAPMEMORY"], row["UPDATED"])
 
 
 class NodeStateStore:
     """Typed facade over the NodeState table.
 
-    Reads are served from a per-instance :class:`NodeSample` cache validated
-    against the table's mutation counter, so the per-query per-host lookup on
-    the discovery path does no row copying or dataclass construction between
-    monitoring sweeps — and stays correct across direct table writes,
-    transaction rollback, and other facade instances over the same table.
-
-    Concurrency: the cache is a ``(version, map)`` pair published by a single
-    attribute store.  A reader that finds the pair stale swap-publishes a
-    fresh map; fills always land in the map captured *at validation time*, so
-    a racing write can at worst strand a fill in an abandoned map (a future
-    cache miss) — it can never surface a stale sample under a new version.
-    Writers serialize on a small lock so a sweep (:class:`TimeHits`) and the
-    ranking path can run concurrently with request dispatch.
+    Reads are served from the current generation — a ``(version, samples)``
+    pair validated against the table's mutation counter: nothing is copied
+    or built between writes, and direct table writes, transaction rollback
+    and other facades over the same table are all seen.  The pair is
+    published by one attribute store and its version read *before* the rows
+    are captured, so a map raced by a write is filed under a version no newer
+    than its rows (the next read rebuilds it), never the reverse.
     """
 
     def __init__(self, store: DataStore) -> None:
@@ -79,58 +75,49 @@ class NodeStateStore:
                 ["HOST", "LOAD", "MEMORY", "SWAPMEMORY", "UPDATED"],
                 primary_key="HOST",
             )
-        #: (table mutation counter, sample map) — replaced, never cleared
-        self._cache: tuple[int, dict[str, NodeSample]] = (-1, {})
-        self._write_lock = threading.Lock()
+        #: (table mutation counter, host → sample) — replaced, never edited
+        self._generation: tuple[int, Mapping[str, NodeSample]] = (-1, {})
 
     @property
     def version(self) -> int:
         """The underlying table's mutation counter — changes on every write."""
         return self._table.mutations
 
-    def _sample_cache(self) -> dict[str, NodeSample]:
+    def generation(self) -> tuple[int, Mapping[str, NodeSample]]:
+        """``(version, host → sample)`` of the table as it stands (read-only)."""
         version = self._table.mutations
-        cached_version, samples = self._cache
-        if cached_version != version:
-            samples = {}
-            self._cache = (version, samples)
-        return samples
+        generation = self._generation
+        if generation[0] != version:
+            from_row = NodeSample.from_row
+            samples = {row["HOST"]: from_row(row) for row in self._table.views()}
+            self._generation = generation = (version, samples)
+        return generation
 
     def record_sample(self, sample: NodeSample) -> None:
         """Store the latest sample for a host (overwrites the previous row)."""
-        with self._write_lock:
-            self._table.upsert(sample.as_row())
-            # prime a fresh cache generation paired with the post-write version
-            self._cache = (self._table.mutations, {sample.host: sample})
+        self._table.upsert(sample.as_row())
+
+    def record_samples(self, samples: Iterable[NodeSample]) -> None:
+        """Store one sweep's samples as a single write — one generation."""
+        self._table.upsert_many([sample.as_row() for sample in samples])
 
     def get(self, host: str) -> NodeSample | None:
-        cache = self._sample_cache()
-        sample = cache.get(host)
-        if sample is None:
-            row = self._table.get_view(host)
-            if row is None:
-                return None
-            sample = NodeSample.from_row(row)
-            cache[host] = sample
-        return sample
+        return self.generation()[1].get(host)
 
     def remove(self, host: str) -> None:
-        with self._write_lock:
-            if host in self._table:
-                self._table.delete(host)
+        with suppress(ObjectNotFoundError):
+            self._table.delete(host)
 
     def hosts(self) -> list[str]:
         return sorted(self._table.keys())
 
     def all_samples(self) -> list[NodeSample]:
-        return [NodeSample.from_row(row) for row in self._table.select()]
+        return list(self.generation()[1].values())
 
     def fresh_samples(self, *, now: float, max_age: float | None) -> list[NodeSample]:
         """Samples no older than *max_age* seconds (all samples if None)."""
         samples = self.all_samples()
-        if max_age is None:
-            return samples
-        return [s for s in samples if now - s.updated <= max_age]
+        return [s for s in samples if max_age is None or now - s.updated <= max_age]
 
     def __len__(self) -> int:
         return len(self._table)

@@ -78,16 +78,16 @@ def load_registry(registry: "RegistryServer", state: dict[str, Any]) -> int:
     for data in state["objects"]:
         registry.store.insert_object(deserialize(data))
         count += 1
-    for row in state["nodeState"]:
-        registry.node_state.record_sample(
-            NodeSample(
-                host=row["host"],
-                load=row["load"],
-                memory=row["memory"],
-                swap_memory=row["swapMemory"],
-                updated=row["updated"],
-            )
+    registry.node_state.record_samples(
+        NodeSample(
+            host=row["host"],
+            load=row["load"],
+            memory=row["memory"],
+            swap_memory=row["swapMemory"],
+            updated=row["updated"],
         )
+        for row in state["nodeState"]
+    )
     for item in state["repositoryItems"]:
         from repro.registry.repository import RepositoryItem
 

@@ -46,7 +46,7 @@ class Table:
             )
         self.primary_key = primary_key
         #: monotonic write counter — caches layered on a table (e.g. the
-        #: NodeState sample cache) validate against it instead of subscribing
+        #: NodeState generation map) validate against it instead of subscribing
         self.mutations = 0
         self._rows: dict[Any, Row] = {}
         self._indexes: dict[str, dict[Any, set[Any]]] = {}
@@ -107,6 +107,21 @@ class Table:
             self.mutations += 1
             return existed
 
+    def upsert_many(self, rows: Iterable[Row]) -> None:
+        """Insert-or-replace *rows* as one write: one ``mutations`` bump, and
+        the row map swapped, not edited — a lock-free reader sees all or none."""
+        checked = [self._check_row(row) for row in rows]
+        with self._lock:
+            merged = dict(self._rows)
+            for row in checked:
+                key = row[self.primary_key]
+                if key in merged:
+                    self._index_remove(key, merged[key])
+                merged[key] = row
+                self._index_add(key, row)
+            self._rows = merged
+            self.mutations += 1
+
     def update(self, key: Any, changes: Row) -> Row:
         """Apply a partial update to the row with primary key *key*."""
         unknown = set(changes) - set(self.columns)
@@ -148,13 +163,9 @@ class Table:
         row = self._rows.get(key)
         return dict(row) if row is not None else None
 
-    def get_view(self, key: Any) -> Row | None:
-        """The stored row itself — read-only by contract, no copy.
-
-        Hot-path accessor (the per-query NodeState lookup); mutations must
-        go through :meth:`upsert`/:meth:`update` to keep indexes consistent.
-        """
-        return self._rows.get(key)
+    def views(self) -> list[Row]:
+        """The stored rows themselves, one atomic capture — read-only by contract."""
+        return list(self._rows.values())
 
     def require(self, key: Any) -> Row:
         row = self.get(key)
@@ -164,7 +175,7 @@ class Table:
 
     def select(self, predicate: Predicate | None = None) -> list[Row]:
         """Return copies of all rows matching *predicate* (all rows if None)."""
-        rows = list(self._rows.values())  # atomic capture; iterate the copy
+        rows = self.views()  # atomic capture; iterate the copy
         if predicate is None:
             return [dict(row) for row in rows]
         return [dict(row) for row in rows if predicate(row)]

@@ -93,7 +93,8 @@ class ChangelogView:
 
 
 class ServiceUriView(ChangelogView):
-    """service id → (resolver token, access URIs) — the discovery hot path.
+    """service id → (token, value) — the discovery hot path's two memos:
+    resolver token → access URIs, and ``binding_ids`` → :class:`BoundBindings`.
 
     Maintained deltas: a record touching a ``Service`` drops that service's
     entry; a record touching a ``ServiceBinding`` drops the owning
@@ -105,7 +106,7 @@ class ServiceUriView(ChangelogView):
 
     def __init__(self, store: "DataStore") -> None:
         super().__init__(store)
-        self._entries: dict[str, tuple[object, list[str]]] = {}
+        self._entries: dict[str, tuple[object, object]] = {}
         self.invalidations = 0
 
     def _apply(self, record: ChangeRecord) -> None:
@@ -121,19 +122,37 @@ class ServiceUriView(ChangelogView):
     def _reset(self) -> None:
         self._entries.clear()
 
-    def get(self, service_id: str) -> tuple[object, list[str]] | None:
+    def get(self, service_id: str) -> tuple[object, object] | None:
         return self._entries.get(service_id)
 
-    def put(
-        self, service_id: str, token: object, uris: list[str], *, as_of: int
-    ) -> None:
+    def put(self, service_id: str, token: object, value: object, *, as_of: int) -> None:
         with self._lock:
             if as_of < self._applied:
                 return  # a write landed since the fill started: strand it
-            self._entries[service_id] = (token, uris)
+            self._entries[service_id] = (token, value)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class BoundBindings(tuple):
+    """A service's bindings in publisher order, joined to their hosts.
+
+    ``positions`` (host → index of its first binding) is the candidate set
+    :meth:`LoadStatus.rank` takes, ``by_host`` the way back from ranked
+    hosts to bindings.  Read-only by contract.
+    """
+
+    def __new__(cls, bindings: Iterable) -> "BoundBindings":
+        self = super().__new__(cls, bindings)
+        self.positions, self.by_host = positions, by_host = {}, {}
+        for index, binding in enumerate(self):
+            host = binding.host
+            if host in positions:
+                by_host[host].append(binding)
+            elif host is not None:
+                positions[host], by_host[host] = index, [binding]
+        return self
 
 
 class QueryResultView(ChangelogView):

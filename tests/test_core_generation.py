@@ -1,0 +1,491 @@
+"""One NodeState generation per decision: the per-host evaluation is the oracle.
+
+``LoadStatus`` answers "which monitored hosts satisfy these constraints" once
+per (NodeState version, constraint set) and the resolver joins that answer to
+a service's bindings.  The reference functions below are the evaluation it
+replaced — one table read, one staleness check and one constraint check per
+host per request — kept here, on purpose, so every property is stated
+against code that shares nothing with the implementation.
+"""
+
+import math
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.core import ConstraintBindingResolver, LoadStatus, ServiceConstraint
+from repro.core import load_status as load_status_module
+from repro.core.balancer import BalanceMode
+from repro.core.constraints import parse_constraints
+from repro.core.monitor import TimeHits
+from repro.persistence import DataStore, NodeSample, NodeStateStore
+from repro.persistence.nodestate import NODESTATE_TABLE
+from repro.rim import Service, ServiceBinding
+from repro.sim import Cluster, HostSpec
+from repro.soap import SimTransport
+from repro.util.clock import ManualClock
+from repro.util.ids import IdFactory
+
+from conftest import publish_nodestatus
+
+GB = 1 << 30
+MAX_AGE = 100.0
+
+
+# -- the oracle: today's answer, one host at a time ----------------------------
+
+
+def reference_sample(table, host, now, max_age):
+    row = table.get(host)
+    if row is None:
+        return None
+    sample = NodeSample.from_row(row)
+    if max_age is not None and now - sample.updated > max_age:
+        return None
+    return sample
+
+
+def reference_rank(table, hosts, constraints, now, max_age):
+    samples = {}
+    for host in hosts:
+        if host not in samples:
+            samples[host] = reference_sample(table, host, now, max_age)
+    position = {}
+    for index, host in enumerate(hosts):
+        position.setdefault(host, index)
+    satisfying = [
+        h
+        for h in hosts
+        if (sample := samples[h]) is not None and constraints.satisfied_by(sample)
+    ]
+    return sorted(satisfying, key=lambda h: (samples[h].load, position[h]))
+
+
+def reference_satisfying(table, hosts, constraints, now, max_age):
+    return [
+        h
+        for h in hosts
+        if (sample := reference_sample(table, h, now, max_age)) is not None
+        and constraints.satisfied_by(sample)
+    ]
+
+
+def reference_resolve(table, constraints, bindings, mode, now, max_age):
+    hosts, by_host = [], {}
+    for binding in bindings:
+        host = binding.host
+        if host is not None:
+            hosts.append(host)
+            by_host.setdefault(host, []).append(binding)
+    satisfying = []
+    for host in reference_rank(table, hosts, constraints, now, max_age):
+        satisfying.extend(by_host.pop(host, ()))
+    if mode is BalanceMode.FILTER:
+        return satisfying or list(bindings)
+    taken = {b.id for b in satisfying}
+    return satisfying + [b for b in bindings if b.id not in taken]
+
+
+# -- a small world -------------------------------------------------------------
+
+HOSTS = [f"h{n}" for n in range(6)]
+#: every operator of the language, both spellings of greater-than, ties on the
+#: threshold (``eq`` and the ``ls``/``leq`` pair differ exactly there)
+BLOCKS = [
+    "<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>",
+    "<constraint><cpuLoad>load leq 1.0</cpuLoad></constraint>",
+    "<constraint><cpuLoad>load eq 1.0</cpuLoad></constraint>",
+    "<constraint><cpuLoad>load gr 0.5</cpuLoad></constraint>",
+    "<constraint><cpuLoad>load gt 0.5</cpuLoad><memory>memory geq 2GB</memory></constraint>",
+    "<constraint><cpuLoad>load ls 2.0</cpuLoad><memory>memory gr 1GB</memory>"
+    "<swapmemory>swapmemory gr 5MB</swapmemory></constraint>",
+]
+LOADS = [0.0, 0.5, 1.0, 1.0, 1.5, 3.0]
+MEMORY = [GB, 2 * GB, 4 * GB]
+ids = IdFactory(2020)
+
+
+def make_service(description, hosts):
+    """A service whose bindings share hosts, plus one with no host at all."""
+    service = Service(ids.new_id(), name="Adder", description=description)
+    bindings = [
+        ServiceBinding(ids.new_id(), service=service.id, access_uri=f"http://{h}:80/{n}")
+        for n, h in enumerate(hosts)
+    ]
+    bindings.insert(
+        len(bindings) // 2,
+        ServiceBinding(ids.new_id(), service=service.id, target_binding=ids.new_id()),
+    )
+    service.binding_ids.extend(b.id for b in bindings)
+    return service, bindings
+
+
+#: host lists with a repeated host (two bindings on one machine) and a host
+#: the monitor has never heard of
+SERVICES = [
+    make_service(block, hosts)
+    for block, hosts in zip(
+        BLOCKS,
+        [
+            ["h0", "h1", "h2", "h3", "h4", "h5"],
+            ["h3", "h1", "h3", "h0"],
+            ["h5", "h4", "h5", "h5", "nowhere"],
+            ["h2"],
+            ["h1", "h0", "h1", "h2", "h0"],
+            ["h4", "h2", "h0", "h2"],
+        ],
+    )
+]
+
+
+class GenerationMachine(RuleBasedStateMachine):
+    """Every kind of NodeState write and clock move, checked after each step."""
+
+    max_age = MAX_AGE
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clock = ManualClock(start=10 * 3600.0)
+        self.store = DataStore()
+        self.node_state = NodeStateStore(self.store)
+        self.second_facade = NodeStateStore(self.store)
+        self.table = self.store.table(NODESTATE_TABLE)
+        self.load_status = LoadStatus(
+            self.node_state, clock=self.clock, max_age=self.max_age
+        )
+        self.resolvers = {
+            mode: ConstraintBindingResolver(
+                ServiceConstraint(self.clock), self.load_status, mode=mode
+            )
+            for mode in BalanceMode
+        }
+
+    def _sample(self, host, load, memory):
+        return NodeSample(
+            host=host, load=load, memory=memory, swap_memory=memory >> 4, updated=self.clock.now()
+        )
+
+    sample_args = dict(
+        host=st.sampled_from(HOSTS), load=st.sampled_from(LOADS), memory=st.sampled_from(MEMORY)
+    )
+
+    @rule(**sample_args)
+    def record_sample(self, host, load, memory):
+        self.node_state.record_sample(self._sample(host, load, memory))
+
+    @rule(**sample_args)
+    def record_through_second_facade(self, host, load, memory):
+        self.second_facade.record_sample(self._sample(host, load, memory))
+
+    @rule(**sample_args)
+    def write_table_directly(self, host, load, memory):
+        self.table.upsert(self._sample(host, load, memory).as_row())
+
+    @rule(
+        hosts=st.lists(st.sampled_from(HOSTS), unique=True, max_size=4),
+        load=st.sampled_from(LOADS),
+        memory=st.sampled_from(MEMORY),
+    )
+    def partial_sweep(self, hosts, load, memory):
+        self.node_state.record_samples(self._sample(h, load, memory) for h in hosts)
+
+    @rule(host=st.sampled_from(HOSTS))
+    def remove(self, host):
+        self.node_state.remove(host)
+
+    @rule(**sample_args)
+    def rolled_back_write(self, host, load, memory):
+        with pytest.raises(RuntimeError):
+            with self.store.transaction():
+                self.node_state.record_sample(self._sample(host, load, memory))
+                self.check_against_reference()  # warm the memo mid-transaction
+                raise RuntimeError("abort")
+
+    @rule(seconds=st.sampled_from([0.25, 7.0, 99.0, 101.0]))
+    def advance(self, seconds):
+        self.clock.advance(seconds)
+
+    @rule(host=st.sampled_from(HOSTS), nudge=st.sampled_from([-1, 0, 1]))
+    def advance_onto_a_boundary(self, host, nudge):
+        """Land exactly on ``updated + max_age``, or one float to either side."""
+        sample = self.node_state.get(host)
+        if sample is None or self.max_age is None:
+            return
+        target = sample.updated + self.max_age
+        if nudge:
+            target = math.nextafter(target, math.inf * nudge)
+        if target >= self.clock.now():
+            self.clock.set(target)
+
+    @invariant()
+    def check_against_reference(self):
+        now, max_age, table = self.clock.now(), self.max_age, self.table
+        load_status = self.load_status
+        for host in HOSTS:
+            assert load_status.current_sample(host) == reference_sample(
+                table, host, now, max_age
+            )
+        for service, bindings in SERVICES:
+            constraints = parse_constraints(service.description.value)
+            hosts = [b.host for b in bindings if b.host is not None]
+            expected = reference_rank(table, hosts, constraints, now, max_age)
+            assert load_status.rank(hosts, constraints) == expected
+            assert load_status.satisfying_hosts(hosts, constraints) == (
+                reference_satisfying(table, hosts, constraints, now, max_age)
+            )
+            assert load_status.snapshot(hosts) == {
+                h: reference_sample(table, h, now, max_age) for h in hosts
+            }
+            for host in hosts:
+                assert load_status.host_satisfies(host, constraints) == (host in expected)
+            for mode, resolver in self.resolvers.items():
+                assert resolver.resolve(service, bindings) == reference_resolve(
+                    table, constraints, bindings, mode, now, max_age
+                )
+
+
+class AgelessGenerationMachine(GenerationMachine):
+    max_age = None
+
+
+machine_settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None, derandomize=True
+)
+GenerationMachine.TestCase.settings = machine_settings
+AgelessGenerationMachine.TestCase.settings = machine_settings
+TestGenerationSchedules = GenerationMachine.TestCase
+TestAgelessGenerationSchedules = AgelessGenerationMachine.TestCase
+
+
+# -- the staleness boundary, spelled out ----------------------------------------
+
+
+@pytest.fixture
+def world():
+    clock = ManualClock(start=1000.0)
+    node_state = NodeStateStore(DataStore())
+    return clock, node_state, LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
+
+
+def sample(host, load, updated, memory=4 * GB):
+    return NodeSample(host=host, load=load, memory=memory, swap_memory=GB, updated=updated)
+
+
+class TestStalenessBoundary:
+    CONSTRAINTS = parse_constraints(BLOCKS[0])
+
+    def test_host_kept_at_the_boundary_and_dropped_one_float_later(self, world):
+        """No quantization: under a warm memo, the request *at*
+        ``updated + max_age`` keeps the host and the next representable
+        instant drops it — then ``updated`` of the other host does the same."""
+        clock, node_state, load_status = world
+        node_state.record_samples([sample("old", 0.1, 1000.0), sample("new", 0.2, 1050.0)])
+        hosts = ["new", "old"]
+        assert load_status.rank(hosts, self.CONSTRAINTS) == ["old", "new"]  # warm
+        clock.set(1000.0 + MAX_AGE)
+        assert load_status.rank(hosts, self.CONSTRAINTS) == ["old", "new"]
+        clock.set(math.nextafter(1000.0 + MAX_AGE, math.inf))
+        assert load_status.rank(hosts, self.CONSTRAINTS) == ["new"]
+        assert load_status.current_sample("old") is None
+        clock.set(1050.0 + MAX_AGE)
+        assert load_status.rank(hosts, self.CONSTRAINTS) == ["new"]
+        clock.set(math.nextafter(1050.0 + MAX_AGE, math.inf))
+        assert load_status.rank(hosts, self.CONSTRAINTS) == []
+
+    def test_a_clock_that_steps_back_brings_the_host_back(self, world):
+        _clock, node_state, load_status = world
+
+        class Wall:  # a wall clock may be set back; ManualClock refuses to
+            time = 1200.0
+
+            def now(self):
+                return self.time
+
+        load_status.clock = wall = Wall()
+        node_state.record_sample(sample("h", 0.1, 1000.0))
+        assert load_status.rank(["h"], self.CONSTRAINTS) == []
+        wall.time = 1100.0
+        assert load_status.rank(["h"], self.CONSTRAINTS) == ["h"]
+
+    def test_a_changed_max_age_is_honoured_on_the_next_decision(self, world):
+        clock, node_state, load_status = world
+        node_state.record_sample(sample("h", 0.1, 1000.0))
+        clock.set(1050.0)
+        assert load_status.rank(["h"], self.CONSTRAINTS) == ["h"]
+        load_status.max_age = 10.0
+        assert load_status.rank(["h"], self.CONSTRAINTS) == []
+        load_status.max_age = None
+        assert load_status.rank(["h"], self.CONSTRAINTS) == ["h"]
+
+
+# -- a sweep is one generation ------------------------------------------------------
+
+
+class WritingClock(ManualClock):
+    """A clock whose k-th ``now()`` lets a two-host sweep land."""
+
+    def __init__(self, start, k, write):
+        super().__init__(start=start)
+        self.calls_left = k
+        self.write = write
+
+    def now(self):
+        self.calls_left -= 1
+        if self.calls_left == 0:
+            self.write()
+        return super().now()
+
+
+class TestSweepIsOneGeneration:
+    CONSTRAINTS = parse_constraints(BLOCKS[0])
+    HOSTS = ["a", "b", "c"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_decision_never_blends_two_table_versions(self, k):
+        """The sweep rewrites ``a`` (already visited by a per-host reader on
+        the k-th clock read) and ``c`` (not yet visited): old ``a`` beside
+        new ``c`` is the order [c, a, b], which no table version ever held."""
+        store = DataStore()
+        node_state = NodeStateStore(store)
+        table = store.table(NODESTATE_TABLE)
+        versions = []
+
+        def decision_of_table():
+            versions.append(
+                reference_rank(table, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
+            )
+
+        def sweep():
+            for host, load in (("a", 0.9), ("c", 0.05)):
+                node_state.record_sample(sample(host, load, 1000.0))
+                decision_of_table()
+
+        clock = WritingClock(1000.0, k, sweep)
+        for host, load in zip(self.HOSTS, (0.1, 0.3, 0.5)):
+            node_state.record_sample(sample(host, load, 1000.0))
+        decision_of_table()
+        load_status = LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
+        decision = load_status.rank(self.HOSTS, self.CONSTRAINTS)
+        assert versions[0] == ["a", "b", "c"]
+        if clock.calls_left <= 0:
+            assert versions[1:] == [["b", "c", "a"], ["c", "b", "a"]]
+        assert decision in versions
+        # and the decision after the sweep is the sweep's
+        clock.calls_left = -1
+        assert load_status.rank(self.HOSTS, self.CONSTRAINTS) == (
+            reference_rank(table, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
+        )
+
+    def test_record_samples_is_one_version_and_one_read_of_the_table(self):
+        store = DataStore()
+        node_state = NodeStateStore(store)
+        before = node_state.version
+        node_state.record_samples(sample(h, 0.1, 0.0) for h in self.HOSTS)
+        assert node_state.version == before + 1
+        assert node_state.hosts() == self.HOSTS
+        version, samples = node_state.generation()
+        assert version == node_state.version and sorted(samples) == self.HOSTS
+        assert node_state.generation()[1] is samples  # shared until the next write
+        node_state.record_sample(sample("a", 0.7, 1.0))
+        assert node_state.generation()[1] is not samples
+        assert node_state.get("a").load == 0.7 and samples["a"].load == 0.1
+
+    def test_collect_once_over_eight_hosts_is_one_version(self, sim_registry, engine):
+        names = [f"node{n}.sdsu.edu" for n in range(8)]
+        cluster = Cluster(engine)
+        cluster.add_hosts([HostSpec(name, cores=2) for name in names])
+        transport = SimTransport()
+        for monitor in cluster.monitors():
+            transport.register_endpoint(monitor.access_uri, lambda req, m=monitor: m.invoke())
+        _, credential = sim_registry.register_user("admin", roles={"RegistryAdministrator"})
+        publish_nodestatus(sim_registry, sim_registry.login(credential), hosts=names)
+        collector = TimeHits(sim_registry, transport, engine)
+        before = sim_registry.node_state.version
+        assert collector.collect_once() == 8
+        assert sim_registry.node_state.version == before + 1
+        assert sim_registry.node_state.hosts() == sorted(names)
+
+
+class TestConcurrentSweeps:
+    def test_readers_racing_whole_sweeps_only_ever_see_whole_sweeps(self):
+        """Two worlds, each written by one ``record_samples``: every decision
+        taken while a writer flips between them is the ranking of one world,
+        and so is the join the resolver builds on it."""
+        import sys
+        import threading
+        import time
+
+        clock = ManualClock(start=1000.0)
+        node_state = NodeStateStore(DataStore())
+        load_status = LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
+        hosts = [f"h{n:02d}" for n in range(24)]
+        constraints = parse_constraints(BLOCKS[0])
+        worlds = [
+            [sample(h, 0.01 * n, 1000.0) for n, h in enumerate(hosts)],
+            [sample(h, 0.01 * (len(hosts) - n), 1000.0) for n, h in enumerate(hosts)],
+        ]
+        allowed = [hosts, hosts[::-1]]
+        node_state.record_samples(worlds[0])
+        stop = threading.Event()
+        blends: list = []
+        decisions = [0]
+
+        def writer():
+            flip = 0
+            while not stop.is_set():
+                flip ^= 1
+                node_state.record_samples(worlds[flip])
+
+        def reader():
+            while not stop.is_set():
+                ranked = load_status.rank(hosts, constraints)
+                decisions[0] += 1
+                if ranked not in allowed:
+                    blends.append(ranked)
+                    return
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(5)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert blends == [] and decisions[0] > 0
+        assert load_status.rank(hosts, constraints) in allowed
+
+
+# -- bounded --------------------------------------------------------------------------
+
+
+class TestAnswersAreBounded:
+    def test_ten_times_the_cap_in_distinct_constraint_sets(self, world):
+        """Stated bound: ``MAX_ANSWERS`` constraint sets per generation."""
+        _clock, node_state, load_status = world
+        node_state.record_samples(sample(h, 0.5, 1000.0) for h in HOSTS)
+        cap = load_status_module.MAX_ANSWERS
+        for n in range(10 * cap):
+            block = f"<constraint><cpuLoad>load ls {n + 1}.5</cpuLoad></constraint>"
+            assert load_status.satisfying(parse_constraints(block)).keys() == set(HOSTS)
+            assert len(load_status._memo[5]) <= cap
+
+    def test_answers_go_with_the_generation(self, world):
+        _clock, node_state, load_status = world
+        node_state.record_sample(sample("h0", 0.5, 1000.0))
+        constraints = parse_constraints(BLOCKS[0])
+        first = load_status.satisfying(constraints)
+        assert load_status.satisfying(parse_constraints(BLOCKS[0])) is first  # by value
+        node_state.record_sample(sample("h1", 0.2, 1000.0))
+        assert load_status.satisfying(constraints) == {"h0": 0.5, "h1": 0.2}
+        assert first == {"h0": 0.5}  # published answers are never edited
+        assert len(load_status._memo[5]) == 1

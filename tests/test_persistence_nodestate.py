@@ -72,3 +72,36 @@ class TestRowMapping:
         b = NodeStateStore(store)
         a.record_sample(sample())
         assert b.get("exergy.sdsu.edu") is not None
+
+
+class TestGeneration:
+    """Reads share one ``host → sample`` map per table version."""
+
+    def test_reads_between_writes_share_the_samples(self, node_state):
+        node_state.record_samples([sample("a"), sample("b")])
+        assert node_state.get("a") is node_state.get("a")
+        assert node_state.all_samples()[0] is node_state.get("a")
+        assert node_state.generation() == (node_state.version, node_state.generation()[1])
+
+    def test_every_kind_of_write_starts_a_new_generation(self):
+        store = DataStore()
+        node_state, other = NodeStateStore(store), NodeStateStore(store)
+        node_state.record_sample(sample("a", load=1.0))
+        assert node_state.get("a").load == 1.0
+        other.record_sample(sample("a", load=2.0))  # a second facade
+        assert node_state.get("a").load == 2.0
+        store.table("NodeState").update("a", {"LOAD": 3.0})  # a direct table write
+        assert node_state.get("a").load == 3.0
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                node_state.record_samples([sample("a", load=4.0), sample("b")])
+                assert node_state.get("a").load == 4.0 and len(node_state.all_samples()) == 2
+                raise RuntimeError("abort")
+        assert node_state.get("a").load == 3.0 and node_state.get("b") is None
+        node_state.remove("a")
+        node_state.remove("a")  # absent: nothing to do
+        assert node_state.get("a") is None and node_state.all_samples() == []
+
+    def test_empty_sweep_stores_nothing(self, node_state):
+        node_state.record_samples([])
+        assert len(node_state) == 0 and node_state.all_samples() == []

@@ -41,6 +41,17 @@ class TestDumpLoad:
         assert sample.load == 1.5
         assert sample.updated == 9.0
 
+    def test_restored_node_state_is_one_generation(self, registry):
+        registry.node_state.record_samples(
+            NodeSample(host=f"h{n}.x", load=0.1 * n, memory=1, swap_memory=1, updated=9.0)
+            for n in range(5)
+        )
+        restored = fresh_registry(seed=2)
+        before = restored.node_state.version
+        load_registry(restored, dump_registry(registry))
+        assert restored.node_state.version == before + 1
+        assert restored.node_state.all_samples() == registry.node_state.all_samples()
+
     def test_repository_items_round_trip(self, registry, session):
         meta = ExtrinsicObject(registry.ids.new_id(), name="blob", mime_type="application/octet-stream")
         registry.lcm.submit_objects(session, [meta])

@@ -124,6 +124,48 @@ class TestIndexes:
             table.add_index("BOGUS")
 
 
+class TestUpsertMany:
+    def test_one_write_one_version_indexes_kept(self, table):
+        table.add_index("LOAD")
+        table.insert({"HOST": "a", "LOAD": 1.0})
+        table.insert({"HOST": "b", "LOAD": 1.0})
+        before = table.mutations
+        table.upsert_many([{"HOST": "b", "LOAD": 2.0}, {"HOST": "c", "LOAD": 2.0}])
+        assert table.mutations == before + 1
+        assert table.keys() == ["a", "b", "c"]  # a replaced row keeps its place
+        assert [r["HOST"] for r in table.select_eq("LOAD", 1.0)] == ["a"]
+        assert [r["HOST"] for r in table.select_eq("LOAD", 2.0)] == ["b", "c"]
+        assert table.get("c")["MEMORY"] is None  # normalized like any other row
+
+    def test_a_reader_holding_the_old_rows_sees_none_of_the_write(self, table):
+        """The row map is swapped: a capture taken before the write is the
+        table before the write, whole."""
+        table.insert({"HOST": "a", "LOAD": 1.0})
+        captured = table.views()
+        table.upsert_many([{"HOST": "a", "LOAD": 9.0}, {"HOST": "b", "LOAD": 9.0}])
+        assert [(r["HOST"], r["LOAD"]) for r in captured] == [("a", 1.0)]
+        assert [(r["HOST"], r["LOAD"]) for r in table.views()] == [("a", 9.0), ("b", 9.0)]
+
+    def test_a_bad_row_leaves_the_table_untouched(self, table):
+        table.insert({"HOST": "a", "LOAD": 1.0})
+        before = table.mutations
+        with pytest.raises(InvalidRequestError):
+            table.upsert_many([{"HOST": "b", "LOAD": 2.0}, {"LOAD": 3.0}])
+        assert table.keys() == ["a"] and table.mutations == before
+
+    def test_rolled_back_with_the_transaction(self):
+        from repro.persistence import DataStore
+
+        store = DataStore()
+        table = store.create_table("T", ["K", "V"], primary_key="K")
+        table.upsert_many([{"K": 1, "V": "one"}])
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                table.upsert_many([{"K": 1, "V": "uno"}, {"K": 2, "V": "dos"}])
+                raise RuntimeError("abort")
+        assert table.select() == [{"K": 1, "V": "one"}]
+
+
 class TestSnapshot:
     def test_restore_round_trip(self, table):
         table.insert({"HOST": "a", "LOAD": 1.0})

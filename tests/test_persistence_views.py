@@ -131,6 +131,178 @@ class TestServiceUriView:
         assert view.resets_applied == 1
 
 
+class TestServiceBindingsJoin:
+    """``ServiceDAO.resolve_bindings`` reads a service's partition from a
+    changelog view; each test fails if a write leaves the old join behind."""
+
+    LS_1 = "<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>"
+    GR_1 = "<constraint><cpuLoad>load gr 1.0</cpuLoad></constraint>"
+
+    @pytest.fixture
+    def daos(self, store):
+        from repro.core.balancer import BalanceMode
+        from repro.persistence import DAORegistry
+
+        clock = ManualClock(start=11 * 3600.0)
+        node_state = NodeStateStore(store)
+        for host, load in (("h1", 0.2), ("h2", 0.1), ("h3", 5.0)):
+            node_state.record_sample(
+                NodeSample(host=host, load=load, memory=1, swap_memory=1, updated=clock.now())
+            )
+        daos = DAORegistry(store)
+        daos.services.set_resolver(
+            ConstraintBindingResolver(
+                ServiceConstraint(clock),
+                LoadStatus(node_state, clock=clock),
+                mode=BalanceMode.FILTER,
+            )
+        )
+        return daos
+
+    @staticmethod
+    def publish(store, description, hosts, name="Adder"):
+        svc = Service(ids.new_id(), name=name, description=description)
+        for host in hosts:
+            binding = ServiceBinding(
+                ids.new_id(), service=svc.id, access_uri=f"http://{host}:8080/a"
+            )
+            svc.binding_ids.append(binding.id)
+            store.insert_object(binding)
+        store.insert_object(svc)
+        return svc
+
+    @staticmethod
+    def answer(daos, service_id):
+        view = daos.services.get_view(service_id)
+        first = [b.host for b in daos.services.resolve_bindings(view, copy=False)]
+        # the repeat comes from the join view and must be the same answer
+        assert [b.host for b in daos.services.resolve_bindings(view)] == first
+        return first
+
+    def test_join_is_filed_once_and_reused(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1", "h2", "h3"])
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+        join = daos.services._bindings_view
+        assert len(join) == 1
+        bound = join.get(svc.id)[1]
+        assert [b.host for b in bound] == ["h1", "h2", "h3"]
+        assert bound.positions == {"h1": 0, "h2": 1, "h3": 2}
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+        assert join.get(svc.id)[1] is bound
+
+    def test_added_binding_changes_the_next_answer(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1"])
+        assert self.answer(daos, svc.id) == ["h1"]
+        service = store.get_object(svc.id)
+        binding = ServiceBinding(ids.new_id(), service=svc.id, access_uri="http://h2:8080/a")
+        service.binding_ids.append(binding.id)
+        with store.batch():
+            store.insert_object(binding)
+            store.save_object(service)
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+
+    def test_deleted_binding_changes_the_next_answer(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1", "h2"])
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+        service = store.get_object(svc.id)
+        gone = service.binding_ids.pop()
+        with store.batch():
+            store.delete_object(gone)
+            store.save_object(service)
+        assert self.answer(daos, svc.id) == ["h1"]
+
+    def test_rewritten_access_uri_moves_the_binding_to_its_new_host(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1", "h3"])
+        assert self.answer(daos, svc.id) == ["h1"]
+        binding = store.get_object(svc.binding_ids[1])
+        binding.access_uri = "http://h2:8080/a"
+        store.save_object(binding)  # a ServiceBinding record, no Service record
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+
+    def test_repointed_binding_changes_both_services(self, store, daos):
+        svc_a = self.publish(store, self.LS_1, ["h1", "h2"], name="A")
+        svc_b = self.publish(store, self.LS_1, ["h1"], name="B")
+        assert self.answer(daos, svc_a.id) == ["h2", "h1"]
+        assert self.answer(daos, svc_b.id) == ["h1"]
+        binding = store.get_object(svc_a.binding_ids[1])
+        old, new = store.get_object(svc_a.id), store.get_object(svc_b.id)
+        old.binding_ids.remove(binding.id)
+        new.binding_ids.append(binding.id)
+        binding.service = new.id
+        with store.batch():
+            for obj in (binding, old, new):
+                store.save_object(obj)
+        assert self.answer(daos, svc_a.id) == ["h1"]
+        assert self.answer(daos, svc_b.id) == ["h2", "h1"]
+
+    def test_rewritten_constraints_change_the_next_answer(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1", "h2", "h3"])
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+        service = store.get_object(svc.id)
+        service.description.set(self.GR_1)
+        store.save_object(service)
+        assert self.answer(daos, svc.id) == ["h3"]
+
+    def test_reset_barrier_takes_back_a_join_filled_inside_the_transaction(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1", "h3"])
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                binding = store.get_object(svc.binding_ids[1])
+                binding.access_uri = "http://h2:8080/a"
+                store.save_object(binding)
+                # the first read of this service fills the view from the
+                # transaction's own, soon to be taken back, heap
+                assert self.answer(daos, svc.id) == ["h2", "h1"]
+                raise RuntimeError("abort")
+        # the binding list never changed: only the barrier can drop that join
+        assert self.answer(daos, svc.id) == ["h1"]
+        assert daos.services._bindings_view.resets_applied == 1
+
+    def test_organization_write_drops_nothing(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1", "h2"])
+        self.answer(daos, svc.id)
+        join = daos.services._bindings_view
+        bound = join.get(svc.id)[1]
+        store.insert_object(Organization(ids.new_id(), name="SDSU"))
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+        assert join.get(svc.id)[1] is bound and join.invalidations == 0
+
+    def test_an_unsaved_edit_of_the_binding_list_is_not_served_the_stored_join(self, store, daos):
+        svc = self.publish(store, self.LS_1, ["h1", "h2"])
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+        edited = store.get_object(svc.id)
+        edited.binding_ids.pop()
+        assert [b.host for b in daos.services.resolve_bindings(edited)] == ["h1"]
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+
+    def test_a_partition_the_changelog_cannot_vouch_for_is_not_filed(self, store, daos):
+        """A listed binding that is missing, or owned by another service, would
+        change this answer through a record that names someone else."""
+        svc = self.publish(store, self.LS_1, ["h1"])
+        other = self.publish(store, self.LS_1, ["h2"], name="Other")
+        service = store.get_object(svc.id)
+        service.binding_ids.append(other.binding_ids[0])
+        store.save_object(service)
+        assert self.answer(daos, svc.id) == ["h2", "h1"]
+        assert daos.services._bindings_view.get(svc.id) is None
+        foreign = store.get_object(other.binding_ids[0])
+        foreign.access_uri = "http://h3:8080/a"
+        store.save_object(foreign)
+        assert self.answer(daos, svc.id) == ["h1"]
+
+    def test_ten_times_the_bound_in_services_does_not_grow_the_join_past_it(
+        self, store, daos, monkeypatch
+    ):
+        """Stated bound: ``MAX_BOUND_SERVICES`` services, then the view starts over."""
+        from repro.persistence import dao
+
+        monkeypatch.setattr(dao, "MAX_BOUND_SERVICES", 8)
+        for n in range(80):
+            svc = self.publish(store, self.LS_1, ["h1", "h2"], name=f"S{n}")
+            assert self.answer(daos, svc.id) == ["h2", "h1"]
+            assert len(daos.services._bindings_view) <= 8
+
+
 class TestQueryResultView:
     def test_type_scoped_invalidation(self, store):
         publish(store)

@@ -1,6 +1,7 @@
 """Tests for the registry kernel: pipeline stages, stats, interceptors."""
 
 import dataclasses
+import gc
 import itertools
 import sys
 import threading
@@ -340,11 +341,15 @@ class TestCallBudget:
 
         for _ in range(3):
             run()
+        # a collection inside the counted run would add its callbacks' calls
+        # (hypothesis installs one for the session) — count the path alone
+        gc.disable()
         sys.setprofile(profiler)
         try:
             run()
         finally:
             sys.setprofile(None)
+            gc.enable()
         return events
 
     def test_noop_request_stays_within_two_thirds_of_the_unfused_chain(
@@ -406,6 +411,106 @@ class TestCallBudget:
         assert first - kernel_events <= 12
         assert built == ["Future", "WorkItem"]  # the submit, and only it
         assert set(ran_on[:-1]) == {threading.get_ident()} != {ran_on[-1]}
+
+
+class TestResolveBudget:
+    """A clock-free budget on the discovery decision itself: one FILTER
+    service bound on every monitored host, a handful of them satisfying.
+
+    Guards against per-binding work coming back onto the request path — a
+    sample fetch, staleness check or constraint check per binding per
+    request read about 1 300 events for this service at 64 hosts.
+    """
+
+    #: call + c_call events of one warm ``resolve_bindings(view, copy=False)``
+    WARM_EVENTS = 150
+    #: the same call right after a sweep: one generation map, one fresh/stale
+    #: split and one constraint evaluation over every monitored host
+    FIRST_AFTER_SWEEP_EVENTS = 700
+    ANSWER = 9
+    DESCRIPTION = (
+        "<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory>"
+        "<swapmemory>swapmemory gr 5MB</swapmemory></constraint>"
+    )
+
+    def rig(self, n_hosts):
+        """(resolve, sweep) over a registry with *n_hosts* monitored hosts."""
+        from repro.core import attach_load_balancer
+        from repro.core.balancer import BalanceMode
+        from repro.persistence.nodestate import NodeSample
+        from repro.rim import Service, ServiceBinding
+        from repro.sim.engine import SimEngine
+        from repro.soap import SimTransport
+
+        clock = ManualClock(start=10 * 3600.0)
+        registry = RegistryServer(RegistryConfig(seed=5), clock=clock)
+        hosts = [f"host{n:03d}.bench" for n in range(n_hosts)]
+        service = Service(registry.ids.new_id(), name="Adder", description=self.DESCRIPTION)
+        with registry.store.batch():
+            for host in hosts:
+                binding = ServiceBinding(
+                    registry.ids.new_id(), service=service.id, access_uri=f"http://{host}:8080/a"
+                )
+                service.binding_ids.append(binding.id)
+                registry.store.insert_object(binding)
+            registry.store.insert_object(service)
+        attach_load_balancer(
+            registry,
+            SimTransport(),
+            SimEngine(start=clock.now()),
+            mode=BalanceMode.FILTER,
+            start_monitor=False,
+        )
+
+        def sweep():
+            """The first ANSWER hosts satisfy; the rest fail a clause each, in turn."""
+            clock.advance(25.0)
+            samples = []
+            for n, host in enumerate(hosts):
+                failing = None if n < self.ANSWER else n % 3
+                samples.append(
+                    NodeSample(
+                        host=host,
+                        load=5.0 if failing == 0 else 0.01 * ((n * 7) % self.ANSWER),
+                        memory=(1 << 20) if failing == 1 else (4 << 30),
+                        swap_memory=(1 << 10) if failing == 2 else (1 << 30),
+                        updated=clock.now(),
+                    )
+                )
+            registry.node_state.record_samples(samples)
+
+        sweep()
+        view = registry.daos.services.get_view(service.id)
+
+        def resolve():
+            return registry.daos.services.resolve_bindings(view, copy=False)
+
+        return resolve, sweep
+
+    def test_warm_resolve_follows_the_answer_not_the_partition(self):
+        resolve, _sweep = self.rig(64)
+        first = TestCallBudget.call_events(resolve)
+        assert first == TestCallBudget.call_events(resolve)
+        assert first <= self.WARM_EVENTS
+        answer = [b.host for b in resolve()]
+        assert len(answer) == self.ANSWER and 3 <= self.ANSWER <= 15
+        # the same answer drawn from twice the hosts costs the same
+        resolve_128, _sweep = self.rig(128)
+        assert [b.host for b in resolve_128()] == answer
+        assert TestCallBudget.call_events(resolve_128) <= first + 10
+
+    def test_first_resolve_after_a_sweep_is_one_pass_over_the_monitored_hosts(self):
+        resolve, sweep = self.rig(64)
+
+        def sweep_then_resolve():
+            sweep()
+            resolve()
+
+        swept = TestCallBudget.call_events(sweep)
+        assert TestCallBudget.call_events(sweep_then_resolve) - swept <= (
+            self.FIRST_AFTER_SWEEP_EVENTS
+        )
+        assert TestCallBudget.call_events(resolve) <= self.WARM_EVENTS
 
 
 class TestRequestIds:
