@@ -25,7 +25,6 @@ HISTORY_KEEP = 20
 BENCH_JSON_FILES = {
     "adhoc": "BENCH_adhoc.json",
     "cluster": "BENCH_cluster.json",
-    "discovery": "BENCH_discovery.json",
     "mixed": "BENCH_mixed.json",
     "serving": "BENCH_serving.json",
 }

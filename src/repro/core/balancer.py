@@ -64,23 +64,6 @@ class ConstraintBindingResolver:
         self.resolutions = 0
         self.balanced_resolutions = 0
 
-    def fingerprint(self) -> tuple:
-        """Resolution-cache validity token (see ServiceDAO.resolve_access_uris).
-
-        A balanced resolution depends, beyond the service and its bindings,
-        on the NodeState samples, the minute of day (time windows), and —
-        when staleness filtering is on — the clock itself (quantized to one
-        second, so a host aging past ``max_age`` is dropped within 1s).
-        """
-        staleness = (
-            0 if self.load_status.max_age is None else int(self.load_status.clock.now())
-        )
-        return (
-            self.load_status.node_state.version,
-            self.service_constraint.clock.minutes_of_day(),
-            staleness,
-        )
-
     def resolve(
         self, service: Service, bindings: Sequence[ServiceBinding]
     ) -> list[ServiceBinding]:

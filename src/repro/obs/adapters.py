@@ -2,7 +2,7 @@
 
 Each adapter is a factory: it captures the component owning one stats
 surface (the transport's TransportStats, the query planner counters, the
-constraint/URI caches, the serving gate, the write spine, the TimeHits
+constraint cache, the serving gate, the write spine, the TimeHits
 collector, the LoadStatus/resolver pair) and returns a **collector** — a
 callable the :class:`repro.obs.telemetry.Telemetry` facade runs on the
 registry it builds for each scrape, to mirror the surface's current values
@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.load_status import LoadStatus
     from repro.core.monitor import TimeHits
     from repro.core.service_constraint import ServiceConstraint
-    from repro.persistence.dao import ServiceDAO
     from repro.registry.querymgr import QueryManager
     from repro.registry.server import RegistryServer
     from repro.serving.supervisor import ServingSupervisor
@@ -137,24 +136,6 @@ def constraint_cache_collector(service_constraint: "ServiceConstraint") -> Colle
         ).labels().sync(snap["misses"])
         metrics.gauge(
             "repro_constraint_cache_entries", "Cached constraint parses."
-        ).set(snap["entries"])
-
-    return collect
-
-
-def uri_cache_collector(services: "ServiceDAO") -> Collector:
-    """Mirror the ServiceDAO access-URI resolution-cache counters."""
-
-    def collect(metrics: MetricsRegistry) -> None:
-        snap = services.uri_cache_stats()
-        metrics.counter(
-            "repro_uri_cache_hits_total", "Access-URI resolution-cache hits."
-        ).labels().sync(snap["hits"])
-        metrics.counter(
-            "repro_uri_cache_misses_total", "Access-URI resolution-cache misses."
-        ).labels().sync(snap["misses"])
-        metrics.gauge(
-            "repro_uri_cache_entries", "Cached per-service URI resolutions."
         ).set(snap["entries"])
 
     return collect

@@ -130,17 +130,6 @@ class BindingResolver(Protocol):
     ) -> list[ServiceBinding]:
         ...
 
-    def fingerprint(self) -> object:
-        """Hashable token capturing every resolver input *besides* the store.
-
-        ServiceDAO memoizes a resolved access-URI list until a changelog
-        record touches the service or this token changes.  Resolvers whose
-        output depends only on the service and its bindings return a
-        constant; a resolver may omit the method entirely to opt out of
-        caching.
-        """
-        ...
-
 
 class DefaultBindingResolver:
     """Vanilla behaviour: every binding, in publisher order."""
@@ -149,9 +138,6 @@ class DefaultBindingResolver:
         self, service: Service, bindings: Sequence[ServiceBinding]
     ) -> list[ServiceBinding]:
         return list(bindings)
-
-    def fingerprint(self) -> object:
-        return None  # publisher order depends on the store alone
 
 
 class ServiceBindingDAO(GenericDAO):
@@ -194,24 +180,15 @@ class ServiceDAO(GenericDAO):
         super().__init__(store)
         self.binding_dao = binding_dao
         self.resolver: BindingResolver = resolver or DefaultBindingResolver()
-        #: the resolver's fingerprint method, looked up once per install —
-        #: the per-query getattr was measurable on the discovery hot path
-        self._fingerprint = getattr(self.resolver, "fingerprint", None)
-        #: service id → (resolver fingerprint, access URIs), maintained
-        #: incrementally off the store's changelog: a write drops exactly
-        #: the entries it affects instead of re-keying the population
-        self._uri_view = ServiceUriView(store)
-        #: the partition, read once per write to the service, not per request
+        #: service id → (binding ids, bindings joined to hosts), maintained
+        #: off the store's changelog: the partition is read once per write
+        #: to the service, not per request
         self._bindings_view = ServiceUriView(store)
-        self.uri_cache_hits = 0
-        self.uri_cache_misses = 0
-        #: optional telemetry tracer; spans the (cache-miss) resolve path only
+        #: optional telemetry tracer; spans every resolve
         self.tracer = None
 
     def set_resolver(self, resolver: BindingResolver) -> None:
         self.resolver = resolver
-        self._fingerprint = getattr(resolver, "fingerprint", None)
-        self._uri_view.invalidate_all()
 
     def resolve_bindings(self, service: Service, *, copy: bool = True) -> list[ServiceBinding]:
         """Bindings for discovery, post-resolver (the registry's answer).
@@ -250,54 +227,6 @@ class ServiceDAO(GenericDAO):
                 view.invalidate_all()  # start over rather than grow without bound
             view.put(service.id, list(ids), bound, as_of=as_of)
         return bound
-
-    def resolve_access_uris(self, service: Service) -> list[str]:
-        """Access URIs for discovery — what execute()/the Web UI displays.
-
-        Steady-state repeat queries are answered from a changelog-backed
-        materialized view: an entry stays valid until a write actually
-        touches that service (or one of its bindings) and while the
-        resolver's :meth:`fingerprint` token is unchanged — for the
-        constraint resolver that means no NodeState sample landed and the
-        clock minute is the same.  Unrelated writes no longer evict
-        anything.  A resolver without a ``fingerprint`` method disables
-        the cache.
-        """
-        fingerprint = self._fingerprint
-        if fingerprint is None:
-            return [
-                b.access_uri
-                for b in self.resolve_bindings(service, copy=False)
-                if b.access_uri
-            ]
-        view = self._uri_view
-        as_of = view.catch_up()
-        token = fingerprint()
-        cached = view.get(service.id)
-        if cached is not None and cached[0] == token:
-            self.uri_cache_hits += 1
-            return list(cached[1])
-        self.uri_cache_misses += 1
-        uris = [
-            b.access_uri
-            for b in self.resolve_bindings(service, copy=False)
-            if b.access_uri
-        ]
-        # a fill that raced a write is stranded by the view (future miss)
-        # rather than caching a pre-write answer past its invalidation
-        view.put(service.id, token, uris, as_of=as_of)
-        return list(uris)
-
-    def uri_cache_stats(self) -> dict[str, int]:
-        """Resolution-cache counters (telemetry surface): hits/misses/entries."""
-        view = self._uri_view
-        return {
-            "hits": self.uri_cache_hits,
-            "misses": self.uri_cache_misses,
-            "entries": len(view),
-            "applied_seq": view.applied_seq,
-            "invalidations": view.invalidations,
-        }
 
 
 class OrganizationDAO(GenericDAO):

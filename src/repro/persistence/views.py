@@ -7,8 +7,7 @@ affects (**per-record delta application**): a write to one service
 invalidates one entry, not the population.  Nothing else signals
 freshness for heap state — no callbacks from the writer, no version
 stamps; relational tables are outside the changelog and ride
-``Table.mutations`` instead, and non-store inputs (clock minute, staleness
-second) ride the resolver's ``fingerprint()``.
+``Table.mutations`` instead; nothing is kept on the clock's say-so.
 
 Fill protocol (the swap-publish discipline, sequenced): a reader calls
 ``catch_up()`` and keeps the returned watermark as its ``as_of`` token,
@@ -93,8 +92,8 @@ class ChangelogView:
 
 
 class ServiceUriView(ChangelogView):
-    """service id → (token, value) — the discovery hot path's two memos:
-    resolver token → access URIs, and ``binding_ids`` → :class:`BoundBindings`.
+    """service id → (token, value) — the discovery path's binding join:
+    ``binding_ids`` → :class:`BoundBindings`.
 
     Maintained deltas: a record touching a ``Service`` drops that service's
     entry; a record touching a ``ServiceBinding`` drops the owning

@@ -200,16 +200,12 @@ class QueryManager:
         return self.daos.services.resolve_bindings(service, copy=copy)
 
     def get_access_uris(self, service_id: str) -> list[str]:
-        """Access URIs for a service — the registry's discovery answer.
-
-        This is the hot path the load-balancing scheme lives on: it runs
-        entirely over stored views (service, bindings, constraint cache) and
-        copies nothing — the answer is a fresh list of URI strings.
-        """
-        service = self.daos.services.get_view(service_id)
-        if service is None:
-            raise ObjectNotFoundError(service_id)
-        return self.daos.services.resolve_access_uris(service)
+        """Access URIs of :meth:`get_service_bindings`' answer, in its order."""
+        return [
+            b.access_uri
+            for b in self.get_service_bindings(service_id, copy=False)
+            if b.access_uri
+        ]
 
     def audit_trail(self, object_id: str):
         """AuditableEvents for an object, oldest first."""

@@ -125,21 +125,12 @@ class RegistryServer:
         monitor, load status, transport) when ``attach_load_balancer``
         runs; protocol-edge tracing of the DAO resolve path hooks in here.
         """
-        from repro.obs.adapters import (
-            planner_collector,
-            uri_cache_collector,
-            writes_collector,
-        )
+        from repro.obs.adapters import planner_collector, writes_collector
 
         # a view of the request families the account stage pushes: no collector
         self.telemetry.register_source("pipeline", self.kernel.pipeline_stats)
         self.telemetry.register_source(
             "planner", self.qm.query_plan_stats, collector=planner_collector(self.qm)
-        )
-        self.telemetry.register_source(
-            "uri_cache",
-            self.daos.services.uri_cache_stats,
-            collector=uri_cache_collector(self.daos.services),
         )
         self.telemetry.register_source(
             "writes", self.write_stats, collector=writes_collector(self)
@@ -248,8 +239,8 @@ class RegistryServer:
     def telemetry_snapshot(self) -> dict:
         """Every mounted stats surface merged into one dict, by source name.
 
-        Always includes ``pipeline``, ``planner``, ``uri_cache``, and
-        ``writes``; the load-balancing core adds ``constraint_cache``,
+        Always includes ``pipeline``, ``planner`` and ``writes``; the
+        load-balancing core adds ``constraint_cache``,
         ``collector``, ``load_status``, and ``transport`` when attached.
         """
         return self.telemetry.snapshot()

@@ -127,7 +127,6 @@ class TestStatsCommand:
         assert rc == 0
         assert "registry telemetry" in out
         assert "planner.plans_built" in out
-        assert "uri_cache.hits" in out
 
     def test_stats_json(self, paths, capsys):
         import json
@@ -138,7 +137,7 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert rc == 0
         snapshot = json.loads(out)
-        for source in ("pipeline", "planner", "uri_cache", "tracer"):
+        for source in ("pipeline", "planner", "writes", "tracer"):
             assert source in snapshot
 
     def test_stats_prometheus(self, paths, capsys):

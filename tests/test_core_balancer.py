@@ -148,13 +148,13 @@ class TestAccounting:
         svc, balancer = deploy(sim_registry, admin, transport, engine)
         engine.run_until(engine.now + 30)
         sim_registry.qm.get_access_uris(svc.id)
-        sim_registry.qm.get_access_uris(svc.id)  # cache hit — no second resolution
-        assert balancer.resolver.resolutions == 1
-        assert balancer.resolver.balanced_resolutions == 1
-        engine.run_until(engine.now + 30)  # a monitoring sweep lands new samples
-        sim_registry.qm.get_access_uris(svc.id)
+        sim_registry.qm.get_access_uris(svc.id)  # two discoveries, two resolutions
         assert balancer.resolver.resolutions == 2
         assert balancer.resolver.balanced_resolutions == 2
+        engine.run_until(engine.now + 30)  # a monitoring sweep lands new samples
+        sim_registry.qm.get_access_uris(svc.id)
+        assert balancer.resolver.resolutions == 3
+        assert balancer.resolver.balanced_resolutions == 3
 
     def test_detach_restores_vanilla(self, sim_registry, admin, cluster, transport, engine):
         svc, balancer = deploy(sim_registry, admin, transport, engine)

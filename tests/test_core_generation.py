@@ -20,8 +20,10 @@ from repro.core import load_status as load_status_module
 from repro.core.balancer import BalanceMode
 from repro.core.constraints import parse_constraints
 from repro.core.monitor import TimeHits
-from repro.persistence import DataStore, NodeSample, NodeStateStore
+from repro.persistence import DAORegistry, DataStore, NodeSample, NodeStateStore
 from repro.persistence.nodestate import NODESTATE_TABLE
+from repro.query import QueryEngine
+from repro.registry import QueryManager
 from repro.rim import Service, ServiceBinding
 from repro.sim import Cluster, HostSpec
 from repro.soap import SimTransport
@@ -161,6 +163,15 @@ class GenerationMachine(RuleBasedStateMachine):
             )
             for mode in BalanceMode
         }
+        # the same services published, read back through a QueryManager per mode
+        for service, bindings in SERVICES:
+            for obj in (*bindings, service):
+                self.store.insert_object(obj)
+        self.qms = {}
+        for mode, resolver in self.resolvers.items():
+            daos = DAORegistry(self.store)
+            daos.services.set_resolver(resolver)
+            self.qms[mode] = QueryManager(daos, QueryEngine(self.store))
 
     def _sample(self, host, load, memory):
         return NodeSample(
@@ -241,9 +252,17 @@ class GenerationMachine(RuleBasedStateMachine):
             for host in hosts:
                 assert load_status.host_satisfies(host, constraints) == (host in expected)
             for mode, resolver in self.resolvers.items():
-                assert resolver.resolve(service, bindings) == reference_resolve(
+                resolved = reference_resolve(
                     table, constraints, bindings, mode, now, max_age
                 )
+                assert resolver.resolve(service, bindings) == resolved
+                # the in-process URI list is the wire's binding answer, projected
+                qm = self.qms[mode]
+                answer = qm.get_service_bindings(service.id, copy=False)
+                assert [b.id for b in answer] == [b.id for b in resolved]
+                assert qm.get_access_uris(service.id) == [
+                    b.access_uri for b in answer if b.access_uri
+                ]
 
 
 class AgelessGenerationMachine(GenerationMachine):

@@ -10,7 +10,9 @@ Covers the invalidation/consistency corners the fast path introduces:
   snapshot ranking path;
 * read-only views alias stored state while the copying accessors still
   isolate callers;
-* the TimeHits target-list cache invalidates on NodeStatus publishes.
+* the TimeHits target-list cache invalidates on NodeStatus publishes;
+* the seed's discovery (per-query copies, parses and an O(n²) rank), replayed
+  against the shipped path over every service, answers the same URIs.
 """
 
 from contextlib import contextmanager
@@ -26,9 +28,11 @@ from repro.core import (
 )
 from repro.core.constraints import Operator, parse_constraints
 from repro.persistence import DataStore
+from repro.persistence.dao import DefaultBindingResolver
 from repro.persistence.nodestate import NodeSample
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization, Service, ServiceBinding
+from repro.rim.service import host_of_uri
 from repro.sim.nodestatus import nodestatus_uri
 from repro.util.clock import ManualClock
 from repro.util.ids import IdFactory
@@ -181,31 +185,12 @@ def balanced_manual_registry(description=CONSTRAINT_LS, *, max_age=None):
 
 
 class TestResolutionCache:
-    def test_steady_state_served_without_resolving(self):
-        registry, resolver, service, uris = balanced_manual_registry()
-        first = registry.qm.get_access_uris(service.id)
-        assert first == [uris[1], uris[0]]  # satisfying host ranked first
-        resolutions = resolver.resolutions
-        for _ in range(10):
-            assert registry.qm.get_access_uris(service.id) == first
-        assert resolver.resolutions == resolutions  # cache, not the resolver
-
     def test_sample_publish_invalidates(self):
         registry, resolver, service, uris = balanced_manual_registry()
         assert registry.qm.get_access_uris(service.id) == [uris[1], uris[0]]
         record(registry, "hostA.test", 0.1)  # load flips below hostB's 0.5
         record(registry, "hostB.test", 3.0)
         assert registry.qm.get_access_uris(service.id) == [uris[0], uris[1]]
-
-    def test_unrelated_heap_write_keeps_cache(self):
-        registry, resolver, service, _uris = balanced_manual_registry()
-        registry.qm.get_access_uris(service.id)
-        resolutions = resolver.resolutions
-        registry.store.insert_object(Organization(ids.new_id(), name="Unrelated"))
-        registry.qm.get_access_uris(service.id)
-        # per-record view invalidation: an Organization insert does not
-        # touch the service, so its cached resolution survives
-        assert resolver.resolutions == resolutions
 
     def test_binding_write_invalidates(self):
         registry, resolver, service, uris = balanced_manual_registry()
@@ -242,6 +227,24 @@ class TestResolutionCache:
         registry.clock.advance(101.0)
         # both samples stale now — nothing satisfies, publisher order returns
         assert registry.qm.get_access_uris(service.id) == [uris[0], uris[1]]
+
+    def test_a_host_ages_out_within_the_second_on_both_reads(self):
+        """Regression: the URI list was cached per whole second of the clock,
+        so it kept a host the binding answer had already aged out."""
+        registry, _resolver, service, uris = balanced_manual_registry(max_age=10.0)
+        for host, load in (("hostA.test", 2.0), ("hostB.test", 0.5)):
+            record(registry, host, load, now=39600.3)
+
+        def both_reads():
+            bindings = registry.qm.get_service_bindings(service.id, copy=False)
+            return registry.qm.get_access_uris(service.id), [
+                b.access_uri for b in bindings
+            ]
+
+        registry.clock.set(39610.1)  # age 9.8: fresh
+        assert both_reads() == ([uris[1], uris[0]],) * 2
+        registry.clock.set(39610.7)  # age 10.4: stale, same second, same version
+        assert both_reads() == ([uris[0], uris[1]],) * 2
 
 
 class TestIndexConsistency:
@@ -469,3 +472,120 @@ class TestHoistedDispatch:
         assert registry.daos.dao_for(svc) is registry.daos.services
         org = Organization(ids.new_id(), name="O")
         assert registry.daos.dao_for(org) is registry.daos.organizations
+
+
+class LegacyDiscovery:
+    """The seed's discovery path: per-query copies, parses and an O(n²) rank."""
+
+    def __init__(self, registry, *, balanced):
+        self.registry = registry
+        self.balanced = balanced
+        self.node_state_table = registry.store.table("NodeState")
+
+    def _current_sample(self, host):
+        row = self.node_state_table.get(host)
+        return NodeSample.from_row(row) if row is not None else None
+
+    def _rank(self, hosts, constraints):
+        satisfying = []
+        for h in hosts:
+            sample = self._current_sample(h)
+            if sample is not None and constraints.satisfied_by(sample):
+                satisfying.append(h)
+
+        def load_of(host):
+            sample = self._current_sample(host)
+            return sample.load if sample is not None else float("inf")
+
+        return sorted(satisfying, key=lambda h: (load_of(h), hosts.index(h)))
+
+    def get_access_uris(self, service_id):
+        daos = self.registry.daos
+        service = daos.services.get(service_id)
+        bindings = []
+        for binding_id in service.binding_ids:
+            binding = daos.service_bindings.get(binding_id)
+            if binding is not None:
+                bindings.append(binding)
+        if self.balanced:
+            constraints = parse_constraints(service.description.value)
+            active = (
+                constraints is not None
+                and constraints.has_performance_constraints()
+                and constraints.time_satisfied(self.registry.clock.minutes_of_day())
+            )
+            if active:
+                with_host = [
+                    b
+                    for b in bindings
+                    if b.access_uri and host_of_uri(b.access_uri) is not None
+                ]
+                hosts = [host_of_uri(b.access_uri) for b in with_host]
+                by_host = {}
+                for binding in with_host:
+                    by_host.setdefault(host_of_uri(binding.access_uri), []).append(
+                        binding
+                    )
+                satisfying = []
+                for host in self._rank(hosts, constraints):
+                    satisfying.extend(by_host.pop(host, ()))
+                rest = [b for b in bindings if b not in satisfying]
+                bindings = satisfying + rest
+        return [b.access_uri for b in bindings if b.access_uri]
+
+
+class TestSeedReplay:
+    """DESIGN invariant (1): the seed path and the shipped path agree on every
+    service, with the constraint resolver on and off."""
+
+    SERVICES = 50
+    #: one per host; half satisfy the constraint, two tie
+    LOADS = [0.0, 3.5, 1.0, 1.5, 2.0, 2.5, 3.0, 1.0]
+    CONSTRAINT = "<constraint><cpuLoad>load ls 2.0</cpuLoad></constraint>"
+
+    @pytest.fixture(scope="class")
+    def published(self):
+        registry = RegistryServer(
+            RegistryConfig(seed=7), clock=ManualClock(start=11 * 3600.0)
+        )
+        hosts = [f"host{i:03d}.bench" for i in range(len(self.LOADS))]
+        for host, load in zip(hosts, self.LOADS):
+            record(registry, host, load)
+        service_ids = []
+        for i in range(self.SERVICES):
+            service = Service(
+                registry.ids.new_id(), name=f"Svc{i:04d}", description=self.CONSTRAINT
+            )
+            # publisher order rotates so no two services share a tie-break
+            turn = i % len(hosts)
+            for host in hosts[turn:] + hosts[:turn]:
+                binding = ServiceBinding(
+                    registry.ids.new_id(),
+                    service=service.id,
+                    access_uri=f"http://{host}:8080/svc{i}/endpoint",
+                )
+                service.binding_ids.append(binding.id)
+                registry.store.insert_object(binding)
+            registry.store.insert_object(service)
+            service_ids.append(service.id)
+        return registry, service_ids
+
+    @pytest.mark.parametrize("balanced", [True, False], ids=["resolver_on", "resolver_off"])
+    def test_every_service_answers_as_the_seed_did(self, published, balanced):
+        registry, service_ids = published
+        if balanced:
+            service_constraint = ServiceConstraint(registry.clock)
+            service_constraint.follow(registry.store)
+            resolver = ConstraintBindingResolver(
+                service_constraint, LoadStatus(registry.node_state, clock=registry.clock)
+            )
+        else:
+            resolver = DefaultBindingResolver()
+        registry.daos.services.set_resolver(resolver)
+        legacy = LegacyDiscovery(registry, balanced=balanced)
+        answers = [registry.qm.get_access_uris(sid) for sid in service_ids]
+        assert answers == [legacy.get_access_uris(sid) for sid in service_ids]
+        # a second, warm pass answers the same
+        assert answers == [registry.qm.get_access_uris(sid) for sid in service_ids]
+        if balanced:  # a ranking was replayed: host001 publishes first, host000 leads
+            assert answers[1][0].startswith("http://host000.bench")

@@ -305,7 +305,7 @@ class TestScrapeNamesTheMountedSources:
             "repro_request_cost_seconds",
             "repro_serving_queue_wait_seconds",
             "repro_serving_workers",
-            "repro_uri_cache_hits_total",
+            "repro_query_plans_built_total",
         }
 
     def test_unregistered_endpoint_leaves_the_per_endpoint_series(self, mounted, transport):

@@ -74,17 +74,6 @@ class TestAdapterParity:
         for key, value in registry.qm.query_plan_stats().items():
             assert series(parsed, f"repro_query_{key}_total") == value
 
-    def test_uri_cache_metrics_match_uri_cache_stats(self, registry, session):
-        _, service = publish_service_with_bindings(registry, session)
-        for _ in range(3):
-            registry.qm.get_access_uris(service.id)
-        stats = registry.daos.services.uri_cache_stats()
-        assert stats["hits"] > 0
-        parsed = parse_exposition(registry.telemetry.render_prometheus())
-        assert series(parsed, "repro_uri_cache_hits_total") == stats["hits"]
-        assert series(parsed, "repro_uri_cache_misses_total") == stats["misses"]
-        assert series(parsed, "repro_uri_cache_entries") == stats["entries"]
-
     def test_request_latency_histogram_pushed(self, registry, session):
         org, _service = publish_service_with_bindings(registry, session)
         http = HttpGetBinding(registry)
@@ -126,7 +115,6 @@ class TestLoadBalancedDeployment:
         for source in (
             "pipeline",
             "planner",
-            "uri_cache",
             "constraint_cache",
             "collector",
             "load_status",
@@ -168,7 +156,7 @@ class TestLoadBalancedDeployment:
         sim_registry, balancer = deployment
         balancer.detach(sim_registry)
         remaining = sim_registry.telemetry.sources()
-        assert remaining == ["pipeline", "planner", "uri_cache", "writes"]
+        assert remaining == ["pipeline", "planner", "writes"]
 
 
 class TestHttpEdges:
@@ -277,7 +265,6 @@ class TestTracedExperiment:
         assert {
             "pipeline",
             "planner",
-            "uri_cache",
             "constraint_cache",
             "collector",
             "load_status",

@@ -75,7 +75,7 @@ class TestServiceDAOResolver:
     def test_default_resolver_returns_all(self, daos):
         uris = ["http://a.x/1", "http://b.x/2"]
         svc = _service_with_bindings(daos, uris)
-        assert daos.services.resolve_access_uris(svc) == uris
+        assert [b.access_uri for b in daos.services.resolve_bindings(svc)] == uris
 
     def test_custom_resolver_installed(self, daos):
         svc = _service_with_bindings(daos, ["http://a.x/1", "http://b.x/2"])
@@ -85,7 +85,8 @@ class TestServiceDAOResolver:
                 return list(reversed(bindings))
 
         daos.services.set_resolver(ReverseResolver())
-        assert daos.services.resolve_access_uris(svc) == ["http://b.x/2", "http://a.x/1"]
+        resolved = daos.services.resolve_bindings(svc)
+        assert [b.access_uri for b in resolved] == ["http://b.x/2", "http://a.x/1"]
 
 
 class TestAssociationDAO:
