@@ -8,7 +8,12 @@ the load-balancing scheme's ``NodeState`` table.
 
 from repro.persistence.changelog import ChangeLog, ChangeRecord
 from repro.persistence.datastore import DataStore
-from repro.persistence.views import ChangelogView, QueryResultView, ServiceUriView
+from repro.persistence.views import (
+    ChangelogView,
+    QueryResultView,
+    ServiceUriView,
+    StoredTextView,
+)
 from repro.persistence.dao import (
     BindingResolver,
     DAORegistry,
@@ -27,6 +32,7 @@ __all__ = [
     "DataStore",
     "QueryResultView",
     "ServiceUriView",
+    "StoredTextView",
     "BindingResolver",
     "DAORegistry",
     "DefaultBindingResolver",

@@ -91,8 +91,34 @@ class ChangelogView:
         raise NotImplementedError
 
 
-class ServiceUriView(ChangelogView):
-    """service id → (token, value) — the discovery path's binding join:
+class _KeyedView(ChangelogView):
+    """key → (token, value); the subclass's ``_apply`` names the keys a record drops.
+
+    A reader takes an entry only if its token is the one it would file now.
+    """
+
+    def __init__(self, store: "DataStore") -> None:
+        super().__init__(store)
+        self._entries: dict[str, tuple[object, object]] = {}
+
+    def _reset(self) -> None:
+        self._entries.clear()
+
+    def get(self, key: str) -> tuple[object, object] | None:
+        return self._entries.get(key)
+
+    def put(self, key: str, token: object, value: object, *, as_of: int) -> None:
+        with self._lock:
+            if as_of < self._applied:
+                return  # a write landed since the fill started: strand it
+            self._entries[key] = (token, value)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class ServiceUriView(_KeyedView):
+    """service id → (binding ids, value) — the discovery path's binding join:
     ``binding_ids`` → :class:`BoundBindings`.
 
     Maintained deltas: a record touching a ``Service`` drops that service's
@@ -105,7 +131,6 @@ class ServiceUriView(ChangelogView):
 
     def __init__(self, store: "DataStore") -> None:
         super().__init__(store)
-        self._entries: dict[str, tuple[object, object]] = {}
         self.invalidations = 0
 
     def _apply(self, record: ChangeRecord) -> None:
@@ -118,20 +143,19 @@ class ServiceUriView(ChangelogView):
                 if service_id and self._entries.pop(service_id, None) is not None:
                     self.invalidations += 1
 
-    def _reset(self) -> None:
-        self._entries.clear()
 
-    def get(self, service_id: str) -> tuple[object, object] | None:
-        return self._entries.get(service_id)
+class StoredTextView(_KeyedView):
+    """object id → (stored version, its wire text) — what a read answer joins.
 
-    def put(self, service_id: str, token: object, value: object, *, as_of: int) -> None:
-        with self._lock:
-            if as_of < self._applied:
-                return  # a write landed since the fill started: strand it
-            self._entries[service_id] = (token, value)
+    A record for an id drops that id's entry, whatever the record says.  The
+    token is the stored instance itself: the heap never mutates one in place,
+    so a text is good for exactly as long as ``entry[0] is version``, and the
+    reader files one only for the version the store holds now.  At most one
+    text per live object that has been served; nothing per history.
+    """
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def _apply(self, record: ChangeRecord) -> None:
+        self._entries.pop(record.object_id, None)
 
 
 class BoundBindings(tuple):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.persistence.dao import DAORegistry
+from repro.persistence.views import StoredTextView
 from repro.query import QueryEngine, parse_filter_query
 from repro.rim import (
     QUERY_LANGUAGE_FILTER,
@@ -53,6 +54,8 @@ class QueryManager:
     def __init__(self, daos: DAORegistry, engine: QueryEngine) -> None:
         self.daos = daos
         self.engine = engine
+        #: what the wire writes of each stored version a read answer carried
+        self._texts = StoredTextView(daos.store)
 
     # -- direct gets -----------------------------------------------------------
 
@@ -230,7 +233,23 @@ class QueryManager:
             RegistryResponse,
             field_validator,
         )
-        from repro.soap.serializer import serialize
+        from repro.soap.serializer import StoredObjects, object_json, serialize
+
+        store, view = self.daos.store, self._texts
+
+        def stored_answer(versions):
+            """An answer of stored versions and their texts: a version's text is
+            written once, filed under the view's fill protocol, and joined after."""
+            as_of = view.catch_up()
+            texts = []
+            for version in versions:
+                entry = view.get(version.id)
+                if entry is None or entry[0] is not version:
+                    entry = (version, object_json(serialize(version)))
+                    if store.get_view(version.id) is version:
+                        view.put(version.id, *entry, as_of=as_of)
+                texts.append(entry[1])
+            return RegistryResponse(objects=StoredObjects(versions, texts))
 
         def execute_query(ctx):
             response = self.execute_adhoc_query(
@@ -253,8 +272,7 @@ class QueryManager:
             )
 
         def get_registry_object(ctx):
-            obj = self.get_registry_object(ctx.body.object_id, copy=False)
-            return RegistryResponse(objects=[serialize(obj)])
+            return stored_answer([self.get_registry_object(ctx.body.object_id, copy=False)])
 
         def build_get_registry_object(params):
             object_id = params.get("param-id")
@@ -263,8 +281,7 @@ class QueryManager:
             return GetRegistryObjectRequest(object_id=object_id)
 
         def get_service_bindings(ctx):
-            bindings = self.get_service_bindings(ctx.body.service_id, copy=False)
-            return RegistryResponse(objects=[serialize(b) for b in bindings])
+            return stored_answer(self.get_service_bindings(ctx.body.service_id, copy=False))
 
         kernel.register_operation(
             OperationSpec(

@@ -124,8 +124,11 @@ class RegistryWorker:
                     time.sleep(self.wire_delay_s)
                 result = self.kernel.execute(item.edge, **item.kwargs)
             except BaseException as error:  # noqa: BLE001 - delivered via Future
+                # counted before it is published: whoever the future wakes
+                # may read the counters at once
+                self.requests_served += 1
                 future.set_exception(error)
             else:
+                self.requests_served += 1
                 future.set_result(result)
-            self.requests_served += 1
             self.queue.done()

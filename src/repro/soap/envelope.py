@@ -34,8 +34,11 @@ and whose key set is exactly that type's, from field tables compiled at import
 entries in place.  Every other value (``rows``, id lists, slots, floats) and
 every other element — an extra or missing key, an unknown type, a ``dict`` or
 ``str`` subclass — goes to one ``json.JSONEncoder(sort_keys=True)``, which
-raises every error a caller can see; the bytes are the same either way.  Nothing
-selects between the two but the dict.
+raises every error a caller can see.  An ``objects`` that is the kernel's answer
+of stored versions (``serializer.StoredObjects``) and was never read in process
+is the join of the texts kept per stored version — each written once, by the
+first case; read in process it is a list of fresh dicts, and written as one.
+The bytes are the same all three ways, and nothing selects but the value's type.
 """
 
 from __future__ import annotations

@@ -160,6 +160,7 @@ class RegistryResponse:
     status: str = "Success"
     ids: list[str] = field(default_factory=list)
     rows: list[dict[str, Any]] = field(default_factory=list)
+    #: object dicts; from the kernel's read handlers, a ``serializer.StoredObjects``
     objects: list[SerializedObject] = field(default_factory=list)
     total_result_count: int | None = None
 

@@ -3,7 +3,9 @@
 The simulated SOAP boundary moves plain data, not live objects: this module
 flattens each RIM class to a tagged dict (``{"_type": "Service", ...}``) and
 reconstructs it on the other side.  Round-tripping is exact for every field
-the model carries, which the property tests verify.
+the tables below list, which the property tests verify; ``RegistryEntry``'s
+``expiration`` and ``stability`` (Service, ClassificationScheme, RegistryPackage,
+ExtrinsicObject) are listed nowhere: they were never on the wire, nor in a snapshot.
 
 One table drives every direction: each RIM type lists its fields once (wire
 key ↔ attribute, optional converters) after the fields every RegistryObject
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.rim import (
     AdhocQuery,
@@ -272,10 +274,51 @@ _VALUE = (
     '(quote(v) if type(v := {0}) is str else "null" if v is None'
     ' else "[]" if type(v) is list and not v else repr(v) if type(v) is int else encode(v))'
 )
-# ... and of a list whose elements ``{1}`` writes
+# ... and of a list whose elements ``{1}`` writes, or an answer of stored versions
 _ARRAY = (
-    '(("[" + ", ".join(map({1}, v)) + "]" if v else "[]") if type(v := {0}) is list else encode(v))'
+    '(("[" + ", ".join(map({1}, v)) + "]" if v else "[]") if type(v := {0}) is list'
+    " else v.json({1}) if type(v) is StoredObjects else encode(v))"
 )
+
+
+class StoredObjects:
+    """The ``objects`` of an answer made of stored versions, serialized by its reader.
+
+    Holds the versions and, per version, its sorted-key JSON text.  The wire joins
+    the texts; read in process this is the list of fresh, private dicts
+    :func:`serialize` writes, made on first use and from then on all the writer
+    looks at, so a mutated answer is written as mutated.
+    """
+
+    __slots__ = ("_versions", "_texts", "_dicts")
+
+    def __init__(self, versions: Sequence[RegistryObject], texts: Sequence[str]) -> None:
+        self._versions, self._texts, self._dicts = versions, texts, None
+
+    @property
+    def dicts(self) -> list[SerializedObject]:
+        if self._dicts is None:
+            self._dicts = [serialize(version) for version in self._versions]
+        return self._dicts
+
+    def json(self, each: Callable[[Any], str]) -> str:
+        texts = self._texts if self._dicts is None else map(each, self._dicts)
+        return "[" + ", ".join(texts) + "]"
+
+    def __len__(self) -> int:
+        return len(self.dicts)
+
+    def __getitem__(self, index):
+        return self.dicts[index]
+
+    def __iter__(self):
+        return iter(self.dicts)
+
+    def __eq__(self, other: object) -> bool:
+        return self.dicts == (other.dicts if type(other) is StoredObjects else other)
+
+    def __repr__(self) -> str:
+        return repr(self.dicts)
 
 
 def json_writer(
@@ -283,11 +326,12 @@ def json_writer(
 ) -> Callable[[Any], str]:
     """Compile ``x -> sorted-key JSON text`` for a plain dict of exactly *keys*.
 
-    *arrays* maps a key to the writer of its list's elements; *literals* are keys
-    present with a known text.  Any other ``x`` — another type, a subclass, a
-    missing or extra key — is the encoder's: the text is ``json.dumps``'s, always.
+    *arrays* maps a key to the writer of its list's elements (a :class:`StoredObjects`
+    there writes itself); *literals* are keys present with a known text.  Any other
+    ``x`` — another type, a subclass, a missing or extra key — is the encoder's: the
+    text is ``json.dumps``'s, always.
     """
-    scope = {"quote": encode_basestring_ascii, "encode": encode_json}
+    scope = dict(quote=encode_basestring_ascii, encode=encode_json, StoredObjects=StoredObjects)
     scope.update((f"each_{key}", each) for key, each in arrays.items())
     for key in keys:
         template = _ARRAY if key in arrays else _VALUE

@@ -6,7 +6,10 @@ and subquery views, and a generated-schedule machine asserting that every
 cache-backed read equals its uncached recompute after every write.
 """
 
+import sys
 import threading
+import time
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import settings
@@ -20,13 +23,23 @@ from repro.core import (
     attach_load_balancer,
 )
 from repro.core.constraints import parse_constraints
-from repro.persistence import DataStore, QueryResultView, ServiceUriView
+from repro.persistence import DataStore, QueryResultView, ServiceUriView, StoredTextView
 from repro.persistence.nodestate import NodeSample, NodeStateStore
 from repro.query.evaluator import QueryEngine
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization, Service, ServiceBinding
 from repro.sim import SimEngine
-from repro.soap import SimTransport
+from repro.soap import (
+    GetRegistryObjectRequest,
+    GetServiceBindingsRequest,
+    RegistryResponse,
+    SimTransport,
+    SoapEnvelope,
+    SoapRegistryBinding,
+    envelope_to_xml,
+    serialize,
+)
+from repro.soap.serializer import object_json
 from repro.util.clock import ManualClock
 from repro.util.ids import IdFactory
 
@@ -36,6 +49,11 @@ ids = IdFactory(88)
 @pytest.fixture
 def store() -> DataStore:
     return DataStore()
+
+
+def document(body) -> str:
+    """What the wire writes of a header-less message."""
+    return envelope_to_xml(SoapEnvelope(body=body))
 
 
 def publish(store, name="Adder", hosts=("h1", "h2")):
@@ -303,6 +321,132 @@ class TestServiceBindingsJoin:
             assert len(daos.services._bindings_view) <= 8
 
 
+class TestStoredTexts:
+    """The texts a read answer joins: one per live served object, dropped by id."""
+
+    @pytest.fixture
+    def world(self):
+        registry = RegistryServer(RegistryConfig(seed=5), clock=ManualClock(start=11 * 3600.0))
+        services = [
+            TestServiceBindingsJoin.publish(registry.store, "d", ["h1", "h2"], name=f"S{n}")
+            for n in range(4)
+        ]
+        return registry, SoapRegistryBinding(registry), services
+
+    @staticmethod
+    def read(edge, request):
+        """One request: its answer's document, untouched, and the answer."""
+        answer = edge.handle(SoapEnvelope(body=request))
+        return document(answer), answer
+
+    def test_a_record_for_an_id_drops_that_entry_and_no_other(self, store):
+        kept, written, deleted = (publish(store, name=name, hosts=()) for name in "abc")
+        view = StoredTextView(store)
+        for svc in (kept, written, deleted):
+            view.put(svc.id, store.get_view(svc.id), "text", as_of=view.catch_up())
+        store.save_object(store.get_object(written.id))
+        store.delete_object(deleted.id)
+        view.catch_up()
+        assert [view.get(svc.id) is None for svc in (kept, written, deleted)] == [False, True, True]
+        assert len(view) == 1
+
+    def test_a_text_is_written_once_per_version(self, world):
+        registry, edge, services = world
+        request = GetServiceBindingsRequest(services[0].id)
+        first, answer = self.read(edge, request)
+        filed = {oid: registry.qm._texts.get(oid) for oid in services[0].binding_ids}
+        assert [text for _, text in filed.values()] == list(map(object_json, answer.objects))
+        assert self.read(edge, request)[0] == first
+        assert all(registry.qm._texts.get(oid) is entry for oid, entry in filed.items())
+
+    def test_a_version_the_store_no_longer_holds_is_written_as_itself_and_not_filed(self, world):
+        registry, edge, services = world
+        store, view = registry.store, registry.qm._texts
+        binding_id = services[0].binding_ids[0]
+        held = store.get_view(binding_id)  # what a lagging join would still hand over
+        replacement = store.get_object(binding_id)
+        replacement.access_uri = "http://h9:8080/moved"
+        store.save_object(replacement)
+        registry.daos.services.resolve_bindings = lambda service, copy: [held]
+        for filed in (None, store.get_view(binding_id)):
+            # with no text on file, then with the text of the version that replaced it
+            written, answer = self.read(edge, GetServiceBindingsRequest(services[0].id))
+            assert answer.objects == [serialize(held)]
+            assert "http://h1:8080/a" in written and "http://h9:8080/moved" not in written
+            assert (view.get(binding_id) or [None])[0] is filed
+            current, _ = self.read(edge, GetRegistryObjectRequest(binding_id))
+            assert "http://h9:8080/moved" in current
+
+    def test_entries_stay_within_live_objects_over_ten_times_as_many_writes(self, world):
+        """Stated bound: one text per live object that has been served."""
+        registry, edge, services = world
+        store, view = registry.store, registry.qm._texts
+        served = [oid for svc in services for oid in (svc.id, *svc.binding_ids)]
+        for n in range(10 * store.count()):
+            target = store.get_object(served[n % len(served)])
+            target.description.set(f"rewrite {n}")
+            store.save_object(target)
+            passing = Organization(ids.new_id(), name=f"O{n}")
+            store.insert_object(passing)
+            for oid in (*served, passing.id):
+                self.read(edge, GetRegistryObjectRequest(oid))
+            store.delete_object(passing.id)
+            assert passing.id in view._entries  # until the view next hears of it
+            view.catch_up()
+            assert view.get(passing.id) is None
+            assert len(view) <= store.count() == len(served)
+
+    def test_five_readers_beside_a_writer_write_only_versions_the_store_held(self, world):
+        registry, edge, services = world
+        store = registry.store
+        service_id, binding_id = services[0].id, services[0].binding_ids[0]
+        held = {store.get_view(binding_id).access_uri}
+        stop = threading.Event()
+        wrong: list = []
+        reads = [0]
+
+        def writer():
+            n = 0
+            while not stop.is_set():
+                binding = store.get_object(binding_id)
+                binding.access_uri = f"http://h1:8080/{(n := n + 1)}"
+                held.add(binding.access_uri)
+                store.save_object(binding)
+
+        def reader():
+            requests = (GetRegistryObjectRequest(binding_id), GetServiceBindingsRequest(service_id))
+            while not stop.is_set():
+                for request in requests:
+                    written, answer = self.read(edge, request)
+                    # the joined texts are those of the versions this answer carries
+                    carried = RegistryResponse(objects=list(answer.objects))
+                    uri = answer.objects[0]["accessUri"]
+                    if written != document(carried) or uri not in held:
+                        wrong.append((uri, written))
+                        return
+                reads[0] += 1
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(5)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and reads[0] > 0 and len(held) > 1
+        _, answer = self.read(edge, GetRegistryObjectRequest(binding_id))
+        assert answer.objects == [serialize(store.get_object(binding_id))]
+        assert len(registry.qm._texts) <= store.count()
+
+
 class TestQueryResultView:
     def test_type_scoped_invalidation(self, store):
         publish(store)
@@ -510,6 +654,7 @@ class FreshnessMachine(RuleBasedStateMachine):
             max_sample_age=None,
         )
         self.scan = QueryEngine(self.store, planner=False)
+        self.edge = SoapRegistryBinding(self.registry)
         self.ids = IdFactory(99)
         self.service_ids: list[str] = []
         self.binding_ids: list[str] = []
@@ -581,6 +726,18 @@ class FreshnessMachine(RuleBasedStateMachine):
             self.store.delete_object(service.id)
         self.service_ids.remove(service.id)
 
+    @precondition(lambda self: self.service_ids + self.binding_ids)
+    @rule(data=st.data(), description=st.sampled_from(DESCRIPTIONS), batched=st.booleans())
+    def delete_and_reinsert_under_the_same_id(self, data, description, batched):
+        """Two records — one, coalesced, in a batch — and a new stored instance."""
+        obj = self.store.get_object(
+            data.draw(st.sampled_from(self.service_ids + self.binding_ids))
+        )
+        obj.description.set(description)
+        with self.store.batch() if batched else nullcontext():
+            self.store.delete_object(obj.id)
+            self.store.insert_object(obj)
+
     @rule(
         name=st.sampled_from(SERVICE_NAMES),
         description=st.sampled_from(DESCRIPTIONS),
@@ -645,9 +802,20 @@ class FreshnessMachine(RuleBasedStateMachine):
 
     # -- reads ----------------------------------------------------------------
 
+    def _answer(self, request) -> str:
+        """What the kernel's answer to *request* puts on the wire."""
+        return document(self.edge.handle(SoapEnvelope(body=request)))
+
     def _cached_reads(self, service_ids):
         """Every cache-backed read of the system, through its public surface."""
         return {
+            "binding_documents": {
+                sid: self._answer(GetServiceBindingsRequest(sid)) for sid in service_ids
+            },
+            "object_documents": {
+                oid: self._answer(GetRegistryObjectRequest(oid))
+                for oid in service_ids + self.binding_ids
+            },
             "uris": {sid: self.registry.qm.get_access_uris(sid) for sid in service_ids},
             "targets": self.lb.monitor.target_uris(),
             "queries": [self.registry.engine.execute(q) for q in PARITY_QUERIES],
@@ -675,14 +843,23 @@ class FreshnessMachine(RuleBasedStateMachine):
                 for binding in bindings_of(service):
                     if binding.access_uri not in targets:
                         targets.append(binding.access_uri)
-        uris, constraints = {}, {}
+        def fresh_document(object_ids):
+            """The answer carrying those objects, every one serialized afresh."""
+            objects = [serialize(store.get_object(oid)) for oid in object_ids]
+            return document(RegistryResponse(objects=objects))
+
+        uris, constraints, binding_documents = {}, {}, {}
         for sid in service_ids:
             service = store.get_view(sid)
-            uris[sid] = [
-                b.access_uri for b in resolver.resolve(service, bindings_of(service))
-            ]
+            resolved = resolver.resolve(service, bindings_of(service))
+            uris[sid] = [b.access_uri for b in resolved]
+            binding_documents[sid] = fresh_document(b.id for b in resolved)
             constraints[sid] = parse_constraints(service.description.value)
         return {
+            "binding_documents": binding_documents,
+            "object_documents": {
+                oid: fresh_document([oid]) for oid in service_ids + self.binding_ids
+            },
             "uris": uris,
             "targets": targets,
             "queries": [self.scan.execute(q) for q in PARITY_QUERIES],
@@ -702,6 +879,14 @@ class FreshnessMachine(RuleBasedStateMachine):
         for sid, check in cached["constraints"].items():
             assert check.constraints == fresh["constraints"][sid]
             assert check.present == (fresh["constraints"][sid] is not None)
+        assert cached["binding_documents"] == fresh["binding_documents"]
+        assert cached["object_documents"] == fresh["object_documents"]
+        # ... and what is kept to write them is the store's, nothing else
+        texts = self.registry.qm._texts
+        texts.catch_up()
+        for object_id, (version, text) in texts._entries.items():
+            assert self.store.get_view(object_id) is version
+            assert text == object_json(serialize(version))
 
 
 FreshnessMachine.TestCase.settings = settings(

@@ -276,6 +276,31 @@ class TestTelemetrySurface:
         assert pipeline_workers <= {"worker-0", "worker-1"}
         assert pipeline_workers
 
+    @pytest.mark.parametrize("outcome", ["result", "exception"])
+    def test_a_request_is_counted_before_its_answer_is_published(self, supervisor, outcome):
+        """Whoever the future wakes may read the counters at once: a done-callback
+        runs inside ``set_result`` / ``set_exception``, on the worker's thread."""
+        entered, release, seen = threading.Event(), threading.Event(), []
+
+        def handler(ctx):
+            entered.set()
+            assert release.wait(30.0)
+            if outcome == "exception":
+                raise LookupError("not a registry error: the future carries it")
+
+        def count(_future):
+            seen.append(sum(supervisor.serving_stats()["served_per_worker"].values()))
+
+        with supervisor:
+            future = supervisor.submit(spec=OperationSpec(name="held", handler=handler))
+            assert entered.wait(30.0)  # picked up, not finished: the callback is in time
+            future.add_done_callback(count)
+            release.set()
+            assert isinstance(future.exception(timeout=30.0), LookupError) == (
+                outcome == "exception"
+            )
+        assert seen == [1]
+
     def test_close_unmounts_source(self, registry):
         sup = ServingSupervisor(registry, ServingConfig(workers=1))
         assert "serving" in registry.telemetry.sources()

@@ -1,6 +1,7 @@
 """Tests for literal SOAP XML rendering: the wire's bytes, round trips, bad payloads."""
 
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -8,7 +9,7 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import HOSTS, publish_service_with_bindings
@@ -16,10 +17,12 @@ from test_soap_serializer import populated_objects
 from repro.client.jaxr import ConnectionFactory
 from repro.core import attach_load_balancer
 from repro.persistence.nodestate import NodeSample
+from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
 from repro.rim import Organization, Service, ServiceBinding, Slot
 from repro.serving import ServingConfig, ServingSupervisor
 from repro.soap import (
     AdhocQueryRequest,
+    GetRegistryObjectRequest,
     GetServiceBindingsRequest,
     RegistryResponse,
     RemoveObjectsRequest,
@@ -30,6 +33,7 @@ from repro.soap import (
     UpdateObjectsRequest,
     envelope_from_xml,
     envelope_to_xml,
+    deserialize,
     serialize,
     serializer,
     xml_binding,
@@ -445,6 +449,27 @@ object_lists = st.lists(
 )
 
 
+def _mutate(objects):
+    objects[0]["owner"] = "urn:uuid:mallory"
+    objects[0]["name"].append({"locale": "zz", "charset": "UTF-8", "value": "<&>"})
+
+
+def _misshape(objects):
+    objects[0]["extra"] = objects[0].pop("lid")
+
+
+#: what a caller in process may do with an answer's objects before it is encoded
+TOUCHES = {
+    "untouched": lambda objects: None,
+    "indexed": lambda objects: objects[0],
+    "iterated": lambda objects: [data["id"] for data in objects],
+    "measured": lambda objects: (len(objects), repr(objects)),
+    "compared": lambda objects: objects == [],
+    "mutated": _mutate,
+    "mutated-out-of-the-tables-shape": _misshape,
+}
+
+
 class TestWriterMatchesDumps:
     """``envelope_to_xml`` writes what ``json.dumps(fields, sort_keys=True)`` wrote."""
 
@@ -505,6 +530,74 @@ class TestWriterMatchesDumps:
         for body in (RegistryResponse(objects=[data]), SubmitObjectsRequest(objects=[data])):
             with pytest.raises(InvalidRequestError, match=f"cannot render {type(body).__name__}"):
                 envelope_to_xml(SoapEnvelope(body=body))
+
+    # -- an answer of stored versions: joined texts, or the dicts a reader was handed --
+
+    @staticmethod
+    def stored_answer(stored, registry=None):
+        """The kernel's ``getRegistryObject`` answer carrying *stored*, and its store."""
+        registry = registry or RegistryServer(RegistryConfig(seed=3))
+        registry.store.insert_object(stored)
+        request = SoapEnvelope(body=GetRegistryObjectRequest(object_id=stored.id))
+        return SoapRegistryBinding(registry).handle(request), registry.store
+
+    @pytest.mark.parametrize("touch", list(TOUCHES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=serialized_objects())
+    def test_a_stored_answer_is_written_as_the_dicts_a_reader_in_process_has(self, touch, data):
+        try:
+            stored = deserialize(data)
+        except InvalidRequestError:  # a list the model requires was emptied
+            assume(False)
+        answer, store = self.stored_answer(stored)
+        assert type(answer.objects) is serializer.StoredObjects
+        fresh = RegistryResponse(objects=[serialize(store.get_object(data["id"]))])
+        for response in (answer, fresh):
+            TOUCHES[touch](response.objects)
+        document = envelope_to_xml(SoapEnvelope(body=answer))
+        assert document == dumps_document(SoapEnvelope(body=fresh))
+        # ... and so it stays: what was handed out once is all the writer looks at
+        assert document == envelope_to_xml(SoapEnvelope(body=answer))
+        handed_out = RegistryResponse(objects=[*answer.objects])
+        assert document == dumps_document(SoapEnvelope(body=handed_out))
+
+    def test_a_stored_answer_equals_the_list_of_its_dicts_both_ways_round(self):
+        answer, store = self.stored_answer(populated_objects()["Service"])
+        dicts = [serialize(store.get_object(answer.objects[0]["id"]))]
+        assert answer.objects == dicts and dicts == answer.objects
+        plain = RegistryResponse(objects=dicts)
+        assert answer == plain and plain == answer
+        other, _ = self.stored_answer(populated_objects()["Service"])
+        assert answer == other and answer.objects == other.objects
+        dicts[0]["owner"] = "urn:uuid:mallory"
+        assert answer.objects != dicts and dicts != answer.objects and answer.objects != "x"
+        assert repr(answer.objects) == repr(other.objects[:]) and len(answer.objects) == 1
+
+    def test_a_forwarded_answer_is_written_by_the_forwarder_with_the_holders_bytes(self):
+        federation = RegistryFederation("fed")
+        holder, forwarder = members = [
+            RegistryServer(RegistryConfig(seed=n, home=f"http://reg{n}.example:8080/omar/registry"))
+            for n in (1, 2)
+        ]
+        for member in members:
+            federation.join(member)
+        service = populated_objects()["Service"]
+        service.id = next(
+            oid
+            for oid in iter(holder.ids.new_id, None)
+            if federation.shard_map.owner(oid) == holder.home
+        )
+        local, store = self.stored_answer(service, holder)
+        request = SoapEnvelope(body=GetRegistryObjectRequest(object_id=service.id))
+        forwarded = federation.transport.request(federation.endpoint_for(forwarder.home), request)
+        assert federation.router_for(forwarder.home).stats()["forwarded"] == 1
+        assert type(forwarded.objects) is serializer.StoredObjects
+        document = envelope_to_xml(SoapEnvelope(body=forwarded))
+        assert document == envelope_to_xml(SoapEnvelope(body=local))
+        fresh = RegistryResponse(objects=[serialize(store.get_object(service.id))])
+        assert document == dumps_document(SoapEnvelope(body=fresh))
+        (_, text), = holder.qm._texts._entries.values()
+        assert escape(text) in document and len(forwarder.qm._texts) == 0
 
 
 # -- one pass over the writer's own documents, the tree for everything else ------
@@ -806,6 +899,62 @@ class TestEncodeBudget:
             assert "JSONEncoder.__init__" not in names
         # the counter counts: this is what the writer used to do per envelope
         assert "JSONEncoder.__init__" in self.calls(lambda: json.dumps({}, sort_keys=True))
+
+    #: call + c_call events one more binding adds to a warm discovery, handler to
+    #: document, once its text is on file: a view lookup, an append — and no dict.
+    #: ``EVENTS_PER_BINDING`` is what a plain dict costs the writer, after the
+    #: ``serialize`` call and converters that built it.
+    EVENTS_PER_STORED_BINDING = 4
+
+    @staticmethod
+    def discovery(answer: int, hosts: int = 64):
+        """``edge.handle`` + ``envelope_to_xml`` of a FILTER service bound on *hosts*
+        monitored hosts, the first *answer* of them satisfying."""
+        from repro.core.balancer import BalanceMode
+        from repro.sim import SimEngine
+        from repro.soap import SimTransport
+        from repro.util.clock import ManualClock
+
+        clock = ManualClock(start=10 * 3600.0)
+        registry = RegistryServer(RegistryConfig(seed=5), clock=clock)
+        names = [f"host{n:03d}.bench" for n in range(hosts)]
+        _, credential = registry.register_user("owner")
+        _, service = publish_service_with_bindings(
+            registry, registry.login(credential), description=LOAD_BELOW_ONE, hosts=names
+        )
+        attach_load_balancer(
+            registry,
+            SimTransport(),
+            SimEngine(start=clock.now()),
+            mode=BalanceMode.FILTER,
+            start_monitor=False,
+        )
+        registry.node_state.record_samples(
+            NodeSample(
+                host=host,
+                load=0.01 * n if n < answer else 5.0,
+                memory=1 << 32,
+                swap_memory=1 << 32,
+                updated=clock.now(),
+            )
+            for n, host in enumerate(names)
+        )
+        edge = SoapRegistryBinding(registry)
+        request = SoapEnvelope(body=GetServiceBindingsRequest(service_id=service.id))
+        return lambda: envelope_to_xml(SoapEnvelope(body=edge.handle(request)))
+
+    def test_a_stored_answer_costs_a_lookup_per_binding_and_enters_no_encoder(self):
+        three, six = self.discovery(3), self.discovery(6)
+        assert six().count("accessUri") == 6 and "host005.bench" in six()
+        gc.disable()  # a collection inside a counted run adds its callbacks' calls
+        try:
+            counted = [self.calls(three), self.calls(six), self.calls(three), self.calls(six)]
+        finally:
+            gc.enable()
+        assert counted[:2] == counted[2:]
+        added = len(counted[1]) - len(counted[0])
+        assert 0 < added <= 3 * self.EVENTS_PER_STORED_BINDING
+        assert not {"JSONEncoder.encode", "serialize", "write"} & set(counted[1])
 
 
 # -- objects the serializer could not have written ---------------------------------
