@@ -10,10 +10,10 @@ JDBC; here a :class:`DataStore` provides the same contract in memory:
 * per-request **transactions** with commit/rollback, giving the ACID-at-
   request-granularity behaviour the registry needs.
 
-Discovery fast path: the heap keeps two incrementally-maintained secondary
-indexes per type — a sorted id list (so ``objects_of_type`` never re-sorts)
-and a name index with a sorted key list (so exact-name and prefix lookups
-stop scanning the partition).  Read paths that can tolerate aliasing opt
+Discovery fast path: the heap keeps three sorted runs per type (:class:`_Run`)
+— ids, ``(name, id)`` pairs, distinct names — so scans never re-sort, name
+lookups bisect and a ``LIKE`` regex runs once per name, while a write copies
+one leaf per run, not the partition.  Read paths that can tolerate aliasing opt
 into **views** (``get_view`` / ``iter_views_of_type`` / ``find_views_by_name``)
 which return the stored instances without the per-object ``copy()``; views
 are read-only by contract — all writes still go through
@@ -25,7 +25,7 @@ Concurrency model (the serving core's substrate):
   never block readers and readers never take the lock;
 * **atomically published index generations** — all iterable index state
   lives in one immutable :class:`HeapIndexes` value.  Writers build new
-  (partition-level copy-on-write) containers and publish them with a single
+  (leaf-level copy-on-write) runs and publish them with a single
   attribute store, so a reader that captured ``self._indexes`` sees one
   self-consistent generation end to end: no list resized mid-iteration, no
   "set changed size", no mixed-generation id lists;
@@ -52,9 +52,11 @@ store code only (see DESIGN.md "Freshness").
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.persistence.changelog import (
@@ -72,66 +74,154 @@ from repro.util.errors import (
     ObjectNotFoundError,
 )
 
-_EMPTY_IDS: frozenset[str] = frozenset()
+#: the most items one leaf of a :class:`_Run` holds: a write copies one leaf
+#: (~4 kB of references) plus the leaf table (one entry per leaf)
+_LEAF = 512
+
+
+class _Run:
+    """An immutable sorted set of strings or ``(name, id)`` pairs.
+
+    The items sit in a tuple of sorted leaves of at most ``_LEAF`` items,
+    beside the tuple of each leaf's largest item.  :meth:`add` and
+    :meth:`discard` return a new run sharing every leaf but the one they
+    touch, so a write never copies the set; readers bisect the leaf table,
+    then one leaf.  Every item of one run has the same type.
+    """
+
+    __slots__ = ("leaves", "maxes", "size")
+
+    def __init__(self, leaves: tuple = (), maxes: tuple = (), size: int = 0) -> None:
+        self.leaves = leaves
+        self.maxes = maxes
+        self.size = size
+
+    @classmethod
+    def of(cls, items: list) -> "_Run":
+        """A run of *items*, which are sorted and distinct."""
+        leaves = tuple(tuple(items[k : k + _LEAF]) for k in range(0, len(items), _LEAF))
+        return cls(leaves, tuple(leaf[-1] for leaf in leaves), len(items))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(self.leaves)
+
+    def ceiling(self, item: Any) -> Any:
+        """The least item ``>= item``, or None."""
+        maxes = self.maxes
+        i = bisect_left(maxes, item)
+        if i == len(maxes):
+            return None
+        leaf = self.leaves[i]
+        return leaf[bisect_left(leaf, item)]
+
+    def spans(self, low: Any, high: Any = None) -> tuple[tuple, ...]:
+        """Leaf slices that, joined, are the items ``low <= item < high`` (no
+        *high*: to the end) — so a C-level filter or map can run per slice."""
+        leaves, maxes = self.leaves, self.maxes
+        i = bisect_left(maxes, low)
+        if i == len(maxes):
+            return ()
+        leaf = leaves[i]
+        a = bisect_left(leaf, low)
+        if high is not None and maxes[i] >= high:  # one leaf holds the range
+            return (leaf[a : bisect_left(leaf, high, a)],)
+        j = len(maxes) if high is None else bisect_left(maxes, high, i)
+        spans = (leaf[a:],) + leaves[i + 1 : j]
+        if j < len(maxes):
+            leaf = leaves[j]
+            spans += (leaf[: bisect_left(leaf, high)],)
+        return spans
+
+    def add(self, item: Any) -> "_Run":
+        """This run with *item*: copies one leaf (split past ``_LEAF``)."""
+        leaves, maxes = self.leaves, self.maxes
+        if not leaves:
+            return _Run(((item,),), (item,), 1)
+        # an item above every leaf's max joins the last leaf
+        i = min(bisect_left(maxes, item), len(maxes) - 1)
+        leaf = leaves[i]
+        j = bisect_left(leaf, item)
+        if j < len(leaf) and leaf[j] == item:
+            return self
+        leaf = leaf[:j] + (item,) + leaf[j:]
+        if len(leaf) > _LEAF:
+            half = len(leaf) >> 1
+            return self._replaced(i, (leaf[:half], leaf[half:]), (leaf[half - 1], leaf[-1]), 1)
+        return self._replaced(i, (leaf,), (leaf[-1],), 1)
+
+    def discard(self, item: Any) -> "_Run":
+        """This run without *item*: copies one leaf (dropped once empty)."""
+        leaves, maxes = self.leaves, self.maxes
+        i = bisect_left(maxes, item)
+        if i == len(maxes):
+            return self
+        leaf = leaves[i]
+        j = bisect_left(leaf, item)
+        if leaf[j] != item:
+            return self
+        leaf = leaf[:j] + leaf[j + 1 :]
+        if not leaf:
+            return self._replaced(i, (), (), -1)
+        return self._replaced(i, (leaf,), (leaf[-1],), -1)
+
+    def _replaced(self, i: int, new: tuple, tops: tuple, grown: int) -> "_Run":
+        """A run whose leaf *i* is the leaves *new*, of maxima *tops*."""
+        leaves, maxes = self.leaves, self.maxes
+        return _Run(
+            leaves[:i] + new + leaves[i + 1 :], maxes[:i] + tops + maxes[i + 1 :], self.size + grown
+        )
+
+
+_EMPTY_RUN = _Run()
+_second = itemgetter(1)
 
 
 @dataclass(frozen=True)
 class HeapIndexes:
     """One atomically-published generation of the heap's index state.
 
-    Every container reachable from an instance is immutable (or replaced,
-    never mutated, by writers), so readers capture ``store._indexes`` once
-    and iterate without locks or torn state.
+    Three immutable :class:`_Run` per type name, which writers replace, never
+    mutate: readers capture ``store._indexes`` once and iterate lock-free.
     """
 
     version: int
-    #: type name → ids of that type (membership probes)
-    by_type: dict[str, frozenset[str]]
-    #: type name → ids in sorted order (ordered partition scans)
-    sorted_ids: dict[str, tuple[str, ...]]
-    #: type name → name value → ids (exact-name lookups)
-    by_name: dict[str, dict[str, frozenset[str]]]
-    #: type name → distinct name values in sorted order (prefix range scans)
-    sorted_names: dict[str, tuple[str, ...]]
+    #: type name → its ids (ordered scans, membership probes)
+    ids: dict[str, _Run]
+    #: type name → its ``(name, id)`` pairs (name lookups: exact, prefix, range)
+    pairs: dict[str, _Run]
+    #: type name → its distinct names (``LIKE`` runs its regex once per name)
+    names: dict[str, _Run]
 
 
-def _tuple_insert(values: tuple[str, ...], value: str) -> tuple[str, ...]:
-    pos = bisect_left(values, value)
-    return values[:pos] + (value,) + values[pos:]
+def _above(prefix: str) -> str | None:
+    """The least string above every string starting with *prefix*, or None.
 
-
-def _tuple_remove(values: tuple[str, ...], value: str) -> tuple[str, ...]:
-    pos = bisect_left(values, value)
-    if pos < len(values) and values[pos] == value:
-        return values[:pos] + values[pos + 1 :]
-    return values
-
-
-def _names_with_prefix(
-    idx: HeapIndexes, type_name: str, prefix: str
-) -> tuple[str, ...]:
-    """The distinct names of one type that start with *prefix*, sorted.
-
-    Two bisections: the smallest string above every string with the prefix
-    is the prefix with its last character bumped (trailing U+10FFFF cannot
-    be bumped and carry into the character before them).
+    The prefix with its last character bumped; trailing U+10FFFF cannot be
+    bumped and carry into the character before them (none left: no bound).
     """
-    keys = idx.sorted_names.get(type_name, ())
-    low = bisect_left(keys, prefix)
     bumpable = prefix.rstrip("\U0010ffff")
     if not bumpable:
-        return keys[low:]
-    above = bumpable[:-1] + chr(ord(bumpable[-1]) + 1)
-    return keys[low : bisect_left(keys, above, low)]
+        return None
+    return bumpable[:-1] + chr(ord(bumpable[-1]) + 1)
 
 
-def _ids_of_names(idx: HeapIndexes, type_name: str, names: Iterable[str]) -> list[str]:
-    """Sorted ids of the objects of one type named any of the indexed *names*."""
-    buckets = idx.by_name.get(type_name, {})
+def _ids_named(pairs: _Run, names: Iterable[Any]) -> list[str]:
+    """Ids of the pairs named any of *names* (a non-string names nothing), name
+    by name in id order: ``name + "\\0"`` is the least string above *name*."""
     out: list[str] = []
     for name in names:
-        out.extend(buckets.get(name, ()))
-    return sorted(out)
+        if isinstance(name, str):
+            for span in pairs.spans((name,), (name + "\0",)):
+                out += map(_second, span)
+    return out
+
+
+def _ids_between(pairs: _Run, low: tuple, high: tuple | None) -> list[str]:
+    """Sorted ids of the pairs ``low <= pair < high`` (no *high*: to the end)."""
+    return sorted(map(_second, chain.from_iterable(pairs.spans(low, high))))
 
 
 class HeapSnapshot:
@@ -193,19 +283,18 @@ class HeapSnapshot:
         obj = self.get_view(object_id)
         if obj is None:
             return False
-        return object_id in self._indexes.by_type.get(obj.type_name, _EMPTY_IDS)
+        run = self._indexes.ids.get(obj.type_name, _EMPTY_RUN)
+        return run.ceiling(object_id) == object_id
 
     def type_names(self) -> list[str]:
-        return sorted(
-            name for name, ids in self._indexes.by_type.items() if ids
-        )
+        return sorted(name for name, ids in self._indexes.ids.items() if ids)
 
     def ids_of_type(self, type_name: str) -> tuple[str, ...]:
-        return self._indexes.sorted_ids.get(type_name, ())
+        return tuple(self._indexes.ids.get(type_name, _EMPTY_RUN))
 
     def iter_views_of_type(self, type_name: str) -> Iterator[RegistryObject]:
         """Pinned-generation objects of one class in id order (no copies)."""
-        for object_id in self._indexes.sorted_ids.get(type_name, ()):
+        for object_id in self._indexes.ids.get(type_name, _EMPTY_RUN):
             obj = self.get_view(object_id)
             if obj is not None:
                 yield obj
@@ -214,8 +303,7 @@ class HeapSnapshot:
         return [o.copy() for o in self.iter_views_of_type(type_name)]
 
     def find_ids_by_name(self, type_name: str, name: str) -> list[str]:
-        bucket = self._indexes.by_name.get(type_name, {}).get(name)
-        return sorted(bucket) if bucket else []
+        return _ids_named(self._indexes.pairs.get(type_name, _EMPTY_RUN), (name,))
 
     def find_views_by_name(self, type_name: str, name: str) -> list[RegistryObject]:
         out = []
@@ -227,8 +315,8 @@ class HeapSnapshot:
 
     def count(self, type_name: str | None = None) -> int:
         if type_name is None:
-            return sum(len(ids) for ids in self._indexes.by_type.values())
-        return len(self._indexes.by_type.get(type_name, ()))
+            return sum(map(len, self._indexes.ids.values()))
+        return len(self._indexes.ids.get(type_name, _EMPTY_RUN))
 
 
 class _BatchState:
@@ -279,9 +367,7 @@ class DataStore:
         #: pre-images of replaced/deleted entries go to pinned snapshots.
         self._objects: dict[str, RegistryObject] = {}
         #: the atomically-published immutable index generation
-        self._indexes = HeapIndexes(
-            version=0, by_type={}, sorted_ids={}, by_name={}, sorted_names={}
-        )
+        self._indexes = HeapIndexes(version=0, ids={}, pairs={}, names={})
         self._tables: dict[str, Table] = {}
         #: the single writer lock (re-entrant: transactions nest mutators)
         self._lock = threading.RLock()
@@ -389,30 +475,17 @@ class DataStore:
     # -- index publication (writer-side, under the lock) -----------------------
 
     def _publish(
-        self,
-        by_type: dict[str, frozenset[str]],
-        sorted_ids: dict[str, tuple[str, ...]],
-        by_name: dict[str, dict[str, frozenset[str]]],
-        sorted_names: dict[str, tuple[str, ...]],
+        self, ids: dict[str, _Run], pairs: dict[str, _Run], names: dict[str, _Run]
     ) -> None:
         self._indexes = HeapIndexes(
-            version=self._indexes.version + 1,
-            by_type=by_type,
-            sorted_ids=sorted_ids,
-            by_name=by_name,
-            sorted_names=sorted_names,
+            version=self._indexes.version + 1, ids=ids, pairs=pairs, names=names
         )
         self.version = self._indexes.version
 
     def _builders(self):
-        """Shallow outer-dict copies of the current generation's indexes."""
+        """Copies of the current generation's type → run dicts."""
         idx = self._indexes
-        return (
-            dict(idx.by_type),
-            dict(idx.sorted_ids),
-            dict(idx.by_name),
-            dict(idx.sorted_names),
-        )
+        return dict(idx.ids), dict(idx.pairs), dict(idx.names)
 
     def _active_builders(self):
         """The batch's accumulating builders, or fresh per-op copies."""
@@ -531,60 +604,33 @@ class DataStore:
         }
 
     @staticmethod
-    def _builder_add(
-        by_type, sorted_ids, by_name, sorted_names, type_name: str, name: str, oid: str
-    ) -> None:
-        by_type[type_name] = by_type.get(type_name, _EMPTY_IDS) | {oid}
-        sorted_ids[type_name] = _tuple_insert(sorted_ids.get(type_name, ()), oid)
-        buckets = dict(by_name.get(type_name, {}))
-        bucket = buckets.get(name)
-        if bucket is None:
-            buckets[name] = frozenset((oid,))
-            sorted_names[type_name] = _tuple_insert(
-                sorted_names.get(type_name, ()), name
-            )
-        else:
-            buckets[name] = bucket | {oid}
-        by_name[type_name] = buckets
+    def _builder_add(ids, pairs, names, type_name: str, name: str, oid: str) -> None:
+        ids[type_name] = ids.get(type_name, _EMPTY_RUN).add(oid)
+        pairs[type_name] = pairs.get(type_name, _EMPTY_RUN).add((name, oid))
+        names[type_name] = names.get(type_name, _EMPTY_RUN).add(name)
 
     @staticmethod
-    def _builder_remove(
-        by_type, sorted_ids, by_name, sorted_names, type_name: str, name: str, oid: str
-    ) -> None:
-        by_type[type_name] = by_type.get(type_name, _EMPTY_IDS) - {oid}
-        sorted_ids[type_name] = _tuple_remove(sorted_ids.get(type_name, ()), oid)
-        buckets = dict(by_name.get(type_name, {}))
-        bucket = buckets.get(name)
-        if bucket is not None:
-            bucket = bucket - {oid}
-            if bucket:
-                buckets[name] = bucket
-            else:
-                del buckets[name]
-                sorted_names[type_name] = _tuple_remove(
-                    sorted_names.get(type_name, ()), name
-                )
-        by_name[type_name] = buckets
+    def _builder_remove(ids, pairs, names, type_name: str, name: str, oid: str) -> None:
+        ids[type_name] = ids[type_name].discard(oid)
+        pairs[type_name] = pairs[type_name].discard((name, oid))
+        left = pairs[type_name].ceiling((name,))
+        if left is None or left[0] != name:  # the last object of that name
+            names[type_name] = names[type_name].discard(name)
 
     def _rebuilt_indexes(self) -> None:
-        """Recompute and publish every index from the live heap (rollback)."""
-        by_type: dict[str, frozenset[str]] = {}
-        sorted_ids: dict[str, tuple[str, ...]] = {}
-        by_name: dict[str, dict[str, frozenset[str]]] = {}
-        sorted_names: dict[str, tuple[str, ...]] = {}
-        grouped: dict[str, list[RegistryObject]] = {}
+        """Bulk-build and publish every run from the live heap (rollback)."""
+        grouped: dict[str, list[tuple[str, str]]] = {}
         for obj in self._objects.values():
-            grouped.setdefault(obj.type_name, []).append(obj)
-        for type_name, objs in grouped.items():
-            objs.sort(key=lambda o: o.id)
-            by_type[type_name] = frozenset(o.id for o in objs)
-            sorted_ids[type_name] = tuple(o.id for o in objs)
-            names: dict[str, set[str]] = {}
-            for obj in objs:
-                names.setdefault(obj.name.value, set()).add(obj.id)
-            by_name[type_name] = {n: frozenset(ids) for n, ids in names.items()}
-            sorted_names[type_name] = tuple(sorted(names))
-        self._publish(by_type, sorted_ids, by_name, sorted_names)
+            grouped.setdefault(obj.type_name, []).append((obj.name.value, obj.id))
+        ids: dict[str, _Run] = {}
+        pairs: dict[str, _Run] = {}
+        names: dict[str, _Run] = {}
+        for type_name, named in grouped.items():
+            named.sort()
+            ids[type_name] = _Run.of(sorted(map(_second, named)))
+            pairs[type_name] = _Run.of(named)
+            names[type_name] = _Run.of(sorted({name for name, _ in named}))
+        self._publish(ids, pairs, names)
 
     # -- object heap ---------------------------------------------------------
 
@@ -675,7 +721,7 @@ class DataStore:
         """All stored objects of one ebRIM class (copies), in id order."""
         objects = self._objects
         out = []
-        for object_id in self._indexes.sorted_ids.get(type_name, ()):
+        for object_id in self._indexes.ids.get(type_name, _EMPTY_RUN):
             obj = objects.get(object_id)
             if obj is not None:
                 out.append(obj.copy())
@@ -684,7 +730,7 @@ class DataStore:
     def iter_views_of_type(self, type_name: str) -> Iterator[RegistryObject]:
         """Stored objects of one class in id order — read-only, no copies."""
         objects = self._objects
-        for object_id in self._indexes.sorted_ids.get(type_name, ()):
+        for object_id in self._indexes.ids.get(type_name, _EMPTY_RUN):
             obj = objects.get(object_id)
             if obj is not None:
                 yield obj
@@ -703,8 +749,7 @@ class DataStore:
 
     def find_ids_by_name(self, type_name: str, name: str) -> list[str]:
         """Ids of objects of *type_name* whose name equals *name* (sorted)."""
-        bucket = self._indexes.by_name.get(type_name, {}).get(name)
-        return sorted(bucket) if bucket else []
+        return _ids_named(self._indexes.pairs.get(type_name, _EMPTY_RUN), (name,))
 
     def find_by_name(self, type_name: str, name: str) -> list[RegistryObject]:
         return [
@@ -724,36 +769,27 @@ class DataStore:
     def find_ids_by_names(self, type_name: str, names: Iterable[str]) -> list[str]:
         """Ids of objects of *type_name* whose name is any of *names* (sorted).
 
-        The query planner's ``name IN (...)`` probe: one bucket lookup per
-        name instead of a partition scan.
+        The query planner's ``name IN (...)`` probe: one bisection pair per
+        name over the type's ``(name, id)`` run instead of a partition scan.
         """
-        buckets = self._indexes.by_name.get(type_name)
-        if not buckets:
-            return []
-        out: set[str] = set()
-        for name in names:
-            bucket = buckets.get(name)
-            if bucket:
-                out |= bucket
-        return sorted(out)
+        pairs = self._indexes.pairs.get(type_name, _EMPTY_RUN)
+        return sorted(set(_ids_named(pairs, names)))
 
     def filter_ids_of_type(
         self, type_name: str, candidate_ids: Iterable[str]
     ) -> list[str]:
         """The subset of *candidate_ids* stored under *type_name* (sorted).
 
-        The query planner's id-equality / ``id IN (...)`` probe: set
-        intersection against the type partition, never a scan.
+        The query planner's id-equality / ``id IN (...)`` probe: one
+        bisection per candidate into the type's id run, never a scan.
         """
-        bucket = self._indexes.by_type.get(type_name)
-        if not bucket:
-            return []
-        return sorted(bucket.intersection(candidate_ids))
+        ids = self._indexes.ids.get(type_name, _EMPTY_RUN)
+        return sorted({i for i in candidate_ids if isinstance(i, str) and ids.ceiling(i) == i})
 
     def find_ids_by_name_prefix(self, type_name: str, prefix: str) -> list[str]:
         """Ids of objects whose name starts with *prefix*, via a range scan."""
-        idx = self._indexes
-        return _ids_of_names(idx, type_name, _names_with_prefix(idx, type_name, prefix))
+        pairs, above = self._indexes.pairs.get(type_name, _EMPTY_RUN), _above(prefix)
+        return _ids_between(pairs, (prefix,), None if above is None else (above,))
 
     def find_ids_by_name_match(
         self, type_name: str, prefix: str, match: Callable[[str], object]
@@ -766,21 +802,19 @@ class DataStore:
         object is touched.
         """
         idx = self._indexes
-        return _ids_of_names(
-            idx, type_name, filter(match, _names_with_prefix(idx, type_name, prefix))
-        )
+        names: list[str] = []
+        for span in idx.names.get(type_name, _EMPTY_RUN).spans(prefix, _above(prefix)):
+            names += filter(match, span)
+        return sorted(_ids_named(idx.pairs.get(type_name, _EMPTY_RUN), names))
 
     def find_ids_by_name_range(self, type_name: str, low: str, high: str) -> list[str]:
         """Ids of objects with ``low <= name <= high`` (string order, sorted).
 
         The query planner's ``name BETWEEN`` probe: two bisections over the
-        sorted distinct names; reversed bounds select nothing.
+        type's ``(name, id)`` run; reversed bounds select nothing.
         """
-        idx = self._indexes
-        keys = idx.sorted_names.get(type_name, ())
-        return _ids_of_names(
-            idx, type_name, keys[bisect_left(keys, low) : bisect_right(keys, high)]
-        )
+        pairs = self._indexes.pairs.get(type_name, _EMPTY_RUN)
+        return _ids_between(pairs, (low,), (high + "\0",))
 
     def find_by_name_prefix(self, type_name: str, prefix: str) -> list[RegistryObject]:
         return [
@@ -792,21 +826,15 @@ class DataStore:
     def all_ids(self) -> list[str]:
         # derived from the published generation, not the mutable heap map,
         # so the result is one consistent membership list
-        out: list[str] = []
-        for ids in self._indexes.sorted_ids.values():
-            out.extend(ids)
-        out.sort()
-        return out
+        return sorted(chain.from_iterable(self._indexes.ids.values()))
 
     def count(self, type_name: str | None = None) -> int:
         if type_name is None:
             return len(self._objects)
-        return len(self._indexes.by_type.get(type_name, ()))
+        return len(self._indexes.ids.get(type_name, _EMPTY_RUN))
 
     def type_names(self) -> list[str]:
-        return sorted(
-            name for name, ids in self._indexes.by_type.items() if ids
-        )
+        return sorted(name for name, ids in self._indexes.ids.items() if ids)
 
     # -- transactions ----------------------------------------------------------
 

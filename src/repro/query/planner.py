@@ -7,12 +7,12 @@ into a :class:`CompiledPlan` and executes it as *probe → filter objects →
 project survivors*:
 
 * **access path** — the cheapest sargable conjunct of the WHERE tree is
-  pushed down into the datastore's secondary indexes: sorted-id partition
-  probes, the name buckets, and three reads of the sorted distinct names —
-  ``name-prefix`` (``LIKE 'p%'``), ``name-like`` (any other non-negated
-  ``LIKE``: the hoisted regex runs over the distinct names from the
-  literal prefix on) and ``name-range`` (non-negated ``BETWEEN`` two string
-  literals).  Every index path enforces its conjunct exactly, so the
+  pushed down into the datastore's sorted runs: id probes bisect the id
+  run; exact names, ``IN`` lists, ``name-prefix`` (``LIKE 'p%'``) and
+  ``name-range`` (non-negated ``BETWEEN`` two string literals) bisect the
+  ``(name, id)`` pairs run; only ``name-like`` (any other non-negated
+  ``LIKE``) runs its hoisted regex over the distinct-names run, from the
+  literal prefix on.  Every index path enforces its conjunct exactly, so the
   conjunct leaves the residual.  Negated forms, ``OR`` trees, other columns
   and non-string literals (the scan path coerces ``name = 123``) stay
   residual;

@@ -106,13 +106,13 @@ class QueryManager:
 
         * ``id-eq`` / ``id-in`` — ``id = 'x'`` / ``id IN (…)`` against the
           type partition;
-        * ``name-eq`` / ``name-in`` — name buckets (a wildcard-less ``LIKE``
-          is a ``name-eq``);
-        * ``name-prefix`` — ``name LIKE 'p%'``, a range of the sorted names;
+        * ``name-eq`` / ``name-in`` — bisections of the ``(name, id)`` pairs
+          (a wildcard-less ``LIKE`` is a ``name-eq``);
+        * ``name-prefix`` — ``name LIKE 'p%'``, a range of the pairs;
         * ``name-like`` — any other non-negated ``name LIKE``: the pattern
           runs over the distinct names from its literal prefix on;
         * ``name-range`` — non-negated ``name BETWEEN 'a' AND 'b'`` (string
-          bounds), two bisections over the sorted names;
+          bounds), a range of the pairs;
         * ``id-in-subquery`` — ``id IN (SELECT …)`` against the materialized
           value set;
         * ``scan`` — every object of the table (always, for relational

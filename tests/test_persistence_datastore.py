@@ -1,9 +1,17 @@
 """Tests for the DataStore: object heap, type partitions, transactions."""
 
+import re
+import tracemalloc
+from contextlib import nullcontext
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.persistence import DataStore
-from repro.rim import Organization, Service
+from repro.persistence.datastore import _LEAF
+from repro.rim import AuditableEvent, EventType, Organization, Service
 from repro.util.errors import (
     InvalidRequestError,
     ObjectExistsError,
@@ -172,3 +180,266 @@ class TestTables:
     def test_missing_table(self, store):
         with pytest.raises(ObjectNotFoundError):
             store.table("nope")
+
+
+class TestWriteBudget:
+    """Clock-free guard: a heap write copies a leaf, never its whole partition."""
+
+    #: bytes one insert, renaming save or delete may allocate at its peak
+    #: (a partition-wide copy of 16 000 ids is ~1 MB)
+    BUDGET = 64 * 1024
+
+    @staticmethod
+    def peak_bytes(write) -> int:
+        """The least tracemalloc peak of three ``write(n)`` calls: a list that
+        grows inside one call (the changelog's) is not the index's copy."""
+        peaks = []
+        for n in range(3):
+            tracemalloc.start()
+            try:
+                write(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return min(peaks)
+
+    def write_peaks(self, size: int, one_name: bool) -> dict[str, int]:
+        store = DataStore()
+        factory = IdFactory(size)
+        for n in range(size):
+            store.insert_object(
+                Service(factory.new_id(), name="Event" if one_name else f"S{n:05d}")
+            )
+        fresh = [Service(factory.new_id(), name="New") for _ in range(4)]
+        renamed = [Service(obj.id, name="Renamed") for obj in fresh]
+        store.insert_object(fresh.pop())  # warm: first write of a new name
+        return {
+            "insert": self.peak_bytes(lambda n: store.insert_object(fresh[n])),
+            "rename": self.peak_bytes(lambda n: store.save_object(renamed[n])),
+            "delete": self.peak_bytes(lambda n: store.delete_object(fresh[n].id)),
+        }
+
+    @pytest.mark.parametrize("one_name", [False, True], ids=["unique-names", "one-name"])
+    def test_a_write_costs_a_leaf_whatever_the_partition(self, one_name):
+        small = self.write_peaks(1_000, one_name)
+        large = self.write_peaks(16_000, one_name)
+        for write, peak in large.items():
+            assert peak <= self.BUDGET, (write, peak)
+            assert peak <= 2 * small[write], (write, peak, small[write])
+
+
+# -- one index oracle: every read against a scan of a plain dict -------------------
+
+#: AuditableEvent is the one-name partition (every event is unnamed)
+KINDS = ("Service", "Organization", "AuditableEvent")
+#: the alphabet reaches the edges of string order: "\x00" is the least
+#: character, U+10FFFF the greatest (a prefix ending in it has no bump)
+NAMES = st.text(alphabet="ab\x00\U0010ffff", max_size=3)
+PROBE_NAMES = ["", "a", "ab", "a\x00", "b", "\U0010ffff", "a\U0010ffff", None, 5]
+PREFIXES = ["", "a", "ab", "b", "\U0010ffff", "a\U0010ffff"]
+#: (low, high) — reversed, equal, and at both ends of string order
+RANGES = [
+    ("a", "b"),
+    ("b", "a"),
+    ("a", "a"),
+    ("a\x00", "ab"),
+    ("", "\U0010ffff"),
+    ("\U0010ffff", "\U0010ffff\U0010ffff"),
+]
+#: (literal prefix, pattern) as the planner hands a LIKE to the store
+PATTERNS = [("", r".*b\Z"), ("a", r"a.?\x00.*\Z"), ("", r".*\U0010ffff\Z"), ("b", r"b\Z")]
+
+
+def _new_object(kind: str, object_id: str, name: str):
+    if kind == "AuditableEvent":
+        return AuditableEvent(
+            object_id,
+            event_type=EventType.CREATED,
+            affected_object="urn:affected",
+            user_id="urn:user",
+            timestamp=0.0,
+        )
+    return {"Service": Service, "Organization": Organization}[kind](object_id, name=name)
+
+
+def _expected(model: dict, type_name: str) -> list[tuple[str, str]]:
+    """(id, name) of the model's objects of one type, in id order — by scan."""
+    return sorted((oid, name) for oid, (kind, name) in model.items() if kind == type_name)
+
+
+def _check_reads(reader, model: dict, known_ids: list[str]) -> None:
+    """What a store and a pinned snapshot both answer, against the model."""
+    assert reader.type_names() == sorted({kind for kind, _ in model.values()})
+    assert reader.count() == len(model)
+    for type_name in KINDS + ("User",):
+        objs = _expected(model, type_name)
+        views = list(reader.iter_views_of_type(type_name))
+        assert [(v.id, v.name.value) for v in views] == objs
+        assert reader.count(type_name) == len(objs)
+        for name in PROBE_NAMES + sorted({n for _, n in objs}):
+            want = [oid for oid, n in objs if n == name]
+            assert reader.find_ids_by_name(type_name, name) == want, (type_name, name)
+    for oid in known_ids + [None, 5]:
+        assert reader.contains(oid) == (oid in model)
+
+
+def _check_store_reads(store: DataStore, model: dict, known_ids: list[str]) -> None:
+    """The store's own index reads (a pin has no such methods)."""
+    assert store.all_ids() == sorted(model)
+    probed = known_ids[::5] + known_ids[:3]  # duplicates included
+    for type_name in KINDS + ("User",):
+        objs = _expected(model, type_name)
+        by_name = sorted((n, oid) for oid, n in objs)
+        assert store.find_ids_by_names(type_name, PROBE_NAMES + ["a"]) == sorted(
+            oid for oid, n in objs if n in PROBE_NAMES
+        )
+        for prefix in PREFIXES:
+            assert store.find_ids_by_name_prefix(type_name, prefix) == sorted(
+                oid for n, oid in by_name if n.startswith(prefix)
+            ), (type_name, prefix)
+        for prefix, pattern in PATTERNS:
+            match = re.compile(pattern, re.S).match
+            assert store.find_ids_by_name_match(type_name, prefix, match) == sorted(
+                oid for n, oid in by_name if n.startswith(prefix) and match(n)
+            ), (type_name, pattern)
+        for low, high in RANGES:
+            assert store.find_ids_by_name_range(type_name, low, high) == sorted(
+                oid for n, oid in by_name if low <= n <= high
+            ), (type_name, low, high)
+        assert store.filter_ids_of_type(type_name, probed + [None, 5]) == sorted(
+            {oid for oid in probed if model.get(oid, ("",))[0] == type_name}
+        )
+
+
+class StoreIndexMachine(RuleBasedStateMachine):
+    """Every write shape of the store, every index read checked after each."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.store = DataStore()
+        self.ids = IdFactory(17)
+        #: object id → (type name, name): what the store should hold
+        self.model: dict[str, tuple[str, str]] = {}
+        #: every id ever written, deleted ones too (membership probes)
+        self.known: list[str] = []
+        #: live pins, each with the model as it was when pinned
+        self.pins: list[tuple] = []
+
+    def _insert(self, kind: str, name: str, *, via_save: bool = False) -> None:
+        obj = _new_object(kind, self.ids.new_id(), name)
+        (self.store.save_object if via_save else self.store.insert_object)(obj)
+        self.model[obj.id] = (kind, obj.name.value)
+        self.known.append(obj.id)
+
+    def _rename(self, object_id: str, name: str) -> None:
+        kind, _ = self.model[object_id]
+        obj = _new_object(kind, object_id, name)
+        self.store.save_object(obj)
+        self.model[object_id] = (kind, obj.name.value)
+
+    def _delete(self, object_id: str) -> None:
+        self.store.delete_object(object_id)
+        del self.model[object_id]
+
+    def _batch(self, batched: bool):
+        return self.store.batch() if batched else nullcontext()
+
+    @rule(kind=st.sampled_from(KINDS), name=NAMES, via_save=st.booleans(), batched=st.booleans())
+    def insert(self, kind, name, via_save, batched):
+        with self._batch(batched):
+            self._insert(kind, name, via_save=via_save)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), name=NAMES, batched=st.booleans())
+    def save_with_a_rename(self, data, name, batched):
+        with self._batch(batched):
+            self._rename(data.draw(st.sampled_from(sorted(self.model))), name)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), batched=st.booleans())
+    def delete(self, data, batched):
+        with self._batch(batched):
+            self._delete(data.draw(st.sampled_from(sorted(self.model))))
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), name=NAMES, batched=st.booleans())
+    def delete_and_reinsert_under_the_same_id(self, data, name, batched):
+        object_id = data.draw(st.sampled_from(sorted(self.model)))
+        kind, _ = self.model[object_id]
+        with self._batch(batched):
+            self._delete(object_id)
+            obj = _new_object(kind, object_id, name)
+            self.store.insert_object(obj)
+            self.model[object_id] = (kind, obj.name.value)
+
+    @precondition(lambda self: len(self.model) < 3 * _LEAF)
+    @rule(kind=st.sampled_from(KINDS), names=st.lists(NAMES, min_size=1, max_size=5))
+    def batch_past_twice_the_leaf_bound(self, kind, names):
+        """One generation for enough inserts to split leaves more than once."""
+        with self.store.batch():
+            for n in range(2 * _LEAF + 1):
+                self._insert(kind, names[n % len(names)])
+
+    @precondition(
+        lambda self: any(len(_expected(self.model, k)) > _LEAF for k in KINDS)
+    )
+    @rule(data=st.data(), batched=st.booleans())
+    def delete_a_stretch_of_ids(self, data, batched):
+        """Deletes more than a leaf of neighbouring ids: a leaf empties out."""
+        kind = data.draw(
+            st.sampled_from([k for k in KINDS if len(_expected(self.model, k)) > _LEAF])
+        )
+        objs = _expected(self.model, kind)
+        start = data.draw(st.integers(0, len(objs) - _LEAF - 1))
+        with self._batch(batched):
+            for oid, _ in objs[start : start + _LEAF + 1]:
+                self._delete(oid)
+
+    @rule(
+        data=st.data(),
+        kind=st.sampled_from(KINDS),
+        name=NAMES,
+        batched=st.booleans(),
+    )
+    def rolled_back_transaction(self, data, kind, name, batched):
+        existing = sorted(self.model)
+        model = dict(self.model)
+        with pytest.raises(RuntimeError):
+            with self.store.transaction(), self._batch(batched):
+                self._insert(kind, name)
+                if existing:
+                    self._rename(data.draw(st.sampled_from(existing)), name)
+                    self._delete(data.draw(st.sampled_from(existing)))
+                raise RuntimeError("abort")
+        self.model = model  # the doomed insert's id stays known, as absent
+
+    @precondition(lambda self: len(self.pins) < 2)
+    @rule()
+    def pin(self):
+        self.pins.append((self.store.pin_snapshot(), dict(self.model)))
+
+    @precondition(lambda self: self.pins)
+    @rule(data=st.data())
+    def release(self, data):
+        snapshot, _ = self.pins.pop(data.draw(st.integers(0, len(self.pins) - 1)))
+        snapshot.release()
+
+    @invariant()
+    def every_read_equals_the_scan(self):
+        _check_reads(self.store, self.model, self.known)
+        _check_store_reads(self.store, self.model, self.known)
+        for snapshot, model in self.pins:
+            _check_reads(snapshot, model, self.known)
+            assert snapshot.ids_of_type("Service") == tuple(
+                oid for oid, _ in _expected(model, "Service")
+            )
+
+    def teardown(self):
+        for snapshot, _ in self.pins:
+            snapshot.release()
+
+
+StoreIndexMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=20, deadline=None, derandomize=True
+)
+TestStoreIndexOracle = StoreIndexMachine.TestCase

@@ -118,8 +118,15 @@ class TestSnapshotStability:
                     )
                     assert snap.count("Service") == len(first_ids)
 
-        errors = run_stress(stop, [writer, writer], [reader] * 4)
-        assert errors == [], errors
+        # one pin held across the whole run: every replace of a base service
+        # lands while it is live, so pre-images are preserved every run
+        with store.pin_snapshot() as held:
+            errors = run_stress(stop, [writer, writer], [reader] * 4)
+            assert errors == [], errors
+            assert set(held.ids_of_type("Service")) == {s.id for s in base}
+            assert sorted(v.name.value for v in held.iter_views_of_type("Service")) == [
+                f"Base{i:03d}" for i in range(50)
+            ]
         stats = store.concurrency_stats()
         assert stats["snapshots_pinned"] >= 800
         assert stats["active_pins"] == 0

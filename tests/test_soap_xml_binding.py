@@ -825,11 +825,14 @@ class TestDecodeBudget:
         def count() -> int:
             nonlocal events
             events = 0
+            # a collection inside the counted run would add its callbacks' calls
+            gc.disable()
             sys.setprofile(profiler)
             try:
                 envelope_from_xml(document)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             return events
 
         for _ in range(3):
@@ -874,11 +877,14 @@ class TestEncodeBudget:
                 names.append(arg.__qualname__)
 
         encode(*args)
+        # a collection inside the counted run would add its callbacks' calls
+        gc.disable()
         sys.setprofile(profiler)
         try:
             encode(*args)
         finally:
             sys.setprofile(None)
+            gc.enable()
         return names
 
     def test_events_are_the_envelopes_plus_a_constant_per_object(self):
@@ -946,11 +952,7 @@ class TestEncodeBudget:
     def test_a_stored_answer_costs_a_lookup_per_binding_and_enters_no_encoder(self):
         three, six = self.discovery(3), self.discovery(6)
         assert six().count("accessUri") == 6 and "host005.bench" in six()
-        gc.disable()  # a collection inside a counted run adds its callbacks' calls
-        try:
-            counted = [self.calls(three), self.calls(six), self.calls(three), self.calls(six)]
-        finally:
-            gc.enable()
+        counted = [self.calls(three), self.calls(six), self.calls(three), self.calls(six)]
         assert counted[:2] == counted[2:]
         added = len(counted[1]) - len(counted[0])
         assert 0 < added <= 3 * self.EVENTS_PER_STORED_BINDING
