@@ -4,8 +4,8 @@ The freebXML registry exposes SOAP 1.1-with-attachments bindings (thesis
 §2.2.3); clients wrap every registry protocol request in an envelope whose
 header carries the session credentials.  In memory the envelope is a header
 dict + a body message; :mod:`repro.soap.xml_binding` writes it as literal XML.
-The wire contract, byte-stable across PRs (``tests/test_soap_xml_binding.py``
-holds golden documents and the ElementTree oracle):
+The wire contract, pinned byte for byte by the golden documents and the
+ElementTree oracle of ``tests/test_soap_xml_binding.py``:
 
 * prefixes ``ns0`` (SOAP envelope) and ``ns1`` (ebRS ``rs:3.0``), both declared
   on the root — a fault without headers declares only ``ns0``; headers are
@@ -14,7 +14,13 @@ holds golden documents and the ElementTree oracle):
   sorted-key JSON; a fault is ``ns0:Fault`` with ``faultcode``, ``faultstring``
   and, unless empty, ``detail``;
 * character data escapes ``& < >``, attribute values also ``"`` and CR/LF/TAB
-  (``&#13; &#10; &#09;``); empty content is written ``<tag />``.
+  (``&#13; &#10; &#09;``); empty content is written ``<tag />``;
+* a registry object is a ``_type``-tagged dict of the keys that do not hold
+  what a new object of its type holds (``lid`` equal to ``id``, an empty list or
+  name, ``null``, ``"Submitted"``, ``"1.1"``, … in exact type and value; see
+  :mod:`repro.soap.serializer`): a discovery answer's binding is its id, service,
+  access URI and what was set on it.  A reader takes a missing key as that
+  value, so the full form every earlier version wrote reads the same.
 
 The decode rule: ``envelope_from_xml`` reads a document in one pass, without a
 parser, only if it is a message document as written above — that root, that
@@ -29,11 +35,12 @@ every error a caller can see.  Nothing selects between the two but the text.
 
 The encode rule: ``envelope_to_xml`` writes a message's JSON, and that of every
 element of ``objects`` that is a plain ``dict`` whose ``_type`` is a known name
-and whose key set is exactly that type's, from field tables compiled at import
-— keys pre-sorted; strings, ``null``, ``[]``, integers and name/description
-entries in place.  Every other value (``rows``, id lists, slots, floats) and
-every other element — an extra or missing key, an unknown type, a ``dict`` or
-``str`` subclass — goes to one ``json.JSONEncoder(sort_keys=True)``, which
+and whose keys are that type's — every required one, any of the others — from
+field tables compiled at import: keys pre-sorted, an absent optional key skipped;
+strings, ``null``, ``[]``, integers and name/description entries in place.
+Every other value (``rows``, id lists, slots, floats) and every other element —
+an extra key, a missing required one, an unknown type, a ``dict`` or ``str``
+subclass — goes to one ``json.JSONEncoder(sort_keys=True)``, which
 raises every error a caller can see.  An ``objects`` that is the kernel's answer
 of stored versions (``serializer.StoredObjects``) and was never read in process
 is the join of the texts kept per stored version — each written once, by the

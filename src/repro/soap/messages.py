@@ -103,10 +103,14 @@ def _strings(value: Any) -> bool:
 
 
 def _slot_dicts(value: Any) -> bool:
+    """Slots as ``serializer`` reads them back: a name, a list of string values and
+    a string or null type (left out, null)."""
     return isinstance(value, list) and all(
         isinstance(slot, dict)
         and isinstance(slot.get("name"), str)
-        and isinstance(slot.get("values"), list)
+        and isinstance(values := slot.get("values"), list)
+        and all(isinstance(v, str) for v in values)
+        and (slot.get("slotType") is None or isinstance(slot["slotType"], str))
         for slot in value
     )
 
@@ -119,13 +123,17 @@ _FIELD_SHAPES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "objects": (lambda value: isinstance(value, list), "a list of object dicts"),
     "ids": (_strings, "a list of id strings"),
     "names": (_strings, "a list of name strings"),
-    "slots": (_slot_dicts, "a list of slot dicts with a name and a list of values"),
+    "slots": (
+        _slot_dicts,
+        "a list of slot dicts with a name, a list of string values and a string or null slotType",
+    ),
     "object_id": (_string, "an id string"),
     "service_id": (_string, "an id string"),
     "query": (_string, "a query string"),
     "query_language": (_string, "a string"),
-    "start_index": (lambda value: isinstance(value, int), "an integer"),
-    "max_results": (lambda value: value is None or isinstance(value, int), "an integer or null"),
+    # ``true`` is no index: ``bool`` is a subclass of ``int``
+    "start_index": (lambda value: type(value) is int, "an integer"),
+    "max_results": (lambda value: value is None or type(value) is int, "an integer or null"),
     "idempotency_key": (lambda value: value is None or isinstance(value, str), "a string or null"),
 }
 

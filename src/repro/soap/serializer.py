@@ -8,10 +8,22 @@ the tables below list, which the property tests verify; ``RegistryEntry``'s
 ExtrinsicObject) are listed nowhere: they were never on the wire, nor in a snapshot.
 
 One table drives every direction: each RIM type lists its fields once (wire
-key ↔ attribute, optional converters) after the fields every RegistryObject
-shares, and :class:`_Codec` resolves the lists at import — object → dict, dict →
-object, dict → JSON text.  The key order of a serialized dict is the table's
-order; its JSON text is in sorted-key order, as the wire writes it.
+key ↔ attribute, optional converters, the value a new object holds) after the
+fields every RegistryObject shares, and :class:`_Codec` resolves the lists at
+import — object → dict, dict → object, dict → JSON text.  The key order of a
+serialized dict is the table's order; its JSON text is in sorted-key order, as
+the wire writes it.
+
+One representation rule: a key at its default is not written.  A field's
+``default`` is the wire value a freshly constructed object holds — ``lid`` holds
+the object's own id, a list or name nothing, ``status`` ``"Submitted"`` — and a
+value equal to it in exact type and value (``0`` is no ``False``, ``0`` no
+``0.0``) is left out; the optional attributes and empty collections ebRIM's XML
+binding leaves absent are absent here too.  A key left out keeps the
+constructor's value on the way in, and a present key is read as it reads, so
+the full form every earlier version wrote (snapshots, goldens) still reads.
+Entries inside a value — a localized string's locale and charset, a slot's
+type — are written whole.
 """
 
 from __future__ import annotations
@@ -19,9 +31,10 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.rim import (
+    QUERY_LANGUAGE_SQL,
     AdhocQuery,
     Association,
     AssociationType,
@@ -56,8 +69,10 @@ from repro.util.errors import InvalidRequestError
 SerializedObject = dict[str, Any]
 
 
-#: a column left unset: the key must be written, no wire value is skipped
-_UNSET = object()
+#: the default of a field no new object holds a value for: its key is always written
+_REQUIRED = object()
+#: the default of ``lid``: the object's own id
+_OWN_ID = object()
 #: what reading a dict this module did not write raises, short of the model's
 #: own refusals (``RegistryError``, which pass through)
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
@@ -68,18 +83,18 @@ class _Field(NamedTuple):
 
     ``attr`` is the attribute path read on the way out.  On the way in the
     value is assigned to that path after construction, or, for an ``init``
-    field, handed to the constructor under the path's last segment.  ``fresh``
-    is the wire value a newly constructed object already stands for: reading it
-    assigns nothing.  A key with a ``default`` may be left out.
+    field, handed to the constructor under the path's last segment.  ``default``
+    is the wire value a freshly constructed object holds: a value that is it in
+    exact type and value is not written, and a missing key keeps what the
+    constructor made.
     """
 
     wire: str
     attr: str
     encode: Callable[[Any], Any] | None = None
     decode: Callable[[Any], Any] | None = None
-    fresh: Any = _UNSET
+    default: Any = _REQUIRED
     init: bool = False
-    default: Any = _UNSET
 
 
 def _records(cls: type, **attrs: str) -> tuple[Callable, Callable, list]:
@@ -128,7 +143,10 @@ def _slots(slots: SlotMap) -> list[dict[str, Any]]:
 def _slots_back(data: list[dict[str, Any]]) -> SlotMap:
     out = SlotMap()
     for slot in data:
-        out.add(Slot(slot["name"], _strings(slot["values"]), slot["slotType"]))
+        name, slot_type = slot["name"], slot["slotType"]
+        if not (isinstance(name, str) and (slot_type is None or isinstance(slot_type, str))):
+            raise TypeError(f"{slot!r} is not a slot")
+        out.add(Slot(name, _strings(slot["values"]), slot_type))
     return out
 
 
@@ -154,18 +172,19 @@ _TELEPHONES = _records(
     TelephoneNumber, number="number", countryCode="country_code",
     areaCode="area_code", extension="extension", type="type",
 )  # fmt: skip
-_ACTIONS = _records(NotifyAction, mode="mode", endpoint="endpoint")
+# a subscription holds at least one action: its list has no default
+_ACTIONS = _records(NotifyAction, mode="mode", endpoint="endpoint")[:2]
 
 #: the fields every RegistryObject carries, after ``_type``
 _BASE_FIELDS = (
     _Field("id", "id", init=True),
-    _Field("lid", "lid"),
-    _Field("name", "name", _istring, _istring_back, init=True),
-    _Field("description", "description", _istring, _istring_back, init=True),
-    _Field("status", "status", *_enum(ObjectStatus)),
-    _Field("versionName", "version.version_name"),
-    _Field("owner", "owner"),
-    _Field("home", "home"),
+    _Field("lid", "lid", default=_OWN_ID),
+    _Field("name", "name", _istring, _istring_back, [], init=True),
+    _Field("description", "description", _istring, _istring_back, [], init=True),
+    _Field("status", "status", *_enum(ObjectStatus), ObjectStatus.SUBMITTED.value),
+    _Field("versionName", "version.version_name", default="1.1"),
+    _Field("owner", "owner", default=None),
+    _Field("home", "home", default=None),
     _Field("slots", "slots", _slots, _slots_back, []),
     _Field("classificationIds", "classification_ids", *_ID_LIST),
     _Field("externalIdentifierIds", "external_identifier_ids", *_ID_LIST),
@@ -174,21 +193,21 @@ _BASE_FIELDS = (
 #: the fields each RIM type adds, in wire order
 _TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
     Organization: (
-        _Field("parent", "parent", init=True),
-        _Field("primaryContact", "primary_contact", init=True),
+        _Field("parent", "parent", default=None, init=True),
+        _Field("primaryContact", "primary_contact", default=None, init=True),
         _Field("addresses", "addresses", *_ADDRESSES),
         _Field("emails", "emails", *_EMAILS),
         _Field("telephones", "telephones", *_TELEPHONES),
         _Field("serviceIds", "service_ids", *_ID_LIST),
     ),
     Service: (
-        _Field("provider", "provider", init=True),
+        _Field("provider", "provider", default=None, init=True),
         _Field("bindingIds", "binding_ids", *_ID_LIST),
     ),
     ServiceBinding: (
         _Field("service", "service", init=True),
-        _Field("accessUri", "access_uri", init=True),
-        _Field("targetBinding", "target_binding", init=True),
+        _Field("accessUri", "access_uri", default=None, init=True),
+        _Field("targetBinding", "target_binding", default=None, init=True),
         _Field("specificationLinkIds", "specification_link_ids", *_ID_LIST),
     ),
     Association: (
@@ -196,25 +215,27 @@ _TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
         _Field("targetObject", "target_object", init=True),
         # read back by short name or URN
         _Field(
-            "associationType", "association_type", _enum_value, AssociationType.from_name, init=True
-        ),
-        _Field("confirmedBySource", "confirmed_by_source"),
-        _Field("confirmedByTarget", "confirmed_by_target"),
+            "associationType", "association_type", _enum_value, AssociationType.from_name,
+            AssociationType.RELATED_TO.value, init=True,
+        ),  # fmt: skip
+        _Field("confirmedBySource", "confirmed_by_source", default=True),
+        _Field("confirmedByTarget", "confirmed_by_target", default=False),
     ),
     Classification: (
         _Field("classifiedObject", "classified_object", init=True),
-        _Field("classificationNode", "classification_node", init=True),
-        _Field("classificationScheme", "classification_scheme", init=True),
-        _Field("nodeRepresentation", "node_representation", init=True),
+        _Field("classificationNode", "classification_node", default=None, init=True),
+        _Field("classificationScheme", "classification_scheme", default=None, init=True),
+        _Field("nodeRepresentation", "node_representation", default=None, init=True),
     ),
     ClassificationScheme: (
-        _Field("isInternal", "is_internal", init=True),
-        _Field("nodeType", "node_type", init=True),
+        _Field("isInternal", "is_internal", default=True, init=True),
+        _Field("nodeType", "node_type", default="UniqueCode", init=True),
         _Field("childNodeIds", "child_node_ids", *_ID_LIST),
     ),
     ClassificationNode: (
         _Field("code", "code", init=True),
         _Field("parent", "parent", init=True),
+        # a new node's path is its code: no one value to leave out
         _Field("path", "path", init=True),
         _Field("childNodeIds", "child_node_ids", *_ID_LIST),
     ),
@@ -225,41 +246,41 @@ _TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
     ),
     ExternalLink: (_Field("externalUri", "external_uri", init=True),),
     ExtrinsicObject: (
-        _Field("mimeType", "mime_type", init=True),
-        _Field("isOpaque", "is_opaque", init=True),
-        _Field("contentVersion", "content_version", init=True),
+        _Field("mimeType", "mime_type", default="application/octet-stream", init=True),
+        _Field("isOpaque", "is_opaque", default=False, init=True),
+        _Field("contentVersion", "content_version", default="1.1", init=True),
     ),
     RegistryPackage: (_Field("memberIds", "member_ids", *_ID_LIST),),
     SpecificationLink: (
         _Field("serviceBinding", "service_binding", init=True),
         _Field("specificationObject", "specification_object", init=True),
-        _Field("usageDescription", "usage_description", init=True),
+        _Field("usageDescription", "usage_description", default="", init=True),
     ),
     User: (
         _Field("alias", "alias", init=True),
-        _Field("firstName", "person_name.first_name", init=True),
-        _Field("middleName", "person_name.middle_name", init=True),
-        _Field("lastName", "person_name.last_name", init=True),
-        _Field("organization", "organization", init=True),
-        _Field("roles", "roles", sorted, set),
+        _Field("firstName", "person_name.first_name", default="", init=True),
+        _Field("middleName", "person_name.middle_name", default="", init=True),
+        _Field("lastName", "person_name.last_name", default="", init=True),
+        _Field("organization", "organization", default=None, init=True),
+        _Field("roles", "roles", sorted, set, ["RegistryUser"]),
     ),
     AuditableEvent: (
         _Field("eventType", "event_type", *_enum(EventType), init=True),
         _Field("affectedObject", "affected_object", init=True),
         _Field("userId", "user_id", init=True),
         _Field("timestamp", "timestamp", init=True),
-        _Field("requestId", "request_id", init=True),
+        _Field("requestId", "request_id", default=None, init=True),
         _Field("sequence", "sequence", default=0),
     ),
     AdhocQuery: (
         _Field("query", "query", init=True),
-        _Field("queryLanguage", "query_language", init=True),
+        _Field("queryLanguage", "query_language", default=QUERY_LANGUAGE_SQL, init=True),
     ),
     Subscription: (
         _Field("selector", "selector", init=True),
         _Field("actions", "actions", *_ACTIONS, init=True),
-        _Field("startTime", "start_time", init=True),
-        _Field("endTime", "end_time", init=True),
+        _Field("startTime", "start_time", default=0.0, init=True),
+        _Field("endTime", "end_time", default=None, init=True),
     ),
 }
 
@@ -322,23 +343,40 @@ class StoredObjects:
 
 
 def json_writer(
-    keys: Iterable[str], arrays: Mapping[str, Callable[[Any], str]] = {}, **literals: str
+    keys: Iterable[str],
+    arrays: Mapping[str, Callable[[Any], str]] = {},
+    optional: Collection[str] = (),
+    **literals: str,
 ) -> Callable[[Any], str]:
-    """Compile ``x -> sorted-key JSON text`` for a plain dict of exactly *keys*.
+    """Compile ``x -> sorted-key JSON text`` for a plain dict of *keys*, those in
+    *optional* written where present.
 
     *arrays* maps a key to the writer of its list's elements (a :class:`StoredObjects`
-    there writes itself); *literals* are keys present with a known text.  Any other
-    ``x`` — another type, a subclass, a missing or extra key — is the encoder's: the
-    text is ``json.dumps``'s, always.
+    there writes itself); *literals* are keys present with a known text.  The first
+    key in sorted order is not optional.  Any other ``x`` — another type, a subclass,
+    a missing required key, a key of no list — is the encoder's: the text is
+    ``json.dumps``'s, always.
     """
     scope = dict(quote=encode_basestring_ascii, encode=encode_json, StoredObjects=StoredObjects)
     scope.update((f"each_{key}", each) for key, each in arrays.items())
-    for key in keys:
-        template = _ARRAY if key in arrays else _VALUE
-        literals[key] = "{" + template.format(f'x["{key}"]', f"each_{key}") + "}"
-    body = ", ".join(f'"{key}": {literals[key]}' for key in sorted(literals))
+    values = {
+        key: (_ARRAY if key in arrays else _VALUE).format(f'x["{key}"]', f"each_{key}")
+        for key in keys
+    }
+    parts: list[str] = []
+    for key in sorted(values.keys() | literals.keys()):
+        if key in optional:
+            if not parts:
+                raise ValueError(f"the first key, {key!r}, cannot be optional")
+            parts.append(f"""{{(', "{key}": ' + {values[key]}) if "{key}" in x else ''}}""")
+        else:
+            text = literals[key] if key in literals else "{" + values[key] + "}"
+            parts.append(f'{", " if parts else ""}"{key}": {text}')
+    scope["keys"] = frozenset(values.keys() | literals.keys())
+    shaped = "keys.issuperset(x)" if optional else f"len(x) == {len(parts)}"
+    body = "".join(parts)
     exec(
-        f"def text(x):\n    if type(x) is dict and len(x) == {len(literals)}:\n"
+        f"def text(x):\n    if type(x) is dict and {shaped}:\n"
         f"        try:\n            return f'''{{{{{body}}}}}'''\n"
         f"        except KeyError:\n            pass\n    return encode(x)\n",
         scope,
@@ -349,13 +387,32 @@ def json_writer(
 _localized_json = json_writer(("locale", "charset", "value"))
 
 
+def _differs(default: Any, value: str) -> str:
+    """Source of a test that binds the wire value *value* to ``w`` and holds unless
+    ``w`` is *default* in exact type and value."""
+    w = f"(w := {value})"
+    if default is None or type(default) is bool:
+        return f"{w} is not {default!r}"
+    if default is _OWN_ID:
+        return f"{w} != obj.id or type(w) is not str"
+    kind = type(default).__name__
+    if not default and kind != "float":
+        return f"{w} or type(w) is not {kind}"
+    # the value test first: it settles every value but the default's equals
+    test = f"{w} != {default!r} or type(w) is not {kind}"
+    # ``-0.0 == 0.0``: the text tells them apart
+    return f"{test} or repr(w) != {repr(default)!r}" if kind == "float" else test
+
+
 class _Codec:
     """One type's field list, compiled to a straight-line function per direction.
 
-    The source is generated as ``dataclasses`` generates ``__init__``: a dict
-    display for the way out, one constructor call and one assignment per
-    remaining field for the way in, with the converters bound by position; and
-    :func:`json_writer`'s f-string for a written dict's JSON text.
+    The source is generated as ``dataclasses`` generates ``__init__``: for the
+    way out a dict display of the leading required fields and then one store,
+    or one test against the default and a store, per field; for the way in one
+    constructor call and one assignment per present remaining field, with the
+    converters bound by position; and :func:`json_writer`'s f-string for a
+    written dict's JSON text.
     """
 
     def __init__(self, cls: type[RegistryObject]) -> None:
@@ -363,30 +420,37 @@ class _Codec:
         self.text = json_writer(
             [field.wire for field in fields],
             {field.wire: _localized_json for field in fields if field.encode is _istring},
+            {field.wire for field in fields if field.default is not _REQUIRED},
             _type=f'"{cls.__name__}"',
         )
         scope: dict[str, Any] = {"new": _FACTORIES.get(cls, cls)}
-        display, keywords, assignments = ['"_type": type(obj).__name__'], [], []
+        display, stores = ['"_type": type(obj).__name__'], []
+        keywords, assignments = [], []
         for n, field in enumerate(fields):
             scope[f"encode{n}"], scope[f"decode{n}"] = field.encode, field.decode
+            wire, required = field.wire, field.default is _REQUIRED
             value = f"obj.{field.attr}"
             value = f"encode{n}({value})" if field.encode else value
-            display.append(f'"{field.wire}": {value}')
-            value = f'data["{field.wire}"]'
-            if field.default is not _UNSET:
-                value = f'data.get("{field.wire}", {field.default!r})'
-            decoded = f"decode{n}({{}})" if field.decode else "{}"
-            if field.init:
-                keywords.append(f"{field.attr.rpartition('.')[2]}={decoded.format(value)}")
-            elif field.fresh is _UNSET:
-                assignments.append(f"    obj.{field.attr} = {decoded.format(value)}\n")
+            if required and not stores:
+                display.append(f'"{wire}": {value}')
+            elif required:
+                stores.append(f'    x["{wire}"] = {value}\n')
             else:
-                assignments.append(
-                    f"    if (v := {value}) != {field.fresh!r}:\n"
-                    f"        obj.{field.attr} = {decoded.format('v')}\n"
-                )
+                test = _differs(field.default, value)
+                stores.append(f'    if {test}:\n        x["{wire}"] = w\n')
+            decoded = f"decode{n}({{}})" if field.decode else "{}"
+            value = decoded.format(f'data["{wire}"]')
+            present = f'"{wire}" in data'
+            if field.init:
+                if not required:
+                    value = f"{value} if {present} else {decoded.format(repr(field.default))}"
+                keywords.append(f"{field.attr.rpartition('.')[2]}={value}")
+            elif required:
+                assignments.append(f"    obj.{field.attr} = {value}\n")
+            else:
+                assignments.append(f"    if {present}:\n        obj.{field.attr} = {value}\n")
         exec(
-            f"def write(obj):\n    return {{{', '.join(display)}}}\n"
+            f"def write(obj):\n    x = {{{', '.join(display)}}}\n{''.join(stores)}    return x\n"
             f"def read(data):\n    obj = new({', '.join(keywords)})\n"
             f"{''.join(assignments)}    return obj\n",
             scope,
@@ -398,7 +462,7 @@ class _Codec:
         """Which field made :attr:`read` fail: the error path walks the table."""
         for field in self.fields:
             if field.wire not in data:
-                if field.default is _UNSET:
+                if field.default is _REQUIRED:
                     return f"field {field.wire!r} is missing"
             elif field.decode is not None:
                 try:
@@ -414,7 +478,7 @@ _BY_CLASS[RegistryObject] = _Codec(RegistryObject)
 
 
 def serialize(obj: RegistryObject) -> SerializedObject:
-    """Flatten one RIM object to a transport dict."""
+    """Flatten one RIM object to a transport dict: its keys not at their default."""
     codec = _BY_CLASS.get(type(obj))
     if codec is None:
         # an unlisted subclass travels as its nearest listed ancestor
@@ -424,18 +488,19 @@ def serialize(obj: RegistryObject) -> SerializedObject:
 
 def object_json(data: Any) -> str:
     """One element of ``objects`` as sorted-key JSON text: the table's to write if
-    it is a plain dict of a known ``_type`` and exactly its keys, else the encoder's."""
+    it is a plain dict of a known ``_type``, its required keys and any others of its
+    own, else the encoder's."""
     if type(data) is dict and type(name := data.get("_type")) is str and name in _BY_NAME:
         return _BY_NAME[name].text(data)
     return encode_json(data)
 
 
 def deserialize(data: SerializedObject) -> RegistryObject:
-    """Rebuild a RIM object from a transport dict.
+    """Rebuild a RIM object from a transport dict, sparse or in the full form.
 
     A dict this module could not have written — no dict at all, an unknown
-    ``_type``, a missing or ill-typed field — is an :class:`InvalidRequestError`
-    naming the type and the field.
+    ``_type``, a missing required field or an ill-typed one — is an
+    :class:`InvalidRequestError` naming the type and the field.
     """
     if not isinstance(data, dict):
         raise InvalidRequestError(f"cannot deserialize a {type(data).__name__}: not a dict")

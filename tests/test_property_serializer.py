@@ -1,18 +1,39 @@
 """Property-based round-trip tests for the SOAP serializer."""
 
+import json
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_soap_serializer import (
+    GOLDEN_PATH,
+    NEW_OBJECT_DEFAULTS,
+    at_default,
+    default_value,
+    full_form,
+    populated_objects,
+    sparse,
+)
+from repro.persistence.snapshot import dump_registry, load_registry
+from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import (
+    CONCRETE_TYPES,
     Association,
     AssociationType,
+    InternationalString,
     Organization,
     PostalAddress,
+    RegistryObject,
     Service,
     ServiceBinding,
+    SlotMap,
 )
+from repro.rim.base import VersionInfo
 from repro.rim.status import ObjectStatus
-from repro.soap import deserialize, serialize
+from repro.soap import deserialize, serialize, serializer
+from repro.util.clock import ManualClock
+from repro.util.errors import InvalidRequestError
 from repro.util.ids import IdFactory
 
 _factory = IdFactory(99)
@@ -121,3 +142,110 @@ def test_association_round_trip(assoc):
 def test_serialization_is_pure(org):
     """Serializing twice yields identical payloads (no hidden mutation)."""
     assert serialize(org) == serialize(org)
+
+
+# -- a key at its default is not written -------------------------------------------
+
+
+def state(obj):
+    """Every attribute of *obj* with its type, value objects taken apart."""
+
+    def plain(value):
+        if isinstance(value, InternationalString):
+            return [tuple(entry) for entry in value.localized()]
+        if isinstance(value, SlotMap):
+            return [(slot.name, slot.values, slot.slot_type) for slot in value]
+        if isinstance(value, VersionInfo):
+            return value.version_name, value.comment
+        if isinstance(value, set):
+            return sorted(value)
+        return value
+
+    return {
+        key: (type(value), plain(value))
+        for key, value in vars(obj).items()
+        if key != "_host_memo"
+    }
+
+
+def read(data):
+    """What *data* reads as: the object's state and its dict, or the refusal."""
+    try:
+        obj = deserialize(data)
+    except InvalidRequestError as error:
+        return str(error)
+    return state(obj), serialize(obj)
+
+
+@pytest.mark.parametrize("type_name", sorted(CONCRETE_TYPES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_subset_of_the_defaulted_keys_may_be_left_out(type_name, data):
+    """Set any defaulted keys of a full-form dict to their defaults, leave out any
+    of those: it reads as the object the full form reads as, written sparse."""
+    full = full_form(serialize(populated_objects()[type_name]))
+    defaulted = sorted(NEW_OBJECT_DEFAULTS[type_name])
+    for key in data.draw(st.sets(st.sampled_from(defaulted)), label="set to default"):
+        full[key] = default_value(full, key)
+    at_defaults = [key for key in defaulted if at_default(full, key)]
+    left_out = data.draw(st.sets(st.sampled_from(at_defaults)) if at_defaults else st.just(set()))
+    sparse_dict = {key: value for key, value in full.items() if key not in left_out}
+    expected = read(full)
+    assert read(sparse_dict) == expected
+    if not isinstance(expected, str):  # the model may refuse the mix (a Classification)
+        assert expected[1] == sparse(full)
+
+
+def test_every_full_form_golden_reads_to_its_sparse_dict():
+    for type_name, golden in json.loads(GOLDEN_PATH.read_text()).items():
+        if type_name != "RegistryObject":
+            assert serialize(deserialize(golden)) == sparse(golden)
+            assert serialize(deserialize(sparse(golden))) == sparse(golden)
+
+
+def test_a_snapshot_saved_in_the_full_form_loads_identically():
+    registry = RegistryServer(RegistryConfig(seed=5), clock=ManualClock())
+    _, credential = registry.register_user("owner")
+    session = registry.login(credential)
+    org = Organization(registry.ids.new_id(), name="SDSU")
+    service = Service(registry.ids.new_id(), name="Adder", description="<constraint/>")
+    registry.lcm.submit_objects(session, [org, service])
+    binding = ServiceBinding(registry.ids.new_id(), service=service.id, access_uri="http://h.x/")
+    registry.lcm.submit_objects(session, [binding])
+    for obj in populated_objects().values():
+        if type(obj) is not RegistryObject:
+            registry.store.insert_object(obj)
+    saved = dump_registry(registry)
+    full = {**saved, "objects": [full_form(data) for data in saved["objects"]]}
+    assert full["objects"] != saved["objects"]
+    loaded = []
+    for state_ in (saved, full):
+        restored = RegistryServer(RegistryConfig(seed=6), clock=ManualClock())
+        load_registry(restored, state_)
+        loaded.append(restored)
+    sparse_loaded, full_loaded = loaded
+    assert dump_registry(full_loaded) == dump_registry(sparse_loaded) == saved
+    for object_id in registry.store.all_ids():
+        assert state(full_loaded.store.get_object(object_id)) == state(
+            sparse_loaded.store.get_object(object_id)
+        )
+
+
+@pytest.mark.parametrize(
+    "type_name, attr, wire, value",
+    [
+        ("ExtrinsicObject", "is_opaque", "isOpaque", 0),
+        ("AuditableEvent", "sequence", "sequence", False),
+        ("Subscription", "start_time", "startTime", 0),
+        ("Subscription", "start_time", "startTime", -0.0),
+    ],
+)
+def test_a_value_equal_to_a_default_but_not_it_is_written_and_kept(type_name, attr, wire, value):
+    """``0`` is no ``False`` and no ``0.0``, nor is ``-0.0``: each is written, and
+    read back with its type."""
+    obj = populated_objects()[type_name]
+    setattr(obj, attr, value)
+    data = serialize(obj)
+    assert repr(data[wire]) == repr(value) and type(data[wire]) is type(value)
+    restored = getattr(deserialize(json.loads(serializer.object_json(data))), attr)
+    assert (type(restored), repr(restored)) == (type(value), repr(value))

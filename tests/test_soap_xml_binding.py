@@ -13,14 +13,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import HOSTS, publish_service_with_bindings
-from test_soap_serializer import populated_objects
+from test_soap_serializer import (
+    NEW_OBJECT_DEFAULTS,
+    at_default,
+    default_value,
+    full_form,
+    populated_objects,
+)
 from repro.client.jaxr import ConnectionFactory
 from repro.core import attach_load_balancer
 from repro.persistence.nodestate import NodeSample
 from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
-from repro.rim import Organization, Service, ServiceBinding, Slot
+from repro.rim import CONCRETE_TYPES, Organization, Service, ServiceBinding, Slot
 from repro.serving import ServingConfig, ServingSupervisor
 from repro.soap import (
+    AddSlotsRequest,
     AdhocQueryRequest,
     GetRegistryObjectRequest,
     GetServiceBindingsRequest,
@@ -159,16 +166,15 @@ GOLDEN = {
         '<ns0:Envelope xmlns:ns0="http://schemas.xmlsoap.org/soap/envelope/"'
         ' xmlns:ns1="urn:oasis:names:tc:ebxml-regrep:xsd:rs:3.0"><ns0:Header />'
         '<ns0:Body><ns1:RegistryResponse>{"ids": ["urn:uuid:00000000-0000-4000-8000-'
+        # re-captured when a serialized object stopped writing the keys a new
+        # object holds (lid == id, empty lists, nulls, "Submitted", "1.1")
         '0000000000b1"], "objects": [{"_type": "ServiceBinding", "accessUri": '
-        '"http://exergy.sdsu.edu:8080/Adder?x=1&amp;y=&lt;2&gt;", "classificationIds": [], '
-        '"description": [], "externalIdentifierIds": [], "home": null, '
+        '"http://exergy.sdsu.edu:8080/Adder?x=1&amp;y=&lt;2&gt;", '
         '"id": "urn:uuid:00000000-0000-4000-8000-0000000000b1", '
-        '"lid": "urn:uuid:00000000-0000-4000-8000-0000000000b1", '
         '"name": [{"charset": "UTF-8", "locale": "en_US", '
-        '"value": "Adder \\"fast\\" &amp; \'safe\'"}], "owner": null, '
-        '"service": "urn:uuid:00000000-0000-4000-8000-0000000000a1", "slots": [], '
-        '"specificationLinkIds": [], "status": "Submitted", "targetBinding": null, '
-        '"versionName": "1.1"}], "rows": [{"n": 1, "name": "\\u00e9&lt;x&gt;", '
+        '"value": "Adder \\"fast\\" &amp; \'safe\'"}], '
+        '"service": "urn:uuid:00000000-0000-4000-8000-0000000000a1"}], '
+        '"rows": [{"n": 1, "name": "\\u00e9&lt;x&gt;", '
         '"none": null}], "status": "Success", "total_result_count": 1}'
         "</ns1:RegistryResponse></ns0:Body></ns0:Envelope>",
     ),
@@ -354,6 +360,10 @@ def written(encode, envelope):
         return "unrenderable", str(error).rpartition("payload: ")[2]
 
 
+def json_dumps_sorted(x) -> str:
+    return json.dumps(x, sort_keys=True)
+
+
 class _Dict(dict):
     """A mapping the encoder reads through ``items``, not as the dict it also is."""
 
@@ -451,7 +461,8 @@ object_lists = st.lists(
 
 def _mutate(objects):
     objects[0]["owner"] = "urn:uuid:mallory"
-    objects[0]["name"].append({"locale": "zz", "charset": "UTF-8", "value": "<&>"})
+    # an empty name is left out: the mutation gives it one
+    objects[0].setdefault("name", []).append({"locale": "zz", "charset": "UTF-8", "value": "<&>"})
 
 
 def _misshape(objects):
@@ -510,6 +521,34 @@ class TestWriterMatchesDumps:
             data = serialize(obj)
             if name != "RegistryObject":
                 assert serializer._BY_NAME[name].text(data) == json.dumps(data, sort_keys=True)
+
+    @staticmethod
+    def handed_to_the_encoder(x) -> tuple:
+        """``object_json(x)`` (or its refusal), and whether the encoder wrote ``x`` whole."""
+        scope = serializer._BY_NAME[x["_type"]].text.__globals__
+        encode, handed = scope["encode"], []
+        scope["encode"] = lambda value: handed.append(value) or encode(value)
+        try:
+            text = written(serializer.object_json, x)
+        finally:
+            scope["encode"] = encode
+        return text, any(value is x for value in handed)
+
+    @pytest.mark.parametrize("type_name", sorted(CONCRETE_TYPES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_subset_of_the_defaulted_keys_is_the_tables_to_write(self, type_name, data):
+        full = full_form(serialize(populated_objects()[type_name]))
+        defaulted = sorted(NEW_OBJECT_DEFAULTS[type_name])
+        for key in data.draw(st.sets(st.sampled_from(defaulted)), label="set to default"):
+            full[key] = default_value(full, key)
+        left_out = data.draw(st.sets(st.sampled_from(defaulted)), label="left out")
+        x = {key: value for key, value in full.items() if key not in left_out}
+        assert self.handed_to_the_encoder(x) == (written(json_dumps_sorted, x), False)
+        # an extra key, or one that is no string, is the encoder's again
+        for key in ("extra", 0, "Lid"):
+            shaped = {**x, key: data.draw(any_json, label=repr(key))}
+            assert self.handed_to_the_encoder(shaped) == (written(json_dumps_sorted, shaped), True)
 
     @pytest.mark.parametrize("unserialisable", [{1, 2}, object()], ids=["set", "object"])
     @pytest.mark.parametrize(
@@ -964,7 +1003,11 @@ class TestEncodeBudget:
 _AN_ID = "urn:uuid:00000000-0000-4000-8000-0000000000c1"
 MALFORMED_OBJECTS = {
     "no-id": ([{"_type": "Service"}], "Service.*'id' is missing"),
-    "bad-id-and-no-provider": ([{"_type": "Service", "id": "nope"}], "Service.*is missing"),
+    # a Service of only an id is well-formed (every other key at its default):
+    # a binding cannot leave out its service
+    "bad-id-and-no-service": (
+        [{"_type": "ServiceBinding", "id": "nope"}], "ServiceBinding.*'service' is missing"
+    ),
     "not-a-dict": (["x"], "a str: not a dict"),
     "objects-not-a-list": (5, "objects must be a list"),
     "objects-null": (None, "objects must be a list"),
@@ -1065,9 +1108,15 @@ MALFORMED_FIELDS = [
     ("ApproveObjectsRequest", "idempotency_key", 5),
     ("AddSlotsRequest", "slots", [{"name": "n"}]),
     ("AddSlotsRequest", "slots", [{"name": 5, "values": []}]),
+    # what the serializer could not read back from the stored object
+    ("AddSlotsRequest", "slots", [{"name": "n", "values": [5, ["x"]]}]),
+    ("AddSlotsRequest", "slots", [{"name": "n", "values": ["v"], "slotType": 5}]),
     ("AdhocQueryRequest", "query_language", None),
     ("AdhocQueryRequest", "start_index", "0"),
     ("AdhocQueryRequest", "max_results", [10]),
+    # JSON booleans are no integers, whatever ``isinstance(True, int)`` says
+    ("AdhocQueryRequest", "start_index", True),
+    ("AdhocQueryRequest", "max_results", False),
 ]
 
 
@@ -1100,6 +1149,35 @@ class TestMalformedFields:
             with pytest.raises(InvalidRequestError, match=f"{type_name}.{field} must be"):
                 fault.raise_()
         assert _faults(registry) == before + 3
+
+    def test_a_refused_slot_leaves_the_object_readable_on_the_wire(self, registry, session):
+        org = Organization(registry.ids.new_id(), name="o")
+        registry.lcm.submit_objects(session, [org])
+        factory = ConnectionFactory(registry=registry, wire_xml=True)
+        factory.binding.register_session(session)
+
+        def call(body):
+            wire_text = envelope_to_xml(SoapEnvelope.with_session(body, session.token))
+            return envelope_from_xml(
+                factory.transport.request(factory.binding.endpoint_uri, wire_text)
+            ).body
+
+        slots = [{"name": "n", "values": [5, ["x"]], "slotType": None}]
+        refused = call(AddSlotsRequest(object_id=org.id, slots=slots))
+        assert isinstance(refused, SoapFault) and refused.fault_code == InvalidRequestError.code
+        answer = call(GetRegistryObjectRequest(object_id=org.id))
+        assert deserialize(answer.objects[0]).slots.names() == []
+
+    def test_an_index_of_true_is_refused_not_read_as_one(self, registry, session):
+        registry.lcm.submit_objects(
+            session, [Organization(registry.ids.new_id(), name=n) for n in "ab"]
+        )
+        query = "SELECT name FROM Organization ORDER BY name"
+        binding = SoapRegistryBinding(registry)
+        rows = binding.handle(SoapEnvelope(body=AdhocQueryRequest(query, start_index=1))).rows
+        assert rows == [{"name": "b"}]
+        answer = binding.handle(SoapEnvelope(body=AdhocQueryRequest(query, start_index=True)))
+        assert isinstance(answer, SoapFault) and answer.fault_code == InvalidRequestError.code
 
     def test_well_formed_requests_pass_the_validator(self, registry, session):
         with ServingSupervisor(registry, ServingConfig(workers=1)) as supervisor:
@@ -1186,8 +1264,35 @@ class TestGetServiceBindingsAnswer:
         untouched = self.expected(registry, service.id)
         for data in answer:
             data["accessUri"] = "http://mallory.example/"
-            data["name"].append({"locale": "en_US", "charset": "UTF-8", "value": "x"})
-            data["slots"].append({"name": "n", "values": ["v"], "slotType": None})
-            data["specificationLinkIds"].append("urn:uuid:spec")
+            # an empty list is left out of the answer: there is none to share
+            entry = {"locale": "en_US", "charset": "UTF-8", "value": "x"}
+            data.setdefault("name", []).append(entry)
+            data.setdefault("slots", []).append({"name": "n", "values": ["v"], "slotType": None})
+            data.setdefault("specificationLinkIds", []).append("urn:uuid:spec")
         assert edge.handle(request).objects == untouched
         assert self.expected(registry, service.id) == untouched
+
+
+# -- what a discovery answer weighs on the wire ------------------------------------
+
+
+class TestAnswerBytes:
+    """The wire-size gate: a published binding writes what it holds, no default."""
+
+    #: bytes one binding published through ``submit_objects`` adds to a
+    #: ``getServiceBindings`` answer: its id, service, owner, home and access URI
+    #: as JSON, ~310.  Writing the keys it holds at their default too (lid, name,
+    #: description, status, versionName, slots, three id lists, targetBinding)
+    #: costs ~250 more
+    BYTES_PER_BINDING = 320
+
+    def test_a_published_binding_writes_no_default_and_stays_in_budget(self, registry, session):
+        _, service = publish_service_with_bindings(registry, session, description=LOAD_BELOW_ONE)
+        request = SoapEnvelope(body=GetServiceBindingsRequest(service_id=service.id))
+        answer = SoapRegistryBinding(registry).handle(request)
+        document = envelope_to_xml(SoapEnvelope(body=answer))
+        objects = envelope_from_xml(document).body.objects
+        assert len(objects) == len(HOSTS)
+        assert [key for data in objects for key in data if at_default(data, key)] == []
+        frame = len(envelope_to_xml(SoapEnvelope(body=RegistryResponse())))
+        assert (len(document) - frame) / len(objects) <= self.BYTES_PER_BINDING
