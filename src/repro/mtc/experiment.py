@@ -58,8 +58,7 @@ def adhoc_query_mix(
     Four shapes, mirroring how MTC clients actually browse the registry:
     point lookups of known services, name-prefix searches, taxonomy
     (classification) semi-joins, and a NodeState scan to eyeball cluster
-    load.  Shared by the AQ-1 bench (replayed at scale against the planner)
-    and :meth:`ExperimentHarness.adhoc_discovery_queries`.
+    load.  Used by :meth:`ExperimentHarness.adhoc_discovery_queries`.
     """
     queries: list[str] = []
     for service_id in service_ids:

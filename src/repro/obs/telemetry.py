@@ -36,13 +36,11 @@ with the request's full span tree attached when tracing was on.
 
 PR 9 adds the **cost-attribution plane**: with :attr:`attribution_enabled`
 the kernel decomposes each request's wall time into ``queue_wait`` (serving
-dispatch queue), ``stage`` (kernel pipeline, per-stage exclusive times),
-``forward_hop`` (cross-member routing wire time), and ``wire`` (simulated
-off-CPU IO), and this facade observes the split into histogram families
+dispatch queue), ``stage`` (kernel pipeline, per-stage exclusive times) and
+``forward_hop`` (cross-member routing wire time), which sum to it exactly,
+and this facade observes the split into histogram families
 (``repro_request_cost_seconds``, ``repro_request_stage_seconds``) and time
-series; :meth:`attribution_stats` reads the families' sums back, and its
-``coverage`` field is the "attribution sums to ~total latency" acceptance
-gauge.
+series; :meth:`attribution_stats` reads the families' sums back.
 Latency histograms carry trace-id **exemplars** whenever tracing is on, so
 a top bucket links to the recorded span tree (:meth:`exemplar_index`).
 """
@@ -319,7 +317,7 @@ class Telemetry:
             cost = self._cost_hist = self.metrics.histogram(
                 "repro_request_cost_seconds",
                 "Per-request wall-time attribution by component "
-                "(queue_wait / stage / forward_hop / wire).",
+                "(queue_wait / stage / forward_hop).",
                 ("edge", "component"),
             )
         stage_hist = self._stage_hist
@@ -334,14 +332,12 @@ class Telemetry:
         child = self._child
         child(cost, edge, "queue_wait").observe(attribution["queue_wait_s"], exemplar)
         child(cost, edge, "stage").observe(attribution["stage_s"], exemplar)
-        # hop/wire components only exist on forwarded / wire-delayed
-        # requests; zero observations would drown the distributions
+        # the hop component only exists on forwarded requests; zero
+        # observations would drown the distribution
         if attribution["forward_hop_s"]:
             child(cost, edge, "forward_hop").observe(
                 attribution["forward_hop_s"], exemplar
             )
-        if attribution["wire_s"]:
-            child(cost, edge, "wire").observe(attribution["wire_s"], exemplar)
         for stage_name, seconds in attribution["stages"].items():
             child(stage_hist, stage_name).observe(seconds)
         if self.history.enabled:
@@ -352,16 +348,15 @@ class Telemetry:
             )
 
     def attribution_stats(self) -> dict[str, Any]:
-        """The ``attribution`` snapshot source: component sums + coverage.
+        """The ``attribution`` snapshot source: component sums.
 
-        ``coverage`` is the fraction of measured request wall time (queue
-        wait + wire + kernel) the named components account for — the
-        "splits sum to ~total latency" gauge the serving bench gates on.
-        Every number is read off the cost and stage histograms' children:
-        each attributed request observes ``stage`` once, and a request's
-        kernel latency is its ``stage`` plus its ``forward_hop``.
+        ``attributed_s`` is the attributed requests' wall time (queue wait +
+        kernel), the sum of the three components.  Every number is read off
+        the cost and stage histograms' children: each attributed request
+        observes ``stage`` once, and a request's kernel latency is its
+        ``stage`` plus its ``forward_hop``.
         """
-        sums = dict.fromkeys(("queue_wait", "stage", "forward_hop", "wire"), 0.0)
+        sums = dict.fromkeys(("queue_wait", "stage", "forward_hop"), 0.0)
         requests = 0
         stages: dict[str, float] = {}
         if self._cost_hist is not None:  # both families appear together
@@ -371,15 +366,11 @@ class Telemetry:
                 if component == "stage":
                     requests += count
             stages = {stage: child.sum for (stage,), child in self._stage_hist.series()}
-        attributed = sums["queue_wait"] + sums["stage"] + sums["forward_hop"]
-        total = attributed + sums["wire"]
         return {
             "enabled": self.attribution_enabled,
             "requests": requests,
             **{f"{component}_s": seconds for component, seconds in sums.items()},
-            "total_s": total,
-            "attributed_s": attributed,
-            "coverage": (attributed / total) if total > 0 else 1.0,
+            "attributed_s": sum(sums.values()),
             "stages": stages,
         }
 

@@ -19,8 +19,8 @@ run as *probe → filter the stored objects → project the survivors* — see
 with ``planner=False`` to force the original path, which projects every
 object of the table into a row and evaluates the AST over the rows
 (:func:`eval_predicate`); it is the oracle: the two must return
-bit-identical rows, which the ad-hoc bench asserts per query and
-``tests/test_property_query.py`` over generated statements.
+bit-identical rows, which ``tests/test_query_planner.py`` asserts per query
+and ``tests/test_property_query.py`` over generated statements.
 """
 
 from __future__ import annotations

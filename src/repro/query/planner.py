@@ -31,8 +31,8 @@ indexes at execution time, and subquery cells are re-bound from a view that
 drops a value set when a type it read is written, so the plan cache needs
 no write invalidation.  Results are
 bit-identical to the scan path — same rows, same order, same NULL/coercion
-semantics — which ``benchmarks/test_bench_adhoc_query.py`` asserts query by
-query and ``tests/test_property_query.py`` over generated statements.  One
+semantics — which ``tests/test_query_planner.py`` asserts query by query
+and ``tests/test_property_query.py`` over generated statements.  One
 deliberate asymmetry: a probe that empties the candidate set
 skips residual evaluation entirely, so an unknown-column error hiding in the
 residual of a no-match query is not raised (the scan path short-circuits the
@@ -541,8 +541,7 @@ class PlanCache:
 
     Thread-safe: the LRU's ``move_to_end`` bookkeeping mutates the map even
     on a *hit*, so every operation runs under a lock.  The lock is taken
-    non-blocking first purely to count contention (``contended``) — the
-    serving bench's evidence that plan lookups are not the scaling limiter.
+    non-blocking first purely to count contention (``contended``).
     """
 
     def __init__(self, maxsize: int = 512) -> None:

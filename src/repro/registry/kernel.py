@@ -515,7 +515,7 @@ class RegistryKernel:
         exclusive time excludes its forward hop, which is reported as its
         own component — so
 
-            queue_wait + stage + forward_hop + wire == total
+            queue_wait + stage + forward_hop == total
 
         holds exactly by construction, and the per-stage dict is the
         fine-grained detail underneath ``stage``.
@@ -536,13 +536,11 @@ class RegistryKernel:
         if forward_hop and "route" in stages:
             stages["route"] = max(0.0, stages["route"] - forward_hop)
         queue_wait = float(ctx.tags.get("queue_wait_s", 0.0))
-        wire = float(ctx.tags.get("wire_delay_s", 0.0))
         return {
             "queue_wait_s": queue_wait,
             "stage_s": max(0.0, ctx.latency - forward_hop),
             "forward_hop_s": forward_hop,
-            "wire_s": wire,
-            "total_s": queue_wait + wire + ctx.latency,
+            "total_s": queue_wait + ctx.latency,
             "stages": stages,
         }
 

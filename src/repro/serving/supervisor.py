@@ -20,8 +20,7 @@ kernel, and exposes three admission surfaces:
 What the gate guarantees.  A request runs inline only while nothing is
 queued — it overtakes no queued request — and fewer than ``workers``
 admitted requests are unfinished, so at most ``workers`` run inline at once
-(and at most ``workers`` on workers); never when ``wire_delay_s`` is set,
-because threads asleep on the wire do overlap.  An inline run raises what
+(and at most ``workers`` on workers).  An inline run raises what
 ``future.result()`` would have raised and frees its permit either way;
 :meth:`drain` and :meth:`stop` return only when none is in flight, and
 after :meth:`stop` every admission surface raises ``RuntimeError``.  ``timeout``
@@ -35,8 +34,8 @@ SOAP edge's session discipline: an explicit token resolves against
 sessions registered via :meth:`register_session`, everything else falls
 back to the guest session unless the operation requires authentication.
 Faults map through :class:`~repro.soap.envelope.SoapFault` so a serving
-response is shaped exactly like its single-threaded SOAP twin — that is
-what the benchmark's parity assertion compares.
+response is shaped exactly like its single-threaded SOAP twin
+(``test_inline_queued_and_soap_answers_are_equal`` compares them).
 
 The supervisor registers a ``serving`` telemetry source so ``repro stats``
 and ``/metrics``-adjacent snapshots see queue depth, admission counters,
@@ -72,8 +71,6 @@ class ServingConfig:
     #: dispatch queue bound; submissions beyond it block (submit) or shed
     #: (try_submit); zero or less means unbounded, as for ``queue.Queue``
     queue_capacity: int = 1024
-    #: simulated per-request wire/IO seconds spent off-CPU in the worker
-    wire_delay_s: float = 0.0
 
 
 class DispatchQueue:
@@ -181,11 +178,7 @@ class ServingSupervisor:
         if self.config.workers < 1:
             raise ValueError("ServingConfig.workers must be >= 1")
         self.kernel = registry.kernel
-        self._queue = DispatchQueue(
-            self.config.queue_capacity,
-            # nothing that will sleep on the wire runs inline
-            permits=0 if self.config.wire_delay_s > 0.0 else self.config.workers,
-        )
+        self._queue = DispatchQueue(self.config.queue_capacity, permits=self.config.workers)
         self._workers: list[RegistryWorker] = []
         #: token → session, maintained via register_session (SOAP discipline)
         self._sessions: dict[str, "Session"] = {}
@@ -225,12 +218,7 @@ class ServingSupervisor:
         if self.started:
             return self
         self._workers = [
-            RegistryWorker(
-                f"worker-{index}",
-                self.kernel,
-                self._queue,
-                wire_delay_s=self.config.wire_delay_s,
-            )
+            RegistryWorker(f"worker-{index}", self.kernel, self._queue)
             for index in range(self.config.workers)
         ]
         for worker in self._workers:
@@ -318,7 +306,6 @@ class ServingSupervisor:
             "accepted": self._queue.accepted,
             "rejected": self._queue.rejected,
             "cancelled": sum(worker.cancelled for worker in self._workers),
-            "wire_delay_s": self.config.wire_delay_s,
             "served_per_worker": {
                 worker.label: worker.requests_served for worker in self._workers
             },

@@ -8,17 +8,11 @@ through ``kernel.execute``.  The kernel pipeline is re-entrant — request
 ids and span stacks are per-thread, request series per worker label — so N
 workers share one kernel and one registry without coordination beyond the
 queue itself.
-
-``wire_delay_s`` simulates the per-request wire/IO time a real deployment
-spends off-CPU (``time.sleep`` releases the GIL), which is what lets the
-serving benchmark show throughput scaling with worker count even though
-pure-Python compute serializes on the interpreter lock.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -53,17 +47,11 @@ class RegistryWorker:
     """One serving thread: label, queue loop, kernel execution."""
 
     def __init__(
-        self,
-        label: str,
-        kernel: "RegistryKernel",
-        work_queue: "DispatchQueue",
-        *,
-        wire_delay_s: float = 0.0,
+        self, label: str, kernel: "RegistryKernel", work_queue: "DispatchQueue"
     ) -> None:
         self.label = label
         self.kernel = kernel
         self.queue = work_queue
-        self.wire_delay_s = wire_delay_s
         # these counters and the queue-wait aggregates are only ever written
         # by this worker's own thread, so they need no lock; the supervisor
         # snapshots them
@@ -95,11 +83,9 @@ class RegistryWorker:
         if wait > self.queue_wait_max_s:
             self.queue_wait_max_s = wait
         self.kernel.telemetry.record_queue_wait(self.label, wait)
-        # ride the wait (and the simulated wire time) into the kernel's
-        # per-request tag bag so the attribution split can include them
+        # ride the wait into the kernel's per-request tag bag so the
+        # attribution split can include it
         tags = {"queue_wait_s": wait}
-        if self.wire_delay_s > 0.0:
-            tags["wire_delay_s"] = self.wire_delay_s
         seeded = item.kwargs.get("tags")
         item.kwargs["tags"] = {**seeded, **tags} if seeded else tags
 
@@ -118,10 +104,6 @@ class RegistryWorker:
             try:
                 if item.enqueued_at is not None:
                     self._measure_queue_wait(item)
-                if self.wire_delay_s > 0.0:
-                    # simulated wire/IO time; sleeps release the GIL, so
-                    # other workers compute while this request "transmits"
-                    time.sleep(self.wire_delay_s)
                 result = self.kernel.execute(item.edge, **item.kwargs)
             except BaseException as error:  # noqa: BLE001 - delivered via Future
                 # counted before it is published: whoever the future wakes

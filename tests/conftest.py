@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.client.access import ClientEnvironment
 from repro.registry import RegistryConfig, RegistryServer
+from repro.registry.kernel import OperationSpec
 from repro.rim import (
     Association,
     AssociationType,
@@ -19,6 +22,24 @@ from repro.soap import SimTransport
 from repro.util.clock import ManualClock, SimClockAdapter
 
 HOSTS = ["exergy.sdsu.edu", "thermo.sdsu.edu", "romulus.sdsu.edu"]
+
+
+class Gated:
+    """A handler that reports who entered it and blocks until released:
+    ``submit(spec=gated.spec)`` holds a serving worker for as long as a test
+    needs it busy."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.idents: list[int] = []
+        self.spec = OperationSpec(name="gated", handler=self)
+
+    def __call__(self, ctx) -> str:
+        self.idents.append(threading.get_ident())
+        self.entered.release()
+        assert self.release.wait(30.0)
+        return "done"
 
 
 @pytest.fixture

@@ -1,15 +1,28 @@
 """Tests for lifecycle idempotency keys: exactly-once under retries."""
 
+import threading
+
 import pytest
 
+from repro.persistence import DataStore
+from repro.query import QueryEngine
 from repro.rim import Organization, Service
+from repro.serving import ServingConfig, ServingSupervisor
 from repro.soap import (
     SoapEnvelope,
+    SoapFault,
     SoapRegistryBinding,
     SubmitObjectsRequest,
     serialize,
 )
+from repro.soap.messages import (
+    AdhocQueryRequest,
+    GetServiceBindingsRequest,
+    UpdateObjectsRequest,
+)
 from repro.util.errors import InvalidRequestError
+
+from conftest import publish_service_with_bindings
 
 
 class TestLifecycleIdempotency:
@@ -118,3 +131,90 @@ class TestKernelEdgeIdempotency:
         assert retry.ids == first.ids
         assert registry.lcm.idempotent_duplicates == 1
         assert len(registry.daos.organizations.all()) == 1
+
+
+class TestRetriesThroughTheServingFleet:
+    def test_retried_writes_beside_readers_apply_once_and_replay(self, registry, session):
+        """Keyed writes, each sent twice through a 2-worker fleet while readers
+        discover and query: every retry replays its first answer, the changelog
+        rebuilds the heap, and planned answers equal scans on both stores."""
+        published = [
+            publish_service_with_bindings(
+                registry, session, org_name=f"Org{i}", service_name=f"Svc{i}"
+            )
+            for i in range(4)
+        ]
+        writes = []
+        for i in range(24):
+            # two in three rewrite an organization, which discovery never reads
+            org, service = published[i % 4]
+            target = registry.store.get_object(service.id if i % 3 == 0 else org.id)
+            target.description.set(f"rev-{i}")
+            writes.append(
+                UpdateObjectsRequest(objects=[serialize(target)], idempotency_key=f"w-{i}")
+            )
+        reads = [GetServiceBindingsRequest(service.id) for _, service in published]
+        reads.append(AdhocQueryRequest(query="SELECT id FROM Service WHERE name = 'Svc1'"))
+        writing_done = threading.Event()
+        answered, failures = [], []
+        sup = ServingSupervisor(registry, ServingConfig(workers=2))
+        sup.register_session(session)
+
+        def write(chunk):
+            for body in chunk:
+                first = sup.call(body=body, token=session.token, timeout=30.0)
+                again = sup.call(body=body, token=session.token, timeout=30.0)
+                if not (first.is_success and again.ids == first.ids):
+                    failures.append((body, first, again))
+
+        def read():
+            while True:
+                for body in reads:
+                    answer = sup.call(body=body, timeout=30.0)
+                    answered.append(answer)
+                    if isinstance(answer, SoapFault):
+                        failures.append((body, answer))
+                if writing_done.is_set():
+                    return
+
+        writers = [
+            threading.Thread(target=write, args=(writes[n::2],), daemon=True)
+            for n in range(2)
+        ]
+        readers = [threading.Thread(target=read, daemon=True) for _ in range(2)]
+        try:
+            with sup:
+                for thread in readers + writers:
+                    thread.start()
+                for thread in writers:
+                    thread.join(60.0)
+                writing_done.set()
+                for thread in readers + writers:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                sup.drain()
+                stats = sup.serving_stats()
+        finally:
+            writing_done.set()
+            sup.close()
+        assert failures == []
+        assert stats["accepted"] == 2 * len(writes) + len(answered)
+        assert registry.write_stats()["idempotent_duplicates"] == len(writes)
+
+        store = registry.store
+        rebuilt = DataStore()
+        store.changelog.replay_into(rebuilt)
+        assert sorted(rebuilt.all_ids()) == sorted(store.all_ids())
+        for object_id in store.all_ids():
+            assert serialize(rebuilt.get_object(object_id)) == serialize(
+                store.get_object(object_id)
+            ), object_id
+        for query in (
+            "SELECT * FROM Service ORDER BY name",
+            "SELECT * FROM ServiceBinding ORDER BY id",
+            "SELECT id FROM Service WHERE name LIKE 'Svc%'",
+            "SELECT * FROM Organization ORDER BY name",
+        ):
+            planned = registry.engine.execute(query)
+            assert planned == QueryEngine(store, planner=False).execute(query), query
+            assert planned == QueryEngine(rebuilt, planner=False).execute(query), query

@@ -243,11 +243,8 @@ def _run_composition(position, tracing, attribution):
             split = registry.telemetry.attribution_stats()
             accounted = _reached(names, "dispatch")[names.index("account") :]
             assert list(split["stages"]) == sorted(accounted)
-            assert split["total_s"] == pytest.approx(
-                split["queue_wait_s"]
-                + split["stage_s"]
-                + split["forward_hop_s"]
-                + split["wire_s"]
+            assert split["attributed_s"] == pytest.approx(
+                split["queue_wait_s"] + split["stage_s"] + split["forward_hop_s"]
             )
             assert sum(split["stages"].values()) == pytest.approx(split["stage_s"])
     assert tracer.stats()["traces_kept"] == (3 if tracing else 0)

@@ -14,6 +14,8 @@ from repro.soap.serializer import serialize
 from repro.util.clock import ManualClock
 from repro.util.errors import InvalidRequestError
 
+from conftest import Gated
+
 
 @pytest.fixture
 def federation():
@@ -133,21 +135,26 @@ class TestAdmission:
         fed, (r0, r1) = federation
         org0, _ = _publish(r0, "OrgZero")
         body = GetRegistryObjectRequest(object_id=org0.id)
-        config = ClusterConfig(serving=ServingConfig(workers=1, wire_delay_s=0.2))
-        cluster = ClusterSupervisor(fed, config)
+        gated = Gated()
+        cluster = ClusterSupervisor(fed, ClusterConfig(serving=ServingConfig(workers=1)))
         try:
             with cluster:
                 cluster.pump_until_converged()
-                blockers = [cluster.submit(body=body) for _ in cluster.homes()]
+                # round-robin: one blocker holds each member's one worker
+                blockers = [cluster.submit(spec=gated.spec) for _ in cluster.homes()]
+                for _ in blockers:
+                    assert gated.entered.acquire(timeout=30.0)
                 with pytest.raises(FutureTimeoutError):
                     cluster.call(body=body, timeout=0.01)
+                gated.release.set()
                 for blocker in blockers:
-                    assert blocker.result(timeout=30.0).status == "Success"
+                    assert blocker.result(timeout=30.0) == "done"
                 cluster.drain()
                 stats = [
                     cluster.supervisor(home).serving_stats() for home in cluster.homes()
                 ]
         finally:
+            gated.release.set()
             cluster.close()
         # the abandoned request was dropped at dequeue, not executed for nobody
         assert sum(member["cancelled"] for member in stats) == 1

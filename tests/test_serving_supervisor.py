@@ -24,7 +24,7 @@ from repro.soap.messages import (
 from repro.soap.serializer import serialize
 from repro.rim import Organization
 
-from conftest import HOSTS, publish_service_with_bindings
+from conftest import HOSTS, Gated, publish_service_with_bindings
 
 
 @pytest.fixture
@@ -32,6 +32,41 @@ def supervisor(registry):
     sup = ServingSupervisor(registry, ServingConfig(workers=2))
     yield sup
     sup.close()
+
+
+def _wait_until(condition, what: str) -> None:
+    """Spin until *condition* holds (a synchronisation point, not a timing)."""
+    deadline = time.monotonic() + 30.0
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting until {what}"
+        time.sleep(0.001)
+
+
+def _finishes(target) -> bool:
+    """Whether *target*() returns within the test's patience."""
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(30.0)
+    return not thread.is_alive()
+
+
+NOOP = OperationSpec(name="noop", handler=lambda ctx: None, read_gate=True)
+
+
+def _stall_pick_up(sup: ServingSupervisor) -> threading.Event:
+    """Hold every worker at dequeue until the returned event is set."""
+    pick_up = threading.Event()
+    items = sup._queue._items
+
+    class Stalled:
+        put = items.put
+
+        def get(self):
+            assert pick_up.wait(30.0)
+            return items.get()
+
+    sup._queue._items = Stalled()
+    return pick_up
 
 
 class TestLifecycle:
@@ -76,45 +111,53 @@ class TestAdmission:
         assert len(response.rows) == 1
 
     def test_try_submit_sheds_when_full(self, registry):
-        # one slow worker, a one-slot queue: the third request must shed
-        sup = ServingSupervisor(
-            registry,
-            ServingConfig(workers=1, queue_capacity=1, wire_delay_s=0.1),
-        )
+        # one held worker, a one-slot queue: every request after the first shed
+        gated = Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1, queue_capacity=1))
         body = AdhocQueryRequest(query="SELECT id FROM Service")
         accepted = []
         rejected = 0
         try:
             with sup:
+                held = sup.submit(spec=gated.spec)
+                assert gated.entered.acquire(timeout=30.0)
                 for _ in range(8):
                     future = sup.try_submit(body=body)
                     if future is None:
                         rejected += 1
                     else:
                         accepted.append(future)
-                assert rejected > 0
+                assert (len(accepted), rejected) == (1, 7)
                 stats = sup.serving_stats()
                 assert stats["rejected"] == rejected
-                assert stats["accepted"] == len(accepted)
+                assert stats["accepted"] == len(accepted) + 1
+                gated.release.set()
+                assert held.result(timeout=30.0) == "done"
                 for future in accepted:
                     assert future.result(timeout=30.0).status == "Success"
         finally:
+            gated.release.set()
             sup.close()
 
     def test_zero_capacity_is_unbounded(self, registry, session):
         publish_service_with_bindings(registry, session)
         body = AdhocQueryRequest(query="SELECT id FROM Service")
-        sup = ServingSupervisor(
-            registry, ServingConfig(workers=1, queue_capacity=0, wire_delay_s=0.005)
-        )
+        gated = Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1, queue_capacity=0))
         try:
             with sup:
+                held = sup.submit(spec=gated.spec)
+                assert gated.entered.acquire(timeout=30.0)
                 futures = [sup.try_submit(body=body) for _ in range(16)]
                 assert None not in futures
-                assert sup.serving_stats()["rejected"] == 0
+                stats = sup.serving_stats()
+                assert (stats["rejected"], stats["queue_depth"]) == (0, 16)
+                gated.release.set()
+                assert held.result(timeout=30.0) == "done"
                 for future in futures:
                     assert future.result(timeout=30.0).status == "Success"
         finally:
+            gated.release.set()
             sup.close()
 
     def test_faults_delivered_as_values_not_raised(self, supervisor):
@@ -131,56 +174,61 @@ class TestCancellation:
     ):
         publish_service_with_bindings(registry, session)
         body = AdhocQueryRequest(query="SELECT id FROM Service")
-        sup = ServingSupervisor(
-            registry, ServingConfig(workers=1, wire_delay_s=0.05)
-        )
+        gated = Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1))
         try:
             with sup:
-                first = sup.submit(body=body)
+                first = sup.submit(spec=gated.spec)
+                assert gated.entered.acquire(timeout=30.0)
                 second = sup.submit(body=body)
-                # the one worker is busy with (or yet to start) the first
+                # the one worker is held in the first
                 assert second.cancel()
-                assert first.result(timeout=30.0).status == "Success"
+                gated.release.set()
+                assert first.result(timeout=30.0) == "done"
                 sup.drain()
                 assert [worker.alive for worker in sup._workers] == [True]
-                assert sup.call(body=body, timeout=5.0).status == "Success"
+                assert sup.submit(body=body).result(timeout=5.0).status == "Success"
                 stats = sup.serving_stats()
             served = sum(stats["served_per_worker"].values())
             assert (stats["accepted"], served, stats["cancelled"]) == (3, 2, 1)
             # a dropped request never reached the kernel or the wait accounting
             assert stats["queue_wait"]["count"] == served
-            assert registry.pipeline_stats()["serving"]["executeQuery"]["count"] == 2
+            assert registry.pipeline_stats()["serving"]["executeQuery"]["count"] == 1
         finally:
+            gated.release.set()
             sup.close()
 
     def test_call_timeout_cancels_work_nobody_waits_for(self, registry, session):
         publish_service_with_bindings(registry, session)
         body = AdhocQueryRequest(query="SELECT id FROM Service")
-        sup = ServingSupervisor(registry, ServingConfig(workers=1, wire_delay_s=0.2))
+        gated = Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1))
         try:
             with sup:
-                blocker = sup.submit(body=body)
+                blocker = sup.submit(spec=gated.spec)
+                assert gated.entered.acquire(timeout=30.0)
                 with pytest.raises(FutureTimeoutError):
                     sup.call(body=body, timeout=0.01)
-                assert blocker.result(timeout=30.0).status == "Success"
+                gated.release.set()
+                assert blocker.result(timeout=30.0) == "done"
                 sup.drain()
                 stats = sup.serving_stats()
             assert stats["cancelled"] == 1
             assert sum(stats["served_per_worker"].values()) == 1
         finally:
+            gated.release.set()
             sup.close()
 
 
 class TestQueueBound:
     def test_four_producers_never_overfill_a_slow_worker(self, registry, session):
-        """More producers than cores against capacity 8, switching every 10 µs."""
+        """More producers than cores against capacity 8, switching every 10 µs;
+        the one worker is held until the queue has been seen full."""
         publish_service_with_bindings(registry, session)
         body = AdhocQueryRequest(query="SELECT id FROM Service")
         capacity, producers, each = 8, 4, 25
-        sup = ServingSupervisor(
-            registry,
-            ServingConfig(workers=1, queue_capacity=capacity, wire_delay_s=0.002),
-        )
+        gated = Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1, queue_capacity=capacity))
         futures, depths = [], []
 
         def produce():
@@ -193,6 +241,8 @@ class TestQueueBound:
         sys.setswitchinterval(1e-5)
         try:
             with sup:
+                held = sup.submit(spec=gated.spec)
+                assert gated.entered.acquire(timeout=30.0)
                 for thread in threads:
                     thread.start()
                 shed = 0
@@ -205,6 +255,8 @@ class TestQueueBound:
                     extra = sup.try_submit(body=body)
                     if extra is None:
                         shed += 1
+                        # the producers filled the queue: let the worker drain it
+                        gated.release.set()
                     else:
                         futures.append(extra)
                     time.sleep(0.001)
@@ -217,13 +269,15 @@ class TestQueueBound:
                 stats = sup.serving_stats()
         finally:
             sys.setswitchinterval(interval)
+            gated.release.set()
             sup.close()
+        assert held.result(0) == "done"
         assert max(depths) <= capacity
         assert stats["queue_depth_high_water"] == capacity
         assert stats["queue_depth"] == 0
         # the blocked producers kept the queue full, so the prober was shed
         assert shed > 0 and stats["rejected"] == shed
-        assert stats["accepted"] == len(futures) >= producers * each
+        assert stats["accepted"] == len(futures) + 1 > producers * each
         assert sum(stats["served_per_worker"].values()) == stats["accepted"]
         assert all(future.result(0).status == "Success" for future in futures)
 
@@ -307,65 +361,18 @@ class TestTelemetrySurface:
         sup.close()
         assert "serving" not in registry.telemetry.sources()
 
-    def test_wire_delay_applied(self, registry, session):
-        publish_service_with_bindings(registry, session)
-        sup = ServingSupervisor(
-            registry, ServingConfig(workers=1, wire_delay_s=0.05)
-        )
-        body = AdhocQueryRequest(query="SELECT id FROM Service")
-        try:
-            with sup:
-                started = time.perf_counter()
-                assert sup.call(body=body).status == "Success"
-                elapsed = time.perf_counter() - started
-            assert elapsed >= 0.05
-        finally:
-            sup.close()
-
 
 # -- the admission gate: inline runs on the caller's thread ---------------------
-
-
-def _wait_until(condition, what: str) -> None:
-    """Spin until *condition* holds (a synchronisation point, not a timing)."""
-    deadline = time.monotonic() + 30.0
-    while not condition():
-        assert time.monotonic() < deadline, f"timed out waiting until {what}"
-        time.sleep(0.001)
-
-
-def _finishes(target) -> bool:
-    """Whether *target*() returns within the test's patience."""
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(30.0)
-    return not thread.is_alive()
-
-
-class _Gated:
-    """A handler that reports who entered it and blocks until released."""
-
-    def __init__(self) -> None:
-        self.entered = threading.Semaphore(0)
-        self.release = threading.Event()
-        self.idents: list[int] = []
-        self.spec = OperationSpec(name="gated", handler=self)
-
-    def __call__(self, ctx) -> str:
-        self.idents.append(threading.get_ident())
-        self.entered.release()
-        assert self.release.wait(30.0)
-        return "done"
-
-
-NOOP = OperationSpec(name="noop", handler=lambda ctx: None, read_gate=True)
 
 
 class TestInlineGate:
     def test_exactly_workers_run_inline_and_the_rest_queue(self, registry):
         k = 2
-        gated = _Gated()
+        gated = Gated()
         sup = ServingSupervisor(registry, ServingConfig(workers=k))
+        # a caller may put before a worker's get has taken the depth down, so
+        # without the stall the high water is anything in [2·k, 3·k]
+        pick_up = _stall_pick_up(sup)
         callers = [
             threading.Thread(target=sup.call, kwargs={"spec": gated.spec}, daemon=True)
             for _ in range(4 * k)
@@ -377,11 +384,12 @@ class TestInlineGate:
                 for caller in callers:
                     caller.start()
                 # nothing finishes until released, so the first k admitted hold
-                # every permit and everyone after them queues: k more run on
-                # the workers and 2·k wait in the queue
+                # every permit and everyone after them queues: 3·k wait in the
+                # queue, then k of them run on the workers and 2·k stay
                 _wait_until(
                     lambda: sup.serving_stats()["accepted"] == 4 * k, "all are admitted"
                 )
+                pick_up.set()
                 for _ in range(2 * k):
                     assert gated.entered.acquire(timeout=30.0)
                 blocked = sup.serving_stats()
@@ -394,13 +402,14 @@ class TestInlineGate:
                 stats = sup.serving_stats()
         finally:
             sys.setswitchinterval(interval)
+            pick_up.set()
             gated.release.set()
             sup.close()
         caller_idents = {caller.ident for caller in callers}
         inline = [ident for ident in running if ident in caller_idents]
         assert len(running) == 2 * k and len(set(inline)) == len(inline) == k
         assert set(running) - caller_idents == {w.thread.ident for w in sup._workers}
-        assert blocked["queue_depth"] == blocked["queue_depth_high_water"] == 2 * k
+        assert (blocked["queue_depth"], blocked["queue_depth_high_water"]) == (2 * k, 3 * k)
         assert stats["served_inline"] == k
         assert sum(stats["served_per_worker"].values()) == 3 * k
         assert stats["queue_wait"]["count"] == 3 * k
@@ -427,19 +436,7 @@ class TestInlineGate:
             return OperationSpec(name=name, handler=lambda ctx: ran.append(name))
 
         sup = ServingSupervisor(registry, ServingConfig(workers=2))
-        pick_up = threading.Event()
-        items = sup._queue._items
-
-        class Stalled:
-            """The workers cannot dequeue until *pick_up* is set."""
-
-            put = items.put
-
-            def get(self):
-                assert pick_up.wait(30.0)
-                return items.get()
-
-        sup._queue._items = Stalled()
+        pick_up = _stall_pick_up(sup)
         caller = threading.Thread(
             target=sup.call, kwargs={"spec": spec("called")}, daemon=True
         )
@@ -487,26 +484,8 @@ class TestInlineGate:
         assert (stats["accepted"], stats["served_inline"]) == (3, 2)
         assert stats["served_per_worker"] == {"worker-0": 1}
 
-    def test_wire_delay_never_runs_inline(self, registry):
-        idents: list[int] = []
-        spec = OperationSpec(
-            name="who", handler=lambda ctx: idents.append(threading.get_ident())
-        )
-        sup = ServingSupervisor(registry, ServingConfig(workers=2, wire_delay_s=0.001))
-        try:
-            with sup:
-                for _ in range(5):
-                    sup.call(spec=spec, timeout=30.0)
-                stats = sup.serving_stats()
-                worker_idents = {worker.thread.ident for worker in sup._workers}
-        finally:
-            sup.close()
-        assert stats["served_inline"] == 0
-        assert stats["queue_wait"]["count"] == 5
-        assert set(idents) <= worker_idents
-
     def test_inline_run_ignores_timeout_and_runs_to_completion(self, registry):
-        gated = _Gated()
+        gated = Gated()
 
         def release_once_entered():
             assert gated.entered.acquire(timeout=30.0)
@@ -527,7 +506,7 @@ class TestInlineGate:
         assert gated.idents == [threading.get_ident()]
 
     def test_stop_and_drain_wait_for_an_inline_run_and_then_refuse(self, registry):
-        gated = _Gated()
+        gated = Gated()
         sup = ServingSupervisor(registry, ServingConfig(workers=1))
         caller = threading.Thread(
             target=sup.call, kwargs={"spec": gated.spec}, daemon=True
