@@ -151,7 +151,8 @@ class ServiceBindingDAO(GenericDAO):
         """
         fetch = self.get if copy else self.get_view
         out: list[ServiceBinding] = []
-        for binding_id in service.binding_ids:
+        # a read: a service that never held a binding list is not given one
+        for binding_id in vars(service).get("binding_ids", ()):
             binding = fetch(binding_id)
             if binding is not None:
                 out.append(binding)
@@ -215,7 +216,7 @@ class ServiceDAO(GenericDAO):
         """The service's stored bindings joined to their hosts (changelog view)."""
         view = self._bindings_view
         as_of = view.catch_up()
-        ids = service.binding_ids
+        ids = vars(service).get("binding_ids", [])  # a read: the stored service is not given a list
         cached = view.get(service.id)
         if cached is not None and cached[0] == ids:
             return cached[1]

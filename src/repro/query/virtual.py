@@ -83,8 +83,9 @@ VIRTUAL_TABLES: dict[str, VirtualTable] = {
         "Organization",
         parent="o.parent",
         primarycontact="o.primary_contact",
-        city="o.addresses[0].city if o.addresses else None",
-        country="o.addresses[0].country if o.addresses else None",
+        # ``vars``: a read gives no stored organization an address list
+        city="o.addresses[0].city if vars(o).get('addresses') else None",
+        country="o.addresses[0].country if vars(o).get('addresses') else None",
     ),
     "service": _table("Service", provider="o.provider"),
     "servicebinding": _table(

@@ -17,25 +17,36 @@ RegistryObject, which carries:
 The class is deliberately a plain mutable object, not a dataclass: the DAO
 layer snapshots/copies instances explicitly and identity semantics are by
 ``id``.
+
+A new object holds no empty container.  ``slots`` and the id lists (and a
+subclass's own lists, see :class:`OnFirstRead`) are made on their first read
+and kept from then on, so an object that never has a slot never pays for a
+slot map; code that must only read a stored object looks in ``vars(obj)``
+instead.  The constructor is the one validator: every way of building an
+object, the wire's reader included, goes through it.
 """
 
 from __future__ import annotations
 
+import threading
+from typing import Any, Callable, NamedTuple
 
 from repro.rim.slots import Slot, SlotMap
 from repro.rim.status import ObjectStatus
 from repro.rim.strings import InternationalString
 from repro.util.errors import InvalidRequestError
-from repro.util.ids import is_urn_uuid
+from repro.util.ids import match_urn_uuid
 
-class VersionInfo:
-    """Automatic version metadata (ebRS versioning feature, Table 1.1)."""
 
-    __slots__ = ("version_name", "comment")
+class VersionInfo(NamedTuple):
+    """Automatic version metadata (ebRS versioning feature, Table 1.1).
 
-    def __init__(self, version_name: str = "1.1", comment: str = "") -> None:
-        self.version_name = version_name
-        self.comment = comment
+    An immutable value: a new version is a new instance (:meth:`next`), and
+    every new object holds the one :attr:`FIRST`.
+    """
+
+    version_name: str = "1.1"
+    comment: str = ""
 
     def next(self, comment: str = "") -> "VersionInfo":
         """Return the successor version (minor increments: 1.1 → 1.2)."""
@@ -46,19 +57,49 @@ class VersionInfo:
             bumped = self.version_name + ".1"
         return VersionInfo(bumped, comment)
 
-    def copy(self) -> "VersionInfo":
-        return VersionInfo(self.version_name, self.comment)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"VersionInfo({self.version_name!r})"
+#: the version every new object starts at, shared
+VersionInfo.FIRST = VersionInfo()
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, VersionInfo) and other.version_name == self.version_name
-        )
+_SUBMITTED = ObjectStatus.SUBMITTED
+_FIRST = VersionInfo.FIRST
 
-    def __hash__(self) -> int:
-        return hash(self.version_name)
+
+class OnFirstRead:
+    """A container attribute a new object does not hold: the first read makes it
+    empty and leaves it in the object, where every later read finds it first.
+
+    Each one is filed in its class's ``LAZY`` table (name → factory), which a
+    subclass extends.  A class-level descriptor rather than ``__getattr__``: a
+    class with ``__getattr__`` loses CPython 3.11's specialized attribute reads,
+    which would tax every attribute of every RIM object.
+    """
+
+    __slots__ = ("factory", "name")
+
+    def __init__(self, factory: Callable[[], Any]) -> None:
+        self.factory = factory
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+        owner.LAZY = {**owner.LAZY, name: self.factory}
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        # racing first reads all get the one container stored
+        with _FIRST_READS:
+            return obj.__dict__.setdefault(self.name, self.factory())
+
+
+#: One first read at a time.  CPython 3.11 makes an object's ``__dict__`` from
+#: its inline values in two steps, and a collection run between them (finalizers
+#: are Python code) can switch threads; a second thread making the same object's
+#: dict then leaves two dicts over one value array, and the interpreter crashes.
+#: Reentrant, so a finalizer that reads a container on the same thread goes on.
+#: A stored object is a copy, whose dict ``copy()`` made under the store's write
+#: lock, so readers of stored objects never race to make one.
+_FIRST_READS = threading.RLock()
 
 
 class RegistryObject:
@@ -66,6 +107,15 @@ class RegistryObject:
 
     #: Canonical object-type URN; subclasses override.
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:RegistryObject"
+
+    #: the containers a new object does not hold (:class:`OnFirstRead`): name →
+    #: factory of the empty container
+    LAZY: dict[str, Callable[[], Any]] = {}
+    slots = OnFirstRead(SlotMap)
+    #: ids of Classification objects applied to this object
+    classification_ids = OnFirstRead(list)
+    #: ids of ExternalIdentifier objects attached to this object
+    external_identifier_ids = OnFirstRead(list)
 
     def __init__(
         self,
@@ -77,21 +127,20 @@ class RegistryObject:
         owner: str | None = None,
         home: str | None = None,
     ) -> None:
-        if not is_urn_uuid(id):
+        if not match_urn_uuid(id):
             raise InvalidRequestError(f"registry object id must be urn:uuid: {id!r}")
         self.id = id
         self.lid = lid or id
-        self.name = InternationalString.of(name)
-        self.description = InternationalString.of(description)
-        self.status = ObjectStatus.SUBMITTED
-        self.version = VersionInfo()
-        self.slots = SlotMap()
+        self.name = name if isinstance(name, InternationalString) else InternationalString(name)
+        self.description = (
+            description
+            if isinstance(description, InternationalString)
+            else InternationalString(description)
+        )
+        self.status = _SUBMITTED
+        self.version = _FIRST
         self.owner = owner
         self.home = home
-        #: ids of Classification objects applied to this object
-        self.classification_ids: list[str] = []
-        #: ids of ExternalIdentifier objects attached to this object
-        self.external_identifier_ids: list[str] = []
 
     # -- type metadata -------------------------------------------------
 
@@ -110,25 +159,26 @@ class RegistryObject:
         self.slots.add(Slot(name=name, values=list(values), slot_type=slot_type))
 
     def slot_value(self, name: str, default: str | None = None) -> str | None:
-        return self.slots.value(name, default)
+        slots = self.__dict__.get("slots")  # a read: no slot map is made
+        return default if slots is None else slots.value(name, default)
 
     # -- copying ---------------------------------------------------------
 
     def copy(self) -> "RegistryObject":
-        """Deep-enough copy used by the DAO layer (value attributes copied)."""
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        self._copy_into(clone)
-        return clone
+        """Deep-enough copy used by the DAO layer (value attributes copied).
 
-    def _copy_into(self, clone: "RegistryObject") -> None:
-        """Copy mutable value attributes; subclasses extend."""
-        clone.name = self.name.copy()
-        clone.description = self.description.copy()
-        clone.version = self.version.copy()
-        clone.slots = self.slots.copy()
-        clone.classification_ids = list(self.classification_ids)
-        clone.external_identifier_ids = list(self.external_identifier_ids)
+        Only the containers this object holds are copied: the clone makes the
+        others on first read, as this object would.
+        """
+        clone = type(self).__new__(type(self))
+        held, cloned = self.__dict__, clone.__dict__
+        cloned.update(held)
+        cloned["name"] = self.name.copy()
+        cloned["description"] = self.description.copy()
+        for name in self.LAZY:
+            if name in held:
+                cloned[name] = held[name].copy()
+        return clone
 
     # -- identity ---------------------------------------------------------
 

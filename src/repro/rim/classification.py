@@ -10,7 +10,7 @@ them.
 
 from __future__ import annotations
 
-from repro.rim.base import RegistryEntry, RegistryObject
+from repro.rim.base import OnFirstRead, RegistryEntry, RegistryObject
 from repro.util.errors import InvalidRequestError
 
 
@@ -19,12 +19,13 @@ class ClassificationScheme(RegistryEntry):
 
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:ClassificationScheme"
 
+    #: ids of direct child ClassificationNodes
+    child_node_ids = OnFirstRead(list)
+
     def __init__(self, id: str, *, is_internal: bool = True, node_type: str = "UniqueCode", **kwargs) -> None:
         super().__init__(id, **kwargs)
         self.is_internal = is_internal
         self.node_type = node_type
-        #: ids of direct child ClassificationNodes
-        self.child_node_ids: list[str] = []
 
 
 class ClassificationNode(RegistryObject):
@@ -35,6 +36,8 @@ class ClassificationNode(RegistryObject):
     """
 
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:ClassificationNode"
+
+    child_node_ids = OnFirstRead(list)
 
     def __init__(
         self,
@@ -53,7 +56,6 @@ class ClassificationNode(RegistryObject):
         self.code = code
         self.parent = parent  # scheme id or another node id
         self.path = path or code
-        self.child_node_ids: list[str] = []
 
 
 class Classification(RegistryObject):

@@ -9,7 +9,7 @@ maintained by the LifeCycleManager for cheap traversal.
 
 from __future__ import annotations
 
-from repro.rim.base import RegistryEntry
+from repro.rim.base import OnFirstRead, RegistryEntry
 
 
 class RegistryPackage(RegistryEntry):
@@ -17,10 +17,8 @@ class RegistryPackage(RegistryEntry):
 
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:RegistryPackage"
 
-    def __init__(self, id: str, **kwargs) -> None:
-        super().__init__(id, **kwargs)
-        #: cached member object ids (authoritative state is HasMember associations)
-        self.member_ids: list[str] = []
+    #: cached member object ids (authoritative state is HasMember associations)
+    member_ids = OnFirstRead(list)
 
     def add_member(self, object_id: str) -> None:
         if object_id not in self.member_ids:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.rim.base import RegistryObject
+from repro.rim.base import OnFirstRead, RegistryObject
 from repro.util.errors import InvalidRequestError
 
 
@@ -88,6 +88,10 @@ class User(RegistryObject):
 
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:User"
 
+    emails = OnFirstRead(list)
+    telephones = OnFirstRead(list)
+    addresses = OnFirstRead(list)
+
     def __init__(
         self,
         id: str,
@@ -103,9 +107,6 @@ class User(RegistryObject):
         self.alias = alias
         self.person_name = person_name or PersonName()
         self.organization = organization
-        self.emails: list[EmailAddress] = []
-        self.telephones: list[TelephoneNumber] = []
-        self.addresses: list[PostalAddress] = []
         #: role names used by the XACML-lite policy engine
         self.roles: set[str] = {"RegistryUser"}
 
@@ -114,6 +115,12 @@ class Organization(RegistryObject):
     """An organization that publishes services (thesis Figures 3.17–3.33)."""
 
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:Organization"
+
+    addresses = OnFirstRead(list)
+    emails = OnFirstRead(list)
+    telephones = OnFirstRead(list)
+    #: cached ids of Services linked via OffersService associations
+    service_ids = OnFirstRead(list)
 
     def __init__(
         self,
@@ -126,18 +133,6 @@ class Organization(RegistryObject):
         super().__init__(id, **kwargs)
         self.parent = parent
         self.primary_contact = primary_contact
-        self.addresses: list[PostalAddress] = []
-        self.emails: list[EmailAddress] = []
-        self.telephones: list[TelephoneNumber] = []
-        #: cached ids of Services linked via OffersService associations
-        self.service_ids: list[str] = []
-
-    def _copy_into(self, clone: "RegistryObject") -> None:
-        super()._copy_into(clone)
-        clone.addresses = list(self.addresses)
-        clone.emails = list(self.emails)
-        clone.telephones = list(self.telephones)
-        clone.service_ids = list(self.service_ids)
 
     def add_service(self, service_id: str) -> None:
         if service_id not in self.service_ids:

@@ -10,7 +10,7 @@ return).
 
 from __future__ import annotations
 
-from repro.rim.base import RegistryEntry, RegistryObject
+from repro.rim.base import OnFirstRead, RegistryEntry, RegistryObject
 from repro.util.errors import InvalidRequestError
 
 
@@ -26,16 +26,13 @@ class Service(RegistryEntry):
 
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:Service"
 
+    #: ordered ServiceBinding ids (publisher order)
+    binding_ids = OnFirstRead(list)
+
     def __init__(self, id: str, *, provider: str | None = None, **kwargs) -> None:
         super().__init__(id, **kwargs)
         #: owning Organization id (cached from the OffersService association)
         self.provider = provider
-        #: ordered ServiceBinding ids (publisher order)
-        self.binding_ids: list[str] = []
-
-    def _copy_into(self, clone: "RegistryObject") -> None:
-        super()._copy_into(clone)
-        clone.binding_ids = list(self.binding_ids)
 
     def add_binding(self, binding_id: str) -> None:
         if binding_id in self.binding_ids:
@@ -59,6 +56,8 @@ class ServiceBinding(RegistryObject):
 
     OBJECT_TYPE = "urn:oasis:names:tc:ebxml-regrep:ObjectType:ServiceBinding"
 
+    specification_link_ids = OnFirstRead(list)
+
     def __init__(
         self,
         id: str,
@@ -78,14 +77,9 @@ class ServiceBinding(RegistryObject):
         self.service = service
         self.access_uri = access_uri
         self.target_binding = target_binding
-        self.specification_link_ids: list[str] = []
         #: (uri, host) memo for :attr:`host`; validated by uri identity so a
         #: reassigned access_uri recomputes (discovery reads host per query)
         self._host_memo: tuple[str, str] | None = None
-
-    def _copy_into(self, clone: "RegistryObject") -> None:
-        super()._copy_into(clone)
-        clone.specification_link_ids = list(self.specification_link_ids)
 
     @property
     def host(self) -> str | None:

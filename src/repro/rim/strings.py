@@ -39,6 +39,13 @@ class InternationalString:
             return value
         return cls(value)
 
+    @classmethod
+    def of_localized(cls, strings: dict[str, LocalizedString]) -> "InternationalString":
+        """An InternationalString holding *strings* (locale → its entry), in one step."""
+        out = cls()
+        out._strings = strings
+        return out
+
     def set(
         self, value: str, *, locale: str = DEFAULT_LOCALE, charset: str = DEFAULT_CHARSET
     ) -> None:

@@ -48,6 +48,7 @@ from repro.rim import (
     ExternalLink,
     ExtrinsicObject,
     InternationalString,
+    LocalizedString,
     NotifyAction,
     Organization,
     PersonName,
@@ -62,6 +63,7 @@ from repro.rim import (
     Subscription,
     TelephoneNumber,
     User,
+    VersionInfo,
 )
 from repro.rim.status import ObjectStatus
 from repro.util.errors import InvalidRequestError
@@ -76,6 +78,7 @@ _OWN_ID = object()
 #: what reading a dict this module did not write raises, short of the model's
 #: own refusals (``RegistryError``, which pass through)
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
+_tuple = tuple.__new__
 
 
 class _Field(NamedTuple):
@@ -98,14 +101,21 @@ class _Field(NamedTuple):
 
 
 def _records(cls: type, **attrs: str) -> tuple[Callable, Callable, list]:
-    """Converters for a list of value objects: ``wire key=attribute`` pairs."""
+    """Converters for a list of value objects of string fields: ``wire
+    key=attribute`` pairs."""
     pairs = tuple(attrs.items())
 
     def encode(values):
         return [{wire: getattr(value, attr) for wire, attr in pairs} for value in values]
 
     def decode(entries):
-        return [cls(**{attr: entry[wire] for wire, attr in pairs}) for entry in entries]
+        out = []
+        for entry in entries:
+            values = {attr: entry[wire] for wire, attr in pairs}
+            if not all(isinstance(value, str) for value in values.values()):
+                raise TypeError(f"{entry!r} is not a {cls.__name__}")
+            out.append(cls(**values))
+        return out
 
     return encode, decode, []
 
@@ -125,13 +135,14 @@ def _istring(value: InternationalString) -> list[dict[str, str]]:
 
 
 def _istring_back(data: list[dict[str, str]]) -> InternationalString:
-    out = InternationalString()
+    strings = {}
     for entry in data:
         value, locale, charset = entry["value"], entry["locale"], entry["charset"]
         if not (isinstance(value, str) and isinstance(locale, str) and isinstance(charset, str)):
             raise TypeError(f"{entry!r} is not a localized string")
-        out.set(value, locale=locale, charset=charset)
-    return out
+        # the parts are checked: the tuple is made without the named tuple's own __new__
+        strings[locale] = _tuple(LocalizedString, (value, locale, charset))
+    return InternationalString.of_localized(strings)
 
 
 def _slots(slots: SlotMap) -> list[dict[str, Any]]:
@@ -150,11 +161,14 @@ def _slots_back(data: list[dict[str, Any]]) -> SlotMap:
     return out
 
 
-def _user(id: str, *, first_name: str, middle_name: str, last_name: str, **kwargs) -> User:
+def _user(
+    id: str, *, first_name: str = "", middle_name: str = "", last_name: str = "", **kwargs
+) -> User:
     return User(id, person_name=PersonName(first_name, middle_name, last_name), **kwargs)
 
 
 _enum_value = attrgetter("value")
+_version_name = attrgetter("version_name")
 
 
 def _enum(cls: type) -> tuple[Callable, Callable]:
@@ -182,7 +196,7 @@ _BASE_FIELDS = (
     _Field("name", "name", _istring, _istring_back, [], init=True),
     _Field("description", "description", _istring, _istring_back, [], init=True),
     _Field("status", "status", *_enum(ObjectStatus), ObjectStatus.SUBMITTED.value),
-    _Field("versionName", "version.version_name", default="1.1"),
+    _Field("versionName", "version", _version_name, VersionInfo, "1.1"),
     _Field("owner", "owner", default=None),
     _Field("home", "home", default=None),
     _Field("slots", "slots", _slots, _slots_back, []),
@@ -410,9 +424,11 @@ class _Codec:
     The source is generated as ``dataclasses`` generates ``__init__``: for the
     way out a dict display of the leading required fields and then one store,
     or one test against the default and a store, per field; for the way in one
-    constructor call and one assignment per present remaining field, with the
-    converters bound by position; and :func:`json_writer`'s f-string for a
-    written dict's JSON text.
+    constructor call, given the required keywords and the optional ones present,
+    and one assignment per present remaining field, with the converters bound
+    by position; and :func:`json_writer`'s f-string for a written dict's JSON
+    text.  A container the object never made (:attr:`RegistryObject.LAZY`) is at
+    its default: the writer skips it unread, so writing never makes one.
     """
 
     def __init__(self, cls: type[RegistryObject]) -> None:
@@ -425,11 +441,12 @@ class _Codec:
         )
         scope: dict[str, Any] = {"new": _FACTORIES.get(cls, cls)}
         display, stores = ['"_type": type(obj).__name__'], []
-        keywords, assignments = [], []
+        keywords, optional, required_assignments, assignments = [], [], [], []
         for n, field in enumerate(fields):
             scope[f"encode{n}"], scope[f"decode{n}"] = field.encode, field.decode
-            wire, required = field.wire, field.default is _REQUIRED
-            value = f"obj.{field.attr}"
+            wire, attr, required = field.wire, field.attr, field.default is _REQUIRED
+            lazy = attr in cls.LAZY
+            value = f'held["{attr}"]' if lazy else f"obj.{attr}"
             value = f"encode{n}({value})" if field.encode else value
             if required and not stores:
                 display.append(f'"{wire}": {value}')
@@ -437,21 +454,31 @@ class _Codec:
                 stores.append(f'    x["{wire}"] = {value}\n')
             else:
                 test = _differs(field.default, value)
+                test = f'"{attr}" in held and ({test})' if lazy else test
                 stores.append(f'    if {test}:\n        x["{wire}"] = w\n')
             decoded = f"decode{n}({{}})" if field.decode else "{}"
             value = decoded.format(f'data["{wire}"]')
             present = f'"{wire}" in data'
-            if field.init:
-                if not required:
-                    value = f"{value} if {present} else {decoded.format(repr(field.default))}"
-                keywords.append(f"{field.attr.rpartition('.')[2]}={value}")
+            keyword = attr.rpartition(".")[2]
+            if field.init and required:
+                # every constructor takes the id first, by position
+                keywords.append(value if keyword == "id" else f"{keyword}={value}")
+            elif field.init:
+                # a key left out is left to the constructor's own default
+                optional.append(f'    if {present}:\n        kw["{keyword}"] = {value}\n')
             elif required:
-                assignments.append(f"    obj.{field.attr} = {value}\n")
+                required_assignments.append(f"    obj.{attr} = {value}\n")
             else:
-                assignments.append(f"    if {present}:\n        obj.{field.attr} = {value}\n")
+                assignments.append(f"        if {present}:\n            obj.{attr} = {value}\n")
+        call = ", ".join([*keywords, "**kw"])
+        # the keys the constructor call and the required assignments took: a dict
+        # of no others (``_type`` besides) holds none of the remaining fields
+        taken = f"len(kw) + {1 + len(keywords) + len(required_assignments)}"
         exec(
-            f"def write(obj):\n    x = {{{', '.join(display)}}}\n{''.join(stores)}    return x\n"
-            f"def read(data):\n    obj = new({', '.join(keywords)})\n"
+            f"def write(obj):\n    held = obj.__dict__\n    x = {{{', '.join(display)}}}\n"
+            f"{''.join(stores)}    return x\n"
+            f"def read(data):\n    kw = {{}}\n{''.join(optional)}    obj = new({call})\n"
+            f"{''.join(required_assignments)}    if len(data) > {taken}:\n"
             f"{''.join(assignments)}    return obj\n",
             scope,
         )

@@ -14,14 +14,16 @@ import random
 import re
 import uuid
 
-_URN_UUID_RE = re.compile(
+#: the identifier pattern's bound ``match``: a match for a well-formed
+#: ``urn:uuid:`` identifier, else ``None`` (one call, for the constructors)
+match_urn_uuid = re.compile(
     r"^urn:uuid:[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}$"
-)
+).match
 
 
 def is_urn_uuid(value: str) -> bool:
     """Return True if *value* is a well-formed ``urn:uuid:`` identifier."""
-    return bool(_URN_UUID_RE.match(value))
+    return bool(match_urn_uuid(value))
 
 
 def new_urn_uuid() -> str:

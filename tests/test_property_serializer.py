@@ -148,7 +148,11 @@ def test_serialization_is_pure(org):
 
 
 def state(obj):
-    """Every attribute of *obj* with its type, value objects taken apart."""
+    """Every attribute of *obj* with its type, value objects taken apart.
+
+    An attribute is read through the object, the held ones and the containers
+    it makes on first read alike: whether a container is held yet is not state.
+    """
 
     def plain(value):
         if isinstance(value, InternationalString):
@@ -163,8 +167,9 @@ def state(obj):
 
     return {
         key: (type(value), plain(value))
-        for key, value in vars(obj).items()
+        for key in sorted(vars(obj).keys() | type(obj).LAZY.keys())
         if key != "_host_memo"
+        for value in [getattr(obj, key)]
     }
 
 

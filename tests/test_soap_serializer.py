@@ -33,6 +33,7 @@ from repro.rim import (
     Subscription,
     TelephoneNumber,
     User,
+    VersionInfo,
 )
 from repro.rim.status import ObjectStatus
 from repro.soap import deserialize, serialize
@@ -40,6 +41,8 @@ from repro.util.errors import InvalidRequestError
 from repro.util.ids import IdFactory
 
 ids = IdFactory(40)
+_ADDRESS_KEYS = ("streetNumber", "street", "city", "state", "country", "postalCode", "type")
+_TELEPHONE_KEYS = ("number", "countryCode", "areaCode", "extension", "type")
 
 
 def round_trip(obj):
@@ -236,11 +239,17 @@ class TestErrors:
             ("name", [{"locale": "en_US", "charset": "UTF-8", "value": 7}]),
             ("description", [{"locale": None, "charset": "UTF-8", "value": "x"}]),
             ("name", [{"locale": "en_US", "value": "no charset"}]),
+            # a party or notify entry holds strings only: the value classes do not check
+            ("telephones", [{**dict.fromkeys(_TELEPHONE_KEYS, ""), "number": 5}]),
+            ("emails", [{"address": ["@"], "type": "OfficeEmail"}]),
+            ("addresses", [{**dict.fromkeys(_ADDRESS_KEYS, ""), "city": None}]),
+            ("actions", [{"mode": "email", "endpoint": 5}]),
         ],
     )
     def test_an_ill_typed_field_is_named_with_its_type(self, wire, value):
-        data = {**serialize(populated_objects()["Organization"]), wire: value}
-        with pytest.raises(InvalidRequestError, match=f"Organization.*{wire!r} is malformed"):
+        type_name = "Subscription" if wire == "actions" else "Organization"
+        data = {**serialize(populated_objects()[type_name]), wire: value}
+        with pytest.raises(InvalidRequestError, match=f"{type_name}.*{wire!r} is malformed"):
             deserialize(data)
 
     def test_a_value_the_constructor_cannot_take(self):
@@ -273,7 +282,7 @@ def _populate_base(obj, n: int):
     obj.name.set(f"nom {n}", locale="fr_FR")
     obj.description.set(f"described <{n}> & more")
     obj.status = ObjectStatus.DEPRECATED
-    obj.version.version_name = "1.7"
+    obj.version = VersionInfo("1.7")
     obj.owner = _uid(0xA00)
     obj.home = "http://home.example:8080/registry"
     obj.add_slot("copyright", "2011", "SDSU", slot_type="legal")

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -879,6 +880,46 @@ class TestDecodeBudget:
         first, second = count(), count()
         assert first == second
         assert first < self.TREE_EVENTS
+
+    #: blocks and bytes one published binding read back by ``deserialize``
+    #: retains (CPython 3.11): the object and its attribute values, and its
+    #: name and description, each a string map — 6 blocks, 385–410 B (the
+    #: attribute array's size follows the class's shared keys, so the test order
+    #: moves it).  It holds no empty container: when the constructor made every
+    #: slot map and id list, 12 blocks / ~760 B
+    BLOCKS_PER_BINDING, BYTES_PER_BINDING = 7, 480
+
+    def test_a_decoded_binding_retains_only_what_it_holds(self, registry, session):
+        _, service = publish_service_with_bindings(registry, session, description=LOAD_BELOW_ONE)
+        answer = SoapRegistryBinding(registry).handle(
+            SoapEnvelope(body=GetServiceBindingsRequest(service_id=service.id))
+        )
+        objects = envelope_from_xml(envelope_to_xml(SoapEnvelope(body=answer))).body.objects
+        decoded = [None] * (100 * len(objects))
+        for data in objects:
+            deserialize(data)
+        # the free lists hand out blocks allocated before tracing began, which
+        # the count would miss: take them all first
+        taken = [{n: n} for n in range(200)], [[n] for n in range(200)]
+        collecting = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for n in range(len(decoded)):
+                decoded[n] = deserialize(objects[n % len(objects)])
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        del taken
+        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+        stats = after.filter_traces(own).compare_to(before.filter_traces(own), "filename")
+        blocks = sum(stat.count_diff for stat in stats) / len(decoded)
+        size = sum(stat.size_diff for stat in stats) / len(decoded)
+        assert blocks <= self.BLOCKS_PER_BINDING, (blocks, size)
+        assert size <= self.BYTES_PER_BINDING, (blocks, size)
 
 
 class TestEncodeBudget:
