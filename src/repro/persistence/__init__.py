@@ -1,4 +1,4 @@
-"""Persistence substrate: in-memory datastore, tables, DAO layer, NodeState.
+"""Persistence substrate: in-memory datastore, DAO layer, NodeState.
 
 Replaces freebXML's Apache-Derby-backed ``SQLPersistenceManagerImpl`` with an
 in-memory equivalent that preserves the behaviours the registry relies on:
@@ -23,7 +23,6 @@ from repro.persistence.dao import (
     ServiceDAO,
 )
 from repro.persistence.nodestate import NODESTATE_TABLE, NodeSample, NodeStateStore
-from repro.persistence.table import Table
 
 __all__ = [
     "ChangeLog",
@@ -42,5 +41,4 @@ __all__ = [
     "NODESTATE_TABLE",
     "NodeSample",
     "NodeStateStore",
-    "Table",
 ]

@@ -1,14 +1,15 @@
-"""The registry's persistent store: object heap + relational tables + transactions.
+"""The registry's persistent store: object heap + NodeState + transactions.
 
 freebXML persists ebRIM objects through ``SQLPersistenceManagerImpl`` over
 JDBC; here a :class:`DataStore` provides the same contract in memory:
 
 * an **object heap** keyed by registry-object id, partitioned by type so the
   SQL-92 engine can treat each ebRIM class as a virtual table;
-* named relational :class:`~repro.persistence.table.Table` instances for the
-  genuinely tabular state (``NodeState``, repository items);
-* per-request **transactions** with commit/rollback, giving the ACID-at-
-  request-granularity behaviour the registry needs.
+* the one relation of the thesis, ``NodeState``
+  (:class:`~repro.persistence.nodestate.NodeStateStore`, ``store.node_state``),
+  which the monitor writes and which the heap's transactions do not cover;
+* per-request **transactions** with commit/rollback over the heap, giving the
+  ACID-at-request-granularity behaviour the registry needs.
 
 Discovery fast path: the heap keeps three sorted runs per type (:class:`_Run`)
 — ids, ``(name, id)`` pairs, distinct names — so scans never re-sort, name
@@ -66,7 +67,7 @@ from repro.persistence.changelog import (
     OP_SAVE,
     ChangeLog,
 )
-from repro.persistence.table import Row, Table
+from repro.persistence.nodestate import NodeStateStore
 from repro.rim.base import RegistryObject
 from repro.util.errors import (
     InvalidRequestError,
@@ -368,12 +369,12 @@ class DataStore:
         self._objects: dict[str, RegistryObject] = {}
         #: the atomically-published immutable index generation
         self._indexes = HeapIndexes(version=0, ids={}, pairs={}, names={})
-        self._tables: dict[str, Table] = {}
+        #: the monitoring samples: written by the monitor, never rolled back
+        self.node_state = NodeStateStore()
         #: the single writer lock (re-entrant: transactions nest mutators)
         self._lock = threading.RLock()
         self._pins: list[HeapSnapshot] = []
         self._txn_depth = 0
-        self._txn_table_snapshots: dict[str, dict[Any, Row]] | None = None
         #: the write spine: every committed heap mutation appends a record
         self.changelog = ChangeLog()
         #: change records buffered by an open transaction (flushed on the
@@ -393,32 +394,6 @@ class DataStore:
         #: writer lock); stamps change records and stats — caches validate
         #: against the changelog watermark, never against this
         self.version = 0
-
-    # -- relational tables ---------------------------------------------------
-
-    def create_table(
-        self,
-        name: str,
-        columns: list[str],
-        *,
-        primary_key: str,
-        indexes: list[str] | None = None,
-    ) -> Table:
-        with self._write():
-            if name in self._tables:
-                raise InvalidRequestError(f"table already exists: {name!r}")
-            table = Table(name, columns, primary_key=primary_key, indexes=indexes or ())
-            self._tables[name] = table
-            return table
-
-    def table(self, name: str) -> Table:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise ObjectNotFoundError(name, f"no such table: {name!r}") from None
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     # -- write lock ------------------------------------------------------------
 
@@ -840,7 +815,7 @@ class DataStore:
 
     @contextmanager
     def transaction(self) -> Iterator["DataStore"]:
-        """Commit on success, roll back object heap *and* tables on error.
+        """Commit on success, roll back the object heap on error.
 
         Nested transactions join the outermost one (savepoints are not
         needed by the registry's request granularity).  The writer lock is
@@ -851,7 +826,8 @@ class DataStore:
         Rollback is record-driven: the buffered change records carry the
         pre-image of every heap object the transaction touched, so undo
         replays them in reverse instead of snapshotting the whole heap up
-        front — entering a transaction costs O(tables), not O(heap).
+        front — entering a transaction copies nothing.  NodeState is not
+        covered: a rollback leaves the monitor's samples as they stand.
 
         Nesting discipline: a transaction may contain a batch (the write
         scope's ``transaction() → batch()`` ordering — batch exit routes its
@@ -868,10 +844,6 @@ class DataStore:
                     "so rollback could not undo them — open the transaction "
                     "first (transaction() then batch())"
                 )
-            if self._txn_depth == 0:
-                self._txn_table_snapshots = {
-                    name: table.snapshot() for name, table in self._tables.items()
-                }
             self._txn_depth += 1
             try:
                 yield self
@@ -883,11 +855,9 @@ class DataStore:
             else:
                 self._txn_depth -= 1
                 if self._txn_depth == 0:
-                    self._txn_table_snapshots = None
                     self._flush_txn_changes()
 
     def _rollback(self) -> None:
-        assert self._txn_table_snapshots is not None
         # undo from the buffered records' pre-images, newest first: the
         # earliest pre-image of a multiply-touched object lands last.  The
         # restored map replaces the heap wholesale, abandoning the
@@ -905,10 +875,6 @@ class DataStore:
                 restored.pop(object_id, None)
         self._objects = restored
         self._rebuilt_indexes()
-        for name, snapshot in self._txn_table_snapshots.items():
-            if name in self._tables:
-                self._tables[name].restore(snapshot)
-        self._txn_table_snapshots = None
         # buffered records die with the transaction; the barrier tells views
         # that entries filled from its intermediate generations are invalid
         self._txn_changes.clear()

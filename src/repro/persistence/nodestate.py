@@ -1,28 +1,30 @@
-"""The NodeState table — the load-balancing scheme's monitoring store.
+"""NodeState — the load-balancing scheme's monitoring store.
 
 Thesis Figure 3.2: ``NodeState(HOST pk, LOAD, MEMORY, SWAPMEMORY)`` holds the
 most recent performance sample per monitored host.  We add an ``UPDATED``
 timestamp column (the registry needs it to age out dead hosts and it is what
 the staleness ablation LB-2 measures) — freebXML overwrote rows in place,
-which is exactly ``record_sample``'s upsert.
+which is exactly ``record_sample``'s replace.
 
-Readers see the table one *generation* at a time: per table version
-(``Table.mutations``) the store publishes one read-only ``host → NodeSample``
-map, built on the first read after a write; ``get`` / ``all_samples`` /
-``fresh_samples`` and :class:`~repro.core.load_status.LoadStatus` read it.
-A sweep stored with ``record_samples`` is one write, hence one generation.
+NodeState is one published ``(version, host → NodeSample)`` pair, replaced
+and never edited: every write builds a new map, bumps the version and
+publishes the pair with one attribute store.  ``get`` / ``all_samples`` /
+``fresh_samples``, :class:`~repro.core.load_status.LoadStatus` and the SQL
+engine's ``NodeState`` relation read it.  A sweep stored with
+``record_samples`` is one write, hence one version.  The monitor is its one
+writer; the store's transactions do not cover it, so a request that rolls
+back never rewinds a sweep.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
-from repro.persistence.datastore import DataStore
-from repro.persistence.table import Table
-from repro.util.errors import ObjectNotFoundError
+from repro.util.errors import InvalidRequestError
 
+#: the relation's name in SQL (matched case-insensitively, like a RIM table)
 NODESTATE_TABLE = "NodeState"
 
 
@@ -40,79 +42,78 @@ class NodeSample:
     swap_memory: int
     updated: float
 
-    def as_row(self) -> dict:
+    def as_row(self) -> dict[str, Any]:
+        """The sample as a row of the SQL ``NodeState`` relation."""
         return {
-            "HOST": self.host,
-            "LOAD": self.load,
-            "MEMORY": self.memory,
-            "SWAPMEMORY": self.swap_memory,
-            "UPDATED": self.updated,
+            "host": self.host,
+            "load": self.load,
+            "memory": self.memory,
+            "swapmemory": self.swap_memory,
+            "updated": self.updated,
         }
 
-    @classmethod
-    def from_row(cls, row: dict) -> "NodeSample":
-        return cls(row["HOST"], row["LOAD"], row["MEMORY"], row["SWAPMEMORY"], row["UPDATED"])
+
+def _checked(sample: NodeSample) -> NodeSample:
+    if sample.host is None:
+        raise InvalidRequestError("a NodeState sample needs a host")
+    return sample
 
 
 class NodeStateStore:
-    """Typed facade over the NodeState table.
+    """The latest sample per host, one published generation at a time.
 
-    Reads are served from the current generation — a ``(version, samples)``
-    pair validated against the table's mutation counter: nothing is copied
-    or built between writes, and direct table writes, transaction rollback
-    and other facades over the same table are all seen.  The pair is
-    published by one attribute store and its version read *before* the rows
-    are captured, so a map raced by a write is filed under a version no newer
-    than its rows (the next read rebuilds it), never the reverse.
+    Writers serialise on a small lock of their own; readers take the
+    published pair without it.  A reader holding an old generation sees
+    none of a later write.
     """
 
-    def __init__(self, store: DataStore) -> None:
-        if store.has_table(NODESTATE_TABLE):
-            self._table: Table = store.table(NODESTATE_TABLE)
-        else:
-            self._table = store.create_table(
-                NODESTATE_TABLE,
-                ["HOST", "LOAD", "MEMORY", "SWAPMEMORY", "UPDATED"],
-                primary_key="HOST",
-            )
-        #: (table mutation counter, host → sample) — replaced, never edited
-        self._generation: tuple[int, Mapping[str, NodeSample]] = (-1, {})
+    def __init__(self) -> None:
+        #: (version, host → sample) — replaced, never edited
+        self._generation: tuple[int, Mapping[str, NodeSample]] = (0, {})
+        self._lock = threading.Lock()
 
     @property
     def version(self) -> int:
-        """The underlying table's mutation counter — changes on every write."""
-        return self._table.mutations
+        """Bumped by every write."""
+        return self._generation[0]
 
     def generation(self) -> tuple[int, Mapping[str, NodeSample]]:
-        """``(version, host → sample)`` of the table as it stands (read-only)."""
-        version = self._table.mutations
-        generation = self._generation
-        if generation[0] != version:
-            from_row = NodeSample.from_row
-            samples = {row["HOST"]: from_row(row) for row in self._table.views()}
-            self._generation = generation = (version, samples)
-        return generation
+        """``(version, host → sample)`` as it stands (read-only)."""
+        return self._generation
 
     def record_sample(self, sample: NodeSample) -> None:
-        """Store the latest sample for a host (overwrites the previous row)."""
-        self._table.upsert(sample.as_row())
+        """Store the latest sample for a host (replaces the previous one)."""
+        _checked(sample)
+        with self._lock:
+            version, samples = self._generation
+            self._generation = (version + 1, {**samples, sample.host: sample})
 
     def record_samples(self, samples: Iterable[NodeSample]) -> None:
-        """Store one sweep's samples as a single write — one generation."""
-        self._table.upsert_many([sample.as_row() for sample in samples])
+        """Store one sweep's samples as a single write — one version."""
+        checked = [_checked(sample) for sample in samples]
+        with self._lock:
+            version, merged = self._generation
+            merged = dict(merged)
+            for sample in checked:
+                merged[sample.host] = sample
+            self._generation = (version + 1, merged)
 
     def get(self, host: str) -> NodeSample | None:
-        return self.generation()[1].get(host)
+        return self._generation[1].get(host)
 
     def remove(self, host: str) -> None:
-        with suppress(ObjectNotFoundError):
-            self._table.delete(host)
+        with self._lock:
+            version, samples = self._generation
+            if host in samples:
+                samples = dict(samples)
+                del samples[host]
+                self._generation = (version + 1, samples)
 
     def hosts(self) -> list[str]:
-        return sorted(self._table.keys())
+        return sorted(self._generation[1])
 
     def all_samples(self) -> list[NodeSample]:
-        return list(self.generation()[1].values())
+        return list(self._generation[1].values())
 
     def fresh_samples(self, *, now: float, max_age: float | None) -> list[NodeSample]:
         """Samples no older than *max_age* seconds (all samples if None)."""
@@ -120,4 +121,4 @@ class NodeStateStore:
         return [s for s in samples if max_age is None or now - s.updated <= max_age]
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._generation[1])

@@ -6,8 +6,8 @@ Each view tracks an applied-sequence watermark into the store's
 affects (**per-record delta application**): a write to one service
 invalidates one entry, not the population.  Nothing else signals
 freshness for heap state — no callbacks from the writer, no version
-stamps; relational tables are outside the changelog and ride
-``Table.mutations`` instead; nothing is kept on the clock's say-so.
+stamps; NodeState is outside the changelog and rides
+``NodeStateStore.version`` instead; nothing is kept on the clock's say-so.
 
 Fill protocol (the swap-publish discipline, sequenced): a reader calls
 ``catch_up()`` and keeps the returned watermark as its ``as_of`` token,
@@ -186,9 +186,8 @@ class QueryResultView(ChangelogView):
     target list.  Entries register under every RIM type they were computed
     from — the ``RegistryObject`` union view registers under ``"*"`` — and
     a changelog record drops exactly the entries registered for its type
-    (plus all ``"*"`` entries).  Anything read from a relational table is
-    never cached here: ``Table`` writes (NodeState samples) bypass the heap
-    and therefore the changelog.
+    (plus all ``"*"`` entries).  Anything read from NodeState is never
+    cached here: its samples bypass the heap and therefore the changelog.
     """
 
     def __init__(self, store: "DataStore", *, capacity: int = 256) -> None:

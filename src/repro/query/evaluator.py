@@ -4,8 +4,9 @@ The engine executes a parsed :class:`~repro.query.ast.Select` against
 
 * the ebRIM **virtual tables** (one per RIM class, plus the
   ``RegistryObject`` union view), or
-* any **relational table** in the datastore (``NodeState`` — the thesis'
-  LoadStatus class runs exactly such queries).
+* the one **relation**, ``NodeState`` (the store's monitoring samples, one
+  generation per statement — the thesis' LoadStatus class runs exactly such
+  queries).
 
 SQL three-valued logic is approximated conservatively: comparisons against
 NULL are false, which matches how the registry's discovery queries use it.
@@ -31,6 +32,7 @@ from functools import lru_cache
 from typing import Any
 
 from repro.persistence.datastore import DataStore
+from repro.persistence.nodestate import NODESTATE_TABLE
 from repro.query.ast import (
     And,
     Between,
@@ -222,7 +224,7 @@ class QueryEngine:
             #: ``planner=False`` scan path stays the untouched parity oracle
             self._results = QueryResultView(store)
             #: subquery Select → materialized value set, under the same
-            #: rule: registered per RIM type read, never for relational tables
+            #: rule: registered per RIM type read, never for NodeState
             self._subqueries = QueryResultView(store, capacity=64)
         #: guards shared-plan cell binding; re-entrant because
         #: materializing a subquery recurses into :meth:`execute`
@@ -245,19 +247,13 @@ class QueryEngine:
                     )
                 return rows
             return [project(obj) for obj in self.store.iter_views_of_type(type_name)]
-        if self.store.has_table(table_name):
-            return self._relational_rows(table_name)
+        if key == NODESTATE_TABLE.lower():
+            return self._relational_rows()
         raise QuerySyntaxError(f"unknown table: {table_name!r}")
 
-    def _relational_rows(self, table_name: str) -> list[Row]:
-        # relational tables keep their declared (upper-case) column names;
-        # expose both original and lower-case keys for predicate access.
-        out = []
-        for row in self.store.table(table_name).select():
-            merged = dict(row)
-            merged.update({k.lower(): v for k, v in row.items()})
-            out.append(merged)
-        return out
+    def _relational_rows(self) -> list[Row]:
+        """NodeState's rows, all of one generation, five lower-case keys each."""
+        return [sample.as_row() for sample in self.store.node_state.generation()[1].values()]
 
     # -- planning ----------------------------------------------------------------
 
@@ -289,7 +285,7 @@ class QueryEngine:
 
         Memoized until a write lands on a RIM type the subquery reads:
         classification-style semi-joins run once per such write, not once
-        per outer query.  A subquery over a relational table always runs.
+        per outer query.  A subquery over NodeState always runs.
         """
         view = self._subqueries
         as_of = view.catch_up()
@@ -359,8 +355,8 @@ class QueryEngine:
 
     def _view_types(self, select: Select) -> frozenset[str] | None:
         """RIM types a statement reads (``"*"`` for the union view), or
-        ``None`` when any table — including a subquery's — is relational:
-        relational writes bypass the changelog, so those results must not
+        ``None`` when any table — including a subquery's — is NodeState:
+        NodeState writes bypass the changelog, so those results must not
         be cached in the changelog-invalidated view."""
         tables: set[str] = set()
         if not self._collect_tables(select, tables):
@@ -402,7 +398,7 @@ class QueryEngine:
             return [{"count": fast_count}]
         residual = plan.residual
         if plan.relational:
-            rows = self._relational_rows(select.table)
+            rows = self._relational_rows()
             if residual is not None:
                 rows = list(filter(residual, rows))
             return self._finish(select, rows)

@@ -50,6 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.persistence.nodestate import NODESTATE_TABLE
 from repro.query.ast import (
     Between,
     Column,
@@ -77,7 +78,7 @@ from repro.util.errors import QuerySyntaxError
 #: a virtual table's column catalogue (``virtual.VirtualTable.columns``)
 Columns = Mapping[str, Getter]
 #: a compiled predicate over what a plan filters: a stored object of a
-#: virtual table, or a row dict of a relational one
+#: virtual table, or a row dict of NodeState
 ItemFilter = Callable[[Any], bool]
 
 #: access-path kinds, cheapest first (the tie-break order of ``_classify``)
@@ -149,8 +150,8 @@ def _compile_value(expr: Any, columns: Columns | None) -> Callable[[Any], Any]:
     """One operand as a reader of the filtered item.
 
     Against a virtual table (*columns* given) a column read **is** the
-    catalogue getter over the stored object; against a relational table
-    (``None``) it indexes the row dict.  An unknown column compiles to a
+    catalogue getter over the stored object; against NodeState (``None``) it
+    indexes the row dict.  An unknown column compiles to a
     reader that raises when — and only when — it is evaluated, exactly as
     the scan path does.
     """
@@ -184,7 +185,7 @@ def compile_predicate(
 
     The closure runs on what the plan filters: stored objects of a virtual
     table (column reads go through its *columns* catalogue) or, with
-    ``columns=None``, the row dicts of a relational table.
+    ``columns=None``, the row dicts of NodeState.
     """
     if isinstance(predicate, Comparison):
         left = _compile_value(predicate.left, columns)
@@ -440,7 +441,7 @@ class CompiledPlan:
                 self.cells.append(self.access_cell)
             if self.access.kind == "name-like":
                 self.name_match = like_to_regex(self.access.values[1]).match
-        elif store.has_table(select.table):
+        elif key == NODESTATE_TABLE.lower():
             self.relational = True
             self.type_name, self.project = select.table, None
             self.access = AccessPath("scan")

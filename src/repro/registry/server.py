@@ -1,7 +1,7 @@
 """RegistryServer — the assembled freebXML-equivalent registry instance.
 
 Wires together every substrate exactly as thesis Figure 2.1 lays the server
-out: persistence (datastore + DAOs + NodeState table), the QueryManager and
+out: persistence (datastore + DAOs + NodeState), the QueryManager and
 LifeCycleManager service interfaces, authentication and XACML authorization,
 the repository, and the event/notification subsystem.  The SOAP and HTTP
 protocol bindings (:mod:`repro.soap`) and the load-balancing core
@@ -19,7 +19,6 @@ from repro.obs.telemetry import Telemetry
 from repro.persistence.dao import DAORegistry
 from repro.registry.kernel import OperationSpec, RegistryKernel
 from repro.persistence.datastore import DataStore
-from repro.persistence.nodestate import NodeStateStore
 from repro.query import QueryEngine
 from repro.registry.lifecycle import LifeCycleManager
 from repro.registry.querymgr import QueryManager
@@ -78,7 +77,7 @@ class RegistryServer:
         self.ids = IdFactory(self.config.seed)
         self.store = DataStore()
         self.daos = DAORegistry(self.store)
-        self.node_state = NodeStateStore(self.store)
+        self.node_state = self.store.node_state
         self.engine = QueryEngine(self.store)
         self.authority = CertificateAuthority(seed=self.config.seed)
         self.authenticator = Authenticator(

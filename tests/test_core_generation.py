@@ -21,7 +21,6 @@ from repro.core.balancer import BalanceMode
 from repro.core.constraints import parse_constraints
 from repro.core.monitor import TimeHits
 from repro.persistence import DAORegistry, DataStore, NodeSample, NodeStateStore
-from repro.persistence.nodestate import NODESTATE_TABLE
 from repro.query import QueryEngine
 from repro.registry import QueryManager
 from repro.rim import Service, ServiceBinding
@@ -39,17 +38,28 @@ MAX_AGE = 100.0
 # -- the oracle: today's answer, one host at a time ----------------------------
 
 
+def reference_table(store):
+    """host → sample as the scan engine answers ``SELECT * FROM NodeState``."""
+    rows = QueryEngine(store, planner=False).execute("SELECT * FROM NodeState")
+    return {
+        row["host"]: NodeSample(
+            row["host"], row["load"], row["memory"], row["swapmemory"], row["updated"]
+        )
+        for row in rows
+    }
+
+
 def reference_sample(table, host, now, max_age):
-    row = table.get(host)
-    if row is None:
+    sample = table.get(host)
+    if sample is None:
         return None
-    sample = NodeSample.from_row(row)
     if max_age is not None and now - sample.updated > max_age:
         return None
     return sample
 
 
-def reference_rank(table, hosts, constraints, now, max_age):
+def reference_rank(store, hosts, constraints, now, max_age):
+    table = reference_table(store)
     samples = {}
     for host in hosts:
         if host not in samples:
@@ -65,7 +75,8 @@ def reference_rank(table, hosts, constraints, now, max_age):
     return sorted(satisfying, key=lambda h: (samples[h].load, position[h]))
 
 
-def reference_satisfying(table, hosts, constraints, now, max_age):
+def reference_satisfying(store, hosts, constraints, now, max_age):
+    table = reference_table(store)
     return [
         h
         for h in hosts
@@ -74,7 +85,7 @@ def reference_satisfying(table, hosts, constraints, now, max_age):
     ]
 
 
-def reference_resolve(table, constraints, bindings, mode, now, max_age):
+def reference_resolve(store, constraints, bindings, mode, now, max_age):
     hosts, by_host = [], {}
     for binding in bindings:
         host = binding.host
@@ -82,7 +93,7 @@ def reference_resolve(table, constraints, bindings, mode, now, max_age):
             hosts.append(host)
             by_host.setdefault(host, []).append(binding)
     satisfying = []
-    for host in reference_rank(table, hosts, constraints, now, max_age):
+    for host in reference_rank(store, hosts, constraints, now, max_age):
         satisfying.extend(by_host.pop(host, ()))
     if mode is BalanceMode.FILTER:
         return satisfying or list(bindings)
@@ -151,9 +162,7 @@ class GenerationMachine(RuleBasedStateMachine):
         super().__init__()
         self.clock = ManualClock(start=10 * 3600.0)
         self.store = DataStore()
-        self.node_state = NodeStateStore(self.store)
-        self.second_facade = NodeStateStore(self.store)
-        self.table = self.store.table(NODESTATE_TABLE)
+        self.node_state = self.store.node_state
         self.load_status = LoadStatus(
             self.node_state, clock=self.clock, max_age=self.max_age
         )
@@ -186,14 +195,6 @@ class GenerationMachine(RuleBasedStateMachine):
     def record_sample(self, host, load, memory):
         self.node_state.record_sample(self._sample(host, load, memory))
 
-    @rule(**sample_args)
-    def record_through_second_facade(self, host, load, memory):
-        self.second_facade.record_sample(self._sample(host, load, memory))
-
-    @rule(**sample_args)
-    def write_table_directly(self, host, load, memory):
-        self.table.upsert(self._sample(host, load, memory).as_row())
-
     @rule(
         hosts=st.lists(st.sampled_from(HOSTS), unique=True, max_size=4),
         load=st.sampled_from(LOADS),
@@ -207,7 +208,8 @@ class GenerationMachine(RuleBasedStateMachine):
         self.node_state.remove(host)
 
     @rule(**sample_args)
-    def rolled_back_write(self, host, load, memory):
+    def write_beside_a_rollback(self, host, load, memory):
+        """A rollback undoes the heap, never the monitor's sample."""
         with pytest.raises(RuntimeError):
             with self.store.transaction():
                 self.node_state.record_sample(self._sample(host, load, memory))
@@ -232,7 +234,8 @@ class GenerationMachine(RuleBasedStateMachine):
 
     @invariant()
     def check_against_reference(self):
-        now, max_age, table = self.clock.now(), self.max_age, self.table
+        now, max_age, store = self.clock.now(), self.max_age, self.store
+        table = reference_table(store)
         load_status = self.load_status
         for host in HOSTS:
             assert load_status.current_sample(host) == reference_sample(
@@ -241,10 +244,10 @@ class GenerationMachine(RuleBasedStateMachine):
         for service, bindings in SERVICES:
             constraints = parse_constraints(service.description.value)
             hosts = [b.host for b in bindings if b.host is not None]
-            expected = reference_rank(table, hosts, constraints, now, max_age)
+            expected = reference_rank(store, hosts, constraints, now, max_age)
             assert load_status.rank(hosts, constraints) == expected
             assert load_status.satisfying_hosts(hosts, constraints) == (
-                reference_satisfying(table, hosts, constraints, now, max_age)
+                reference_satisfying(store, hosts, constraints, now, max_age)
             )
             assert load_status.snapshot(hosts) == {
                 h: reference_sample(table, h, now, max_age) for h in hosts
@@ -253,7 +256,7 @@ class GenerationMachine(RuleBasedStateMachine):
                 assert load_status.host_satisfies(host, constraints) == (host in expected)
             for mode, resolver in self.resolvers.items():
                 resolved = reference_resolve(
-                    table, constraints, bindings, mode, now, max_age
+                    store, constraints, bindings, mode, now, max_age
                 )
                 assert resolver.resolve(service, bindings) == resolved
                 # the in-process URI list is the wire's binding answer, projected
@@ -284,7 +287,7 @@ TestAgelessGenerationSchedules = AgelessGenerationMachine.TestCase
 @pytest.fixture
 def world():
     clock = ManualClock(start=1000.0)
-    node_state = NodeStateStore(DataStore())
+    node_state = NodeStateStore()
     return clock, node_state, LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
 
 
@@ -367,13 +370,12 @@ class TestSweepIsOneGeneration:
         the k-th clock read) and ``c`` (not yet visited): old ``a`` beside
         new ``c`` is the order [c, a, b], which no table version ever held."""
         store = DataStore()
-        node_state = NodeStateStore(store)
-        table = store.table(NODESTATE_TABLE)
+        node_state = store.node_state
         versions = []
 
         def decision_of_table():
             versions.append(
-                reference_rank(table, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
+                reference_rank(store, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
             )
 
         def sweep():
@@ -394,12 +396,11 @@ class TestSweepIsOneGeneration:
         # and the decision after the sweep is the sweep's
         clock.calls_left = -1
         assert load_status.rank(self.HOSTS, self.CONSTRAINTS) == (
-            reference_rank(table, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
+            reference_rank(store, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
         )
 
     def test_record_samples_is_one_version_and_one_read_of_the_table(self):
-        store = DataStore()
-        node_state = NodeStateStore(store)
+        node_state = NodeStateStore()
         before = node_state.version
         node_state.record_samples(sample(h, 0.1, 0.0) for h in self.HOSTS)
         assert node_state.version == before + 1
@@ -437,7 +438,7 @@ class TestConcurrentSweeps:
         import time
 
         clock = ManualClock(start=1000.0)
-        node_state = NodeStateStore(DataStore())
+        node_state = NodeStateStore()
         load_status = LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
         hosts = [f"h{n:02d}" for n in range(24)]
         constraints = parse_constraints(BLOCKS[0])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import LoadStatus, ServiceConstraint
 from repro.core.constraints import parse_constraint_block
-from repro.persistence import DataStore, NodeSample, NodeStateStore
+from repro.persistence import NodeSample, NodeStateStore
 from repro.rim import Service
 from repro.util.clock import ManualClock
 from repro.util.ids import IdFactory
@@ -20,7 +20,7 @@ TIMED = (
 
 @pytest.fixture
 def node_state():
-    return NodeStateStore(DataStore())
+    return NodeStateStore()
 
 
 @pytest.fixture

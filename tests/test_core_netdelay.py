@@ -10,7 +10,6 @@ from repro.core import (
 )
 from repro.core.constraints import Operator
 from repro.persistence import (
-    DataStore,
     DefaultBindingResolver,
     NodeSample,
     NodeStateStore,
@@ -82,7 +81,7 @@ class TestRanking:
         assert len(ranked) == 2  # fallback: ranked, not filtered
 
     def test_load_weight_combines_with_delay(self, transport):
-        node_state = NodeStateStore(DataStore())
+        node_state = NodeStateStore()
         node_state.record_sample(
             NodeSample(host="near.x", load=10.0, memory=1, swap_memory=1, updated=0.0)
         )

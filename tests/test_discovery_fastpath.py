@@ -29,7 +29,7 @@ from repro.core import (
 from repro.core.constraints import Operator, parse_constraints
 from repro.persistence import DataStore
 from repro.persistence.dao import DefaultBindingResolver
-from repro.persistence.nodestate import NodeSample
+from repro.persistence.nodestate import NodeSample, NodeStateStore
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization, Service, ServiceBinding
 from repro.rim.service import host_of_uri
@@ -324,10 +324,7 @@ class TestViews:
 class TestSnapshotRanking:
     def test_stale_samples_excluded_unchanged(self):
         clock = ManualClock()
-        store = DataStore()
-        from repro.persistence.nodestate import NodeStateStore
-
-        node_state = NodeStateStore(store)
+        node_state = NodeStateStore()
         ls = LoadStatus(node_state, clock=clock, max_age=10.0)
         constraints = parse_constraints(CONSTRAINT_LS)
         node_state.record_sample(
@@ -348,10 +345,7 @@ class TestSnapshotRanking:
 
     def test_rank_tie_break_keeps_publisher_order(self):
         clock = ManualClock()
-        store = DataStore()
-        from repro.persistence.nodestate import NodeStateStore
-
-        node_state = NodeStateStore(store)
+        node_state = NodeStateStore()
         ls = LoadStatus(node_state, clock=clock)
         constraints = parse_constraints(CONSTRAINT_LS)
         for host in ("c", "a", "b"):
@@ -362,10 +356,7 @@ class TestSnapshotRanking:
 
     def test_rank_orders_by_load(self):
         clock = ManualClock()
-        store = DataStore()
-        from repro.persistence.nodestate import NodeStateStore
-
-        node_state = NodeStateStore(store)
+        node_state = NodeStateStore()
         ls = LoadStatus(node_state, clock=clock)
         constraints = parse_constraints(CONSTRAINT_LS)
         loads = {"x": 0.9, "y": 0.1, "z": 0.5}
@@ -480,11 +471,10 @@ class LegacyDiscovery:
     def __init__(self, registry, *, balanced):
         self.registry = registry
         self.balanced = balanced
-        self.node_state_table = registry.store.table("NodeState")
+        self.node_state = registry.node_state
 
     def _current_sample(self, host):
-        row = self.node_state_table.get(host)
-        return NodeSample.from_row(row) if row is not None else None
+        return self.node_state.get(host)
 
     def _rank(self, hosts, constraints):
         satisfying = []

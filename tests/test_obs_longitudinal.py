@@ -15,7 +15,6 @@ from repro.core.monitor import TimeHits
 from repro.mtc.experiment import ExperimentConfig, HostFailure, run_experiment
 from repro.obs.slo import SLO, default_slos
 from repro.obs.telemetry import Telemetry
-from repro.persistence.datastore import DataStore
 from repro.persistence.nodestate import NodeSample, NodeStateStore
 from repro.registry import RegistryConfig, RegistryServer
 from repro.util.clock import ManualClock, SimClockAdapter
@@ -141,7 +140,7 @@ class TestEligibilityFlaps:
     def _load_status(self):
         clock = ManualClock()
         telemetry = Telemetry(clock=clock, history=True)
-        node_state = NodeStateStore(DataStore())
+        node_state = NodeStateStore()
         load_status = LoadStatus(node_state, clock=clock)
         load_status.telemetry = telemetry
         constraints = ConstraintSet(

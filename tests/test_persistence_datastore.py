@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.persistence import DataStore
+from repro.persistence import DataStore, NodeSample
 from repro.persistence.datastore import _LEAF
 from repro.rim import AuditableEvent, EventType, Organization, Service
 from repro.util.errors import (
@@ -117,15 +117,6 @@ class TestTransactions:
         assert not store.contains(org.id)
         assert store.contains(pre.id)
 
-    def test_rollback_restores_tables(self, store):
-        table = store.create_table("t", ["K", "V"], primary_key="K")
-        table.insert({"K": "a", "V": 1})
-        with pytest.raises(RuntimeError):
-            with store.transaction():
-                table.insert({"K": "b", "V": 2})
-                raise RuntimeError("boom")
-        assert len(table) == 1
-
     def test_nested_transactions_join_outer(self, store):
         org1 = Organization(ids.new_id())
         org2 = Organization(ids.new_id())
@@ -164,22 +155,6 @@ class TestTransactions:
                         store.insert_object(org)
                     raise RuntimeError("boom")
         assert not store.contains(org.id)
-
-
-class TestTables:
-    def test_create_and_get(self, store):
-        store.create_table("t", ["K"], primary_key="K")
-        assert store.has_table("t")
-        assert store.table("t").name == "t"
-
-    def test_duplicate_table_rejected(self, store):
-        store.create_table("t", ["K"], primary_key="K")
-        with pytest.raises(InvalidRequestError):
-            store.create_table("t", ["K"], primary_key="K")
-
-    def test_missing_table(self, store):
-        with pytest.raises(ObjectNotFoundError):
-            store.table("nope")
 
 
 class TestWriteBudget:
@@ -226,6 +201,25 @@ class TestWriteBudget:
         for write, peak in large.items():
             assert peak <= self.BUDGET, (write, peak)
             assert peak <= 2 * small[write], (write, peak, small[write])
+
+    def test_a_transaction_does_not_copy_node_state(self):
+        """Entering and committing an empty transaction allocates the same
+        with 64 monitored hosts as with none: NodeState is not snapshotted."""
+
+        def transaction_peak(hosts: int) -> int:
+            store = DataStore()
+            store.node_state.record_samples(
+                NodeSample(f"h{n:02d}", 0.5, 1 << 30, 1 << 20, 0.0) for n in range(hosts)
+            )
+
+            def empty_transaction(_n):
+                with store.transaction():
+                    pass
+
+            empty_transaction(0)  # warm
+            return self.peak_bytes(empty_transaction)
+
+        assert transaction_peak(64) == transaction_peak(0)
 
 
 # -- one index oracle: every read against a scan of a plain dict -------------------

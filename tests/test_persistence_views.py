@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.core.constraints import parse_constraints
 from repro.persistence import DataStore, QueryResultView, ServiceUriView, StoredTextView
-from repro.persistence.nodestate import NodeSample, NodeStateStore
+from repro.persistence.nodestate import NodeSample
 from repro.query.evaluator import QueryEngine
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization, Service, ServiceBinding
@@ -162,7 +162,7 @@ class TestServiceBindingsJoin:
         from repro.persistence import DAORegistry
 
         clock = ManualClock(start=11 * 3600.0)
-        node_state = NodeStateStore(store)
+        node_state = store.node_state
         for host, load in (("h1", 0.2), ("h2", 0.1), ("h3", 5.0)):
             node_state.record_sample(
                 NodeSample(host=host, load=load, memory=1, swap_memory=1, updated=clock.now())
@@ -518,9 +518,9 @@ class TestEngineParity:
 
     def test_relational_subquery_tracks_table_writes(self, store):
         """Regression: the subquery memo was stamped with the heap version,
-        which Table writes never bump — a NodeState subquery went stale."""
+        which NodeState writes never bump — a NodeState subquery went stale."""
         store.insert_object(Service(ids.new_id(), name="h1", description="d"))
-        node_state = NodeStateStore(store)
+        node_state = store.node_state
         planned = QueryEngine(store, planner=True)
         scan = QueryEngine(store, planner=False)
         query = (
@@ -826,11 +826,11 @@ class FreshnessMachine(RuleBasedStateMachine):
         }
 
     def _recomputed_reads(self, service_ids):
-        """The same answers from the live heap and tables, nothing cached."""
+        """The same answers from the live heap and NodeState, nothing cached."""
         store = self.store
         clock = self.registry.clock
         resolver = ConstraintBindingResolver(
-            ServiceConstraint(clock), LoadStatus(NodeStateStore(store), clock=clock)
+            ServiceConstraint(clock), LoadStatus(store.node_state, clock=clock)
         )
 
         def bindings_of(service):

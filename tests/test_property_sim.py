@@ -3,9 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.persistence.table import Table
 from repro.sim import Host, SimEngine, Task
-from repro.util.errors import ObjectExistsError
 
 
 # -- engine ordering ----------------------------------------------------------
@@ -80,25 +78,3 @@ def test_load_average_is_nonnegative_and_bounded(specs):
     load = host.load_average()
     assert 0.0 <= load <= peak_queue + 1e-9
 
-
-# -- table uniqueness invariant -----------------------------------------------------
-
-keys = st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=30)
-
-
-@given(keys)
-def test_table_primary_key_uniqueness(key_list):
-    table = Table("t", ["K", "V"], primary_key="K")
-    inserted: set[str] = set()
-    for key in key_list:
-        if key in inserted:
-            try:
-                table.insert({"K": key, "V": 1})
-                raise AssertionError("duplicate insert must fail")
-            except ObjectExistsError:
-                pass
-        else:
-            table.insert({"K": key, "V": 1})
-            inserted.add(key)
-    assert len(table) == len(inserted)
-    assert sorted(table.keys()) == sorted(inserted)

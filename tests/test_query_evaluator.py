@@ -1,8 +1,8 @@
-"""Tests for SELECT execution over virtual tables and relational tables."""
+"""Tests for SELECT execution over virtual tables and the NodeState relation."""
 
 import pytest
 
-from repro.persistence import DataStore, DAORegistry, NodeSample, NodeStateStore
+from repro.persistence import DataStore, DAORegistry, NodeSample
 import repro.rim as rim
 from repro.query import QueryEngine
 from repro.query.virtual import VIRTUAL_TABLES
@@ -27,7 +27,7 @@ def store() -> DataStore:
             ids.new_id(), service=svc.id, access_uri="http://exergy.sdsu.edu:8080/ns"
         )
     )
-    node_state = NodeStateStore(store)
+    node_state = store.node_state
     node_state.record_sample(
         NodeSample(host="exergy.sdsu.edu", load=0.5, memory=4 << 30, swap_memory=1 << 30, updated=0.0)
     )
@@ -91,6 +91,21 @@ class TestRelationalTables:
     def test_between(self, engine):
         rows = engine.execute("SELECT HOST FROM NodeState WHERE LOAD BETWEEN 0 AND 1")
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "scan"])
+    def test_select_star_answers_each_column_once(self, store, planner):
+        rows = QueryEngine(store, planner=planner).execute("SELECT * FROM NodeState")
+        assert [list(row) for row in rows] == [
+            ["host", "load", "memory", "swapmemory", "updated"]
+        ] * 2
+        assert [row["host"] for row in rows] == ["exergy.sdsu.edu", "thermo.sdsu.edu"]
+
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "scan"])
+    def test_table_name_is_case_insensitive(self, store, planner):
+        engine = QueryEngine(store, planner=planner)
+        for table in ("nodestate", "NODESTATE", "NodeState"):
+            rows = engine.execute(f"SELECT HOST FROM {table} WHERE LOAD < 1.0")
+            assert rows == [{"HOST": "exergy.sdsu.edu"}]
 
 
 class TestOrderingProjection:

@@ -9,7 +9,7 @@ DISTINCT, windowing, and NULL corners the planner could plausibly break.
 import pytest
 
 from repro.mtc.experiment import adhoc_query_mix
-from repro.persistence import DAORegistry, DataStore, NodeSample, NodeStateStore
+from repro.persistence import DAORegistry, DataStore, NodeSample
 from repro.query import QueryEngine, parse_select
 from repro.rim import Classification, Organization, Service, ServiceBinding
 from repro.util.errors import QuerySyntaxError
@@ -48,7 +48,7 @@ def store() -> DataStore:
                 ids.new_id(), classified_object=svc.id, classification_node=node
             )
         )
-    node_state = NodeStateStore(store)
+    node_state = store.node_state
     for index, host in enumerate(("alpha.example", "beta.example", "gamma.example")):
         node_state.record_sample(
             NodeSample(
