@@ -151,8 +151,8 @@ def attach_load_balancer(
         # telemetry facade (/metrics and telemetry_snapshot() pick them up)
         from repro.obs.adapters import (
             constraint_cache_collector,
-            load_status_collector,
             monitor_collector,
+            resolver_collector,
             transport_collector,
         )
 
@@ -172,7 +172,7 @@ def attach_load_balancer(
         telemetry.register_source(
             "load_status",
             load_status.load_status_stats,
-            collector=load_status_collector(load_status, resolver),
+            collector=resolver_collector(resolver),
         )
         telemetry.register_source(
             "transport",

@@ -112,9 +112,6 @@ class LoadStatus:
         fresh = self._generation()[0]
         return {host: fresh.get(host) for host in hosts}
 
-    def host_satisfies(self, host: str, constraints: ConstraintSet) -> bool:
-        return host in self.satisfying(constraints)
-
     def satisfying_hosts(
         self, hosts: Sequence[str], constraints: ConstraintSet
     ) -> list[str]:

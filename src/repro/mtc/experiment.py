@@ -151,9 +151,6 @@ class ExperimentConfig:
     #: record per-request span trees (deterministic under the sim clock);
     #: off by default — tracing is an observability knob, not a policy one
     trace: bool = False
-    #: record the per-request cost split (queue-wait/stage/hop) and the
-    #: attribution metric families; off by default like tracing
-    attribution: bool = False
     #: record longitudinal time series (node sweeps, request latencies)
     history: bool = False
     #: emit structured JSON log records into the bounded in-memory sink
@@ -212,8 +209,6 @@ class ExperimentHarness:
         if config.trace:
             self.registry.enable_tracing()
             self.transport.tracer = self.registry.telemetry.tracer
-        if config.attribution:
-            self.registry.enable_attribution()
         telemetry = self.registry.telemetry
         if config.history:
             telemetry.history.enabled = True

@@ -1,10 +1,7 @@
-"""Unified observability: metrics registry, request tracing, telemetry facade.
+"""Unified observability: metrics, tracing, time series, SLOs, structured logs.
 
-The runtime signals of the load-balancing feedback loop (pipeline, transport,
-planner, caches, monitor, rankings) publish into one exportable surface —
-see DESIGN.md's "Observability" section for the architecture.  PR 5 adds
-the longitudinal layer: bounded time-series history, SLO burn-rate
-alerting, cross-hop trace propagation, and correlated structured logging.
+Every runtime signal publishes into one :class:`Telemetry` surface per
+registry; DESIGN.md "Observability" has the architecture.
 """
 
 from repro.obs.logging import StructuredLog

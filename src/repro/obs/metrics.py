@@ -18,7 +18,7 @@ workload and directly assertable in tests.
 
 Two kinds of family meet here.  A request is recorded once, into a *pushed*
 family (:meth:`Histogram.observe`, :meth:`Counter.inc`), and
-``pipeline_stats()`` / ``attribution_stats()`` are views of those.  The cold
+``pipeline_stats()`` is a view of those.  The cold
 counters stay plain ints on their components; adapters
 (:mod:`repro.obs.adapters`) sync them into the registry of one scrape, which
 is why :meth:`Counter.sync` exists alongside :meth:`Counter.inc`.

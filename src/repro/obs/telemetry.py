@@ -1,52 +1,31 @@
 """Telemetry — the merged observability surface of one registry process.
 
-One :class:`Telemetry` instance owns the three unified mechanisms the
-``repro/obs`` subsystem provides and is the object
-``RegistryServer.telemetry`` exposes:
+One :class:`Telemetry` instance, ``RegistryServer.telemetry``, owns:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` of **pushed** families —
-  the per-request latency histogram and the fault-code counter the kernel's
-  account stage records into, the only record a finished request leaves
-  (``pipeline_stats()`` is a view of them) — which every scrape overlays
-  with what the **collectors** of the sources mounted at that moment report
-  (see :mod:`repro.obs.adapters`);
-* a :class:`~repro.obs.trace.Tracer` sharing the kernel's injectable
-  monotonic clock, so pipeline latencies and span trees agree on what time
-  it is (deterministic under ``ManualClock``/sim time);
-* named snapshot **sources**: every legacy ``*_stats()`` surface registers
-  under a stable name, and :meth:`snapshot` merges them into one dict — the
-  payload of ``RegistryServer.telemetry_snapshot()`` and the ``repro
-  stats`` CLI.
-
-PR 5 adds the longitudinal layer, all sharing the same clock:
-
-* :attr:`history` — a :class:`~repro.obs.timeseries.TimeSeriesStore`
-  recording node sweeps and request latencies over time (off by default);
-* :attr:`log` — a :class:`~repro.obs.logging.StructuredLog` of correlated
-  JSON records (off by default);
-* :attr:`slos` — a :class:`~repro.obs.slo.SloEngine` evaluating burn-rate
-  alerts (inactive until an :class:`~repro.obs.slo.SLO` is added);
-* named **health checks**: callables reporting ``ok``/``degraded``/
-  ``unhealthy`` (e.g. node-staleness), folded with the SLO alert states
-  into :meth:`health` — the ``/health`` payload degrades accordingly.
-
-A **slow-request log** rides on the kernel hookup: requests whose latency
-meets :attr:`slow_request_threshold` are captured into a bounded deque,
-with the request's full span tree attached when tracing was on.
-
-PR 9 adds the **cost-attribution plane**: with :attr:`attribution_enabled`
-the kernel decomposes each request's wall time into ``queue_wait`` (serving
-dispatch queue), ``stage`` (kernel pipeline, per-stage exclusive times) and
-``forward_hop`` (cross-member routing wire time), which sum to it exactly,
-and this facade observes the split into histogram families
-(``repro_request_cost_seconds``, ``repro_request_stage_seconds``) and time
-series; :meth:`attribution_stats` reads the families' sums back.
-Latency histograms carry trace-id **exemplars** whenever tracing is on, so
-a top bucket links to the recorded span tree (:meth:`exemplar_index`).
+  the request-latency histogram and fault-code counter the kernel's account
+  stage records into, a finished request's one record (``pipeline_stats()``
+  is a view of them) — which each scrape overlays with what the
+  **collectors** of the sources mounted then report (:mod:`repro.obs.adapters`);
+* a :class:`~repro.obs.trace.Tracer` on the kernel's injectable clock, so
+  latencies and span trees agree on what time it is; :meth:`fold_trace`
+  folds each traced request's span tree into the per-stage sums
+  :meth:`attribution_stats` returns, and latency observations carry its
+  trace id as an **exemplar** (:meth:`exemplar_index`);
+* named snapshot **sources**: every ``*_stats()`` surface under a stable
+  name, merged by :meth:`snapshot` for ``telemetry_snapshot()`` and
+  ``repro stats``;
+* the longitudinal layer, off or inactive by default: :attr:`history`
+  (time series), :attr:`log` (correlated JSON records), :attr:`slos`
+  (burn-rate alerts), and named **health checks** folded with the SLO
+  states into :meth:`health`;
+* a bounded **slow-request log** of requests at or over
+  :attr:`slow_request_threshold`, with their span trees when traced.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -54,7 +33,7 @@ from repro.obs.logging import StructuredLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEngine
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 from repro.util.clock import Clock, PerfClock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,6 +54,14 @@ def _worse(a: str, b: str) -> str:
     return a if HEALTH_STATUSES.index(a) >= HEALTH_STATUSES.index(b) else b
 
 
+def _inner_stage(span: Span) -> Span | None:
+    """The ``stage:`` span directly under *span* (the next stage in)."""
+    for child in span.children:
+        if child.name.startswith("stage:"):
+            return child
+    return None
+
+
 class Telemetry:
     """Metrics registry + tracer + snapshot sources for one registry."""
 
@@ -87,7 +74,6 @@ class Telemetry:
         trace: bool = False,
         history: bool = False,
         log: bool = False,
-        attribution: bool = False,
         tracer_name: str = "registry",
     ) -> None:
         self.clock: Clock = clock or PerfClock()
@@ -117,15 +103,14 @@ class Telemetry:
             "Faults by registry error code.",
             ("edge", "operation", "worker", "code"),
         )
-        #: cost-attribution toggle — one bool the kernel layers check per
-        #: stage; off by default so the hot path stays untouched
-        self.attribution_enabled = bool(attribution)
-        # the attribution/queue-wait families are created lazily on first
-        # observation, so exposition output is unchanged until the cost
-        # plane actually records something
-        self._cost_hist = None
-        self._stage_hist = None
+        # created on the first queued request, so the default exposition
+        # has no queue-wait family
         self._queue_wait_hist = None
+        #: the traced requests' folded span trees (see :meth:`fold_trace`)
+        self._fold_lock = threading.Lock()
+        self._folded = dict.fromkeys(("queue_wait_s", "stage_s", "forward_hop_s"), 0.0)
+        self._folded_requests = 0
+        self._folded_stages: dict[str, float] = {}
         #: (metric name, *label values) → child series, resolved through
         #: ``labels()`` once and observed directly from then on
         self._series: dict[tuple[str, ...], Any] = {}
@@ -181,14 +166,6 @@ class Telemetry:
         scrape = self.metrics.overlay()
         for name in sorted(self._collectors):
             self._collectors[name](scrape)
-        if self.tracer.traces_restarted:
-            # the family appears only once a malformed traceparent has
-            # actually restarted a trace
-            scrape.counter(
-                "repro_trace_restarts_total",
-                "Incoming requests whose malformed traceparent restarted "
-                "the trace.",
-            ).labels().sync(self.tracer.traces_restarted)
         return scrape
 
     def render_prometheus(self) -> str:
@@ -259,10 +236,6 @@ class Telemetry:
             self._child(
                 self.request_faults, edge, operation, worker, ctx.error.code
             ).inc()
-        if self.attribution_enabled:
-            attribution = ctx.tags.get("attribution")
-            if attribution is not None:
-                self._record_attribution(ctx, attribution, exemplar)
         if self.history.enabled:
             self.history.record(f"request.{edge}.latency", latency)
         if self.slos.active:
@@ -290,7 +263,7 @@ class Telemetry:
             # the kernel attaches the span tree once the root span closes
             ctx.tags["slow_request"] = entry
 
-    # -- cost attribution ------------------------------------------------------
+    # -- where a request's time went -------------------------------------------
 
     def record_queue_wait(self, worker: str, seconds: float) -> None:
         """Account one dispatch-queue wait (serving worker pick-up hook)."""
@@ -305,72 +278,60 @@ class Telemetry:
         if self.history.enabled:
             self.history.record("serving.queue_wait", seconds)
 
-    def _record_attribution(
-        self,
-        ctx: "RequestContext",
-        attribution: dict[str, Any],
-        exemplar: dict[str, str] | None,
-    ) -> None:
-        """Observe one request's cost split into its families and series."""
-        cost = self._cost_hist
-        if cost is None:
-            cost = self._cost_hist = self.metrics.histogram(
-                "repro_request_cost_seconds",
-                "Per-request wall-time attribution by component "
-                "(queue_wait / stage / forward_hop).",
-                ("edge", "component"),
-            )
-        stage_hist = self._stage_hist
-        if stage_hist is None:
-            stage_hist = self._stage_hist = self.metrics.histogram(
-                "repro_request_stage_seconds",
-                "Exclusive kernel pipeline time per stage "
-                "(route excludes its forward hop).",
-                ("stage",),
-            )
-        edge = ctx.edge.name
-        child = self._child
-        child(cost, edge, "queue_wait").observe(attribution["queue_wait_s"], exemplar)
-        child(cost, edge, "stage").observe(attribution["stage_s"], exemplar)
-        # the hop component only exists on forwarded requests; zero
-        # observations would drown the distribution
-        if attribution["forward_hop_s"]:
-            child(cost, edge, "forward_hop").observe(
-                attribution["forward_hop_s"], exemplar
-            )
-        for stage_name, seconds in attribution["stages"].items():
-            child(stage_hist, stage_name).observe(seconds)
-        if self.history.enabled:
-            self.history.record("attribution.queue_wait", attribution["queue_wait_s"])
-            self.history.record("attribution.stage", attribution["stage_s"])
-            self.history.record(
-                "attribution.forward_hop", attribution["forward_hop_s"]
-            )
+    def fold_trace(self, root: Span) -> None:
+        """Add one traced request's span tree to :meth:`attribution_stats`.
+
+        Called by the kernel as the root span closes, its stages done.  The
+        stage spans nest in chain order, each the ``stage:`` child of the one
+        before; a stage's exclusive time is its span's duration less its
+        inner stage's, and less a forward hop tagged on it (the route
+        stage).  The fold starts at ``stage:account``, whose span less the
+        hop is the request's ``stage`` time, so the stages re-sum to it.
+        """
+        span = _inner_stage(root)
+        while span is not None and span.name != "stage:account":
+            span = _inner_stage(span)
+        if span is None:  # tracing went off mid-request: no stage was kept
+            return
+        tags = root.tags
+        hop = tags.get("forward_hop_s", 0.0)
+        parts = {
+            "queue_wait_s": tags.get("queue_wait_s", 0.0),
+            "stage_s": span.duration - hop,
+            "forward_hop_s": hop,
+        }
+        stages = []
+        while span is not None:
+            inner = _inner_stage(span)
+            seconds = span.duration - span.tags.get("forward_hop_s", 0.0)
+            if inner is not None:
+                seconds -= inner.duration
+            stages.append((span.name[len("stage:") :], seconds))
+            span = inner
+        with self._fold_lock:
+            self._folded_requests += 1
+            for key, seconds in parts.items():
+                self._folded[key] += seconds
+            folded = self._folded_stages
+            for name, seconds in stages:
+                folded[name] = folded.get(name, 0.0) + seconds
 
     def attribution_stats(self) -> dict[str, Any]:
-        """The ``attribution`` snapshot source: component sums.
+        """The ``attribution`` snapshot source: the folded span trees' sums.
 
-        ``attributed_s`` is the attributed requests' wall time (queue wait +
-        kernel), the sum of the three components.  Every number is read off
-        the cost and stage histograms' children: each attributed request
-        observes ``stage`` once, and a request's kernel latency is its
-        ``stage`` plus its ``forward_hop``.
+        ``requests`` counts the traced requests; ``attributed_s`` is their
+        wall time (queue wait + kernel), the sum of the three components,
+        and ``stages`` splits ``stage_s`` per kernel stage.
         """
-        sums = dict.fromkeys(("queue_wait", "stage", "forward_hop"), 0.0)
-        requests = 0
-        stages: dict[str, float] = {}
-        if self._cost_hist is not None:  # both families appear together
-            for (_edge, component), child in self._cost_hist.series():
-                count, seconds, _, _ = child.aggregates()
-                sums[component] += seconds
-                if component == "stage":
-                    requests += count
-            stages = {stage: child.sum for (stage,), child in self._stage_hist.series()}
+        with self._fold_lock:
+            parts = dict(self._folded)
+            requests = self._folded_requests
+            stages = dict(sorted(self._folded_stages.items()))
         return {
-            "enabled": self.attribution_enabled,
+            "enabled": self.tracer.enabled,
             "requests": requests,
-            **{f"{component}_s": seconds for component, seconds in sums.items()},
-            "attributed_s": sum(sums.values()),
+            **parts,
+            "attributed_s": sum(parts.values()),
             "stages": stages,
         }
 

@@ -192,7 +192,7 @@ class Tracer:
         self.spans_recorded = 0
         self.traces_started = 0
         #: roots opened with a *present but malformed* traceparent — the
-        #: broken-propagation signal (mirrored as repro_trace_restarts_total)
+        #: broken-propagation signal (``stats()``, the ``tracer`` snapshot)
         self.traces_restarted = 0
         self._id_prefix = f"{zlib.crc32(name.encode('utf-8')) & 0xFFFFFFFF:08x}"
         self._trace_seq = itertools.count(1)
@@ -249,7 +249,7 @@ class Tracer:
         W3C rule), but it must not restart the trace silently either: the
         new root is tagged ``trace_restarted`` and counted in
         :attr:`traces_restarted`, so broken propagation shows up in both
-        the span tree and the metrics.
+        the span tree and the tracer's stats.
         """
         if not self.enabled:
             return _NoopContext(name)

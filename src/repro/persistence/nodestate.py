@@ -8,9 +8,9 @@ which is exactly ``record_sample``'s replace.
 
 NodeState is one published ``(version, host → NodeSample)`` pair, replaced
 and never edited: every write builds a new map, bumps the version and
-publishes the pair with one attribute store.  ``get`` / ``all_samples`` /
-``fresh_samples``, :class:`~repro.core.load_status.LoadStatus` and the SQL
-engine's ``NodeState`` relation read it.  A sweep stored with
+publishes the pair with one attribute store.  ``get`` / ``all_samples``,
+:class:`~repro.core.load_status.LoadStatus` and the SQL engine's
+``NodeState`` relation read it.  A sweep stored with
 ``record_samples`` is one write, hence one version.  The monitor is its one
 writer; the store's transactions do not cover it, so a request that rolls
 back never rewinds a sweep.
@@ -114,11 +114,6 @@ class NodeStateStore:
 
     def all_samples(self) -> list[NodeSample]:
         return list(self._generation[1].values())
-
-    def fresh_samples(self, *, now: float, max_age: float | None) -> list[NodeSample]:
-        """Samples no older than *max_age* seconds (all samples if None)."""
-        samples = self.all_samples()
-        return [s for s in samples if max_age is None or now - s.updated <= max_age]
 
     def __len__(self) -> int:
         return len(self._generation[1])

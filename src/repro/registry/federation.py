@@ -110,15 +110,6 @@ class ShardMap:
             index = 0
         return self._ring[index][1]
 
-    def spread(self, object_ids: list[str]) -> dict[str, int]:
-        """Owner → count over a sample of ids (placement diagnostics)."""
-        counts: dict[str, int] = {home: 0 for home in self._members}
-        for object_id in object_ids:
-            owner = self.owner(object_id)
-            if owner is not None:
-                counts[owner] += 1
-        return dict(sorted(counts.items()))
-
     def stats(self) -> dict[str, Any]:
         return {
             "members": len(self._members),
@@ -257,8 +248,8 @@ class RouteInterceptor:
         self.forwarded: dict[str, int] = {}
         self.forwarded_served = 0
         self.forward_faults = 0
-        #: wall time spent inside forwarding transport calls (hop component
-        #: of the cost-attribution plane; += is near-exact under the GIL)
+        #: wall time spent inside forwarding transport calls (the hop a
+        #: traced request's spans carry; += is near-exact under the GIL)
         self.forward_hop_total_s = 0.0
 
     def __call__(
@@ -305,9 +296,9 @@ class RouteInterceptor:
                 endpoint, envelope, source=self.registry.home
             )
         finally:
-            # the forward_hop cost component: wire + owner-side execution,
-            # measured on the kernel clock so it subtracts cleanly from the
-            # route stage's time; tagged on the stage:route span when tracing
+            # the forward hop: wire + owner-side execution, measured on the
+            # kernel clock so it subtracts cleanly from the route stage's
+            # span, which carries it as a tag when tracing
             hop = kernel.clock.now() - hop_started
             self.forward_hop_total_s += hop
             ctx.tags["forward_hop_s"] = ctx.tags.get("forward_hop_s", 0.0) + hop

@@ -38,9 +38,10 @@ over an injectable
 :class:`~repro.util.clock.PerfClock`), shared with the telemetry tracer so
 pipeline latencies and span trees agree on one time source — deterministic
 under ``ManualClock`` or simulation time.  With tracing enabled, every
-request produces a span tree: one root ``request`` span with one child per
-pipeline stage (custom interceptors included), captured by the
-:class:`~repro.obs.telemetry.Telemetry` facade's slow-request log when the
+request produces a span tree: one root ``request`` span with stage spans
+nested in chain order (custom interceptors included), which the
+:class:`~repro.obs.telemetry.Telemetry` facade folds into its per-stage
+sums once the root closes, and keeps in its slow-request log when the
 request exceeds its threshold.
 
 This module deliberately imports nothing from :mod:`repro.soap` at module
@@ -241,11 +242,6 @@ def _account_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proce
         return proceed()
     finally:
         ctx.finished = kernel.clock.now()
-        if "stage_inclusive_s" in ctx.tags:
-            # inner stages have recorded their inclusive times by now; fold
-            # them into the per-request cost split before telemetry accounts
-            # the request
-            ctx.tags["attribution"] = kernel._attribution(ctx)
         kernel.telemetry.record_request(ctx)
 
 
@@ -320,6 +316,10 @@ def _terminal(ctx: RequestContext) -> Any:
     return ctx.response
 
 
+#: request tags copied onto a traced request's root span
+_ROOT_TAGS = ("route", "route_owner", "forwarded_by", "queue_wait_s", "forward_hop_s")
+
+
 # -- the kernel ----------------------------------------------------------------
 
 
@@ -343,11 +343,11 @@ class RegistryKernel:
         self._by_http_method: dict[str, OperationSpec] = {}
         self._by_name: dict[str, OperationSpec] = {}
         self._chain: list[Interceptor] = list(DEFAULT_CHAIN)
-        #: lazily (re)composed chain per (tracing, attributing) state.  Benign
-        #: race under concurrent execute: two threads may compose equivalent
-        #: callables and one wins — chain *edits* (add/remove_interceptor)
-        #: are configuration-time only.
-        self._composed: dict[tuple[bool, bool], Callable[[RequestContext], Any]] = {}
+        #: lazily (re)composed chain per tracing state.  Benign race under
+        #: concurrent execute: two threads may compose equivalent callables
+        #: and one wins — chain *edits* (add/remove_interceptor) are
+        #: configuration-time only.
+        self._composed: dict[bool, Callable[[RequestContext], Any]] = {}
         #: atomic under the GIL — a single next() per request, so concurrent
         #: execute() calls can never mint duplicate request ids
         self._request_counter = itertools.count(1)
@@ -416,23 +416,18 @@ class RegistryKernel:
                 return True
         return False
 
-    def _compose(
-        self, tracing: bool, attributing: bool
-    ) -> Callable[[RequestContext], Any]:
-        """Fold the chain into one callable for one instrumentation state.
+    def _compose(self, tracing: bool) -> Callable[[RequestContext], Any]:
+        """Fold the chain into one callable for one tracing state.
 
         What a layer needs is decided here, once per composition, not per
         request.  There are two kinds of layer: a run of default steps
         called back to back, and a wrapping stage or custom interceptor
-        handed ``proceed``.  With tracing and attribution both off, every
-        stretch of consecutive steps is one run, split only where the chain
-        puts a wrapper or an interceptor.  With either on, every stage —
-        default or custom — is a layer of its own inside an instrumenting
-        one: a span named after it when tracing (nesting naturally:
-        account's span contains fault-map's, and so on down to dispatch),
-        its inclusive wall time when attributing.
+        handed ``proceed``.  With tracing off, every stretch of consecutive
+        steps is one run, split only where the chain puts a wrapper or an
+        interceptor.  With tracing on, every stage — default or custom — is
+        a layer of its own inside a span named after it (nesting naturally:
+        account's span contains fault-map's, and so on down to dispatch).
         """
-        instrumented = tracing or attributing
         composed: Callable[[RequestContext], Any] = _terminal
         run: list[Callable[["RegistryKernel", RequestContext], None]] = []
 
@@ -450,14 +445,9 @@ class RegistryKernel:
                 composed = self._wrapped(
                     stage.wrap if isinstance(stage, _Stage) else stage, composed
                 )
-            if instrumented:
+            if tracing:
                 close_run()
-                composed = self._instrumented(
-                    getattr(stage, "name", "interceptor"),
-                    composed,
-                    tracing,
-                    attributing,
-                )
+                composed = self._traced(getattr(stage, "name", "interceptor"), composed)
         close_run()
         return composed
 
@@ -481,68 +471,16 @@ class RegistryKernel:
 
         return layer
 
-    def _instrumented(
-        self,
-        name: str,
-        inner: Callable[[RequestContext], Any],
-        tracing: bool,
-        attributing: bool,
+    def _traced(
+        self, name: str, inner: Callable[[RequestContext], Any]
     ) -> Callable[[RequestContext], Any]:
         span_name = "stage:" + name
 
         def layer(ctx: RequestContext) -> Any:
-            if attributing:
-                started = self.clock.now()
-            try:
-                if tracing:
-                    with self.telemetry.tracer.span(span_name):
-                        return inner(ctx)
+            with self.telemetry.tracer.span(span_name):
                 return inner(ctx)
-            finally:
-                if attributing:
-                    # inclusive wall time; _attribution telescopes these
-                    # into exclusive per-stage costs at account time
-                    ctx.tags["stage_inclusive_s"][name] = self.clock.now() - started
 
         return layer
-
-    def _attribution(self, ctx: RequestContext) -> dict[str, Any]:
-        """Decompose one finished request's wall time into cost components.
-
-        The chain is strictly linear, so each stage's *exclusive* time is
-        its inclusive time minus the next present stage's inclusive time
-        (stages skipped by a fault simply don't appear).  The route stage's
-        exclusive time excludes its forward hop, which is reported as its
-        own component — so
-
-            queue_wait + stage + forward_hop == total
-
-        holds exactly by construction, and the per-stage dict is the
-        fine-grained detail underneath ``stage``.
-        """
-        inclusive = dict(ctx.tags.get("stage_inclusive_s") or {})
-        # account's layer timing closes after this runs; its inclusive time
-        # is the request latency the stage itself measured
-        inclusive["account"] = ctx.latency
-        order = [getattr(stage, "name", "interceptor") for stage in self._chain]
-        present = [name for name in order if name in inclusive]
-        stages: dict[str, float] = {}
-        for index, name in enumerate(present):
-            inner = (
-                inclusive[present[index + 1]] if index + 1 < len(present) else 0.0
-            )
-            stages[name] = max(0.0, inclusive[name] - inner)
-        forward_hop = float(ctx.tags.get("forward_hop_s", 0.0))
-        if forward_hop and "route" in stages:
-            stages["route"] = max(0.0, stages["route"] - forward_hop)
-        queue_wait = float(ctx.tags.get("queue_wait_s", 0.0))
-        return {
-            "queue_wait_s": queue_wait,
-            "stage_s": max(0.0, ctx.latency - forward_hop),
-            "forward_hop_s": forward_hop,
-            "total_s": queue_wait + ctx.latency,
-            "stages": stages,
-        }
 
     # -- execution -------------------------------------------------------------
 
@@ -577,10 +515,9 @@ class RegistryKernel:
         interceptor serves them locally instead of forwarding again).
         """
         telemetry = self.telemetry
-        # the only read of the two flags this request makes: the chain
-        # composed for this state carries no checks of its own
+        # the only read of the flag this request makes: the chain composed
+        # for this state carries no check of its own
         tracing = telemetry.tracer.enabled
-        attributing = telemetry.attribution_enabled
         ctx = RequestContext(
             edge=edge,
             request_id=self.new_request_id(),
@@ -593,13 +530,9 @@ class RegistryKernel:
             spec=spec,
             tags=dict(tags) if tags else {},
         )
-        if attributing:
-            ctx.tags["stage_inclusive_s"] = {}
-        composed = self._composed.get((tracing, attributing))
+        composed = self._composed.get(tracing)
         if composed is None:
-            composed = self._composed[tracing, attributing] = self._compose(
-                tracing, attributing
-            )
+            composed = self._composed[tracing] = self._compose(tracing)
         if not tracing:
             return composed(ctx)
         with telemetry.tracer.span_in_trace(
@@ -610,15 +543,15 @@ class RegistryKernel:
                 result = composed(ctx)
             finally:
                 root.tags["operation"] = ctx.operation
-                # routing identity + the cost split ride on the root span,
-                # so a trace alone explains where its wall time went
-                for key in ("route", "route_owner", "forwarded_by"):
+                # routing identity and the two times no stage span holds
+                # ride on the root span, so a trace alone explains where its
+                # wall time went
+                for key in _ROOT_TAGS:
                     value = ctx.tags.get(key)
                     if value is not None:
                         root.tags[key] = value
-                attribution = ctx.tags.get("attribution")
-                if attribution is not None:
-                    root.tags["attribution"] = attribution
+                # every stage span has closed: the tree is complete
+                telemetry.fold_trace(root)
         slow_entry = ctx.tags.get("slow_request")
         if slow_entry is not None:
             slow_entry["trace"] = root.to_dict()

@@ -256,14 +256,9 @@ class RegistryServer:
         """Toggle structured JSON log emission (off by default)."""
         self.telemetry.log.enabled = enabled
 
-    def enable_attribution(self, enabled: bool = True) -> None:
-        """Toggle per-request cost attribution (off by default).
-
-        While on, every request's wall time is decomposed into queue-wait /
-        per-stage / forward-hop / wire components (see
-        ``Telemetry.attribution_stats`` and ``repro_request_cost_seconds``).
-        """
-        self.telemetry.attribution_enabled = enabled
+    #: tracing is what fills ``telemetry.attribution_stats()``; the name
+    #: stays while the wire bench's ladder still calls it
+    enable_attribution = enable_tracing
 
     @property
     def home(self) -> str:

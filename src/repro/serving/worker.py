@@ -83,8 +83,8 @@ class RegistryWorker:
         if wait > self.queue_wait_max_s:
             self.queue_wait_max_s = wait
         self.kernel.telemetry.record_queue_wait(self.label, wait)
-        # ride the wait into the kernel's per-request tag bag so the
-        # attribution split can include it
+        # ride the wait into the kernel's per-request tag bag: a traced
+        # request carries it on its root span
         tags = {"queue_wait_s": wait}
         seeded = item.kwargs.get("tags")
         item.kwargs["tags"] = {**seeded, **tags} if seeded else tags

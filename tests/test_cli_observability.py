@@ -94,7 +94,6 @@ class TestTopExemplars:
 
         registry = RegistryServer(RegistryConfig(seed=5), monotonic=ManualClock())
         registry.enable_tracing()
-        registry.enable_attribution()
         _, credential = registry.register_user("publisher")
         session = registry.login(credential)
         org = Organization(registry.ids.new_id(), name="ExemplarOrg")

@@ -134,10 +134,3 @@ class TestLoadStatus:
         ls = LoadStatus(node_state, clock=clock)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.rank(["a", "b"], cs) == ["b"]
-
-    def test_host_satisfies_single(self, node_state, clock):
-        record(node_state, "a", load=0.5)
-        ls = LoadStatus(node_state, clock=clock)
-        cs = parse_constraint_block(CONSTRAINT)
-        assert ls.host_satisfies("a", cs)
-        assert not ls.host_satisfies("nope", cs)

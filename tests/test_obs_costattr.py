@@ -1,17 +1,22 @@
-"""Tests for the cost-attribution plane: queue-wait/stage/hop splits.
+"""Where a request's time went: the span-tree fold behind ``attribution_stats()``.
 
-Every request's wall time decomposes into ``queue_wait + stage +
-forward_hop == total`` by construction; these tests pin the
-identity, the serving queue-wait accounting, the forwarded-request trace
-stitching (one trace id, one hop, hop time on the routing span), and the
-trace-restart satellite for malformed-but-present traceparents.
+A traced request's span tree is folded, once its root closes, into
+queue-wait / stage / forward-hop sums and per-stage exclusive times.  These
+tests hold the sums to an independent walk of the kept traces and pin the
+identities ``attributed == queue_wait + stage + forward_hop`` and
+``sum(stages) == stage``, the serving queue-wait accounting, the
+forwarded-request trace stitching (one trace id, one hop, hop time on the
+routing span and kept out of the route stage), and trace restarts on
+malformed-but-present traceparents.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.obs.trace import format_traceparent
 from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
-from repro.registry.kernel import EdgeProfile
+from repro.registry.kernel import EdgeProfile, RequestContext
 from repro.rim import Organization
 from repro.serving import ServingConfig, ServingSupervisor
 from repro.serving.worker import RegistryWorker, WorkItem
@@ -52,6 +57,49 @@ def _publish(registry, name="AttributedOrg", object_id=None):
     return org
 
 
+#: the families the retired cost-attribution histograms exported
+RETIRED_FAMILIES = ("repro_request_cost_seconds", "repro_request_stage_seconds")
+
+
+class Tagger:
+    """A custom interceptor: its own ``stage:tagger`` span when tracing."""
+
+    name = "tagger"
+
+    def __call__(self, kernel, ctx: RequestContext, proceed):
+        return proceed()
+
+
+def walk(roots):
+    """The attribution sums, recomputed from the kept span trees.
+
+    Every ``stage:`` span under ``stage:account`` (found by a full subtree
+    search, not by following the chain) counts its duration less its
+    ``stage:`` children's and less a hop tagged on it.
+    """
+    sums = dict.fromkeys(("queue_wait_s", "stage_s", "forward_hop_s"), 0.0)
+    stages: dict[str, float] = {}
+    for root in roots:
+        (account,) = root.find("stage:account")
+        hop = root.tags.get("forward_hop_s", 0.0)
+        sums["queue_wait_s"] += root.tags.get("queue_wait_s", 0.0)
+        sums["stage_s"] += account.duration - hop
+        sums["forward_hop_s"] += hop
+        for span in account.iter_spans():
+            if not span.name.startswith("stage:"):
+                continue
+            inner = sum(
+                child.duration
+                for child in span.children
+                if child.name.startswith("stage:")
+            )
+            name = span.name.split(":", 1)[1]
+            stages[name] = stages.get(name, 0.0) + (
+                span.duration - inner - span.tags.get("forward_hop_s", 0.0)
+            )
+    return sums, stages
+
+
 class TestAttributionSplit:
     def test_disabled_by_default(self):
         registry = RegistryServer(RegistryConfig(seed=5), monotonic=ManualClock())
@@ -60,13 +108,10 @@ class TestAttributionSplit:
         stats = registry.telemetry.attribution_stats()
         assert stats["enabled"] is False
         assert stats["requests"] == 0
-        text = registry.telemetry.render_prometheus()
-        assert "repro_request_cost_seconds" not in text
-        assert "repro_request_stage_seconds" not in text
+        assert stats["attributed_s"] == 0.0 and stats["stages"] == {}
 
     def test_components_sum_to_total_exactly(self):
-        registry = RegistryServer(RegistryConfig(seed=5), monotonic=ManualClock())
-        registry.enable_attribution()
+        registry = RegistryServer(RegistryConfig(seed=5), monotonic=TickingClock())
         registry.enable_tracing()
         org = _publish(registry)
         registry.kernel.execute(
@@ -74,44 +119,80 @@ class TestAttributionSplit:
             body=GetRegistryObjectRequest(org.id),
             tags={"queue_wait_s": 2.0},
         )
-        attr = registry.telemetry.tracer.last_trace().tags["attribution"]
-        assert attr["queue_wait_s"] == 2.0
-        assert attr["forward_hop_s"] == 0.0
-        assert attr["total_s"] == (
-            attr["queue_wait_s"] + attr["stage_s"] + attr["forward_hop_s"]
-        )
+        root = registry.telemetry.tracer.last_trace()
+        assert root.tags["queue_wait_s"] == 2.0
+        assert "forward_hop_s" not in root.tags
         stats = registry.telemetry.attribution_stats()
-        assert stats["requests"] == 1
-        assert stats["attributed_s"] == attr["total_s"]
+        assert stats["enabled"] is True and stats["requests"] == 1
+        assert stats["queue_wait_s"] == 2.0 and stats["forward_hop_s"] == 0.0
+        (account,) = root.find("stage:account")
+        assert stats["stage_s"] == account.duration
+        assert stats["attributed_s"] == (
+            stats["queue_wait_s"] + stats["stage_s"] + stats["forward_hop_s"]
+        )
 
     def test_stage_exclusives_sum_to_stage_component(self):
         registry = RegistryServer(RegistryConfig(seed=5), monotonic=TickingClock())
-        registry.enable_attribution()
         registry.enable_tracing()
         org = _publish(registry)
         registry.kernel.execute(_edge(registry), body=GetRegistryObjectRequest(org.id))
-        attr = registry.telemetry.tracer.last_trace().tags["attribution"]
-        assert attr["stage_s"] > 0.0
-        # telescoped exclusives: outermost (account) inclusive == latency,
-        # so the per-stage detail re-sums to the stage component exactly
-        assert sum(attr["stages"].values()) == pytest.approx(attr["stage_s"])
-        assert set(attr["stages"]) >= {"account", "dispatch", "resolve"}
+        stats = registry.telemetry.attribution_stats()
+        assert stats["stage_s"] > 0.0
+        # telescoped exclusives: the stages re-sum to the account span
+        assert sum(stats["stages"].values()) == pytest.approx(stats["stage_s"])
+        assert set(stats["stages"]) >= {"account", "dispatch", "resolve"}
+        assert all(seconds > 0.0 for seconds in stats["stages"].values())
 
-    def test_attribution_metric_families_appear(self):
-        registry = RegistryServer(RegistryConfig(seed=5), monotonic=ManualClock())
-        registry.enable_attribution()
+    def test_attribution_metric_families_are_gone(self):
+        registry = RegistryServer(RegistryConfig(seed=5), monotonic=TickingClock())
+        registry.enable_tracing()
+        registry.enable_history()
         org = _publish(registry)
         registry.kernel.execute(
             _edge(registry),
             body=GetRegistryObjectRequest(org.id),
             tags={"queue_wait_s": 0.5},
         )
+        assert registry.telemetry.attribution_stats()["requests"] == 1
         text = registry.telemetry.render_prometheus()
-        assert (
-            'repro_request_cost_seconds_bucket{edge="test",component="queue_wait"'
-            in text
+        for family in RETIRED_FAMILIES:
+            assert family not in text
+        assert not [
+            name
+            for name in registry.telemetry.history.names()
+            if name.startswith("attribution.")
+        ]
+
+    def test_stats_equal_an_independent_walk_of_the_traces(self):
+        registry = RegistryServer(
+            RegistryConfig(seed=5), clock=ManualClock(), monotonic=TickingClock()
         )
-        assert 'repro_request_stage_seconds_bucket{stage="dispatch"' in text
+        # outside account: its span is not part of any request's stage time
+        registry.kernel.add_interceptor(Tagger(), before="account")
+        registry.enable_tracing()
+        org = _publish(registry)
+        # a fault comes back as the response, as on the SOAP edge
+        edge = dataclasses.replace(_edge(registry), fault_mapper=lambda error: error)
+        for body, tags in (
+            (GetRegistryObjectRequest(org.id), {"queue_wait_s": 0.125}),
+            (GetRegistryObjectRequest("urn:uuid:missing"), None),
+            (object(), {"queue_wait_s": 0.5}),
+            (GetRegistryObjectRequest(org.id), None),
+        ):
+            registry.kernel.execute(edge, body=body, tags=tags)
+        traces = list(registry.telemetry.tracer.traces)
+        assert len(traces) == 4
+        sums, stages = walk(traces)
+        stats = registry.telemetry.attribution_stats()
+        assert stats["requests"] == 4
+        for key, seconds in sums.items():
+            assert stats[key] == pytest.approx(seconds)
+        assert stats["stages"] == pytest.approx(stages)
+        assert "tagger" not in stats["stages"]
+        assert sum(stats["stages"].values()) == pytest.approx(stats["stage_s"])
+        assert stats["attributed_s"] == (
+            stats["queue_wait_s"] + stats["stage_s"] + stats["forward_hop_s"]
+        )
 
 
 class TestQueueWaitAccounting:
@@ -134,7 +215,7 @@ class TestQueueWaitAccounting:
 
     def test_serving_stats_and_high_water(self):
         registry = RegistryServer(RegistryConfig(seed=5))
-        registry.enable_attribution()
+        registry.enable_tracing()
         org = _publish(registry)
         supervisor = ServingSupervisor(registry, ServingConfig(workers=2))
         with supervisor:
@@ -180,7 +261,6 @@ class TestForwardedTraceStitching:
                 monotonic=clock,
             )
             registry.enable_tracing()
-            registry.enable_attribution()
             fed.join(registry)
             registries.append(registry)
         return clock, fed, registries
@@ -231,11 +311,16 @@ class TestForwardedTraceStitching:
             "forward_hop_total_s"
         ] == pytest.approx(0.25)
 
-        # and the root attribution split carries it as the hop component
-        attr = home_root.tags["attribution"]
-        assert attr["forward_hop_s"] == pytest.approx(0.25)
-        assert attr["total_s"] == pytest.approx(
-            attr["queue_wait_s"] + attr["stage_s"] + attr["forward_hop_s"]
+        # the root span carries it as the hop component, and the fold keeps
+        # it out of the route stage: on this clock only the hop took time
+        assert home_root.tags["forward_hop_s"] == pytest.approx(0.25)
+        assert route_span.duration == pytest.approx(0.25)
+        stats = home.telemetry.attribution_stats()
+        assert stats["forward_hop_s"] == pytest.approx(0.25)
+        assert stats["stages"]["route"] == pytest.approx(0.0)
+        assert stats["stage_s"] == pytest.approx(0.0)
+        assert stats["attributed_s"] == (
+            stats["queue_wait_s"] + stats["stage_s"] + stats["forward_hop_s"]
         )
 
 
@@ -252,10 +337,11 @@ class TestTraceRestart:
         root = registry.telemetry.tracer.last_trace()
         assert root.tags["trace_restarted"] is True
         assert registry.telemetry.tracer.traces_restarted == 1
-        text = registry.telemetry.render_prometheus()
-        assert "repro_trace_restarts_total 1" in text
+        # counted in the tracer's snapshot, which ``repro stats`` prints
+        assert registry.telemetry.snapshot()["tracer"]["traces_restarted"] == 1
+        assert "repro_trace_restarts_total" not in registry.telemetry.render_prometheus()
 
-    def test_restart_counter_family_absent_until_first_restart(self):
+    def test_valid_traceparent_restarts_nothing(self):
         registry = RegistryServer(RegistryConfig(seed=5), monotonic=ManualClock())
         registry.enable_tracing()
         org = _publish(registry)
@@ -265,5 +351,6 @@ class TestTraceRestart:
             body=GetRegistryObjectRequest(org.id),
             traceparent=valid,
         )
+        root = registry.telemetry.tracer.last_trace()
+        assert root.trace_id == "ab" * 16 and "trace_restarted" not in root.tags
         assert registry.telemetry.tracer.traces_restarted == 0
-        assert "repro_trace_restarts_total" not in registry.telemetry.render_prometheus()

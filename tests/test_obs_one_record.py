@@ -1,14 +1,16 @@
 """One number, one place.
 
 A finished request is recorded once, into the request-latency histogram
-(plus the fault-code counter on a fault); ``pipeline_stats()`` and
-``attribution_stats()`` are views of the instruments.  These tests pin the
-views to the exposition on a fully mounted registry, replay a fixed request
-list against a recorded snapshot, hold the documented family table to what
-``/metrics`` renders, and check that a scrape names exactly the families of
-the sources mounted when it is taken.
+(plus the fault-code counter on a fault); ``pipeline_stats()`` is a view of
+the instruments, and ``attribution_stats()`` the fold of the traced
+requests' span trees.  These tests pin the views to the exposition on a
+fully mounted registry, replay a fixed request list against a recorded
+snapshot, hold the documented family table to what ``/metrics`` renders,
+hold every labelled family to its series budget, and check that a scrape
+names exactly the families of the sources mounted when it is taken.
 """
 
+import math
 import pathlib
 import re
 
@@ -17,12 +19,17 @@ import pytest
 from repro.core import attach_load_balancer
 from repro.obs import parse_exposition
 from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
-from repro.registry.kernel import EdgeProfile, OperationSpec
-from repro.rim import Organization
+from repro.registry.kernel import UNRESOLVED_OPERATION, EdgeProfile, OperationSpec
+from repro.rim import Organization, host_of_uri
 from repro.serving import ServingConfig, ServingSupervisor
 from repro.soap import GetRegistryObjectRequest, HttpGetBinding, SoapEnvelope, SoapFault
 from repro.util.clock import ManualClock, SimClockAdapter
-from repro.util.errors import AuthorizationError, InvalidRequestError
+from repro.util.errors import (
+    AuthorizationError,
+    InvalidRequestError,
+    error_code_registry,
+)
+from repro.util.workers import CALLER_WORKER_LABEL, MAIN_WORKER_LABEL
 
 from conftest import publish_nodestatus, publish_service_with_bindings
 
@@ -32,7 +39,7 @@ DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "observability.m
 BALANCER_FAMILIES = (
     "repro_monitor_collections_total",
     "repro_transport_requests_total",
-    "repro_loadstatus_rankings_total",
+    "repro_resolver_resolutions_total",
     "repro_constraint_cache_misses_total",
 )
 
@@ -54,7 +61,7 @@ def summed(parsed, name, **fixed):
 @pytest.fixture
 def mounted(engine, transport):
     """A registry with every source mounted and every kind of request served:
-    balancer attached, fleet started, tracing + attribution on, inline, queued,
+    balancer attached, fleet started, tracing on, inline, queued,
     faulted, forwarded and trace-restarting requests."""
     fed = RegistryFederation("one-record")
     home, owner = (
@@ -73,7 +80,6 @@ def mounted(engine, transport):
     balancer = attach_load_balancer(home, transport, engine, start_monitor=False)
     balancer.monitor.collect_once()
     home.enable_tracing()
-    home.enable_attribution()
 
     owned_id = next(
         object_id
@@ -140,28 +146,23 @@ class TestViewsEqualTheExposition:
             if "serving" in tree
         ) == 4
 
-    def test_attribution_stats_is_the_cost_histograms_sums(self, mounted):
+    def test_attribution_stats_is_the_span_fold(self, mounted):
         home, _supervisor, _balancer = mounted
-        parsed = parse_exposition(home.telemetry.render_prometheus())
         attr = home.telemetry.attribution_stats()
-        for component in ("queue_wait", "stage", "forward_hop"):
-            assert attr[f"{component}_s"] == summed(
-                parsed, "repro_request_cost_seconds_sum", component=component
-            )
-        assert attr["forward_hop_s"] > 0.0
-        assert attr["requests"] == summed(
-            parsed, "repro_request_cost_seconds_count", component="stage"
-        ) == sum(
+        # every request ran traced, so every one was folded
+        assert attr["requests"] == sum(
             op["count"] for ops in home.pipeline_stats().values() for op in ops.values()
         )
+        assert attr["forward_hop_s"] > 0.0 and attr["queue_wait_s"] >= 0.0
         assert attr["attributed_s"] == (
             attr["queue_wait_s"] + attr["stage_s"] + attr["forward_hop_s"]
         )
         assert set(attr["stages"]) >= {"account", "route", "dispatch"}
-        for stage, seconds in attr["stages"].items():
-            assert seconds == summed(
-                parsed, "repro_request_stage_seconds_sum", stage=stage
-            )
+        assert sum(attr["stages"].values()) == pytest.approx(attr["stage_s"])
+        # a view of the span trees, not an exported family
+        text = home.telemetry.render_prometheus()
+        assert "repro_request_cost_seconds" not in text
+        assert "repro_request_stage_seconds" not in text
 
     def test_documented_family_table_is_what_metrics_renders(self, mounted):
         home, _supervisor, _balancer = mounted
@@ -279,7 +280,7 @@ class TestScrapeNamesTheMountedSources:
     def test_closed_supervisor_leaves_the_scrape(self, registry):
         supervisor = ServingSupervisor(registry, ServingConfig(workers=4)).start()
         before = parse_exposition(registry.telemetry.render_prometheus())
-        assert before["repro_serving_workers"][frozenset()] == 4
+        assert before["repro_serving_accepted_total"][frozenset()] == 0
         supervisor.close()
         assert "serving" not in registry.telemetry.sources()
         after = families(registry.telemetry.render_prometheus())
@@ -296,29 +297,77 @@ class TestScrapeNamesTheMountedSources:
         gone = before - after
         assert gone >= set(BALANCER_FAMILIES)
         assert {name.split("_")[1] for name in gone} == {
-            "monitor", "transport", "loadstatus", "resolver", "constraint"
+            "monitor", "transport", "resolver", "constraint"
         }
         # pushed histograms persist, and so do the sources still mounted
         assert after >= {
             "repro_request_latency_seconds",
-            "repro_request_cost_seconds",
             "repro_serving_queue_wait_seconds",
-            "repro_serving_workers",
+            "repro_serving_accepted_total",
             "repro_query_plans_built_total",
         }
 
-    def test_unregistered_endpoint_leaves_the_per_endpoint_series(self, mounted, transport):
-        home, _supervisor, _balancer = mounted
+    def test_unregistered_endpoint_leaves_the_per_endpoint_series(
+        self, mounted, transport
+    ):
+        home, _supervisor, balancer = mounted
+        for uri in transport.endpoints():
+            transport.set_host_down(host_of_uri(uri))
+        balancer.monitor.collect_once()  # one failed probe per endpoint
         gone, *kept = transport.endpoints()
 
         def endpoints() -> set[str]:
             scrape = parse_exposition(home.telemetry.render_prometheus())
             return {
                 dict(labels)["endpoint"]
-                for labels in scrape["repro_transport_endpoint_requests_total"]
+                for labels in scrape["repro_transport_endpoint_failures_total"]
             }
 
         assert endpoints() == {gone, *kept}
         transport.unregister_endpoint(gone)
         assert endpoints() == set(kept)
-        assert gone not in transport.transport_stats()["per_endpoint"]
+        assert gone not in transport.transport_stats()["per_endpoint_failures"]
+
+
+class TestCardinalityBudget:
+    """Every label of every exported family takes values from a bounded set
+    the registry's shape fixes, however much traffic it serves."""
+
+    def test_every_labelled_family_stays_within_its_budget(self, mounted, transport):
+        home, supervisor, balancer = mounted
+        # a failed probe, so the per-endpoint families have series too
+        transport.set_host_down(host_of_uri(transport.endpoints()[0]))
+        balancer.monitor.collect_once()
+        budgets = {
+            # the URIs the transport has registered
+            "endpoint": set(transport.endpoints()),
+            # the fleet, the serving gate's inline label, the main thread
+            "worker": {
+                *(f"worker-{i}" for i in range(supervisor.config.workers)),
+                CALLER_WORKER_LABEL,
+                MAIN_WORKER_LABEL,
+            },
+            # the protocol edges, and the operations one may resolve to
+            "edge": {"soap", "http", "serving", "local"},
+            "operation": {*home.kernel.operations(), UNRESOLVED_OPERATION},
+            "code": set(error_code_registry()),
+        }
+        scrape = home.telemetry.collect()
+        labelled = [metric for metric in scrape.metrics() if metric.labelnames]
+        assert {metric.name for metric in labelled} >= {
+            "repro_request_latency_seconds",
+            "repro_pipeline_fault_codes_total",
+            "repro_serving_queue_wait_seconds",
+            "repro_transport_endpoint_failures_total",
+            "repro_monitor_endpoint_failures_total",
+        }
+        for metric in labelled:
+            assert set(metric.labelnames) <= set(budgets), metric.name
+            series = [values for values, _child in metric.series()]
+            assert series, metric.name
+            for values in series:
+                for label, value in zip(metric.labelnames, values):
+                    assert value in budgets[label], (metric.name, label, value)
+            assert len(series) <= math.prod(
+                len(budgets[label]) for label in metric.labelnames
+            ), metric.name

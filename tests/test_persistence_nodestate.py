@@ -109,23 +109,6 @@ class TestWrites:
         assert node_state.version == len(sweeps)
 
 
-class TestFreshness:
-    def test_fresh_samples_filters_by_age(self, node_state):
-        node_state.record_sample(sample(host="old", updated=0.0))
-        node_state.record_sample(sample(host="new", updated=90.0))
-        fresh = node_state.fresh_samples(now=100.0, max_age=25.0)
-        assert [s.host for s in fresh] == ["new"]
-
-    def test_no_max_age_returns_all(self, node_state):
-        node_state.record_sample(sample(host="old", updated=0.0))
-        assert len(node_state.fresh_samples(now=1e9, max_age=None)) == 1
-
-    def test_boundary_age_is_fresh(self, node_state):
-        node_state.record_sample(sample(host="edge", updated=75.0))
-        fresh = node_state.fresh_samples(now=100.0, max_age=25.0)
-        assert [s.host for s in fresh] == ["edge"]
-
-
 class TestRowMapping:
     def test_round_trip(self):
         """A sample read back as a SQL row, by either engine, is the sample."""

@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import itertools
 import sys
 import threading
 
@@ -169,8 +168,8 @@ DEFAULT_STAGES = (
     "dispatch",
 )
 
-#: (tracing, attribution) — the uninstrumented composition first
-FLAG_STATES = tuple(itertools.product((False, True), repeat=2))
+#: tracing off and on — the uninstrumented composition first
+FLAG_STATES = (False, True)
 
 #: where the tagger goes: nowhere, then before/after each default stage
 POSITIONS = (None,) + tuple(
@@ -201,8 +200,8 @@ def _reached(names, last):
     return names[: names.index(last) + 1]
 
 
-def _run_composition(position, tracing, attribution):
-    """Three requests through one chain in one instrumentation state."""
+def _run_composition(position, tracing):
+    """Three requests through one chain in one tracing state."""
     registry = RegistryServer(
         RegistryConfig(seed=42), clock=ManualClock(), monotonic=TickingClock()
     )
@@ -214,7 +213,6 @@ def _run_composition(position, tracing, attribution):
         side, anchor = position
         registry.kernel.add_interceptor(tagger, **{side: anchor})
     registry.enable_tracing(tracing)
-    registry.enable_attribution(attribution)
     binding = SoapRegistryBinding(registry)
     names = registry.kernel.interceptor_names()
     tracer = registry.telemetry.tracer
@@ -237,7 +235,7 @@ def _run_composition(position, tracing, attribution):
                 if span.name.startswith("stage:")
             ]
             assert spans == ["stage:" + name for name in _reached(names, last)]
-        if attribution and split is None:
+        if tracing and split is None:
             # after the success request only: every stage account encloses
             # and the request reached took time
             split = registry.telemetry.attribution_stats()
@@ -248,9 +246,7 @@ def _run_composition(position, tracing, attribution):
             )
             assert sum(split["stages"].values()) == pytest.approx(split["stage_s"])
     assert tracer.stats()["traces_kept"] == (3 if tracing else 0)
-    assert registry.telemetry.attribution_stats()["requests"] == (
-        3 if attribution else 0
-    )
+    assert registry.telemetry.attribution_stats()["requests"] == (3 if tracing else 0)
     counts = {
         operation: (stats["count"], stats["faults"], stats["fault_codes"])
         for operation, stats in registry.pipeline_stats()["soap"].items()
@@ -265,13 +261,11 @@ class TestCompositionEquivalence:
         "position", POSITIONS, ids=lambda p: "default" if p is None else "-".join(p)
     )
     def test_every_flag_state_behaves_alike(self, position):
-        plain, *instrumented = [
-            _run_composition(position, tracing, attribution)
-            for tracing, attribution in FLAG_STATES
+        plain, traced = [
+            _run_composition(position, tracing) for tracing in FLAG_STATES
         ]
+        assert traced == plain
         outcomes, counts, names, seen = plain
-        for other in instrumented:
-            assert other == plain
         expected = list(DEFAULT_STAGES)
         if position is not None:
             side, anchor = position
@@ -294,7 +288,8 @@ class TestCompositionEquivalence:
             assert len(seen) == (3 if reached_by_all else 2)
 
     def test_flag_flips_reach_the_next_request(self, registry, binding):
-        """No recomposition call: execute reads the flags per request."""
+        """No recomposition call: execute reads the flag per request, and
+        attribution counts exactly the traced requests."""
         envelope = SoapEnvelope(
             body=AdhocQueryRequest(query="SELECT name FROM Organization")
         )
@@ -303,19 +298,16 @@ class TestCompositionEquivalence:
         binding.handle(envelope)
         assert tracer.last_trace() is None and attributed() == 0
         registry.enable_tracing()
-        binding.handle(envelope)
+        for _ in range(2):
+            binding.handle(envelope)
         assert len(tracer.last_trace().find("stage:dispatch")) == 1
-        assert attributed() == 0
-        registry.enable_attribution()
-        binding.handle(envelope)
-        assert attributed() == 1
-        assert "attribution" in tracer.last_trace().tags
+        assert tracer.stats()["traces_kept"] == attributed() == 2
         registry.enable_tracing(False)
         binding.handle(envelope)
-        assert tracer.stats()["traces_kept"] == 2 and attributed() == 2
-        registry.enable_attribution(False)
+        assert tracer.stats()["traces_kept"] == attributed() == 2
+        registry.enable_tracing()
         binding.handle(envelope)
-        assert tracer.stats()["traces_kept"] == 2 and attributed() == 2
+        assert tracer.stats()["traces_kept"] == attributed() == 3
 
 
 class TestCallBudget:
@@ -354,7 +346,7 @@ class TestCallBudget:
     ):
         """A clock-free guard against stages leaking work back onto the path.
 
-        Observability is at its defaults (tracing and attribution off), the
+        Observability is at its defaults (tracing off), the
         handler does nothing, so every event counted is the fixed path:
         context, chain, stages, read decision, accounting.
         """
