@@ -67,7 +67,7 @@ class TestDiscoveryLatency:
             engine = SimEngine()
             attach_load_balancer(
                 registry, SimTransport(), engine,
-                clock=ManualClock(10 * 3600.0), start_monitor=False, max_sample_age=None,
+                clock=ManualClock(10 * 3600.0), start_monitor=False,
             )
         target = services[25].id
 

@@ -5,9 +5,10 @@ Demonstrates two operational corners of the scheme:
 1. the ``starttime``/``endtime`` constraint (§3.2): inside the window the
    registry balances on live load; outside it, per the thesis, the
    constraints do not apply and discovery reverts to publisher order;
-2. failure handling: when a host stops answering NodeStatus, its NodeState
-   sample ages out and the balancer stops certifying it — the host drops to
-   the back of the answer until it recovers.
+2. failure handling: when a host stops answering NodeStatus, the next
+   monitoring sweep leaves it out of NodeState and the balancer stops
+   certifying it — the host drops to the back of the answer until its first
+   good probe after it recovers.
 
 Run:  python examples/timeofday_and_failover.py
 """
@@ -78,10 +79,10 @@ def main() -> None:
     print(f"[{minutes()}] inside the window (overloaded alpha demoted):")
     print("   ", hosts_of(registry.qm.get_access_uris(windowed.id)))
 
-    # beta's NodeStatus stops answering; after 4 missed sweeps it ages out
+    # beta's NodeStatus stops answering; the next sweep leaves it out
     transport.set_host_down(HOSTS[1])
-    engine.run_until(engine.now + 150)
-    print(f"[{minutes()}] beta down for 150 s (sample stale → not certified):")
+    engine.run_until(engine.now + 30)
+    print(f"[{minutes()}] beta down for 30 s (probe failed → not certified):")
     print("   ", hosts_of(registry.qm.get_access_uris(windowed.id)))
 
     transport.set_host_down(HOSTS[1], down=False)

@@ -9,7 +9,9 @@ through this resolver instead of returning publisher order:
    not satisfied → vanilla behaviour (all bindings, publisher order) —
    keeping the scheme transparent to unconstrained services.
 2. **LoadStatus** queries the NodeState table for hosts satisfying the
-   performance constraints, ranked by ascending load.
+   performance constraints, ranked by ascending load.  NodeState holds the
+   hosts the latest monitoring sweep reached, so a host whose probe failed
+   is not certified from that sweep on.
 3. The returned binding list puts satisfying hosts first (best host first);
    in ``filter`` mode non-satisfying hosts are dropped entirely, in the
    default ``prefer`` mode they trail the list (the thesis' "hosts that
@@ -122,26 +124,14 @@ def attach_load_balancer(
     clock: Clock | None = None,
     period: float = DEFAULT_PERIOD,
     mode: BalanceMode = BalanceMode.PREFER,
-    max_sample_age: float | None = None,
     start_monitor: bool = True,
 ) -> LoadBalancer:
-    """Install the thesis' load-balancing scheme on a registry.
-
-    ``max_sample_age`` defaults to 4× the monitoring period: a host missing
-    four consecutive sweeps is treated as unmonitored.
-    """
-    clock = clock or registry.clock
-    if max_sample_age is None:
-        max_sample_age = registry.config.nodestate_max_age
-    if max_sample_age is None:
-        max_sample_age = 4.0 * period
-    service_constraint = ServiceConstraint(clock)
+    """Install the thesis' load-balancing scheme on a registry."""
+    service_constraint = ServiceConstraint(clock or registry.clock)
     # evict memoized parses of rewritten or deleted services (the memo is
     # content-validated too, so this bounds it rather than keeping it right)
     service_constraint.follow(registry.store)
-    load_status = LoadStatus(
-        registry.node_state, clock=clock, max_age=max_sample_age
-    )
+    load_status = LoadStatus(registry.node_state)
     resolver = ConstraintBindingResolver(service_constraint, load_status, mode=mode)
     registry.daos.services.set_resolver(resolver)
     monitor = TimeHits(registry, transport, engine, period=period)

@@ -9,17 +9,18 @@ freebXML administrator."
 This implementation discovers its targets the way the thesis deploys them:
 the administrator publishes the **NodeStatus** service to the registry with
 one access URI per monitored host (Figure 3.7), and TimeHits invokes each
-URI through the transport.  Unreachable hosts are skipped (and their stale
-NodeState rows age out via LoadStatus's ``max_age``); one dead host must not
-stall monitoring of the rest.
+URI through the transport.  A sweep stores exactly the hosts it reached, as
+one NodeState generation: a host whose probe failed, or whose NodeStatus
+binding was retired, is uncertified from that sweep until its first good
+probe, and one dead host never stalls monitoring of the rest.
 
 TimeHits is also the longitudinal observability feed: with the telemetry
 history store enabled, every sweep records per-host time series
-(``node.<host>.load``/``memory``/``swap``/``age``/``probe_latency``/
-``failure``); with SLOs defined, every probe lands as a ``probe``
-availability event; and the registry's ``node_staleness`` health check —
-degraded when any host's newest sample is older than 2× the period,
-unhealthy when all are — is registered here, where the period is known.
+(``node.<host>.load``/``memory``/``swap``/``probe_latency``/``failure``);
+with SLOs defined, every probe lands as a ``probe`` availability event; and
+the registry's ``node_staleness`` health check — degraded when the last
+sweep missed a target, unhealthy when it reached none or no sweep ran
+within 2× the period — is registered here, where the period is known.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class TimeHits:
         self.collections = 0
         self.samples_stored = 0
         self.failures = 0
+        #: (time, samples stored, hosts it could not reach) of the last sweep,
+        #: and the time of the last sweep that stored a sample
+        self.last_sweep: tuple[float, int, list[str]] | None = None
+        self.stored_at: float | None = None
         #: callables invoked after every sweep (e.g. the AutoScaler)
         self.post_sweep_hooks: list = []
         #: the target list, dropped by a Service/ServiceBinding record or a
@@ -74,7 +79,7 @@ class TimeHits:
         self._targets = QueryResultView(registry.store, capacity=1)
         if self.telemetry is not None:
             self.telemetry.register_health_check("node_staleness", self.staleness_check)
-            self.telemetry.slos.register_gauge("node_staleness", self.max_sample_age)
+            self.telemetry.slos.register_gauge("node_staleness", self.sample_age)
 
     # -- target discovery ----------------------------------------------------
 
@@ -130,7 +135,7 @@ class TimeHits:
             slos = None
         now = self.engine.now
         samples: list[NodeSample] = []
-        failed = 0
+        unreached: list[str] = []
         for uri in self.target_uris():
             host = host_of_uri(uri)
             latency_before = self.transport.stats.total_latency
@@ -141,7 +146,7 @@ class TimeHits:
             probe_latency = self.transport.stats.total_latency - latency_before
             if not isinstance(reading, NodeStatusReading):
                 self.failures += 1
-                failed += 1
+                unreached.append(host)
                 if history is not None:
                     history.record(f"node.{host}.failure", 1.0, t=now)
                     history.record(f"node.{host}.probe_latency", probe_latency, t=now)
@@ -165,21 +170,21 @@ class TimeHits:
                 history.record(f"node.{host}.probe_latency", probe_latency, t=now)
             if slos is not None:
                 slos.record_event("probe", ok=True, latency=probe_latency)
-        # the sweep lands as one write: a ranking sees all of it or none of it
-        self.node_state.record_samples(samples)
+        # the sweep lands as one write, of the hosts it reached and no other:
+        # a ranking sees all of it or none of it
+        self.node_state.record_sweep(samples)
         stored = len(samples)
-        if history is not None:
-            # sample *age* per monitored host — grows between sweeps for any
-            # host whose probe keeps failing (the staleness signal over time)
-            for sample in self.node_state.all_samples():
-                history.record(f"node.{sample.host}.age", now - sample.updated, t=now)
         self.samples_stored += stored
+        unreached.sort()
+        self.last_sweep = (now, stored, unreached)
+        self.stored_at = now if stored else self.stored_at
         if telemetry is not None and telemetry.log.enabled:
             telemetry.log.emit(
                 "timehits.sweep",
                 cycle=self.collections,
                 stored=stored,
-                failed=failed,
+                failed=len(unreached),
+                unreached=unreached,
                 targets=len(self.target_uris()),
             )
         for hook in self.post_sweep_hooks:
@@ -201,31 +206,26 @@ class TimeHits:
 
     # -- staleness -------------------------------------------------------------
 
-    def max_sample_age(self) -> float:
-        """Age in seconds of the *stalest* host's newest sample (0 when none).
-
-        This is the gauge the ``node-staleness`` SLO evaluates.
-        """
-        now = self.engine.now
-        return max((now - s.updated for s in self.node_state.all_samples()), default=0.0)
+    def sample_age(self) -> float:
+        """Seconds since the last sweep that stored a sample: the SLO gauge."""
+        return 0.0 if self.stored_at is None else self.engine.now - self.stored_at
 
     def staleness_check(self) -> dict:
-        """The ``node_staleness`` health check: 2× the period is too old.
+        """The ``node_staleness`` health check, on the last sweep.
 
-        ``degraded`` while any monitored host's newest sample exceeds the
-        threshold, ``unhealthy`` when every one does (monitoring is blind).
+        ``ok`` when it reached every target, ``degraded`` when it missed some
+        (``unreached_hosts``), ``unhealthy`` when it reached none of them or
+        no sweep ran within 2× the period (monitoring is blind).
         """
         threshold = 2.0 * self.period
-        now = self.engine.now
-        samples = self.node_state.all_samples()
-        stale = sorted(s.host for s in samples if now - s.updated > threshold)
-        if not samples or not stale:
-            status = "ok"
-        elif len(stale) == len(samples):
-            status = "unhealthy"
-        else:
-            status = "degraded"
-        return {"status": status, "stale_hosts": stale, "threshold_s": threshold}
+        status, unreached = "ok", []
+        if self.last_sweep is not None:
+            swept_at, stored, unreached = self.last_sweep
+            if self.engine.now - swept_at > threshold or (unreached and not stored):
+                status = "unhealthy"
+            elif unreached:
+                status = "degraded"
+        return {"status": status, "unreached_hosts": unreached, "threshold_s": threshold}
 
     def collector_stats(self) -> dict:
         """Collection-cycle tallies (the telemetry surface)."""

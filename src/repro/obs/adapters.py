@@ -131,20 +131,9 @@ def monitor_collector(monitor: "TimeHits") -> Collector:
     """Mirror the TimeHits collection-cycle tallies."""
 
     def collect(metrics: MetricsRegistry) -> None:
-        snap = monitor.collector_stats()
         metrics.counter(
             "repro_monitor_collections_total", "TimeHits monitoring sweeps run."
-        ).labels().sync(snap["collections"])
-        metrics.counter(
-            "repro_monitor_failures_total", "Unreachable/invalid NodeStatus replies."
-        ).labels().sync(snap["failures"])
-        endpoint_failures = metrics.counter(
-            "repro_monitor_endpoint_failures_total",
-            "Failed NodeStatus invocations per target URI.",
-            ("endpoint",),
-        )
-        for uri, count in snap["endpoint_failures"].items():
-            endpoint_failures.labels(endpoint=uri).sync(count)
+        ).labels().sync(monitor.collections)
 
     return collect
 

@@ -93,8 +93,8 @@ def default_slos(
 ) -> tuple[SLO, ...]:
     """The standard registry SLO set (availability, latency, staleness).
 
-    ``staleness_threshold`` defaults to 4× the thesis' 25 s TimeHits period
-    — the same "missed four sweeps" bar the balancer's ``max_age`` uses.
+    ``staleness_threshold`` defaults to 4× the thesis' 25 s TimeHits period:
+    the gauge is the seconds since the last sweep that stored a sample.
     """
     return (
         SLO(

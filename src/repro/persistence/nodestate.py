@@ -2,18 +2,19 @@
 
 Thesis Figure 3.2: ``NodeState(HOST pk, LOAD, MEMORY, SWAPMEMORY)`` holds the
 most recent performance sample per monitored host.  We add an ``UPDATED``
-timestamp column (the registry needs it to age out dead hosts and it is what
-the staleness ablation LB-2 measures) — freebXML overwrote rows in place,
-which is exactly ``record_sample``'s replace.
+timestamp column (the sweep time, which the SQL relation and ``repro top``
+show).
 
 NodeState is one published ``(version, host → NodeSample)`` pair, replaced
 and never edited: every write builds a new map, bumps the version and
 publishes the pair with one attribute store.  ``get`` / ``all_samples``,
 :class:`~repro.core.load_status.LoadStatus` and the SQL engine's
-``NodeState`` relation read it.  A sweep stored with
-``record_samples`` is one write, hence one version.  The monitor is its one
-writer; the store's transactions do not cover it, so a request that rolls
-back never rewinds a sweep.
+``NodeState`` relation read it.  The monitor stores each sweep with
+``record_sweep``: one write, one version, and the map becomes exactly the
+hosts that sweep reached — a host whose probe failed is gone until its next
+good probe (an unmonitored host cannot be certified).  The store's
+transactions do not cover NodeState, so a request that rolls back never
+rewinds a sweep.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ class NodeStateStore:
         self._generation: tuple[int, Mapping[str, NodeSample]] = (0, {})
         self._lock = threading.Lock()
 
-    @property
-    def version(self) -> int:
-        """Bumped by every write."""
-        return self._generation[0]
-
     def generation(self) -> tuple[int, Mapping[str, NodeSample]]:
         """``(version, host → sample)`` as it stands (read-only)."""
         return self._generation
@@ -88,29 +84,14 @@ class NodeStateStore:
             version, samples = self._generation
             self._generation = (version + 1, {**samples, sample.host: sample})
 
-    def record_samples(self, samples: Iterable[NodeSample]) -> None:
-        """Store one sweep's samples as a single write — one version."""
-        checked = [_checked(sample) for sample in samples]
+    def record_sweep(self, samples: Iterable[NodeSample]) -> None:
+        """Store one sweep as the whole map — one version, no other host."""
+        swept = {sample.host: sample for sample in map(_checked, samples)}
         with self._lock:
-            version, merged = self._generation
-            merged = dict(merged)
-            for sample in checked:
-                merged[sample.host] = sample
-            self._generation = (version + 1, merged)
+            self._generation = (self._generation[0] + 1, swept)
 
     def get(self, host: str) -> NodeSample | None:
         return self._generation[1].get(host)
-
-    def remove(self, host: str) -> None:
-        with self._lock:
-            version, samples = self._generation
-            if host in samples:
-                samples = dict(samples)
-                del samples[host]
-                self._generation = (version + 1, samples)
-
-    def hosts(self) -> list[str]:
-        return sorted(self._generation[1])
 
     def all_samples(self) -> list[NodeSample]:
         return list(self._generation[1].values())

@@ -78,7 +78,7 @@ def load_registry(registry: "RegistryServer", state: dict[str, Any]) -> int:
     for data in state["objects"]:
         registry.store.insert_object(deserialize(data))
         count += 1
-    registry.node_state.record_samples(
+    registry.node_state.record_sweep(
         NodeSample(
             host=row["host"],
             load=row["load"],

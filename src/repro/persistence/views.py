@@ -6,8 +6,8 @@ Each view tracks an applied-sequence watermark into the store's
 affects (**per-record delta application**): a write to one service
 invalidates one entry, not the population.  Nothing else signals
 freshness for heap state — no callbacks from the writer, no version
-stamps; NodeState is outside the changelog and rides
-``NodeStateStore.version`` instead; nothing is kept on the clock's say-so.
+stamps; NodeState is outside the changelog and rides the version of
+``NodeStateStore.generation()`` instead; nothing is kept on the clock's say-so.
 
 Fill protocol (the swap-publish discipline, sequenced): a reader calls
 ``catch_up()`` and keeps the returned watermark as its ``as_of`` token,

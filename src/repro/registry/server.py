@@ -50,9 +50,6 @@ class RegistryConfig:
 
     home: str = "http://localhost:8080/omar/registry"
     seed: int | None = None
-    #: monitoring-sample max age before a host is considered stale (None = no limit);
-    #: consumed by the load-balancing core when it attaches.
-    nodestate_max_age: float | None = None
     #: Table 1.4 deployment flavour: "public" | "affiliated" | "private"
     registry_type: str = "public"
 

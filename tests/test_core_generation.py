@@ -3,12 +3,10 @@
 ``LoadStatus`` answers "which monitored hosts satisfy these constraints" once
 per (NodeState version, constraint set) and the resolver joins that answer to
 a service's bindings.  The reference functions below are the evaluation it
-replaced — one table read, one staleness check and one constraint check per
-host per request — kept here, on purpose, so every property is stated
-against code that shares nothing with the implementation.
+replaced — one table read and one constraint check per host per request —
+kept here, on purpose, so every property is stated against code that shares
+nothing with the implementation.
 """
-
-import math
 
 import pytest
 from hypothesis import settings
@@ -32,7 +30,6 @@ from repro.util.ids import IdFactory
 from conftest import publish_nodestatus
 
 GB = 1 << 30
-MAX_AGE = 100.0
 
 
 # -- the oracle: today's answer, one host at a time ----------------------------
@@ -49,21 +46,12 @@ def reference_table(store):
     }
 
 
-def reference_sample(table, host, now, max_age):
-    sample = table.get(host)
-    if sample is None:
-        return None
-    if max_age is not None and now - sample.updated > max_age:
-        return None
-    return sample
-
-
-def reference_rank(store, hosts, constraints, now, max_age):
+def reference_rank(store, hosts, constraints):
     table = reference_table(store)
     samples = {}
     for host in hosts:
         if host not in samples:
-            samples[host] = reference_sample(table, host, now, max_age)
+            samples[host] = table.get(host)
     position = {}
     for index, host in enumerate(hosts):
         position.setdefault(host, index)
@@ -75,17 +63,16 @@ def reference_rank(store, hosts, constraints, now, max_age):
     return sorted(satisfying, key=lambda h: (samples[h].load, position[h]))
 
 
-def reference_satisfying(store, hosts, constraints, now, max_age):
+def reference_satisfying(store, hosts, constraints):
     table = reference_table(store)
     return [
         h
         for h in hosts
-        if (sample := reference_sample(table, h, now, max_age)) is not None
-        and constraints.satisfied_by(sample)
+        if (sample := table.get(h)) is not None and constraints.satisfied_by(sample)
     ]
 
 
-def reference_resolve(store, constraints, bindings, mode, now, max_age):
+def reference_resolve(store, constraints, bindings, mode):
     hosts, by_host = [], {}
     for binding in bindings:
         host = binding.host
@@ -93,7 +80,7 @@ def reference_resolve(store, constraints, bindings, mode, now, max_age):
             hosts.append(host)
             by_host.setdefault(host, []).append(binding)
     satisfying = []
-    for host in reference_rank(store, hosts, constraints, now, max_age):
+    for host in reference_rank(store, hosts, constraints):
         satisfying.extend(by_host.pop(host, ()))
     if mode is BalanceMode.FILTER:
         return satisfying or list(bindings)
@@ -154,18 +141,14 @@ SERVICES = [
 
 
 class GenerationMachine(RuleBasedStateMachine):
-    """Every kind of NodeState write and clock move, checked after each step."""
-
-    max_age = MAX_AGE
+    """Every kind of NodeState write, checked after each step."""
 
     def __init__(self) -> None:
         super().__init__()
         self.clock = ManualClock(start=10 * 3600.0)
         self.store = DataStore()
         self.node_state = self.store.node_state
-        self.load_status = LoadStatus(
-            self.node_state, clock=self.clock, max_age=self.max_age
-        )
+        self.load_status = LoadStatus(self.node_state)
         self.resolvers = {
             mode: ConstraintBindingResolver(
                 ServiceConstraint(self.clock), self.load_status, mode=mode
@@ -200,12 +183,9 @@ class GenerationMachine(RuleBasedStateMachine):
         load=st.sampled_from(LOADS),
         memory=st.sampled_from(MEMORY),
     )
-    def partial_sweep(self, hosts, load, memory):
-        self.node_state.record_samples(self._sample(h, load, memory) for h in hosts)
-
-    @rule(host=st.sampled_from(HOSTS))
-    def remove(self, host):
-        self.node_state.remove(host)
+    def sweep(self, hosts, load, memory):
+        """A sweep that reached *hosts*, and so ejects every other host."""
+        self.node_state.record_sweep(self._sample(h, load, memory) for h in hosts)
 
     @rule(**sample_args)
     def write_beside_a_rollback(self, host, load, memory):
@@ -216,46 +196,22 @@ class GenerationMachine(RuleBasedStateMachine):
                 self.check_against_reference()  # warm the memo mid-transaction
                 raise RuntimeError("abort")
 
-    @rule(seconds=st.sampled_from([0.25, 7.0, 99.0, 101.0]))
-    def advance(self, seconds):
-        self.clock.advance(seconds)
-
-    @rule(host=st.sampled_from(HOSTS), nudge=st.sampled_from([-1, 0, 1]))
-    def advance_onto_a_boundary(self, host, nudge):
-        """Land exactly on ``updated + max_age``, or one float to either side."""
-        sample = self.node_state.get(host)
-        if sample is None or self.max_age is None:
-            return
-        target = sample.updated + self.max_age
-        if nudge:
-            target = math.nextafter(target, math.inf * nudge)
-        if target >= self.clock.now():
-            self.clock.set(target)
-
     @invariant()
     def check_against_reference(self):
-        now, max_age, store = self.clock.now(), self.max_age, self.store
+        store, load_status = self.store, self.load_status
         table = reference_table(store)
-        load_status = self.load_status
         for host in HOSTS:
-            assert load_status.current_sample(host) == reference_sample(
-                table, host, now, max_age
-            )
+            assert load_status.current_sample(host) == table.get(host)
         for service, bindings in SERVICES:
             constraints = parse_constraints(service.description.value)
             hosts = [b.host for b in bindings if b.host is not None]
-            expected = reference_rank(store, hosts, constraints, now, max_age)
+            expected = reference_rank(store, hosts, constraints)
             assert load_status.rank(hosts, constraints) == expected
             assert load_status.satisfying_hosts(hosts, constraints) == (
-                reference_satisfying(store, hosts, constraints, now, max_age)
+                reference_satisfying(store, hosts, constraints)
             )
-            assert load_status.snapshot(hosts) == {
-                h: reference_sample(table, h, now, max_age) for h in hosts
-            }
             for mode, resolver in self.resolvers.items():
-                resolved = reference_resolve(
-                    store, constraints, bindings, mode, now, max_age
-                )
+                resolved = reference_resolve(store, constraints, bindings, mode)
                 assert resolver.resolve(service, bindings) == resolved
                 # the in-process URI list is the wire's binding answer, projected
                 qm = self.qms[mode]
@@ -266,145 +222,75 @@ class GenerationMachine(RuleBasedStateMachine):
                 ]
 
 
-class AgelessGenerationMachine(GenerationMachine):
-    max_age = None
-
-
-machine_settings = settings(
+GenerationMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=25, deadline=None, derandomize=True
 )
-GenerationMachine.TestCase.settings = machine_settings
-AgelessGenerationMachine.TestCase.settings = machine_settings
 TestGenerationSchedules = GenerationMachine.TestCase
-TestAgelessGenerationSchedules = AgelessGenerationMachine.TestCase
-
-
-# -- the staleness boundary, spelled out ----------------------------------------
 
 
 @pytest.fixture
 def world():
-    clock = ManualClock(start=1000.0)
     node_state = NodeStateStore()
-    return clock, node_state, LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
+    return node_state, LoadStatus(node_state)
 
 
 def sample(host, load, updated, memory=4 * GB):
     return NodeSample(host=host, load=load, memory=memory, swap_memory=GB, updated=updated)
 
 
-class TestStalenessBoundary:
-    CONSTRAINTS = parse_constraints(BLOCKS[0])
-
-    def test_host_kept_at_the_boundary_and_dropped_one_float_later(self, world):
-        """No quantization: under a warm memo, the request *at*
-        ``updated + max_age`` keeps the host and the next representable
-        instant drops it — then ``updated`` of the other host does the same."""
-        clock, node_state, load_status = world
-        node_state.record_samples([sample("old", 0.1, 1000.0), sample("new", 0.2, 1050.0)])
-        hosts = ["new", "old"]
-        assert load_status.rank(hosts, self.CONSTRAINTS) == ["old", "new"]  # warm
-        clock.set(1000.0 + MAX_AGE)
-        assert load_status.rank(hosts, self.CONSTRAINTS) == ["old", "new"]
-        clock.set(math.nextafter(1000.0 + MAX_AGE, math.inf))
-        assert load_status.rank(hosts, self.CONSTRAINTS) == ["new"]
-        assert load_status.current_sample("old") is None
-        clock.set(1050.0 + MAX_AGE)
-        assert load_status.rank(hosts, self.CONSTRAINTS) == ["new"]
-        clock.set(math.nextafter(1050.0 + MAX_AGE, math.inf))
-        assert load_status.rank(hosts, self.CONSTRAINTS) == []
-
-    def test_a_clock_that_steps_back_brings_the_host_back(self, world):
-        _clock, node_state, load_status = world
-
-        class Wall:  # a wall clock may be set back; ManualClock refuses to
-            time = 1200.0
-
-            def now(self):
-                return self.time
-
-        load_status.clock = wall = Wall()
-        node_state.record_sample(sample("h", 0.1, 1000.0))
-        assert load_status.rank(["h"], self.CONSTRAINTS) == []
-        wall.time = 1100.0
-        assert load_status.rank(["h"], self.CONSTRAINTS) == ["h"]
-
-    def test_a_changed_max_age_is_honoured_on_the_next_decision(self, world):
-        clock, node_state, load_status = world
-        node_state.record_sample(sample("h", 0.1, 1000.0))
-        clock.set(1050.0)
-        assert load_status.rank(["h"], self.CONSTRAINTS) == ["h"]
-        load_status.max_age = 10.0
-        assert load_status.rank(["h"], self.CONSTRAINTS) == []
-        load_status.max_age = None
-        assert load_status.rank(["h"], self.CONSTRAINTS) == ["h"]
-
-
 # -- a sweep is one generation ------------------------------------------------------
 
 
-class WritingClock(ManualClock):
-    """A clock whose k-th ``now()`` lets a two-host sweep land."""
+class SweepOnRead(NodeStateStore):
+    """A store that lands *write* right after handing out one generation."""
 
-    def __init__(self, start, k, write):
-        super().__init__(start=start)
-        self.calls_left = k
-        self.write = write
+    write = None
 
-    def now(self):
-        self.calls_left -= 1
-        if self.calls_left == 0:
-            self.write()
-        return super().now()
+    def generation(self):
+        held = super().generation()
+        write, self.write = self.write, None
+        if write is not None:
+            write()
+        return held
 
 
 class TestSweepIsOneGeneration:
     CONSTRAINTS = parse_constraints(BLOCKS[0])
     HOSTS = ["a", "b", "c"]
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_a_decision_never_blends_two_table_versions(self, k):
-        """The sweep rewrites ``a`` (already visited by a per-host reader on
-        the k-th clock read) and ``c`` (not yet visited): old ``a`` beside
-        new ``c`` is the order [c, a, b], which no table version ever held."""
+    def test_a_decision_never_blends_two_table_versions(self):
+        """The per-host writes rewrite ``a`` and then ``c`` while a decision
+        is under way: old ``a`` beside new ``c`` is the order [c, a, b],
+        which no table version ever held."""
         store = DataStore()
-        node_state = store.node_state
+        node_state = store.node_state = SweepOnRead()
         versions = []
 
         def decision_of_table():
-            versions.append(
-                reference_rank(store, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
-            )
+            versions.append(reference_rank(store, self.HOSTS, self.CONSTRAINTS))
 
         def sweep():
             for host, load in (("a", 0.9), ("c", 0.05)):
                 node_state.record_sample(sample(host, load, 1000.0))
                 decision_of_table()
 
-        clock = WritingClock(1000.0, k, sweep)
         for host, load in zip(self.HOSTS, (0.1, 0.3, 0.5)):
             node_state.record_sample(sample(host, load, 1000.0))
         decision_of_table()
-        load_status = LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
+        load_status = LoadStatus(node_state)
+        node_state.write = sweep
         decision = load_status.rank(self.HOSTS, self.CONSTRAINTS)
-        assert versions[0] == ["a", "b", "c"]
-        if clock.calls_left <= 0:
-            assert versions[1:] == [["b", "c", "a"], ["c", "b", "a"]]
-        assert decision in versions
+        assert versions == [["a", "b", "c"], ["b", "c", "a"], ["c", "b", "a"]]
+        assert decision == versions[0]
         # and the decision after the sweep is the sweep's
-        clock.calls_left = -1
-        assert load_status.rank(self.HOSTS, self.CONSTRAINTS) == (
-            reference_rank(store, self.HOSTS, self.CONSTRAINTS, 1000.0, MAX_AGE)
-        )
+        assert load_status.rank(self.HOSTS, self.CONSTRAINTS) == versions[-1]
 
     def test_record_samples_is_one_version_and_one_read_of_the_table(self):
         node_state = NodeStateStore()
-        before = node_state.version
-        node_state.record_samples(sample(h, 0.1, 0.0) for h in self.HOSTS)
-        assert node_state.version == before + 1
-        assert node_state.hosts() == self.HOSTS
+        before = node_state.generation()[0]
+        node_state.record_sweep(sample(h, 0.1, 0.0) for h in self.HOSTS)
         version, samples = node_state.generation()
-        assert version == node_state.version and sorted(samples) == self.HOSTS
+        assert version == before + 1 and sorted(samples) == self.HOSTS
         assert node_state.generation()[1] is samples  # shared until the next write
         node_state.record_sample(sample("a", 0.7, 1.0))
         assert node_state.generation()[1] is not samples
@@ -420,24 +306,23 @@ class TestSweepIsOneGeneration:
         _, credential = sim_registry.register_user("admin", roles={"RegistryAdministrator"})
         publish_nodestatus(sim_registry, sim_registry.login(credential), hosts=names)
         collector = TimeHits(sim_registry, transport, engine)
-        before = sim_registry.node_state.version
+        before = sim_registry.node_state.generation()[0]
         assert collector.collect_once() == 8
-        assert sim_registry.node_state.version == before + 1
-        assert sim_registry.node_state.hosts() == sorted(names)
+        version, samples = sim_registry.node_state.generation()
+        assert version == before + 1 and sorted(samples) == sorted(names)
 
 
 class TestConcurrentSweeps:
     def test_readers_racing_whole_sweeps_only_ever_see_whole_sweeps(self):
-        """Two worlds, each written by one ``record_samples``: every decision
+        """Two worlds, each written by one ``record_sweep``: every decision
         taken while a writer flips between them is the ranking of one world,
         and so is the join the resolver builds on it."""
         import sys
         import threading
         import time
 
-        clock = ManualClock(start=1000.0)
         node_state = NodeStateStore()
-        load_status = LoadStatus(node_state, clock=clock, max_age=MAX_AGE)
+        load_status = LoadStatus(node_state)
         hosts = [f"h{n:02d}" for n in range(24)]
         constraints = parse_constraints(BLOCKS[0])
         worlds = [
@@ -445,7 +330,7 @@ class TestConcurrentSweeps:
             [sample(h, 0.01 * (len(hosts) - n), 1000.0) for n, h in enumerate(hosts)],
         ]
         allowed = [hosts, hosts[::-1]]
-        node_state.record_samples(worlds[0])
+        node_state.record_sweep(worlds[0])
         stop = threading.Event()
         blends: list = []
         decisions = [0]
@@ -454,7 +339,7 @@ class TestConcurrentSweeps:
             flip = 0
             while not stop.is_set():
                 flip ^= 1
-                node_state.record_samples(worlds[flip])
+                node_state.record_sweep(worlds[flip])
 
         def reader():
             while not stop.is_set():
@@ -489,16 +374,16 @@ class TestConcurrentSweeps:
 class TestAnswersAreBounded:
     def test_ten_times_the_cap_in_distinct_constraint_sets(self, world):
         """Stated bound: ``MAX_ANSWERS`` constraint sets per generation."""
-        _clock, node_state, load_status = world
-        node_state.record_samples(sample(h, 0.5, 1000.0) for h in HOSTS)
+        node_state, load_status = world
+        node_state.record_sweep(sample(h, 0.5, 1000.0) for h in HOSTS)
         cap = load_status_module.MAX_ANSWERS
         for n in range(10 * cap):
             block = f"<constraint><cpuLoad>load ls {n + 1}.5</cpuLoad></constraint>"
             assert load_status.satisfying(parse_constraints(block)).keys() == set(HOSTS)
-            assert len(load_status._memo[5]) <= cap
+            assert len(load_status._memo[1]) <= cap
 
     def test_answers_go_with_the_generation(self, world):
-        _clock, node_state, load_status = world
+        node_state, load_status = world
         node_state.record_sample(sample("h0", 0.5, 1000.0))
         constraints = parse_constraints(BLOCKS[0])
         first = load_status.satisfying(constraints)
@@ -506,4 +391,4 @@ class TestAnswersAreBounded:
         node_state.record_sample(sample("h1", 0.2, 1000.0))
         assert load_status.satisfying(constraints) == {"h0": 0.5, "h1": 0.2}
         assert first == {"h0": 0.5}  # published answers are never edited
-        assert len(load_status._memo[5]) == 1
+        assert len(load_status._memo[1]) == 1

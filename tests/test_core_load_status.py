@@ -80,57 +80,43 @@ class TestServiceConstraint:
 
 
 class TestLoadStatus:
-    def test_satisfying_hosts_filters(self, node_state, clock):
+    def test_satisfying_hosts_filters(self, node_state):
         record(node_state, "a", load=0.5)
         record(node_state, "b", load=3.0)
         record(node_state, "c", load=1.0)
-        ls = LoadStatus(node_state, clock=clock)
+        ls = LoadStatus(node_state)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.satisfying_hosts(["a", "b", "c"], cs) == ["a", "c"]
 
-    def test_memory_clause_checked(self, node_state, clock):
+    def test_memory_clause_checked(self, node_state):
         record(node_state, "a", load=0.5, memory=512 << 20)  # fails memory gr 1GB
-        ls = LoadStatus(node_state, clock=clock)
+        ls = LoadStatus(node_state)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.satisfying_hosts(["a"], cs) == []
 
-    def test_unmonitored_host_not_satisfying(self, node_state, clock):
-        ls = LoadStatus(node_state, clock=clock)
+    def test_unmonitored_host_not_satisfying(self, node_state):
+        ls = LoadStatus(node_state)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.satisfying_hosts(["ghost"], cs) == []
 
-    def test_stale_sample_not_satisfying(self, node_state, clock):
-        record(node_state, "a", load=0.5, updated=0.0)
-        clock.advance(1000.0)
-        ls = LoadStatus(node_state, clock=clock, max_age=100.0)
-        cs = parse_constraint_block(CONSTRAINT)
-        assert ls.satisfying_hosts(["a"], cs) == []
-        assert ls.current_sample("a") is None
-
-    def test_no_max_age_accepts_old_samples(self, node_state, clock):
-        record(node_state, "a", load=0.5, updated=0.0)
-        clock.advance(1e6)
-        ls = LoadStatus(node_state, clock=clock, max_age=None)
-        assert ls.current_sample("a") is not None
-
-    def test_rank_orders_by_ascending_load(self, node_state, clock):
+    def test_rank_orders_by_ascending_load(self, node_state):
         record(node_state, "a", load=1.5)
         record(node_state, "b", load=0.1)
         record(node_state, "c", load=0.9)
-        ls = LoadStatus(node_state, clock=clock)
+        ls = LoadStatus(node_state)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.rank(["a", "b", "c"], cs) == ["b", "c", "a"]
 
-    def test_rank_ties_keep_publisher_order(self, node_state, clock):
+    def test_rank_ties_keep_publisher_order(self, node_state):
         record(node_state, "x", load=0.5)
         record(node_state, "y", load=0.5)
-        ls = LoadStatus(node_state, clock=clock)
+        ls = LoadStatus(node_state)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.rank(["y", "x"], cs) == ["y", "x"]
 
-    def test_rank_drops_unsatisfying(self, node_state, clock):
+    def test_rank_drops_unsatisfying(self, node_state):
         record(node_state, "a", load=5.0)
         record(node_state, "b", load=0.5)
-        ls = LoadStatus(node_state, clock=clock)
+        ls = LoadStatus(node_state)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.rank(["a", "b"], cs) == ["b"]

@@ -2,10 +2,19 @@
 
 import pytest
 
+from repro.core import attach_load_balancer
+from repro.core.constraints import parse_constraints
 from repro.core.monitor import DEFAULT_PERIOD, TimeHits
 from repro.sim import Task
+from repro.sim.nodestatus import nodestatus_uri
 
-from conftest import HOSTS, publish_nodestatus
+from conftest import HOSTS, publish_nodestatus, publish_service_with_bindings
+
+CONSTRAINT = "<constraint><cpuLoad>load ls 2.0</cpuLoad></constraint>"
+
+
+def swept_hosts(registry):
+    return sorted(registry.node_state.generation()[1])
 
 
 @pytest.fixture
@@ -36,7 +45,7 @@ class TestCollection:
     def test_collect_once_stores_all_hosts(self, monitor, sim_registry):
         stored = monitor.collect_once()
         assert stored == len(HOSTS)
-        assert sim_registry.node_state.hosts() == sorted(HOSTS)
+        assert swept_hosts(sim_registry) == sorted(HOSTS)
 
     def test_samples_reflect_host_state(self, monitor, sim_registry, cluster, engine):
         cluster.submit_task(HOSTS[0], Task(cpu_seconds=1000, memory=1 << 30))
@@ -52,7 +61,7 @@ class TestCollection:
         stored = monitor.collect_once()
         assert stored == len(HOSTS) - 1
         assert monitor.failures == 1
-        assert HOSTS[1] not in sim_registry.node_state.hosts()
+        assert HOSTS[1] not in swept_hosts(sim_registry)
 
     def test_sample_overwritten_each_sweep(self, monitor, sim_registry, cluster, engine):
         monitor.collect_once()
@@ -117,3 +126,49 @@ class TestEndpointFailures:
     def test_healthy_sweep_reports_nothing(self, monitor):
         monitor.collect_once()
         assert monitor.endpoint_failures() == {}
+
+
+class TestEjection:
+    """A sweep certifies exactly the hosts it reached."""
+
+    def test_a_failed_probe_ejects_the_host_at_once(
+        self, sim_registry, admin, transport, engine
+    ):
+        publish_nodestatus(sim_registry, admin)
+        _, svc = publish_service_with_bindings(sim_registry, admin, description=CONSTRAINT)
+        balancer = attach_load_balancer(sim_registry, transport, engine, start_monitor=False)
+        balancer.monitor.collect_once()
+        assert swept_hosts(sim_registry) == sorted(HOSTS)
+        transport.set_host_down(HOSTS[1])
+        balancer.monitor.collect_once()
+        assert swept_hosts(sim_registry) == sorted([HOSTS[0], HOSTS[2]])
+        constraints = parse_constraints(CONSTRAINT)
+        assert balancer.load_status.rank(HOSTS, constraints) == [HOSTS[0], HOSTS[2]]
+        uris = sim_registry.qm.get_access_uris(svc.id)
+        assert [u.split("/")[2].split(":")[0] for u in uris] == [HOSTS[0], HOSTS[2], HOSTS[1]]
+        transport.set_host_down(HOSTS[1], down=False)
+        balancer.monitor.collect_once()  # back on its first good probe
+        assert swept_hosts(sim_registry) == sorted(HOSTS)
+
+    def test_a_retired_binding_leaves_node_state_at_the_next_sweep(
+        self, sim_registry, admin, monitor
+    ):
+        monitor.collect_once()
+        (retired,) = [
+            b for b in sim_registry.store.objects_of_type("ServiceBinding")
+            if b.access_uri == nodestatus_uri(HOSTS[2])
+        ]
+        sim_registry.lcm.remove_objects(admin, [retired.id])
+        monitor.collect_once()
+        assert swept_hosts(sim_registry) == sorted(HOSTS[:2])
+
+    def test_a_sweep_that_reaches_nobody_leaves_node_state_empty(
+        self, sim_registry, monitor, transport
+    ):
+        monitor.collect_once()
+        for host in HOSTS:
+            transport.set_host_down(host)
+        assert monitor.collect_once() == 0
+        assert len(sim_registry.node_state) == 0
+        assert monitor.staleness_check()["status"] == "unhealthy"
+        assert monitor.staleness_check()["unreached_hosts"] == sorted(HOSTS)

@@ -17,7 +17,6 @@ from repro.persistence import (
 from repro.rim import Service, ServiceBinding
 from repro.sim.network import LatencyModel
 from repro.soap import SimTransport
-from repro.util.clock import ManualClock
 from repro.util.errors import ConstraintSyntaxError
 from repro.util.ids import IdFactory
 
@@ -88,7 +87,7 @@ class TestRanking:
         node_state.record_sample(
             NodeSample(host="mid.x", load=0.0, memory=1, swap_memory=1, updated=0.0)
         )
-        load_status = LoadStatus(node_state, clock=ManualClock())
+        load_status = LoadStatus(node_state)
         svc = Service(ids.new_id(), name="svc")
         bindings = make_bindings(svc.id, ["near.x", "mid.x"])
         resolver = NetworkAwareResolver(

@@ -6,8 +6,7 @@ Covers the invalidation/consistency corners the fast path introduces:
   picks up a republished description on the very next query;
 * the heap's secondary indexes (sorted ids, name index) stay consistent
   across ``DataStore.transaction`` rollback;
-* stale-sample (``max_age``) behaviour is unchanged under the single-
-  snapshot ranking path;
+* the single-snapshot ranking path orders by load, ties in publisher order;
 * read-only views alias stored state while the copying accessors still
   isolate callers;
 * the TimeHits target-list cache invalidates on NodeStatus publishes;
@@ -45,20 +44,18 @@ CONSTRAINT_LS = "<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>"
 CONSTRAINT_GR = "<constraint><cpuLoad>load gr 1.0</cpuLoad></constraint>"
 
 
-def record(registry, host, load, *, now=None):
-    updated = registry.clock.now() if now is None else now
+def record(registry, host, load):
     registry.node_state.record_sample(
         NodeSample(
-            host=host, load=load, memory=1 << 32, swap_memory=1 << 32, updated=updated
+            host=host, load=load, memory=1 << 32, swap_memory=1 << 32,
+            updated=registry.clock.now(),
         )
     )
 
 
 @pytest.fixture
 def balanced(sim_registry, transport, engine):
-    lb = attach_load_balancer(
-        sim_registry, transport, engine, start_monitor=False, max_sample_age=None
-    )
+    lb = attach_load_balancer(sim_registry, transport, engine, start_monitor=False)
     return sim_registry, lb
 
 
@@ -163,13 +160,13 @@ class TestConstraintCache:
         assert sc.cache_stats()["entries"] == baseline
 
 
-def balanced_manual_registry(description=CONSTRAINT_LS, *, max_age=None):
+def balanced_manual_registry(description=CONSTRAINT_LS):
     """A ManualClock registry with two bound hosts and the constraint resolver."""
     clock = ManualClock(start=11 * 3600.0)  # 11:00
     registry = RegistryServer(RegistryConfig(seed=7), clock=clock)
     service_constraint = ServiceConstraint(clock)
     service_constraint.follow(registry.store)
-    load_status = LoadStatus(registry.node_state, clock=clock, max_age=max_age)
+    load_status = LoadStatus(registry.node_state)
     resolver = ConstraintBindingResolver(service_constraint, load_status)
     registry.daos.services.set_resolver(resolver)
     service = Service(ids.new_id(), name="S", description=description)
@@ -220,31 +217,6 @@ class TestResolutionCache:
         registry.clock.advance(2 * 3600.0)
         # 13:00 — window closed: publisher order, despite the cached entry
         assert registry.qm.get_access_uris(service.id) == [uris[0], uris[1]]
-
-    def test_staleness_ages_out_of_cache(self):
-        registry, _resolver, service, uris = balanced_manual_registry(max_age=100.0)
-        assert registry.qm.get_access_uris(service.id) == [uris[1], uris[0]]
-        registry.clock.advance(101.0)
-        # both samples stale now — nothing satisfies, publisher order returns
-        assert registry.qm.get_access_uris(service.id) == [uris[0], uris[1]]
-
-    def test_a_host_ages_out_within_the_second_on_both_reads(self):
-        """Regression: the URI list was cached per whole second of the clock,
-        so it kept a host the binding answer had already aged out."""
-        registry, _resolver, service, uris = balanced_manual_registry(max_age=10.0)
-        for host, load in (("hostA.test", 2.0), ("hostB.test", 0.5)):
-            record(registry, host, load, now=39600.3)
-
-        def both_reads():
-            bindings = registry.qm.get_service_bindings(service.id, copy=False)
-            return registry.qm.get_access_uris(service.id), [
-                b.access_uri for b in bindings
-            ]
-
-        registry.clock.set(39610.1)  # age 9.8: fresh
-        assert both_reads() == ([uris[1], uris[0]],) * 2
-        registry.clock.set(39610.7)  # age 10.4: stale, same second, same version
-        assert both_reads() == ([uris[0], uris[1]],) * 2
 
 
 class TestIndexConsistency:
@@ -322,31 +294,9 @@ class TestViews:
 
 
 class TestSnapshotRanking:
-    def test_stale_samples_excluded_unchanged(self):
-        clock = ManualClock()
-        node_state = NodeStateStore()
-        ls = LoadStatus(node_state, clock=clock, max_age=10.0)
-        constraints = parse_constraints(CONSTRAINT_LS)
-        node_state.record_sample(
-            NodeSample(host="fresh", load=0.5, memory=1, swap_memory=1, updated=0.0)
-        )
-        node_state.record_sample(
-            NodeSample(host="stale", load=0.1, memory=1, swap_memory=1, updated=0.0)
-        )
-        clock.advance(5.0)
-        assert ls.rank(["stale", "fresh"], constraints) == ["stale", "fresh"]
-        # age out "stale" by refreshing only "fresh"
-        node_state.record_sample(
-            NodeSample(host="fresh", load=0.5, memory=1, swap_memory=1, updated=5.0)
-        )
-        clock.advance(9.0)
-        assert ls.satisfying_hosts(["stale", "fresh"], constraints) == ["fresh"]
-        assert ls.rank(["stale", "fresh"], constraints) == ["fresh"]
-
     def test_rank_tie_break_keeps_publisher_order(self):
-        clock = ManualClock()
         node_state = NodeStateStore()
-        ls = LoadStatus(node_state, clock=clock)
+        ls = LoadStatus(node_state)
         constraints = parse_constraints(CONSTRAINT_LS)
         for host in ("c", "a", "b"):
             node_state.record_sample(
@@ -355,9 +305,8 @@ class TestSnapshotRanking:
         assert ls.rank(["c", "a", "b"], constraints) == ["c", "a", "b"]
 
     def test_rank_orders_by_load(self):
-        clock = ManualClock()
         node_state = NodeStateStore()
-        ls = LoadStatus(node_state, clock=clock)
+        ls = LoadStatus(node_state)
         constraints = parse_constraints(CONSTRAINT_LS)
         loads = {"x": 0.9, "y": 0.1, "z": 0.5}
         for host, load in loads.items():
@@ -567,7 +516,7 @@ class TestSeedReplay:
             service_constraint = ServiceConstraint(registry.clock)
             service_constraint.follow(registry.store)
             resolver = ConstraintBindingResolver(
-                service_constraint, LoadStatus(registry.node_state, clock=registry.clock)
+                service_constraint, LoadStatus(registry.node_state)
             )
         else:
             resolver = DefaultBindingResolver()

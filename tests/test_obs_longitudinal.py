@@ -47,10 +47,9 @@ class TestSweepHistory:
         monitor.collect_once()
         history = sim_registry.telemetry.history
         host = HOSTS[0]
-        for metric in ("load", "memory", "swap", "failure", "probe_latency", "age"):
+        for metric in ("load", "memory", "swap", "failure", "probe_latency"):
             assert f"node.{host}.{metric}" in history.names()
         assert history.series(f"node.{host}.failure").last() == (engine.now, 0.0)
-        assert history.series(f"node.{host}.age").last() == (engine.now, 0.0)
 
     def test_failed_probe_recorded_as_failure_and_slo_event(
         self, monitor, sim_registry, transport
@@ -66,7 +65,7 @@ class TestSweepHistory:
         assert events.series("probe.err").recorded == 1
         assert events.series("probe.ok").recorded == len(HOSTS) - 1
 
-    def test_age_series_grows_for_silent_host(
+    def test_silent_host_is_listed_unreached(
         self, monitor, sim_registry, transport, engine
     ):
         sim_registry.enable_history()
@@ -75,8 +74,9 @@ class TestSweepHistory:
         engine.run_until(engine.now + 25.0)
         monitor.collect_once()
         history = sim_registry.telemetry.history
-        assert history.series(f"node.{HOSTS[1]}.age").last_value == 25.0
-        assert history.series(f"node.{HOSTS[0]}.age").last_value == 0.0
+        assert history.series(f"node.{HOSTS[1]}.failure").last() == (engine.now, 1.0)
+        assert monitor.staleness_check()["unreached_hosts"] == [HOSTS[1]]
+        assert not any(name.endswith(".age") for name in history.names())
 
     def test_sweep_disabled_history_records_nothing(self, monitor, sim_registry):
         monitor.collect_once()
@@ -91,6 +91,7 @@ class TestSweepHistory:
         assert records[0]["cycle"] == 1
         assert records[0]["stored"] == len(HOSTS) - 1
         assert records[0]["failed"] == 1
+        assert records[0]["unreached"] == [HOSTS[2]]
         assert records[0]["targets"] == len(HOSTS)
 
 
@@ -100,7 +101,7 @@ class TestStalenessHealth:
         health = sim_registry.telemetry.health()
         assert health["status"] == "ok"
         assert health["checks"]["node_staleness"] == {
-            "status": "ok", "stale_hosts": [], "threshold_s": 50.0,
+            "status": "ok", "unreached_hosts": [], "threshold_s": 50.0,
         }
 
     def test_all_samples_stale_is_unhealthy(self, monitor, sim_registry, engine):
@@ -109,7 +110,7 @@ class TestStalenessHealth:
         engine.run_until(engine.now + 60.0)
         health = sim_registry.telemetry.health()
         assert health["status"] == "unhealthy"
-        assert health["checks"]["node_staleness"]["stale_hosts"] == sorted(HOSTS)
+        assert health["checks"]["node_staleness"]["unreached_hosts"] == []
 
     def test_one_silent_host_degrades(self, monitor, sim_registry, engine, transport):
         monitor.collect_once()
@@ -118,7 +119,7 @@ class TestStalenessHealth:
         monitor.collect_once()  # refreshes every host except the down one
         health = sim_registry.telemetry.health()
         assert health["status"] == "degraded"
-        assert health["checks"]["node_staleness"]["stale_hosts"] == [HOSTS[1]]
+        assert health["checks"]["node_staleness"]["unreached_hosts"] == [HOSTS[1]]
 
     def test_no_samples_is_ok(self, monitor, sim_registry):
         assert sim_registry.telemetry.health()["status"] == "ok"
@@ -141,7 +142,7 @@ class TestEligibilityFlaps:
         clock = ManualClock()
         telemetry = Telemetry(clock=clock, history=True)
         node_state = NodeStateStore()
-        load_status = LoadStatus(node_state, clock=clock)
+        load_status = LoadStatus(node_state)
         load_status.telemetry = telemetry
         constraints = ConstraintSet(
             cpu_load=ScalarConstraint("load", Operator.LS, 2.0)

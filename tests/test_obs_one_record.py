@@ -335,7 +335,7 @@ class TestCardinalityBudget:
 
     def test_every_labelled_family_stays_within_its_budget(self, mounted, transport):
         home, supervisor, balancer = mounted
-        # a failed probe, so the per-endpoint families have series too
+        # a failed probe, so the per-endpoint family has series too
         transport.set_host_down(host_of_uri(transport.endpoints()[0]))
         balancer.monitor.collect_once()
         budgets = {
@@ -359,7 +359,6 @@ class TestCardinalityBudget:
             "repro_pipeline_fault_codes_total",
             "repro_serving_queue_wait_seconds",
             "repro_transport_endpoint_failures_total",
-            "repro_monitor_endpoint_failures_total",
         }
         for metric in labelled:
             assert set(metric.labelnames) <= set(budgets), metric.name

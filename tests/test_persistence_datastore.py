@@ -231,7 +231,7 @@ class TestWriteBudget:
 
         def transaction_peak(hosts: int) -> int:
             store = DataStore()
-            store.node_state.record_samples(
+            store.node_state.record_sweep(
                 NodeSample(f"h{n:02d}", 0.5, 1 << 30, 1 << 20, 0.0) for n in range(hosts)
             )
 

@@ -45,36 +45,32 @@ class TestRecording:
         assert node_state.get("nope") is None
 
     def test_remove(self, node_state):
-        node_state.record_sample(sample())
-        node_state.remove("exergy.sdsu.edu")
+        """A sweep that did not reach a host removes it."""
+        node_state.record_sweep([sample(), sample(host="zeta")])
+        node_state.record_sweep([sample(host="zeta")])
         assert node_state.get("exergy.sdsu.edu") is None
-        node_state.remove("exergy.sdsu.edu")  # idempotent
-
-    def test_hosts_sorted(self, node_state):
-        node_state.record_sample(sample(host="zeta"))
-        node_state.record_sample(sample(host="alpha"))
-        assert node_state.hosts() == ["alpha", "zeta"]
+        assert [s.host for s in node_state.all_samples()] == ["zeta"]
 
 
 class TestWrites:
     def test_a_write_replaces(self, node_state):
-        node_state.record_samples([sample("a", load=1.0), sample("b", load=1.0)])
+        node_state.record_sweep([sample("a", load=1.0), sample("b", load=1.0)])
         node_state.record_sample(sample("a", load=2.0))
         assert loads(node_state) == {"a": 2.0, "b": 1.0}
         assert [s.host for s in node_state.all_samples()] == ["a", "b"]  # keeps its place
 
     def test_one_sweep_is_one_version(self, node_state):
-        node_state.record_samples([sample("a", load=1.0), sample("b", load=1.0)])
-        before = node_state.version
-        node_state.record_samples([sample("b", load=2.0), sample("c", load=2.0)])
-        assert node_state.version == before + 1
-        assert loads(node_state) == {"a": 1.0, "b": 2.0, "c": 2.0}
+        node_state.record_sweep([sample("a", load=1.0), sample("b", load=1.0)])
+        before = node_state.generation()[0]
+        node_state.record_sweep([sample("b", load=2.0), sample("c", load=2.0)])
+        assert node_state.generation()[0] == before + 1
+        assert loads(node_state) == {"b": 2.0, "c": 2.0}
 
     def test_a_reader_holding_an_old_generation_sees_none_of_a_later_write(self, node_state):
         node_state.record_sample(sample("a", load=1.0))
         version, samples = held = node_state.generation()
-        node_state.record_samples([sample("a", load=9.0), sample("b", load=9.0)])
-        node_state.remove("a")
+        node_state.record_sweep([sample("a", load=9.0), sample("b", load=9.0)])
+        node_state.record_sweep([sample("b", load=9.0)])
         assert held == (version, samples) and {h: s.load for h, s in samples.items()} == {"a": 1.0}
         assert loads(node_state) == {"b": 9.0}
 
@@ -82,7 +78,7 @@ class TestWrites:
         node_state.record_sample(sample("a", load=1.0))
         before = node_state.generation()
         with pytest.raises(InvalidRequestError):
-            node_state.record_samples([sample("b", load=2.0), sample(None)])
+            node_state.record_sweep([sample("b", load=2.0), sample(None)])
         with pytest.raises(InvalidRequestError):
             node_state.record_sample(sample(None))
         assert node_state.generation() is before
@@ -100,13 +96,13 @@ class TestWrites:
             samples = [sample(host, load=load) for host, load in sweep]
             if len(samples) == 1 and n % 2:
                 node_state.record_sample(samples[0])
+                latest.update(sweep)
             else:
-                node_state.record_samples(samples)
-            latest.update(sweep)
-        assert node_state.hosts() == sorted(latest)
+                node_state.record_sweep(samples)
+                latest = dict(sweep)
         assert len(node_state) == len(node_state.all_samples()) == len(latest)
         assert loads(node_state) == latest
-        assert node_state.version == len(sweeps)
+        assert node_state.generation()[0] == len(sweeps)
 
 
 class TestRowMapping:
@@ -134,38 +130,37 @@ class TestGeneration:
     """Reads share one ``host → sample`` map per version."""
 
     def test_reads_between_writes_share_the_samples(self, node_state):
-        node_state.record_samples([sample("a"), sample("b")])
+        node_state.record_sweep([sample("a"), sample("b")])
         assert node_state.get("a") is node_state.get("a")
         assert node_state.all_samples()[0] is node_state.get("a")
-        assert node_state.generation() == (node_state.version, node_state.generation()[1])
+        assert node_state.generation() is node_state.generation()
 
     def test_every_kind_of_write_starts_a_new_generation(self):
         store = DataStore()
         node_state = store.node_state
-        versions = [node_state.version]
+        versions = [node_state.generation()[0]]
         node_state.record_sample(sample("a", load=1.0))
-        versions.append(node_state.version)
+        versions.append(node_state.generation()[0])
         assert node_state.get("a").load == 1.0
-        node_state.record_samples([sample("a", load=2.0)])
-        versions.append(node_state.version)
+        node_state.record_sweep([sample("a", load=2.0)])
+        versions.append(node_state.generation()[0])
         assert node_state.get("a").load == 2.0
         with pytest.raises(RuntimeError):
             with store.transaction():
-                node_state.record_samples([sample("a", load=4.0), sample("b")])
+                node_state.record_sweep([sample("a", load=4.0), sample("b")])
                 assert node_state.get("a").load == 4.0 and len(node_state.all_samples()) == 2
                 raise RuntimeError("abort")
         # a rollback undoes the heap, not NodeState: the sweep stands
         assert node_state.get("a").load == 4.0 and node_state.get("b") is not None
-        versions.append(node_state.version)
-        node_state.remove("a")
-        versions.append(node_state.version)
-        node_state.remove("a")  # absent: nothing to do
-        assert node_state.version == versions[-1]
+        versions.append(node_state.generation()[0])
+        node_state.record_sweep([sample("b")])
+        versions.append(node_state.generation()[0])
         assert versions == sorted(set(versions))
         assert node_state.get("a") is None and [s.host for s in node_state.all_samples()] == ["b"]
 
     def test_empty_sweep_stores_nothing(self, node_state):
-        node_state.record_samples([])
+        node_state.record_sample(sample("a"))
+        node_state.record_sweep([])
         assert len(node_state) == 0 and node_state.all_samples() == []
 
 
@@ -182,7 +177,7 @@ class TestRollback:
 
         def sweep():
             assert opened.wait(timeout=30.0)
-            node_state.record_samples([sample("h1", load=9.0), sample("h2", load=0.2)])
+            node_state.record_sweep([sample("h1", load=9.0), sample("h2", load=0.2)])
             swept.set()
 
         sweeper = threading.Thread(target=sweep)
@@ -202,16 +197,16 @@ class TestRollback:
 class TestConcurrentWriters:
     def test_writers_racing_each_other_lose_no_sample(self):
         """Every write copies the published map: without the writers' lock,
-        two racing writes would each publish a map missing the other's host."""
+        two racing merges would each publish a map missing the other's host."""
         node_state = NodeStateStore()
-        sweeps, hosts, writers = 60, 64, 4
+        sweeps, hosts, writers = 60, 2, 4
         start = threading.Barrier(writers)
 
         def write(n):
             start.wait(timeout=30.0)
             for k in range(sweeps):
-                node_state.record_samples(sample(f"w{n}-{k:02d}-{h}") for h in range(hosts))
-                node_state.record_sample(sample(f"w{n}-{k:02d}-single"))
+                for h in range(hosts):
+                    node_state.record_sample(sample(f"w{n}-{k:02d}-{h}"))
 
         threads = [threading.Thread(target=write, args=(n,)) for n in range(writers)]
         interval = sys.getswitchinterval()
@@ -224,5 +219,4 @@ class TestConcurrentWriters:
                 thread.join(timeout=30.0)
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(node_state) == writers * sweeps * (hosts + 1)
-        assert node_state.version == writers * sweeps * 2
+        assert len(node_state) == node_state.generation()[0] == writers * sweeps * hosts

@@ -42,14 +42,14 @@ class TestDumpLoad:
         assert sample.updated == 9.0
 
     def test_restored_node_state_is_one_generation(self, registry):
-        registry.node_state.record_samples(
+        registry.node_state.record_sweep(
             NodeSample(host=f"h{n}.x", load=0.1 * n, memory=1, swap_memory=1, updated=9.0)
             for n in range(5)
         )
         restored = fresh_registry(seed=2)
-        before = restored.node_state.version
+        before = restored.node_state.generation()[0]
         load_registry(restored, dump_registry(registry))
-        assert restored.node_state.version == before + 1
+        assert restored.node_state.generation()[0] == before + 1
         assert restored.node_state.all_samples() == registry.node_state.all_samples()
 
     def test_repository_items_round_trip(self, registry, session):

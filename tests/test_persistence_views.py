@@ -171,7 +171,7 @@ class TestServiceBindingsJoin:
         daos.services.set_resolver(
             ConstraintBindingResolver(
                 ServiceConstraint(clock),
-                LoadStatus(node_state, clock=clock),
+                LoadStatus(node_state),
                 mode=BalanceMode.FILTER,
             )
         )
@@ -647,11 +647,7 @@ class FreshnessMachine(RuleBasedStateMachine):
         )
         self.store = self.registry.store
         self.lb = attach_load_balancer(
-            self.registry,
-            SimTransport(),
-            SimEngine(),
-            start_monitor=False,
-            max_sample_age=None,
+            self.registry, SimTransport(), SimEngine(), start_monitor=False
         )
         self.scan = QueryEngine(self.store, planner=False)
         self.edge = SoapRegistryBinding(self.registry)
@@ -830,7 +826,7 @@ class FreshnessMachine(RuleBasedStateMachine):
         store = self.store
         clock = self.registry.clock
         resolver = ConstraintBindingResolver(
-            ServiceConstraint(clock), LoadStatus(store.node_state, clock=clock)
+            ServiceConstraint(clock), LoadStatus(store.node_state)
         )
 
         def bindings_of(service):

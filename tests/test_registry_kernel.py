@@ -413,8 +413,8 @@ class TestResolveBudget:
 
     #: call + c_call events of one warm ``resolve_bindings(view, copy=False)``
     WARM_EVENTS = 150
-    #: the same call right after a sweep: one generation map, one fresh/stale
-    #: split and one constraint evaluation over every monitored host
+    #: the same call right after a sweep: one generation map and one
+    #: constraint evaluation over every monitored host
     FIRST_AFTER_SWEEP_EVENTS = 700
     ANSWER = 9
     DESCRIPTION = (
@@ -466,7 +466,7 @@ class TestResolveBudget:
                         updated=clock.now(),
                     )
                 )
-            registry.node_state.record_samples(samples)
+            registry.node_state.record_sweep(samples)
 
         sweep()
         view = registry.daos.services.get_view(service.id)

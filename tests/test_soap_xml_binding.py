@@ -1015,7 +1015,7 @@ class TestEncodeBudget:
             mode=BalanceMode.FILTER,
             start_monitor=False,
         )
-        registry.node_state.record_samples(
+        registry.node_state.record_sweep(
             NodeSample(
                 host=host,
                 load=0.01 * n if n < answer else 5.0,
@@ -1243,9 +1243,7 @@ class TestGetServiceBindingsAnswer:
     @pytest.fixture
     def published(self, sim_registry, transport, engine):
         registry = sim_registry
-        attach_load_balancer(
-            registry, transport, engine, start_monitor=False, max_sample_age=None
-        )
+        attach_load_balancer(registry, transport, engine, start_monitor=False)
         _, credential = registry.register_user("owner")
         session = registry.login(credential)
         _, service = publish_service_with_bindings(
