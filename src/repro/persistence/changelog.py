@@ -34,7 +34,7 @@ replication link — keeps its own watermark and pulls the tail with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.persistence.datastore import DataStore
@@ -117,26 +117,6 @@ class ChangeLog:
     def records_since(self, seq: int) -> Sequence[ChangeRecord]:
         """Every record with a sequence number greater than *seq*, in order."""
         return self._records[seq:]
-
-    def tail(self, count: int) -> Sequence[ChangeRecord]:
-        return self._records[-count:] if count > 0 else []
-
-    def iter_batches(
-        self, since: int = 0, *, batch_size: int = 100
-    ) -> Iterator[Sequence[ChangeRecord]]:
-        """Yield the records after *since* in contiguous batches.
-
-        Replication consumers pull the tail in bounded chunks; any batch
-        size partitions the same record sequence, so replaying the batches
-        in order is equivalent to one bulk :meth:`records_since` replay.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        position = since
-        while position < len(self._records):
-            batch = self._records[position : position + batch_size]
-            position += len(batch)
-            yield batch
 
     def stats(self) -> dict[str, int]:
         return {"records": len(self._records), "resets": self.resets}

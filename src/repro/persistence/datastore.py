@@ -35,17 +35,16 @@ Concurrency model (the serving core's substrate):
   "set changed size", no mixed-generation id lists;
 * **stored-object immutability** — the heap never mutates a stored instance
   in place (``save_object`` stores a fresh copy), so any object a reader
-  holds is internally consistent forever;
-* **pinned snapshots** — :meth:`pin_snapshot` returns a
-  :class:`HeapSnapshot` whose index generation is frozen and whose replaced/
-  deleted objects are preserved by writers into a per-snapshot pre-image
-  overlay (copy-on-write *to the past*).  Iterating a pinned snapshot is
-  repeatable and torn-free while it stays pinned, at zero cost to readers
-  and O(active pins) cost to the rare write.
+  holds is internally consistent forever.
 
-Unpinned reads are lock-free and see the latest committed state; they are
-individually consistent (each call runs over one published generation) but
-two successive calls may span a write.  Multi-step read transactions pin.
+That is the one read model.  Reads are lock-free and see the latest
+committed state: each index-driven call (scans, counts, name lookups) runs
+over one published generation, resolving its ids against the live heap (an
+id deleted since that generation resolves to nothing and is skipped), and
+point reads (``get_view``, ``contains``) see the live heap.  Two successive
+calls may span a write.  A consistent image of the whole heap, should one be
+needed, is a shallow copy of :attr:`_objects` taken under the writer lock —
+stored instances are immutable, so the copy is the image.
 
 Freshness: nothing is called back from a write.  Every cache derived from
 the heap is a :class:`~repro.persistence.views.ChangelogView` that pulls the
@@ -222,101 +221,6 @@ def _ids_between(pairs: _Run, low: tuple, high: tuple | None) -> list[str]:
     return sorted(map(_second, chain.from_iterable(pairs.spans(low, high))))
 
 
-class HeapSnapshot:
-    """A pinned, immutable point-in-time view of the object heap.
-
-    While pinned, writers preserve the pre-image of every object they
-    replace or delete into this snapshot's overlay, so index-driven reads
-    (``objects_of_type``, ``find_views_by_name``, …) always resolve exactly
-    the objects of the pinned generation — repeatably, with no torn state.
-
-    One documented relaxation: a *point* lookup (:meth:`get_view`) of an id
-    that did not exist at pin time may observe an object inserted later
-    (the flat heap map is shared, not copied).  Index-driven iteration never
-    does — post-pin inserts are absent from the pinned index generation.
-
-    Use as a context manager (or call :meth:`release`); reads after release
-    lose the pre-image guarantee.
-    """
-
-    __slots__ = ("_store", "_indexes", "_objects", "_overlay", "released")
-
-    def __init__(self, store: "DataStore") -> None:
-        self._store = store
-        self._indexes: HeapIndexes = store._indexes
-        self._objects = store._objects
-        #: object id → pre-image, filled by writers while this pin is live
-        self._overlay: dict[str, RegistryObject] = {}
-        self.released = False
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def release(self) -> None:
-        """Unpin: writers stop preserving pre-images for this snapshot."""
-        if not self.released:
-            self.released = True
-            self._store._unpin(self)
-
-    def __enter__(self) -> "HeapSnapshot":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
-
-    # -- reads ---------------------------------------------------------------
-
-    @property
-    def version(self) -> int:
-        return self._indexes.version
-
-    def get_view(self, object_id: str) -> RegistryObject | None:
-        """The object as of the pinned generation (read-only, no copy)."""
-        obj = self._overlay.get(object_id)
-        if obj is None:
-            obj = self._objects.get(object_id)
-        return obj
-
-    def contains(self, object_id: str) -> bool:
-        """Membership *as of the pinned generation* (index-driven)."""
-        obj = self.get_view(object_id)
-        if obj is None:
-            return False
-        run = self._indexes.ids.get(obj.type_name, _EMPTY_RUN)
-        return run.ceiling(object_id) == object_id
-
-    def type_names(self) -> list[str]:
-        return sorted(name for name, ids in self._indexes.ids.items() if ids)
-
-    def ids_of_type(self, type_name: str) -> tuple[str, ...]:
-        return tuple(self._indexes.ids.get(type_name, _EMPTY_RUN))
-
-    def iter_views_of_type(self, type_name: str) -> Iterator[RegistryObject]:
-        """Pinned-generation objects of one class in id order (no copies)."""
-        for object_id in self._indexes.ids.get(type_name, _EMPTY_RUN):
-            obj = self.get_view(object_id)
-            if obj is not None:
-                yield obj
-
-    def objects_of_type(self, type_name: str) -> list[RegistryObject]:
-        return [o.copy() for o in self.iter_views_of_type(type_name)]
-
-    def find_ids_by_name(self, type_name: str, name: str) -> list[str]:
-        return _ids_named(self._indexes.pairs.get(type_name, _EMPTY_RUN), (name,))
-
-    def find_views_by_name(self, type_name: str, name: str) -> list[RegistryObject]:
-        out = []
-        for object_id in self.find_ids_by_name(type_name, name):
-            obj = self.get_view(object_id)
-            if obj is not None:
-                out.append(obj)
-        return out
-
-    def count(self, type_name: str | None = None) -> int:
-        if type_name is None:
-            return sum(map(len, self._indexes.ids.values()))
-        return len(self._indexes.ids.get(type_name, _EMPTY_RUN))
-
-
 class _WriteScope:
     """Writer-lock-private state of one open transaction (or one autocommit).
 
@@ -361,8 +265,7 @@ class DataStore:
 
     def __init__(self) -> None:
         #: id → stored object.  Mutated only by writers (single-key atomic
-        #: operations); stored instances are never modified in place, and
-        #: pre-images of replaced/deleted entries go to pinned snapshots.
+        #: operations); stored instances are never modified in place.
         self._objects: dict[str, RegistryObject] = {}
         #: the atomically-published immutable index generation
         self._indexes = HeapIndexes(version=0, ids={}, pairs={}, names={})
@@ -370,75 +273,21 @@ class DataStore:
         self.node_state = NodeStateStore()
         #: the single writer lock (re-entrant: transactions nest mutators)
         self._lock = threading.RLock()
-        self._pins: list[HeapSnapshot] = []
         #: the write spine: every committed heap mutation appends a record
         self.changelog = ChangeLog()
         #: the open transaction's scope, if any (see :meth:`transaction`)
         self._scope: _WriteScope | None = None
-        # concurrency counters (the serving core's telemetry surface)
+        # write counters (the write_stats() surface)
         self.writes = 0
         self.batched_writes = 0
         self.coalesced_writes = 0
-        self.write_lock_contended = 0
-        self.snapshots_pinned = 0
-        self.preimages_preserved = 0
-        #: published-generation counter, a plain-attribute mirror of
-        #: ``_indexes.version`` (kept in sync by ``_publish`` under the
-        #: writer lock); stamps change records and stats — caches validate
-        #: against the changelog watermark, never against this
-        self.version = 0
 
-    # -- write lock ------------------------------------------------------------
-
-    @contextmanager
-    def _write(self) -> Iterator[None]:
-        """Acquire the writer lock, counting contended acquisitions."""
-        if not self._lock.acquire(blocking=False):
-            self.write_lock_contended += 1
-            self._lock.acquire()
-        try:
-            yield
-        finally:
-            self._lock.release()
-
-    # -- snapshot pinning ------------------------------------------------------
-
-    def pin_snapshot(self) -> HeapSnapshot:
-        """Pin the current generation for torn-free multi-step reads.
-
-        Pinning takes the writer lock briefly (registration must not race a
-        concurrent publication); all reads through the returned snapshot are
-        then lock-free.  Release promptly — writers pay O(active pins) per
-        replaced/deleted object.
-        """
-        with self._write():
-            snapshot = HeapSnapshot(self)
-            self._pins.append(snapshot)
-            self.snapshots_pinned += 1
-            return snapshot
-
-    def _unpin(self, snapshot: HeapSnapshot) -> None:
-        with self._write():
-            if snapshot in self._pins:
-                self._pins.remove(snapshot)
-
-    def _preserve(self, object_id: str, old: RegistryObject) -> None:
-        """Record a pre-image into every live pinned snapshot (writer-side)."""
-        for snapshot in self._pins:
-            if object_id not in snapshot._overlay:
-                snapshot._overlay[object_id] = old
-                self.preimages_preserved += 1
-
-    def concurrency_stats(self) -> dict[str, int]:
-        """Writer-lock / snapshot counters (the telemetry surface)."""
-        return {
-            "version": self.version,
-            "writes": self.writes,
-            "write_lock_contended": self.write_lock_contended,
-            "snapshots_pinned": self.snapshots_pinned,
-            "active_pins": len(self._pins),
-            "preimages_preserved": self.preimages_preserved,
-        }
+    @property
+    def version(self) -> int:
+        """The published generation's number; stamps change records and
+        stats — caches validate against the changelog watermark, never
+        against this."""
+        return self._indexes.version
 
     # -- index publication (writer-side, under the lock) -----------------------
 
@@ -448,7 +297,6 @@ class DataStore:
         self._indexes = HeapIndexes(
             version=self._indexes.version + 1, ids=ids, pairs=pairs, names=names
         )
-        self.version = self._indexes.version
 
     def _open_scope(self) -> _WriteScope:
         """The open transaction's scope, or a one-write scope to autocommit
@@ -519,7 +367,7 @@ class DataStore:
     # -- object heap ---------------------------------------------------------
 
     def insert_object(self, obj: RegistryObject) -> None:
-        with self._write():
+        with self._lock:
             if obj.id in self._objects:
                 raise ObjectExistsError(obj.id)
             stored = obj.copy()
@@ -532,7 +380,7 @@ class DataStore:
 
     def save_object(self, obj: RegistryObject) -> None:
         """Insert-or-replace; type changes for an existing id are rejected."""
-        with self._write():
+        with self._lock:
             existing = self._objects.get(obj.id)
             if existing is not None and type(existing) is not type(obj):
                 raise InvalidRequestError(
@@ -553,7 +401,6 @@ class DataStore:
                     self._builder_add(
                         *builders, stored.type_name, new_name, stored.id
                     )
-                self._preserve(obj.id, existing)
             else:
                 self._builder_add(
                     *builders, stored.type_name, stored.name.value, stored.id
@@ -581,7 +428,7 @@ class DataStore:
         return obj
 
     def delete_object(self, object_id: str) -> None:
-        with self._write():
+        with self._lock:
             obj = self._objects.get(object_id)
             if obj is None:
                 raise ObjectNotFoundError(object_id)
@@ -589,7 +436,6 @@ class DataStore:
             self._builder_remove(
                 *scope.builders, obj.type_name, obj.name.value, obj.id
             )
-            self._preserve(object_id, obj)
             del self._objects[object_id]
             self._record(scope, OP_DELETE, obj.type_name, object_id, None, obj)
 
@@ -708,8 +554,10 @@ class DataStore:
         return sorted(chain.from_iterable(self._indexes.ids.values()))
 
     def count(self, type_name: str | None = None) -> int:
+        # the published generation, as every index read: the live heap map
+        # also holds an open transaction's uncommitted inserts
         if type_name is None:
-            return len(self._objects)
+            return sum(map(len, self._indexes.ids.values()))
         return len(self._indexes.ids.get(type_name, _EMPTY_RUN))
 
     def type_names(self) -> list[str]:
@@ -728,10 +576,11 @@ class DataStore:
         version bump for N writes), then appends the coalesced records,
         each stamped with ``idempotency_key``.
 
-        Index-driven readers meanwhile see the pre-transaction generation
-        over the live heap: its inserts are invisible to them and deleted
-        ids resolve to nothing (the usual skip), the anomaly-free subset
-        MVCC readers already tolerate between generations.  The writer lock
+        Index-driven readers (scans, counts, name lookups) meanwhile see the
+        pre-transaction generation over the live heap: its inserts are
+        invisible to them and deleted ids resolve to nothing (the usual
+        skip), the anomaly-free subset MVCC readers already tolerate between
+        generations.  The writer lock
         is held throughout; nested transactions join the outermost one
         (savepoints are not needed by the registry's request granularity).
 
@@ -741,7 +590,7 @@ class DataStore:
         the heap.  NodeState is not covered: a rollback leaves the monitor's
         samples as they stand.
         """
-        with self._write():
+        with self._lock:
             if self._scope is not None:
                 yield self
                 return
@@ -763,8 +612,9 @@ class DataStore:
 
     def _rollback(self, scope: _WriteScope) -> None:
         # stored instances are immutable by contract, so putting the
-        # pre-image references back (no copies) is safe; a snapshot pinned
-        # before the transaction already holds those pre-images
+        # pre-image references back (no copies) is safe.  Index reads never
+        # saw the transaction's writes (no generation holds them); point
+        # reads of the live heap may have, which the barrier below covers
         objects = self._objects
         for object_id, (_op, _type_name, _payload, previous) in scope.pending.items():
             if previous is None:  # inserted by the transaction

@@ -46,7 +46,6 @@ class ChangelogView:
         #: serialize on it so a fill can never outrun an invalidation
         self._lock = threading.Lock()
         self._applied = self._log.last_seq
-        self.records_applied = 0
         self.resets_applied = 0
 
     @property
@@ -71,7 +70,6 @@ class ChangelogView:
                     self.resets_applied += 1
                 else:
                     self._apply(record)
-                self.records_applied += 1
             if pending:
                 self._applied = pending[-1].seq
             return self._applied
@@ -199,7 +197,6 @@ class QueryResultView(ChangelogView):
         )
         #: reverse index: type name → keys registered for it
         self._by_type: dict[str, set[Hashable]] = {}
-        self.invalidations = 0
 
     def _apply(self, record: ChangeRecord) -> None:
         affected: set[Hashable] = set()
@@ -209,7 +206,6 @@ class QueryResultView(ChangelogView):
                 affected.update(keys)
         for key in affected:
             self._drop(key)
-            self.invalidations += 1
 
     def _drop(self, key: Hashable) -> None:
         entry = self._entries.pop(key, None)
@@ -250,12 +246,3 @@ class QueryResultView(ChangelogView):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def view_stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "applied_seq": self._applied,
-            "invalidations": self.invalidations,
-            "resets_applied": self.resets_applied,
-        }

@@ -188,20 +188,6 @@ class TestReplay:
             assert source.execute(query) == target.execute(query), query
 
 
-class TestIterBatches:
-    def test_batches_partition_the_tail(self, store):
-        for n in range(7):
-            store.insert_object(Service(ids.new_id(), name=f"s{n}"))
-        batches = list(store.changelog.iter_batches(2, batch_size=2))
-        assert [len(b) for b in batches] == [2, 2, 1]
-        flat = [r for batch in batches for r in batch]
-        assert flat == list(store.changelog.records_since(2))
-
-    def test_bad_batch_size_rejected(self, store):
-        with pytest.raises(ValueError):
-            list(store.changelog.iter_batches(batch_size=0))
-
-
 def _apply_records(target: DataStore, records) -> None:
     """Idempotent follower-style apply (mirrors ReplicationLink.pump)."""
     for record in records:
@@ -211,6 +197,11 @@ def _apply_records(target: DataStore, records) -> None:
             target.save_object(record.payload)
         elif record.op == OP_DELETE and target.contains(record.object_id):
             target.delete_object(record.object_id)
+
+
+def _batches(records, batch_size: int):
+    """*records* in contiguous chunks of *batch_size*, as a follower pulls them."""
+    return [records[i : i + batch_size] for i in range(0, len(records), batch_size)]
 
 
 def _assert_bit_identical(source: DataStore, rebuilt: DataStore) -> None:
@@ -250,7 +241,7 @@ class TestReplayProperties:
     def test_any_batch_size_rebuilds_bit_identical_store(self, batch_size):
         store = self._mixed_store()
         rebuilt = DataStore()
-        for batch in store.changelog.iter_batches(0, batch_size=batch_size):
+        for batch in _batches(store.changelog.records_since(0), batch_size):
             _apply_records(rebuilt, batch)
         _assert_bit_identical(store, rebuilt)
 
@@ -283,7 +274,7 @@ class TestReplayProperties:
                         raise RuntimeError("abort")
                 rolled_back_ids.extend(obj.id for obj in objects)
         rebuilt = DataStore()
-        for batch in store.changelog.iter_batches(0, batch_size=batch_size):
+        for batch in _batches(store.changelog.records_since(0), batch_size):
             _apply_records(rebuilt, batch)
         # rolled-back writes never reached the log, only their barriers did
         assert store.changelog.resets == sum(1 for commit, _ in txns if not commit)

@@ -83,7 +83,7 @@ class TestRetentionSharesTheStoredInstance:
         assert record.snapshot is stored
         [change] = [
             r
-            for r in registry.store.changelog.tail(8)
+            for r in registry.store.changelog.records_since(0)
             if r.object_id == org.id and r.previous is not None
         ]
         assert record.snapshot is change.previous
