@@ -4,7 +4,9 @@ Each view tracks an applied-sequence watermark into the store's
 :class:`~repro.persistence.changelog.ChangeLog` and, on
 :meth:`~ChangelogView.catch_up`, drops exactly the entries each new record
 affects (**per-record delta application**): a write to one service
-invalidates one entry, not the population.  Nothing else signals
+invalidates one entry, not the population.  One kind of entry is patched
+instead of dropped: a subquery value set kept per object
+(:class:`SubqueryValueView`).  Nothing else signals
 freshness for heap state — no callbacks from the writer, no version
 stamps; NodeState is outside the changelog and rides the version of
 ``NodeStateStore.generation()`` instead; nothing is kept on the clock's say-so.
@@ -27,8 +29,8 @@ since-rolled-back generations, and no per-record history of those exists.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable, Iterable
+from collections import Counter, OrderedDict
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.persistence.changelog import OP_RESET, ChangeRecord
 
@@ -184,8 +186,10 @@ class QueryResultView(ChangelogView):
     target list.  Entries register under every RIM type they were computed
     from — the ``RegistryObject`` union view registers under ``"*"`` — and
     a changelog record drops exactly the entries registered for its type
-    (plus all ``"*"`` entries).  Anything read from NodeState is never
-    cached here: its samples bypass the heap and therefore the changelog.
+    (plus all ``"*"`` entries; a save's pre-image type counts too, for a
+    delete and re-insert under one id that a transaction coalesced).
+    Anything read from NodeState is never cached here: its samples bypass
+    the heap and therefore the changelog.
     """
 
     def __init__(self, store: "DataStore", *, capacity: int = 256) -> None:
@@ -198,13 +202,22 @@ class QueryResultView(ChangelogView):
         #: reverse index: type name → keys registered for it
         self._by_type: dict[str, set[Hashable]] = {}
 
-    def _apply(self, record: ChangeRecord) -> None:
+    def _affected(self, record: ChangeRecord) -> set[Hashable]:
+        """Keys registered for the record's type, its pre-image's, or ``"*"``."""
+        previous = record.previous
         affected: set[Hashable] = set()
-        for type_name in (record.type_name, "*"):
+        for type_name in (
+            record.type_name,
+            previous.type_name if previous is not None else None,
+            "*",
+        ):
             keys = self._by_type.get(type_name)
             if keys:
                 affected.update(keys)
-        for key in affected:
+        return affected
+
+    def _apply(self, record: ChangeRecord) -> None:
+        for key in self._affected(record):
             self._drop(key)
 
     def _drop(self, key: Hashable) -> None:
@@ -246,3 +259,84 @@ class QueryResultView(ChangelogView):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class ValueSet:
+    """One subquery's value set, kept as ``object id → projected value``.
+
+    ``values`` (the frozenset a subquery cell reads) is built from a
+    value → count map, so an object leaving the set drops its value only
+    if no other object still gives it.
+    """
+
+    __slots__ = ("type_name", "admits", "value_of", "by_id", "counts", "values")
+
+    def __init__(
+        self,
+        type_name: str,
+        admits: Callable[[Any], bool],
+        value_of: Callable[[Any], Hashable],
+        by_id: dict[str, Hashable],
+    ) -> None:
+        self.type_name = type_name
+        self.admits = admits
+        self.value_of = value_of
+        self.by_id = by_id
+        self.counts = Counter(by_id.values())  # TypeError: an unhashable value
+        self.values = frozenset(self.counts)
+
+    def patch(self, record: ChangeRecord) -> None:
+        """Replace what ``record.object_id`` gives with what its post-image gives."""
+        obj, counts = record.payload, self.counts
+        new = None
+        if (
+            obj is not None
+            and self.type_name in ("*", obj.type_name)
+            and self.admits(obj)
+        ):
+            new = self.value_of(obj)
+        changed = False
+        if new is not None:  # add before removing: a kept value never leaves
+            changed = not counts[new]
+            counts[new] += 1
+        old = self.by_id.pop(record.object_id, None)
+        if old is not None:
+            counts[old] -= 1
+            if not counts[old]:
+                del counts[old]
+                changed = True
+        if new is not None:
+            self.by_id[record.object_id] = new
+        if changed:
+            self.values = frozenset(counts)
+
+
+class SubqueryValueView(QueryResultView):
+    """Subquery ``Select`` → its value set, patched per record where it can be.
+
+    An entry filed as a :class:`ValueSet` (a subquery over one virtual table
+    whose WHERE the engine compiled to a test of one object) is *maintained*:
+    a record of its type replaces its object's contribution — drop what
+    ``object_id`` gave, add the post-image's value if the WHERE admits it —
+    and a new frozenset is published only when membership changes.  Because
+    contributions are keyed by object id, a patch is idempotent: a record
+    whose write the fill already read (heap first, record after the fill's
+    watermark) changes nothing.  So the ``as_of`` fill protocol stays the
+    only synchronisation, and readers take no writer lock.  Every other
+    entry keeps the drop rule, and a reset barrier clears both kinds.
+    """
+
+    def _apply(self, record: ChangeRecord) -> None:
+        for key in self._affected(record):
+            value = self._entries[key][1]
+            if isinstance(value, ValueSet):
+                try:
+                    value.patch(record)
+                    continue
+                except TypeError:  # an unhashable value: fall back to a drop
+                    pass
+            self._drop(key)
+
+    def get(self, key: Hashable):
+        value = super().get(key)
+        return value.values if isinstance(value, ValueSet) else value

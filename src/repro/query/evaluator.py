@@ -33,6 +33,7 @@ from typing import Any
 
 from repro.persistence.datastore import DataStore
 from repro.persistence.nodestate import NODESTATE_TABLE
+from repro.persistence.views import QueryResultView, SubqueryValueView, ValueSet
 from repro.query.ast import (
     And,
     Between,
@@ -215,7 +216,6 @@ class QueryEngine:
         self._results = None
         self._subqueries = None
         if planner:
-            from repro.persistence.views import QueryResultView
             from repro.query.planner import PlanCache
 
             self._plans = PlanCache()
@@ -223,9 +223,10 @@ class QueryEngine:
             #: string-keyed statements over virtual tables participate; the
             #: ``planner=False`` scan path stays the untouched parity oracle
             self._results = QueryResultView(store)
-            #: subquery Select → materialized value set, under the same
-            #: rule: registered per RIM type read, never for NodeState
-            self._subqueries = QueryResultView(store, capacity=64)
+            #: subquery Select → materialized value set: patched per record
+            #: where the subquery allows it, else dropped per RIM type read;
+            #: never for NodeState
+            self._subqueries = SubqueryValueView(store, capacity=64)
         #: guards shared-plan cell binding; re-entrant because
         #: materializing a subquery recurses into :meth:`execute`
         self._subquery_lock = threading.RLock()
@@ -283,9 +284,13 @@ class QueryEngine:
     def _subquery_values(self, select: Select, column: str) -> frozenset | tuple:
         """Materialized value set of one uncorrelated subquery.
 
-        Memoized until a write lands on a RIM type the subquery reads:
-        classification-style semi-joins run once per such write, not once
-        per outer query.  A subquery over NodeState always runs.
+        A subquery a record can patch (:func:`~repro.query.planner.
+        patchable_subquery`) is filled once from its plan's surviving
+        objects as a :class:`~repro.persistence.views.ValueSet`, which the
+        view keeps current per changelog record: a binding semi-join runs
+        once, not once per write.  Any other subquery is memoized until a
+        write lands on a RIM type it reads.  A subquery over NodeState
+        always runs.
         """
         view = self._subqueries
         as_of = view.catch_up()
@@ -293,6 +298,28 @@ class QueryEngine:
         if hit is not None:
             self.stats["subquery_hits"] += 1
             return hit
+        self.stats["subquery_materializations"] += 1
+        from repro.query.planner import patchable_subquery
+
+        source = patchable_subquery(select)
+        if source is not None:
+            type_name, admits, value_of = source
+            plan = self._plan_for(select, select)
+            survivors = plan.candidates(self.store)
+            if plan.residual is not None:
+                survivors = filter(plan.residual, survivors)
+            by_id = {
+                obj.id: value
+                for obj in survivors
+                if (value := value_of(obj)) is not None
+            }
+            try:
+                kept = ValueSet(type_name, admits, value_of, by_id)
+            except TypeError:  # an unhashable value: the drop rule below
+                pass
+            else:
+                view.put(select, (type_name,), kept, as_of=as_of)
+                return kept.values
         rows = self.execute(select)
         values = [row[column] for row in rows if row.get(column) is not None]
         try:
@@ -302,7 +329,6 @@ class QueryEngine:
         types = self._view_types(select)
         if types is not None:
             view.put(select, types, materialized, as_of=as_of)
-        self.stats["subquery_materializations"] += 1
         return materialized
 
     # -- execution ----------------------------------------------------------------

@@ -28,8 +28,9 @@ project survivors*:
 
 Plans depend only on the statement, never on the data: probes read the live
 indexes at execution time, and subquery cells are re-bound from a view that
-drops a value set when a type it read is written, so the plan cache needs
-no write invalidation.  Results are
+patches a value set per record of a type it read (one virtual table, no
+``LIMIT``: :func:`patchable_subquery`) or else drops it, so the plan cache
+needs no write invalidation.  Results are
 bit-identical to the scan path — same rows, same order, same NULL/coercion
 semantics — which ``tests/test_query_planner.py`` asserts query by query
 and ``tests/test_property_query.py`` over generated statements.  One
@@ -38,16 +39,16 @@ skips residual evaluation entirely, so an unknown-column error hiding in the
 residual of a no-match query is not raised (the scan path short-circuits the
 same way whenever the sargable conjunct is leftmost).
 
-Engines are single-threaded (one per registry instance); subquery cells are
-rebound in place on each execution under that assumption.
+Plans are shared by every thread of an engine.  A plan without cells is
+read-only; a subquery cell is rebound in place on each execution, so the
+engine binds and runs a plan with cells under its ``_subquery_lock``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Mapping
 
 from repro.persistence.nodestate import NODESTATE_TABLE
@@ -532,6 +533,40 @@ class CompiledPlan:
         }
 
 
+def _references(node: Any):
+    """Every :class:`Column` and nested :class:`Select` under an AST node."""
+    if isinstance(node, (Column, Select)):
+        yield node
+    elif is_dataclass(node):
+        for field in fields(node):
+            yield from _references(getattr(node, field.name))
+
+
+def patchable_subquery(select: Select) -> tuple[str, ItemFilter, Getter] | None:
+    """What a changelog record can patch a subquery's value set with.
+
+    A subquery over one virtual table (a RIM type or the ``RegistryObject``
+    union) with no ``LIMIT``, no ``COUNT(*)``, no nested ``IN (SELECT …)``
+    and only catalogue columns is a per-object function: an object is in
+    the set iff the WHERE admits it, with the projected column's value.
+    Returns ``(RIM type or "*", compiled WHERE, column getter)``, or
+    ``None`` for any other subquery (NodeState included).
+    """
+    table = VIRTUAL_TABLES.get(select.table.lower())
+    if table is None or select.limit is not None or select.count:
+        return None
+    columns = table.columns
+    for ref in (Column(select.columns[0]), *_references(select.where)):
+        if isinstance(ref, Select) or ref.name.lower() not in columns:
+            return None
+    admits: ItemFilter = (
+        compile_predicate(select.where, [], columns)
+        if select.where is not None
+        else lambda obj: True
+    )
+    return table.type_name, admits, columns[select.columns[0].lower()]
+
+
 def build_plan(store: Any, select: Select) -> CompiledPlan:
     """Lower one parsed statement against one datastore's schema."""
     return CompiledPlan(store, select)
@@ -541,35 +576,23 @@ class PlanCache:
     """Bounded LRU of :class:`CompiledPlan`, keyed on query text or AST.
 
     Thread-safe: the LRU's ``move_to_end`` bookkeeping mutates the map even
-    on a *hit*, so every operation runs under a lock.  The lock is taken
-    non-blocking first purely to count contention (``contended``).
+    on a *hit*, so every operation runs under a lock.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
         self.maxsize = maxsize
         self._plans: OrderedDict[Any, CompiledPlan] = OrderedDict()
         self._lock = threading.Lock()
-        self.contended = 0
-
-    @contextmanager
-    def _locked(self):
-        if not self._lock.acquire(blocking=False):
-            self.contended += 1
-            self._lock.acquire()
-        try:
-            yield
-        finally:
-            self._lock.release()
 
     def get(self, key: Any) -> CompiledPlan | None:
-        with self._locked():
+        with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
             return plan
 
     def put(self, key: Any, plan: CompiledPlan) -> None:
-        with self._locked():
+        with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
             while len(self._plans) > self.maxsize:

@@ -555,11 +555,25 @@ class TestEngineParity:
         materializations = planned.stats["subquery_materializations"]
         assert planned.execute(query) == scan.execute(query)
         assert planned.stats["subquery_materializations"] == materializations
-        # a ServiceBinding write does
+        # a ServiceBinding write is patched into it, not re-materialized
         publish(store, name="Other", hosts=("h1",))
         assert planned.execute(query) == scan.execute(query)
         assert {row["name"] for row in planned.execute(query)} == {"Adder", "Other"}
-        assert planned.stats["subquery_materializations"] > materializations
+        assert planned.stats["subquery_materializations"] == materializations
+
+    def test_a_type_change_under_one_id_reaches_the_old_types_entries(self, store):
+        """A delete and re-insert as another type, coalesced into one save
+        record of the new type, still patches a subquery over the old one."""
+        org = Organization(ids.new_id(), name="SDSU")
+        store.insert_object(org)
+        planned = QueryEngine(store, planner=True)
+        scan = QueryEngine(store, planner=False)
+        query = "SELECT id FROM RegistryObject WHERE id IN (SELECT id FROM Organization)"
+        assert planned.execute(query) == scan.execute(query) == [{"id": org.id}]
+        with store.transaction():
+            store.delete_object(org.id)
+            store.insert_object(Service(org.id, name="SDSU", description="d"))
+        assert planned.execute(query) == scan.execute(query) == []
 
     def test_cached_rows_are_isolated_copies(self, store):
         publish(store)
@@ -612,6 +626,59 @@ class TestEngineParity:
             "SELECT * FROM Service ORDER BY name"
         ) == scan.execute("SELECT * FROM Service ORDER BY name")
 
+    def test_a_patched_subquery_beside_two_writers(self, store):
+        """Two writers move bindings between hosts while two readers run a
+        semi-join whose subquery is patched, not refilled.  A service pinned
+        to h1 never leaves the answer, and once the writers stop the answer
+        is the scan's: a lost or doubled patch would leave it wrong."""
+        pinned = set()
+        for n in range(4):
+            pinned.add(publish(store, name=f"Pin{n}", hosts=("h1", "h2")).name.value)
+            publish(store, name=f"Mover{n}", hosts=("h2",))
+        movers = [b.id for b in store.iter_views_of_type("ServiceBinding") if b.host == "h2"]
+        planned = QueryEngine(store, planner=True)
+        scan = QueryEngine(store, planner=False)
+        query = (
+            "SELECT name FROM Service WHERE id IN "
+            "(SELECT service FROM ServiceBinding WHERE host = 'h1')"
+        )
+        stop = threading.Event()
+        missing: list = []
+        reads = [0]
+
+        def writer(seed):
+            n = seed
+            while not stop.is_set():
+                binding = store.get_object(movers[n % len(movers)])
+                binding.access_uri = f"http://h{1 + n % 3}:8080/{n}"
+                store.save_object(binding)
+                n += 7
+
+        def reader():
+            while not stop.is_set():
+                names = {row["name"] for row in planned.execute(query)}
+                if not pinned <= names:
+                    missing.append(pinned - names)
+                    return
+                reads[0] += 1
+
+        threads = [threading.Thread(target=writer, args=(seed,)) for seed in (0, 1)]
+        threads += [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert missing == [] and reads[0] > 0
+        assert planned.execute(query) == scan.execute(query)
+
 
 # -- generated schedules: every cache-backed read == its uncached recompute ----
 
@@ -634,6 +701,16 @@ PARITY_QUERIES = [
     "(SELECT HOST FROM NodeState WHERE LOAD < 1)",
     "SELECT id FROM Service WHERE name IN (SELECT HOST FROM NodeState WHERE LOAD < 1) "
     "AND id IN (SELECT service FROM ServiceBinding WHERE host = 'h0')",
+    "SELECT name FROM Service WHERE id IN (SELECT DISTINCT service "
+    "FROM ServiceBinding WHERE host = 'h2' ORDER BY service DESC)",
+    "SELECT name FROM Service WHERE id IN "
+    "(SELECT service FROM ServiceBinding WHERE host = 'h1' LIMIT 1)",
+    "SELECT id FROM ServiceBinding WHERE service IN "
+    "(SELECT id FROM RegistryObject WHERE description LIKE '%gr%')",
+    "SELECT id FROM ServiceBinding WHERE service IN (SELECT service FROM "
+    "ServiceBinding WHERE service IN (SELECT id FROM Service WHERE name = 'h0'))",
+    "SELECT name FROM Service WHERE id NOT IN "
+    "(SELECT service FROM ServiceBinding WHERE host = 'h0')",
 ]
 
 
@@ -688,13 +765,48 @@ class FreshnessMachine(RuleBasedStateMachine):
         self.store.save_object(service)
 
     @precondition(lambda self: self.service_ids)
-    @rule(data=st.data(), host=st.sampled_from(HOST_NAMES))
-    def add_binding(self, data, host):
+    @rule(data=st.data(), host=st.sampled_from(HOST_NAMES), twins=st.booleans())
+    def add_binding(self, data, host, twins):
+        """One binding, or two of one service on one host."""
         service = self.store.get_object(data.draw(st.sampled_from(self.service_ids)))
-        binding = self._new_binding(service, host)
         with self.store.transaction():
-            self.store.insert_object(binding)
+            for _ in range(1 + twins):
+                self.store.insert_object(self._new_binding(service, host))
             self.store.save_object(service)
+
+    def _rehost(self, binding_id, host):
+        binding = self.store.get_object(binding_id)
+        binding.access_uri = f"http://{host}:8080/{binding_id}"
+        self.store.save_object(binding)
+
+    @precondition(lambda self: self.binding_ids)
+    @rule(data=st.data(), host=st.sampled_from(HOST_NAMES))
+    def rehost_binding(self, data, host):
+        """A new access URI moves the binding between ``host = …`` sets."""
+        self._rehost(data.draw(st.sampled_from(self.binding_ids)), host)
+
+    @precondition(lambda self: self.binding_ids)
+    @rule(data=st.data(), host=st.sampled_from(HOST_NAMES), delete=st.booleans())
+    def committed_transaction_read_midway(self, data, host, delete):
+        """Reads inside a transaction fill caches from its writes on the live
+        heap; the writes' records arrive at commit, past those fills'
+        watermark, and must not count twice.  The subquery memo is emptied
+        first, or every subquery would be a hit kept current since the
+        last step's reads."""
+        binding_id = data.draw(st.sampled_from(self.binding_ids))
+        with self.store.transaction():
+            self._rehost(binding_id, host)
+            if delete:
+                binding = self.store.get_object(
+                    data.draw(st.sampled_from(self.binding_ids))
+                )
+                service = self.store.get_object(binding.service)
+                service.binding_ids.remove(binding.id)
+                self.store.save_object(service)
+                self.store.delete_object(binding.id)
+                self.binding_ids.remove(binding.id)
+            self.registry.engine._subqueries.invalidate_all()
+            self._cached_reads(self.service_ids)
 
     @precondition(lambda self: self.binding_ids and len(self.service_ids) > 1)
     @rule(data=st.data())

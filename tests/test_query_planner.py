@@ -263,19 +263,37 @@ class TestSubqueryMaterialization:
         assert planned.stats["subquery_materializations"] == 1
         assert planned.stats["subquery_hits"] == 2
 
-    def test_write_invalidates_materialization(self, planned, scan, store):
-        before = assert_parity(planned, scan, self.QUERY)
+    @staticmethod
+    def classify_new_service(store) -> Classification:
         svc = Service(ids.new_id(), name="SvcNew", description="d")
         store.insert_object(svc)
-        store.insert_object(
-            Classification(
-                ids.new_id(),
-                classified_object=svc.id,
-                classification_node=store.classification_node_id,
-            )
+        classification = Classification(
+            ids.new_id(),
+            classified_object=svc.id,
+            classification_node=store.classification_node_id,
         )
+        store.insert_object(classification)
+        return classification
+
+    def test_a_write_is_patched_into_the_materialization(self, planned, scan, store):
+        before = assert_parity(planned, scan, self.QUERY)
+        classification = self.classify_new_service(store)
         after = assert_parity(planned, scan, self.QUERY)
         assert len(after) == len(before) + 1
+        store.delete_object(classification.id)
+        assert assert_parity(planned, scan, self.QUERY) == before
+        assert planned.stats["subquery_materializations"] == 1
+
+    def test_a_limit_subquery_is_materialized_again_after_a_write(
+        self, planned, scan, store
+    ):
+        query = (
+            "SELECT name FROM Service WHERE id IN (SELECT classifiedobject "
+            "FROM Classification ORDER BY classifiedobject DESC LIMIT 2)"
+        )
+        assert_parity(planned, scan, query)
+        self.classify_new_service(store)
+        assert_parity(planned, scan, query)
         assert planned.stats["subquery_materializations"] == 2
 
 
@@ -386,6 +404,51 @@ class TestWorkBound:
         else:
             assert rows[0]["count"] > 0  # a COUNT(*) that did filter something
         assert engine.stats["rows_materialized"] == returned
+
+    def test_a_write_patches_a_subquery(self):
+        """A semi-join over 2 000 bindings, run after each of 100 binding
+        inserts and 100 deletes, scans the bindings once: every write is
+        patched into its materialized subquery."""
+        store = DataStore()
+        local = IdFactory(1001)
+        services = [
+            Service(local.new_id(), name=f"Svc{index:04d}", description="d")
+            for index in range(1000)
+        ]
+        with store.transaction():
+            for index, svc in enumerate(services):
+                store.insert_object(svc)
+                for twin in range(2):
+                    store.insert_object(
+                        ServiceBinding(
+                            local.new_id(),
+                            service=svc.id,
+                            access_uri=f"http://host{(index + twin) % 16:02d}.bench:80/x",
+                        )
+                    )
+        query = (
+            "SELECT id FROM Service WHERE id IN "
+            "(SELECT service FROM ServiceBinding WHERE host = 'host03.bench')"
+        )
+        engine = QueryEngine(store)
+        before = {row["id"] for row in engine.execute(query)}
+        expected = set(before)
+        added = []
+        for svc in services[:100]:
+            binding = ServiceBinding(
+                local.new_id(), service=svc.id, access_uri="http://host03.bench:80/y"
+            )
+            store.insert_object(binding)
+            added.append(binding.id)
+            expected.add(svc.id)
+            assert {row["id"] for row in engine.execute(query)} == expected
+        assert engine.execute(query) == QueryEngine(store, planner=False).execute(query)
+        for binding_id in added:
+            store.delete_object(binding_id)
+            engine.execute(query)
+        assert engine.execute(query) == QueryEngine(store, planner=False).execute(query)
+        assert {row["id"] for row in engine.execute(query)} == before
+        assert engine.stats["subquery_materializations"] == 1
 
 
 class TestScanParity:
