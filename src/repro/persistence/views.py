@@ -4,9 +4,10 @@ Each view tracks an applied-sequence watermark into the store's
 :class:`~repro.persistence.changelog.ChangeLog` and, on
 :meth:`~ChangelogView.catch_up`, drops exactly the entries each new record
 affects (**per-record delta application**): a write to one service
-invalidates one entry, not the population.  One kind of entry is patched
-instead of dropped: a subquery value set kept per object
-(:class:`SubqueryValueView`).  Nothing else signals
+invalidates one entry, not the population.  An entry kept per object is
+patched instead of dropped (a :class:`Maintained` in a
+:class:`QueryResultView`: an ad-hoc result's rows, a subquery's value
+set), and only a record its access path admits reaches it.  Nothing else signals
 freshness for heap state — no callbacks from the writer, no version
 stamps; NodeState is outside the changelog and rides the version of
 ``NodeStateStore.generation()`` instead; nothing is kept on the clock's say-so.
@@ -19,7 +20,8 @@ ordering contract, is at least as new as ``as_of``), then offers it via
 records past ``as_of`` — a racing write may have made the fill stale, so
 it is stranded (a future miss) rather than cached.  Records not yet
 applied at put time are harmless: the next catch-up applies them and
-drops the entry if affected.
+drops or patches the entry if affected (a patch keyed by object id is
+idempotent, so a write the fill already read changes nothing).
 
 A ``"reset"`` barrier (transaction rollback) clears a view wholesale:
 entries may have been filled from the transaction's intermediate,
@@ -178,90 +180,45 @@ class BoundBindings(tuple):
         return self
 
 
-class QueryResultView(ChangelogView):
-    """key → value derived from whole RIM types, dropped per written type.
+class Maintained:
+    """A view entry kept per object, which a changelog record patches.
 
-    The engine keeps hot ad-hoc results (query text → projected rows) and
-    subquery value sets (``Select`` node → values) here; TimeHits keeps its
-    target list.  Entries register under every RIM type they were computed
-    from — the ``RegistryObject`` union view registers under ``"*"`` — and
-    a changelog record drops exactly the entries registered for its type
-    (plus all ``"*"`` entries; a save's pre-image type counts too, for a
-    delete and re-insert under one id that a transaction coalesced).
-    Anything read from NodeState is never cached here: its samples bypass
-    the heap and therefore the changelog.
+    ``plan`` is the compiled plan of the statement the entry answers; the
+    view reads three things off it: ``type_name`` (a RIM type, or ``"*"``
+    for the union view), ``access`` (the index path that routes records to
+    the entry) and ``patch_filter()`` (its whole WHERE as a test of one
+    stored object, ``None`` if it cannot be one).  Keyed by object id, a
+    patch is idempotent: a record whose write the fill already read
+    changes nothing.
     """
 
-    def __init__(self, store: "DataStore", *, capacity: int = 256) -> None:
-        super().__init__(store)
-        self.capacity = capacity
-        #: key → (registered type names, value); LRU-ordered
-        self._entries: "OrderedDict[Hashable, tuple[frozenset[str], object]]" = (
-            OrderedDict()
-        )
-        #: reverse index: type name → keys registered for it
-        self._by_type: dict[str, set[Hashable]] = {}
+    __slots__ = ("plan",)
 
-    def _affected(self, record: ChangeRecord) -> set[Hashable]:
-        """Keys registered for the record's type, its pre-image's, or ``"*"``."""
-        previous = record.previous
-        affected: set[Hashable] = set()
-        for type_name in (
-            record.type_name,
-            previous.type_name if previous is not None else None,
-            "*",
-        ):
-            keys = self._by_type.get(type_name)
-            if keys:
-                affected.update(keys)
-        return affected
+    def patch(self, record: ChangeRecord) -> bool:
+        """Replace what ``record.object_id`` gives with what its post-image
+        gives; ``False`` when the entry cannot follow (the view drops it)."""
+        obj, plan = record.payload, self.plan
+        admits = plan.patch_filter()
+        if admits is None:
+            return False
+        try:
+            if obj is not None and (
+                plan.type_name not in ("*", obj.type_name) or not admits(obj)
+            ):
+                obj = None
+            return self._replace(record.object_id, obj)
+        except TypeError:  # an unhashable value
+            return False
 
-    def _apply(self, record: ChangeRecord) -> None:
-        for key in self._affected(record):
-            self._drop(key)
+    def _replace(self, object_id: str, obj: Any) -> bool:  # pragma: no cover
+        raise NotImplementedError
 
-    def _drop(self, key: Hashable) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        for type_name in entry[0]:
-            keys = self._by_type.get(type_name)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._by_type[type_name]
-
-    def _reset(self) -> None:
-        self._entries.clear()
-        self._by_type.clear()
-
-    def get(self, key: Hashable):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[1]
-
-    def put(
-        self, key: Hashable, type_names: Iterable[str], value: object, *, as_of: int
-    ) -> None:
-        with self._lock:
-            if as_of < self._applied:
-                return
-            self._drop(key)  # re-registering: clear any old type links
-            while len(self._entries) >= self.capacity:
-                self._drop(next(iter(self._entries)))
-            names = frozenset(type_names)
-            self._entries[key] = (names, value)
-            for type_name in names:
-                self._by_type.setdefault(type_name, set()).add(key)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def read(self) -> object:  # pragma: no cover
+        """What a reader of the entry gets."""
+        raise NotImplementedError
 
 
-class ValueSet:
+class ValueSet(Maintained):
     """One subquery's value set, kept as ``object id → projected value``.
 
     ``values`` (the frozenset a subquery cell reads) is built from a
@@ -269,74 +226,262 @@ class ValueSet:
     if no other object still gives it.
     """
 
-    __slots__ = ("type_name", "admits", "value_of", "by_id", "counts", "values")
+    __slots__ = ("value_of", "by_id", "counts", "values")
 
     def __init__(
-        self,
-        type_name: str,
-        admits: Callable[[Any], bool],
-        value_of: Callable[[Any], Hashable],
-        by_id: dict[str, Hashable],
+        self, plan: Any, value_of: Callable[[Any], Hashable], by_id: dict[str, Hashable]
     ) -> None:
-        self.type_name = type_name
-        self.admits = admits
+        self.plan = plan
         self.value_of = value_of
         self.by_id = by_id
         self.counts = Counter(by_id.values())  # TypeError: an unhashable value
         self.values = frozenset(self.counts)
 
-    def patch(self, record: ChangeRecord) -> None:
-        """Replace what ``record.object_id`` gives with what its post-image gives."""
-        obj, counts = record.payload, self.counts
-        new = None
-        if (
-            obj is not None
-            and self.type_name in ("*", obj.type_name)
-            and self.admits(obj)
-        ):
-            new = self.value_of(obj)
+    def _replace(self, object_id: str, obj: Any) -> bool:
+        counts = self.counts
+        new = None if obj is None else self.value_of(obj)
         changed = False
         if new is not None:  # add before removing: a kept value never leaves
             changed = not counts[new]
             counts[new] += 1
-        old = self.by_id.pop(record.object_id, None)
+        old = self.by_id.pop(object_id, None)
         if old is not None:
             counts[old] -= 1
             if not counts[old]:
                 del counts[old]
                 changed = True
         if new is not None:
-            self.by_id[record.object_id] = new
+            self.by_id[object_id] = new
         if changed:
             self.values = frozenset(counts)
+        return True
+
+    def read(self) -> frozenset:
+        return self.values
 
 
-class SubqueryValueView(QueryResultView):
-    """Subquery ``Select`` → its value set, patched per record where it can be.
+#: the most survivors a statement's entry keeps per object; past it the
+#: finished rows are kept instead, under the drop rule
+ROW_CAP = 512
 
-    An entry filed as a :class:`ValueSet` (a subquery over one virtual table
-    whose WHERE the engine compiled to a test of one object) is *maintained*:
-    a record of its type replaces its object's contribution — drop what
-    ``object_id`` gave, add the post-image's value if the WHERE admits it —
-    and a new frozenset is published only when membership changes.  Because
-    contributions are keyed by object id, a patch is idempotent: a record
-    whose write the fill already read (heap first, record after the fill's
-    watermark) changes nothing.  So the ``as_of`` fill protocol stays the
-    only synchronisation, and readers take no writer lock.  Every other
-    entry keeps the drop rule, and a reset barrier clears both kinds.
+_ABSENT = object()
+
+
+class KeptRows(Maintained):
+    """A top-level statement's survivors, kept as ``object id → row``.
+
+    A row holds the columns the statement's tail reads (the plan's
+    ``kept_projection``: the full row for ``SELECT *``).  The plan's
+    ``finish`` (the tail: order, columns, DISTINCT, LIMIT, COUNT) runs over
+    the kept rows in id order — the scan path's pre-filter order, so ties
+    break bit-identically — and its result is kept until a patch changes a
+    row.  A ``COUNT(*)`` entry keeps ids only (every row ``None``).  An
+    entry that would grow past :data:`ROW_CAP` asks to be dropped.
     """
 
+    __slots__ = ("by_id", "finished", "in_order")
+
+    def __init__(self, plan: Any, by_id: dict[str, Any]) -> None:
+        self.plan = plan
+        self.by_id = by_id  # filled in id order
+        self.finished: tuple | None = None
+        self.in_order = True
+
+    def _replace(self, object_id: str, obj: Any) -> bool:
+        by_id = self.by_id
+        if obj is None:
+            if by_id.pop(object_id, _ABSENT) is not _ABSENT:
+                self.finished = None
+            return True
+        row = None if self.plan.select.count else self.plan.kept_projection()(obj)
+        old = by_id.get(object_id, _ABSENT)
+        if old is _ABSENT:
+            if len(by_id) >= ROW_CAP:
+                return False
+            self.in_order = False
+        elif old == row:
+            return True
+        by_id[object_id] = row
+        self.finished = None
+        return True
+
+    def read(self) -> tuple:
+        finished = self.finished
+        if finished is None:
+            if not self.in_order:
+                self.by_id = dict(sorted(self.by_id.items()))
+                self.in_order = True
+            finished = self.finished = tuple(
+                self.plan.finish(list(self.by_id.values()))
+            )
+        return finished
+
+
+def _link(index: dict, slot: Hashable, key: Hashable) -> None:
+    index.setdefault(slot, set()).add(key)
+
+
+def _unlink(index: dict, slot: Hashable, key: Hashable) -> None:
+    keys = index.get(slot)
+    if keys is not None:
+        keys.discard(key)
+        if not keys:
+            del index[slot]
+
+
+class _Routes:
+    """One RIM type's entries, indexed by what their access path admits.
+
+    A record reaches an entry only if the entry's path admits the name or
+    id of the record's pre- or post-image: ``id-eq``/``id-in`` by id,
+    ``name-eq``/``name-in`` by name, ``name-prefix`` and ``name-like`` by
+    literal prefix (looked up once per distinct prefix length),
+    ``name-range`` by its bounds.  Every other entry — a ``scan``, or one
+    that is dropped rather than patched — is reached by every record.
+    """
+
+    __slots__ = ("scans", "ids", "names", "prefixes", "ranges")
+
+    def __init__(self) -> None:
+        self.scans: set[Hashable] = set()
+        self.ids: dict[str, set[Hashable]] = {}
+        self.names: dict[str, set[Hashable]] = {}
+        #: prefix length → prefix → keys
+        self.prefixes: dict[int, dict[str, set[Hashable]]] = {}
+        self.ranges: dict[Hashable, tuple[str, str]] = {}
+
+    def update(self, key: Hashable, access: Any, add: bool) -> None:
+        """Link (``add``) or unlink *key* under its access path (``None``: scan)."""
+        kind = "scan" if access is None else access.kind
+        edit = _link if add else _unlink
+        if kind in ("id-eq", "id-in"):
+            for value in access.values:
+                edit(self.ids, value, key)
+        elif kind in ("name-eq", "name-in"):
+            for value in access.values:
+                edit(self.names, value, key)
+        elif kind in ("name-prefix", "name-like"):
+            prefix = access.values[0]
+            by_prefix = self.prefixes.setdefault(len(prefix), {})
+            edit(by_prefix, prefix, key)
+            if not by_prefix:
+                del self.prefixes[len(prefix)]
+        elif kind == "name-range":
+            if add:
+                self.ranges[key] = access.values
+            else:
+                self.ranges.pop(key, None)
+        elif add:
+            self.scans.add(key)
+        else:
+            self.scans.discard(key)
+
+    def reach(self, record: ChangeRecord, reached: set[Hashable]) -> None:
+        """Add to *reached* the keys whose access path admits the record."""
+        reached |= self.scans
+        keys = self.ids.get(record.object_id)
+        if keys:
+            reached |= keys
+        names = {obj.name.value for obj in (record.payload, record.previous) if obj is not None}
+        for name in names:
+            keys = self.names.get(name)
+            if keys:
+                reached |= keys
+            for length, by_prefix in self.prefixes.items():
+                keys = by_prefix.get(name[:length])
+                if keys:
+                    reached |= keys
+            for key, (low, high) in self.ranges.items():
+                if low <= name <= high:
+                    reached.add(key)
+
+
+class QueryResultView(ChangelogView):
+    """key → value derived from whole RIM types, patched or dropped per record.
+
+    The engine keeps hot ad-hoc results (query text → rows) and subquery
+    value sets (``Select`` node → values) here; TimeHits keeps its target
+    list.  Entries register under every RIM type they were computed from —
+    the ``RegistryObject`` union view registers under ``"*"`` — and a
+    changelog record reaches the entries registered for its type, its
+    pre-image's type (a delete and re-insert under one id that a
+    transaction coalesced) and ``"*"``, routed by access path
+    (:class:`_Routes`).
+
+    An entry that offers ``patch(record)`` (a :class:`Maintained`) is
+    patched: a record replaces its object's contribution.  Because that is
+    idempotent, the ``as_of`` fill protocol stays the only synchronisation
+    and readers take no writer lock.  Any other entry is dropped, and a
+    reset barrier clears both kinds.  Anything read from NodeState is never
+    cached here: its samples bypass the heap and therefore the changelog.
+    """
+
+    def __init__(self, store: "DataStore", *, capacity: int = 256) -> None:
+        super().__init__(store)
+        self.capacity = capacity
+        #: key → (registered type names, value, its access path or ``None``
+        #: for an entry every record of those types reaches); LRU-ordered
+        self._entries: "OrderedDict[Hashable, tuple[frozenset[str], object, Any]]" = (
+            OrderedDict()
+        )
+        #: type name → its entries, by access path (one per type ever filed)
+        self._routes: dict[str, _Routes] = {}
+
     def _apply(self, record: ChangeRecord) -> None:
-        for key in self._affected(record):
-            value = self._entries[key][1]
-            if isinstance(value, ValueSet):
-                try:
-                    value.patch(record)
-                    continue
-                except TypeError:  # an unhashable value: fall back to a drop
-                    pass
-            self._drop(key)
+        previous = record.previous
+        reached: set[Hashable] = set()
+        for type_name in {
+            record.type_name,
+            previous.type_name if previous is not None else None,
+            "*",
+        }:
+            routes = self._routes.get(type_name)
+            if routes is not None:
+                routes.reach(record, reached)
+        entries = self._entries
+        for key in reached:
+            value = entries[key][1]
+            if not (isinstance(value, Maintained) and value.patch(record)):
+                self._drop(key)
+
+    def _drop(self, key: Hashable) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return
+        type_names, _, access = entry
+        for type_name in type_names:
+            self._routes[type_name].update(key, access, add=False)
+
+    def _reset(self) -> None:
+        self._entries.clear()
+        self._routes.clear()
 
     def get(self, key: Hashable):
-        value = super().get(key)
-        return value.values if isinstance(value, ValueSet) else value
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            value = entry[1]
+            return value.read() if isinstance(value, Maintained) else value
+
+    def put(
+        self, key: Hashable, type_names: Iterable[str], value: object, *, as_of: int
+    ) -> None:
+        with self._lock:
+            if as_of < self._applied:
+                return
+            self._drop(key)  # re-registering: clear any old links
+            while len(self._entries) >= self.capacity:
+                self._drop(next(iter(self._entries)))
+            names = frozenset(type_names)
+            access = value.plan.access if isinstance(value, Maintained) else None
+            self._entries[key] = (names, value, access)
+            for type_name in names:
+                routes = self._routes.get(type_name)
+                if routes is None:
+                    routes = self._routes[type_name] = _Routes()
+                routes.update(key, access, add=True)
+
+    def __len__(self) -> int:
+        return len(self._entries)

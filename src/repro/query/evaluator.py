@@ -16,7 +16,10 @@ Execution is planned by default: statements lower once into a
 index-backed access paths, predicate closures compiled against the virtual
 table's column catalogue, changelog-validated subquery materialization) and
 run as *probe → filter the stored objects → project the survivors* — see
-:mod:`repro.query.planner` and :meth:`QueryEngine._run_plan`.  Construct
+:mod:`repro.query.planner` and :meth:`QueryEngine._run_plan`.  A repeated
+query text is answered from a changelog view, which patches a statement's
+kept survivors per write where the plan allows it
+(:meth:`QueryEngine.execute`).  Construct
 with ``planner=False`` to force the original path, which projects every
 object of the table into a row and evaluates the AST over the rows
 (:func:`eval_predicate`); it is the oracle: the two must return
@@ -29,11 +32,12 @@ from __future__ import annotations
 import re
 import threading
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any
 
 from repro.persistence.datastore import DataStore
 from repro.persistence.nodestate import NODESTATE_TABLE
-from repro.persistence.views import QueryResultView, SubqueryValueView, ValueSet
+from repro.persistence.views import ROW_CAP, KeptRows, QueryResultView, ValueSet
 from repro.query.ast import (
     And,
     Between,
@@ -104,6 +108,9 @@ def _as_number(operand: Any) -> Any:
         except ValueError:
             return operand
     return operand
+
+
+_ID = attrgetter("id")
 
 
 def _value_of(expr: Expr, row: Row) -> Any:
@@ -186,6 +193,53 @@ def eval_predicate(predicate: Predicate, row: Row) -> bool:
     raise QuerySyntaxError(f"unsupported predicate node: {predicate!r}")
 
 
+def finish_rows(
+    select: Select, rows: list[Row], *, id_ordered: bool = False
+) -> list[Row]:
+    """The shared statement tail: count, order, project, distinct, limit.
+
+    *rows* come in the scan path's pre-filter order (ids sorted within a
+    type); the list is sorted in place and its row dicts are never mutated.
+    With *id_ordered* (rows of one type, in id order) the default order is
+    already there and is not sorted for again.
+    """
+    if select.count:
+        return [{"count": len(rows)}]
+    if select.order_by:
+        # apply terms right-to-left for stable multi-key ordering
+        for term in reversed(select.order_by):
+            key = term.column.name.lower()
+            rows.sort(
+                key=lambda row: (row.get(key) is None, row.get(key)),
+                reverse=term.descending,
+            )
+    elif not id_ordered:
+        rows.sort(key=lambda row: str(row.get("id", "")))
+    if select.columns is not None:
+        projected = []
+        for row in rows:
+            out: Row = {}
+            for name in select.columns:
+                key = name.lower()
+                if key not in row:
+                    raise QuerySyntaxError(f"unknown column: {name!r}")
+                out[name] = row[key]
+            projected.append(out)
+        rows = projected
+    if select.distinct:
+        seen: set[tuple] = set()
+        unique: list[Row] = []
+        for row in rows:
+            signature = tuple(sorted((k, repr(v)) for k, v in row.items()))
+            if signature not in seen:
+                seen.add(signature)
+                unique.append(row)
+        rows = unique
+    if select.limit is not None:
+        rows = rows[: select.limit]
+    return rows
+
+
 class QueryEngine:
     """Executes SELECT statements against one datastore.
 
@@ -219,16 +273,16 @@ class QueryEngine:
             from repro.query.planner import PlanCache
 
             self._plans = PlanCache()
-            #: hot ad-hoc results, invalidated per changelog record — only
-            #: string-keyed statements over virtual tables participate; the
-            #: ``planner=False`` scan path stays the untouched parity oracle
+            #: hot ad-hoc results, patched or dropped per changelog record —
+            #: only string-keyed statements over virtual tables participate;
+            #: the ``planner=False`` scan path stays the untouched parity oracle
             self._results = QueryResultView(store)
             #: subquery Select → materialized value set: patched per record
             #: where the subquery allows it, else dropped per RIM type read;
             #: never for NodeState
-            self._subqueries = SubqueryValueView(store, capacity=64)
+            self._subqueries = QueryResultView(store, capacity=64)
         #: guards shared-plan cell binding; re-entrant because
-        #: materializing a subquery recurses into :meth:`execute`
+        #: materializing a subquery recurses into :meth:`_run_plan`
         self._subquery_lock = threading.RLock()
 
     # -- row sources -----------------------------------------------------------
@@ -285,12 +339,13 @@ class QueryEngine:
         """Materialized value set of one uncorrelated subquery.
 
         A subquery a record can patch (:func:`~repro.query.planner.
-        patchable_subquery`) is filled once from its plan's surviving
-        objects as a :class:`~repro.persistence.views.ValueSet`, which the
-        view keeps current per changelog record: a binding semi-join runs
-        once, not once per write.  Any other subquery is memoized until a
-        write lands on a RIM type it reads.  A subquery over NodeState
-        always runs.
+        subquery_values`) is filled once from its plan's surviving objects
+        as a :class:`~repro.persistence.views.ValueSet`, which the view
+        keeps current per changelog record: a binding semi-join runs once,
+        not once per write.  Any other subquery is memoized until a write
+        lands on a RIM type it reads.  A subquery over NodeState always
+        runs.  Called only while binding a plan's cells, so under
+        :attr:`_subquery_lock`.
         """
         view = self._subqueries
         as_of = view.catch_up()
@@ -299,12 +354,11 @@ class QueryEngine:
             self.stats["subquery_hits"] += 1
             return hit
         self.stats["subquery_materializations"] += 1
-        from repro.query.planner import patchable_subquery
+        from repro.query.planner import subquery_values
 
-        source = patchable_subquery(select)
-        if source is not None:
-            type_name, admits, value_of = source
-            plan = self._plan_for(select, select)
+        plan = self._plan_for(select, select)
+        value_of = subquery_values(plan)
+        if value_of is not None:
             survivors = plan.candidates(self.store)
             if plan.residual is not None:
                 survivors = filter(plan.residual, survivors)
@@ -314,13 +368,13 @@ class QueryEngine:
                 if (value := value_of(obj)) is not None
             }
             try:
-                kept = ValueSet(type_name, admits, value_of, by_id)
+                kept = ValueSet(plan, value_of, by_id)
             except TypeError:  # an unhashable value: the drop rule below
                 pass
             else:
-                view.put(select, (type_name,), kept, as_of=as_of)
+                view.put(select, (plan.type_name,), kept, as_of=as_of)
                 return kept.values
-        rows = self.execute(select)
+        rows = self._run_plan(plan, select)
         values = [row[column] for row in rows if row.get(column) is not None]
         try:
             materialized: frozenset | tuple = frozenset(values)
@@ -334,41 +388,18 @@ class QueryEngine:
     # -- execution ----------------------------------------------------------------
 
     def execute(self, query: str | Select) -> list[Row]:
-        """Run a query, returning projected rows."""
+        """Run a query, returning projected rows.
+
+        A query *text* is answered from the result view when it can be.  On
+        a miss, a statement a record can patch (a patchable plan over one
+        RIM type, at most :data:`~repro.persistence.views.ROW_CAP`
+        survivors) files its survivors as a
+        :class:`~repro.persistence.views.KeptRows`, which later writes patch;
+        any other statement over RIM types files its finished rows (at most
+        ``ROW_CAP``), which a write to a type it read drops.
+        """
         select = parse_select(query) if isinstance(query, str) else query
-        if self.use_planner:
-            view = self._results
-            text_key = query if isinstance(query, str) else None
-            as_of = -1
-            if view is not None and text_key is not None:
-                as_of = view.catch_up()
-                cached = view.get(text_key)
-                if cached is not None:
-                    self.stats["result_hits"] += 1
-                    # rows are scalar-valued; a per-row shallow copy keeps
-                    # callers free to mutate their result set
-                    return [dict(row) for row in cached]
-            plan = self._plan_for(text_key if text_key is not None else select, select)
-            if plan.cells:
-                # the cached plan is shared: hold the lock from cell binding
-                # through the residual filter so another thread cannot rebind
-                # cell.values mid-flight (mixed-generation semi-joins)
-                with self._subquery_lock:
-                    rows = self._run_plan(plan, select)
-            else:
-                rows = self._run_plan(plan, select)
-            if view is not None and text_key is not None:
-                self.stats["result_misses"] += 1
-                types = self._view_types(select)
-                if types is not None and len(rows) <= 512:
-                    view.put(
-                        text_key,
-                        types,
-                        tuple(dict(row) for row in rows),
-                        as_of=as_of,
-                    )
-            return rows
-        else:
+        if not self.use_planner:
             rows = self._rows_for_table(select.table)
             where = (
                 self._resolve_subqueries(select.where)
@@ -377,7 +408,38 @@ class QueryEngine:
             )
             if where is not None:
                 rows = [row for row in rows if eval_predicate(where, row)]
-        return self._finish(select, rows)
+            return finish_rows(select, rows)
+        if not isinstance(query, str):
+            return self._run(self._plan_for(select, select), select)
+        view = self._results
+        as_of = view.catch_up()
+        cached = view.get(query)
+        if cached is not None:
+            self.stats["result_hits"] += 1
+        else:
+            self.stats["result_misses"] += 1
+            plan = self._plan_for(query, select)
+            rows = self._run(plan, select, keep=True)
+            if not isinstance(rows, KeptRows):
+                types = self._view_types(select)
+                if types is not None and len(rows) <= ROW_CAP:
+                    kept = tuple(dict(row) for row in rows)
+                    view.put(query, types, kept, as_of=as_of)
+                return rows
+            cached = rows.read()
+            view.put(query, (plan.type_name,), rows, as_of=as_of)
+        # rows are scalar-valued; a per-row shallow copy keeps callers free
+        # to mutate their result set
+        return [dict(row) for row in cached]
+
+    def _run(self, plan, select: Select, *, keep: bool = False) -> list[Row] | KeptRows:
+        if plan.cells:
+            # the cached plan is shared: hold the lock from cell binding
+            # through the residual filter so another thread cannot rebind
+            # cell.values mid-flight (mixed-generation semi-joins)
+            with self._subquery_lock:
+                return self._run_plan(plan, select, keep=keep)
+        return self._run_plan(plan, select, keep=keep)
 
     def _view_types(self, select: Select) -> frozenset[str] | None:
         """RIM types a statement reads (``"*"`` for the union view), or
@@ -409,13 +471,19 @@ class QueryEngine:
             ) and self._collect_predicate_tables(predicate.right, acc)
         return True
 
-    def _run_plan(self, plan, select: Select) -> list[Row]:
+    def _run_plan(
+        self, plan, select: Select, *, keep: bool = False
+    ) -> list[Row] | KeptRows:
         """Bind subquery cells, probe, filter, project, finish — one execution.
 
         Rows are built late: the residual runs on the candidate *objects*,
         a ``COUNT(*)`` answers with the number of survivors, and only the
         survivors of any other statement are projected into row dicts for
         the shared tail.  ``stats["rows_materialized"]`` counts those dicts.
+        With *keep*, a patchable plan over one RIM type whose survivors fit
+        ``ROW_CAP`` answers with a :class:`KeptRows` of them instead: the
+        survivors projected once, to the columns the tail reads
+        (``plan.kept_projection``), in id order; ids only for a ``COUNT(*)``.
         """
         for cell in plan.cells:
             cell.values = self._subquery_values(cell.select, cell.column)
@@ -427,53 +495,26 @@ class QueryEngine:
             rows = self._relational_rows()
             if residual is not None:
                 rows = list(filter(residual, rows))
-            return self._finish(select, rows)
+            return finish_rows(select, rows)
         survivors = plan.candidates(self.store)
         if residual is not None:
             survivors = list(filter(residual, survivors))
+        keep = (
+            keep
+            and plan.patchable
+            and plan.type_name != "*"
+            and len(survivors) <= ROW_CAP
+            and plan.kept_projection() is not None
+        )
         if select.count:
+            if keep:
+                return KeptRows(plan, dict.fromkeys(map(_ID, survivors)))
             return [{"count": len(survivors)}]
-        rows = list(map(plan.project, survivors))
+        rows = list(map(plan.kept_projection() if keep else plan.project, survivors))
         self.stats["rows_materialized"] += len(rows)
-        return self._finish(select, rows)
-
-    def _finish(self, select: Select, rows: list[Row]) -> list[Row]:
-        """The shared statement tail: count, order, project, distinct, limit."""
-        if select.count:
-            return [{"count": len(rows)}]
-        if select.order_by:
-            # apply terms right-to-left for stable multi-key ordering
-            for term in reversed(select.order_by):
-                key = term.column.name.lower()
-                rows.sort(
-                    key=lambda row: (row.get(key) is None, row.get(key)),
-                    reverse=term.descending,
-                )
-        else:
-            rows.sort(key=lambda row: str(row.get("id", "")))
-        if select.columns is not None:
-            projected = []
-            for row in rows:
-                out: Row = {}
-                for name in select.columns:
-                    key = name.lower()
-                    if key not in row:
-                        raise QuerySyntaxError(f"unknown column: {name!r}")
-                    out[name] = row[key]
-                projected.append(out)
-            rows = projected
-        if select.distinct:
-            seen: set[tuple] = set()
-            unique: list[Row] = []
-            for row in rows:
-                signature = tuple(sorted((k, repr(v)) for k, v in row.items()))
-                if signature not in seen:
-                    seen.add(signature)
-                    unique.append(row)
-            rows = unique
-        if select.limit is not None:
-            rows = rows[: select.limit]
-        return rows
+        if keep:
+            return KeptRows(plan, dict(zip(map(_ID, survivors), rows)))
+        return finish_rows(select, rows, id_ordered=plan.type_name != "*")
 
     def execute_windowed(
         self,

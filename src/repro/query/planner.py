@@ -29,15 +29,23 @@ project survivors*:
 Plans depend only on the statement, never on the data: probes read the live
 indexes at execution time, and subquery cells are re-bound from a view that
 patches a value set per record of a type it read (one virtual table, no
-``LIMIT``: :func:`patchable_subquery`) or else drops it, so the plan cache
-needs no write invalidation.  Results are
+``LIMIT``: :func:`subquery_values`) or else drops it, so the plan cache
+needs no write invalidation.  A plan also serves the engine's result view:
+a *patchable* plan (a virtual table, no subquery cell, catalogue columns
+only — checked on first use) gives a kept entry its patch test
+(:meth:`CompiledPlan.patch_filter`, the whole WHERE, compiled on the first
+record that reaches it), its row (:meth:`CompiledPlan.kept_projection`),
+its tail (:meth:`CompiledPlan.finish`), and its access path, which routes
+records to it.  Results are
 bit-identical to the scan path — same rows, same order, same NULL/coercion
 semantics — which ``tests/test_query_planner.py`` asserts query by query
 and ``tests/test_property_query.py`` over generated statements.  One
 deliberate asymmetry: a probe that empties the candidate set
 skips residual evaluation entirely, so an unknown-column error hiding in the
 residual of a no-match query is not raised (the scan path short-circuits the
-same way whenever the sargable conjunct is leftmost).
+same way whenever the sargable conjunct is leftmost).  Such a plan is not
+patchable: its cached ``[]`` is dropped by the next write to its type, and
+the next run raises once an object reaches the residual.
 
 Plans are shared by every thread of an engine.  A plan without cells is
 read-only; a subquery cell is rebound in place on each execution, so the
@@ -48,11 +56,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Mapping
 
 from repro.persistence.nodestate import NODESTATE_TABLE
 from repro.query.ast import (
+    And,
     Between,
     Column,
     Comparison,
@@ -63,6 +73,7 @@ from repro.query.ast import (
     Literal,
     Not,
     Or,
+    OrderTerm,
     Predicate,
     Select,
     flatten_conjuncts,
@@ -71,9 +82,10 @@ from repro.query.evaluator import (
     _OPS,
     _coerce_pair,
     coerce_between,
+    finish_rows,
     like_to_regex,
 )
-from repro.query.virtual import VIRTUAL_TABLES, Getter, Row
+from repro.query.virtual import VIRTUAL_TABLES, Getter, Row, row_reader
 from repro.util.errors import QuerySyntaxError
 
 #: a virtual table's column catalogue (``virtual.VirtualTable.columns``)
@@ -415,6 +427,10 @@ class CompiledPlan:
         "residual",
         "residual_count",
         "cells",
+        "patchable",
+        "_columns",
+        "_admits",
+        "_kept_project",
     )
 
     def __init__(self, store: Any, select: Select) -> None:
@@ -459,6 +475,51 @@ class CompiledPlan:
             if residual_conjuncts
             else None
         )
+        #: a changelog record may patch what this plan keeps per object: a
+        #: virtual table and no subquery cell (and catalogue columns: see
+        #: :meth:`kept_projection` and :meth:`patch_filter`)
+        self.patchable = columns is not None and not self.cells
+        self._columns = columns
+        #: built on first use; ``False`` once the statement proved unpatchable
+        self._admits: ItemFilter | bool | None = None
+        self._kept_project: Callable[[Any], Row] | bool | None = None
+
+    def patch_filter(self) -> ItemFilter | None:
+        """The whole WHERE as a test of one stored object — what a kept
+        entry is patched by — or ``None`` when it names a column outside the
+        catalogue: the scan path raises on an object that reaches it, so a
+        record drops the entry instead.  Built on the first record that
+        reaches the plan, so a fill compiles nothing."""
+        admits = self._admits
+        if admits is None:
+            where, columns = self.select.where, self._columns
+            if where is None:
+                admits = _admit_all
+            elif _known(where, columns):
+                admits = compile_predicate(where, [], columns)
+            else:
+                admits = False
+            self._admits = admits
+        return admits or None
+
+    def kept_projection(self) -> Callable[[Any], Row] | None:
+        """Stored object → the row a kept entry holds: the columns the
+        statement's tail reads (``id``, the select list, ORDER BY), or the
+        full row for ``SELECT *``; a lean row keeps the entry small.
+        ``None`` when the select list or ORDER BY names a column outside
+        the catalogue: such a statement is not kept per object."""
+        project = self._kept_project
+        if project is None:
+            select = self.select
+            project = self._kept_project = (
+                _kept_row(select.table.lower(), select.columns, select.order_by) or False
+            )
+        return project or None
+
+    def finish(self, rows: list[Row]) -> list[Row]:
+        """The statement tail over *rows*, given in id order (see
+        :func:`finish_rows`)."""
+        return finish_rows(self.select, rows, id_ordered=True)
 
     # -- candidate generation ----------------------------------------------
 
@@ -519,6 +580,8 @@ class CompiledPlan:
             return None
         if self.access.kind == "scan":
             return store.count(None if self.type_name == "*" else self.type_name)
+        if self.patchable:
+            return None  # its survivors' ids fill a kept entry
         return sum(len(self._probe_ids(store, t)) for t in self._type_names(store))
 
     def explain(self) -> dict[str, Any]:
@@ -533,38 +596,60 @@ class CompiledPlan:
         }
 
 
-def _references(node: Any):
-    """Every :class:`Column` and nested :class:`Select` under an AST node."""
-    if isinstance(node, (Column, Select)):
-        yield node
-    elif is_dataclass(node):
-        for field in fields(node):
-            yield from _references(getattr(node, field.name))
+def _admit_all(obj: Any) -> bool:
+    return True
 
 
-def patchable_subquery(select: Select) -> tuple[str, ItemFilter, Getter] | None:
-    """What a changelog record can patch a subquery's value set with.
-
-    A subquery over one virtual table (a RIM type or the ``RegistryObject``
-    union) with no ``LIMIT``, no ``COUNT(*)``, no nested ``IN (SELECT …)``
-    and only catalogue columns is a per-object function: an object is in
-    the set iff the WHERE admits it, with the projected column's value.
-    Returns ``(RIM type or "*", compiled WHERE, column getter)``, or
-    ``None`` for any other subquery (NodeState included).
-    """
-    table = VIRTUAL_TABLES.get(select.table.lower())
-    if table is None or select.limit is not None or select.count:
+@lru_cache(maxsize=256)
+def _kept_row(
+    table: str, columns: tuple[str, ...] | None, order_by: tuple[OrderTerm, ...]
+) -> Callable[[Any], Row] | None:
+    """:meth:`CompiledPlan.kept_projection` per statement shape: most plans
+    share a few shapes, and the shapes come from queries, so the memo is
+    bounded."""
+    names = ("id", *(columns or ()), *(term.column.name for term in order_by))
+    names = tuple(dict.fromkeys(name.lower() for name in names))
+    catalogue = VIRTUAL_TABLES[table]
+    if not all(name in catalogue.columns for name in names):
         return None
-    columns = table.columns
-    for ref in (Column(select.columns[0]), *_references(select.where)):
-        if isinstance(ref, Select) or ref.name.lower() not in columns:
-            return None
-    admits: ItemFilter = (
-        compile_predicate(select.where, [], columns)
-        if select.where is not None
-        else lambda obj: True
-    )
-    return table.type_name, admits, columns[select.columns[0].lower()]
+    return catalogue.project if columns is None else row_reader(table, names)
+
+
+def _known(predicate: Predicate, columns: Columns) -> bool:
+    """Whether every column under a subquery-free *predicate* is a
+    catalogue column."""
+    kind = type(predicate)
+    if kind is And or kind is Or:
+        return _known(predicate.left, columns) and _known(predicate.right, columns)
+    if kind is Not:
+        return _known(predicate.operand, columns)
+    if kind is Comparison:
+        operands: tuple = (predicate.left, predicate.right)
+    elif kind is Between:
+        operands = (predicate.column, predicate.low, predicate.high)
+    else:  # Like, InList, IsNull
+        return predicate.column.name.lower() in columns
+    for operand in operands:
+        if type(operand) is Column and operand.name.lower() not in columns:
+            return False
+    return True
+
+
+def subquery_values(plan: CompiledPlan) -> Getter | None:
+    """The projected column's getter when a record can patch a subquery's
+    value set, else ``None``.
+
+    A patchable plan (one virtual table — a RIM type or the
+    ``RegistryObject`` union — catalogue columns only, no nested
+    ``IN (SELECT …)``) with no ``LIMIT`` and no ``COUNT(*)`` is a
+    per-object function: an object is in the set iff the WHERE admits it,
+    with the projected column's value.  (A WHERE naming an unknown column
+    has no :meth:`CompiledPlan.patch_filter`: its set is dropped per record.)
+    """
+    select = plan.select
+    if not plan.patchable or select.limit is not None or select.count:
+        return None
+    return plan._columns.get(select.columns[0].lower())
 
 
 def build_plan(store: Any, select: Select) -> CompiledPlan:

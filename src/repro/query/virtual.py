@@ -2,15 +2,17 @@
 
 freebXML ships a normative SQL schema in which each ebRIM class is a table.
 Here each class maps to a **column catalogue**: every column is defined
-once, as an expression over the stored object ``o``, and both of its
-readers are compiled from that one definition —
+once, as an expression over the stored object ``o``, and each of its
+readers is compiled from that one definition —
 
 * the column's **getter** (``column → getter(obj)``), which the planner
   compiles predicates' column reads to, so filters run on the stored
   objects and no row is built for an object that does not survive;
 * the table's **full-row projection** (``SELECT *``, the ``planner=False``
   oracle, the survivors of a planned statement): one dict display over all
-  the expressions, as fast as a hand-written row function.
+  the expressions, as fast as a hand-written row function;
+* a **lean row** of just the columns a statement's tail reads
+  (:func:`row_reader`), which a result kept per object holds.
 
 The expressions are this module's own constants, never request input.
 Column names follow the freebXML schema conventions (lower-case, e.g.
@@ -20,7 +22,7 @@ say either ``name`` or ``name_``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Mapping
 
@@ -38,6 +40,8 @@ class VirtualTable:
     columns: Mapping[str, Getter]
     #: stored object → its full row: every catalogue column, in order
     project: Callable[[Any], Row]
+    #: column (lower case) → its expression over the stored object ``o``
+    expressions: Mapping[str, str] = field(compare=False, repr=False)
 
 
 #: column → expression over the stored object ``o``, common to every class
@@ -66,7 +70,7 @@ def _table(type_name: str, **own: str) -> VirtualTable:
     expressions = {**_BASE, **own}
     columns = {column: _reader(expr) for column, expr in expressions.items()}
     display = ", ".join(f"{column!r}: {expr}" for column, expr in expressions.items())
-    return VirtualTable(type_name, columns, _reader(f"{{{display}}}"))
+    return VirtualTable(type_name, columns, _reader(f"{{{display}}}"), expressions)
 
 
 _USER = _table(
@@ -154,3 +158,13 @@ VIRTUAL_TABLES: dict[str, VirtualTable] = {
     # RegistryObject is the union view over every class
     "registryobject": _table("*"),
 }
+
+
+def row_reader(table: str, names: tuple[str, ...]) -> Callable[[Any], Row]:
+    """Stored object → a row of just *names*, catalogue columns of *table*
+    (both lower case), compiled anew: the column lists come from queries, so
+    a caller keeps what it needs in a bounded cache.  The expressions are
+    still this module's own."""
+    expressions = VIRTUAL_TABLES[table].expressions
+    display = ", ".join(f"{name!r}: {expressions[name]}" for name in names)
+    return eval(f"lambda o: {{{display}}}")  # noqa: S307 - module constants only

@@ -680,6 +680,68 @@ class TestEngineParity:
         assert planned.execute(query) == scan.execute(query)
 
 
+    def test_patched_results_beside_two_writers(self, store):
+        """Two writers rename services in and out of a name prefix while two
+        readers run statements whose kept rows are patched, not refilled.
+        A pinned service never leaves the answer, every answer is in order
+        with no id twice, and once the writers stop each answer is the
+        scan's: a lost, doubled or unsorted patch would leave it wrong."""
+        pinned = {publish(store, name=f"Pin{n}").id for n in range(4)}
+        movers = [publish(store, name=f"Away{n}").id for n in range(4)]
+        planned = QueryEngine(store, planner=True)
+        scan = QueryEngine(store, planner=False)
+        queries = (
+            "SELECT id, name FROM Service WHERE name LIKE 'Pin%' ORDER BY name",
+            "SELECT id FROM Service WHERE name BETWEEN 'Pin' AND 'Pin9' LIMIT 6",
+        )
+        stop = threading.Event()
+        wrong: list = []
+        reads = [0]
+
+        def writer(seed):
+            n = seed
+            while not stop.is_set():
+                service = store.get_object(movers[n % len(movers)])
+                service.name.set(f"Pin{n % 3}" if n % 2 else f"Away{n}")
+                store.save_object(service)
+                n += 7
+
+        def reader():
+            while not stop.is_set():
+                first = planned.execute(queries[0])
+                ids_ = [row["id"] for row in first]
+                names = [row["name"] for row in first]
+                if not pinned <= set(ids_) or names != sorted(names) or len(
+                    set(ids_)
+                ) != len(ids_):
+                    wrong.append(first)
+                    return
+                if not 4 <= len(planned.execute(queries[1])) <= 6:
+                    wrong.append(queries[1])
+                    return
+                reads[0] += 1
+
+        threads = [threading.Thread(target=writer, args=(seed,)) for seed in (0, 1)]
+        threads += [threading.Thread(target=reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and reads[0] > 0
+        for query in queries:
+            assert planned.execute(query) == scan.execute(query)
+        # patched, not refilled: a miss is a fill a racing write stranded
+        assert planned.stats["result_misses"] * 100 < planned.stats["result_hits"]
+
+
 # -- generated schedules: every cache-backed read == its uncached recompute ----
 
 HOST_NAMES = ["h0", "h1", "h2"]
@@ -692,6 +754,8 @@ DESCRIPTIONS = [
     "no constraints here",
     "<constraint><cpuLoad>load ls",
 ]
+#: the first ids the machine hands out, whatever it builds with them
+FIRST_IDS = IdFactory(99).new_ids(3)
 PARITY_QUERIES = [
     "SELECT id, name FROM Service ORDER BY name, id",
     "SELECT COUNT(*) FROM ServiceBinding",
@@ -711,6 +775,17 @@ PARITY_QUERIES = [
     "ServiceBinding WHERE service IN (SELECT id FROM Service WHERE name = 'h0'))",
     "SELECT name FROM Service WHERE id NOT IN "
     "(SELECT service FROM ServiceBinding WHERE host = 'h0')",
+    # top-level statements kept per object and patched: ties of twin names
+    # must keep their id order, a rename must leave a prefix and a range
+    "SELECT id, name FROM Service ORDER BY name",
+    "SELECT id, name FROM Service WHERE name LIKE 'h%' ORDER BY name DESC LIMIT 2",
+    "SELECT COUNT(*) FROM Service WHERE name LIKE 'h%'",
+    "SELECT COUNT(*) FROM ServiceBinding WHERE accessuri LIKE '%h1%'",
+    "SELECT DISTINCT name FROM Service WHERE description LIKE '%gr%' ORDER BY name",
+    "SELECT * FROM Service WHERE name BETWEEN 'NodeStatus' AND 'h0'",
+    f"SELECT id, description FROM Service WHERE id = '{FIRST_IDS[0]}'",
+    f"SELECT id FROM RegistryObject WHERE id IN ('{FIRST_IDS[1]}', '{FIRST_IDS[2]}')",
+    "SELECT id FROM Service WHERE name LIKE '%1'",
 ]
 
 
@@ -753,6 +828,20 @@ class FreshnessMachine(RuleBasedStateMachine):
     def insert_service(self, name, description):
         self.store.insert_object(self._new_service(name, description))
 
+    @rule(name=st.sampled_from(SERVICE_NAMES))
+    def insert_twin_services(self, name):
+        """Two services of one name: a patch must re-sort the tie by id."""
+        for _ in range(2):
+            self.store.insert_object(self._new_service(name, DESCRIPTIONS[1]))
+
+    @precondition(lambda self: self.service_ids)
+    @rule(data=st.data(), name=st.sampled_from(SERVICE_NAMES + ["g9"]))
+    def rename_service(self, data, name):
+        """A new name moves the service into or out of name probes."""
+        service = self.store.get_object(data.draw(st.sampled_from(self.service_ids)))
+        service.name.set(name)
+        self.store.save_object(service)
+
     @rule(name=st.text(min_size=1, max_size=6))
     def insert_organization(self, name):
         self.store.insert_object(Organization(self.ids.new_id(), name=name))
@@ -790,9 +879,9 @@ class FreshnessMachine(RuleBasedStateMachine):
     def committed_transaction_read_midway(self, data, host, delete):
         """Reads inside a transaction fill caches from its writes on the live
         heap; the writes' records arrive at commit, past those fills'
-        watermark, and must not count twice.  The subquery memo is emptied
-        first, or every subquery would be a hit kept current since the
-        last step's reads."""
+        watermark, and must not count twice.  The subquery and result views
+        are emptied first, or every read would be a hit kept current since
+        the last step's reads."""
         binding_id = data.draw(st.sampled_from(self.binding_ids))
         with self.store.transaction():
             self._rehost(binding_id, host)
@@ -806,6 +895,7 @@ class FreshnessMachine(RuleBasedStateMachine):
                 self.store.delete_object(binding.id)
                 self.binding_ids.remove(binding.id)
             self.registry.engine._subqueries.invalidate_all()
+            self.registry.engine._results.invalidate_all()
             self._cached_reads(self.service_ids)
 
     @precondition(lambda self: self.binding_ids and len(self.service_ids) > 1)

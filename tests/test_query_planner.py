@@ -6,11 +6,15 @@ same rows, same order — for every statement, including the ORDER-BY-tie,
 DISTINCT, windowing, and NULL corners the planner could plausibly break.
 """
 
+import random
+
 import pytest
 
 from repro.mtc.experiment import adhoc_query_mix
 from repro.persistence import DAORegistry, DataStore, NodeSample
 from repro.query import QueryEngine, parse_select
+from repro.query.planner import CompiledPlan
+from repro.query.virtual import VIRTUAL_TABLES
 from repro.rim import Classification, Organization, Service, ServiceBinding
 from repro.util.errors import QuerySyntaxError
 from repro.util.ids import IdFactory
@@ -215,7 +219,7 @@ class TestAccessPathSelection:
 
 
 class TestPlanCache:
-    def test_repeat_text_hits_cache(self, planned, store):
+    def test_repeat_text_is_patched_by_a_write(self, planned, scan, store):
         query = "SELECT * FROM Service WHERE name LIKE 'Svc%'"
         first = planned.execute(query)
         built = planned.stats["plans_built"]
@@ -223,11 +227,13 @@ class TestPlanCache:
         # before the planner is even consulted
         assert planned.execute(query) == first
         assert planned.stats["result_hits"] >= 1
-        # a write drops the cached rows but not the compiled plan
+        # a write is patched into the kept rows: the next read is a hit that
+        # runs neither the plan nor the planner
         store.insert_object(Service(ids.new_id(), name="Svc99", description="d"))
-        planned.execute(query)
+        assert "Svc99" in [row["name"] for row in assert_parity(planned, scan, query)]
         assert planned.stats["plans_built"] == built
-        assert planned.stats["plan_hits"] >= 1
+        assert planned.stats["plan_hits"] == 0
+        assert planned.stats["result_misses"] == 1
 
     def test_ast_input_hits_cache_too(self, planned):
         select = parse_select("SELECT * FROM Service WHERE name = 'Svc01'")
@@ -355,6 +361,76 @@ class TestProbeDeleteRace:
         )
 
 
+def thousand_services(seed: int) -> DataStore:
+    """1 000 services ``Svc0000``…, one binding each (``Svc0000.b0``, 16 hosts)."""
+    store = DataStore()
+    local = IdFactory(seed)
+    with store.transaction():
+        for index in range(1000):
+            svc = Service(local.new_id(), name=f"Svc{index:04d}", description="d")
+            store.insert_object(svc)
+            store.insert_object(
+                ServiceBinding(
+                    local.new_id(),
+                    service=svc.id,
+                    access_uri=f"http://host{index % 16:02d}.bench:80/x",
+                    name=f"Svc{index:04d}.b0",
+                )
+            )
+    return store
+
+
+def adhoc_texts(rng: random.Random) -> list[str]:
+    """64 texts of the ``adhoc_mix`` shapes a record can patch (the semi-join
+    shape keeps the drop rule): name equality, prefix with ORDER BY and
+    LIMIT, suffix pattern, filtered COUNT(*), and a 40-name BETWEEN."""
+    texts = []
+    for _ in range(19):
+        p = rng.randrange(2000)
+        texts.append(
+            f"SELECT id FROM Service WHERE name = 'Svc{p:04d}'"
+            if p < 1000
+            else f"SELECT id FROM ServiceBinding WHERE name = 'Svc{p - 1000:04d}.b0'"
+        )
+    for _ in range(12):
+        p = rng.randrange(1000)
+        texts.append(
+            f"SELECT id, name FROM Service WHERE name LIKE 'Svc{p % 100:03d}%' "
+            f"ORDER BY name LIMIT {1 + p // 100}"
+        )
+    for _ in range(7):
+        texts.append(f"SELECT id FROM Service WHERE name LIKE '%{rng.randrange(1000):03d}'")
+    for _ in range(17):
+        p = rng.randrange(1600)
+        texts.append(
+            f"SELECT COUNT(*) FROM ServiceBinding WHERE host = 'host{p % 16:02d}.bench' "
+            f"AND name LIKE 'Svc{p // 16 % 100:03d}%'"
+        )
+    for _ in range(9):
+        low = rng.randrange(960)
+        texts.append(
+            f"SELECT * FROM Service WHERE name BETWEEN 'Svc{low:04d}' "
+            f"AND 'Svc{low + 39:04d}'"
+        )
+    return texts
+
+
+def path_admits(explained: dict, record) -> bool:
+    """Whether a plan's access path admits a record's pre- or post-image."""
+    kind, values = explained["access_path"], explained["probe_values"]
+    if kind == "scan":
+        return True
+    if kind in ("id-eq", "id-in"):
+        return record.object_id in values
+    names = [o.name.value for o in (record.payload, record.previous) if o is not None]
+    if kind in ("name-eq", "name-in"):
+        return any(name in values for name in names)
+    if kind in ("name-prefix", "name-like"):
+        return any(name.startswith(values[0]) for name in names)
+    assert kind == "name-range", kind
+    return any(values[0] <= name <= values[1] for name in names)
+
+
 class TestWorkBound:
     """Row dicts are built for what a statement returns, not what it reads.
 
@@ -365,21 +441,7 @@ class TestWorkBound:
 
     @pytest.fixture(scope="class")
     def big_store(self) -> DataStore:
-        store = DataStore()
-        local = IdFactory(1000)
-        with store.transaction():
-            for index in range(1000):
-                svc = Service(local.new_id(), name=f"Svc{index:04d}", description="d")
-                store.insert_object(svc)
-                store.insert_object(
-                    ServiceBinding(
-                        local.new_id(),
-                        service=svc.id,
-                        access_uri=f"http://host{index % 16:02d}.bench:80/x",
-                        name=f"Svc{index:04d}.b0",
-                    )
-                )
-        return store
+        return thousand_services(1000)
 
     @pytest.mark.parametrize(
         "query, returned",
@@ -449,6 +511,97 @@ class TestWorkBound:
         assert engine.execute(query) == QueryEngine(store, planner=False).execute(query)
         assert {row["id"] for row in engine.execute(query)} == before
         assert engine.stats["subquery_materializations"] == 1
+
+
+    def test_a_write_reaches_only_the_results_it_can_change(self, monkeypatch):
+        """64 cached texts beside 200 description rewrites and 100 Submit /
+        Remove pairs of ``Tmp…`` services: every write is patched into the
+        kept results (no text misses again), and a record evaluates the WHERE
+        of only the entries whose access path admits its names or id."""
+        store = thousand_services(1002)
+        rng = random.Random(1002)
+        texts = adhoc_texts(rng)
+        engine = QueryEngine(store)
+        for text in texts:
+            engine.execute(text)
+        assert engine.stats["result_misses"] == len(texts)
+        evaluations = [0]
+        patch_filter = CompiledPlan.patch_filter
+
+        def counted(plan):
+            admits = patch_filter(plan)
+
+            def evaluate(obj):
+                evaluations[0] += 1
+                return admits(obj)
+
+            return evaluate
+
+        monkeypatch.setattr(CompiledPlan, "patch_filter", counted)
+        start = store.changelog.last_seq
+        services = list(store.iter_views_of_type("Service"))
+        local = IdFactory(1003)
+        for step in range(300):
+            if step % 3 == 2:
+                svc = Service(local.new_id(), name=f"Tmp{step}x", description="t")
+                binding = ServiceBinding(
+                    local.new_id(),
+                    service=svc.id,
+                    access_uri=f"http://host{step % 16:02d}.bench:80/t",
+                    name=f"Tmp{step}x.b0",
+                )
+                store.insert_object(svc)
+                store.insert_object(binding)
+                store.delete_object(binding.id)
+                store.delete_object(svc.id)
+            else:
+                svc = store.get_object(rng.choice(services).id)
+                svc.description.set(f"rewrite {step}")
+                store.save_object(svc)
+            for text in texts:
+                engine.execute(text)
+        assert engine.stats["result_misses"] == len(texts)
+        records = store.changelog.records_since(start)
+        assert len(records) == 200 + 4 * 100
+        explained = [(engine.explain(text), text) for text in texts]
+        reached = sum(
+            path_admits(plan, record)
+            for record in records
+            for plan, _ in explained
+            if VIRTUAL_TABLES[plan["table"].lower()].type_name == record.type_name
+        )
+        every = sum(
+            VIRTUAL_TABLES[plan["table"].lower()].type_name == record.type_name
+            for record in records
+            for plan, _ in explained
+        )
+        assert 0 < evaluations[0] <= reached < every / 4
+        scan = QueryEngine(store, planner=False)
+        for text in texts:
+            assert engine.execute(text) == scan.execute(text), text
+
+
+class TestResultPatching:
+    """A write patches a cached result; what a record cannot patch is dropped."""
+
+    def test_an_unknown_column_behind_an_empty_probe_is_dropped_not_patched(
+        self, planned, scan, store
+    ):
+        """The probe empties the candidate set, so the residual naming an
+        unknown column never runs and ``[]`` is cached.  Once a matching
+        object exists, the record must drop that entry — a patch would raise
+        inside the catch-up and fail every other read of the view — and the
+        next run raises, as the scan path does."""
+        bogus = "SELECT id FROM Service WHERE name = 'Nx' AND bogus = 1"
+        other = "SELECT id, name FROM Service WHERE name LIKE 'N%'"
+        assert planned.execute(bogus) == scan.execute(bogus) == []
+        assert planned.execute(other) == []
+        store.insert_object(Service(ids.new_id(), name="Nx", description="d"))
+        assert [row["name"] for row in assert_parity(planned, scan, other)] == ["Nx"]
+        with pytest.raises(QuerySyntaxError):
+            scan.execute(bogus)
+        with pytest.raises(QuerySyntaxError):
+            planned.execute(bogus)
 
 
 class TestScanParity:
