@@ -2,9 +2,8 @@
 
 Every committed heap mutation (insert/save/delete) appends one typed
 :class:`ChangeRecord` carrying a monotonic sequence number, the affected
-object id and type, the post-image (and pre-image, when one exists), the
-published index generation, and the idempotency key of the lifecycle
-request that produced it.  The log is the source of truth that the
+object id and type, the post-image (and pre-image, when one exists) and the
+published index generation.  The log is the source of truth that the
 materialized discovery views (:mod:`repro.persistence.views`) key their
 incremental invalidation on, and the replication spine a federated
 registry would ship to peers.
@@ -66,7 +65,6 @@ class ChangeRecord:
     payload: "RegistryObject | None"
     previous: "RegistryObject | None"
     version: int
-    idempotency_key: str | None = None
 
 
 class ChangeLog:
@@ -87,7 +85,6 @@ class ChangeLog:
         payload: "RegistryObject | None" = None,
         previous: "RegistryObject | None" = None,
         version: int = 0,
-        idempotency_key: str | None = None,
     ) -> ChangeRecord:
         record = ChangeRecord(
             seq=len(self._records) + 1,
@@ -97,7 +94,6 @@ class ChangeLog:
             payload=payload,
             previous=previous,
             version=version,
-            idempotency_key=idempotency_key,
         )
         self._records.append(record)
         if op == OP_RESET:

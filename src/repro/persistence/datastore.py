@@ -231,11 +231,10 @@ class _WriteScope:
     puts back.
     """
 
-    __slots__ = ("builders", "idempotency_key", "ops", "pending")
+    __slots__ = ("builders", "ops", "pending")
 
-    def __init__(self, builders: tuple, idempotency_key: str | None = None) -> None:
+    def __init__(self, builders: tuple) -> None:
         self.builders = builders
-        self.idempotency_key = idempotency_key
         self.ops = 0
         #: object id → (op, type_name, payload, previous), insertion-ordered
         self.pending: dict[str, tuple] = {}
@@ -320,7 +319,7 @@ class DataStore:
         if scope.ops == 0:
             return
         self._publish(*scope.builders)
-        append, version, key = self.changelog.append, self.version, scope.idempotency_key
+        append, version = self.changelog.append, self.version
         for object_id, (op, type_name, payload, previous) in scope.pending.items():
             append(
                 op,
@@ -329,7 +328,6 @@ class DataStore:
                 payload=payload,
                 previous=previous,
                 version=version,
-                idempotency_key=key,
             )
         self.writes += len(scope.pending)
 
@@ -566,15 +564,14 @@ class DataStore:
     # -- transactions ----------------------------------------------------------
 
     @contextmanager
-    def transaction(self, *, idempotency_key: str | None = None) -> Iterator["DataStore"]:
+    def transaction(self) -> Iterator["DataStore"]:
         """The write scope: commit on success, roll back the object heap on error.
 
         Inside the transaction every mutator updates the heap map at once
         (point reads stay exact) but accumulates its index changes into one
         builder set and its change record into a per-object coalescing
         buffer.  Commit publishes a *single* new index generation (one
-        version bump for N writes), then appends the coalesced records,
-        each stamped with ``idempotency_key``.
+        version bump for N writes), then appends the coalesced records.
 
         Index-driven readers (scans, counts, name lookups) meanwhile see the
         pre-transaction generation over the live heap: its inserts are
@@ -595,7 +592,6 @@ class DataStore:
                 yield self
                 return
             scope = self._scope = self._open_scope()
-            scope.idempotency_key = idempotency_key
             try:
                 yield self
             except BaseException:

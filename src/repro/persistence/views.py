@@ -5,9 +5,9 @@ Each view tracks an applied-sequence watermark into the store's
 :meth:`~ChangelogView.catch_up`, drops exactly the entries each new record
 affects (**per-record delta application**): a write to one service
 invalidates one entry, not the population.  An entry kept per object is
-patched instead of dropped (a :class:`Maintained` in a
-:class:`QueryResultView`: an ad-hoc result's rows, a subquery's value
-set), and only a record its access path admits reaches it.  Nothing else signals
+patched instead of dropped (a :class:`KeptRows` in a
+:class:`QueryResultView`: the survivors of an ad-hoc statement or of a
+subquery), and only a record its access path admits reaches it.  Nothing else signals
 freshness for heap state — no callbacks from the writer, no version
 stamps; NodeState is outside the changelog and rides the version of
 ``NodeStateStore.generation()`` instead; nothing is kept on the clock's say-so.
@@ -31,7 +31,7 @@ since-rolled-back generations, and no per-record history of those exists.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from repro.persistence.changelog import OP_RESET, ChangeRecord
@@ -180,24 +180,48 @@ class BoundBindings(tuple):
         return self
 
 
-class Maintained:
-    """A view entry kept per object, which a changelog record patches.
+#: the most survivors a kept entry holds, and the most rows of a finished
+#: answer the drop rule keeps
+ROW_CAP = 512
 
-    ``plan`` is the compiled plan of the statement the entry answers; the
-    view reads three things off it: ``type_name`` (a RIM type, or ``"*"``
-    for the union view), ``access`` (the index path that routes records to
-    the entry) and ``patch_filter()`` (its whole WHERE as a test of one
-    stored object, ``None`` if it cannot be one).  Keyed by object id, a
-    patch is idempotent: a record whose write the fill already read
-    changes nothing.
+_ABSENT = object()
+
+
+class KeptRows:
+    """A statement's survivors, kept as ``object id → row``, which a
+    changelog record patches.
+
+    ``plan`` is the compiled plan of the statement; the view reads three
+    things off it: ``type_name`` (a RIM type, or ``"*"`` for the union
+    view), ``access`` (the index path that routes records to the entry) and
+    ``patch_filter()`` (its whole WHERE as a test of one stored object,
+    ``None`` if it cannot be one).  A row holds the columns the statement's
+    tail reads (the plan's ``kept_projection``: the full row for
+    ``SELECT *``; ``None`` for ``COUNT(*)``).  ``shape`` turns the finished
+    rows into what a reader gets (a tuple of rows, a subquery's value set).
+    The plan's ``finish`` (order, columns, DISTINCT, LIMIT, COUNT) runs over
+    the rows in id order — the scan path's pre-filter order within a type,
+    and the union's order wherever no ORDER BY reorders it — and the shaped
+    answer is kept until a patch changes a row.  Keyed by object id, a patch
+    is idempotent: a record whose write the fill already read changes
+    nothing.  An entry that would grow past :data:`ROW_CAP` asks to be
+    dropped.
     """
 
-    __slots__ = ("plan",)
+    __slots__ = ("plan", "shape", "by_id", "answer", "in_order")
+
+    def __init__(self, plan: Any, shape: Callable[[list], Any], by_id: dict[str, Any]) -> None:
+        self.plan = plan
+        self.shape = shape
+        self.by_id = by_id
+        self.answer: Any = None
+        #: union candidates arrive type by type; one type's in id order
+        self.in_order = plan.type_name != "*"
 
     def patch(self, record: ChangeRecord) -> bool:
         """Replace what ``record.object_id`` gives with what its post-image
         gives; ``False`` when the entry cannot follow (the view drops it)."""
-        obj, plan = record.payload, self.plan
+        obj, plan, by_id = record.payload, self.plan, self.by_id
         admits = plan.patch_filter()
         if admits is None:
             return False
@@ -206,115 +230,33 @@ class Maintained:
                 plan.type_name not in ("*", obj.type_name) or not admits(obj)
             ):
                 obj = None
-            return self._replace(record.object_id, obj)
         except TypeError:  # an unhashable value
             return False
-
-    def _replace(self, object_id: str, obj: Any) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def read(self) -> object:  # pragma: no cover
-        """What a reader of the entry gets."""
-        raise NotImplementedError
-
-
-class ValueSet(Maintained):
-    """One subquery's value set, kept as ``object id → projected value``.
-
-    ``values`` (the frozenset a subquery cell reads) is built from a
-    value → count map, so an object leaving the set drops its value only
-    if no other object still gives it.
-    """
-
-    __slots__ = ("value_of", "by_id", "counts", "values")
-
-    def __init__(
-        self, plan: Any, value_of: Callable[[Any], Hashable], by_id: dict[str, Hashable]
-    ) -> None:
-        self.plan = plan
-        self.value_of = value_of
-        self.by_id = by_id
-        self.counts = Counter(by_id.values())  # TypeError: an unhashable value
-        self.values = frozenset(self.counts)
-
-    def _replace(self, object_id: str, obj: Any) -> bool:
-        counts = self.counts
-        new = None if obj is None else self.value_of(obj)
-        changed = False
-        if new is not None:  # add before removing: a kept value never leaves
-            changed = not counts[new]
-            counts[new] += 1
-        old = self.by_id.pop(object_id, None)
-        if old is not None:
-            counts[old] -= 1
-            if not counts[old]:
-                del counts[old]
-                changed = True
-        if new is not None:
-            self.by_id[object_id] = new
-        if changed:
-            self.values = frozenset(counts)
-        return True
-
-    def read(self) -> frozenset:
-        return self.values
-
-
-#: the most survivors a statement's entry keeps per object; past it the
-#: finished rows are kept instead, under the drop rule
-ROW_CAP = 512
-
-_ABSENT = object()
-
-
-class KeptRows(Maintained):
-    """A top-level statement's survivors, kept as ``object id → row``.
-
-    A row holds the columns the statement's tail reads (the plan's
-    ``kept_projection``: the full row for ``SELECT *``).  The plan's
-    ``finish`` (the tail: order, columns, DISTINCT, LIMIT, COUNT) runs over
-    the kept rows in id order — the scan path's pre-filter order, so ties
-    break bit-identically — and its result is kept until a patch changes a
-    row.  A ``COUNT(*)`` entry keeps ids only (every row ``None``).  An
-    entry that would grow past :data:`ROW_CAP` asks to be dropped.
-    """
-
-    __slots__ = ("by_id", "finished", "in_order")
-
-    def __init__(self, plan: Any, by_id: dict[str, Any]) -> None:
-        self.plan = plan
-        self.by_id = by_id  # filled in id order
-        self.finished: tuple | None = None
-        self.in_order = True
-
-    def _replace(self, object_id: str, obj: Any) -> bool:
-        by_id = self.by_id
         if obj is None:
-            if by_id.pop(object_id, _ABSENT) is not _ABSENT:
-                self.finished = None
+            if by_id.pop(record.object_id, _ABSENT) is not _ABSENT:
+                self.answer = None
             return True
-        row = None if self.plan.select.count else self.plan.kept_projection()(obj)
-        old = by_id.get(object_id, _ABSENT)
+        row = None if plan.select.count else plan.kept_projection()(obj)
+        old = by_id.get(record.object_id, _ABSENT)
         if old is _ABSENT:
             if len(by_id) >= ROW_CAP:
                 return False
             self.in_order = False
         elif old == row:
             return True
-        by_id[object_id] = row
-        self.finished = None
+        by_id[record.object_id] = row
+        self.answer = None
         return True
 
-    def read(self) -> tuple:
-        finished = self.finished
-        if finished is None:
+    def read(self) -> Any:
+        """What a reader of the entry gets."""
+        answer = self.answer
+        if answer is None:
             if not self.in_order:
                 self.by_id = dict(sorted(self.by_id.items()))
                 self.in_order = True
-            finished = self.finished = tuple(
-                self.plan.finish(list(self.by_id.values()))
-            )
-        return finished
+            answer = self.answer = self.shape(self.plan.finish(list(self.by_id.values())))
+        return answer
 
 
 def _link(index: dict, slot: Hashable, key: Hashable) -> None:
@@ -408,8 +350,8 @@ class QueryResultView(ChangelogView):
     transaction coalesced) and ``"*"``, routed by access path
     (:class:`_Routes`).
 
-    An entry that offers ``patch(record)`` (a :class:`Maintained`) is
-    patched: a record replaces its object's contribution.  Because that is
+    A :class:`KeptRows` entry is patched: a record replaces its object's
+    row.  Because that is
     idempotent, the ``as_of`` fill protocol stays the only synchronisation
     and readers take no writer lock.  Any other entry is dropped, and a
     reset barrier clears both kinds.  Anything read from NodeState is never
@@ -441,7 +383,7 @@ class QueryResultView(ChangelogView):
         entries = self._entries
         for key in reached:
             value = entries[key][1]
-            if not (isinstance(value, Maintained) and value.patch(record)):
+            if not (isinstance(value, KeptRows) and value.patch(record)):
                 self._drop(key)
 
     def _drop(self, key: Hashable) -> None:
@@ -463,7 +405,7 @@ class QueryResultView(ChangelogView):
                 return None
             self._entries.move_to_end(key)
             value = entry[1]
-            return value.read() if isinstance(value, Maintained) else value
+            return value.read() if isinstance(value, KeptRows) else value
 
     def put(
         self, key: Hashable, type_names: Iterable[str], value: object, *, as_of: int
@@ -475,7 +417,7 @@ class QueryResultView(ChangelogView):
             while len(self._entries) >= self.capacity:
                 self._drop(next(iter(self._entries)))
             names = frozenset(type_names)
-            access = value.plan.access if isinstance(value, Maintained) else None
+            access = value.plan.access if isinstance(value, KeptRows) else None
             self._entries[key] = (names, value, access)
             for type_name in names:
                 routes = self._routes.get(type_name)

@@ -17,9 +17,9 @@ index-backed access paths, predicate closures compiled against the virtual
 table's column catalogue, changelog-validated subquery materialization) and
 run as *probe → filter the stored objects → project the survivors* — see
 :mod:`repro.query.planner` and :meth:`QueryEngine._run_plan`.  A repeated
-query text is answered from a changelog view, which patches a statement's
-kept survivors per write where the plan allows it
-(:meth:`QueryEngine.execute`).  Construct
+query text, like a subquery, is answered from a changelog view, which
+patches the statement's kept survivors per write where the plan allows it
+(:meth:`QueryEngine._answer`).  Construct
 with ``planner=False`` to force the original path, which projects every
 object of the table into a row and evaluates the AST over the rows
 (:func:`eval_predicate`); it is the oracle: the two must return
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import re
 import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Any
 
 from repro.persistence.datastore import DataStore
 from repro.persistence.nodestate import NODESTATE_TABLE
-from repro.persistence.views import ROW_CAP, KeptRows, QueryResultView, ValueSet
+from repro.persistence.views import ROW_CAP, KeptRows, QueryResultView
 from repro.query.ast import (
     And,
     Between,
@@ -240,6 +240,16 @@ def finish_rows(
     return rows
 
 
+def _value_set(column: str, rows: list[Row]) -> frozenset | tuple:
+    """A subquery's finished rows as the set of *column*'s non-NULL values
+    (a tuple when a value is unhashable)."""
+    values = [row[column] for row in rows if row.get(column) is not None]
+    try:
+        return frozenset(values)
+    except TypeError:
+        return tuple(values)
+
+
 class QueryEngine:
     """Executes SELECT statements against one datastore.
 
@@ -336,67 +346,27 @@ class QueryEngine:
         return plan.explain()
 
     def _subquery_values(self, select: Select, column: str) -> frozenset | tuple:
-        """Materialized value set of one uncorrelated subquery.
-
-        A subquery a record can patch (:func:`~repro.query.planner.
-        subquery_values`) is filled once from its plan's surviving objects
-        as a :class:`~repro.persistence.views.ValueSet`, which the view
-        keeps current per changelog record: a binding semi-join runs once,
-        not once per write.  Any other subquery is memoized until a write
-        lands on a RIM type it reads.  A subquery over NodeState always
-        runs.  Called only while binding a plan's cells, so under
-        :attr:`_subquery_lock`.
+        """Materialized value set of one uncorrelated subquery: the answer
+        of :meth:`_answer` read as the set of *column*'s values, so a
+        binding semi-join runs once, not once per write.  A subquery over
+        NodeState always runs.  Called only while binding a plan's cells,
+        so under :attr:`_subquery_lock`.
         """
-        view = self._subqueries
-        as_of = view.catch_up()
-        hit = view.get(select)
-        if hit is not None:
-            self.stats["subquery_hits"] += 1
-            return hit
-        self.stats["subquery_materializations"] += 1
-        from repro.query.planner import subquery_values
-
-        plan = self._plan_for(select, select)
-        value_of = subquery_values(plan)
-        if value_of is not None:
-            survivors = plan.candidates(self.store)
-            if plan.residual is not None:
-                survivors = filter(plan.residual, survivors)
-            by_id = {
-                obj.id: value
-                for obj in survivors
-                if (value := value_of(obj)) is not None
-            }
-            try:
-                kept = ValueSet(plan, value_of, by_id)
-            except TypeError:  # an unhashable value: the drop rule below
-                pass
-            else:
-                view.put(select, (plan.type_name,), kept, as_of=as_of)
-                return kept.values
-        rows = self._run_plan(plan, select)
-        values = [row[column] for row in rows if row.get(column) is not None]
-        try:
-            materialized: frozenset | tuple = frozenset(values)
-        except TypeError:
-            materialized = tuple(values)
-        types = self._view_types(select)
-        if types is not None:
-            view.put(select, types, materialized, as_of=as_of)
-        return materialized
+        return self._answer(
+            self._subqueries,
+            select,
+            select,
+            partial(_value_set, column),
+            ("subquery_hits", "subquery_materializations"),
+        )
 
     # -- execution ----------------------------------------------------------------
 
     def execute(self, query: str | Select) -> list[Row]:
         """Run a query, returning projected rows.
 
-        A query *text* is answered from the result view when it can be.  On
-        a miss, a statement a record can patch (a patchable plan over one
-        RIM type, at most :data:`~repro.persistence.views.ROW_CAP`
-        survivors) files its survivors as a
-        :class:`~repro.persistence.views.KeptRows`, which later writes patch;
-        any other statement over RIM types files its finished rows (at most
-        ``ROW_CAP``), which a write to a type it read drops.
+        A query *text* is answered from the result view (:meth:`_answer`);
+        a parsed statement always runs.
         """
         select = parse_select(query) if isinstance(query, str) else query
         if not self.use_planner:
@@ -411,35 +381,49 @@ class QueryEngine:
             return finish_rows(select, rows)
         if not isinstance(query, str):
             return self._run(self._plan_for(select, select), select)
-        view = self._results
-        as_of = view.catch_up()
-        cached = view.get(query)
-        if cached is not None:
-            self.stats["result_hits"] += 1
-        else:
-            self.stats["result_misses"] += 1
-            plan = self._plan_for(query, select)
-            rows = self._run(plan, select, keep=True)
-            if not isinstance(rows, KeptRows):
-                types = self._view_types(select)
-                if types is not None and len(rows) <= ROW_CAP:
-                    kept = tuple(dict(row) for row in rows)
-                    view.put(query, types, kept, as_of=as_of)
-                return rows
-            cached = rows.read()
-            view.put(query, (plan.type_name,), rows, as_of=as_of)
+        answer = self._answer(
+            self._results, query, select, tuple, ("result_hits", "result_misses")
+        )
         # rows are scalar-valued; a per-row shallow copy keeps callers free
         # to mutate their result set
-        return [dict(row) for row in cached]
+        return [dict(row) for row in answer]
 
-    def _run(self, plan, select: Select, *, keep: bool = False) -> list[Row] | KeptRows:
+    def _answer(self, view: QueryResultView, key: Any, select: Select, shape, counters):
+        """*select*'s finished rows, *shape*d, from *view* when it holds them.
+
+        On a miss a statement a record can patch (a patchable plan, at most
+        :data:`~repro.persistence.views.ROW_CAP` survivors) files its
+        survivors as a :class:`~repro.persistence.views.KeptRows`, which
+        later writes patch; any other statement over RIM types files its
+        shaped answer when it has at most ``ROW_CAP`` rows, and a write to a
+        type it read drops it.  *counters* names the hit and miss stats.
+        """
+        as_of = view.catch_up()
+        answer = view.get(key)
+        if answer is not None:
+            self.stats[counters[0]] += 1
+            return answer
+        self.stats[counters[1]] += 1
+        plan = self._plan_for(key, select)
+        rows = self._run(plan, select, shape=shape)
+        if isinstance(rows, KeptRows):
+            answer = rows.read()
+            view.put(key, (plan.type_name,), rows, as_of=as_of)
+            return answer
+        answer = shape(rows)
+        types = self._view_types(select)
+        if types is not None and len(rows) <= ROW_CAP:
+            view.put(key, types, answer, as_of=as_of)
+        return answer
+
+    def _run(self, plan, select: Select, *, shape=None) -> list[Row] | KeptRows:
         if plan.cells:
             # the cached plan is shared: hold the lock from cell binding
             # through the residual filter so another thread cannot rebind
             # cell.values mid-flight (mixed-generation semi-joins)
             with self._subquery_lock:
-                return self._run_plan(plan, select, keep=keep)
-        return self._run_plan(plan, select, keep=keep)
+                return self._run_plan(plan, select, shape=shape)
+        return self._run_plan(plan, select, shape=shape)
 
     def _view_types(self, select: Select) -> frozenset[str] | None:
         """RIM types a statement reads (``"*"`` for the union view), or
@@ -471,19 +455,17 @@ class QueryEngine:
             ) and self._collect_predicate_tables(predicate.right, acc)
         return True
 
-    def _run_plan(
-        self, plan, select: Select, *, keep: bool = False
-    ) -> list[Row] | KeptRows:
+    def _run_plan(self, plan, select: Select, *, shape=None) -> list[Row] | KeptRows:
         """Bind subquery cells, probe, filter, project, finish — one execution.
 
         Rows are built late: the residual runs on the candidate *objects*,
         a ``COUNT(*)`` answers with the number of survivors, and only the
         survivors of any other statement are projected into row dicts for
         the shared tail.  ``stats["rows_materialized"]`` counts those dicts.
-        With *keep*, a patchable plan over one RIM type whose survivors fit
-        ``ROW_CAP`` answers with a :class:`KeptRows` of them instead: the
-        survivors projected once, to the columns the tail reads
-        (``plan.kept_projection``), in id order; ids only for a ``COUNT(*)``.
+        Given a *shape*, a patchable plan whose survivors fit ``ROW_CAP``
+        answers with a :class:`KeptRows` of them instead: the survivors
+        projected once, to the columns the tail reads
+        (``plan.kept_projection``); ids only for a ``COUNT(*)``.
         """
         for cell in plan.cells:
             cell.values = self._subquery_values(cell.select, cell.column)
@@ -500,20 +482,19 @@ class QueryEngine:
         if residual is not None:
             survivors = list(filter(residual, survivors))
         keep = (
-            keep
+            shape is not None
             and plan.patchable
-            and plan.type_name != "*"
             and len(survivors) <= ROW_CAP
             and plan.kept_projection() is not None
         )
         if select.count:
             if keep:
-                return KeptRows(plan, dict.fromkeys(map(_ID, survivors)))
+                return KeptRows(plan, shape, dict.fromkeys(map(_ID, survivors)))
             return [{"count": len(survivors)}]
         rows = list(map(plan.kept_projection() if keep else plan.project, survivors))
         self.stats["rows_materialized"] += len(rows)
         if keep:
-            return KeptRows(plan, dict(zip(map(_ID, survivors), rows)))
+            return KeptRows(plan, shape, dict(zip(map(_ID, survivors), rows)))
         return finish_rows(select, rows, id_ordered=plan.type_name != "*")
 
     def execute_windowed(

@@ -28,13 +28,13 @@ project survivors*:
 
 Plans depend only on the statement, never on the data: probes read the live
 indexes at execution time, and subquery cells are re-bound from a view that
-patches a value set per record of a type it read (one virtual table, no
-``LIMIT``: :func:`subquery_values`) or else drops it, so the plan cache
-needs no write invalidation.  A plan also serves the engine's result view:
-a *patchable* plan (a virtual table, no subquery cell, catalogue columns
-only — checked on first use) gives a kept entry its patch test
-(:meth:`CompiledPlan.patch_filter`, the whole WHERE, compiled on the first
-record that reaches it), its row (:meth:`CompiledPlan.kept_projection`),
+patches or drops a value set per record of a type it read, so the plan
+cache needs no write invalidation.  A plan serves both of the engine's
+views the same way, for a statement and for a subquery: a *patchable* plan
+(a virtual table, no subquery cell, no ORDER BY on the union view,
+catalogue columns only — checked on first use) gives a kept entry its patch
+test (:meth:`CompiledPlan.patch_filter`, the whole WHERE, compiled on the
+first record that reaches it), its row (:meth:`CompiledPlan.kept_projection`),
 its tail (:meth:`CompiledPlan.finish`), and its access path, which routes
 records to it.  Results are
 bit-identical to the scan path — same rows, same order, same NULL/coercion
@@ -476,9 +476,14 @@ class CompiledPlan:
             else None
         )
         #: a changelog record may patch what this plan keeps per object: a
-        #: virtual table and no subquery cell (and catalogue columns: see
-        #: :meth:`kept_projection` and :meth:`patch_filter`)
-        self.patchable = columns is not None and not self.cells
+        #: virtual table, no subquery cell, no ORDER BY on the union view
+        #: (its ties break type by type, kept rows by id) and catalogue
+        #: columns (see :meth:`kept_projection` and :meth:`patch_filter`)
+        self.patchable = (
+            columns is not None
+            and not self.cells
+            and not (self.type_name == "*" and select.order_by)
+        )
         self._columns = columns
         #: built on first use; ``False`` once the statement proved unpatchable
         self._admits: ItemFilter | bool | None = None
@@ -633,23 +638,6 @@ def _known(predicate: Predicate, columns: Columns) -> bool:
         if type(operand) is Column and operand.name.lower() not in columns:
             return False
     return True
-
-
-def subquery_values(plan: CompiledPlan) -> Getter | None:
-    """The projected column's getter when a record can patch a subquery's
-    value set, else ``None``.
-
-    A patchable plan (one virtual table — a RIM type or the
-    ``RegistryObject`` union — catalogue columns only, no nested
-    ``IN (SELECT …)``) with no ``LIMIT`` and no ``COUNT(*)`` is a
-    per-object function: an object is in the set iff the WHERE admits it,
-    with the projected column's value.  (A WHERE naming an unknown column
-    has no :meth:`CompiledPlan.patch_filter`: its set is dropped per record.)
-    """
-    select = plan.select
-    if not plan.patchable or select.limit is not None or select.count:
-        return None
-    return plan._columns.get(select.columns[0].lower())
 
 
 def build_plan(store: Any, select: Select) -> CompiledPlan:

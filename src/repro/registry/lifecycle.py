@@ -123,7 +123,7 @@ class LifeCycleManager:
         return event
 
     @contextmanager
-    def _write_scope(self, idempotency_key: str | None = None) -> Iterator[None]:
+    def _write_scope(self) -> Iterator[None]:
         """One store transaction + post-commit event delivery.
 
         Every lifecycle write runs inside one: the store publishes a single
@@ -140,7 +140,7 @@ class LifeCycleManager:
             self._event_scopes.stack = stack
         stack.append(events)
         try:
-            with store.transaction(idempotency_key=idempotency_key):
+            with store.transaction():
                 yield
         finally:
             # the stack is thread-local and scopes nest LIFO, so the top
@@ -227,7 +227,7 @@ class LifeCycleManager:
         replay = self._idempotent_replay(session, idempotency_key, "submitObjects")
         if replay is not self._MISS:
             return replay
-        with self._write_scope(idempotency_key):
+        with self._write_scope():
             submitted: list[str] = []
             for obj in objects:
                 obj.owner = obj.owner or session.user_id
@@ -312,7 +312,7 @@ class LifeCycleManager:
         replay = self._idempotent_replay(session, idempotency_key, "updateObjects")
         if replay is not self._MISS:
             return replay
-        with self._write_scope(idempotency_key):
+        with self._write_scope():
             updated: list[str] = []
             for obj in objects:
                 # the stored instance itself: the save below replaces it (never
@@ -382,7 +382,7 @@ class LifeCycleManager:
         replay = self._idempotent_replay(session, idempotency_key, f"{verb}Objects")
         if replay is not self._MISS:
             return replay
-        with self._write_scope(idempotency_key):
+        with self._write_scope():
             changed: list[str] = []
             for object_id in ids:
                 obj = self.daos.store.get_object(object_id)
@@ -414,7 +414,7 @@ class LifeCycleManager:
         replay = self._idempotent_replay(session, idempotency_key, "removeObjects")
         if replay is not self._MISS:
             return replay
-        with self._write_scope(idempotency_key):
+        with self._write_scope():
             removed: list[str] = []
             for object_id in ids:
                 self._remove_one(session, object_id, removed)
@@ -501,7 +501,7 @@ class LifeCycleManager:
         replay = self._idempotent_replay(session, idempotency_key, "addSlots")
         if replay is not self._MISS:
             return None
-        with self._write_scope(idempotency_key):
+        with self._write_scope():
             obj = self.daos.store.get_object(object_id)
             if obj is None:
                 raise ObjectNotFoundError(object_id)
@@ -523,7 +523,7 @@ class LifeCycleManager:
         replay = self._idempotent_replay(session, idempotency_key, "removeSlots")
         if replay is not self._MISS:
             return None
-        with self._write_scope(idempotency_key):
+        with self._write_scope():
             obj = self.daos.store.get_object(object_id)
             if obj is None:
                 raise ObjectNotFoundError(object_id)
@@ -533,33 +533,6 @@ class LifeCycleManager:
             self.daos.store.save_object(obj)
             self._audit(session, EventType.UPDATED, object_id)
         self._idempotent_record(session, idempotency_key, "removeSlots", None)
-
-    # -- relocateObjects (federation) ---------------------------------------------------
-
-    def relocate_objects(
-        self,
-        session: Session,
-        ids: Iterable[str],
-        destination: "LifeCycleManager",
-        destination_session: Session,
-    ) -> list[str]:
-        """Move objects to another registry (ebRS RelocateObjectsRequest)."""
-        ids = list(ids)
-        moved: list[str] = []
-        with self._write_scope():
-            for object_id in ids:
-                obj = self.daos.store.get_object(object_id)
-                if obj is None:
-                    raise ObjectNotFoundError(object_id)
-                self._authorize(session, "relocate", obj)
-                clone = obj.copy()
-                clone.home = destination.home
-                clone.owner = None  # destination assigns ownership
-                destination.submit_objects(destination_session, [clone])
-                self.daos.store.delete_object(object_id)
-                self._audit(session, EventType.RELOCATED, object_id)
-                moved.append(object_id)
-        return moved
 
     # -- kernel registration ------------------------------------------------------
 

@@ -122,12 +122,6 @@ class TestBatching:
         assert record.op == OP_DELETE
         assert record.previous.name.value == "v1"
 
-    def test_batch_records_carry_idempotency_key(self, store):
-        with store.transaction(idempotency_key="req-1"):
-            store.insert_object(Service(ids.new_id(), name="keyed"))
-        (record,) = store.changelog.records_since(0)
-        assert record.idempotency_key == "req-1"
-
     def test_nested_batches_join_outermost(self, store):
         before = store.version
         with store.transaction():

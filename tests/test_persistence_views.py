@@ -25,6 +25,7 @@ from repro.core import (
 from repro.core.constraints import parse_constraints
 from repro.persistence import DataStore, QueryResultView, ServiceUriView, StoredTextView
 from repro.persistence.nodestate import NodeSample
+from repro.persistence.views import ROW_CAP
 from repro.query.evaluator import QueryEngine
 from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import Organization, Service, ServiceBinding
@@ -786,6 +787,18 @@ PARITY_QUERIES = [
     f"SELECT id, description FROM Service WHERE id = '{FIRST_IDS[0]}'",
     f"SELECT id FROM RegistryObject WHERE id IN ('{FIRST_IDS[1]}', '{FIRST_IDS[2]}')",
     "SELECT id FROM Service WHERE name LIKE '%1'",
+    # the union view kept per object: no ORDER BY, so the answer is in id
+    # order across types, and a type change under one id stays one row
+    "SELECT id, objecttype FROM RegistryObject LIMIT 3",
+    "SELECT DISTINCT name FROM RegistryObject WHERE name IN ('h0', 'h1', 'g9')",
+    "SELECT COUNT(*) FROM RegistryObject WHERE description LIKE '%ls%'",
+    # a union subquery with ORDER BY breaks name ties type by type: not kept
+    "SELECT id FROM ServiceBinding WHERE service IN "
+    "(SELECT id FROM RegistryObject WHERE name LIKE 'h%' ORDER BY name LIMIT 2)",
+    "SELECT name FROM Service WHERE id IN (SELECT service FROM ServiceBinding "
+    "WHERE host = 'h0' ORDER BY accessuri DESC LIMIT 2)",
+    # organization inserts grow this subquery past ROW_CAP: the drop rule
+    "SELECT id FROM Service WHERE name IN (SELECT name FROM Organization)",
 ]
 
 
@@ -806,6 +819,7 @@ class FreshnessMachine(RuleBasedStateMachine):
         self.ids = IdFactory(99)
         self.service_ids: list[str] = []
         self.binding_ids: list[str] = []
+        self.organization_ids: list[str] = []
 
     # -- writes ---------------------------------------------------------------
 
@@ -842,9 +856,36 @@ class FreshnessMachine(RuleBasedStateMachine):
         service.name.set(name)
         self.store.save_object(service)
 
-    @rule(name=st.text(min_size=1, max_size=6))
+    def _insert_organization(self, name):
+        organization = Organization(self.ids.new_id(), name=name)
+        self.organization_ids.append(organization.id)
+        self.store.insert_object(organization)
+
+    @rule(name=st.text(min_size=1, max_size=6) | st.sampled_from(SERVICE_NAMES))
     def insert_organization(self, name):
-        self.store.insert_object(Organization(self.ids.new_id(), name=name))
+        self._insert_organization(name)
+
+    @precondition(lambda self: len(self.organization_ids) < ROW_CAP)
+    @rule()
+    def organization_burst(self):
+        """Organizations up to ``ROW_CAP``, in one transaction: the next
+        insert grows a kept Organization subquery past the cap."""
+        with self.store.transaction():
+            while len(self.organization_ids) < ROW_CAP:
+                self._insert_organization(SERVICE_NAMES[len(self.organization_ids) % 3])
+
+    @precondition(lambda self: self.organization_ids)
+    @rule(data=st.data(), name=st.sampled_from(SERVICE_NAMES), in_transaction=st.booleans())
+    def retype_under_the_same_id(self, data, name, in_transaction):
+        """An organization deleted and a service inserted under its id — one
+        coalesced record in a transaction: a union entry sees the object
+        change type."""
+        object_id = data.draw(st.sampled_from(self.organization_ids))
+        self.organization_ids.remove(object_id)
+        with self.store.transaction() if in_transaction else nullcontext():
+            self.store.delete_object(object_id)
+            self.store.insert_object(Service(object_id, name=name, description=DESCRIPTIONS[1]))
+        self.service_ids.append(object_id)
 
     @precondition(lambda self: self.service_ids)
     @rule(data=st.data(), description=st.sampled_from(DESCRIPTIONS))

@@ -12,6 +12,7 @@ import pytest
 
 from repro.mtc.experiment import adhoc_query_mix
 from repro.persistence import DAORegistry, DataStore, NodeSample
+from repro.persistence.views import ROW_CAP
 from repro.query import QueryEngine, parse_select
 from repro.query.planner import CompiledPlan
 from repro.query.virtual import VIRTUAL_TABLES
@@ -290,17 +291,17 @@ class TestSubqueryMaterialization:
         assert assert_parity(planned, scan, self.QUERY) == before
         assert planned.stats["subquery_materializations"] == 1
 
-    def test_a_limit_subquery_is_materialized_again_after_a_write(
-        self, planned, scan, store
-    ):
+    def test_a_limit_subquery_is_patched(self, planned, scan, store):
         query = (
             "SELECT name FROM Service WHERE id IN (SELECT classifiedobject "
             "FROM Classification ORDER BY classifiedobject DESC LIMIT 2)"
         )
+        before = assert_parity(planned, scan, query)
+        classification = self.classify_new_service(store)
         assert_parity(planned, scan, query)
-        self.classify_new_service(store)
-        assert_parity(planned, scan, query)
-        assert planned.stats["subquery_materializations"] == 2
+        store.delete_object(classification.id)
+        assert assert_parity(planned, scan, query) == before
+        assert planned.stats["subquery_materializations"] == 1
 
 
 class TestLazyMaterialization:
@@ -512,6 +513,38 @@ class TestWorkBound:
         assert {row["id"] for row in engine.execute(query)} == before
         assert engine.stats["subquery_materializations"] == 1
 
+    def test_a_subquery_entry_keeps_at_most_row_cap_rows(self):
+        """600 bindings on one host under a semi-join: the subquery has more
+        survivors than an entry may keep, so it falls back to the drop rule
+        and no subquery entry holds more than ``ROW_CAP`` rows or values."""
+        store = DataStore()
+        local = IdFactory(1004)
+        bindings = []
+        with store.transaction():
+            for index in range(600):
+                svc = Service(local.new_id(), name=f"Svc{index:04d}", description="d")
+                store.insert_object(svc)
+                bindings.append(
+                    ServiceBinding(
+                        local.new_id(), service=svc.id, access_uri="http://host00.bench:80/x"
+                    )
+                )
+                store.insert_object(bindings[-1])
+        query = (
+            "SELECT id FROM Service WHERE id IN "
+            "(SELECT service FROM ServiceBinding WHERE host = 'host00.bench')"
+        )
+        engine, scan = QueryEngine(store), QueryEngine(store, planner=False)
+
+        def largest_entry() -> int:
+            entries = engine._subqueries._entries.values()
+            return max((len(getattr(kept, "by_id", kept)) for _, kept, _ in entries), default=0)
+
+        assert len(engine.execute(query)) == 600
+        assert largest_entry() <= ROW_CAP
+        store.delete_object(bindings[0].id)
+        assert engine.execute(query) == scan.execute(query)
+        assert largest_entry() <= ROW_CAP
 
     def test_a_write_reaches_only_the_results_it_can_change(self, monkeypatch):
         """64 cached texts beside 200 description rewrites and 100 Submit /
@@ -602,6 +635,29 @@ class TestResultPatching:
             scan.execute(bogus)
         with pytest.raises(QuerySyntaxError):
             planned.execute(bogus)
+
+    def test_a_union_entry_is_kept_in_id_order(self, planned, scan, store):
+        """Union candidates arrive type by type, and without ORDER BY the scan
+        path answers in id order: a kept union entry is sorted on its first
+        read and again after a patch, here one that changes an object's type
+        under its id.  With ORDER BY, ties break type by type, so that entry
+        is dropped instead."""
+        kept = (
+            "SELECT id, objecttype FROM RegistryObject LIMIT 3",
+            "SELECT DISTINCT name FROM RegistryObject WHERE name LIKE 'Svc%'",
+            "SELECT COUNT(*) FROM RegistryObject WHERE name LIKE 'Svc%'",
+        )
+        ordered = "SELECT id FROM RegistryObject WHERE name LIKE 'Svc%' ORDER BY name"
+        for query in (*kept, ordered):
+            assert_parity(planned, scan, query)
+        first = store.service_objects[0]
+        with store.transaction():
+            store.delete_object(first.id)
+            store.insert_object(Organization(first.id, name="Svc01"))
+        store.insert_object(Organization(ids.new_id(), name="Svc99"))
+        for query in (*kept, ordered):
+            assert_parity(planned, scan, query)
+        assert planned.stats["result_misses"] == len(kept) + 2
 
 
 class TestScanParity:
