@@ -138,7 +138,7 @@ def like_to_regex(pattern: str) -> re.Pattern[str]:
             out.append(".")
         else:
             out.append(re.escape(char))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+    return re.compile("^" + "".join(out) + r"\Z", re.DOTALL)
 
 
 def eval_predicate(predicate: Predicate, row: Row) -> bool:
@@ -322,13 +322,16 @@ class QueryEngine:
 
     # -- planning ----------------------------------------------------------------
 
-    def _plan_for(self, cache_key: Any, select: Select):
-        plan = self._plans.get(cache_key)
+    def _plan_for(self, query: str | Select):
+        """The cached plan of a query text or statement; a text is parsed
+        only to build its plan."""
+        plan = self._plans.get(query)
         if plan is None:
             from repro.query.planner import build_plan
 
+            select = parse_select(query) if isinstance(query, str) else query
             plan = build_plan(self.store, select)
-            self._plans.put(cache_key, plan)
+            self._plans.put(query, plan)
             self.stats["plans_built"] += 1
         else:
             self.stats["plan_hits"] += 1
@@ -336,14 +339,12 @@ class QueryEngine:
 
     def explain(self, query: str | Select) -> dict[str, Any]:
         """The plan the engine would run: access path, residual, subqueries."""
-        select = parse_select(query) if isinstance(query, str) else query
         if self.use_planner:
-            plan = self._plan_for(query if isinstance(query, str) else select, select)
-        else:
-            from repro.query.planner import build_plan
+            return self._plan_for(query).explain()
+        from repro.query.planner import build_plan
 
-            plan = build_plan(self.store, select)
-        return plan.explain()
+        select = parse_select(query) if isinstance(query, str) else query
+        return build_plan(self.store, select).explain()
 
     def _subquery_values(self, select: Select, column: str) -> frozenset | tuple:
         """Materialized value set of one uncorrelated subquery: the answer
@@ -355,7 +356,6 @@ class QueryEngine:
         return self._answer(
             self._subqueries,
             select,
-            select,
             partial(_value_set, column),
             ("subquery_hits", "subquery_materializations"),
         )
@@ -365,11 +365,12 @@ class QueryEngine:
     def execute(self, query: str | Select) -> list[Row]:
         """Run a query, returning projected rows.
 
-        A query *text* is answered from the result view (:meth:`_answer`);
-        a parsed statement always runs.
+        A query *text* is answered from the result view (:meth:`_answer`),
+        and parsed only when it has no plan yet; a parsed statement always
+        runs.
         """
-        select = parse_select(query) if isinstance(query, str) else query
         if not self.use_planner:
+            select = parse_select(query) if isinstance(query, str) else query
             rows = self._rows_for_table(select.table)
             where = (
                 self._resolve_subqueries(select.where)
@@ -380,16 +381,17 @@ class QueryEngine:
                 rows = [row for row in rows if eval_predicate(where, row)]
             return finish_rows(select, rows)
         if not isinstance(query, str):
-            return self._run(self._plan_for(select, select), select)
+            return self._run(self._plan_for(query))
         answer = self._answer(
-            self._results, query, select, tuple, ("result_hits", "result_misses")
+            self._results, query, tuple, ("result_hits", "result_misses")
         )
         # rows are scalar-valued; a per-row shallow copy keeps callers free
         # to mutate their result set
         return [dict(row) for row in answer]
 
-    def _answer(self, view: QueryResultView, key: Any, select: Select, shape, counters):
-        """*select*'s finished rows, *shape*d, from *view* when it holds them.
+    def _answer(self, view: QueryResultView, key: str | Select, shape, counters):
+        """The finished rows of *key* (a query text or statement), *shape*d,
+        from *view* when it holds them, else from its plan.
 
         On a miss a statement a record can patch (a patchable plan, at most
         :data:`~repro.persistence.views.ROW_CAP` survivors) files its
@@ -404,26 +406,26 @@ class QueryEngine:
             self.stats[counters[0]] += 1
             return answer
         self.stats[counters[1]] += 1
-        plan = self._plan_for(key, select)
-        rows = self._run(plan, select, shape=shape)
+        plan = self._plan_for(key)
+        rows = self._run(plan, shape=shape)
         if isinstance(rows, KeptRows):
             answer = rows.read()
             view.put(key, (plan.type_name,), rows, as_of=as_of)
             return answer
         answer = shape(rows)
-        types = self._view_types(select)
+        types = self._view_types(plan.select)
         if types is not None and len(rows) <= ROW_CAP:
             view.put(key, types, answer, as_of=as_of)
         return answer
 
-    def _run(self, plan, select: Select, *, shape=None) -> list[Row] | KeptRows:
+    def _run(self, plan, *, shape=None) -> list[Row] | KeptRows:
         if plan.cells:
             # the cached plan is shared: hold the lock from cell binding
             # through the residual filter so another thread cannot rebind
             # cell.values mid-flight (mixed-generation semi-joins)
             with self._subquery_lock:
-                return self._run_plan(plan, select, shape=shape)
-        return self._run_plan(plan, select, shape=shape)
+                return self._run_plan(plan, shape=shape)
+        return self._run_plan(plan, shape=shape)
 
     def _view_types(self, select: Select) -> frozenset[str] | None:
         """RIM types a statement reads (``"*"`` for the union view), or
@@ -455,7 +457,7 @@ class QueryEngine:
             ) and self._collect_predicate_tables(predicate.right, acc)
         return True
 
-    def _run_plan(self, plan, select: Select, *, shape=None) -> list[Row] | KeptRows:
+    def _run_plan(self, plan, *, shape=None) -> list[Row] | KeptRows:
         """Bind subquery cells, probe, filter, project, finish — one execution.
 
         Rows are built late: the residual runs on the candidate *objects*,
@@ -467,6 +469,7 @@ class QueryEngine:
         projected once, to the columns the tail reads
         (``plan.kept_projection``); ids only for a ``COUNT(*)``.
         """
+        select = plan.select
         for cell in plan.cells:
             cell.values = self._subquery_values(cell.select, cell.column)
         fast_count = plan.fast_count(self.store)

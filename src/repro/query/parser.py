@@ -3,7 +3,7 @@
 Grammar::
 
     select   := SELECT [DISTINCT] cols FROM ident [alias] [WHERE pred]
-                [ORDER BY order (, order)*] [LIMIT number]
+                [ORDER BY order (, order)*] [LIMIT integer]
     cols     := '*' | ident (, ident)*
     pred     := term (OR term)*
     term     := factor (AND factor)*
@@ -21,7 +21,10 @@ because the engine is single-table (freebXML's common queries are too).
 
 from __future__ import annotations
 
+import re
+from dataclasses import is_dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from repro.query.ast import (
     And,
@@ -40,7 +43,14 @@ from repro.query.ast import (
     Predicate,
     Select,
 )
-from repro.query.tokens import Token, TokenType, tokenize
+from repro.query.tokens import (
+    NUMBER_PATTERN,
+    STRING_PATTERN,
+    Token,
+    TokenType,
+    tokenize,
+    unquote,
+)
 from repro.util.errors import QuerySyntaxError
 
 
@@ -124,7 +134,13 @@ class Parser:
                 order_by.append(self._parse_order_term())
         limit = None
         if self.accept_keyword("LIMIT"):
-            limit = int(self.expect(TokenType.NUMBER).value)
+            token = self.expect(TokenType.NUMBER)
+            if "." in token.value:
+                raise QuerySyntaxError(
+                    f"LIMIT needs an integer, got {token.value!r}",
+                    position=token.position,
+                )
+            limit = int(token.value)
         return Select(
             table=table,
             columns=columns,
@@ -253,8 +269,7 @@ class Parser:
             return Literal(token.value)
         if token.type is TokenType.NUMBER:
             self.advance()
-            text = token.value
-            return Literal(float(text) if "." in text else int(text))
+            return Literal(_number(token.value))
         if token.is_keyword("NULL"):
             self.advance()
             return Literal(None)
@@ -263,13 +278,91 @@ class Parser:
         )
 
 
-@lru_cache(maxsize=512)
+def _number(text: str) -> float | int:
+    return float(text) if "." in text else int(text)
+
+
+#: a text's literals in one pass: a string, or a number that starts a token
+#: (none after a word character or ``.``: ``host01`` and ``a.5`` are words)
+_LITERAL_RE = re.compile(
+    rf"(?=['\d])(?:({STRING_PATTERN})|(?<![\w.])({NUMBER_PATTERN}))"
+)
+#: the first number marker (the n-th literal's is _MARK + n, or + n + 0.5)
+_MARK = 10**15
+
+
 def parse_select(text: str) -> Select:
     """Parse a SELECT statement (the module's public entry point).
 
-    Bounded-memoized on the statement text: every AST node is a frozen
-    dataclass, so cached ``Select`` trees are safely shared between the
-    plan cache and repeat ad-hoc requests.  Syntax errors raise and are
-    never cached, so each bad request re-reports its position.
+    The text's string and number literals are lifted out in one regex pass;
+    what is left, with each literal's kind, is the statement's *shape*.
+    :class:`Parser` runs once per shape, on the text with every literal
+    swapped for a marker of its kind, and each text of the shape gets that
+    tree rebuilt around its own literals.  A text whose marked form does not
+    parse files nothing and goes to :class:`Parser` itself, which stays the
+    one grammar and reports every error at the text's own position.
     """
-    return Parser(text).parse()
+    parts = _LITERAL_RE.split(text)
+    values = [
+        unquote(string) if string is not None else _number(number)
+        for string, number in zip(parts[1::3], parts[2::3])
+    ]
+    try:
+        rebuild = _rebuilder(tuple(parts[::3]), tuple(map(type, values)))
+    except QuerySyntaxError:
+        return Parser(text).parse()
+    return rebuild(values)
+
+
+@lru_cache(maxsize=512)
+def _rebuilder(segments: tuple[str, ...], kinds: tuple[type, ...]):
+    """values → the ``Select`` of one shape: the text between the literals
+    (*segments*) and each literal's kind (``str``, ``int`` or ``float``).
+
+    Builds only the nodes on a path to a marker and shares the rest (AST
+    nodes are frozen).  A marker is matched by kind and value, so ``True``
+    is never taken for ``1``; one not found exactly once files nothing.
+    """
+    texts, markers = [segments[0]], {}
+    for index, (kind, segment) in enumerate(zip(kinds, segments[1:])):
+        value = {str: f"\x00{index}", int: _MARK + index, float: _MARK + index + 0.5}[kind]
+        markers[kind, value] = index
+        texts += (f"'{value}'" if kind is str else str(value), segment)
+    tree = Parser("".join(texts)).parse()
+    found: list[int] = []
+    build = _compile(tree, markers, found)
+    if sorted(found) != list(range(len(kinds))):
+        raise QuerySyntaxError("a literal marker collides with the statement")
+    return build or (lambda values: tree)
+
+
+def _compile(node, markers: dict, found: list[int]):
+    """values → *node* with its markers replaced, or ``None`` when no marker
+    is under *node* (then it is shared as it is)."""
+    kind = type(node)
+    if kind is not tuple and not is_dataclass(kind):
+        index = markers.get((kind, node))
+        if index is not None:
+            found.append(index)
+            return itemgetter(index)
+        return None
+    items = dict(enumerate(node)) if kind is tuple else vars(node)
+    slots = [
+        (key, part) for key, item in items.items()
+        if (part := _compile(item, markers, found)) is not None
+    ]  # fmt: skip
+    if not slots:
+        return None
+
+    def build(values):
+        state = items.copy()
+        for key, part in slots:
+            state[key] = part(values)
+        if kind is tuple:
+            return tuple(state.values())
+        # a shallow copy with the marked fields replaced, as copy.copy makes
+        fresh = object.__new__(kind)
+        fresh.__dict__.update(state)
+        return fresh
+
+    return build

@@ -60,20 +60,30 @@ class Token:
         return self.type is TokenType.KEYWORD and self.value == word
 
 
+#: a string and a number literal, shared with the parser's literal pass
+STRING_PATTERN = r"'(?:[^']|'')*'"
+NUMBER_PATTERN = r"\d+(?:\.\d+)?"
+
+#: groups are named after their ``TokenType``; a word is a KEYWORD or an IDENT
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<operator><>|<=|>=|=|<|>)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<star>\*)
+  | (?P<STRING>{STRING_PATTERN})
+  | (?P<NUMBER>{NUMBER_PATTERN})
+  | (?P<OPERATOR><>|<=|>=|=|<|>)
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<COMMA>,)
+  | (?P<STAR>\*)
   | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
     """,
     re.VERBOSE,
 )
+
+
+def unquote(literal: str) -> str:
+    """A string literal's value: quotes stripped, doubled quotes undone."""
+    return literal[1:-1].replace("''", "'")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -87,33 +97,17 @@ def tokenize(text: str) -> list[Token]:
             raise QuerySyntaxError(
                 f"unexpected character {text[pos]!r}", position=pos
             )
-        if match.lastgroup == "ws":
-            pos = match.end()
-            continue
-        value = match.group()
-        if match.lastgroup == "string":
-            # strip quotes, unescape doubled quotes
-            tokens.append(
-                Token(TokenType.STRING, value[1:-1].replace("''", "'"), pos)
-            )
-        elif match.lastgroup == "number":
-            tokens.append(Token(TokenType.NUMBER, value, pos))
-        elif match.lastgroup == "operator":
-            tokens.append(Token(TokenType.OPERATOR, value, pos))
-        elif match.lastgroup == "lparen":
-            tokens.append(Token(TokenType.LPAREN, value, pos))
-        elif match.lastgroup == "rparen":
-            tokens.append(Token(TokenType.RPAREN, value, pos))
-        elif match.lastgroup == "comma":
-            tokens.append(Token(TokenType.COMMA, value, pos))
-        elif match.lastgroup == "star":
-            tokens.append(Token(TokenType.STAR, value, pos))
-        else:  # word
+        kind, value = match.lastgroup, match.group()
+        if kind == "word":
             upper = value.upper()
             if upper in KEYWORDS:
                 tokens.append(Token(TokenType.KEYWORD, upper, pos))
             else:
                 tokens.append(Token(TokenType.IDENT, value, pos))
+        elif kind == "STRING":
+            tokens.append(Token(TokenType.STRING, unquote(value), pos))
+        elif kind != "ws":
+            tokens.append(Token(TokenType[kind], value, pos))
         pos = match.end()
     tokens.append(Token(TokenType.EOF, "", length))
     return tokens

@@ -2,6 +2,7 @@
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ def test_like_without_wildcards_is_exact_match(text):
     pattern = like_to_regex(text)
     assert pattern.match(text)
     assert not pattern.match(text + "x")
+    assert not pattern.match(text + "\n")
     if text:
         assert not pattern.match(text[:-1])
 
@@ -76,10 +78,17 @@ def test_parse_select_with_arbitrary_literal(value):
 
 # -- parser robustness -----------------------------------------------------------
 
-@given(st.text(max_size=100))
+limit_texts = st.tuples(
+    st.sampled_from(("SELECT id FROM Service LIMIT ", "SELECT * FROM t WHERE a = 1 LIMIT ")),
+    st.from_regex(r"[0-9]{1,3}\.[0-9]{1,3}", fullmatch=True),
+).map("".join)
+
+
+@given(st.one_of(st.text(max_size=100), limit_texts))
 @settings(max_examples=300)
 def test_parser_raises_only_query_syntax_error(text):
-    """Arbitrary input either parses or raises QuerySyntaxError — never crashes."""
+    """Arbitrary input, or a decimal LIMIT, either parses or raises
+    QuerySyntaxError — never crashes."""
     try:
         parse_select(text)
     except QuerySyntaxError:
@@ -90,20 +99,15 @@ def test_parser_raises_only_query_syntax_error(text):
 #
 # One small store with the corners an index-only access path could get wrong
 # (unnamed objects, duplicate names, numeric-looking names, LIKE and regex
-# metacharacters inside names, a name with an inner newline, the same name in
-# two classes for the RegistryObject union view) and two engines over it.
-# Every generated statement must produce the same rows in the same order from
-# both, or the same QuerySyntaxError from both.
-#
-# Not generated: a name that *ends* in a newline.  ``like_to_regex`` anchors
-# with ``$``, which also matches before a trailing newline, so the scan path
-# lets ``LIKE 'ab'`` match the name ``'ab\n'`` where the (older) ``name-eq``
-# probe does not — a corner of the oracle itself, left alone here.
+# metacharacters inside names, a name with an inner newline and one ending in
+# a newline, the same name in two classes for the RegistryObject union view)
+# and two engines over it.  Every generated statement must produce the same
+# rows in the same order from both, or the same QuerySyntaxError from both.
 
 NAMES = (
     "", "", "a", "ab", "abc", "abc", "abd", "b", "ba", "B", "Svc01", "Svc02",
     "Svc02", "Svc1_", "Svc1%", "100%", "10", "9", "2.5", "-1", "a.c", "a*c",
-    "a'c", "a\\c", "x\ny", "a\U0010ffff", "a\U0010ffffb", "zz",
+    "a'c", "a\\c", "x\ny", "ab\n", "a\U0010ffff", "a\U0010ffffb", "zz",
 )  # fmt: skip
 
 
@@ -232,3 +236,12 @@ def test_rename_moves_an_object_across_ranges_and_patterns(where, old, new):
     finally:
         PARITY_STORE.save_object(original)
     assert _outcome(PLANNED, sql) == _outcome(SCAN, sql), sql
+
+
+@pytest.mark.parametrize("pattern", ["ab", "%b", "a_", "_b", "a%b", "ab%"])
+def test_like_does_not_match_past_a_trailing_newline(pattern):
+    """``LIKE 'ab'`` matches the name ``'ab'``, not ``'ab\\n'``, on every path."""
+    sql = f"SELECT name FROM Service WHERE name LIKE '{pattern}'"
+    rows = SCAN.execute(sql)
+    assert _outcome(PLANNED, sql) == ("rows", rows), sql
+    assert ({"name": "ab\n"} in rows) == pattern.endswith("%")

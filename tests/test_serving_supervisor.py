@@ -22,7 +22,9 @@ from repro.soap.messages import (
     SubmitObjectsRequest,
 )
 from repro.soap.serializer import serialize
+from repro.soap.xml_binding import envelope_from_xml, envelope_to_xml
 from repro.rim import Organization
+from repro.util.errors import QuerySyntaxError
 
 from conftest import HOSTS, Gated, publish_service_with_bindings
 
@@ -166,6 +168,18 @@ class TestAdmission:
                 body=AdhocQueryRequest(query="SELECT nonsense FROM Nowhere")
             )
         assert isinstance(result, SoapFault)
+
+    @pytest.mark.parametrize("limit", ["x", "1.5"])
+    def test_a_bad_limit_comes_back_over_the_wire_as_a_fault(self, supervisor, limit):
+        """A decimal LIMIT is a syntax error like any other, not a crash of
+        the serving call: request and answer both cross the XML codec."""
+        body = AdhocQueryRequest(query=f"SELECT id FROM Service LIMIT {limit}")
+        request = envelope_from_xml(envelope_to_xml(SoapEnvelope(body=body)))
+        with supervisor:
+            answer = supervisor.call(body=request.body, token=request.session_token)
+        reply = envelope_from_xml(envelope_to_xml(SoapEnvelope(body=answer))).body
+        assert isinstance(reply, SoapFault)
+        assert reply.fault_code == QuerySyntaxError.code
 
 
 class TestCancellation:
