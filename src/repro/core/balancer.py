@@ -5,8 +5,9 @@ service is discovered, ServiceDAO populates the ServiceBindingDAO results
 through this resolver instead of returning publisher order:
 
 1. **ServiceConstraint** parses/validates constraints from the description
-   and checks the time-of-day window.  No valid constraints, or the window
-   not satisfied → vanilla behaviour (all bindings, publisher order) —
+   (memoized on its text, which no write can make stale) and checks the
+   time-of-day window.  No valid constraints, or the window not
+   satisfied → vanilla behaviour (all bindings, publisher order) —
    keeping the scheme transparent to unconstrained services.
 2. **LoadStatus** queries the NodeState table for hosts satisfying the
    performance constraints, ranked by ascending load.  NodeState holds the
@@ -128,9 +129,6 @@ def attach_load_balancer(
 ) -> LoadBalancer:
     """Install the thesis' load-balancing scheme on a registry."""
     service_constraint = ServiceConstraint(clock or registry.clock)
-    # evict memoized parses of rewritten or deleted services (the memo is
-    # content-validated too, so this bounds it rather than keeping it right)
-    service_constraint.follow(registry.store)
     load_status = LoadStatus(registry.node_state)
     resolver = ConstraintBindingResolver(service_constraint, load_status, mode=mode)
     registry.daos.services.set_resolver(resolver)

@@ -11,25 +11,24 @@ returns the active :class:`ConstraintSet` only when performance constraints
 exist *and* the time window (if any) contains "now"; otherwise ``None``,
 which tells ServiceDAO to fall back to vanilla behaviour.
 
-Fast path: parses are memoized per service id, keyed on the description
-content (hash + equality), so steady-state discovery does **zero** XML
-parsing.  The memo is self-validating — a republished description never
-serves a stale parse — and, once :meth:`ServiceConstraint.follow` points it
-at a store (:func:`repro.core.balancer.attach_load_balancer` does), entries
-for rewritten or deleted services are evicted as the memo catches up with
-that store's changelog.
+Fast path: parses are memoized on the description text, so steady-state
+discovery does **zero** XML parsing.  ``parse_constraints`` is a pure
+function of that text, so the memo is right without hearing of any write: a
+republished description is a new key, and a bounded LRU
+(:data:`MAX_PARSES` texts) keeps it from growing with the services ever seen.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.constraints import ConstraintSet, parse_constraints
-from repro.persistence.changelog import ChangeRecord
-from repro.persistence.datastore import DataStore
-from repro.persistence.views import ChangelogView
 from repro.rim import Service
 from repro.util.clock import Clock
+
+#: distinct description texts the parse memo keeps at most
+MAX_PARSES = 4096
 
 
 @dataclass(frozen=True)
@@ -53,72 +52,27 @@ class ConstraintCheck:
         )
 
 
-class _ServiceEvictions(ChangelogView):
-    """Drops a memo entry when its Service is rewritten or deleted."""
-
-    def __init__(self, store: DataStore, entries: dict) -> None:
-        super().__init__(store)
-        self._entries = entries
-
-    def _apply(self, record: ChangeRecord) -> None:
-        if record.type_name == "Service":
-            self._entries.pop(record.object_id, None)
-
-    def _reset(self) -> None:
-        self._entries.clear()
-
-
 class ServiceConstraint:
     """Validates a service's embedded constraints against the current time.
 
-    Thread-safe without locks: memo entries are *self-validating* — each
-    stores the description (hash + text) it was parsed from and a hit
-    requires content equality, so a fill racing an eviction can at worst
-    re-serve a parse of the exact same text or force a re-parse, never a
-    stale answer (which is why fills need no ``as_of`` token here).  The
-    hit/miss counters are plain ``+=`` (observability, near-exact).
+    Thread-safe without locks: the memo is ``functools.lru_cache`` over a
+    pure function, so two threads missing on one text at worst parse it twice.
     """
 
     def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        #: service id → (description hash, description, parsed constraints)
-        self._cache: dict[str, tuple[int, str, ConstraintSet | None]] = {}
-        self._evictions: _ServiceEvictions | None = None
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._parse = functools.lru_cache(maxsize=MAX_PARSES)(parse_constraints)
 
     # -- cache ---------------------------------------------------------------
 
-    def follow(self, store: DataStore) -> None:
-        """Evict rewritten or deleted services as *store*'s changelog advances."""
-        self._evictions = _ServiceEvictions(store, self._cache)
-
     def constraints_of(self, service: Service) -> ConstraintSet | None:
-        """The service's parsed constraint block, memoized by content."""
-        if self._evictions is not None:
-            self._evictions.catch_up()
-        description = service.description.value
-        description_hash = hash(description)
-        cached = self._cache.get(service.id)
-        if (
-            cached is not None
-            and cached[0] == description_hash
-            and cached[1] == description
-        ):
-            self.cache_hits += 1
-            return cached[2]
-        self.cache_misses += 1
-        constraints = parse_constraints(description)
-        self._cache[service.id] = (description_hash, description, constraints)
-        return constraints
+        """The service's parsed constraint block, memoized by its text."""
+        return self._parse(service.description.value)
 
     def cache_stats(self) -> dict[str, int]:
         """Parse-cache counters (the telemetry surface)."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._cache),
-        }
+        info = self._parse.cache_info()
+        return {"hits": info.hits, "misses": info.misses, "entries": info.currsize}
 
     # -- validation ----------------------------------------------------------
 

@@ -10,9 +10,8 @@ from repro.persistence.changelog import ChangeLog, ChangeRecord
 from repro.persistence.datastore import DataStore
 from repro.persistence.views import (
     ChangelogView,
+    ObjectView,
     QueryResultView,
-    ServiceUriView,
-    StoredTextView,
 )
 from repro.persistence.dao import (
     BindingResolver,
@@ -29,9 +28,8 @@ __all__ = [
     "ChangeRecord",
     "ChangelogView",
     "DataStore",
+    "ObjectView",
     "QueryResultView",
-    "ServiceUriView",
-    "StoredTextView",
     "BindingResolver",
     "DAORegistry",
     "DefaultBindingResolver",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence
 
 from repro.persistence.datastore import DataStore
-from repro.persistence.views import BoundBindings, ServiceUriView
+from repro.persistence.views import BoundBindings, ObjectView
 from repro.rim import (
     AdhocQuery,
     Association,
@@ -183,8 +183,8 @@ class ServiceDAO(GenericDAO):
         self.resolver: BindingResolver = resolver or DefaultBindingResolver()
         #: service id → (binding ids, bindings joined to hosts), maintained
         #: off the store's changelog: the partition is read once per write
-        #: to the service, not per request
-        self._bindings_view = ServiceUriView(store)
+        #: to the service or one of its bindings, not per request
+        self._bindings_view = ObjectView(store)
         #: optional telemetry tracer; spans every resolve
         self.tracer = None
 

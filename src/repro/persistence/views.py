@@ -4,13 +4,16 @@ Each view tracks an applied-sequence watermark into the store's
 :class:`~repro.persistence.changelog.ChangeLog` and, on
 :meth:`~ChangelogView.catch_up`, drops exactly the entries each new record
 affects (**per-record delta application**): a write to one service
-invalidates one entry, not the population.  An entry kept per object is
-patched instead of dropped (a :class:`KeptRows` in a
-:class:`QueryResultView`: the survivors of an ad-hoc statement or of a
-subquery), and only a record its access path admits reaches it.  Nothing else signals
+invalidates one entry, not the population.  There are two: an
+:class:`ObjectView` keeps one entry per object and drops it, and a
+:class:`QueryResultView` keeps entries derived from whole types, patching a
+:class:`KeptRows` (the survivors of an ad-hoc statement or of a subquery)
+with only the records its access path admits.  Nothing else signals
 freshness for heap state — no callbacks from the writer, no version
 stamps; NodeState is outside the changelog and rides the version of
-``NodeStateStore.generation()`` instead; nothing is kept on the clock's say-so.
+``NodeStateStore.generation()`` instead; nothing is kept on the clock's
+say-so.  A memo of a pure function of its key (the constraint parses) needs
+no freshness signal at all.
 
 Fill protocol (the swap-publish discipline, sequenced): a reader calls
 ``catch_up()`` and keeps the returned watermark as its ``as_of`` token,
@@ -93,21 +96,35 @@ class ChangelogView:
         raise NotImplementedError
 
 
-class _KeyedView(ChangelogView):
-    """key → (token, value); the subclass's ``_apply`` names the keys a record drops.
+class ObjectView(ChangelogView):
+    """object id → (token, value), dropped by the records that name the object.
 
-    A reader takes an entry only if its token is the one it would file now.
+    A record drops its own object's entry and the entry of the ``service``
+    its pre- or post-image names (only a ``ServiceBinding`` has one), so a
+    binding re-pointed between services drops both sides and every other
+    write leaves an entry alone.  ``ServiceDAO`` keeps a service's binding
+    join here (token: its ``binding_ids``); ``QueryManager`` keeps the wire
+    text of each served version (token: the stored instance, which the heap
+    never mutates in place).  A reader takes an entry only if its token is
+    the one it would file now; ``get`` takes no lock.
     """
 
     def __init__(self, store: "DataStore") -> None:
         super().__init__(store)
         self._entries: dict[str, tuple[object, object]] = {}
+        #: bound to the dict itself, so ``_reset`` must clear it, never replace it
+        self.get = self._entries.get
+
+    def _apply(self, record: ChangeRecord) -> None:
+        entries = self._entries
+        entries.pop(record.object_id, None)
+        for obj in (record.payload, record.previous):
+            service_id = getattr(obj, "service", None)
+            if service_id:
+                entries.pop(service_id, None)
 
     def _reset(self) -> None:
         self._entries.clear()
-
-    def get(self, key: str) -> tuple[object, object] | None:
-        return self._entries.get(key)
 
     def put(self, key: str, token: object, value: object, *, as_of: int) -> None:
         with self._lock:
@@ -117,47 +134,6 @@ class _KeyedView(ChangelogView):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class ServiceUriView(_KeyedView):
-    """service id → (binding ids, value) — the discovery path's binding join:
-    ``binding_ids`` → :class:`BoundBindings`.
-
-    Maintained deltas: a record touching a ``Service`` drops that service's
-    entry; a record touching a ``ServiceBinding`` drops the owning
-    service's entry — from the post-image *and* the pre-image, so a
-    binding re-pointed between services invalidates both sides.  Every
-    other write leaves the view intact (this is the whole point: an
-    Organization churn burst no longer costs discovery its cache).
-    """
-
-    def __init__(self, store: "DataStore") -> None:
-        super().__init__(store)
-        self.invalidations = 0
-
-    def _apply(self, record: ChangeRecord) -> None:
-        if record.type_name == "Service":
-            if self._entries.pop(record.object_id, None) is not None:
-                self.invalidations += 1
-        elif record.type_name == "ServiceBinding":
-            for obj in (record.payload, record.previous):
-                service_id = getattr(obj, "service", None)
-                if service_id and self._entries.pop(service_id, None) is not None:
-                    self.invalidations += 1
-
-
-class StoredTextView(_KeyedView):
-    """object id → (stored version, its wire text) — what a read answer joins.
-
-    A record for an id drops that id's entry, whatever the record says.  The
-    token is the stored instance itself: the heap never mutates one in place,
-    so a text is good for exactly as long as ``entry[0] is version``, and the
-    reader files one only for the version the store holds now.  At most one
-    text per live object that has been served; nothing per history.
-    """
-
-    def _apply(self, record: ChangeRecord) -> None:
-        self._entries.pop(record.object_id, None)
 
 
 class BoundBindings(tuple):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.persistence.dao import DAORegistry
-from repro.persistence.views import StoredTextView
+from repro.persistence.views import ObjectView
 from repro.query import QueryEngine, parse_filter_query
 from repro.rim import (
     QUERY_LANGUAGE_FILTER,
@@ -54,8 +54,8 @@ class QueryManager:
     def __init__(self, daos: DAORegistry, engine: QueryEngine) -> None:
         self.daos = daos
         self.engine = engine
-        #: what the wire writes of each stored version a read answer carried
-        self._texts = StoredTextView(daos.store)
+        #: object id → (stored version, its wire text) of what read answers carried
+        self._texts = ObjectView(daos.store)
 
     # -- direct gets -----------------------------------------------------------
 

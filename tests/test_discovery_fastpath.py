@@ -70,16 +70,16 @@ class TestConstraintCache:
         for host in HOSTS:
             record(registry, host, 0.5)
         sc = lb.service_constraint
-        baseline_misses = sc.cache_misses
+        baseline_misses = sc.cache_stats()["misses"]
         first = registry.qm.get_access_uris(service.id)
-        assert sc.cache_misses == baseline_misses + 1
+        assert sc.cache_stats()["misses"] == baseline_misses + 1
         # fresh samples force the resolver to re-rank each time, but the
         # description is unchanged: the constraint cache hits, zero re-parses
         for _ in range(10):
             record(registry, HOSTS[0], 0.5)
             assert registry.qm.get_access_uris(service.id) == first
-        assert sc.cache_misses == baseline_misses + 1
-        assert sc.cache_hits >= 10
+        assert sc.cache_stats()["misses"] == baseline_misses + 1
+        assert sc.cache_stats()["hits"] >= 10
 
     def test_republished_constraints_take_effect_next_discovery(self, balanced):
         registry, lb = balanced
@@ -103,61 +103,35 @@ class TestConstraintCache:
         uris = registry.qm.get_access_uris(service.id)
         assert uris[0] == f"http://{HOSTS[0]}:8080/Adder/addService"
         # and the cache actually re-parsed rather than serving the stale entry
-        assert lb.service_constraint.cache_misses >= 2
+        assert lb.service_constraint.cache_stats()["misses"] >= 2
 
     def test_cache_disabled_still_correct(self, clock):
-        """No store followed (eviction off, as AutoScaler uses it): the memo
-        is content-validated, so a rewritten description is never served
-        from the old parse."""
+        """The memo is keyed on the description text: a rewritten description
+        is a new key, never served from the old parse."""
         sc = ServiceConstraint(clock)
         svc = Service(ids.new_id(), name="S", description=CONSTRAINT_LS)
         assert sc.check(svc).constraints == parse_constraints(CONSTRAINT_LS)
         rewritten = Service(svc.id, name="S", description=CONSTRAINT_GR)
         assert sc.check(rewritten).constraints == parse_constraints(CONSTRAINT_GR)
         assert not sc.check(Service(svc.id, name="S", description="plain")).present
-        assert sc.cache_stats() == {"hits": 0, "misses": 3, "entries": 1}
+        assert sc.cache_stats() == {"hits": 0, "misses": 3, "entries": 3}
 
-    def test_invalidate_scoped_to_service_writes(self, clock):
-        store = DataStore()
+    def test_ten_times_the_bound_in_descriptions_does_not_grow_the_memo_past_it(
+        self, clock, monkeypatch
+    ):
+        """Stated bound: ``MAX_PARSES`` texts, however many services are seen."""
+        from repro.core import service_constraint
+
+        monkeypatch.setattr(service_constraint, "MAX_PARSES", 8)
         sc = ServiceConstraint(clock)
-        sc.follow(store)
-        svc = Service(ids.new_id(), name="S", description=CONSTRAINT_LS)
-        store.insert_object(svc)
-        sc.check(svc)
-        store.insert_object(Organization(ids.new_id(), name="Unrelated"))
-        sc.check(svc)
-        assert sc.cache_misses == 1  # Organization writes don't evict
-        store.save_object(svc)
-        sc.check(svc)
-        assert sc.cache_misses == 2
-        # a rollback barrier may hide intermediate generations: drop all
-        with pytest.raises(RuntimeError):
-            with store.transaction():
-                raise RuntimeError("boom")
-        sc.check(svc)
-        assert sc.cache_misses == 3
-
-    def test_deleted_services_leave_the_memo(self, balanced):
-        registry, lb = balanced
-        _, cred = registry.register_user("owner")
-        session = registry.login(cred)
-        sc = lb.service_constraint
-        _, keeper = publish_service_with_bindings(
-            registry, session, description=CONSTRAINT_LS
-        )
-        sc.check(keeper)
-        baseline = sc.cache_stats()["entries"]
-        doomed = [
-            Service(registry.ids.new_id(), name=f"Doomed{n}", description=CONSTRAINT_LS)
-            for n in range(8)
-        ]
-        registry.lcm.submit_objects(session, doomed)
-        for svc in doomed:
-            sc.check(svc)
-        assert sc.cache_stats()["entries"] == baseline + len(doomed)
-        registry.lcm.remove_objects(session, [svc.id for svc in doomed])
-        sc.check(keeper)
-        assert sc.cache_stats()["entries"] == baseline
+        for n in range(80):
+            description = f"<constraint><cpuLoad>load ls {n}.5</cpuLoad></constraint>"
+            svc = Service(ids.new_id(), name=f"S{n}", description=description)
+            assert sc.check(svc).constraints == parse_constraints(description)
+            assert sc.cache_stats()["entries"] <= 8
+        twin = Service(ids.new_id(), name="Twin", description=description)
+        assert sc.check(twin).constraints == parse_constraints(description)
+        assert sc.cache_stats() == {"hits": 1, "misses": 80, "entries": 8}
 
 
 def balanced_manual_registry(description=CONSTRAINT_LS):
@@ -165,7 +139,6 @@ def balanced_manual_registry(description=CONSTRAINT_LS):
     clock = ManualClock(start=11 * 3600.0)  # 11:00
     registry = RegistryServer(RegistryConfig(seed=7), clock=clock)
     service_constraint = ServiceConstraint(clock)
-    service_constraint.follow(registry.store)
     load_status = LoadStatus(registry.node_state)
     resolver = ConstraintBindingResolver(service_constraint, load_status)
     registry.daos.services.set_resolver(resolver)
@@ -514,7 +487,6 @@ class TestSeedReplay:
         registry, service_ids = published
         if balanced:
             service_constraint = ServiceConstraint(registry.clock)
-            service_constraint.follow(registry.store)
             resolver = ConstraintBindingResolver(
                 service_constraint, LoadStatus(registry.node_state)
             )

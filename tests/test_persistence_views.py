@@ -23,7 +23,7 @@ from repro.core import (
     attach_load_balancer,
 )
 from repro.core.constraints import parse_constraints
-from repro.persistence import DataStore, QueryResultView, ServiceUriView, StoredTextView
+from repro.persistence import DataStore, ObjectView, QueryResultView
 from repro.persistence.nodestate import NodeSample
 from repro.persistence.views import ROW_CAP
 from repro.query.evaluator import QueryEngine
@@ -69,10 +69,10 @@ def publish(store, name="Adder", hosts=("h1", "h2")):
     return svc
 
 
-class TestServiceUriView:
+class TestObjectView:
     def test_fill_and_hit(self, store):
         svc = publish(store)
-        view = ServiceUriView(store)
+        view = ObjectView(store)
         as_of = view.catch_up()
         view.put(svc.id, "tok", ["http://h1:8080/a"], as_of=as_of)
         assert view.get(svc.id) == ("tok", ["http://h1:8080/a"])
@@ -80,21 +80,21 @@ class TestServiceUriView:
 
     def test_unrelated_write_keeps_entry(self, store):
         svc = publish(store)
-        view = ServiceUriView(store)
+        view = ObjectView(store)
         view.put(svc.id, "tok", ["u"], as_of=view.catch_up())
         store.insert_object(Organization(ids.new_id(), name="SDSU"))
         view.catch_up()
-        assert view.get(svc.id) is not None
-        assert view.invalidations == 0
+        assert view.get(svc.id) == ("tok", ["u"])
+        assert len(view) == 1
 
     def test_service_write_drops_entry(self, store):
         svc = publish(store)
-        view = ServiceUriView(store)
+        view = ObjectView(store)
         view.put(svc.id, "tok", ["u"], as_of=view.catch_up())
         store.save_object(Service(svc.id, name="renamed", description="d"))
         view.catch_up()
         assert view.get(svc.id) is None
-        assert view.invalidations == 1
+        assert len(view) == 0
 
     def test_binding_repoint_drops_both_services(self, store):
         svc_a = publish(store, name="A", hosts=())
@@ -103,7 +103,7 @@ class TestServiceUriView:
             ids.new_id(), service=svc_a.id, access_uri="http://h:1/a"
         )
         store.insert_object(binding)
-        view = ServiceUriView(store)
+        view = ObjectView(store)
         as_of = view.catch_up()
         view.put(svc_a.id, "ta", ["ua"], as_of=as_of)
         view.put(svc_b.id, "tb", ["ub"], as_of=as_of)
@@ -115,9 +115,21 @@ class TestServiceUriView:
         assert view.get(svc_a.id) is None  # pre-image side
         assert view.get(svc_b.id) is None  # post-image side
 
+    def test_binding_record_drops_its_own_entry_and_its_services(self, store):
+        svc, other = publish(store, name="A", hosts=("h1",)), publish(store, name="B", hosts=())
+        (binding,) = [b for b in store.iter_views_of_type("ServiceBinding") if b.service == svc.id]
+        view = ObjectView(store)
+        as_of = view.catch_up()
+        for key in (svc.id, other.id, binding.id):
+            view.put(key, "tok", "value", as_of=as_of)
+        store.save_object(store.get_object(binding.id))
+        view.catch_up()
+        gone = [view.get(key) is None for key in (svc.id, other.id, binding.id)]
+        assert gone == [True, False, True]
+
     def test_stale_fill_is_stranded(self, store):
         svc = publish(store)
-        view = ServiceUriView(store)
+        view = ObjectView(store)
         as_of = view.catch_up()
         # a write lands between the fill's read and its put
         store.save_object(Service(svc.id, name="newer", description="d"))
@@ -127,7 +139,7 @@ class TestServiceUriView:
 
     def test_unapplied_records_do_not_strand_fill(self, store):
         svc = publish(store)
-        view = ServiceUriView(store)
+        view = ObjectView(store)
         as_of = view.catch_up()
         # the write happened but the view has not caught up yet: the put
         # lands, and the next catch-up drops it
@@ -139,7 +151,7 @@ class TestServiceUriView:
 
     def test_rollback_barrier_clears_view(self, store):
         svc = publish(store)
-        view = ServiceUriView(store)
+        view = ObjectView(store)
         view.put(svc.id, "tok", ["u"], as_of=view.catch_up())
         with pytest.raises(RuntimeError):
             with store.transaction():
@@ -284,7 +296,7 @@ class TestServiceBindingsJoin:
         bound = join.get(svc.id)[1]
         store.insert_object(Organization(ids.new_id(), name="SDSU"))
         assert self.answer(daos, svc.id) == ["h2", "h1"]
-        assert join.get(svc.id)[1] is bound and join.invalidations == 0
+        assert join.get(svc.id)[1] is bound and len(join) == 1
 
     def test_an_unsaved_edit_of_the_binding_list_is_not_served_the_stored_join(self, store, daos):
         svc = self.publish(store, self.LS_1, ["h1", "h2"])
@@ -342,7 +354,7 @@ class TestStoredTexts:
 
     def test_a_record_for_an_id_drops_that_entry_and_no_other(self, store):
         kept, written, deleted = (publish(store, name=name, hosts=()) for name in "abc")
-        view = StoredTextView(store)
+        view = ObjectView(store)
         for svc in (kept, written, deleted):
             view.put(svc.id, store.get_view(svc.id), "text", as_of=view.catch_up())
         store.save_object(store.get_object(written.id))
@@ -1126,6 +1138,13 @@ class FreshnessMachine(RuleBasedStateMachine):
         for object_id, (version, text) in texts._entries.items():
             assert self.store.get_view(object_id) is version
             assert text == object_json(serialize(version))
+        join = self.registry.daos.services._bindings_view
+        join.catch_up()
+        for service_id, (binding_ids, bound) in join._entries.items():
+            service = self.store.get_view(service_id)
+            assert service is not None
+            assert binding_ids == vars(service).get("binding_ids", [])
+            assert all(self.store.get_view(binding.id) is binding for binding in bound)
 
 
 FreshnessMachine.TestCase.settings = settings(

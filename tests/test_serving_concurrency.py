@@ -22,6 +22,7 @@ import threading
 
 from repro.core import attach_load_balancer
 from repro.core.constraints import parse_constraints
+from repro.core.service_constraint import MAX_PARSES
 from repro.rim import Service, ServiceBinding
 from repro.sim.nodestatus import nodestatus_uri
 
@@ -238,9 +239,9 @@ class TestSweepAndRankConcurrency:
     def test_constraint_memo_evictions_race_fills(
         self, engine, sim_registry, transport
     ):
-        """Checks fill the parse memo while catch-up evicts rewritten and
-        deleted services from it: every check must still answer for the
-        exact description it was handed, and the memo must end bounded."""
+        """Checks fill the parse memo while a writer rewrites, inserts and
+        deletes services: every check must still answer for the exact
+        description it was handed, and the memo must end bounded."""
         balancer = attach_load_balancer(
             sim_registry, transport, engine, start_monitor=False
         )
@@ -283,4 +284,4 @@ class TestSweepAndRankConcurrency:
             sys.setswitchinterval(interval)
         assert errors == [], errors
         sc.check(store.get_view(keeper.id))
-        assert sc.cache_stats()["entries"] == 1  # every Doomed service is gone
+        assert sc.cache_stats()["entries"] <= MAX_PARSES
