@@ -32,8 +32,7 @@ replication link — keeps its own watermark and pulls the tail with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.persistence.datastore import DataStore
@@ -46,8 +45,7 @@ OP_DELETE = "delete"
 OP_RESET = "reset"
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
+class ChangeRecord(NamedTuple):
     """One committed heap mutation (or a rollback barrier).
 
     ``payload`` is the stored post-image — safe to hold by reference, the
@@ -124,20 +122,23 @@ class ChangeLog:
 
         Barriers are skipped — records surrounding one were all committed,
         so the replayed heap lands on exactly the state the source store
-        holds.  Returns the number of records applied.  The target must be
-        empty of conflicting ids (a fresh store, typically).
+        holds.  The replay is one transaction of *store*: one published
+        generation, and nothing of it if a record fails to apply.  Returns
+        the number of records applied.  The target must be empty of
+        conflicting ids (a fresh store, typically).
         """
         applied = 0
-        for record in list(self._records):
-            if record.op == OP_RESET:
-                continue
-            if record.op == OP_INSERT:
-                store.insert_object(record.payload)
-            elif record.op == OP_SAVE:
-                store.save_object(record.payload)
-            elif record.op == OP_DELETE:
-                store.delete_object(record.object_id)
-            else:  # pragma: no cover - appends validate ops
-                raise ValueError(f"unknown changelog op: {record.op!r}")
-            applied += 1
+        with store.transaction():
+            for record in list(self._records):
+                if record.op == OP_RESET:
+                    continue
+                if record.op == OP_INSERT:
+                    store.insert_object(record.payload)
+                elif record.op == OP_SAVE:
+                    store.save_object(record.payload)
+                elif record.op == OP_DELETE:
+                    store.delete_object(record.object_id)
+                else:  # pragma: no cover - appends validate ops
+                    raise ValueError(f"unknown changelog op: {record.op!r}")
+                applied += 1
         return applied

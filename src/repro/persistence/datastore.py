@@ -10,18 +10,20 @@ JDBC; here a :class:`DataStore` provides the same contract in memory:
   which the monitor writes and which the heap's transactions do not cover;
 * per-request **transactions** with commit/rollback over the heap, giving the
   ACID-at-request-granularity behaviour the registry needs.  A transaction is
-  the one write scope: its writes accumulate into one set of index builders
-  and one record buffer (coalesced per object), a commit publishes one index
-  generation, and a rollback puts back only the objects it wrote.
+  the one write scope: its writes record their index changes and fill one
+  record buffer (coalesced per object), a commit applies the changes and
+  publishes one index generation, and a rollback puts back only the objects
+  it wrote.
 
 Discovery fast path: the heap keeps three sorted runs per type (:class:`_Run`)
 — ids, ``(name, id)`` pairs, distinct names — so scans never re-sort, name
-lookups bisect and a ``LIKE`` regex runs once per name, while a write copies
-one leaf per run, not the partition.  Read paths that can tolerate aliasing opt
-into **views** (``get_view`` / ``iter_views_of_type`` / ``find_views_by_name``)
-which return the stored instances without the per-object ``copy()``; views
-are read-only by contract — all writes still go through
-``insert_object``/``save_object``/``delete_object`` copy-on-write.
+lookups bisect and a ``LIKE`` regex runs once per name, while a commit copies
+each leaf it touches once per run, not the partition: a one-object write one
+leaf per run, a bulk load each leaf once.  Read paths that can tolerate
+aliasing opt into **views** (``get_view`` / ``iter_views_of_type`` /
+``find_views_by_name``) which return the stored instances without the
+per-object ``copy()``; views are read-only by contract — all writes still go
+through ``insert_object``/``save_object``/``delete_object`` copy-on-write.
 
 Concurrency model (the serving core's substrate):
 
@@ -57,10 +59,9 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.persistence.changelog import (
     OP_DELETE,
@@ -77,8 +78,9 @@ from repro.util.errors import (
     ObjectNotFoundError,
 )
 
-#: the most items one leaf of a :class:`_Run` holds: a write copies one leaf
-#: (~4 kB of references) plus the leaf table (one entry per leaf)
+#: the most items one leaf of a :class:`_Run` holds: a commit copies each leaf
+#: it touches (~4 kB of references) once, plus the leaf table (one entry per
+#: leaf) once
 _LEAF = 512
 
 
@@ -86,10 +88,10 @@ class _Run:
     """An immutable sorted set of strings or ``(name, id)`` pairs.
 
     The items sit in a tuple of sorted leaves of at most ``_LEAF`` items,
-    beside the tuple of each leaf's largest item.  :meth:`add` and
-    :meth:`discard` return a new run sharing every leaf but the one they
-    touch, so a write never copies the set; readers bisect the leaf table,
-    then one leaf.  Every item of one run has the same type.
+    beside the tuple of each leaf's largest item.  :meth:`merged` returns a
+    new run sharing every leaf but the ones its changes touch, so a commit
+    never copies the set; readers bisect the leaf table, then one leaf.
+    Every item of one run has the same type.
     """
 
     __slots__ = ("leaves", "maxes", "size")
@@ -132,52 +134,55 @@ class _Run:
             spans += (leaf[: bisect_left(leaf, high)],)
         return spans
 
-    def add(self, item: Any) -> "_Run":
-        """This run with *item*: copies one leaf (split past ``_LEAF``)."""
-        leaves, maxes = self.leaves, self.maxes
-        if not leaves:
-            return _Run(((item,),), (item,), 1)
-        # an item above every leaf's max joins the last leaf
-        i = min(bisect_left(maxes, item), len(maxes) - 1)
-        leaf = leaves[i]
-        j = bisect_left(leaf, item)
-        if j < len(leaf) and leaf[j] == item:
-            return self
-        leaf = leaf[:j] + (item,) + leaf[j:]
-        if len(leaf) > _LEAF:
-            half = len(leaf) >> 1
-            return self._replaced(i, (leaf[:half], leaf[half:]), (leaf[half - 1], leaf[-1]), 1)
-        return self._replaced(i, (leaf,), (leaf[-1],), 1)
+    def merged(self, changes: dict) -> "_Run":
+        """This run with each item of *changes* added (True) or removed (False).
 
-    def discard(self, item: Any) -> "_Run":
-        """This run without *item*: copies one leaf (dropped once empty)."""
-        leaves, maxes = self.leaves, self.maxes
-        i = bisect_left(maxes, item)
-        if i == len(maxes):
+        Each item goes to the leaf it falls in (past every leaf's max: the
+        last one), whose first change copies it into a list that takes that
+        leaf's changes in item order.  A touched leaf that grew past
+        ``_LEAF`` is cut into equal leaves of about half that, as splitting
+        it in two would; an emptied one is dropped.  The leaf table is
+        rebuilt once, every other leaf is shared, and with nothing to change
+        this run is returned.
+        """
+        leaves, maxes = self.leaves or ((),), self.maxes
+        last = len(leaves) - 1
+        touched: dict[int, list] = {}
+        for item in sorted(changes):
+            i = bisect_left(maxes, item)
+            if i > last:
+                i = last
+            out = touched.get(i, leaves[i])
+            j = bisect_left(out, item)
+            if (j < len(out) and out[j] == item) != changes[item]:
+                if out is leaves[i]:
+                    out = touched[i] = list(out)
+                if changes[item]:
+                    out.insert(j, item)
+                else:
+                    del out[j]
+        if not touched:
             return self
-        leaf = leaves[i]
-        j = bisect_left(leaf, item)
-        if leaf[j] != item:
-            return self
-        leaf = leaf[:j] + leaf[j + 1 :]
-        if not leaf:
-            return self._replaced(i, (), (), -1)
-        return self._replaced(i, (leaf,), (leaf[-1],), -1)
-
-    def _replaced(self, i: int, new: tuple, tops: tuple, grown: int) -> "_Run":
-        """A run whose leaf *i* is the leaves *new*, of maxima *tops*."""
-        leaves, maxes = self.leaves, self.maxes
-        return _Run(
-            leaves[:i] + new + leaves[i + 1 :], maxes[:i] + tops + maxes[i + 1 :], self.size + grown
-        )
+        new_leaves, new_maxes, grown = list(leaves), list(maxes), 0
+        # back to front: a splice leaves the indexes below it valid
+        for i, out in sorted(touched.items(), reverse=True):
+            grown += len(out) - len(leaves[i])
+            n = len(out)
+            parts = n // (_LEAF // 2) if n > _LEAF else min(n, 1)
+            if parts == 1:
+                cut = [tuple(out)]
+            else:
+                cut = [tuple(out[n * p // parts : n * (p + 1) // parts]) for p in range(parts)]
+            new_leaves[i : i + 1] = cut
+            new_maxes[i : i + 1] = [leaf[-1] for leaf in cut]
+        return _Run(tuple(new_leaves), tuple(new_maxes), self.size + grown)
 
 
 _EMPTY_RUN = _Run()
 _second = itemgetter(1)
 
 
-@dataclass(frozen=True)
-class HeapIndexes:
+class HeapIndexes(NamedTuple):
     """One atomically-published generation of the heap's index state.
 
     Three immutable :class:`_Run` per type name, which writers replace, never
@@ -224,17 +229,18 @@ def _ids_between(pairs: _Run, low: tuple, high: tuple | None) -> list[str]:
 class _WriteScope:
     """Writer-lock-private state of one open transaction (or one autocommit).
 
-    Holds the live index builders its writes accumulate into (one publish at
-    commit) and its change records, coalesced by object id so a request that
-    touches one object N times commits one record: the post-image of the
-    last write, the pre-image of the first — which is also what a rollback
-    puts back.
+    Holds its index changes, applied at commit (each touched leaf rebuilt
+    once, one publish), and its change records, coalesced by object id so a
+    request that touches one object N times commits one record: the
+    post-image of the last write, the pre-image of the first — which is also
+    what a rollback puts back.
     """
 
-    __slots__ = ("builders", "ops", "pending")
+    __slots__ = ("changes", "ops", "pending")
 
-    def __init__(self, builders: tuple) -> None:
-        self.builders = builders
+    def __init__(self) -> None:
+        #: (type name, name, id, added) per index change, in write order
+        self.changes: list[tuple[str, str, str, bool]] = []
         self.ops = 0
         #: object id → (op, type_name, payload, previous), insertion-ordered
         self.pending: dict[str, tuple] = {}
@@ -298,13 +304,8 @@ class DataStore:
         )
 
     def _open_scope(self) -> _WriteScope:
-        """The open transaction's scope, or a one-write scope to autocommit
-        (copies of the current generation's type → run dicts)."""
-        scope = self._scope
-        if scope is None:
-            idx = self._indexes
-            scope = _WriteScope((dict(idx.ids), dict(idx.pairs), dict(idx.names)))
-        return scope
+        """The open transaction's scope, or a one-write scope to autocommit."""
+        return self._scope or _WriteScope()
 
     # -- write spine (changelog) -----------------------------------------------
 
@@ -315,10 +316,28 @@ class DataStore:
             self._commit(scope)
 
     def _commit(self, scope: _WriteScope) -> None:
-        """Publish the scope's one generation, then append its records."""
+        """Apply the scope's index changes as one generation, publish it, then
+        append its records."""
         if scope.ops == 0:
             return
-        self._publish(*scope.builders)
+        # type name → ({id: added}, {(name, id): added}, {name: added}): the
+        # last change wins; a name whose last pair went is looked up below
+        changed: dict[str, tuple[dict, dict, dict]] = {}
+        for type_name, name, oid, added in scope.changes:
+            runs = changed.get(type_name)
+            if runs is None:
+                runs = changed[type_name] = ({}, {}, {})
+            runs[0][oid] = runs[1][name, oid] = runs[2][name] = added
+        idx = self._indexes
+        ids, pairs, names = dict(idx.ids), dict(idx.pairs), dict(idx.names)
+        for type_name, (id_changes, pair_changes, name_changes) in changed.items():
+            ids[type_name] = ids.get(type_name, _EMPTY_RUN).merged(id_changes)
+            merged = pairs[type_name] = pairs.get(type_name, _EMPTY_RUN).merged(pair_changes)
+            for name, added in name_changes.items():
+                if not added:  # kept while a merged pair has it (ceiling: its first)
+                    name_changes[name] = (merged.ceiling((name,)) or (None,))[0] == name
+            names[type_name] = names.get(type_name, _EMPTY_RUN).merged(name_changes)
+        self._publish(ids, pairs, names)
         append, version = self.changelog.append, self.version
         for object_id, (op, type_name, payload, previous) in scope.pending.items():
             append(
@@ -348,20 +367,6 @@ class DataStore:
             "coalesce_ratio": (coalesced / batched) if batched else 0.0,
         }
 
-    @staticmethod
-    def _builder_add(ids, pairs, names, type_name: str, name: str, oid: str) -> None:
-        ids[type_name] = ids.get(type_name, _EMPTY_RUN).add(oid)
-        pairs[type_name] = pairs.get(type_name, _EMPTY_RUN).add((name, oid))
-        names[type_name] = names.get(type_name, _EMPTY_RUN).add(name)
-
-    @staticmethod
-    def _builder_remove(ids, pairs, names, type_name: str, name: str, oid: str) -> None:
-        ids[type_name] = ids[type_name].discard(oid)
-        pairs[type_name] = pairs[type_name].discard((name, oid))
-        left = pairs[type_name].ceiling((name,))
-        if left is None or left[0] != name:  # the last object of that name
-            names[type_name] = names[type_name].discard(name)
-
     # -- object heap ---------------------------------------------------------
 
     def insert_object(self, obj: RegistryObject) -> None:
@@ -370,9 +375,7 @@ class DataStore:
                 raise ObjectExistsError(obj.id)
             stored = obj.copy()
             scope = self._open_scope()
-            self._builder_add(
-                *scope.builders, stored.type_name, stored.name.value, stored.id
-            )
+            scope.changes.append((stored.type_name, stored.name.value, stored.id, True))
             self._objects[obj.id] = stored
             self._record(scope, OP_INSERT, stored.type_name, stored.id, stored, None)
 
@@ -387,21 +390,14 @@ class DataStore:
                 )
             stored = obj.copy()
             scope = self._open_scope()
-            builders = scope.builders
-            if existing is not None:
+            type_name, oid, new_name = stored.type_name, stored.id, stored.name.value
+            if existing is None:
+                scope.changes.append((type_name, new_name, oid, True))
+            elif existing.name.value != new_name:
                 # id and type are unchanged; only the name index may move.
-                old_name = existing.name.value
-                new_name = stored.name.value
-                if old_name != new_name:
-                    self._builder_remove(
-                        *builders, stored.type_name, old_name, stored.id
-                    )
-                    self._builder_add(
-                        *builders, stored.type_name, new_name, stored.id
-                    )
-            else:
-                self._builder_add(
-                    *builders, stored.type_name, stored.name.value, stored.id
+                scope.changes += (
+                    (type_name, existing.name.value, oid, False),
+                    (type_name, new_name, oid, True),
                 )
             self._objects[obj.id] = stored
             op = OP_SAVE if existing is not None else OP_INSERT
@@ -431,9 +427,7 @@ class DataStore:
             if obj is None:
                 raise ObjectNotFoundError(object_id)
             scope = self._open_scope()
-            self._builder_remove(
-                *scope.builders, obj.type_name, obj.name.value, obj.id
-            )
+            scope.changes.append((obj.type_name, obj.name.value, object_id, False))
             del self._objects[object_id]
             self._record(scope, OP_DELETE, obj.type_name, object_id, None, obj)
 
@@ -568,10 +562,11 @@ class DataStore:
         """The write scope: commit on success, roll back the object heap on error.
 
         Inside the transaction every mutator updates the heap map at once
-        (point reads stay exact) but accumulates its index changes into one
-        builder set and its change record into a per-object coalescing
-        buffer.  Commit publishes a *single* new index generation (one
-        version bump for N writes), then appends the coalesced records.
+        (point reads stay exact) but only records its index changes, and
+        puts its change record into a per-object coalescing buffer.  Commit
+        applies the changes run by run, copying each leaf it touches once,
+        publishes a *single* new index generation (one version bump for N
+        writes), then appends the coalesced records.
 
         Index-driven readers (scans, counts, name lookups) meanwhile see the
         pre-transaction generation over the live heap: its inserts are
@@ -581,7 +576,7 @@ class DataStore:
         is held throughout; nested transactions join the outermost one
         (savepoints are not needed by the registry's request granularity).
 
-        Rollback publishes nothing — the builders die with the scope — and
+        Rollback publishes nothing — the recorded changes die with the scope — and
         puts back, in place, the first pre-image of each object the
         transaction wrote, so it costs what the transaction touched, not
         the heap.  NodeState is not covered: a rollback leaves the monitor's

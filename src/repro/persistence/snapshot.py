@@ -68,16 +68,19 @@ def load_registry(registry: "RegistryServer", state: dict[str, Any]) -> int:
     """Restore durable state into a *fresh* registry; returns objects loaded.
 
     The target registry must be empty (load-into-live would need merge
-    semantics the format does not define).
+    semantics the format does not define).  The objects go in as one store
+    transaction: one published generation, and an object that does not
+    read back leaves the store empty.
     """
     if state.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format: {state.get('format')!r}")
-    if registry.store.count() != 0:
+    store = registry.store
+    if store.count() != 0:
         raise ValueError("load_registry requires an empty registry")
-    count = 0
-    for data in state["objects"]:
-        registry.store.insert_object(deserialize(data))
-        count += 1
+    with store.transaction():
+        for data in state["objects"]:
+            store.insert_object(deserialize(data))
+    count = len(state["objects"])
     registry.node_state.record_sweep(
         NodeSample(
             host=row["host"],

@@ -48,11 +48,12 @@ class IdFactory:
     def new_id(self) -> str:
         """Return the next identifier in the deterministic stream."""
         # uuid4 layout from 16 PRNG bytes, with version / variant bits set
-        # exactly as uuid.uuid4 would.
-        raw = bytearray(self._rng.getrandbits(8) for _ in range(16))
+        # exactly as uuid.uuid4 would, written as str(uuid.UUID) writes it.
+        raw = bytearray(map(self._rng.getrandbits, (8,) * 16))  # one draw per byte
         raw[6] = (raw[6] & 0x0F) | 0x40  # version 4
         raw[8] = (raw[8] & 0x3F) | 0x80  # RFC 4122 variant
-        return f"urn:uuid:{uuid.UUID(bytes=bytes(raw))}"
+        h = raw.hex()
+        return f"urn:uuid:{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"
 
     def new_ids(self, count: int) -> list[str]:
         """Return *count* identifiers."""

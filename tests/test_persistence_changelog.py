@@ -166,6 +166,17 @@ class TestReplay:
                 store.get_object(object_id)
             )
 
+    def test_replay_publishes_one_generation(self, store):
+        """A replay is one transaction of the target: one version bump for the
+        whole history, and still one count per record applied."""
+        self._mixed_history(store)
+        rebuilt = DataStore()
+        before = rebuilt.version
+        applied = store.changelog.replay_into(rebuilt)
+        assert applied == len(store.changelog) - store.changelog.resets > 1
+        assert rebuilt.version == before + 1
+        assert sorted(rebuilt.all_ids()) == sorted(store.all_ids())
+
     def test_replayed_store_answers_queries_bit_identically(self, store):
         self._mixed_history(store)
         rebuilt = DataStore()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.persistence import DataStore, NodeSample
-from repro.persistence.datastore import _LEAF
+from repro.persistence.datastore import _LEAF, _Run
 from repro.rim import AuditableEvent, EventType, Organization, Service
 from repro.util.errors import (
     InvalidRequestError,
@@ -251,6 +251,36 @@ class TestWriteBudget:
         for write, peak in large.items():
             assert peak <= self.BUDGET, (write, peak)
             assert peak <= 2 * small[write], (write, peak, small[write])
+
+    def test_a_bulk_transaction_builds_each_run_once(self, monkeypatch):
+        """Counted, no clock: one transaction of ``3 * _LEAF + 1`` inserts of
+        one type builds each of its three runs once (a run per insert and
+        index would be 4 611), and a one-object write after it shares every
+        leaf it does not touch with the generation before."""
+        store = DataStore()
+        factory = IdFactory(3)
+        built: list[_Run] = []
+        init = _Run.__init__
+
+        def counting(run, *args):
+            built.append(run)
+            init(run, *args)
+
+        monkeypatch.setattr(_Run, "__init__", counting)
+        with store.transaction():
+            for n in range(3 * _LEAF + 1):
+                store.insert_object(Service(factory.new_id(), name=f"S{n:05d}"))
+        assert store.count("Service") == 3 * _LEAF + 1
+        assert len(built) <= 3, len(built)
+
+        before = store._indexes
+        store.insert_object(Service(factory.new_id(), name="S00100+"))
+        after = store._indexes
+        for runs in ("ids", "pairs", "names"):
+            old, new = getattr(before, runs)["Service"], getattr(after, runs)["Service"]
+            assert len(old.leaves) >= 3, runs
+            shared = [leaf for leaf in old.leaves if any(leaf is kept for kept in new.leaves)]
+            assert len(shared) == len(old.leaves) - 1, runs
 
     def test_a_transaction_does_not_copy_node_state(self):
         """Entering and committing an empty transaction allocates the same
@@ -511,6 +541,27 @@ class StoreIndexMachine(RuleBasedStateMachine):
         with self._scope(in_transaction):
             for oid, _ in objs[start : start + _LEAF + 1]:
                 self._delete(oid)
+
+    @precondition(
+        lambda self: any(len(_expected(self.model, k)) > _LEAF for k in KINDS)
+    )
+    @rule(data=st.data(), prefix=NAMES, every=st.integers(1, 4))
+    def rename_a_stretch_then_some_back(self, data, prefix, every):
+        """Renames more than a leaf (up to two) of neighbouring ``(name, id)``
+        pairs to as many new names in one transaction, then every *every*-th
+        of them back: pairs and names leaves grow past the bound and empty
+        out within one commit."""
+        kind = data.draw(
+            st.sampled_from([k for k in KINDS if len(_expected(self.model, k)) > _LEAF])
+        )
+        pairs = sorted((name, oid) for oid, name in _expected(self.model, kind))
+        start = data.draw(st.integers(0, len(pairs) - _LEAF - 1))
+        stretch = pairs[start : start + 2 * _LEAF]
+        with self.store.transaction():
+            for n, (_, oid) in enumerate(stretch):
+                self._rename(oid, f"{prefix}{n:04d}")
+            for name, oid in stretch[::every]:
+                self._rename(oid, name)
 
     @rule(
         data=st.data(),

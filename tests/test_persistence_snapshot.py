@@ -12,6 +12,7 @@ from repro.registry import RegistryConfig, RegistryServer
 from repro.rim import ExtrinsicObject, Organization
 from repro.persistence.nodestate import NodeSample
 from repro.util.clock import ManualClock
+from repro.util.errors import InvalidRequestError
 
 from conftest import publish_service_with_bindings
 
@@ -51,6 +52,30 @@ class TestDumpLoad:
         load_registry(restored, dump_registry(registry))
         assert restored.node_state.generation()[0] == before + 1
         assert restored.node_state.all_samples() == registry.node_state.all_samples()
+
+    def test_restore_publishes_one_generation(self, registry, session):
+        """The objects go in as one store transaction: one version, however
+        many objects the snapshot holds."""
+        publish_service_with_bindings(registry, session)
+        state = dump_registry(registry)
+        restored = fresh_registry(seed=2)
+        before = restored.store.version
+        assert load_registry(restored, state) == len(state["objects"]) > 1
+        assert restored.store.version == before + 1
+        assert restored.store.count() == registry.store.count()
+
+    def test_a_malformed_object_leaves_the_store_empty(self, registry, session):
+        """A snapshot whose last object does not read back restores nothing:
+        the objects before it are rolled back with it."""
+        publish_service_with_bindings(registry, session)
+        state = dump_registry(registry)
+        state["objects"][-1] = {"_type": "Service"}  # no id
+        restored = fresh_registry(seed=2)
+        before = restored.store.version
+        with pytest.raises(InvalidRequestError):
+            load_registry(restored, state)
+        assert restored.store.count() == 0 and restored.store.all_ids() == []
+        assert restored.store.version == before
 
     def test_repository_items_round_trip(self, registry, session):
         meta = ExtrinsicObject(registry.ids.new_id(), name="blob", mime_type="application/octet-stream")

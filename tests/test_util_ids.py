@@ -54,3 +54,20 @@ class TestIdFactory:
         parsed = uuid.UUID(raw)
         assert parsed.version == 4
         assert parsed.variant == uuid.RFC_4122
+
+    def test_stream_is_str_of_uuid_from_the_same_draws(self):
+        """The id text is exactly what ``str(uuid.UUID(bytes=...))`` writes for
+        16 draws of 8 bits with the version-4 and RFC 4122 bits set, so a seed
+        names the same ids as it always has."""
+        import random
+        import uuid
+
+        for seed in range(4):
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(1000):
+                raw = bytearray(rng.getrandbits(8) for _ in range(16))
+                raw[6] = (raw[6] & 0x0F) | 0x40
+                raw[8] = (raw[8] & 0x3F) | 0x80
+                expected.append(f"urn:uuid:{uuid.UUID(bytes=bytes(raw))}")
+            assert IdFactory(seed).new_ids(1000) == expected, seed
