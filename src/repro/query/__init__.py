@@ -14,7 +14,7 @@ from repro.query.evaluator import (
 )
 from repro.query.filterquery import parse_filter_query
 from repro.query.parser import parse_select
-from repro.query.planner import AccessPath, CompiledPlan, PlanCache, build_plan
+from repro.query.planner import AccessPath, CompiledPlan, PlanCache, ShapePlan
 from repro.query.tokens import tokenize
 
 __all__ = [
@@ -22,8 +22,8 @@ __all__ = [
     "CompiledPlan",
     "PlanCache",
     "Select",
+    "ShapePlan",
     "QueryEngine",
-    "build_plan",
     "coerce_between",
     "eval_predicate",
     "flatten_conjuncts",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Any, Callable, Sequence, Union
 
 Value = Union[str, float, int, None]
 
@@ -129,3 +129,68 @@ class Select:
     limit: int | None = None
     #: SELECT COUNT(*): result is one row {"count": n}
     count: bool = False
+
+
+@dataclass(frozen=True)
+class Slot:
+    """The *index*-th literal of a statement's text, lifted out: a tree with
+    slots is the statement's shape, which each text's values fill."""
+
+    index: int
+
+
+def bound(site: Any, values: Sequence) -> Any:
+    """A literal as *values* fill it: the value of a slot, else itself."""
+    return values[site.index] if type(site) is Slot else site
+
+
+#: per node type, the fields a literal is in or under, in text order: a
+#: literal (1), a tuple of literals (2), or a node (0)
+_LITERAL_FIELDS = {
+    Select: (("where", 0), ("limit", 1)),
+    Comparison: (("left", 0), ("right", 0)),
+    Literal: (("value", 1),),
+    Like: (("pattern", 1),),
+    InList: (("values", 2),),
+    InSubquery: (("subquery", 0),),
+    Between: (("low", 0), ("high", 0)),
+    Not: (("operand", 0),),
+    And: (("left", 0), ("right", 0)),
+    Or: (("left", 0), ("right", 0)),
+}
+
+
+def map_literals(node: Any, fn: Callable[[Any], Any]) -> Any:
+    """*node* with every literal ``x`` (``NULL`` too) replaced by ``fn(x)``,
+    called in text order.  A node of a kind that holds no literal (a
+    column, ``IS NULL``) is shared, not copied (nodes are frozen)."""
+    fields = _LITERAL_FIELDS.get(type(node))
+    if fields is None:  # no literal under it
+        return node
+    fresh = object.__new__(type(node))  # a frozen node: fill the copy's __dict__
+    state = fresh.__dict__
+    state.update(vars(node))
+    for key, form in fields:
+        value = state[key]
+        if form == 0:
+            state[key] = map_literals(value, fn)
+        else:
+            state[key] = fn(value) if form == 1 else tuple(map(fn, value))
+    return fresh
+
+
+def slotted(select: Select, values: Sequence) -> Select | None:
+    """*select* with each literal a :class:`Slot`, numbered in text order,
+    or ``None`` when its literals are not exactly *values* (kind and value).
+    ``NULL`` is no literal."""
+    taken: list = []
+
+    def site(value: Any) -> Any:
+        if value is None:
+            return None
+        taken.append(value)
+        return Slot(len(taken) - 1)
+
+    tree = map_literals(select, site)
+    same = list(map(type, taken)) == list(map(type, values)) and taken == list(values)
+    return tree if same else None

@@ -11,17 +11,14 @@ The engine executes a parsed :class:`~repro.query.ast.Select` against
 SQL three-valued logic is approximated conservatively: comparisons against
 NULL are false, which matches how the registry's discovery queries use it.
 
-Execution is planned by default: statements lower once into a
-:class:`~repro.query.planner.CompiledPlan` (plan cache keyed on query text,
-index-backed access paths, predicate closures compiled against the virtual
-table's column catalogue, changelog-validated subquery materialization) and
-run as *probe → filter the stored objects → project the survivors* — see
-:mod:`repro.query.planner` and :meth:`QueryEngine._run_plan`.  A repeated
-query text, like a subquery, is answered from a changelog view, which
-patches the statement's kept survivors per write where the plan allows it
-(:meth:`QueryEngine._answer`).  Construct
-with ``planner=False`` to force the original path, which projects every
-object of the table into a row and evaluates the AST over the rows
+Execution is planned by default (:mod:`repro.query.planner`): a statement
+shape lowers once into a shared plan, and each text binds its literals into
+it and runs as *probe → filter the stored objects → project the survivors*
+(:meth:`QueryEngine._run_plan`).  A repeated query text, like a subquery, is
+answered from a changelog view, which patches the statement's kept
+survivors per write where the plan allows it (:meth:`QueryEngine._answer`).
+Construct with ``planner=False`` to force the original path, which projects
+every object of the table into a row and evaluates the AST over the rows
 (:func:`eval_predicate`); it is the oracle: the two must return
 bit-identical rows, which ``tests/test_query_planner.py`` asserts per query
 and ``tests/test_property_query.py`` over generated statements.
@@ -33,7 +30,7 @@ import re
 import threading
 from functools import lru_cache, partial
 from operator import attrgetter
-from typing import Any
+from typing import Any, Callable
 
 from repro.persistence.datastore import DataStore
 from repro.persistence.nodestate import NODESTATE_TABLE
@@ -52,8 +49,9 @@ from repro.query.ast import (
     Or,
     Predicate,
     Select,
+    slotted,
 )
-from repro.query.parser import parse_select
+from repro.query.parser import lift, parse_select
 from repro.query.virtual import VIRTUAL_TABLES, Row
 from repro.util.errors import QuerySyntaxError
 
@@ -65,21 +63,6 @@ _OPS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
-
-
-def _coerce_pair(left: Any, right: Any) -> tuple[Any, Any]:
-    """Allow number-vs-numeric-string comparison, as SQL engines coerce."""
-    if isinstance(left, (int, float)) and isinstance(right, str):
-        try:
-            return left, float(right)
-        except ValueError:
-            return left, right
-    if isinstance(right, (int, float)) and isinstance(left, str):
-        try:
-            return float(left), right
-        except ValueError:
-            return left, right
-    return left, right
 
 
 def coerce_between(value: Any, low: Any, high: Any) -> tuple[Any, Any, Any]:
@@ -124,12 +107,8 @@ def _value_of(expr: Expr, row: Row) -> Any:
 
 @lru_cache(maxsize=512)
 def like_to_regex(pattern: str) -> re.Pattern[str]:
-    """Translate a SQL LIKE pattern (% and _) to an anchored regex.
-
-    Bounded-memoized: the scan path used to recompile the same pattern for
-    every row; now any path — planned or not — compiles each distinct
-    pattern once.
-    """
+    """Translate a SQL LIKE pattern (% and _) to a regex that ``match``
+    tests against a whole value; each distinct pattern compiles once."""
     out: list[str] = []
     for char in pattern:
         if char == "%":
@@ -138,26 +117,62 @@ def like_to_regex(pattern: str) -> re.Pattern[str]:
             out.append(".")
         else:
             out.append(re.escape(char))
-    return re.compile("^" + "".join(out) + r"\Z", re.DOTALL)
+    return re.compile("".join(out) + r"\Z", re.DOTALL)
+
+
+def like_match(pattern: str) -> Callable[[str], re.Match[str] | None]:
+    """The one matcher of a LIKE pattern, for every path that tests one.
+
+    A leading ``%`` is dropped and the rest of the pattern searched for:
+    an anchored ``.*`` would backtrack through the whole value first.
+    """
+    rest = pattern.lstrip("%")
+    regex = like_to_regex(rest)
+    return regex.search if rest != pattern else regex.match
+
+
+def compare(op: Callable[[Any, Any], bool], left: Any, right: Any) -> bool:
+    """``left op right``: false against NULL and for incomparable types; a
+    number against a numeric string compares as numbers, as SQL engines
+    coerce."""
+    if left is None or right is None:
+        return False
+    if isinstance(left, (int, float)) and isinstance(right, str):
+        right = _as_number(right)
+    elif isinstance(right, (int, float)) and isinstance(left, str):
+        left = _as_number(left)
+    try:
+        return op(left, right)
+    except TypeError:
+        return False
+
+
+def between(value: Any, low: Any, high: Any, negated: bool) -> bool:
+    """``value [NOT] BETWEEN low AND high``: false against NULL, the triple
+    coerced with one decision (:func:`coerce_between`)."""
+    if value is None or low is None or high is None:
+        return False
+    value, low, high = coerce_between(value, low, high)
+    try:
+        inside = low <= value <= high
+    except TypeError:
+        return False
+    return inside != negated
 
 
 def eval_predicate(predicate: Predicate, row: Row) -> bool:
     """Evaluate one predicate against one row."""
     if isinstance(predicate, Comparison):
-        left = _value_of(predicate.left, row)
-        right = _value_of(predicate.right, row)
-        if left is None or right is None:
-            return False
-        left, right = _coerce_pair(left, right)
-        try:
-            return _OPS[predicate.op](left, right)
-        except TypeError:
-            return False
+        return compare(
+            _OPS[predicate.op],
+            _value_of(predicate.left, row),
+            _value_of(predicate.right, row),
+        )
     if isinstance(predicate, Like):
         value = _value_of(predicate.column, row)
         if value is None:
             return False
-        matched = bool(like_to_regex(predicate.pattern).match(str(value)))
+        matched = like_match(predicate.pattern)(str(value)) is not None
         return matched != predicate.negated
     if isinstance(predicate, InList):
         value = _value_of(predicate.column, row)
@@ -166,17 +181,12 @@ def eval_predicate(predicate: Predicate, row: Row) -> bool:
         found = value in predicate.values
         return found != predicate.negated
     if isinstance(predicate, Between):
-        value = _value_of(predicate.column, row)
-        low = _value_of(predicate.low, row)
-        high = _value_of(predicate.high, row)
-        if value is None or low is None or high is None:
-            return False
-        value, low, high = coerce_between(value, low, high)
-        try:
-            inside = low <= value <= high
-        except TypeError:
-            return False
-        return inside != predicate.negated
+        return between(
+            _value_of(predicate.column, row),
+            _value_of(predicate.low, row),
+            _value_of(predicate.high, row),
+            predicate.negated,
+        )
     if isinstance(predicate, IsNull):
         value = _value_of(predicate.column, row)
         return (value is None) != predicate.negated
@@ -194,9 +204,10 @@ def eval_predicate(predicate: Predicate, row: Row) -> bool:
 
 
 def finish_rows(
-    select: Select, rows: list[Row], *, id_ordered: bool = False
+    select: Select, rows: list[Row], limit: int | None, *, id_ordered: bool = False
 ) -> list[Row]:
-    """The shared statement tail: count, order, project, distinct, limit.
+    """The shared statement tail: count, order, project, distinct, *limit*
+    (the statement's, as bound to this execution).
 
     *rows* come in the scan path's pre-filter order (ids sorted within a
     type); the list is sorted in place and its row dicts are never mutated.
@@ -235,8 +246,8 @@ def finish_rows(
                 seen.add(signature)
                 unique.append(row)
         rows = unique
-    if select.limit is not None:
-        rows = rows[: select.limit]
+    if limit is not None:
+        rows = rows[:limit]
     return rows
 
 
@@ -253,14 +264,13 @@ def _value_set(column: str, rows: list[Row]) -> frozenset | tuple:
 class QueryEngine:
     """Executes SELECT statements against one datastore.
 
-    Safe for concurrent :meth:`execute` calls: the plan cache serializes
-    internally, and statements whose plans carry subquery cells bind and run
-    under :attr:`_subquery_lock` — cached :class:`CompiledPlan` objects are
-    shared across threads and a cell's ``values`` slot is rebound in place,
-    so bind → probe → residual must not interleave with another binder.
-    Cell-less plans (every discovery hot-path query) take no lock at all.
-    The ``stats`` counters are plain ``+=`` and may undercount by a hair
-    under contention — they are observability, not accounting.
+    Safe for concurrent :meth:`execute` calls: shared plans are read-only,
+    each execution binds its own, and the plan cache serializes its puts.
+    A plan with subquery cells fills and runs them under
+    :attr:`_subquery_lock`; cell-less plans (every discovery hot-path
+    query) take no lock.  The ``stats`` counters are plain ``+=`` and may
+    undercount by a hair under contention — they are observability, not
+    accounting.
     """
 
     def __init__(self, store: DataStore, *, planner: bool = True) -> None:
@@ -287,12 +297,12 @@ class QueryEngine:
             #: only string-keyed statements over virtual tables participate;
             #: the ``planner=False`` scan path stays the untouched parity oracle
             self._results = QueryResultView(store)
-            #: subquery Select → materialized value set: patched per record
-            #: where the subquery allows it, else dropped per RIM type read;
-            #: never for NodeState
+            #: (subquery, its bound values) → materialized value set: patched
+            #: per record where the subquery allows it, else dropped per RIM
+            #: type read; never for NodeState
             self._subqueries = QueryResultView(store, capacity=64)
-        #: guards shared-plan cell binding; re-entrant because
-        #: materializing a subquery recurses into :meth:`_run_plan`
+        #: serializes subquery fills; re-entrant because materializing a
+        #: subquery recurses into :meth:`_run_plan`
         self._subquery_lock = threading.RLock()
 
     # -- row sources -----------------------------------------------------------
@@ -323,42 +333,38 @@ class QueryEngine:
     # -- planning ----------------------------------------------------------------
 
     def _plan_for(self, query: str | Select):
-        """The cached plan of a query text or statement; a text is parsed
-        only to build its plan."""
-        plan = self._plans.get(query)
-        if plan is None:
-            from repro.query.planner import build_plan
+        """The plan of one execution: the shared plan of the query's shape
+        and access-path decision (a statement is its own shape), bound to
+        the query's literal values.  A text is parsed only to build a
+        shared plan."""
+        from repro.query.planner import ShapePlan
 
-            select = parse_select(query) if isinstance(query, str) else query
-            plan = build_plan(self.store, select)
-            self._plans.put(query, plan)
+        key, values = lift(query) if isinstance(query, str) else (query, ())
+        shared = self._plans.get(key)
+        template = None
+        if shared is not None and (decision := shared.decide(values)) != shared.decision:
+            template, key = shared.select, (key, decision)
+            shared = self._plans.get(key)
+        if shared is None:
+            if template is None:
+                select = parse_select(query) if isinstance(query, str) else query
+                # its literals are the lifted values, in text order
+                template = slotted(select, values) if values else select
+            shared = ShapePlan(template, values)
+            self._plans.put(key, shared)
             self.stats["plans_built"] += 1
         else:
             self.stats["plan_hits"] += 1
-        return plan
+        return shared.bind(values)
 
     def explain(self, query: str | Select) -> dict[str, Any]:
         """The plan the engine would run: access path, residual, subqueries."""
         if self.use_planner:
             return self._plan_for(query).explain()
-        from repro.query.planner import build_plan
+        from repro.query.planner import ShapePlan
 
         select = parse_select(query) if isinstance(query, str) else query
-        return build_plan(self.store, select).explain()
-
-    def _subquery_values(self, select: Select, column: str) -> frozenset | tuple:
-        """Materialized value set of one uncorrelated subquery: the answer
-        of :meth:`_answer` read as the set of *column*'s values, so a
-        binding semi-join runs once, not once per write.  A subquery over
-        NodeState always runs.  Called only while binding a plan's cells,
-        so under :attr:`_subquery_lock`.
-        """
-        return self._answer(
-            self._subqueries,
-            select,
-            partial(_value_set, column),
-            ("subquery_hits", "subquery_materializations"),
-        )
+        return ShapePlan(select, ()).bind(()).explain()
 
     # -- execution ----------------------------------------------------------------
 
@@ -366,32 +372,33 @@ class QueryEngine:
         """Run a query, returning projected rows.
 
         A query *text* is answered from the result view (:meth:`_answer`),
-        and parsed only when it has no plan yet; a parsed statement always
-        runs.
+        and parsed only when its shape has no plan yet; a parsed statement
+        always runs.
         """
         if not self.use_planner:
             select = parse_select(query) if isinstance(query, str) else query
             rows = self._rows_for_table(select.table)
-            where = (
-                self._resolve_subqueries(select.where)
-                if select.where is not None
-                else None
-            )
-            if where is not None:
+            if select.where is not None:
+                where = self._resolve_subqueries(select.where)
                 rows = [row for row in rows if eval_predicate(where, row)]
-            return finish_rows(select, rows)
+            return finish_rows(select, rows, select.limit)
         if not isinstance(query, str):
             return self._run(self._plan_for(query))
         answer = self._answer(
-            self._results, query, tuple, ("result_hits", "result_misses")
+            self._results,
+            query,
+            partial(self._plan_for, query),
+            tuple,
+            ("result_hits", "result_misses"),
         )
         # rows are scalar-valued; a per-row shallow copy keeps callers free
         # to mutate their result set
         return [dict(row) for row in answer]
 
-    def _answer(self, view: QueryResultView, key: str | Select, shape, counters):
-        """The finished rows of *key* (a query text or statement), *shape*d,
-        from *view* when it holds them, else from its plan.
+    def _answer(self, view: QueryResultView, key, plan_of, shape, counters):
+        """The finished rows of *key* (a query text, or a subquery and its
+        bound values), *shape*d, from *view* when it holds them, else from
+        the plan ``plan_of()`` gives.
 
         On a miss a statement a record can patch (a patchable plan, at most
         :data:`~repro.persistence.views.ROW_CAP` survivors) files its
@@ -406,56 +413,25 @@ class QueryEngine:
             self.stats[counters[0]] += 1
             return answer
         self.stats[counters[1]] += 1
-        plan = self._plan_for(key)
+        plan = plan_of()
         rows = self._run(plan, shape=shape)
         if isinstance(rows, KeptRows):
             answer = rows.read()
             view.put(key, (plan.type_name,), rows, as_of=as_of)
             return answer
         answer = shape(rows)
-        types = self._view_types(plan.select)
+        types = plan.shape.types
         if types is not None and len(rows) <= ROW_CAP:
             view.put(key, types, answer, as_of=as_of)
         return answer
 
     def _run(self, plan, *, shape=None) -> list[Row] | KeptRows:
         if plan.cells:
-            # the cached plan is shared: hold the lock from cell binding
-            # through the residual filter so another thread cannot rebind
-            # cell.values mid-flight (mixed-generation semi-joins)
+            # fill the cells and filter under the lock: two threads do not
+            # materialize one subquery at once
             with self._subquery_lock:
                 return self._run_plan(plan, shape=shape)
         return self._run_plan(plan, shape=shape)
-
-    def _view_types(self, select: Select) -> frozenset[str] | None:
-        """RIM types a statement reads (``"*"`` for the union view), or
-        ``None`` when any table — including a subquery's — is NodeState:
-        NodeState writes bypass the changelog, so those results must not
-        be cached in the changelog-invalidated view."""
-        tables: set[str] = set()
-        if not self._collect_tables(select, tables):
-            return None
-        return frozenset(VIRTUAL_TABLES[table].type_name for table in tables)
-
-    def _collect_tables(self, select: Select, acc: set[str]) -> bool:
-        key = select.table.lower()
-        if key not in VIRTUAL_TABLES:
-            return False
-        acc.add(key)
-        if select.where is None:
-            return True
-        return self._collect_predicate_tables(select.where, acc)
-
-    def _collect_predicate_tables(self, predicate: Predicate, acc: set[str]) -> bool:
-        if isinstance(predicate, InSubquery):
-            return self._collect_tables(predicate.subquery, acc)
-        if isinstance(predicate, Not):
-            return self._collect_predicate_tables(predicate.operand, acc)
-        if isinstance(predicate, (And, Or)):
-            return self._collect_predicate_tables(
-                predicate.left, acc
-            ) and self._collect_predicate_tables(predicate.right, acc)
-        return True
 
     def _run_plan(self, plan, *, shape=None) -> list[Row] | KeptRows:
         """Bind subquery cells, probe, filter, project, finish — one execution.
@@ -471,22 +447,31 @@ class QueryEngine:
         """
         select = plan.select
         for cell in plan.cells:
-            cell.values = self._subquery_values(cell.select, cell.column)
+            # the subquery's answer read as its column's value set, so a
+            # binding semi-join runs once, not once per write; one over
+            # NodeState always runs
+            cell.values = self._answer(
+                self._subqueries,
+                cell.key,
+                partial(cell.plan.bind, cell.bound),
+                partial(_value_set, cell.column),
+                ("subquery_hits", "subquery_materializations"),
+            )
         fast_count = plan.fast_count(self.store)
         if fast_count is not None:
             return [{"count": fast_count}]
         residual = plan.residual
-        if plan.relational:
+        if plan.shape.relational:
             rows = self._relational_rows()
             if residual is not None:
                 rows = list(filter(residual, rows))
-            return finish_rows(select, rows)
+            return finish_rows(select, rows, plan.limit)
         survivors = plan.candidates(self.store)
         if residual is not None:
             survivors = list(filter(residual, survivors))
         keep = (
             shape is not None
-            and plan.patchable
+            and plan.shape.patchable
             and len(survivors) <= ROW_CAP
             and plan.kept_projection() is not None
         )
@@ -494,11 +479,11 @@ class QueryEngine:
             if keep:
                 return KeptRows(plan, shape, dict.fromkeys(map(_ID, survivors)))
             return [{"count": len(survivors)}]
-        rows = list(map(plan.kept_projection() if keep else plan.project, survivors))
+        rows = list(map(plan.kept_projection() if keep else plan.shape.project, survivors))
         self.stats["rows_materialized"] += len(rows)
         if keep:
             return KeptRows(plan, shape, dict(zip(map(_ID, survivors), rows)))
-        return finish_rows(select, rows, id_ordered=plan.type_name != "*")
+        return finish_rows(select, rows, plan.limit, id_ordered=plan.type_name != "*")
 
     def execute_windowed(
         self,

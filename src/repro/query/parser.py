@@ -22,9 +22,7 @@ because the engine is single-table (freebXML's common queries are too).
 from __future__ import annotations
 
 import re
-from dataclasses import is_dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from repro.query.ast import (
     And,
@@ -42,6 +40,9 @@ from repro.query.ast import (
     OrderTerm,
     Predicate,
     Select,
+    bound,
+    map_literals,
+    slotted,
 )
 from repro.query.tokens import (
     NUMBER_PATTERN,
@@ -291,24 +292,32 @@ _LITERAL_RE = re.compile(
 _MARK = 10**15
 
 
+def lift(text: str) -> tuple[tuple[tuple[str, ...], tuple[type, ...]], tuple]:
+    """A text's *shape* and its literals' values, lifted out in one regex
+    pass: the shape is the text between the literals (*segments*) and each
+    literal's kind (``str``, ``int`` or ``float``), the values come in text
+    order."""
+    parts = _LITERAL_RE.split(text)
+    values = tuple(
+        unquote(string) if string is not None else _number(number)
+        for string, number in zip(parts[1::3], parts[2::3])
+    )
+    return (tuple(parts[::3]), tuple(map(type, values))), values
+
+
 def parse_select(text: str) -> Select:
     """Parse a SELECT statement (the module's public entry point).
 
-    The text's string and number literals are lifted out in one regex pass;
-    what is left, with each literal's kind, is the statement's *shape*.
-    :class:`Parser` runs once per shape, on the text with every literal
-    swapped for a marker of its kind, and each text of the shape gets that
-    tree rebuilt around its own literals.  A text whose marked form does not
-    parse files nothing and goes to :class:`Parser` itself, which stays the
-    one grammar and reports every error at the text's own position.
+    :class:`Parser` runs once per :func:`lift` shape, on the text with every
+    literal swapped for a marker of its kind, and each text of the shape
+    fills that tree's slots with its own literals.  A text whose marked
+    form does not parse files nothing and goes to :class:`Parser` itself,
+    which stays the one grammar and reports every error at the text's own
+    position.
     """
-    parts = _LITERAL_RE.split(text)
-    values = [
-        unquote(string) if string is not None else _number(number)
-        for string, number in zip(parts[1::3], parts[2::3])
-    ]
+    shape, values = lift(text)
     try:
-        rebuild = _rebuilder(tuple(parts[::3]), tuple(map(type, values)))
+        rebuild = _rebuilder(*shape)
     except QuerySyntaxError:
         return Parser(text).parse()
     return rebuild(values)
@@ -316,53 +325,19 @@ def parse_select(text: str) -> Select:
 
 @lru_cache(maxsize=512)
 def _rebuilder(segments: tuple[str, ...], kinds: tuple[type, ...]):
-    """values → the ``Select`` of one shape: the text between the literals
-    (*segments*) and each literal's kind (``str``, ``int`` or ``float``).
+    """values → the ``Select`` of one :func:`lift` shape.
 
-    Builds only the nodes on a path to a marker and shares the rest (AST
-    nodes are frozen).  A marker is matched by kind and value, so ``True``
-    is never taken for ``1``; one not found exactly once files nothing.
+    :class:`Parser` runs on the text with each literal swapped for a marker
+    of its kind; each marker must come back, in order, as the literal it
+    stands for (:func:`~repro.query.ast.slotted`), so ``True`` is never
+    taken for ``1``.  A text's values fill the slots of that tree.
     """
-    texts, markers = [segments[0]], {}
+    texts, markers = [segments[0]], []
     for index, (kind, segment) in enumerate(zip(kinds, segments[1:])):
-        value = {str: f"\x00{index}", int: _MARK + index, float: _MARK + index + 0.5}[kind]
-        markers[kind, value] = index
-        texts += (f"'{value}'" if kind is str else str(value), segment)
-    tree = Parser("".join(texts)).parse()
-    found: list[int] = []
-    build = _compile(tree, markers, found)
-    if sorted(found) != list(range(len(kinds))):
+        marker = {str: f"\x00{index}", int: _MARK + index, float: _MARK + index + 0.5}[kind]
+        markers.append(marker)
+        texts += (f"'{marker}'" if kind is str else str(marker), segment)
+    template = slotted(Parser("".join(texts)).parse(), markers)
+    if template is None:
         raise QuerySyntaxError("a literal marker collides with the statement")
-    return build or (lambda values: tree)
-
-
-def _compile(node, markers: dict, found: list[int]):
-    """values → *node* with its markers replaced, or ``None`` when no marker
-    is under *node* (then it is shared as it is)."""
-    kind = type(node)
-    if kind is not tuple and not is_dataclass(kind):
-        index = markers.get((kind, node))
-        if index is not None:
-            found.append(index)
-            return itemgetter(index)
-        return None
-    items = dict(enumerate(node)) if kind is tuple else vars(node)
-    slots = [
-        (key, part) for key, item in items.items()
-        if (part := _compile(item, markers, found)) is not None
-    ]  # fmt: skip
-    if not slots:
-        return None
-
-    def build(values):
-        state = items.copy()
-        for key, part in slots:
-            state[key] = part(values)
-        if kind is tuple:
-            return tuple(state.values())
-        # a shallow copy with the marked fields replaced, as copy.copy makes
-        fresh = object.__new__(kind)
-        fresh.__dict__.update(state)
-        return fresh
-
-    return build
+    return lambda values: map_literals(template, lambda site: bound(site, values))

@@ -1,64 +1,57 @@
-"""Ad-hoc query planner: plan cache, index-backed access paths, compiled predicates.
+"""Ad-hoc query planner: shared plans, index-backed access paths, compiled predicates.
 
-The seed evaluator re-parses every SQL string, projects every object of the
-table into a row dict, and walks the WHERE tree over those rows with
-per-row ``isinstance`` dispatch.  The planner lowers each statement **once**
-into a :class:`CompiledPlan` and executes it as *probe → filter objects →
-project survivors*:
+A statement **shape** lowers once into a :class:`ShapePlan` — the
+statement with its literals as slots (:func:`~repro.query.ast.slotted`) —
+and each text runs as that shared plan with its own literal values bound
+(:class:`CompiledPlan`): *bind → probe → filter objects → project
+survivors*:
 
 * **access path** — the cheapest sargable conjunct of the WHERE tree is
   pushed down into the datastore's sorted runs: id probes bisect the id
   run; exact names, ``IN`` lists, ``name-prefix`` (``LIKE 'p%'``) and
   ``name-range`` (non-negated ``BETWEEN`` two string literals) bisect the
-  ``(name, id)`` pairs run; only ``name-like`` (any other non-negated
-  ``LIKE``) runs its hoisted regex over the distinct-names run, from the
-  literal prefix on.  Every index path enforces its conjunct exactly, so the
+  ``(name, id)`` pairs run; ``name-like`` (any other non-negated ``LIKE``)
+  runs its pattern's matcher over the distinct-names run, from the literal
+  prefix on.  Every index path enforces its conjunct exactly, so the
   conjunct leaves the residual.  Negated forms, ``OR`` trees, other columns
   and non-string literals (the scan path coerces ``name = 123``) stay
-  residual;
-* **compiled predicate** — the residual WHERE tree becomes a closure chain
-  with LIKE regexes hoisted, IN lists pre-hashed, and literals captured.
-  Column reads compile to the virtual table's catalogue getters
-  (:mod:`repro.query.virtual`), so the residual runs on the **stored
-  objects**: no row dict exists until an object has survived the filter,
-  and ``COUNT(*)`` never builds one;
-* **subquery cells** — uncorrelated ``IN (SELECT …)`` subqueries compile to
-  a cell the engine re-binds per execution from a changelog view of
-  materialized value sets (see ``QueryEngine._subquery_values``).
+  residual.  The choice depends on the literals' kinds (part of the shape)
+  and on each name ``LIKE`` pattern's form, the plan's *decision*
+  (:meth:`ShapePlan.decide`), which keys it beside the shape;
+* **compiled predicate** — the residual becomes a closure chain over the
+  **stored objects**, through the virtual table's catalogue getters
+  (:mod:`repro.query.virtual`): no row dict exists until an object has
+  survived the filter, and ``COUNT(*)`` never builds one.  Binding makes the
+  ``LIKE`` matchers and ``IN`` sets and coerces each literal once, not once
+  per row;
+* **subquery cells** — each uncorrelated ``IN (SELECT …)`` has its own
+  shared plan; an execution's cell is keyed on the subquery and the values
+  bound to its literals, and the engine fills it from a changelog view of
+  materialized value sets (``QueryEngine._run_plan``).
 
-Plans depend only on the statement, never on the data: probes read the live
-indexes at execution time, and subquery cells are re-bound from a view that
-patches or drops a value set per record of a type it read, so the plan
-cache needs no write invalidation.  A plan serves both of the engine's
-views the same way, for a statement and for a subquery: a *patchable* plan
-(a virtual table, no subquery cell, no ORDER BY on the union view,
-catalogue columns only — checked on first use) gives a kept entry its patch
-test (:meth:`CompiledPlan.patch_filter`, the whole WHERE, compiled on the
-first record that reaches it), its row (:meth:`CompiledPlan.kept_projection`),
-its tail (:meth:`CompiledPlan.finish`), and its access path, which routes
-records to it.  Results are
-bit-identical to the scan path — same rows, same order, same NULL/coercion
-semantics — which ``tests/test_query_planner.py`` asserts query by query
-and ``tests/test_property_query.py`` over generated statements.  One
-deliberate asymmetry: a probe that empties the candidate set
-skips residual evaluation entirely, so an unknown-column error hiding in the
-residual of a no-match query is not raised (the scan path short-circuits the
-same way whenever the sargable conjunct is leftmost).  Such a plan is not
-patchable: its cached ``[]`` is dropped by the next write to its type, and
-the next run raises once an object reaches the residual.
+Plans hold no data: probes read the live indexes, so the plan cache needs
+no write invalidation.  A *patchable* plan (a virtual table, no subquery
+cell, no ORDER BY on the union view, catalogue columns only) gives a kept
+entry its patch test (:meth:`CompiledPlan.patch_filter`), its row
+(:meth:`CompiledPlan.kept_projection`), its tail
+(:meth:`CompiledPlan.finish`) and its access path, which routes records to
+it.  Results are bit-identical to the ``planner=False`` scan — rows, order,
+NULL and coercion semantics (``tests/test_query_planner.py``,
+``tests/test_property_query.py``).  One deliberate asymmetry: a probe that
+empties the candidate set skips the residual, so an unknown column hiding
+there is not reported (the scan short-circuits alike when the sargable
+conjunct is leftmost); the next write to its type drops such an entry.
 
-Plans are shared by every thread of an engine.  A plan without cells is
-read-only; a subquery cell is rebound in place on each execution, so the
-engine binds and runs a plan with cells under its ``_subquery_lock``.
+A shared plan is read-only once built; what one execution binds lives on
+its own :class:`CompiledPlan` and :class:`SubqueryCell`.
 """
 
 from __future__ import annotations
 
+import re
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, Mapping
+from dataclasses import is_dataclass
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.persistence.nodestate import NODESTATE_TABLE
 from repro.query.ast import (
@@ -73,17 +66,19 @@ from repro.query.ast import (
     Literal,
     Not,
     Or,
-    OrderTerm,
     Predicate,
     Select,
+    Slot,
     flatten_conjuncts,
 )
+from repro.query.ast import bound as _read
 from repro.query.evaluator import (
     _OPS,
-    _coerce_pair,
-    coerce_between,
+    _as_number,
+    between,
+    compare,
     finish_rows,
-    like_to_regex,
+    like_match,
 )
 from repro.query.virtual import VIRTUAL_TABLES, Getter, Row, row_reader
 from repro.util.errors import QuerySyntaxError
@@ -93,6 +88,8 @@ Columns = Mapping[str, Getter]
 #: a compiled predicate over what a plan filters: a stored object of a
 #: virtual table, or a row dict of NodeState
 ItemFilter = Callable[[Any], bool]
+#: a predicate compiled once per shape: an execution's plan → its filter
+Binder = Callable[["CompiledPlan"], ItemFilter]
 
 #: access-path kinds, cheapest first (the tie-break order of ``_classify``)
 _COSTS = {
@@ -109,9 +106,11 @@ _COSTS = {
 #: virtual-table columns backed by the datastore name index
 _NAME_COLUMNS = ("name", "name_")
 
+#: ``literal op column`` read as ``column op' literal``
+_REFLECTED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
-@dataclass(frozen=True)
-class AccessPath:
+
+class AccessPath(NamedTuple):
     """How a plan generates candidate objects.
 
     ``kind`` is one of ``scan`` / ``id-eq`` / ``id-in`` / ``name-eq`` /
@@ -141,187 +140,204 @@ class AccessPath:
         return f"{self.kind} probe ({len(self.values)} key{'s' if len(self.values) != 1 else ''})"
 
 
-class SubqueryCell:
-    """Holder for one ``IN (SELECT …)``'s materialized value set.
+_SCAN = AccessPath("scan")
 
-    The compiled closure reads ``values`` at row time; the engine re-binds
-    it before each execution from the engine's subquery view.
+
+def _walk(node: Any) -> Iterator[Any]:
+    """*node* and everything under it, in text order."""
+    yield node
+    parts = node if type(node) is tuple else vars(node).values() if is_dataclass(node) else ()
+    for part in parts:
+        yield from _walk(part)
+
+
+class SubqueryCell:
+    """One execution's ``IN (SELECT …)``.
+
+    ``key`` names it in the engine's subquery view: the subquery and the
+    values bound to its literals.  The engine fills ``values`` with the
+    materialized value set before the plan runs; the compiled closure reads
+    it at row time.
     """
 
-    __slots__ = ("select", "column", "values")
+    __slots__ = ("plan", "key", "column", "bound", "values")
 
-    def __init__(self, select: Select, column: str) -> None:
-        self.select = select
-        self.column = column
+    def __init__(self, plan: ShapePlan, span: slice, bound: Sequence) -> None:
+        self.plan, self.bound, self.column = plan, bound, plan.select.columns[0]
+        self.key = (plan.select, bound[span])
         self.values: frozenset | tuple = frozenset()
 
 
 # -- predicate compilation -----------------------------------------------------
 
 
-def _compile_value(expr: Any, columns: Columns | None) -> Callable[[Any], Any]:
-    """One operand as a reader of the filtered item.
+def _reader(column: Column, columns: Columns | None) -> Callable[[Any], Any]:
+    """A column as a reader of the filtered item: a virtual table's
+    catalogue getter, or (*columns* ``None``) a key of a NodeState row.  An
+    unknown column raises when — and only when — it is read, as the scan
+    path does."""
+    key, name = column.name.lower(), column.name
+    getter = columns.get(key) if columns is not None else None
+    if getter is not None:
+        return getter
 
-    Against a virtual table (*columns* given) a column read **is** the
-    catalogue getter over the stored object; against NodeState (``None``) it
-    indexes the row dict.  An unknown column compiles to a
-    reader that raises when — and only when — it is evaluated, exactly as
-    the scan path does.
-    """
-    if isinstance(expr, Column):
-        key = expr.name.lower()
-        name = expr.name
-        if columns is not None:
-            getter = columns.get(key)
-            if getter is not None:
-                return getter
+    def get(item: Any) -> Any:
+        if columns is not None or key not in item:
+            raise QuerySyntaxError(f"unknown column: {name!r}")
+        return item[key]
 
-            def unknown(obj: Any, name=name) -> Any:
-                raise QuerySyntaxError(f"unknown column: {name!r}")
+    return get
 
-            return unknown
 
-        def get(row: Row, key=key, name=name) -> Any:
-            if key not in row:
-                raise QuerySyntaxError(f"unknown column: {name!r}")
-            return row[key]
+def _operand(expr: Any, columns: Columns | None) -> Callable[[CompiledPlan], Callable]:
+    """One operand, bound: a column's reader, or a reader of the literal."""
+    if type(expr) is Column:
+        get = _reader(expr, columns)
+        return lambda plan: get
+    return lambda plan, site=expr.value: lambda item, value=_read(site, plan.values): value
 
-        return get
-    value = expr.value
-    return lambda item, value=value: value
+
+def _bind_compare(operand, site: Any, op, plan: CompiledPlan) -> ItemFilter:
+    """``operand op literal``, the literal read from *plan*: a numeric
+    literal makes a numeric-looking string operand a number, a string
+    literal becomes one once, for the first number it meets — what
+    :func:`~repro.query.evaluator.compare` does per pair."""
+    literal = _read(site, plan.values)
+    if literal is None:
+        return lambda item: False
+    get = operand(plan)
+    numeric = isinstance(literal, (int, float))
+    string = isinstance(literal, str)
+    number = None
+
+    def cmp_fn(item: Any) -> bool:
+        nonlocal number
+        value = get(item)
+        if value is None:
+            return False
+        other = literal
+        if numeric:
+            if isinstance(value, str):
+                value = _as_number(value)
+        elif string and isinstance(value, (int, float)):
+            if number is None:
+                number = _as_number(literal)
+            other = number
+        try:
+            return op(value, other)
+        except TypeError:
+            return False
+
+    return cmp_fn
 
 
 def compile_predicate(
-    predicate: Predicate, cells: list[SubqueryCell], columns: Columns | None
-) -> ItemFilter:
-    """Lower one predicate tree into a closure; appends subquery cells found.
+    predicate: Predicate, found: list[InSubquery], columns: Columns | None
+) -> Binder:
+    """Lower one predicate tree, once per shape, into the binder of its
+    filter; appends the subqueries found (an execution's cells, in order).
 
-    The closure runs on what the plan filters: stored objects of a virtual
+    The filter runs on what the plan filters: stored objects of a virtual
     table (column reads go through its *columns* catalogue) or, with
     ``columns=None``, the row dicts of NodeState.
     """
-    if isinstance(predicate, Comparison):
-        left = _compile_value(predicate.left, columns)
-        right = _compile_value(predicate.right, columns)
-        op = _OPS[predicate.op]
-
-        def cmp_fn(item: Any, left=left, right=right, op=op) -> bool:
-            a = left(item)
-            b = right(item)
-            if a is None or b is None:
-                return False
-            a, b = _coerce_pair(a, b)
-            try:
-                return op(a, b)
-            except TypeError:
-                return False
-
-        return cmp_fn
-    if isinstance(predicate, Like):
-        get = _compile_value(predicate.column, columns)
-        regex = like_to_regex(predicate.pattern)
+    kind = type(predicate)
+    if kind is Comparison:
+        left, right, op = predicate.left, predicate.right, _OPS[predicate.op]
+        if type(right) is Literal:
+            get = _operand(left, columns)
+            return lambda plan: _bind_compare(get, right.value, op, plan)
+        if type(left) is Literal:
+            get = _operand(right, columns)
+            op = _OPS[_REFLECTED.get(predicate.op, predicate.op)]
+            return lambda plan: _bind_compare(get, left.value, op, plan)
+        get_left, get_right = _reader(left, columns), _reader(right, columns)
+        return lambda plan: lambda item: compare(op, get_left(item), get_right(item))
+    if kind is Between:
+        get = _reader(predicate.column, columns)
+        low, high = _operand(predicate.low, columns), _operand(predicate.high, columns)
         negated = predicate.negated
+        return lambda plan: lambda item, lo=low(plan), hi=high(plan): between(
+            get(item), lo(item), hi(item), negated
+        )
+    if kind is Not:
+        inner = compile_predicate(predicate.operand, found, columns)
+        return lambda plan: lambda item, f=inner(plan): not f(item)
+    if kind is Or:
+        a = compile_predicate(predicate.left, found, columns)
+        b = compile_predicate(predicate.right, found, columns)
+        return lambda plan: lambda item, f=a(plan), g=b(plan): f(item) or g(item)
+    if kind is And:
+        return _chain([compile_predicate(c, found, columns) for c in flatten_conjuncts(predicate)])
+    if kind not in (IsNull, Like, InList, InSubquery):
+        raise QuerySyntaxError(f"unsupported predicate node: {predicate!r}")
+    get = _reader(predicate.column, columns)
+    negated = predicate.negated
+    if kind is IsNull:
+        return lambda plan: lambda item: (get(item) is None) != negated
+    if kind is Like:
 
-        def like_fn(item: Any, get=get, regex=regex, negated=negated) -> bool:
-            value = get(item)
-            if value is None:
-                return False
-            return bool(regex.match(str(value))) != negated
+        def bind_test(plan: CompiledPlan) -> Callable[[Any], bool]:
+            match = like_match(_read(predicate.pattern, plan.values))
+            return lambda value: match(str(value)) is not None
 
-        return like_fn
-    if isinstance(predicate, InList):
-        get = _compile_value(predicate.column, columns)
-        try:
-            members: frozenset | tuple = frozenset(predicate.values)
-        except TypeError:  # pragma: no cover - parser only emits hashables
-            members = predicate.values
-        negated = predicate.negated
+    elif kind is InList:
 
-        def in_fn(item: Any, get=get, members=members, negated=negated) -> bool:
-            value = get(item)
-            if value is None:
-                return False
-            return (value in members) != negated
+        def bind_test(plan: CompiledPlan) -> Callable[[Any], bool]:
+            return frozenset(_read(site, plan.values) for site in predicate.values).__contains__
 
-        return in_fn
-    if isinstance(predicate, InSubquery):
-        cell = SubqueryCell(predicate.subquery, predicate.subquery.columns[0])
-        cells.append(cell)
-        get = _compile_value(predicate.column, columns)
-        negated = predicate.negated
+    else:
+        index = len(found)
+        found.append(predicate)
 
-        def sub_fn(item: Any, get=get, cell=cell, negated=negated) -> bool:
-            value = get(item)
-            if value is None:
-                return False
-            return (value in cell.values) != negated
+        def bind_test(plan: CompiledPlan) -> Callable[[Any], bool]:
+            cell = plan.cells[index]
+            return lambda value: value in cell.values
 
-        return sub_fn
-    if isinstance(predicate, Between):
-        get = _compile_value(predicate.column, columns)
-        low = _compile_value(predicate.low, columns)
-        high = _compile_value(predicate.high, columns)
-        negated = predicate.negated
+    def bind(plan: CompiledPlan) -> ItemFilter:
+        # a test of the column's value: NULL fails it, negated or not
+        test = bind_test(plan)
+        return lambda item: (value := get(item)) is not None and test(value) != negated
 
-        def between_fn(item: Any, get=get, low=low, high=high, negated=negated) -> bool:
-            value = get(item)
-            lo = low(item)
-            hi = high(item)
-            if value is None or lo is None or hi is None:
-                return False
-            value, lo, hi = coerce_between(value, lo, hi)
-            try:
-                inside = lo <= value <= hi
-            except TypeError:
-                return False
-            return inside != negated
-
-        return between_fn
-    if isinstance(predicate, IsNull):
-        get = _compile_value(predicate.column, columns)
-        negated = predicate.negated
-        return lambda item, get=get, negated=negated: (get(item) is None) != negated
-    if isinstance(predicate, Not):
-        inner = compile_predicate(predicate.operand, cells, columns)
-        return lambda item, inner=inner: not inner(item)
-    # And inside a residual conjunct cannot appear (flatten_conjuncts split it),
-    # but nested And under Or/Not arrives here via the generic path:
-    if isinstance(predicate, Or):
-        left_fn = compile_predicate(predicate.left, cells, columns)
-        right_fn = compile_predicate(predicate.right, cells, columns)
-        return lambda item, a=left_fn, b=right_fn: a(item) or b(item)
-    conjuncts = flatten_conjuncts(predicate)
-    if len(conjuncts) > 1:
-        return _chain([compile_predicate(c, cells, columns) for c in conjuncts])
-    raise QuerySyntaxError(f"unsupported predicate node: {predicate!r}")
+    return bind
 
 
-def _chain(filters: list[ItemFilter]) -> ItemFilter:
-    if len(filters) == 1:
-        return filters[0]
-    chained = tuple(filters)
-    return lambda item, chained=chained: all(f(item) for f in chained)
+def _chain(binders: list[Binder]) -> Binder:
+    if len(binders) == 1:
+        return binders[0]
+
+    def bind(plan: CompiledPlan) -> ItemFilter:
+        chained = tuple(binder(plan) for binder in binders)
+        return lambda item: all(f(item) for f in chained)
+
+    return bind
 
 
 # -- access-path selection -----------------------------------------------------
 
 
-def _literal_str(expr: Any) -> str | None:
-    if isinstance(expr, Literal) and isinstance(expr.value, str):
-        return expr.value
-    return None
+def _literal_str(expr: Any, values: Sequence) -> str | None:
+    value = _read(expr.value, values) if type(expr) is Literal else None
+    return value if isinstance(value, str) else None
 
 
-def _like_prefix(pattern: str) -> str:
-    """Literal prefix of a LIKE pattern (chars before the first wildcard)."""
-    for index, char in enumerate(pattern):
-        if char in ("%", "_"):
-            return pattern[:index]
-    return pattern
+#: the literal prefix of a LIKE pattern (chars before the first wildcard)
+_like_prefix = re.compile(r"[^%_]*").match
 
 
-def _classify(conjunct: Predicate) -> AccessPath | None:
-    """The index probe that enforces the conjunct, or None if there is none.
+def _like_kind(pattern: str) -> str:
+    """The probe a name ``LIKE`` takes: ``name-eq`` without wildcards,
+    ``name-prefix`` for ``'p%'``, else ``name-like`` (the pattern runs over
+    the *distinct names* of the index from the literal prefix on)."""
+    prefix = _like_prefix(pattern).group()
+    if prefix == pattern:
+        return "name-eq"
+    return "name-prefix" if pattern == prefix + "%" else "name-like"
+
+
+def _classify(conjunct: Predicate, values: Sequence) -> AccessPath | None:
+    """The index probe that enforces the conjunct, its arguments read from
+    *values*, or None if there is none.
 
     Every path returned enforces its conjunct *exactly*, so the chosen
     conjunct is dropped from the residual.  Only string keys are sargable:
@@ -329,24 +345,20 @@ def _classify(conjunct: Predicate) -> AccessPath | None:
     (``name = 123`` matches name ``"123"``), which an index probe would miss.
     """
     if isinstance(conjunct, Comparison) and conjunct.op == "=":
-        for column, other in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if not isinstance(column, Column):
-                continue
-            key = _literal_str(other)
-            if key is None:
-                continue
-            name = column.name.lower()
-            if name == "id":
-                return AccessPath("id-eq", (key,))
-            if name in _NAME_COLUMNS:
-                return AccessPath("name-eq", (key,))
+        for column, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
+            key = _literal_str(other, values)
+            if type(column) is Column and key is not None:
+                name = column.name.lower()
+                if name == "id":
+                    return AccessPath("id-eq", (key,))
+                if name in _NAME_COLUMNS:
+                    return AccessPath("name-eq", (key,))
         return None
     if isinstance(conjunct, InList) and not conjunct.negated:
         name = conjunct.column.name.lower()
-        keys = tuple(v for v in conjunct.values if isinstance(v, str))
+        keys = tuple(
+            value for site in conjunct.values if isinstance(value := _read(site, values), str)
+        )
         if name == "id":
             # non-string members can never equal a string id under scan
             # semantics (InList does not coerce), so dropping them is exact
@@ -360,24 +372,16 @@ def _classify(conjunct: Predicate) -> AccessPath | None:
             return AccessPath("id-in-subquery")
         return None
     if isinstance(conjunct, Like) and not conjunct.negated:
-        name = conjunct.column.name.lower()
-        if name not in _NAME_COLUMNS:
+        if conjunct.column.name.lower() not in _NAME_COLUMNS:
             return None
-        pattern = conjunct.pattern
-        prefix = _like_prefix(pattern)
-        if prefix == pattern:
-            # no wildcards: LIKE 'Foo' is exact equality on a string column
-            return AccessPath("name-eq", (prefix,))
-        if pattern == prefix + "%":
-            return AccessPath("name-prefix", (prefix,))
-        # any other shape: the pattern's regex runs over the *distinct
-        # names* of the index (from the literal prefix on), never over rows
-        return AccessPath("name-like", (prefix, pattern))
+        pattern = _read(conjunct.pattern, values)
+        kind, prefix = _like_kind(pattern), _like_prefix(pattern).group()
+        return AccessPath(kind, (prefix, pattern) if kind == "name-like" else (prefix,))
     if isinstance(conjunct, Between) and not conjunct.negated:
         if conjunct.column.name.lower() not in _NAME_COLUMNS:
             return None
-        low = _literal_str(conjunct.low)
-        high = _literal_str(conjunct.high)
+        low = _literal_str(conjunct.low, values)
+        high = _literal_str(conjunct.high, values)
         if low is None or high is None:
             # a numeric bound makes the scan path coerce numeric-looking
             # names; the sorted name index orders strings only
@@ -387,124 +391,153 @@ def _classify(conjunct: Predicate) -> AccessPath | None:
 
 
 def choose_access_path(
-    conjuncts: list[Predicate],
+    conjuncts: list[Predicate], values: Sequence
 ) -> tuple[AccessPath, list[Predicate], Predicate | None]:
     """Pick the cheapest sargable conjunct; everything else stays residual.
 
-    Returns ``(access path, residual conjuncts, chosen conjunct)``; the
-    chosen conjunct is needed by subquery-backed paths, whose probe keys
-    only exist at execution time.
+    Returns ``(access path, residual conjuncts, chosen conjunct)``; each
+    execution reads the chosen conjunct's probe arguments from its values.
     """
     best_index = -1
     best: AccessPath | None = None
     for index, conjunct in enumerate(conjuncts):
-        access = _classify(conjunct)
+        access = _classify(conjunct, values)
         if access is None:
             continue
         if best is None or _COSTS[access.kind] < _COSTS[best.kind]:
             best = access
             best_index = index
     if best is None:
-        return AccessPath("scan"), list(conjuncts), None
+        return _SCAN, list(conjuncts), None
     residual = [c for i, c in enumerate(conjuncts) if i != best_index]
     return best, residual, conjuncts[best_index]
 
 
-# -- the compiled plan ---------------------------------------------------------
+# -- the plans -------------------------------------------------------------------
 
 
-class CompiledPlan:
-    """One statement lowered to an access path + residual filter + tail spec."""
+class ShapePlan:
+    """One statement shape lowered once: its access-path choice, residual
+    and whole WHERE compiled with literal slots, its subqueries' plans and
+    its tail spec.  Read-only once built.
+
+    Built from a :func:`~repro.query.ast.slotted` statement and the values
+    of the first text that needed it, which pick the access path; it serves
+    every text of the shape whose values make the same :meth:`decide`.
+    """
 
     __slots__ = (
-        "select",
-        "relational",
-        "type_name",
-        "project",
-        "access",
-        "access_cell",
-        "name_match",
-        "residual",
-        "residual_count",
-        "cells",
-        "patchable",
-        "_columns",
-        "_admits",
-        "_kept_project",
-    )
+        "select", "relational", "type_name", "project", "types", "chosen", "residual",
+        "residual_count", "subqueries", "patchable", "admits", "kept_project",
+        "decided_by", "decision",
+    )  # fmt: skip
 
-    def __init__(self, store: Any, select: Select) -> None:
+    def __init__(self, select: Select, values: Sequence) -> None:
         self.select = select
         key = select.table.lower()
-        self.cells: list[SubqueryCell] = []
-        self.access_cell: SubqueryCell | None = None
-        #: the ``name-like`` probe's matcher, hoisted once per plan
-        self.name_match: Callable[[str], Any] | None = None
-        columns: Columns | None = None
-        if key in VIRTUAL_TABLES:
-            table = VIRTUAL_TABLES[key]
-            self.relational = False
-            self.type_name, self.project = table.type_name, table.project
-            columns = table.columns
-            conjuncts = (
-                flatten_conjuncts(select.where) if select.where is not None else []
-            )
-            self.access, residual_conjuncts, chosen = choose_access_path(conjuncts)
-            if self.access.kind == "id-in-subquery":
-                assert isinstance(chosen, InSubquery)
-                self.access_cell = SubqueryCell(
-                    chosen.subquery, chosen.subquery.columns[0]
-                )
-                self.cells.append(self.access_cell)
-            if self.access.kind == "name-like":
-                self.name_match = like_to_regex(self.access.values[1]).match
-        elif key == NODESTATE_TABLE.lower():
-            self.relational = True
-            self.type_name, self.project = select.table, None
-            self.access = AccessPath("scan")
-            residual_conjuncts = (
-                flatten_conjuncts(select.where) if select.where is not None else []
-            )
-        else:
+        table = VIRTUAL_TABLES.get(key)
+        if table is None and key != NODESTATE_TABLE.lower():
             raise QuerySyntaxError(f"unknown table: {select.table!r}")
-        self.residual_count = len(residual_conjuncts)
-        self.residual: ItemFilter | None = (
-            _chain(
-                [compile_predicate(c, self.cells, columns) for c in residual_conjuncts]
-            )
-            if residual_conjuncts
+        self.relational = table is None
+        self.type_name, self.project, columns = (
+            (table.type_name, table.project, table.columns) if table else (select.table, None, None)
+        )
+        conjuncts = flatten_conjuncts(select.where) if select.where is not None else []
+        found: list[InSubquery] = []
+        #: the conjunct each execution probes the index with (NodeState scans)
+        access, residual, self.chosen = (
+            choose_access_path(conjuncts, values) if table else (_SCAN, conjuncts, None)
+        )
+        if access.kind == "id-in-subquery":
+            found.append(self.chosen)
+        self.residual_count = len(residual)
+        self.residual: Binder | None = (
+            _chain([compile_predicate(c, found, columns) for c in residual]) if residual else None
+        )
+        #: per subquery, its plan and the span of the values its literals take
+        self.subqueries = []
+        for node in found:
+            slots = [n.index for n in _walk(node.subquery) if type(n) is Slot]
+            span = slice(slots[0], slots[-1] + 1) if slots else slice(0)
+            self.subqueries.append((ShapePlan(node.subquery, values), span))
+        #: the slots whose ``LIKE`` pattern form picks an access path, this
+        #: plan's (a name ``LIKE`` it classifies) and its subqueries'
+        self.decided_by = tuple(
+            c.pattern.index
+            for c in conjuncts
+            if table and type(c) is Like and type(c.pattern) is Slot and _classify(c, values)
+        ) + tuple(index for plan, _ in self.subqueries for index in plan.decided_by)
+        self.decision = self.decide(values)
+        #: RIM types the statement reads (``"*"`` for the union view), or
+        #: ``None`` when a table, a subquery's too, is NodeState: its writes
+        #: bypass the changelog, so no view may keep what it answers
+        tables = {n.table.lower() for n in _walk(select) if type(n) is Select}
+        self.types = (
+            frozenset(VIRTUAL_TABLES[t].type_name for t in tables)
+            if tables <= VIRTUAL_TABLES.keys()
             else None
         )
         #: a changelog record may patch what this plan keeps per object: a
         #: virtual table, no subquery cell, no ORDER BY on the union view
-        #: (its ties break type by type, kept rows by id) and catalogue
-        #: columns (see :meth:`kept_projection` and :meth:`patch_filter`)
+        #: (its ties break type by type, kept rows by id), catalogue columns
         self.patchable = (
-            columns is not None
-            and not self.cells
-            and not (self.type_name == "*" and select.order_by)
+            table is not None and not found and not (self.type_name == "*" and select.order_by)
         )
-        self._columns = columns
-        #: built on first use; ``False`` once the statement proved unpatchable
+        self.admits: Binder | None = None
+        self.kept_project: Callable[[Any], Row] | None = None
+        if self.patchable:
+            where = select.where
+            if where is None:
+                self.admits = lambda plan: lambda obj: True
+            elif all(n.name.lower() in columns for n in _walk(where) if type(n) is Column):
+                self.admits = compile_predicate(where, [], columns)
+            # the columns the tail reads, all the catalogue's for ``SELECT *``
+            names = ("id", *(select.columns or ()), *(t.column.name for t in select.order_by))
+            names = tuple(dict.fromkeys(name.lower() for name in names))
+            if all(name in columns for name in names):
+                self.kept_project = (
+                    table.project if select.columns is None else row_reader(key, names)
+                )
+
+    def decide(self, values: Sequence) -> tuple[str, ...]:
+        """The access-path decision *values* make: the form of each
+        deciding ``LIKE`` pattern."""
+        return tuple(_like_kind(values[index]) for index in self.decided_by)
+
+    def bind(self, values: Sequence) -> CompiledPlan:
+        return CompiledPlan(self, values)
+
+
+class CompiledPlan:
+    """One execution's plan: a :class:`ShapePlan` with one text's literal
+    values bound — the probe arguments, the residual's literals, ``LIMIT``
+    and the subquery cells.  A kept entry holds it, so the entry's patch
+    test and tail read that text's own literals."""
+
+    __slots__ = (
+        "shape", "values", "select", "type_name", "access", "cells", "residual", "limit",
+        "_admits",
+    )  # fmt: skip
+
+    def __init__(self, shape: ShapePlan, values: Sequence) -> None:
+        self.shape, self.values = shape, values
+        self.select, self.type_name = shape.select, shape.type_name
+        self.access = _SCAN if shape.chosen is None else _classify(shape.chosen, values)
+        self.cells = [SubqueryCell(plan, span, values) for plan, span in shape.subqueries]
+        self.residual = shape.residual(self) if shape.residual is not None else None
+        self.limit = _read(shape.select.limit, values)
+        #: bound on the first record that reaches a kept entry of the plan
         self._admits: ItemFilter | bool | None = None
-        self._kept_project: Callable[[Any], Row] | bool | None = None
 
     def patch_filter(self) -> ItemFilter | None:
-        """The whole WHERE as a test of one stored object — what a kept
-        entry is patched by — or ``None`` when it names a column outside the
-        catalogue: the scan path raises on an object that reaches it, so a
-        record drops the entry instead.  Built on the first record that
-        reaches the plan, so a fill compiles nothing."""
+        """The whole WHERE, with this execution's literals, as a test of
+        one stored object — what a kept entry is patched by — or ``None``
+        when it names a column outside the catalogue: the scan path raises
+        on an object that reaches it, so a record drops the entry instead."""
         admits = self._admits
         if admits is None:
-            where, columns = self.select.where, self._columns
-            if where is None:
-                admits = _admit_all
-            elif _known(where, columns):
-                admits = compile_predicate(where, [], columns)
-            else:
-                admits = False
-            self._admits = admits
+            binder = self.shape.admits
+            admits = self._admits = binder(self) if binder is not None else False
         return admits or None
 
     def kept_projection(self) -> Callable[[Any], Row] | None:
@@ -513,18 +546,12 @@ class CompiledPlan:
         full row for ``SELECT *``; a lean row keeps the entry small.
         ``None`` when the select list or ORDER BY names a column outside
         the catalogue: such a statement is not kept per object."""
-        project = self._kept_project
-        if project is None:
-            select = self.select
-            project = self._kept_project = (
-                _kept_row(select.table.lower(), select.columns, select.order_by) or False
-            )
-        return project or None
+        return self.shape.kept_project
 
     def finish(self, rows: list[Row]) -> list[Row]:
         """The statement tail over *rows*, given in id order (see
         :func:`finish_rows`)."""
-        return finish_rows(self.select, rows, id_ordered=True)
+        return finish_rows(self.select, rows, self.limit, id_ordered=True)
 
     # -- candidate generation ----------------------------------------------
 
@@ -541,8 +568,7 @@ class CompiledPlan:
         if kind == "id-in-subquery":
             # strings only: a non-string subquery value can never equal an id
             return store.filter_ids_of_type(
-                type_name,
-                [v for v in self.access_cell.values if isinstance(v, str)],
+                type_name, [v for v in self.cells[0].values if isinstance(v, str)]
             )
         if kind == "name-eq":
             return store.find_ids_by_name(type_name, values[0])
@@ -551,7 +577,7 @@ class CompiledPlan:
         if kind == "name-prefix":
             return store.find_ids_by_name_prefix(type_name, values[0])
         if kind == "name-like":
-            return store.find_ids_by_name_match(type_name, values[0], self.name_match)
+            return store.find_ids_by_name_match(type_name, values[0], like_match(values[1]))
         if kind == "name-range":
             return store.find_ids_by_name_range(type_name, values[0], values[1])
         raise AssertionError(f"not an index path: {kind}")  # pragma: no cover
@@ -581,95 +607,42 @@ class CompiledPlan:
 
     def fast_count(self, store: Any) -> int | None:
         """COUNT(*) without materialization, when no filtering remains."""
-        if not self.select.count or self.residual is not None or self.relational:
+        if not self.select.count or self.residual is not None or self.shape.relational:
             return None
         if self.access.kind == "scan":
             return store.count(None if self.type_name == "*" else self.type_name)
-        if self.patchable:
+        if self.shape.patchable:
             return None  # its survivors' ids fill a kept entry
         return sum(len(self._probe_ids(store, t)) for t in self._type_names(store))
 
     def explain(self) -> dict[str, Any]:
         return {
             "table": self.select.table,
-            "relational": self.relational,
+            "relational": self.shape.relational,
             "access_path": self.access.kind,
             "access_detail": self.access.describe(),
             "probe_values": list(self.access.values),
-            "residual_conjuncts": self.residual_count,
+            "residual_conjuncts": self.shape.residual_count,
             "subqueries": len(self.cells),
         }
 
 
-def _admit_all(obj: Any) -> bool:
-    return True
-
-
-@lru_cache(maxsize=256)
-def _kept_row(
-    table: str, columns: tuple[str, ...] | None, order_by: tuple[OrderTerm, ...]
-) -> Callable[[Any], Row] | None:
-    """:meth:`CompiledPlan.kept_projection` per statement shape: most plans
-    share a few shapes, and the shapes come from queries, so the memo is
-    bounded."""
-    names = ("id", *(columns or ()), *(term.column.name for term in order_by))
-    names = tuple(dict.fromkeys(name.lower() for name in names))
-    catalogue = VIRTUAL_TABLES[table]
-    if not all(name in catalogue.columns for name in names):
-        return None
-    return catalogue.project if columns is None else row_reader(table, names)
-
-
-def _known(predicate: Predicate, columns: Columns) -> bool:
-    """Whether every column under a subquery-free *predicate* is a
-    catalogue column."""
-    kind = type(predicate)
-    if kind is And or kind is Or:
-        return _known(predicate.left, columns) and _known(predicate.right, columns)
-    if kind is Not:
-        return _known(predicate.operand, columns)
-    if kind is Comparison:
-        operands: tuple = (predicate.left, predicate.right)
-    elif kind is Between:
-        operands = (predicate.column, predicate.low, predicate.high)
-    else:  # Like, InList, IsNull
-        return predicate.column.name.lower() in columns
-    for operand in operands:
-        if type(operand) is Column and operand.name.lower() not in columns:
-            return False
-    return True
-
-
-def build_plan(store: Any, select: Select) -> CompiledPlan:
-    """Lower one parsed statement against one datastore's schema."""
-    return CompiledPlan(store, select)
-
-
 class PlanCache:
-    """Bounded LRU of :class:`CompiledPlan`, keyed on query text or AST.
+    """Bounded map of :class:`ShapePlan`, keyed on a text's shape (with the
+    access-path decision beside it when that is not the first plan's) or on
+    a statement; a put past ``maxsize`` evicts the oldest entry.
 
-    Thread-safe: the LRU's ``move_to_end`` bookkeeping mutates the map even
-    on a *hit*, so every operation runs under a lock.
+    Thread-safe: a read is one dict lookup, puts serialize on a lock.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
         self.maxsize = maxsize
-        self._plans: OrderedDict[Any, CompiledPlan] = OrderedDict()
+        self._plans: dict[Any, ShapePlan] = {}
         self._lock = threading.Lock()
+        self.get = self._plans.get
 
-    def get(self, key: Any) -> CompiledPlan | None:
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-            return plan
-
-    def put(self, key: Any, plan: CompiledPlan) -> None:
+    def put(self, key: Any, plan: ShapePlan) -> None:
         with self._lock:
             self._plans[key] = plan
-            self._plans.move_to_end(key)
             while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._plans)
+                del self._plans[next(iter(self._plans))]

@@ -7,6 +7,8 @@ DISTINCT, windowing, and NULL corners the planner could plausibly break.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.mtc.experiment import adhoc_query_mix
 from repro.persistence import DAORegistry, DataStore, NodeSample
 from repro.persistence.views import ROW_CAP
 from repro.query import QueryEngine, parse_select
+from repro.query.parser import lift
 from repro.query.planner import CompiledPlan
 from repro.query.virtual import VIRTUAL_TABLES
 from repro.rim import Classification, Organization, Service, ServiceBinding
@@ -660,6 +663,132 @@ class TestResultPatching:
         assert planned.stats["result_misses"] == len(kept) + 2
 
 
+def cold_text(kind: int, p: int) -> str:
+    """The *p*-th text of one of the six ``adhoc_mix`` kinds (distinct p ⇒
+    distinct text) over :func:`thousand_services`."""
+    host = f"host{p % 16:02d}.bench"
+    if kind == 0:
+        if p < 1000:
+            return f"SELECT id FROM Service WHERE name = 'Svc{p:04d}'"
+        return f"SELECT id FROM ServiceBinding WHERE name = 'Svc{p - 1000:04d}.b0'"
+    if kind == 1:
+        return (
+            f"SELECT id, name FROM Service WHERE name LIKE 'Svc{p % 100:03d}%' "
+            f"ORDER BY name LIMIT {1 + p // 100}"
+        )
+    if kind == 2:
+        return (
+            "SELECT id, name FROM Service WHERE id IN (SELECT service FROM "
+            f"ServiceBinding WHERE host = '{host}') AND name LIKE 'Svc{p // 16:03d}%'"
+        )
+    if kind == 3:
+        return f"SELECT id FROM Service WHERE name LIKE '%{p:04d}'"
+    if kind == 4:
+        return (
+            f"SELECT COUNT(*) FROM ServiceBinding WHERE host = '{host}' "
+            f"AND name LIKE 'Svc{p // 16:03d}%'"
+        )
+    return f"SELECT * FROM Service WHERE name BETWEEN 'Svc{p:04d}' AND 'Svc{p + 39:04d}'"
+
+
+class TestSharedPlans:
+    """A text runs as the shared plan of its statement shape and access-path
+    decision, with its own literals bound: counted, no clock."""
+
+    def test_cold_texts_build_one_plan_per_shape_and_decision(self):
+        """10 000 distinct texts of the six ``adhoc_mix`` kinds are seven
+        shapes (name equality on two tables), one decision each."""
+        store = thousand_services(41)
+        engine, scan = QueryEngine(store), QueryEngine(store, planner=False)
+        texts = [cold_text(n % 6, n // 6) for n in range(10_000)]
+        assert len(set(texts)) == len(texts)
+        assert len({lift(text)[0] for text in texts}) == 7
+        for n, text in enumerate(texts):
+            rows = engine.execute(text)
+            if n % 25 == 0:
+                assert rows == scan.execute(text), text
+        assert engine.stats["plans_built"] == 7
+        assert engine.stats["plan_hits"] == len(texts) - 7
+
+    def test_a_like_pattern_form_is_part_of_the_key(self, planned, scan):
+        """One shape, three pattern forms: exact, prefix, any other."""
+        paths = {
+            "Svc01": "name-eq",
+            "Svc0%": "name-prefix",
+            "%01": "name-like",
+            "Svc_1": "name-like",
+            "Svc%": "name-prefix",
+            "Svc02": "name-eq",
+        }
+        for pattern, path in paths.items():
+            query = f"SELECT id, name FROM Service WHERE name LIKE '{pattern}'"
+            assert planned.explain(query)["access_path"] == path
+            assert_parity(planned, scan, query)
+        assert planned.stats["plans_built"] == 3
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "SELECT id, name FROM ServiceBinding WHERE host = 'host{h:02d}.bench' "
+            "AND name LIKE 'Svc{p:03d}%' ORDER BY name DESC LIMIT {n}",
+            "SELECT id FROM Service WHERE id IN (SELECT service FROM ServiceBinding "
+            "WHERE host = 'host{h:02d}.bench') AND name LIKE 'Svc{p:03d}%' LIMIT {n}",
+        ],
+        ids=["residual-and-limit", "subquery-cell"],
+    )
+    def test_two_threads_bind_one_shape(self, template):
+        """Two threads run 1 000 distinct texts each of one shape, with
+        different literals: a value bound by one never reaches the other's
+        answer."""
+        store, local = DataStore(), IdFactory(42)
+        with store.transaction():
+            for index in range(400):
+                svc = Service(local.new_id(), name=f"Svc{index:04d}", description="d")
+                store.insert_object(svc)
+                url = f"http://host{index % 4:02d}.bench:80/x"
+                binding = ServiceBinding(
+                    local.new_id(), service=svc.id, access_uri=url, name=f"Svc{index:04d}.b0"
+                )
+                store.insert_object(binding)
+        engine, scan = QueryEngine(store), QueryEngine(store, planner=False)
+        # 2-3 rows before LIMIT: every literal decides the answer
+        texts = [
+            [
+                template.format(h=h, p=p, n=n)
+                for p in range(40)
+                for n in range(1, 14)
+                for h in hosts
+            ][:1000]
+            for hosts in ((0, 1), (3, 2))
+        ]
+        texts[1].reverse()
+        assert len(set(texts[0] + texts[1])) == 2000  # every run binds the plan
+        expected = [[scan.execute(text) for text in part] for part in texts]
+        assert any(rows for part in expected for rows in part)
+        errors = []
+
+        def run(part: int) -> None:
+            try:
+                for text, rows in zip(texts[part], expected[part]):
+                    assert engine.execute(text) == rows, text
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=run, args=(part,)) for part in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads within one execution
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert engine.stats["plans_built"] <= 2
+
+
 class TestScanParity:
     """The planner must be invisible except in latency."""
 
@@ -750,4 +879,7 @@ class TestAdhocQueryMix:
         for query in queries:
             harness.registry.qm.execute_adhoc_query(query, max_results=10)
         stats = harness.registry.qm.query_plan_stats()
-        assert stats["plans_built"] >= len(queries)
+        # every query is planned; the two name-prefix searches are one
+        # statement shape, so they share one plan
+        assert stats["plans_built"] + stats["plan_hits"] == len(queries)
+        assert stats["plans_built"] == len(queries) - 1

@@ -152,13 +152,9 @@ class TestQueryEngineConcurrency:
         errors = run_stress(stop, [writer], [querier] * 4)
         assert errors == [], errors
         stats = registry.qm.query_plan_stats()
-        # a repeat is answered by the result view (a result hit, the plan
-        # cache is never consulted) unless a write to Service landed since the
-        # text last ran; when the writer's slices all fall before the first
-        # answers are cached — 16 and 29 of 150 runs on a 2-core box — every
-        # one of the 570 repeats is a result hit and plan_hits stays 0.  The
-        # row count above never failed in those 300 runs.
-        assert stats["plan_hits"] + stats["result_hits"] > 0
+        # the 30 texts are one statement shape, so one shared plan serves
+        # them all: a check-then-act race builds at most one per querier
+        assert 1 <= stats["plans_built"] <= 4
 
     def test_subquery_plans_serialized(self, registry, session):
         """Cached plans with subquery cells rebind safely across threads."""
