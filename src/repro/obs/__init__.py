@@ -1,7 +1,7 @@
 """Unified observability: metrics, tracing, time series, SLOs, structured logs.
 
 Every runtime signal publishes into one :class:`Telemetry` surface per
-registry; DESIGN.md "Observability" has the architecture.
+registry; DESIGN.md "`obs/`" has the architecture.
 """
 
 from repro.obs.logging import StructuredLog

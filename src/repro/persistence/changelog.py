@@ -5,34 +5,35 @@ Every committed heap mutation (insert/save/delete) appends one typed
 object id and type, the post-image (and pre-image, when one exists) and the
 published index generation.  The log is the source of truth that the
 materialized discovery views (:mod:`repro.persistence.views`) key their
-incremental invalidation on, and the replication spine a federated
-registry would ship to peers.
+incremental invalidation on, and the stream a
+:class:`~repro.registry.federation.ReplicationLink` ships to a replica.
 
 Ordering contract (enforced by :class:`~repro.persistence.datastore.DataStore`
 under its writer lock): the heap mutation happens first, then the index
-generation is published, then the record is appended.  A reader that
+generation is published, then the records are appended.  A reader that
 observes record *N* therefore always sees a heap at least as new as *N* —
 views can catch up to a sequence number and fill from the live heap
 without ever caching data older than their applied watermark.
 
-Transactions buffer their records and append them on the outermost commit;
-a rollback drops the buffer and appends a ``"reset"`` barrier instead, so
-views know that entries filled from dirty point reads of the live heap map
-(the transaction's writes, since taken back) must be discarded wholesale.
-Replay skips barriers: every record that precedes one was itself
-committed, so the log replays to exactly the committed state.
+A transaction buffers its records; :meth:`ChangeLog.commit` appends them,
+stamped with the one version the commit published, in one ``extend``, so a
+reader's tail never ends inside a commit.  A rollback appends a ``"reset"``
+barrier instead, so views know that entries filled from dirty point reads
+of the live heap map (the transaction's writes, since taken back) must be
+discarded wholesale.  :func:`apply` is the one rule that writes records
+into a store, for replay and replication alike; it skips barriers.
 
 Appends happen only under the store's writer lock; readers slice the
-backing list without locking (list append is atomic under CPython, and
-records are immutable once appended).  The log calls nobody back: every
-consumer — a :class:`~repro.persistence.views.ChangelogView`, a
+backing list without locking (an append or extend is one step under the
+GIL, and records are immutable once appended).  The log calls nobody back:
+every consumer — a :class:`~repro.persistence.views.ChangelogView`, a
 replication link — keeps its own watermark and pulls the tail with
 :meth:`ChangeLog.records_since`, so an append runs store code only.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.persistence.datastore import DataStore
@@ -98,6 +99,15 @@ class ChangeLog:
             self.resets += 1
         return record
 
+    def commit(self, version: int, pending: dict) -> None:
+        """Append one commit's records (*pending*: object id → ``(op,
+        type_name, payload, previous)``) in one step: readers see all or none."""
+        first = len(self._records) + 1
+        self._records.extend([
+            ChangeRecord(seq, op, type_name, oid, payload, previous, version)
+            for seq, (oid, (op, type_name, payload, previous)) in enumerate(pending.items(), first)
+        ])
+
     # -- reads (lock-free) -----------------------------------------------------
 
     @property
@@ -118,27 +128,30 @@ class ChangeLog:
     # -- replay ----------------------------------------------------------------
 
     def replay_into(self, store: "DataStore") -> int:
-        """Rebuild *store* by replaying every committed record, in order.
+        """Rebuild *store* from every committed record: one :func:`apply`.
 
-        Barriers are skipped — records surrounding one were all committed,
-        so the replayed heap lands on exactly the state the source store
-        holds.  The replay is one transaction of *store*: one published
-        generation, and nothing of it if a record fails to apply.  Returns
-        the number of records applied.  The target must be empty of
-        conflicting ids (a fresh store, typically).
+        *store* must hold none of the log's ids (a fresh store, typically)
+        for it to land on exactly the source's state.  Returns the number of
+        records applied.
         """
-        applied = 0
-        with store.transaction():
-            for record in list(self._records):
-                if record.op == OP_RESET:
-                    continue
-                if record.op == OP_INSERT:
-                    store.insert_object(record.payload)
-                elif record.op == OP_SAVE:
-                    store.save_object(record.payload)
-                elif record.op == OP_DELETE:
-                    store.delete_object(record.object_id)
-                else:  # pragma: no cover - appends validate ops
-                    raise ValueError(f"unknown changelog op: {record.op!r}")
-                applied += 1
-        return applied
+        return apply(store, self.records_since(0))
+
+
+def apply(store: "DataStore", records: Iterable[ChangeRecord]) -> int:
+    """Write *records* into *store* as one transaction; return how many applied.
+
+    Inserts and saves upsert, a delete of an id *store* does not hold is
+    skipped, and barriers are skipped (and not counted), so applying a
+    record again changes nothing.
+    """
+    applied = 0
+    with store.transaction():
+        for record in records:
+            if record.op == OP_RESET:
+                continue
+            if record.op != OP_DELETE:
+                store.save_object(record.payload)
+            elif store.contains(record.object_id):
+                store.delete_object(record.object_id)
+            applied += 1
+    return applied

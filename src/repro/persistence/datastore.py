@@ -338,16 +338,7 @@ class DataStore:
                     name_changes[name] = (merged.ceiling((name,)) or (None,))[0] == name
             names[type_name] = names.get(type_name, _EMPTY_RUN).merged(name_changes)
         self._publish(ids, pairs, names)
-        append, version = self.changelog.append, self.version
-        for object_id, (op, type_name, payload, previous) in scope.pending.items():
-            append(
-                op,
-                type_name=type_name,
-                object_id=object_id,
-                payload=payload,
-                previous=previous,
-                version=version,
-            )
+        self.changelog.commit(self.version, scope.pending)
         self.writes += len(scope.pending)
 
     def write_stats(self) -> dict[str, Any]:

@@ -10,11 +10,11 @@ writes, and serves discovery from any member:
   virtual nodes) assigning every object id an **owning member**.  Adding or
   removing a member only remaps the ids adjacent to its virtual nodes.
 * :class:`ReplicationLink` — tails one member's append-only
-  :class:`~repro.persistence.changelog.ChangeLog` (PR 7's write spine) into
-  a follower store with an explicit **watermark**: eventual consistency with
-  an observable, bounded lag (``last_seq - watermark``).  Rollback barriers
-  never replicate — rolled-back transactions buffer their records and flush
-  nothing, so the log a link tails contains committed mutations only.
+  :class:`~repro.persistence.changelog.ChangeLog` into a follower store with
+  an explicit **watermark**: eventual consistency with an observable,
+  bounded lag (``last_seq - watermark``).  A pump applies whole source
+  commits, each as one follower transaction, so a replica only ever holds
+  the source's state at some commit; ``max_records`` rounds up to one.
 * :class:`RouteInterceptor` — a ``route`` stage inserted into the kernel
   chain between ``resolve`` and ``dispatch``.  Any protocol edge of any
   member serves locally-held objects directly and transparently forwards
@@ -35,16 +35,17 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
-from repro.persistence.changelog import OP_DELETE, OP_INSERT, OP_RESET, OP_SAVE
+from repro.persistence.changelog import OP_RESET, apply
 from repro.registry.server import RegistryServer
 from repro.rim import RegistryObject
 from repro.security.authn import Session
 from repro.util.errors import InvalidRequestError, ObjectNotFoundError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.persistence.changelog import ChangeRecord
     from repro.registry.kernel import RegistryKernel, RequestContext
     from repro.soap.transport import SimTransport
 
@@ -125,9 +126,13 @@ class ReplicationLink:
     """Pumps one member's committed changelog records into a follower store.
 
     The link holds an explicit **watermark** — the highest source sequence
-    number it has consumed — and applies records idempotently (upsert for
-    insert/save, guarded delete), so re-pumping or overlapping pumps
-    converge.  Three record classes advance the watermark without applying:
+    number it has consumed — and applies whole source commits: the records
+    of one commit share its published ``version``, and each group goes
+    through :func:`~repro.persistence.changelog.apply` as one follower
+    transaction, so a source commit is one replica generation and a reader
+    on the replica never sees half of one.  Apply is idempotent, so
+    re-pumping or overlapping pumps converge.  Three record classes advance
+    the watermark without applying:
 
     * ``reset`` barriers — a rolled-back transaction's records never reached
       the log (they buffer until commit), and the barrier itself carries no
@@ -161,41 +166,32 @@ class ReplicationLink:
         """Records committed at the source but not yet consumed here."""
         return self.source.store.changelog.last_seq - self.watermark
 
-    @staticmethod
-    def _record_home(record: "ChangeRecord") -> str | None:
-        if record.payload is not None:
-            return record.payload.home
-        if record.previous is not None:
-            return record.previous.home
-        return None
-
     def pump(self, max_records: int | None = None) -> int:
-        """Consume up to *max_records* new source records; return applied count.
+        """Apply the new source commits, whole; return the records applied.
 
-        Bounded pumps give the eventual-consistency model its knob: a
-        supervisor pumping ``max_records`` per tick bounds per-tick work,
-        while :meth:`lag` stays an honest measure of how far behind the
+        ``max_records`` bounds a supervisor's per-tick work, rounded up to a
+        whole commit: no commit starts once the watermark has moved that
+        far.  The watermark moves past a commit only after the follower
+        committed it, so a failed apply leaves it at the last whole commit,
+        and :meth:`lag` stays an honest measure of how far behind the
         follower is.
         """
         self.pumps += 1
-        records = self.source.store.changelog.records_since(self.watermark)
-        if max_records is not None:
-            records = records[:max_records]
+        start, owner = self.watermark, self.source.home
         applied = 0
-        for record in records:
-            self.watermark = record.seq
-            if record.op == OP_RESET:
-                self.skipped_barriers += 1
-                continue
-            if self._record_home(record) != self.source.home:
-                self.filtered += 1
-                continue
-            if record.op in (OP_INSERT, OP_SAVE):
-                self.target.store.save_object(record.payload)
-            elif record.op == OP_DELETE:
-                if self.target.store.contains(record.object_id):
-                    self.target.store.delete_object(record.object_id)
-            applied += 1
+        tail = self.source.store.changelog.records_since(start)
+        for _version, records in groupby(tail, key=attrgetter("version")):
+            if max_records is not None and self.watermark - start >= max_records:
+                break
+            records = list(records)
+            # a barrier holds no image, so getattr finds no home on it
+            home = [r for r in records if getattr(r.payload or r.previous, "home", None) == owner]
+            if home:
+                applied += apply(self.target.store, home)
+            barriers = sum(r.op == OP_RESET for r in records)
+            self.skipped_barriers += barriers
+            self.filtered += len(records) - barriers - len(home)
+            self.watermark = records[-1].seq
         self.applied += applied
         return applied
 

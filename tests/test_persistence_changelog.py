@@ -1,10 +1,13 @@
 """Tests for the changelog write spine: records, coalescing, subscriptions, replay."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.persistence import ChangeLog, DataStore
+from repro.persistence import ChangeLog, DataStore, changelog
 from repro.persistence.changelog import OP_DELETE, OP_INSERT, OP_RESET, OP_SAVE
 from repro.query.evaluator import QueryEngine
 from repro.rim import Organization, Service, ServiceBinding
@@ -80,6 +83,44 @@ class TestTransactions:
         (barrier,) = store.changelog.records_since(0)
         assert barrier.op == OP_RESET
         assert store.changelog.resets == 1
+
+
+class TestCommitInOneStep:
+    def test_a_reader_never_sees_part_of_a_commit(self, store):
+        """Every tail a lock-free reader slices ends on a whole commit, with
+        the interpreter switching threads as often as it can."""
+        services = [Service(ids.new_id(), name=f"s{n}") for n in range(9000)]
+        done = threading.Event()
+
+        def write():
+            try:
+                for n in range(3000):
+                    for _ in range(n * 7919 % 2003):  # vary where the switches land
+                        pass
+                    with store.transaction():
+                        for svc in services[3 * n : 3 * n + 3]:
+                            store.insert_object(svc)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        seen, torn = 0, 0
+        try:
+            writer = threading.Thread(target=write)
+            writer.start()
+            while not done.is_set():
+                tail = store.changelog.records_since(seen)
+                if len(tail) % 3:
+                    torn += 1
+                else:
+                    seen += len(tail)
+            writer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert len(store.changelog) == 9000
+        assert torn == 0
 
 
 class TestBatching:
@@ -193,17 +234,6 @@ class TestReplay:
             assert source.execute(query) == target.execute(query), query
 
 
-def _apply_records(target: DataStore, records) -> None:
-    """Idempotent follower-style apply (mirrors ReplicationLink.pump)."""
-    for record in records:
-        if record.op == OP_RESET:
-            continue
-        if record.op in (OP_INSERT, OP_SAVE):
-            target.save_object(record.payload)
-        elif record.op == OP_DELETE and target.contains(record.object_id):
-            target.delete_object(record.object_id)
-
-
 def _batches(records, batch_size: int):
     """*records* in contiguous chunks of *batch_size*, as a follower pulls them."""
     return [records[i : i + batch_size] for i in range(0, len(records), batch_size)]
@@ -247,7 +277,7 @@ class TestReplayProperties:
         store = self._mixed_store()
         rebuilt = DataStore()
         for batch in _batches(store.changelog.records_since(0), batch_size):
-            _apply_records(rebuilt, batch)
+            changelog.apply(rebuilt, batch)
         _assert_bit_identical(store, rebuilt)
 
     @settings(max_examples=30, deadline=None)
@@ -280,7 +310,7 @@ class TestReplayProperties:
                 rolled_back_ids.extend(obj.id for obj in objects)
         rebuilt = DataStore()
         for batch in _batches(store.changelog.records_since(0), batch_size):
-            _apply_records(rebuilt, batch)
+            changelog.apply(rebuilt, batch)
         # rolled-back writes never reached the log, only their barriers did
         assert store.changelog.resets == sum(1 for commit, _ in txns if not commit)
         assert all(not rebuilt.contains(oid) for oid in rolled_back_ids)

@@ -1,13 +1,16 @@
 """Tests for registry federation: shard map, replication links, routing."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
 from repro.registry.federation import ReplicationLink, ShardMap
-from repro.rim import Organization
+from repro.rim import Organization, Service, ServiceBinding
 from repro.rim.service import host_of_uri
 from repro.soap.envelope import SoapEnvelope, SoapFault
-from repro.soap.messages import GetRegistryObjectRequest
+from repro.soap.messages import GetRegistryObjectRequest, GetServiceBindingsRequest
 from repro.soap.serializer import serialize
 from repro.util.clock import ManualClock
 from repro.util.errors import (
@@ -17,8 +20,7 @@ from repro.util.errors import (
 )
 
 
-@pytest.fixture
-def federation():
+def _two_members():
     fed = RegistryFederation("sdsu-fed")
     registries = []
     for i in range(2):
@@ -29,6 +31,11 @@ def federation():
         fed.join(reg)
         registries.append(reg)
     return fed, registries
+
+
+@pytest.fixture
+def federation():
+    return _two_members()
 
 
 def _publish(reg, name, object_id=None):
@@ -179,13 +186,46 @@ class TestReplicationLink:
         assert r1.store.get_object(org.id).home == r0.home
 
     def test_bounded_pump_limits_per_tick_work(self, federation):
+        """``max_records`` rounds up to a whole source commit."""
         fed, (r0, r1) = federation
-        _publish(r0, "OrgZero")
+        _, session = _publish(r0, "OrgZero")
         link = fed.link(r0, r1)
-        total = r0.store.changelog.last_seq
+        link.pump()
+        start = link.watermark
+        orgs = [Organization(r0.ids.new_id(), name=f"Org{n}") for n in range(3)]
+        r0.lcm.submit_objects(session, orgs)
+        commit_end = r0.store.changelog.last_seq
+        _publish(r0, "Later")
+        assert commit_end - start > 1  # one commit, more than one record
+        version = r1.store.version
         link.pump(max_records=1)
-        assert link.watermark == 1
-        assert link.lag() == total - 1
+        assert r1.store.version == version + 1  # one replica generation for it
+        assert link.watermark == commit_end
+        assert link.lag() == r0.store.changelog.last_seq - commit_end
+        assert all(r1.store.contains(org.id) for org in orgs)
+
+    def test_bounded_pump_never_splits_a_service_from_its_bindings(self, federation):
+        """A replica that holds a Service answers ``getServiceBindings`` on the
+        wire as its owner does, however small the pump that brought it."""
+        fed, (r0, r1) = federation
+        _, session = _publish(r0, "Provider")
+        link = fed.link(r0, r1)
+        link.pump()
+        service = Service(_id_owned_by(fed, r0), name="Adder")
+        bindings = [
+            ServiceBinding(r0.ids.new_id(), service=service.id, access_uri=f"http://h{n}:8080/a")
+            for n in range(2)
+        ]
+        r0.lcm.submit_objects(session, [service, *bindings])
+        link.pump(max_records=1)
+        request = GetServiceBindingsRequest(service.id)
+        owner, replica = (
+            fed.transport.request(fed.endpoint_for(reg.home), SoapEnvelope(body=request))
+            for reg in (r0, r1)
+        )
+        assert r1.store.contains(service.id)
+        assert len(owner.objects) == 2
+        assert list(replica.objects) == list(owner.objects)
 
     def test_repump_is_idempotent(self, federation):
         fed, (r0, r1) = federation
@@ -281,6 +321,104 @@ class TestReplicationLink:
         }
         _publish(r0, "OrgAfterLeave")
         assert link.lag() > 0
+
+
+FOREIGN_HOME = "http://elsewhere.sdsu.edu:8080/omar/registry"
+
+
+class WholeCommitMachine(RuleBasedStateMachine):
+    """Source commits, rollbacks and bounded pumps over one link.  After every
+    pump the replica's copy of the source's home objects is the source's heap
+    at the commit boundary the watermark names, and the replica published one
+    generation per source commit it applied."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fed, (self.source, self.replica) = _two_members()
+        self.link = self.fed.link(self.source, self.replica)
+        self.live: list[str] = []
+        #: source seq after each commit or rollback → its home heap there
+        self.boundaries = {0: {}}
+        #: (last seq, wrote a home record) per source commit that logged records
+        self.commits: list[tuple[int, bool]] = []
+
+    def _heap(self, registry) -> dict:
+        store = registry.store
+        return {
+            oid: serialize(store.get_view(oid))
+            for oid in store.all_ids()
+            if store.get_view(oid).home == self.source.home
+        }
+
+    def _boundary(self) -> int:
+        seq = self.source.store.changelog.last_seq
+        self.boundaries[seq] = self._heap(self.source)
+        return seq
+
+    def _write(self, data, n: int) -> None:
+        home = self.source.home
+        ops = ["insert", "save", "delete"] if self.live else ["insert"]
+        op = data.draw(st.sampled_from(ops))
+        if op == "insert":
+            kind = data.draw(st.sampled_from([Organization, Service]))
+            obj = kind(self.source.ids.new_id(), name=f"new{n}", home=home)
+            self.source.store.insert_object(obj)
+            self.live.append(obj.id)
+            return
+        oid = data.draw(st.sampled_from(self.live))
+        if op == "save":
+            kind = type(self.source.store.get_view(oid))
+            self.source.store.save_object(kind(oid, name=f"renamed{n}", home=home))
+        else:
+            self.source.store.delete_object(oid)
+            self.live.remove(oid)
+
+    @rule(data=st.data(), size=st.integers(1, 4), foreign=st.booleans())
+    def commit(self, data, size, foreign):
+        before = self.source.store.changelog.last_seq
+        with self.source.store.transaction():
+            for n in range(size):
+                self._write(data, n)
+            if foreign:  # a replica the source holds: never shipped back out
+                self.source.store.insert_object(
+                    Organization(self.source.ids.new_id(), name="foreign", home=FOREIGN_HOME)
+                )
+        seq = self._boundary()
+        if seq > before:
+            logged = self.source.store.changelog.records_since(before)
+            images = (r.payload or r.previous for r in logged)
+            self.commits.append((seq, any(i.home == self.source.home for i in images)))
+
+    @rule(data=st.data(), size=st.integers(1, 3))
+    def rolled_back_transaction(self, data, size):
+        live = list(self.live)
+        with pytest.raises(RuntimeError):
+            with self.source.store.transaction():
+                for n in range(size):
+                    self._write(data, n)
+                raise RuntimeError("abort")
+        self.live = live
+        self._boundary()
+
+    @rule(max_records=st.none() | st.integers(1, 6))
+    def pump(self, max_records):
+        start, version = self.link.watermark, self.replica.store.version
+        self.link.pump(max_records)
+        end = self.link.watermark
+        assert end in self.boundaries, "the watermark stopped inside a commit"
+        assert self._heap(self.replica) == self.boundaries[end]
+        applied = sum(home for seq, home in self.commits if start < seq <= end)
+        assert self.replica.store.version - version == applied
+        if max_records is None:
+            assert self.link.lag() == 0
+        elif self.link.lag():  # it stopped only once the bound was met
+            assert end - start >= max_records
+
+
+WholeCommitMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=20, deadline=None, derandomize=True
+)
+TestWholeCommitReplication = WholeCommitMachine.TestCase
 
 
 class TestShardRouting:

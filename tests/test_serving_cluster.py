@@ -233,12 +233,20 @@ class TestReplicationPumping:
         finally:
             sup.close()
 
-    def test_bounded_pump_applies_at_most_max_records(self, federation, cluster):
+    def test_bounded_pump_applies_whole_commits(self, federation, cluster):
+        """``max_records=1`` still applies one whole source commit per pump:
+        the replica holds none or all of a 3-Organization submit."""
         fed, (r0, r1) = federation
+        _, session = _publish(r0, "OrgZero")
+        orgs = [Organization(r0.ids.new_id(), name=f"Org{n}") for n in range(3)]
+        r0.lcm.submit_objects(session, orgs)
+        counts = []
         with cluster:
-            _publish(r0, "OrgZero")
-            applied = cluster.pump_replication(max_records=1)
-        assert all(count <= 1 for count in applied.values())
+            while cluster.replication_lag() > 0:
+                counts.append(cluster.pump_replication(max_records=1)[f"{r0.home}->{r1.home}"])
+                assert sum(r1.store.contains(org.id) for org in orgs) in (0, 3)
+        assert all(r1.store.contains(org.id) for org in orgs)
+        assert set(counts) <= {0, 1, 3} and 3 in counts  # OrgZero's commit applies 1
 
 
 class TestClusterSurfaces:
