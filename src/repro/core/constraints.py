@@ -140,12 +140,24 @@ _TAG_KEYWORDS = {
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """The parsed constraints of one service."""
+    """The parsed constraints of one service.
+
+    Hashed once, when made: a balanced discovery looks its set up in the
+    generation's answers (:meth:`LoadStatus.satisfying`), and the generated hash
+    would walk the clauses, their operators included, on every lookup.
+    """
 
     cpu_load: ScalarConstraint | None = None
     memory: ScalarConstraint | None = None
     swap_memory: ScalarConstraint | None = None
     window: TimeWindow | None = None
+
+    def __post_init__(self) -> None:
+        fields = (self.cpu_load, self.memory, self.swap_memory, self.window)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def has_performance_constraints(self) -> bool:
         return any((self.cpu_load, self.memory, self.swap_memory))

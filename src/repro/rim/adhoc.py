@@ -35,12 +35,15 @@ class AdhocQuery(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not query.strip():
-            raise InvalidRequestError("adhoc query requires query text")
-        if query_language not in (QUERY_LANGUAGE_SQL, QUERY_LANGUAGE_FILTER):
-            raise InvalidRequestError(f"unknown query language: {query_language!r}")
         self.query = query
         self.query_language = query_language
+        AdhocQuery._check(self)
+
+    def _check(self) -> None:
+        if not self.query.strip():
+            raise InvalidRequestError("adhoc query requires query text")
+        if self.query_language not in (QUERY_LANGUAGE_SQL, QUERY_LANGUAGE_FILTER):
+            raise InvalidRequestError(f"unknown query language: {self.query_language!r}")
 
     def parameter_names(self) -> list[str]:
         """Return the ``$name`` placeholders appearing in the query text."""
@@ -100,14 +103,17 @@ class Subscription(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not selector:
-            raise InvalidRequestError("subscription requires a selector query id")
-        if not actions:
-            raise InvalidRequestError("subscription requires at least one action")
         self.selector = selector
         self.actions = list(actions)
         self.start_time = start_time
         self.end_time = end_time
+        Subscription._check(self)
+
+    def _check(self) -> None:
+        if not self.selector:
+            raise InvalidRequestError("subscription requires a selector query id")
+        if not self.actions:
+            raise InvalidRequestError("subscription requires at least one action")
 
     def active_at(self, now: float) -> bool:
         if now < self.start_time:

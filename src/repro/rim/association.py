@@ -58,18 +58,21 @@ class Association(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not source_object or not target_object:
-            raise InvalidRequestError("association requires source and target ids")
-        if source_object == target_object:
-            raise InvalidRequestError("association source and target must differ")
-        if isinstance(association_type, str):
-            association_type = AssociationType.from_name(association_type)
         self.source_object = source_object
         self.target_object = target_object
+        if isinstance(association_type, str):
+            association_type = AssociationType.from_name(association_type)
         self.association_type = association_type
         #: Both-sides confirmation flags (ebRS association confirmation).
         self.confirmed_by_source = True
         self.confirmed_by_target = False
+        Association._check(self)
+
+    def _check(self) -> None:
+        if not self.source_object or not self.target_object:
+            raise InvalidRequestError("association requires source and target ids")
+        if self.source_object == self.target_object:
+            raise InvalidRequestError("association source and target must differ")
 
     @property
     def is_confirmed(self) -> bool:

@@ -22,8 +22,8 @@ A new object holds no empty container.  ``slots`` and the id lists (and a
 subclass's own lists, see :class:`OnFirstRead`) are made on their first read
 and kept from then on, so an object that never has a slot never pays for a
 slot map; code that must only read a stored object looks in ``vars(obj)``
-instead.  The constructor is the one validator: every way of building an
-object, the wire's reader included, goes through it.
+instead.  Each class checks its own attributes in ``_check``, which its
+``__init__`` ends by calling by class name, and the wire's reader calls too.
 """
 
 from __future__ import annotations
@@ -127,8 +127,6 @@ class RegistryObject:
         owner: str | None = None,
         home: str | None = None,
     ) -> None:
-        if not match_urn_uuid(id):
-            raise InvalidRequestError(f"registry object id must be urn:uuid: {id!r}")
         self.id = id
         self.lid = lid or id
         self.name = name if isinstance(name, InternationalString) else InternationalString(name)
@@ -141,6 +139,12 @@ class RegistryObject:
         self.version = _FIRST
         self.owner = owner
         self.home = home
+        RegistryObject._check(self)
+
+    def _check(self) -> None:
+        """Refuse the values this class's own attributes may not hold."""
+        if not match_urn_uuid(self.id):
+            raise InvalidRequestError(f"registry object id must be urn:uuid: {self.id!r}")
 
     # -- type metadata -------------------------------------------------
 

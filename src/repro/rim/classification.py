@@ -49,13 +49,16 @@ class ClassificationNode(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not code:
-            raise InvalidRequestError("classification node requires a code")
-        if not parent:
-            raise InvalidRequestError("classification node requires a parent id")
         self.code = code
         self.parent = parent  # scheme id or another node id
         self.path = path or code
+        ClassificationNode._check(self)
+
+    def _check(self) -> None:
+        if not self.code:
+            raise InvalidRequestError("classification node requires a code")
+        if not self.parent:
+            raise InvalidRequestError("classification node requires a parent id")
 
 
 class Classification(RegistryObject):
@@ -79,19 +82,22 @@ class Classification(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not classified_object:
+        self.classified_object = classified_object
+        self.classification_node = classification_node
+        self.classification_scheme = classification_scheme
+        self.node_representation = node_representation
+        Classification._check(self)
+
+    def _check(self) -> None:
+        if not self.classified_object:
             raise InvalidRequestError("classification requires a classified object id")
-        internal = classification_node is not None
-        external = node_representation is not None and classification_scheme is not None
+        internal = self.classification_node is not None
+        external = self.node_representation is not None and self.classification_scheme is not None
         if internal == external:
             raise InvalidRequestError(
                 "classification must be internal (node id) XOR external "
                 "(scheme id + node representation)"
             )
-        self.classified_object = classified_object
-        self.classification_node = classification_node
-        self.classification_scheme = classification_scheme
-        self.node_representation = node_representation
 
     @property
     def is_internal(self) -> bool:

@@ -47,8 +47,6 @@ class AuditableEvent(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not affected_object:
-            raise InvalidRequestError("auditable event requires an affected object id")
         self.event_type = event_type
         self.affected_object = affected_object
         self.user_id = user_id
@@ -56,3 +54,8 @@ class AuditableEvent(RegistryObject):
         self.request_id = request_id
         #: registry-assigned monotonic sequence (total order within one registry)
         self.sequence = 0
+        AuditableEvent._check(self)
+
+    def _check(self) -> None:
+        if not self.affected_object:
+            raise InvalidRequestError("auditable event requires an affected object id")

@@ -26,13 +26,16 @@ class ExternalIdentifier(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not registry_object:
-            raise InvalidRequestError("external identifier requires its object id")
-        if not identification_scheme or not value:
-            raise InvalidRequestError("external identifier requires scheme and value")
         self.registry_object = registry_object
         self.identification_scheme = identification_scheme
         self.value = value
+        ExternalIdentifier._check(self)
+
+    def _check(self) -> None:
+        if not self.registry_object:
+            raise InvalidRequestError("external identifier requires its object id")
+        if not self.identification_scheme or not self.value:
+            raise InvalidRequestError("external identifier requires scheme and value")
 
 
 class ExternalLink(RegistryObject):
@@ -42,6 +45,9 @@ class ExternalLink(RegistryObject):
 
     def __init__(self, id: str, *, external_uri: str, **kwargs) -> None:
         super().__init__(id, **kwargs)
-        if not external_uri:
-            raise InvalidRequestError("external link requires a URI")
         self.external_uri = external_uri
+        ExternalLink._check(self)
+
+    def _check(self) -> None:
+        if not self.external_uri:
+            raise InvalidRequestError("external link requires a URI")

@@ -102,13 +102,16 @@ class User(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not alias:
-            raise InvalidRequestError("user requires an alias")
         self.alias = alias
         self.person_name = person_name or PersonName()
         self.organization = organization
         #: role names used by the XACML-lite policy engine
         self.roles: set[str] = {"RegistryUser"}
+        User._check(self)
+
+    def _check(self) -> None:
+        if not self.alias:
+            raise InvalidRequestError("user requires an alias")
 
 
 class Organization(RegistryObject):

@@ -68,18 +68,19 @@ class ServiceBinding(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not service:
-            raise InvalidRequestError("service binding requires its service id")
-        if not access_uri and not target_binding:
-            raise InvalidRequestError(
-                "service binding requires an access URI or a target binding"
-            )
         self.service = service
         self.access_uri = access_uri
         self.target_binding = target_binding
         #: (uri, host) memo for :attr:`host`; validated by uri identity so a
         #: reassigned access_uri recomputes (discovery reads host per query)
         self._host_memo: tuple[str, str] | None = None
+        ServiceBinding._check(self)
+
+    def _check(self) -> None:
+        if not self.service:
+            raise InvalidRequestError("service binding requires its service id")
+        if not self.access_uri and not self.target_binding:
+            raise InvalidRequestError("service binding requires an access URI or a target binding")
 
     @property
     def host(self) -> str | None:
@@ -113,13 +114,14 @@ class SpecificationLink(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        if not service_binding or not specification_object:
-            raise InvalidRequestError(
-                "specification link requires binding and specification ids"
-            )
         self.service_binding = service_binding
         self.specification_object = specification_object
         self.usage_description = usage_description
+        SpecificationLink._check(self)
+
+    def _check(self) -> None:
+        if not self.service_binding or not self.specification_object:
+            raise InvalidRequestError("specification link requires binding and specification ids")
 
 
 def host_of_uri(uri: str) -> str:

@@ -42,7 +42,7 @@ class InternationalString:
     @classmethod
     def of_localized(cls, strings: dict[str, LocalizedString]) -> "InternationalString":
         """An InternationalString holding *strings* (locale → its entry), in one step."""
-        out = cls()
+        out = cls.__new__(cls)
         out._strings = strings
         return out
 
@@ -75,8 +75,8 @@ class InternationalString:
         return [strings[loc] for loc in sorted(strings)]
 
     def copy(self) -> "InternationalString":
-        clone = InternationalString()
-        clone._strings = dict(self._strings)
+        clone = InternationalString.__new__(InternationalString)
+        clone._strings = self._strings.copy()
         return clone
 
     def __bool__(self) -> bool:

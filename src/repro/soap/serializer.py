@@ -19,7 +19,7 @@ One representation rule: a key at its default is not written.  A field's
 the object's own id, a list or name nothing, ``status`` ``"Submitted"`` — and a
 value equal to it in exact type and value (``0`` is no ``False``, ``0`` no
 ``0.0``) is left out; the optional attributes and empty collections ebRIM's XML
-binding leaves absent are absent here too.  A key left out keeps the
+binding leaves absent are absent here too.  A key left out reads as the
 constructor's value on the way in, and a present key is read as it reads, so
 the full form every earlier version wrote (snapshots, goldens) still reads.
 Entries inside a value — a localized string's locale and charset, a slot's
@@ -51,7 +51,6 @@ from repro.rim import (
     LocalizedString,
     NotifyAction,
     Organization,
-    PersonName,
     PostalAddress,
     RegistryObject,
     RegistryPackage,
@@ -84,12 +83,12 @@ _tuple = tuple.__new__
 class _Field(NamedTuple):
     """One wire key of a serialized object.
 
-    ``attr`` is the attribute path read on the way out.  On the way in the
-    value is assigned to that path after construction, or, for an ``init``
-    field, handed to the constructor under the path's last segment.  ``default``
-    is the wire value a freshly constructed object holds: a value that is it in
-    exact type and value is not written, and a missing key keeps what the
-    constructor made.
+    ``attr`` is the attribute path read on the way out and stored on the way in
+    (a dotted path's fields make one value object, each a keyword of its class).
+    ``default`` is the wire value a freshly constructed object holds: a value that
+    is it in exact type and value is not written, and a missing key reads as it.
+    ``example`` is what the type's prototype is built with, where its constructor
+    cannot do without a value; left out, such a field reads as its ``default``.
     """
 
     wire: str
@@ -97,7 +96,7 @@ class _Field(NamedTuple):
     encode: Callable[[Any], Any] | None = None
     decode: Callable[[Any], Any] | None = None
     default: Any = _REQUIRED
-    init: bool = False
+    example: Any = _REQUIRED
 
 
 def _records(cls: type, **attrs: str) -> tuple[Callable, Callable, list]:
@@ -161,12 +160,6 @@ def _slots_back(data: list[dict[str, Any]]) -> SlotMap:
     return out
 
 
-def _user(
-    id: str, *, first_name: str = "", middle_name: str = "", last_name: str = "", **kwargs
-) -> User:
-    return User(id, person_name=PersonName(first_name, middle_name, last_name), **kwargs)
-
-
 _enum_value = attrgetter("value")
 _version_name = attrgetter("version_name")
 
@@ -191,10 +184,10 @@ _ACTIONS = _records(NotifyAction, mode="mode", endpoint="endpoint")[:2]
 
 #: the fields every RegistryObject carries, after ``_type``
 _BASE_FIELDS = (
-    _Field("id", "id", init=True),
+    _Field("id", "id", example="urn:uuid:00000000-0000-4000-8000-000000000000"),
     _Field("lid", "lid", default=_OWN_ID),
-    _Field("name", "name", _istring, _istring_back, [], init=True),
-    _Field("description", "description", _istring, _istring_back, [], init=True),
+    _Field("name", "name", _istring, _istring_back, []),
+    _Field("description", "description", _istring, _istring_back, []),
     _Field("status", "status", *_enum(ObjectStatus), ObjectStatus.SUBMITTED.value),
     _Field("versionName", "version", _version_name, VersionInfo, "1.1"),
     _Field("owner", "owner", default=None),
@@ -207,99 +200,96 @@ _BASE_FIELDS = (
 #: the fields each RIM type adds, in wire order
 _TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
     Organization: (
-        _Field("parent", "parent", default=None, init=True),
-        _Field("primaryContact", "primary_contact", default=None, init=True),
+        _Field("parent", "parent", default=None),
+        _Field("primaryContact", "primary_contact", default=None),
         _Field("addresses", "addresses", *_ADDRESSES),
         _Field("emails", "emails", *_EMAILS),
         _Field("telephones", "telephones", *_TELEPHONES),
         _Field("serviceIds", "service_ids", *_ID_LIST),
     ),
     Service: (
-        _Field("provider", "provider", default=None, init=True),
+        _Field("provider", "provider", default=None),
         _Field("bindingIds", "binding_ids", *_ID_LIST),
     ),
     ServiceBinding: (
-        _Field("service", "service", init=True),
-        _Field("accessUri", "access_uri", default=None, init=True),
-        _Field("targetBinding", "target_binding", default=None, init=True),
+        _Field("service", "service", example="s"),
+        _Field("accessUri", "access_uri", default=None, example="u"),
+        _Field("targetBinding", "target_binding", default=None),
         _Field("specificationLinkIds", "specification_link_ids", *_ID_LIST),
     ),
     Association: (
-        _Field("sourceObject", "source_object", init=True),
-        _Field("targetObject", "target_object", init=True),
+        _Field("sourceObject", "source_object", example="s"),
+        _Field("targetObject", "target_object", example="t"),
         # read back by short name or URN
         _Field(
             "associationType", "association_type", _enum_value, AssociationType.from_name,
-            AssociationType.RELATED_TO.value, init=True,
+            AssociationType.RELATED_TO.value,
         ),  # fmt: skip
         _Field("confirmedBySource", "confirmed_by_source", default=True),
         _Field("confirmedByTarget", "confirmed_by_target", default=False),
     ),
     Classification: (
-        _Field("classifiedObject", "classified_object", init=True),
-        _Field("classificationNode", "classification_node", default=None, init=True),
-        _Field("classificationScheme", "classification_scheme", default=None, init=True),
-        _Field("nodeRepresentation", "node_representation", default=None, init=True),
+        _Field("classifiedObject", "classified_object", example="o"),
+        _Field("classificationNode", "classification_node", default=None, example="n"),
+        _Field("classificationScheme", "classification_scheme", default=None),
+        _Field("nodeRepresentation", "node_representation", default=None),
     ),
     ClassificationScheme: (
-        _Field("isInternal", "is_internal", default=True, init=True),
-        _Field("nodeType", "node_type", default="UniqueCode", init=True),
+        _Field("isInternal", "is_internal", default=True),
+        _Field("nodeType", "node_type", default="UniqueCode"),
         _Field("childNodeIds", "child_node_ids", *_ID_LIST),
     ),
     ClassificationNode: (
-        _Field("code", "code", init=True),
-        _Field("parent", "parent", init=True),
+        _Field("code", "code", example="c"),
+        _Field("parent", "parent", example="p"),
         # a new node's path is its code: no one value to leave out
-        _Field("path", "path", init=True),
+        _Field("path", "path"),
         _Field("childNodeIds", "child_node_ids", *_ID_LIST),
     ),
     ExternalIdentifier: (
-        _Field("registryObject", "registry_object", init=True),
-        _Field("identificationScheme", "identification_scheme", init=True),
-        _Field("value", "value", init=True),
+        _Field("registryObject", "registry_object", example="o"),
+        _Field("identificationScheme", "identification_scheme", example="s"),
+        _Field("value", "value", example="v"),
     ),
-    ExternalLink: (_Field("externalUri", "external_uri", init=True),),
+    ExternalLink: (_Field("externalUri", "external_uri", example="u"),),
     ExtrinsicObject: (
-        _Field("mimeType", "mime_type", default="application/octet-stream", init=True),
-        _Field("isOpaque", "is_opaque", default=False, init=True),
-        _Field("contentVersion", "content_version", default="1.1", init=True),
+        _Field("mimeType", "mime_type", default="application/octet-stream"),
+        _Field("isOpaque", "is_opaque", default=False),
+        _Field("contentVersion", "content_version", default="1.1"),
     ),
     RegistryPackage: (_Field("memberIds", "member_ids", *_ID_LIST),),
     SpecificationLink: (
-        _Field("serviceBinding", "service_binding", init=True),
-        _Field("specificationObject", "specification_object", init=True),
-        _Field("usageDescription", "usage_description", default="", init=True),
+        _Field("serviceBinding", "service_binding", example="b"),
+        _Field("specificationObject", "specification_object", example="s"),
+        _Field("usageDescription", "usage_description", default=""),
     ),
     User: (
-        _Field("alias", "alias", init=True),
-        _Field("firstName", "person_name.first_name", default="", init=True),
-        _Field("middleName", "person_name.middle_name", default="", init=True),
-        _Field("lastName", "person_name.last_name", default="", init=True),
-        _Field("organization", "organization", default=None, init=True),
-        _Field("roles", "roles", sorted, set, ["RegistryUser"]),
+        _Field("alias", "alias", example="a"),
+        _Field("firstName", "person_name.first_name", default=""),
+        _Field("middleName", "person_name.middle_name", default=""),
+        _Field("lastName", "person_name.last_name", default=""),
+        _Field("organization", "organization", default=None),
+        _Field("roles", "roles", sorted, lambda roles: set(_strings(roles)), ["RegistryUser"]),
     ),
     AuditableEvent: (
-        _Field("eventType", "event_type", *_enum(EventType), init=True),
-        _Field("affectedObject", "affected_object", init=True),
-        _Field("userId", "user_id", init=True),
-        _Field("timestamp", "timestamp", init=True),
-        _Field("requestId", "request_id", default=None, init=True),
+        _Field("eventType", "event_type", *_enum(EventType), example=EventType.CREATED),
+        _Field("affectedObject", "affected_object", example="o"),
+        _Field("userId", "user_id", example="u"),
+        _Field("timestamp", "timestamp", None, float, example=0.0),
+        _Field("requestId", "request_id", default=None),
         _Field("sequence", "sequence", default=0),
     ),
     AdhocQuery: (
-        _Field("query", "query", init=True),
-        _Field("queryLanguage", "query_language", default=QUERY_LANGUAGE_SQL, init=True),
+        _Field("query", "query", example="q"),
+        _Field("queryLanguage", "query_language", default=QUERY_LANGUAGE_SQL),
     ),
     Subscription: (
-        _Field("selector", "selector", init=True),
-        _Field("actions", "actions", *_ACTIONS, init=True),
-        _Field("startTime", "start_time", default=0.0, init=True),
-        _Field("endTime", "end_time", default=None, init=True),
+        _Field("selector", "selector", example="s"),
+        _Field("actions", "actions", *_ACTIONS, example=[NotifyAction("email", "e")]),
+        _Field("startTime", "start_time", default=0.0),
+        _Field("endTime", "end_time", default=None),
     ),
 }
-
-#: constructors that do not take every ``init`` field as a keyword
-_FACTORIES = {User: _user}
 
 #: the wire's one generic JSON encoder: what no table writes is its to write or refuse
 encode_json = json.JSONEncoder(sort_keys=True).encode
@@ -401,6 +391,15 @@ def json_writer(
 _localized_json = json_writer(("locale", "charset", "value"))
 
 
+def _constant(scope: dict[str, Any], key: Any, value: Any) -> str:
+    """Source of *value*, bound in *scope*; a mutable one is made per object, by its
+    type if it is that type's empty value, else as a copy."""
+    scope[f"held_{key}"], scope[f"new_{key}"] = value, type(value)
+    if not hasattr(value, "copy"):
+        return f"held_{key}"
+    return f"new_{key}()" if type(value)() == value else f"held_{key}.copy()"
+
+
 def _differs(default: Any, value: str) -> str:
     """Source of a test that binds the wire value *value* to ``w`` and holds unless
     ``w`` is *default* in exact type and value."""
@@ -423,12 +422,12 @@ class _Codec:
 
     The source is generated as ``dataclasses`` generates ``__init__``: for the
     way out a dict display of the leading required fields and then one store,
-    or one test against the default and a store, per field; for the way in one
-    constructor call, given the required keywords and the optional ones present,
-    and one assignment per present remaining field, with the converters bound
-    by position; and :func:`json_writer`'s f-string for a written dict's JSON
-    text.  A container the object never made (:attr:`RegistryObject.LAZY`) is at
-    its default: the writer skips it unread, so writing never makes one.
+    or one test against the default and a store, per field; for the way in,
+    without the constructor, one store per attribute in the order a prototype
+    it built holds them, one per container present and each class's ``_check``,
+    with the converters bound by position; and :func:`json_writer`'s f-string
+    for a written dict's JSON text.  A container the object never made
+    (:attr:`RegistryObject.LAZY`) is at its default: the writer skips it unread.
     """
 
     def __init__(self, cls: type[RegistryObject]) -> None:
@@ -439,9 +438,10 @@ class _Codec:
             {field.wire for field in fields if field.default is not _REQUIRED},
             _type=f'"{cls.__name__}"',
         )
-        scope: dict[str, Any] = {"new": _FACTORIES.get(cls, cls)}
-        display, stores = ['"_type": type(obj).__name__'], []
-        keywords, optional, required_assignments, assignments = [], [], [], []
+        # the prototype: the order the constructor stores attributes in, and their defaults
+        made = cls(**{f.attr: f.example for f in fields if f.example is not _REQUIRED})
+        scope: dict[str, Any] = {"new": cls.__new__, "cls": cls}
+        display, stores, values, tail = ['"_type": type(obj).__name__'], [], {}, []
         for n, field in enumerate(fields):
             scope[f"encode{n}"], scope[f"decode{n}"] = field.encode, field.decode
             wire, attr, required = field.wire, field.attr, field.default is _REQUIRED
@@ -456,30 +456,36 @@ class _Codec:
                 test = _differs(field.default, value)
                 test = f'"{attr}" in held and ({test})' if lazy else test
                 stores.append(f'    if {test}:\n        x["{wire}"] = w\n')
-            decoded = f"decode{n}({{}})" if field.decode else "{}"
-            value = decoded.format(f'data["{wire}"]')
-            present = f'"{wire}" in data'
-            keyword = attr.rpartition(".")[2]
-            if field.init and required:
-                # every constructor takes the id first, by position
-                keywords.append(value if keyword == "id" else f"{keyword}={value}")
-            elif field.init:
-                # a key left out is left to the constructor's own default
-                optional.append(f'    if {present}:\n        kw["{keyword}"] = {value}\n')
-            elif required:
-                required_assignments.append(f"    obj.{attr} = {value}\n")
+            value = f'decode{n}(data["{wire}"])' if field.decode else f'data["{wire}"]'
+            if lazy:
+                tail.append(f'    if "{wire}" in data:\n        obj.{attr} = {value}\n')
+                continue
+            if field.default is _OWN_ID:
+                value = f'({value} if "{wire}" in data else obj.id)'
+            elif not required:  # left out: as the prototype holds it, unless built with one
+                default = attrgetter(attr)(made) if field.example is _REQUIRED else field.default
+                value = f'({value} if "{wire}" in data else {_constant(scope, n, default)})'
+            head, _, keyword = attr.rpartition(".")
+            if head:  # the keywords of one value object
+                values.setdefault(head, []).append(f"{keyword}={value}")
             else:
-                assignments.append(f"        if {present}:\n            obj.{attr} = {value}\n")
-        call = ", ".join([*keywords, "**kw"])
-        # the keys the constructor call and the required assignments took: a dict
-        # of no others (``_type`` besides) holds none of the remaining fields
-        taken = f"len(kw) + {1 + len(keywords) + len(required_assignments)}"
+                values[attr] = value
+        reads = []
+        for attr, held in vars(made).items():
+            value = values.pop(attr, None)
+            if value is None:  # no field lists it: as the constructor leaves it
+                value = _constant(scope, attr, held)
+            elif type(value) is list:
+                scope[f"make_{attr}"] = type(held)
+                value = f"make_{attr}({', '.join(value)})"
+            reads.append(f"    obj.{attr} = {value}\n")
+        for n, base in enumerate(base for base in cls.__mro__[::-1] if "_check" in vars(base)):
+            scope[f"check{n}"] = vars(base)["_check"]
+            tail.append(f"    check{n}(obj)\n")
         exec(
             f"def write(obj):\n    held = obj.__dict__\n    x = {{{', '.join(display)}}}\n"
             f"{''.join(stores)}    return x\n"
-            f"def read(data):\n    kw = {{}}\n{''.join(optional)}    obj = new({call})\n"
-            f"{''.join(required_assignments)}    if len(data) > {taken}:\n"
-            f"{''.join(assignments)}    return obj\n",
+            f"def read(data):\n    obj = new(cls)\n{''.join(reads + tail)}    return obj\n",
             scope,
         )
         self.write: Callable[[RegistryObject], SerializedObject] = scope["write"]

@@ -1,5 +1,7 @@
 """Tests for ServiceConstraint and LoadStatus (thesis Figures 3.5/3.6)."""
 
+import sys
+
 import pytest
 
 from repro.core import LoadStatus, ServiceConstraint
@@ -93,6 +95,44 @@ class TestLoadStatus:
         ls = LoadStatus(node_state)
         cs = parse_constraint_block(CONSTRAINT)
         assert ls.satisfying_hosts(["a"], cs) == []
+
+    def test_equal_sets_from_different_texts_hash_equal_and_share_an_answer(
+        self, node_state
+    ):
+        record(node_state, "a", load=0.5)
+        record(node_state, "b", load=3.0)
+        first = parse_constraint_block(CONSTRAINT)
+        # another root spelling, spacing, number form, operator spelling and unit
+        second = parse_constraint_block(
+            "<constrain>\n  <cpuLoad>load ls 2</cpuLoad>\n"
+            "  <memory>memory gt 1024MB</memory>\n</constrain>"
+        )
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        # hashed when made: a lookup enters no clause's or operator's __hash__
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            hash(first)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["__hash__"]
+        ls = LoadStatus(node_state)
+        answer = ls.satisfying(first)
+        assert ls.satisfying(second) is answer
+        assert list(answer) == ["a"]
+        version, answers = ls._memo
+        assert list(answers) == [first]
+        # the hash is the set's, so an unequal set is another entry
+        other = parse_constraint_block(CONSTRAINT.replace("2.0", "1.0"))
+        assert other != first
+        ls.satisfying(other)
+        assert len(answers) == 2
 
     def test_unmonitored_host_not_satisfying(self, node_state):
         ls = LoadStatus(node_state)

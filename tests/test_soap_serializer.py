@@ -190,6 +190,34 @@ class TestRoundTrips:
         assert serialize(restored) == data
 
 
+#: (wire key, value) of an Organization — a Subscription for ``actions`` — that
+#: no dict this module writes holds: each is malformed
+ILL_TYPED = [
+    ("slots", "abc"),
+    ("slots", [{"name": "n"}]),
+    ("name", [{"value": "no locale"}]),
+    ("status", "Bogus"),
+    ("status", ["Approved"]),
+    ("classificationIds", 7),
+    ("addresses", [{"city": "only"}]),
+    ("telephones", None),
+    # a string is iterable, and is no list of strings
+    ("classificationIds", "abc"),
+    ("classificationIds", ""),
+    ("serviceIds", ["urn:uuid:a", 5]),
+    ("slots", [{"name": "s", "values": "abc", "slotType": None}]),
+    ("slots", [{"name": "s", "values": [["nested"]], "slotType": None}]),
+    ("name", [{"locale": "en_US", "charset": "UTF-8", "value": 7}]),
+    ("description", [{"locale": None, "charset": "UTF-8", "value": "x"}]),
+    ("name", [{"locale": "en_US", "value": "no charset"}]),
+    # a party or notify entry holds strings only: the value classes do not check
+    ("telephones", [{**dict.fromkeys(_TELEPHONE_KEYS, ""), "number": 5}]),
+    ("emails", [{"address": ["@"], "type": "OfficeEmail"}]),
+    ("addresses", [{**dict.fromkeys(_ADDRESS_KEYS, ""), "city": None}]),
+    ("actions", [{"mode": "email", "endpoint": 5}]),
+]
+
+
 class TestErrors:
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidRequestError):
@@ -219,37 +247,18 @@ class TestErrors:
             with pytest.raises(InvalidRequestError, match=what):
                 deserialize(data)
 
-    @pytest.mark.parametrize(
-        "wire, value",
-        [
-            ("slots", "abc"),
-            ("slots", [{"name": "n"}]),
-            ("name", [{"value": "no locale"}]),
-            ("status", "Bogus"),
-            ("status", ["Approved"]),
-            ("classificationIds", 7),
-            ("addresses", [{"city": "only"}]),
-            ("telephones", None),
-            # a string is iterable, and is no list of strings
-            ("classificationIds", "abc"),
-            ("classificationIds", ""),
-            ("serviceIds", ["urn:uuid:a", 5]),
-            ("slots", [{"name": "s", "values": "abc", "slotType": None}]),
-            ("slots", [{"name": "s", "values": [["nested"]], "slotType": None}]),
-            ("name", [{"locale": "en_US", "charset": "UTF-8", "value": 7}]),
-            ("description", [{"locale": None, "charset": "UTF-8", "value": "x"}]),
-            ("name", [{"locale": "en_US", "value": "no charset"}]),
-            # a party or notify entry holds strings only: the value classes do not check
-            ("telephones", [{**dict.fromkeys(_TELEPHONE_KEYS, ""), "number": 5}]),
-            ("emails", [{"address": ["@"], "type": "OfficeEmail"}]),
-            ("addresses", [{**dict.fromkeys(_ADDRESS_KEYS, ""), "city": None}]),
-            ("actions", [{"mode": "email", "endpoint": 5}]),
-        ],
-    )
+    @pytest.mark.parametrize("wire, value", ILL_TYPED)
     def test_an_ill_typed_field_is_named_with_its_type(self, wire, value):
         type_name = "Subscription" if wire == "actions" else "Organization"
         data = {**serialize(populated_objects()[type_name]), wire: value}
         with pytest.raises(InvalidRequestError, match=f"{type_name}.*{wire!r} is malformed"):
+            deserialize(data)
+
+    @pytest.mark.parametrize("roles", ["RegistryAdministrator", [1, 2]], ids=["string", "ints"])
+    def test_roles_are_a_list_of_strings(self, roles):
+        """A string is no set of its characters, nor a list of numbers one of roles."""
+        data = {**serialize(populated_objects()["User"]), "roles": roles}
+        with pytest.raises(InvalidRequestError, match="User.*'roles' is malformed"):
             deserialize(data)
 
     def test_a_value_the_constructor_cannot_take(self):
