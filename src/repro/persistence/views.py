@@ -163,6 +163,34 @@ ROW_CAP = 512
 _ABSENT = object()
 
 
+class Answer:
+    """A statement's finished rows as a result view keeps them, and the JSON
+    text they were written as.
+
+    No one mutates the rows: an in-process reader gets copies.  ``write``
+    (the plan's :meth:`~repro.query.planner.ShapePlan.rows_json`) makes the
+    text, and the answer keeps what its second :meth:`json` wrote: an answer
+    served once, as a cold text's mostly is, holds no text.  The text lives
+    and goes with the answer: when a patch clears :attr:`KeptRows.answer` or
+    the view drops the entry.
+    """
+
+    __slots__ = ("rows", "write", "text")
+
+    def __init__(self, write: Callable[[tuple], str], rows: Iterable) -> None:
+        #: ``None``, ``""`` once written, then the text
+        self.rows, self.write, self.text = tuple(rows), write, None
+
+    def json(self) -> str:
+        text = self.text
+        if not text:
+            written = self.write(self.rows)
+            # one store: a racing writer stores the same state or an equal text
+            self.text = "" if text is None else written
+            return written
+        return text
+
+
 class KeptRows:
     """A statement's survivors, kept as ``object id → row``, which a
     changelog record patches.
@@ -174,14 +202,14 @@ class KeptRows:
     ``None`` if it cannot be one).  A row holds the columns the statement's
     tail reads (the plan's ``kept_projection``: the full row for
     ``SELECT *``; ``None`` for ``COUNT(*)``).  ``shape`` turns the finished
-    rows into what a reader gets (a tuple of rows, a subquery's value set).
+    rows into what a reader gets (an :class:`Answer`, a subquery's value set).
     The plan's ``finish`` (order, columns, DISTINCT, LIMIT, COUNT) runs over
     the rows in id order — the scan path's pre-filter order within a type,
     and the union's order wherever no ORDER BY reorders it — and the shaped
-    answer is kept until a patch changes a row.  Keyed by object id, a patch
-    is idempotent: a record whose write the fill already read changes
-    nothing.  An entry that would grow past :data:`ROW_CAP` asks to be
-    dropped.
+    answer, with any text it was written as, is kept until a patch changes
+    a row.  Keyed by object id, a patch is idempotent: a record whose write
+    the fill already read changes nothing.  An entry that would grow past
+    :data:`ROW_CAP` asks to be dropped.
     """
 
     __slots__ = ("plan", "shape", "by_id", "answer", "in_order")

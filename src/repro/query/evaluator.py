@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 from repro.persistence.datastore import DataStore
 from repro.persistence.nodestate import NODESTATE_TABLE
-from repro.persistence.views import ROW_CAP, KeptRows, QueryResultView
+from repro.persistence.views import ROW_CAP, Answer, KeptRows, QueryResultView
 from repro.query.ast import (
     And,
     Between,
@@ -251,6 +251,16 @@ def finish_rows(
     return rows
 
 
+def _answer_of(plan) -> Callable[[list[Row]], Answer]:
+    """What shapes a text's finished rows: an answer its plan writes."""
+    return partial(Answer, plan.shape.rows_json)
+
+
+def _value_set_of(plan) -> Callable[[list[Row]], frozenset | tuple]:
+    """What shapes a subquery's finished rows: its column's value set."""
+    return partial(_value_set, plan.select.columns[0])
+
+
 def _value_set(column: str, rows: list[Row]) -> frozenset | tuple:
     """A subquery's finished rows as the set of *column*'s non-NULL values
     (a tuple when a value is unhashable)."""
@@ -369,12 +379,23 @@ class QueryEngine:
     # -- execution ----------------------------------------------------------------
 
     def execute(self, query: str | Select) -> list[Row]:
-        """Run a query, returning projected rows.
+        """Run a query, returning projected rows, the caller's own.
 
         A query *text* is answered from the result view (:meth:`_answer`),
         and parsed only when its shape has no plan yet; a parsed statement
         always runs.
         """
+        answer = self.answer(query)
+        if type(answer) is Answer:
+            # rows are scalar-valued: a per-row shallow copy keeps callers free
+            # to mutate their result set
+            return [dict(row) for row in answer.rows]
+        return answer
+
+    def answer(self, query: str | Select) -> Answer | list[Row]:
+        """A query's finished rows: a text's as the result view keeps them, an
+        :class:`~repro.persistence.views.Answer` shared by every reader (read
+        only), else a fresh list."""
         if not self.use_planner:
             select = parse_select(query) if isinstance(query, str) else query
             rows = self._rows_for_table(select.table)
@@ -384,21 +405,19 @@ class QueryEngine:
             return finish_rows(select, rows, select.limit)
         if not isinstance(query, str):
             return self._run(self._plan_for(query))
-        answer = self._answer(
+        return self._answer(
             self._results,
             query,
             partial(self._plan_for, query),
-            tuple,
+            _answer_of,
             ("result_hits", "result_misses"),
         )
-        # rows are scalar-valued; a per-row shallow copy keeps callers free
-        # to mutate their result set
-        return [dict(row) for row in answer]
 
     def _answer(self, view: QueryResultView, key, plan_of, shape, counters):
         """The finished rows of *key* (a query text, or a subquery and its
-        bound values), *shape*d, from *view* when it holds them, else from
-        the plan ``plan_of()`` gives.
+        bound values), shaped, from *view* when it holds them, else from
+        the plan ``plan_of()`` gives; ``shape(plan)`` is what shapes that
+        plan's rows.
 
         On a miss a statement a record can patch (a patchable plan, at most
         :data:`~repro.persistence.views.ROW_CAP` survivors) files its
@@ -414,6 +433,7 @@ class QueryEngine:
             return answer
         self.stats[counters[1]] += 1
         plan = plan_of()
+        shape = shape(plan)
         rows = self._run(plan, shape=shape)
         if isinstance(rows, KeptRows):
             answer = rows.read()
@@ -454,7 +474,7 @@ class QueryEngine:
                 self._subqueries,
                 cell.key,
                 partial(cell.plan.bind, cell.bound),
-                partial(_value_set, cell.column),
+                _value_set_of,
                 ("subquery_hits", "subquery_materializations"),
             )
         fast_count = plan.fast_count(self.store)
@@ -491,17 +511,26 @@ class QueryEngine:
         *,
         start_index: int = 0,
         max_results: int | None = None,
-    ) -> tuple[list[Row], int]:
+        copy: bool = True,
+    ) -> tuple[list[Row] | Answer, int]:
         """Run a query and window it in one pass: ``(window, total_count)``.
 
         The iterative-query protocol needs the total match count alongside
-        the window; doing the slice here means exactly one sub-list is built
-        (``rows[start:end]``) instead of materializing intermediate slices.
+        the window; a window that is part of the answer is one slice of it,
+        copied, and a whole one is no slice.  ``copy=False`` hands a whole
+        answer over as :meth:`answer` gives it (read only), for callers that
+        only serialize it.
         """
-        rows = self.execute(query)
+        answer = self.answer(query)
+        shared = type(answer) is Answer
+        rows = answer.rows if shared else answer
         total = len(rows)
         end = None if max_results is None else start_index + max_results
-        return rows[start_index:end], total
+        if start_index or (end is not None and end < total):
+            rows = rows[start_index:end]
+        elif not copy:
+            return answer, total
+        return ([dict(row) for row in rows] if shared else rows), total
 
     def _resolve_subqueries(self, predicate: Predicate) -> Predicate:
         """Rewrite InSubquery nodes into InList by running the subqueries.

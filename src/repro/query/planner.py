@@ -160,10 +160,10 @@ class SubqueryCell:
     it at row time.
     """
 
-    __slots__ = ("plan", "key", "column", "bound", "values")
+    __slots__ = ("plan", "key", "bound", "values")
 
     def __init__(self, plan: ShapePlan, span: slice, bound: Sequence) -> None:
-        self.plan, self.bound, self.column = plan, bound, plan.select.columns[0]
+        self.plan, self.bound = plan, bound
         self.key = (plan.select, bound[span])
         self.values: frozenset | tuple = frozenset()
 
@@ -419,7 +419,8 @@ def choose_access_path(
 class ShapePlan:
     """One statement shape lowered once: its access-path choice, residual
     and whole WHERE compiled with literal slots, its subqueries' plans and
-    its tail spec.  Read-only once built.
+    its tail spec.  Read-only once built, but for the writer of its rows'
+    JSON, compiled on the first :meth:`rows_json`.
 
     Built from a :func:`~repro.query.ast.slotted` statement and the values
     of the first text that needed it, which pick the access path; it serves
@@ -429,7 +430,7 @@ class ShapePlan:
     __slots__ = (
         "select", "relational", "type_name", "project", "types", "chosen", "residual",
         "residual_count", "subqueries", "patchable", "admits", "kept_project",
-        "decided_by", "decision",
+        "decided_by", "decision", "_write_row",
     )  # fmt: skip
 
     def __init__(self, select: Select, values: Sequence) -> None:
@@ -498,6 +499,39 @@ class ShapePlan:
                 self.kept_project = (
                     table.project if select.columns is None else row_reader(key, names)
                 )
+
+        #: output row → its sorted-key JSON text, compiled on the first write
+        self._write_row: Callable[[Row], str] | None = None
+
+    def rows_json(self, rows: Sequence[Row]) -> str:
+        """*rows*, this plan's output, as ``json.dumps(rows, sort_keys=True)``
+        writes them: each row by one writer, compiled on the first call."""
+        write = self._write_row
+        if write is None:
+            # racing first writers each store an equal writer
+            write = self._write_row = self._row_writer()
+        return "[" + ", ".join(map(write, rows)) + "]"
+
+    def _row_writer(self) -> Callable[[Row], str]:
+        """:func:`~repro.soap.serializer.json_writer` over the output columns:
+        the ``COUNT(*)`` row, the select list, the catalogue row of ``SELECT
+        *``.  A column name that is no plain ASCII identifier never reaches
+        generated source: its rows, like NodeState's ``SELECT *``, are the
+        generic encoder's."""
+        from repro.soap.serializer import encode_json, json_writer
+
+        select = self.select
+        if select.count:
+            keys: Sequence[str] = ("count",)
+        elif select.columns is not None:
+            keys = select.columns
+        elif not self.relational:
+            keys = tuple(VIRTUAL_TABLES[select.table.lower()].columns)
+        else:
+            return encode_json
+        if all(key.isidentifier() and key.isascii() for key in keys):
+            return json_writer(keys)
+        return encode_json
 
     def decide(self, values: Sequence) -> tuple[str, ...]:
         """The access-path decision *values* make: the form of each

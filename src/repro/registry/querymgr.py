@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.persistence.dao import DAORegistry
-from repro.persistence.views import ObjectView
+from repro.persistence.views import Answer, ObjectView
 from repro.query import QueryEngine, parse_filter_query
 from repro.rim import (
     QUERY_LANGUAGE_FILTER,
@@ -40,12 +40,14 @@ from repro.util.errors import InvalidRequestError, ObjectNotFoundError
 class AdhocQueryResponse:
     """Iterative-query response envelope (ebRS AdhocQueryResponse)."""
 
-    rows: list[dict[str, Any]]
+    #: the window's rows; asked for with ``copy=False``, a whole answer as the
+    #: engine keeps it (read-only)
+    rows: list[dict[str, Any]] | Answer
     start_index: int
     total_result_count: int
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.total_result_count if type(self.rows) is Answer else len(self.rows)
 
 
 class QueryManager:
@@ -76,8 +78,11 @@ class QueryManager:
         query_language: str = QUERY_LANGUAGE_SQL,
         start_index: int = 0,
         max_results: int | None = None,
+        copy: bool = True,
     ) -> AdhocQueryResponse:
-        """Run an AdhocQueryRequest and window the results."""
+        """Run an AdhocQueryRequest and window the results; ``copy=False`` hands
+        a whole answer over as the engine keeps it (read-only), for callers that
+        only serialize it."""
         if start_index < 0:
             raise InvalidRequestError("startIndex must be non-negative")
         if max_results is not None and max_results < 0:
@@ -89,7 +94,7 @@ class QueryManager:
         else:
             raise InvalidRequestError(f"unknown query language: {query_language!r}")
         window, total = self.engine.execute_windowed(
-            parsed, start_index=start_index, max_results=max_results
+            parsed, start_index=start_index, max_results=max_results, copy=copy
         )
         return AdhocQueryResponse(
             rows=window, start_index=start_index, total_result_count=total
@@ -233,7 +238,7 @@ class QueryManager:
             RegistryResponse,
             field_validator,
         )
-        from repro.soap.serializer import StoredObjects, object_json, serialize
+        from repro.soap.serializer import AnswerRows, StoredObjects, object_json, serialize
 
         store, view = self.daos.store, self._texts
 
@@ -257,9 +262,13 @@ class QueryManager:
                 query_language=ctx.body.query_language,
                 start_index=ctx.body.start_index,
                 max_results=ctx.body.max_results,
+                copy=False,
             )
+            rows = response.rows
+            # a kept answer is written as the text it keeps
             return RegistryResponse(
-                rows=response.rows, total_result_count=response.total_result_count
+                rows=AnswerRows(rows) if type(rows) is Answer else rows,
+                total_result_count=response.total_result_count,
             )
 
         def build_execute_query(params):

@@ -38,14 +38,18 @@ element of ``objects`` that is a plain ``dict`` whose ``_type`` is a known name
 and whose keys are that type's — every required one, any of the others — from
 field tables compiled at import: keys pre-sorted, an absent optional key skipped;
 strings, ``null``, ``[]``, integers and name/description entries in place.
-Every other value (``rows``, id lists, slots, floats) and every other element —
-an extra key, a missing required one, an unknown type, a ``dict`` or ``str``
-subclass — goes to one ``json.JSONEncoder(sort_keys=True)``, which
-raises every error a caller can see.  An ``objects`` that is the kernel's answer
-of stored versions (``serializer.StoredObjects``) and was never read in process
-is the join of the texts kept per stored version — each written once, by the
-first case; read in process it is a list of fresh dicts, and written as one.
-The bytes are the same all three ways, and nothing selects but the value's type.
+Every other value (a plain list of ``rows``, id lists, slots, floats) and every
+other element — an extra key, a missing required one, an unknown type, a
+``dict`` or ``str`` subclass — goes to one ``json.JSONEncoder(sort_keys=True)``,
+which raises every error a caller can see.  Two answers the kernel's read
+handlers give write themselves while never read in process: an ``objects`` of
+stored versions (``serializer.StoredObjects``) is the join of the texts kept per
+stored version, each written once by the first case; the ``rows`` of an ad-hoc
+answer the query engine keeps (``serializer.AnswerRows``) is written by its
+plan's compiled row writer, or is the text the answer kept from its second
+write on.  Read in process
+either is a list of fresh dicts, and written as one.  The bytes are the same
+every way, and nothing selects but the value's type.
 """
 
 from __future__ import annotations

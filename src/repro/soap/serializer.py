@@ -14,6 +14,10 @@ import — object → dict, dict → object, dict → JSON text.  The key order 
 serialized dict is the table's order; its JSON text is in sorted-key order, as
 the wire writes it.
 
+A field with no converter holds text unless its default is a bool or a number:
+a string or null (the model's checks refuse a null it cannot hold); any other
+value is malformed.
+
 One representation rule: a key at its default is not written.  A field's
 ``default`` is the wire value a freshly constructed object holds — ``lid`` holds
 the object's own id, a list or name nothing, ``status`` ``"Submitted"`` — and a
@@ -117,6 +121,21 @@ def _records(cls: type, **attrs: str) -> tuple[Callable, Callable, list]:
         return out
 
     return encode, decode, []
+
+
+def _text(value: str | None) -> str | None:
+    """A string or null, as it is; anything else is malformed.  The reader tests
+    for a string in place and calls this only for what is not one."""
+    if value is not None and type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _number(value: float | None) -> float | None:
+    """A number or null, as it is; anything else is malformed."""
+    if value is not None and type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return value
 
 
 def _strings(values: list[str]) -> list[str]:
@@ -286,49 +305,36 @@ _TYPE_FIELDS: dict[type, tuple[_Field, ...]] = {
     Subscription: (
         _Field("selector", "selector", example="s"),
         _Field("actions", "actions", *_ACTIONS, example=[NotifyAction("email", "e")]),
-        _Field("startTime", "start_time", default=0.0),
-        _Field("endTime", "end_time", default=None),
+        _Field("startTime", "start_time", None, _number, 0.0),
+        _Field("endTime", "end_time", None, _number, None),
     ),
 }
 
 #: the wire's one generic JSON encoder: what no table writes is its to write or refuse
 encode_json = json.JSONEncoder(sort_keys=True).encode
 
-# the text of the value ``{0}`` reads: what objects are mostly made of in place
+# the text of the value ``{0}`` reads: what objects are mostly made of in place,
+# and a value that writes itself (an answer of stored versions, kept rows)
 _VALUE = (
     '(quote(v) if type(v := {0}) is str else "null" if v is None'
-    ' else "[]" if type(v) is list and not v else repr(v) if type(v) is int else encode(v))'
+    ' else "[]" if type(v) is list and not v else repr(v) if type(v) is int'
+    " else v.json() if type(v) in WRITTEN else encode(v))"
 )
-# ... and of a list whose elements ``{1}`` writes, or an answer of stored versions
+# ... and of a list whose elements ``{1}`` writes
 _ARRAY = (
     '(("[" + ", ".join(map({1}, v)) + "]" if v else "[]") if type(v := {0}) is list'
-    " else v.json({1}) if type(v) is StoredObjects else encode(v))"
+    " else v.json() if type(v) in WRITTEN else encode(v))"
 )
 
 
-class StoredObjects:
-    """The ``objects`` of an answer made of stored versions, serialized by its reader.
+class _ReadAsDicts:
+    """A list an answer carries with its JSON text: the wire joins the text; read
+    in process it is :attr:`dicts`, fresh private dicts made on first use and from
+    then on all the writer looks at, so a mutated answer is written as mutated."""
 
-    Holds the versions and, per version, its sorted-key JSON text.  The wire joins
-    the texts; read in process this is the list of fresh, private dicts
-    :func:`serialize` writes, made on first use and from then on all the writer
-    looks at, so a mutated answer is written as mutated.
-    """
+    __slots__ = ("_dicts",)
 
-    __slots__ = ("_versions", "_texts", "_dicts")
-
-    def __init__(self, versions: Sequence[RegistryObject], texts: Sequence[str]) -> None:
-        self._versions, self._texts, self._dicts = versions, texts, None
-
-    @property
-    def dicts(self) -> list[SerializedObject]:
-        if self._dicts is None:
-            self._dicts = [serialize(version) for version in self._versions]
-        return self._dicts
-
-    def json(self, each: Callable[[Any], str]) -> str:
-        texts = self._texts if self._dicts is None else map(each, self._dicts)
-        return "[" + ", ".join(texts) + "]"
+    dicts: list[SerializedObject]
 
     def __len__(self) -> int:
         return len(self.dicts)
@@ -340,10 +346,59 @@ class StoredObjects:
         return iter(self.dicts)
 
     def __eq__(self, other: object) -> bool:
-        return self.dicts == (other.dicts if type(other) is StoredObjects else other)
+        return self.dicts == (other.dicts if isinstance(other, _ReadAsDicts) else other)
 
     def __repr__(self) -> str:
         return repr(self.dicts)
+
+
+class StoredObjects(_ReadAsDicts):
+    """The ``objects`` of an answer made of stored versions, serialized by its reader.
+
+    Holds the versions and, per version, its sorted-key JSON text; in process, the
+    dicts :func:`serialize` writes.
+    """
+
+    __slots__ = ("_versions", "_texts")
+
+    def __init__(self, versions: Sequence[RegistryObject], texts: Sequence[str]) -> None:
+        self._versions, self._texts, self._dicts = versions, texts, None
+
+    @property
+    def dicts(self) -> list[SerializedObject]:
+        if self._dicts is None:
+            self._dicts = [serialize(version) for version in self._versions]
+        return self._dicts
+
+    def json(self) -> str:
+        texts = self._texts if self._dicts is None else map(object_json, self._dicts)
+        return "[" + ", ".join(texts) + "]"
+
+
+class AnswerRows(_ReadAsDicts):
+    """The ``rows`` of an ad-hoc answer the query engine keeps, serialized by its reader.
+
+    Holds the kept answer: its ``rows``, which no one mutates, and ``json()``,
+    their text, which the answer keeps from its second write on; in process,
+    copies of the rows.
+    """
+
+    __slots__ = ("_answer",)
+
+    def __init__(self, answer: Any) -> None:
+        self._answer, self._dicts = answer, None
+
+    @property
+    def dicts(self) -> list[dict[str, Any]]:
+        if self._dicts is None:
+            self._dicts = [dict(row) for row in self._answer.rows]
+        return self._dicts
+
+    def json(self) -> str:
+        return self._answer.json() if self._dicts is None else encode_json(self._dicts)
+
+
+_WRITTEN = (StoredObjects, AnswerRows)
 
 
 def json_writer(
@@ -355,13 +410,14 @@ def json_writer(
     """Compile ``x -> sorted-key JSON text`` for a plain dict of *keys*, those in
     *optional* written where present.
 
-    *arrays* maps a key to the writer of its list's elements (a :class:`StoredObjects`
-    there writes itself); *literals* are keys present with a known text.  The first
+    *arrays* maps a key to the writer of its list's elements; *literals* are keys
+    present with a known text.  A :class:`StoredObjects` or :class:`AnswerRows`
+    value writes itself.  The first
     key in sorted order is not optional.  Any other ``x`` — another type, a subclass,
     a missing required key, a key of no list — is the encoder's: the text is
     ``json.dumps``'s, always.
     """
-    scope = dict(quote=encode_basestring_ascii, encode=encode_json, StoredObjects=StoredObjects)
+    scope = dict(quote=encode_basestring_ascii, encode=encode_json, WRITTEN=_WRITTEN)
     scope.update((f"each_{key}", each) for key, each in arrays.items())
     values = {
         key: (_ARRAY if key in arrays else _VALUE).format(f'x["{key}"]', f"each_{key}")
@@ -417,6 +473,10 @@ def _differs(default: Any, value: str) -> str:
     return f"{test} or repr(w) != {repr(default)!r}" if kind == "float" else test
 
 
+def _is_text(default: Any) -> bool:
+    return default is None or default is _REQUIRED or default is _OWN_ID or type(default) is str
+
+
 class _Codec:
     """One type's field list, compiled to a straight-line function per direction.
 
@@ -425,13 +485,18 @@ class _Codec:
     or one test against the default and a store, per field; for the way in,
     without the constructor, one store per attribute in the order a prototype
     it built holds them, one per container present and each class's ``_check``,
-    with the converters bound by position; and :func:`json_writer`'s f-string
-    for a written dict's JSON text.  A container the object never made
-    (:attr:`RegistryObject.LAZY`) is at its default: the writer skips it unread.
+    with the converters bound by position and a text field's string test in
+    place; and :func:`json_writer`'s f-string for a written dict's JSON text.
+    A container the object never made (:attr:`RegistryObject.LAZY`) is at its
+    default: the writer skips it unread.
     """
 
     def __init__(self, cls: type[RegistryObject]) -> None:
-        self.fields = fields = _BASE_FIELDS + _TYPE_FIELDS.get(cls, ())
+        # a field without converters that no bool or number default types holds text
+        self.fields = fields = tuple(
+            f._replace(decode=_text) if f.decode is None and _is_text(f.default) else f
+            for f in _BASE_FIELDS + _TYPE_FIELDS.get(cls, ())
+        )
         self.text = json_writer(
             [field.wire for field in fields],
             {field.wire: _localized_json for field in fields if field.encode is _istring},
@@ -457,6 +522,8 @@ class _Codec:
                 test = f'"{attr}" in held and ({test})' if lazy else test
                 stores.append(f'    if {test}:\n        x["{wire}"] = w\n')
             value = f'decode{n}(data["{wire}"])' if field.decode else f'data["{wire}"]'
+            if field.decode is _text:  # a string passes in place: no call
+                value = f'(w if type(w := data["{wire}"]) is str else decode{n}(w))'
             if lazy:
                 tail.append(f'    if "{wire}" in data:\n        obj.{attr} = {value}\n')
                 continue

@@ -36,7 +36,15 @@ from repro.rim import (
     VersionInfo,
 )
 from repro.rim.status import ObjectStatus
-from repro.soap import deserialize, serialize
+from repro.soap import (
+    SoapEnvelope,
+    SoapFault,
+    SoapRegistryBinding,
+    SubmitObjectsRequest,
+    deserialize,
+    serialize,
+    serializer,
+)
 from repro.util.errors import InvalidRequestError
 from repro.util.ids import IdFactory
 
@@ -215,6 +223,12 @@ ILL_TYPED = [
     ("emails", [{"address": ["@"], "type": "OfficeEmail"}]),
     ("addresses", [{**dict.fromkeys(_ADDRESS_KEYS, ""), "city": None}]),
     ("actions", [{"mode": "email", "endpoint": 5}]),
+    # a plain string field holds a string (or null), and nothing else
+    ("owner", 5),
+    ("parent", ["urn:uuid:a"]),
+    ("primaryContact", {"id": "urn:uuid:a"}),
+    ("lid", True),
+    ("home", 1.5),
 ]
 
 
@@ -260,6 +274,39 @@ class TestErrors:
         data = {**serialize(populated_objects()["User"]), "roles": roles}
         with pytest.raises(InvalidRequestError, match="User.*'roles' is malformed"):
             deserialize(data)
+
+    @pytest.mark.parametrize("type_name", sorted(CONCRETE_TYPES))
+    def test_every_string_field_refuses_what_is_no_string(self, type_name):
+        """An id, a URI, a code: a string or null, whatever the type; a number there
+        is named, where the model would have stored it."""
+        complete = serialize(populated_objects()[type_name])
+        codec = serializer._BY_NAME[type_name]
+        fields = [f.wire for f in codec.fields if f.decode is serializer._text]
+        assert "id" in fields and "owner" in fields
+        for wire in fields:
+            for value in (5, 1.5, True, ["x"], {"x": "y"}):
+                with pytest.raises(
+                    InvalidRequestError, match=f"{type_name} object: field {wire!r} is malformed"
+                ):
+                    deserialize({**complete, wire: value})
+
+    @pytest.mark.parametrize("wire, value", [("accessUri", 5), ("service", 7)])
+    def test_a_binding_of_a_number_is_refused_and_discovery_still_answers(
+        self, registry, session, wire, value
+    ):
+        service = Service(ids.new_id(), name="S")
+        registry.lcm.submit_objects(session, [service])
+        good = ServiceBinding(ids.new_id(), service=service.id, access_uri="http://h1:8080/s")
+        bad = ServiceBinding(ids.new_id(), service=service.id, access_uri="http://h2:8080/s")
+        bad = {**serialize(bad), wire: value}
+        edge = SoapRegistryBinding(registry)
+        edge.register_session(session)
+        submit = SubmitObjectsRequest(objects=[serialize(good), bad])
+        answer = edge.handle(SoapEnvelope.with_session(submit, session.token))
+        assert isinstance(answer, SoapFault)
+        assert f"ServiceBinding object: field {wire!r} is malformed" in answer.fault_string
+        registry.lcm.submit_objects(session, [good])
+        assert registry.qm.get_access_uris(service.id) == ["http://h1:8080/s"]
 
     def test_a_value_the_constructor_cannot_take(self):
         data = {**serialize(populated_objects()["AdhocQuery"]), "query": None}

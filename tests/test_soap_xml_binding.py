@@ -1059,6 +1059,68 @@ class TestEncodeBudget:
         assert 0 < added <= 3 * self.EVENTS_PER_STORED_BINDING
         assert not {"JSONEncoder.encode", "serialize", "write"} & set(counted[1])
 
+    @staticmethod
+    def adhoc(registry, session, rows: int):
+        """``edge.handle`` + ``envelope_to_xml`` of a ``SELECT *`` whose answer is
+        *rows* services, returning the answer and its document."""
+        names = [f"Svc{n:04d}" for n in range(rows)]
+        registry.lcm.submit_objects(session, [Service(ids.new_id(), name=n) for n in names])
+        edge = SoapRegistryBinding(registry)
+        query = f"SELECT * FROM Service WHERE name BETWEEN '{names[0]}' AND '{names[-1]}'"
+        request = SoapEnvelope(body=AdhocQueryRequest(query))
+
+        def serve():
+            answer = edge.handle(request)
+            return answer, envelope_to_xml(SoapEnvelope(body=answer))
+
+        return serve
+
+    @staticmethod
+    def blocks_held(serve) -> int:
+        """Memory blocks what a warm ``serve()`` returns holds: its answer and document."""
+        serve()
+        collecting = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            held = serve()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        del held
+        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+        stats = after.filter_traces(own).compare_to(before.filter_traces(own), "filename")
+        return sum(stat.count_diff for stat in stats)
+
+    def test_a_kept_adhoc_answer_writes_no_json(self, clock):
+        """A result-view hit, handler to document, joins the text its kept answer
+        holds: no encoder, no row writer, no row dict — what it costs does not
+        grow with its rows."""
+        serves = []
+        for rows in (10, 40):
+            registry = RegistryServer(RegistryConfig(seed=5), clock=clock)
+            _, credential = registry.register_user("owner")
+            serves.append(self.adhoc(registry, registry.login(credential), rows))
+        ten, forty = serves
+        ten(), ten()
+        # a miss, then a hit whose write the answer keeps
+        forty()
+        answer, document = forty()
+        assert type(answer.rows) is serializer.AnswerRows and document.count('"objecttype"') == 40
+        counted = [self.calls(ten), self.calls(forty), self.calls(ten), self.calls(forty)]
+        assert counted[:2] == counted[2:]
+        assert len(counted[0]) == len(counted[1])
+        assert not {"JSONEncoder.encode", "rows_json"} & set(counted[1])
+        assert counted[1].count("text") == 1  # the message's own writer, no row's
+        # the row writer counts: writing the answer runs it once per row
+        assert self.calls(lambda: answer.rows._answer.write(answer.rows._answer.rows)).count(
+            "text"
+        ) == 40
+        assert self.blocks_held(forty) == self.blocks_held(ten)
+
 
 # -- objects the serializer could not have written ---------------------------------
 
