@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.load_status import LoadStatus
 from repro.core.monitor import DEFAULT_PERIOD, TimeHits
 from repro.core.service_constraint import ServiceConstraint
+from repro.obs.telemetry import Export
 from repro.persistence.views import BoundBindings
 from repro.rim import Service, ServiceBinding
 from repro.sim.engine import SimEngine
@@ -67,6 +68,15 @@ class ConstraintBindingResolver:
         self.resolutions = 0
         self.balanced_resolutions = 0
 
+    def stats(self) -> dict[str, int]:
+        """The ``load_status`` telemetry source: LoadStatus rankings and
+        this resolver's resolution counters."""
+        return {
+            **self.load_status.load_status_stats(),
+            "resolutions": self.resolutions,
+            "balanced_resolutions": self.balanced_resolutions,
+        }
+
     def resolve(
         self, service: Service, bindings: Sequence[ServiceBinding]
     ) -> list[ServiceBinding]:
@@ -95,6 +105,38 @@ class ConstraintBindingResolver:
         return satisfying + rest
 
 
+#: the scheme's telemetry sources, each with the keys of its snapshot a scrape carries
+_SCHEME_EXPORTS = {
+    "constraint_cache": (
+        Export("hits", "repro_constraint_cache_hits_total", "Constraint parse-cache hits."),
+        Export("misses", "repro_constraint_cache_misses_total", "Constraint parse-cache misses."),
+    ),
+    "collector": (
+        Export("collections", "repro_monitor_collections_total", "TimeHits monitoring sweeps run."),
+    ),
+    "load_status": (
+        Export("resolutions", "repro_resolver_resolutions_total", "Binding resolutions performed."),
+        Export(
+            "balanced_resolutions",
+            "repro_resolver_balanced_resolutions_total",
+            "Resolutions that applied constraint balancing.",
+        ),
+    ),
+    "transport": (
+        Export(
+            "requests", "repro_transport_requests_total", "Wire attempts through the transport."
+        ),
+        Export("retries", "repro_transport_retries_total", "Retry-stage retries spent."),
+        Export(
+            "per_endpoint_failures",
+            "repro_transport_endpoint_failures_total",
+            "Failed attempts attributed per endpoint URI.",
+            label="endpoint",
+        ),
+    ),
+}
+
+
 @dataclass
 class LoadBalancer:
     """Handle on an attached load-balancing scheme."""
@@ -112,7 +154,7 @@ class LoadBalancer:
         self.monitor.stop()
         telemetry = getattr(registry, "telemetry", None)
         if telemetry is not None:
-            for source in ("constraint_cache", "collector", "load_status", "transport"):
+            for source in _SCHEME_EXPORTS:
                 telemetry.unregister_source(source)
             telemetry.unregister_health_check("node_staleness")
 
@@ -137,36 +179,16 @@ def attach_load_balancer(
     if telemetry is not None:
         # mount the scheme's stats surfaces + trace hooks on the registry's
         # telemetry facade (/metrics and telemetry_snapshot() pick them up)
-        from repro.obs.adapters import (
-            constraint_cache_collector,
-            monitor_collector,
-            resolver_collector,
-            transport_collector,
-        )
-
         load_status.tracer = telemetry.tracer
         load_status.telemetry = telemetry
         transport.tracer = telemetry.tracer
-        telemetry.register_source(
-            "constraint_cache",
-            service_constraint.cache_stats,
-            collector=constraint_cache_collector(service_constraint),
-        )
-        telemetry.register_source(
-            "collector",
-            monitor.collector_stats,
-            collector=monitor_collector(monitor),
-        )
-        telemetry.register_source(
-            "load_status",
-            load_status.load_status_stats,
-            collector=resolver_collector(resolver),
-        )
-        telemetry.register_source(
-            "transport",
-            transport.transport_stats,
-            collector=transport_collector(transport),
-        )
+        for source, snapshot in (
+            ("constraint_cache", service_constraint.cache_stats),
+            ("collector", monitor.collector_stats),
+            ("load_status", resolver.stats),
+            ("transport", transport.transport_stats),
+        ):
+            telemetry.register_source(source, snapshot, exports=_SCHEME_EXPORTS[source])
     if start_monitor:
         monitor.start()
     return LoadBalancer(

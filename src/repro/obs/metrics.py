@@ -19,9 +19,10 @@ workload and directly assertable in tests.
 Two kinds of family meet here.  A request is recorded once, into a *pushed*
 family (:meth:`Histogram.observe`, :meth:`Counter.inc`), and
 ``pipeline_stats()`` is a view of those.  The cold
-counters stay plain ints on their components; adapters
-(:mod:`repro.obs.adapters`) sync them into the registry of one scrape, which
-is why :meth:`Counter.sync` exists alongside :meth:`Counter.inc`.
+counters stay plain ints on their components; each scrape syncs the keys of
+the ``*_stats()`` snapshots its mounted sources export
+(:meth:`repro.obs.telemetry.Telemetry.collect`) into the registry it builds,
+which is why :meth:`Counter.sync` exists alongside :meth:`Counter.inc`.
 
 :func:`parse_exposition` is the strict inverse of :meth:`render` — the
 telemetry smoke tests use it to prove ``/metrics`` output is valid
@@ -185,7 +186,7 @@ class _CounterChild:
             self.value += amount
 
     def sync(self, total: float) -> None:
-        """Mirror an authoritative legacy counter (adapter use only)."""
+        """Set the total a source's snapshot holds (a scrape's exports only)."""
         self.value = float(total)
 
 

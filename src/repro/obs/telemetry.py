@@ -5,8 +5,8 @@ One :class:`Telemetry` instance, ``RegistryServer.telemetry``, owns:
 * a :class:`~repro.obs.metrics.MetricsRegistry` of **pushed** families —
   the request-latency histogram and fault-code counter the kernel's account
   stage records into, a finished request's one record (``pipeline_stats()``
-  is a view of them) — which each scrape overlays with what the
-  **collectors** of the sources mounted then report (:mod:`repro.obs.adapters`);
+  is a view of them) — which each scrape overlays with the **exports** of
+  the sources mounted then: the keys of its own snapshot each one names;
 * a :class:`~repro.obs.trace.Tracer` on the kernel's injectable clock, so
   latencies and span trees agree on what time it is; :meth:`fold_trace`
   folds each traced request's span tree into the per-stage sums
@@ -14,7 +14,7 @@ One :class:`Telemetry` instance, ``RegistryServer.telemetry``, owns:
   trace id as an **exemplar** (:meth:`exemplar_index`);
 * named snapshot **sources**: every ``*_stats()`` surface under a stable
   name, merged by :meth:`snapshot` for ``telemetry_snapshot()`` and
-  ``repro stats``;
+  ``repro stats``, so ``/metrics`` and the snapshot read one dict;
 * the longitudinal layer, off or inactive by default: :attr:`history`
   (time series), :attr:`log` (correlated JSON records), :attr:`slos`
   (burn-rate alerts), and named **health checks** folded with the SLO
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.obs.logging import StructuredLog
 from repro.obs.metrics import MetricsRegistry
@@ -37,7 +37,6 @@ from repro.obs.trace import Span, Tracer
 from repro.util.clock import Clock, PerfClock
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.adapters import Collector
     from repro.registry.kernel import RequestContext
 
 #: how many slow-request entries are retained (oldest evicted first)
@@ -48,6 +47,20 @@ HEALTH_STATUSES = ("ok", "degraded", "unhealthy")
 
 #: SLO alert state → health status contribution
 _SLO_HEALTH = {"ok": "ok", "warning": "degraded", "page": "unhealthy"}
+
+
+class Export(NamedTuple):
+    """One number of a source's snapshot that a scrape carries.
+
+    ``snap[key]`` is written as *family*: a counter when the name ends in
+    ``_total``, else a gauge.  With *label* set, ``snap[key]`` is a
+    ``{label value: number}`` map, one series per entry.
+    """
+
+    key: str
+    family: str
+    help: str
+    label: str | None = None
 
 
 def _worse(a: str, b: str) -> str:
@@ -85,7 +98,7 @@ class Telemetry:
         self.slow_request_threshold = slow_request_threshold
         self.slow_requests: deque[dict[str, Any]] = deque(maxlen=slow_log_capacity)
         self._sources: dict[str, Callable[[], Any]] = {}
-        self._collectors: dict[str, "Collector"] = {}
+        self._exports: dict[str, tuple[Export, ...]] = {}
         self._health_checks: dict[str, Callable[[], Any]] = {}
         #: pushed by the kernel account stage, one observation per request;
         #: the kernel's ``pipeline_stats()`` groups these children.
@@ -122,23 +135,24 @@ class Telemetry:
         name: str,
         snapshot: Callable[[], Any],
         *,
-        collector: "Collector | None" = None,
+        exports: tuple[Export, ...] = (),
     ) -> None:
         """Add (or replace) one named stats surface.
 
         ``snapshot`` is the ``*_stats()`` callable merged verbatim by
-        :meth:`snapshot`; ``collector`` optionally mirrors the same surface
-        into each scrape for as long as the source stays mounted.
+        :meth:`snapshot`; ``exports`` names the keys of that snapshot each
+        scrape carries for as long as the source stays mounted.
         """
         self._sources[name] = snapshot
-        if collector is not None:
-            self._collectors[name] = collector
-        else:
-            self._collectors.pop(name, None)
+        self._exports[name] = tuple(exports)
 
     def unregister_source(self, name: str) -> bool:
-        self._collectors.pop(name, None)
+        self._exports.pop(name, None)
         return self._sources.pop(name, None) is not None
+
+    def exports(self, name: str) -> tuple[Export, ...]:
+        """What a scrape carries of source *name* (empty when unmounted)."""
+        return self._exports.get(name, ())
 
     def sources(self) -> list[str]:
         return sorted(self._sources)
@@ -157,15 +171,26 @@ class Telemetry:
         return merged
 
     def collect(self) -> MetricsRegistry:
-        """The registry of one scrape: the pushed families plus what the
-        collectors mounted now report.
+        """The registry of one scrape: the pushed families plus the exports
+        of the sources mounted now, each read from one ``snapshot()`` call.
 
         Built anew each time, so a source that was unmounted, or a label
         value that left its snapshot, is gone from the next scrape.
         """
         scrape = self.metrics.overlay()
-        for name in sorted(self._collectors):
-            self._collectors[name](scrape)
+        for name, exports in sorted(self._exports.items()):
+            snap = self._sources[name]() if exports else None
+            for export in exports:
+                counter = export.family.endswith("_total")
+                labelnames = (export.label,) if export.label else ()
+                family = (scrape.counter if counter else scrape.gauge)(
+                    export.family, export.help, labelnames
+                )
+                value = snap[export.key]
+                series = value.items() if export.label else [(None, value)]
+                for label_value, number in series:
+                    child = family.labels(**dict(zip(labelnames, [label_value])))
+                    (child.sync if counter else child.set)(number)
         return scrape
 
     def render_prometheus(self) -> str:

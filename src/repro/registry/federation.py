@@ -535,19 +535,3 @@ class RegistryFederation:
         replica.owner = None
         to.lcm.submit_objects(session, [replica])
         return to.store.get_object(replica.id)  # type: ignore[return-value]
-
-    # -- observability ---------------------------------------------------------
-
-    def federation_stats(self) -> dict[str, Any]:
-        """Membership, shard ring, per-member routing, and link watermarks."""
-        return {
-            "name": self.name,
-            "members": sorted(self._members),
-            "shard": self.shard_map.stats(),
-            "route": {
-                home: member.router.stats()
-                for home, member in sorted(self._members.items())
-            },
-            "replication": [link.stats() for link in self._links],
-            "transport": self.transport.transport_stats(),
-        }

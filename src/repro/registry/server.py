@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from repro.events.notifier import SubscriptionManager
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Export, Telemetry
 from repro.persistence.dao import DAORegistry
 from repro.registry.kernel import OperationSpec, RegistryKernel
 from repro.persistence.datastore import DataStore
@@ -42,6 +42,26 @@ _REGISTRY_RESOURCE = MappingProxyType(
 
 #: sessions whose read decision is remembered; the map is emptied when full
 _READ_DECISION_CAPACITY = 1024
+
+#: the keys of ``write_stats()`` a scrape carries
+_WRITE_EXPORTS = (
+    Export(
+        "coalesced_writes",
+        "repro_writes_coalesced_total",
+        "Mutations absorbed by coalescing within a transaction.",
+    ),
+    Export(
+        "changelog_records",
+        "repro_changelog_records_total",
+        "Change records appended to the spine.",
+    ),
+    Export("last_seq", "repro_changelog_last_seq", "Sequence number of the newest record."),
+    Export(
+        "idempotent_duplicates",
+        "repro_idempotent_duplicates_total",
+        "Lifecycle retries replayed from a recorded result.",
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -121,16 +141,17 @@ class RegistryServer:
         monitor, load status, transport) when ``attach_load_balancer``
         runs; protocol-edge tracing of the DAO resolve path hooks in here.
         """
-        from repro.obs.adapters import planner_collector, writes_collector
-
-        # a view of the request families the account stage pushes: no collector
+        # a view of the request families the account stage pushes: no exports
         self.telemetry.register_source("pipeline", self.kernel.pipeline_stats)
         self.telemetry.register_source(
-            "planner", self.qm.query_plan_stats, collector=planner_collector(self.qm)
+            "planner",
+            self.qm.query_plan_stats,
+            exports=tuple(
+                Export(key, f"repro_query_{key}_total", f"Query engine counter {key!r}.")
+                for key in self.qm.query_plan_stats()
+            ),
         )
-        self.telemetry.register_source(
-            "writes", self.write_stats, collector=writes_collector(self)
-        )
+        self.telemetry.register_source("writes", self.write_stats, exports=_WRITE_EXPORTS)
         # span the DAO resolve path when tracing is on (guarded, off-hot-path)
         self.daos.services.tracer = self.telemetry.tracer
 

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any
 
+from repro.obs.telemetry import Export
 from repro.registry.kernel import EdgeProfile, OperationSpec, RequestContext
 from repro.serving.worker import SHUTDOWN, RegistryWorker, WorkItem
 from repro.soap.envelope import SoapFault
@@ -60,6 +61,18 @@ from repro.util.workers import CALLER_WORKER_LABEL
 if TYPE_CHECKING:  # pragma: no cover
     from repro.registry.server import RegistryServer
     from repro.security.authn import Session
+
+#: the keys of ``serving_stats()`` a scrape carries
+_SERVING_EXPORTS = (
+    Export(
+        "queue_depth_high_water",
+        "repro_serving_queue_depth_high_water",
+        "Deepest dispatch queue observed at admission (saturation "
+        "early-warning; the queue-wait histogram is pushed separately).",
+    ),
+    Export("accepted", "repro_serving_accepted_total", "Requests admitted to the queue."),
+    Export("rejected", "repro_serving_rejected_total", "Requests shed at a full queue."),
+)
 
 
 @dataclass(frozen=True)
@@ -187,11 +200,7 @@ class ServingSupervisor:
             authenticate=self._authenticate,
             fault_mapper=SoapFault.from_error,
         )
-        from repro.obs.adapters import serving_collector
-
-        registry.telemetry.register_source(
-            "serving", self.serving_stats, collector=serving_collector(self)
-        )
+        registry.telemetry.register_source("serving", self.serving_stats, exports=_SERVING_EXPORTS)
 
     # -- session plumbing ------------------------------------------------------
 

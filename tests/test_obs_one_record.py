@@ -164,6 +164,38 @@ class TestViewsEqualTheExposition:
         assert "repro_request_cost_seconds" not in text
         assert "repro_request_stage_seconds" not in text
 
+    def test_every_exported_sample_is_its_sources_snapshot_value(self, mounted, transport):
+        home, _supervisor, balancer = mounted
+        # a failed probe, so the per-endpoint family has series to compare
+        transport.set_host_down(host_of_uri(transport.endpoints()[0]))
+        balancer.monitor.collect_once()
+        telemetry = home.telemetry
+        text = telemetry.render_prometheus()
+        parsed = parse_exposition(text)
+        snapshot = telemetry.snapshot()
+        exported = set()
+        for source in telemetry.sources():
+            for export in telemetry.exports(source):
+                value = snapshot[source][export.key]
+                if export.label is None:
+                    expected = {frozenset(): value}
+                else:
+                    assert value, export.family
+                    expected = {
+                        frozenset({(export.label, label_value)}): number
+                        for label_value, number in value.items()
+                    }
+                assert parsed[export.family] == expected, export.family
+                exported.add(export.family)
+        assert {
+            "repro_resolver_resolutions_total",
+            "repro_resolver_balanced_resolutions_total",
+            "repro_transport_endpoint_failures_total",
+        } <= exported
+        # every family of the scrape is pushed or some source's export
+        pushed = {metric.name for metric in telemetry.metrics.metrics()}
+        assert families(text) == pushed | exported
+
     def test_documented_family_table_is_what_metrics_renders(self, mounted):
         home, _supervisor, _balancer = mounted
         section = DOC.read_text(encoding="utf-8").split("## Metric families", 1)[1]

@@ -504,17 +504,3 @@ class TestPipelineVisibility:
         fed.leave(r0)
         assert "route" not in r0.telemetry.sources()
 
-
-class TestFederationStats:
-    def test_federation_stats_surface(self, federation):
-        fed, (r0, r1) = federation
-        fed.link_all()
-        _publish(r0, "OrgZero")
-        fed.pump_replication()
-        stats = fed.federation_stats()
-        assert stats["name"] == "sdsu-fed"
-        assert stats["members"] == sorted([r0.home, r1.home])
-        assert stats["shard"]["members"] == 2
-        assert set(stats["route"]) == {r0.home, r1.home}
-        assert len(stats["replication"]) == 2
-        assert stats["transport"]["requests"] >= 0

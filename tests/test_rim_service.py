@@ -6,6 +6,8 @@ from repro.rim import Service, ServiceBinding, SpecificationLink, host_of_uri
 from repro.util.errors import InvalidRequestError
 from repro.util.ids import IdFactory
 
+from conftest import publish_service_with_bindings
+
 ids = IdFactory(3)
 
 
@@ -82,6 +84,22 @@ class TestServiceBinding:
             access_uri="http://thermo.sdsu.edu:8080/NodeStatus/NodeStatusService",
         )
         assert b.host == "thermo.sdsu.edu"
+
+    @pytest.mark.parametrize("name", ["service", "access_uri", "target_binding"])
+    def test_a_value_neither_text_nor_null_is_refused(self, name):
+        fields = {"service": ids.new_id(), "access_uri": "http://h/x", name: 5}
+        with pytest.raises(InvalidRequestError, match=f"binding {name} must be a string"):
+            ServiceBinding(ids.new_id(), **fields)
+
+    def test_an_ill_typed_uri_faults_and_discovery_still_answers(self, registry, session):
+        _, service = publish_service_with_bindings(registry, session)
+        uris = registry.qm.get_access_uris(service.id)
+        with pytest.raises(InvalidRequestError, match="access_uri"):
+            registry.lcm.submit_objects(
+                session,
+                [ServiceBinding(registry.ids.new_id(), service=service.id, access_uri=5)],
+            )
+        assert registry.qm.get_access_uris(service.id) == uris
 
 
 class TestSpecificationLink:
