@@ -5,9 +5,9 @@ service is discovered, ServiceDAO populates the ServiceBindingDAO results
 through this resolver instead of returning publisher order:
 
 1. **ServiceConstraint** parses/validates constraints from the description
-   (memoized on its text, which no write can make stale) and checks the
-   time-of-day window.  No valid constraints, or the window not
-   satisfied → vanilla behaviour (all bindings, publisher order) —
+   (memoized on its text, which no write can make stale); the time-of-day
+   window is tested on every request.  No valid constraints, or the window
+   not satisfied → vanilla behaviour (all bindings, publisher order) —
    keeping the scheme transparent to unconstrained services.
 2. **LoadStatus** queries the NodeState table for hosts satisfying the
    performance constraints, ranked by ascending load.  NodeState holds the
@@ -17,6 +17,10 @@ through this resolver instead of returning publisher order:
    in ``filter`` mode non-satisfying hosts are dropped entirely, in the
    default ``prefer`` mode they trail the list (the thesis' "hosts that
    currently provide optimal service conditions are given preference").
+
+Steps 2–3 are a pure function of the service's binding join, constraint
+set, NodeState generation and mode: their answer is kept on the join, tagged
+with the last three, so a ranking runs once per service and generation.
 
 ``attach_load_balancer`` wires the whole scheme onto a RegistryServer: it
 installs this resolver on the ServiceDAO and builds the TimeHits collector —
@@ -33,7 +37,7 @@ from repro.core.load_status import LoadStatus
 from repro.core.monitor import DEFAULT_PERIOD, TimeHits
 from repro.core.service_constraint import ServiceConstraint
 from repro.obs.telemetry import Export
-from repro.persistence.views import BoundBindings
+from repro.persistence.views import BoundBindings, Resolved
 from repro.rim import Service, ServiceBinding
 from repro.sim.engine import SimEngine
 from repro.soap.transport import SimTransport
@@ -79,30 +83,37 @@ class ConstraintBindingResolver:
 
     def resolve(
         self, service: Service, bindings: Sequence[ServiceBinding]
-    ) -> list[ServiceBinding]:
+    ) -> Sequence[ServiceBinding]:
         self.resolutions += 1
-        check = self.service_constraint.check(service)
-        if not check.active:
+        constraints = self.service_constraint.constraints_of(service)
+        if constraints is None or not constraints.has_performance_constraints() or (
+            constraints.window is not None
+            and not constraints.window.contains(self.service_constraint.clock.minutes_of_day())
+        ):
             # no valid constraints / time window unsatisfied → vanilla order
             return list(bindings)
-        assert check.constraints is not None
         self.balanced_resolutions += 1
         # the DAO hands over the stored join; any other sequence is joined here
         if not isinstance(bindings, BoundBindings):
             bindings = BoundBindings(bindings)
-        ranked_hosts = self.load_status.rank(bindings.positions, check.constraints)
+        kept, version = bindings.kept, self.load_status.node_state.generation()[0]
+        if kept and kept[:3] == (version, constraints, self.mode):
+            return kept[3]
+        # tagged with the generation the ranking read, never a later one
+        version, ranked_hosts = self.load_status.ranking(bindings.positions, constraints)
         by_host = bindings.by_host
         satisfying = [b for host in ranked_hosts for b in by_host[host]]
         if self.mode is BalanceMode.FILTER:
-            if satisfying:
-                return satisfying
             # per the thesis' "preference" language a fully-overloaded pool
             # still answers — fall back to publisher order rather than
             # rendering the service undiscoverable.
-            return list(bindings)
-        satisfying_ids = {b.id for b in satisfying}
-        rest = [b for b in bindings if b.id not in satisfying_ids]
-        return satisfying + rest
+            answer = Resolved(satisfying or bindings)
+        else:
+            satisfying_ids = {b.id for b in satisfying}
+            answer = Resolved(satisfying + [b for b in bindings if b.id not in satisfying_ids])
+        # one store: a racing fill stores an equal answer, or an older tag (a re-rank)
+        bindings.kept = (version, constraints, self.mode, answer)
+        return answer
 
 
 #: the scheme's telemetry sources, each with the keys of its snapshot a scrape carries

@@ -127,7 +127,8 @@ class BindingResolver(Protocol):
 
     def resolve(
         self, service: Service, bindings: Sequence[ServiceBinding]
-    ) -> list[ServiceBinding]:
+    ) -> Sequence[ServiceBinding]:
+        """The bindings in discovery order, read-only: it may be a kept answer."""
         ...
 
 
@@ -191,13 +192,14 @@ class ServiceDAO(GenericDAO):
     def set_resolver(self, resolver: BindingResolver) -> None:
         self.resolver = resolver
 
-    def resolve_bindings(self, service: Service, *, copy: bool = True) -> list[ServiceBinding]:
+    def resolve_bindings(self, service: Service, *, copy: bool = True) -> Sequence[ServiceBinding]:
         """Bindings for discovery, post-resolver (the registry's answer).
 
         The resolver only reads, so it always runs over stored views; with
         ``copy=True`` (the default, safe for external callers) the *resolved*
         bindings are copied on the way out — per-query copy work is bounded
-        by the answer size, not the partition size.
+        by the answer size, not the partition size.  ``copy=False`` returns
+        the resolver's answer, a read-only sequence of stored views.
         """
         tracer = self.tracer
         if tracer is not None and tracer.enabled:

@@ -55,11 +55,6 @@ class ChangelogView:
         self._applied = self._log.last_seq
         self.resets_applied = 0
 
-    @property
-    def applied_seq(self) -> int:
-        """The changelog watermark this view has applied up to."""
-        return self._applied
-
     def catch_up(self) -> int:
         """Apply every new changelog record; returns the new watermark.
 
@@ -141,8 +136,11 @@ class BoundBindings(tuple):
 
     ``positions`` (host → index of its first binding) is the candidate set
     :meth:`LoadStatus.rank` takes, ``by_host`` the way back from ranked
-    hosts to bindings.  Read-only by contract.
+    hosts to bindings, ``kept`` the balanced answer last resolved from it:
+    ``(NodeState version, constraint set, mode, Resolved)``.  Read-only by contract.
     """
+
+    kept: tuple | None = None
 
     def __new__(cls, bindings: Iterable) -> "BoundBindings":
         self = super().__new__(cls, bindings)
@@ -154,6 +152,13 @@ class BoundBindings(tuple):
             elif host is not None:
                 positions[host], by_host[host] = index, [binding]
         return self
+
+
+class Resolved(tuple):
+    """A kept discovery answer, and ``texts``: once a wire answer carried it,
+    each binding's text, the very strings the QueryManager's text view holds."""
+
+    texts: tuple[str, ...] | None = None
 
 
 #: the most survivors a kept entry holds, and the most rows of a finished

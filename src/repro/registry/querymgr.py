@@ -19,10 +19,10 @@ per §1.3.2.4, subject to content visibility only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.persistence.dao import DAORegistry
-from repro.persistence.views import Answer, ObjectView
+from repro.persistence.views import Answer, ObjectView, Resolved
 from repro.query import QueryEngine, parse_filter_query
 from repro.rim import (
     QUERY_LANGUAGE_FILTER,
@@ -100,40 +100,6 @@ class QueryManager:
             rows=window, start_index=start_index, total_result_count=total
         )
 
-    def explain_adhoc_query(
-        self, query: str, *, query_language: str = QUERY_LANGUAGE_SQL
-    ) -> dict[str, Any]:
-        """The plan an AdhocQueryRequest would run (access path, residual).
-
-        Diagnostic twin of :meth:`execute_adhoc_query`: same language
-        dispatch, but returns the planner's explanation instead of rows.
-        ``access_path`` names how candidate objects are found:
-
-        * ``id-eq`` / ``id-in`` — ``id = 'x'`` / ``id IN (…)`` against the
-          type partition;
-        * ``name-eq`` / ``name-in`` — bisections of the ``(name, id)`` pairs
-          (a wildcard-less ``LIKE`` is a ``name-eq``);
-        * ``name-prefix`` — ``name LIKE 'p%'``, a range of the pairs;
-        * ``name-like`` — any other non-negated ``name LIKE``: the pattern
-          runs over the distinct names from its literal prefix on;
-        * ``name-range`` — non-negated ``name BETWEEN 'a' AND 'b'`` (string
-          bounds), a range of the pairs;
-        * ``id-in-subquery`` — ``id IN (SELECT …)`` against the materialized
-          value set;
-        * ``scan`` — every object of the table (always, for relational
-          tables).
-
-        ``residual_conjuncts`` counts the conditions evaluated on the
-        candidates afterwards; ``probe_values`` are the probe's arguments.
-        """
-        if query_language == QUERY_LANGUAGE_SQL:
-            parsed: Any = query
-        elif query_language == QUERY_LANGUAGE_FILTER:
-            parsed = parse_filter_query(query)
-        else:
-            raise InvalidRequestError(f"unknown query language: {query_language!r}")
-        return self.engine.explain(parsed)
-
     def query_plan_stats(self) -> dict[str, int]:
         """Planner counters: plan cache hits, subquery materializations, rows."""
         return dict(self.engine.stats)
@@ -193,7 +159,9 @@ class QueryManager:
 
     # -- service discovery (the load-balanced path) --------------------------------------
 
-    def get_service_bindings(self, service_id: str, *, copy: bool = True) -> list[ServiceBinding]:
+    def get_service_bindings(
+        self, service_id: str, *, copy: bool = True
+    ) -> Sequence[ServiceBinding]:
         """Bindings for a service, post binding-resolver.
 
         With the default resolver this returns all bindings in publisher
@@ -243,17 +211,21 @@ class QueryManager:
         store, view = self.daos.store, self._texts
 
         def stored_answer(versions):
-            """An answer of stored versions and their texts: a version's text is
-            written once, filed under the view's fill protocol, and joined after."""
-            as_of = view.catch_up()
-            texts = []
-            for version in versions:
-                entry = view.get(version.id)
-                if entry is None or entry[0] is not version:
-                    entry = (version, object_json(serialize(version)))
-                    if store.get_view(version.id) is version:
-                        view.put(version.id, *entry, as_of=as_of)
-                texts.append(entry[1])
+            """An answer of stored versions and their texts: a version's text is written once,
+            filed under the view's fill protocol and joined after; a kept answer keeps its texts."""
+            texts = versions.texts if type(versions) is Resolved else None
+            if texts is None:
+                as_of = view.catch_up()
+                texts = []
+                for version in versions:
+                    entry = view.get(version.id)
+                    if entry is None or entry[0] is not version:
+                        entry = (version, object_json(serialize(version)))
+                        if store.get_view(version.id) is version:
+                            view.put(version.id, *entry, as_of=as_of)
+                    texts.append(entry[1])
+                if type(versions) is Resolved:
+                    versions.texts = texts = tuple(texts)  # one store: racing fills are equal
             return RegistryResponse(objects=StoredObjects(versions, texts))
 
         def execute_query(ctx):

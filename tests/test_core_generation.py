@@ -92,7 +92,8 @@ def reference_resolve(store, constraints, bindings, mode):
 
 HOSTS = [f"h{n}" for n in range(6)]
 #: every operator of the language, both spellings of greater-than, ties on the
-#: threshold (``eq`` and the ``ls``/``leq`` pair differ exactly there)
+#: threshold (``eq``, the ``ls``/``leq`` and the ``gt``/``geq`` pairs differ
+#: exactly there)
 BLOCKS = [
     "<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>",
     "<constraint><cpuLoad>load leq 1.0</cpuLoad></constraint>",
@@ -101,6 +102,7 @@ BLOCKS = [
     "<constraint><cpuLoad>load gt 0.5</cpuLoad><memory>memory geq 2GB</memory></constraint>",
     "<constraint><cpuLoad>load ls 2.0</cpuLoad><memory>memory gr 1GB</memory>"
     "<swapmemory>swapmemory gr 5MB</swapmemory></constraint>",
+    "<constraint><cpuLoad>load geq 1.0</cpuLoad></constraint>",
 ]
 LOADS = [0.0, 0.5, 1.0, 1.0, 1.5, 3.0]
 MEMORY = [GB, 2 * GB, 4 * GB]
@@ -135,6 +137,7 @@ SERVICES = [
             ["h2"],
             ["h1", "h0", "h1", "h2", "h0"],
             ["h4", "h2", "h0", "h2"],
+            ["h3", "h2", "h5", "h1"],
         ],
     )
 ]
@@ -212,7 +215,7 @@ class GenerationMachine(RuleBasedStateMachine):
             )
             for mode, resolver in self.resolvers.items():
                 resolved = reference_resolve(store, constraints, bindings, mode)
-                assert resolver.resolve(service, bindings) == resolved
+                assert list(resolver.resolve(service, bindings)) == resolved
                 # the in-process URI list is the wire's binding answer, projected
                 qm = self.qms[mode]
                 answer = qm.get_service_bindings(service.id, copy=False)
@@ -380,7 +383,9 @@ class TestAnswersAreBounded:
         for n in range(10 * cap):
             block = f"<constraint><cpuLoad>load ls {n + 1}.5</cpuLoad></constraint>"
             assert load_status.satisfying(parse_constraints(block)).keys() == set(HOSTS)
-            assert len(load_status._memo[1]) <= cap
+            # the whole memo: the answers, and one load order of the generation
+            _version, answers, order = load_status._memo
+            assert len(answers) <= cap and len(order) == len(HOSTS)
 
     def test_answers_go_with_the_generation(self, world):
         node_state, load_status = world
@@ -391,4 +396,6 @@ class TestAnswersAreBounded:
         node_state.record_sample(sample("h1", 0.2, 1000.0))
         assert load_status.satisfying(constraints) == {"h0": 0.5, "h1": 0.2}
         assert first == {"h0": 0.5}  # published answers are never edited
-        assert len(load_status._memo[1]) == 1
+        # the answers and the load order went with the generation before
+        _version, answers, order = load_status._memo
+        assert len(answers) == 1 and [s.host for s in order] == ["h1", "h0"]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core import (
+    BalanceMode,
     ConstraintBindingResolver,
     LoadStatus,
     ServiceConstraint,
@@ -40,7 +41,7 @@ from repro.soap import (
     envelope_to_xml,
     serialize,
 )
-from repro.soap.serializer import object_json
+from repro.soap.serializer import StoredObjects, object_json
 from repro.util.clock import ManualClock
 from repro.util.ids import IdFactory
 
@@ -766,7 +767,17 @@ DESCRIPTIONS = [
     "<constraint><cpuLoad>load gr 1.0</cpuLoad></constraint>",
     "no constraints here",
     "<constraint><cpuLoad>load ls",
+    # the machine's clock starts at 11:00, on this window's first minute
+    "<constraint><cpuLoad>load ls 1.0</cpuLoad>"
+    "<starttime>1100</starttime><endtime>1130</endtime></constraint>",
+    # every bisection of the load order: ls, gr above; leq, geq, eq; none
+    "<constraint><cpuLoad>load leq 1.0</cpuLoad><memory>memory gr 512MB</memory></constraint>",
+    "<constraint><cpuLoad>load geq 5.0</cpuLoad></constraint>",
+    "<constraint><cpuLoad>load eq 0.5</cpuLoad></constraint>",
+    "<constraint><memory>memory gr 512MB</memory></constraint>",
 ]
+#: sample loads: a sweep of three hosts draws a tie often
+LOADS = [0.5, 1.0, 5.0]
 #: the first ids the machine hands out, whatever it builds with them
 FIRST_IDS = IdFactory(99).new_ids(3)
 PARITY_QUERIES = [
@@ -1041,13 +1052,41 @@ class FreshnessMachine(RuleBasedStateMachine):
         self._sample(host, load)
 
     def _sample(self, host, load):
-        self.registry.node_state.record_sample(
-            NodeSample(
-                host=host,
-                load=load,
-                memory=1 << 30,
-                swap_memory=1 << 30,
-                updated=self.registry.clock.now(),
+        self.registry.node_state.record_sample(self._reading(host, load))
+
+    def _reading(self, host, load, memory=1 << 30):
+        return NodeSample(
+            host=host,
+            load=load,
+            memory=memory,
+            swap_memory=1 << 30,
+            updated=self.registry.clock.now(),
+        )
+
+    @rule(
+        reached=st.lists(st.sampled_from(HOST_NAMES), unique=True),
+        loads=st.lists(st.sampled_from(LOADS), min_size=3, max_size=3),
+        memories=st.lists(st.sampled_from([1 << 20, 1 << 30]), min_size=3, max_size=3),
+    )
+    def record_sweep(self, reached, loads, memories):
+        """A whole map: the hosts it left out are gone, and loads often tie."""
+        self.registry.node_state.record_sweep(
+            map(self._reading, reached, loads, memories)
+        )
+
+    @rule(minutes=st.sampled_from([20, 24 * 60 - 20]))
+    def move_clock(self, minutes):
+        """20 minutes on or back: in and out across the 11:00–11:30 window's edges."""
+        self.registry.clock.advance(minutes * 60.0)
+
+    @rule()
+    def swap_resolver_mode(self):
+        """A resolver of the other mode, over the joins the first one kept on."""
+        services = self.registry.daos.services
+        modes = {BalanceMode.PREFER: BalanceMode.FILTER, BalanceMode.FILTER: BalanceMode.PREFER}
+        services.set_resolver(
+            ConstraintBindingResolver(
+                self.lb.service_constraint, self.lb.load_status, mode=modes[services.resolver.mode]
             )
         )
 
@@ -1079,10 +1118,7 @@ class FreshnessMachine(RuleBasedStateMachine):
     def _recomputed_reads(self, service_ids):
         """The same answers from the live heap and NodeState, nothing cached."""
         store = self.store
-        clock = self.registry.clock
-        resolver = ConstraintBindingResolver(
-            ServiceConstraint(clock), LoadStatus(store.node_state)
-        )
+        resolver = self._fresh_resolver()
 
         def bindings_of(service):
             found = (store.get_view(bid) for bid in service.binding_ids)
@@ -1117,6 +1153,14 @@ class FreshnessMachine(RuleBasedStateMachine):
             "constraints": constraints,
         }
 
+    def _fresh_resolver(self):
+        """A resolver of the installed one's mode, with empty memos, on the registry's clock."""
+        return ConstraintBindingResolver(
+            ServiceConstraint(self.registry.clock),
+            LoadStatus(self.store.node_state),
+            mode=self.registry.daos.services.resolver.mode,
+        )
+
     @invariant()
     def cached_reads_equal_uncached_recompute(self):
         cached = self._cached_reads(self.service_ids)
@@ -1145,6 +1189,26 @@ class FreshnessMachine(RuleBasedStateMachine):
             assert service is not None
             assert binding_ids == vars(service).get("binding_ids", [])
             assert all(self.store.get_view(binding.id) is binding for binding in bound)
+            # every kept answer whose tags hold now is a fresh resolve's, and
+            # so is the text it keeps (the reads above kept one per service)
+            if bound.kept is None:
+                continue
+            version, constraints, mode, answer = bound.kept
+            resolver = self._fresh_resolver()
+            if (version, constraints, mode) != (
+                self.store.node_state.generation()[0],
+                parse_constraints(service.description.value),
+                resolver.mode,
+            ):
+                continue
+            fresh = resolver.resolve(service, list(bound))
+            if not resolver.balanced_resolutions:
+                continue  # out of its time window: kept until the window opens
+            assert list(answer) == list(fresh)
+            assert answer.texts is not None
+            assert document(RegistryResponse(objects=StoredObjects(answer, answer.texts))) == (
+                document(RegistryResponse(objects=[serialize(b) for b in fresh]))
+            )
 
 
 FreshnessMachine.TestCase.settings = settings(

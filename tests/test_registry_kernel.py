@@ -408,13 +408,16 @@ class TestResolveBudget:
 
     Guards against per-binding work coming back onto the request path — a
     sample fetch, staleness check or constraint check per binding per
-    request read about 1 300 events for this service at 64 hosts.
+    request read about 1 300 events for this service at 64 hosts.  Between
+    two sweeps a resolve reads the answer kept on the service's join: it
+    read 39 events when it still ranked, and 19 once kept.
     """
 
-    #: call + c_call events of one warm ``resolve_bindings(view, copy=False)``
-    WARM_EVENTS = 150
-    #: the same call right after a sweep: one generation map and one
-    #: constraint evaluation over every monitored host
+    #: call + c_call events of one warm ``resolve_bindings(view, copy=False)``:
+    #: the join, the constraint parse, the window and the kept answer's tags
+    WARM_EVENTS = 24
+    #: the same call right after a sweep: one sort of the monitored hosts by
+    #: load and one constraint evaluation over the range the cpuLoad clause cuts
     FIRST_AFTER_SWEEP_EVENTS = 700
     ANSWER = 9
     DESCRIPTION = (
@@ -422,8 +425,9 @@ class TestResolveBudget:
         "<swapmemory>swapmemory gr 5MB</swapmemory></constraint>"
     )
 
-    def rig(self, n_hosts):
-        """(resolve, sweep) over a registry with *n_hosts* monitored hosts."""
+    def rig(self, n_hosts, answer=ANSWER):
+        """(resolve, sweep) over a registry with *n_hosts* monitored hosts, the
+        first *answer* of them satisfying."""
         from repro.core import attach_load_balancer
         from repro.core.balancer import BalanceMode
         from repro.persistence.nodestate import NodeSample
@@ -452,15 +456,15 @@ class TestResolveBudget:
         )
 
         def sweep():
-            """The first ANSWER hosts satisfy; the rest fail a clause each, in turn."""
+            """The first *answer* hosts satisfy; the rest fail a clause each, in turn."""
             clock.advance(25.0)
             samples = []
             for n, host in enumerate(hosts):
-                failing = None if n < self.ANSWER else n % 3
+                failing = None if n < answer else n % 3
                 samples.append(
                     NodeSample(
                         host=host,
-                        load=5.0 if failing == 0 else 0.01 * ((n * 7) % self.ANSWER),
+                        load=5.0 if failing == 0 else 0.01 * ((n * 7) % answer),
                         memory=(1 << 20) if failing == 1 else (4 << 30),
                         swap_memory=(1 << 10) if failing == 2 else (1 << 30),
                         updated=clock.now(),
@@ -487,6 +491,10 @@ class TestResolveBudget:
         resolve_128, _sweep = self.rig(128)
         assert [b.host for b in resolve_128()] == answer
         assert TestCallBudget.call_events(resolve_128) <= first + 10
+        # ... and a kept answer of a third of the hosts costs exactly as much
+        resolve_3, _sweep = self.rig(64, answer=3)
+        assert len(resolve_3()) == 3
+        assert TestCallBudget.call_events(resolve_3) == first
 
     def test_first_resolve_after_a_sweep_is_one_pass_over_the_monitored_hosts(self):
         resolve, sweep = self.rig(64)

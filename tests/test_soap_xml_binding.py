@@ -1007,16 +1007,17 @@ class TestEncodeBudget:
         # the counter counts: this is what the writer used to do per envelope
         assert "JSONEncoder.__init__" in self.calls(lambda: json.dumps({}, sort_keys=True))
 
-    #: call + c_call events one more binding adds to a warm discovery, handler to
-    #: document, once its text is on file: a view lookup, an append — and no dict.
-    #: ``EVENTS_PER_BINDING`` is what a plain dict costs the writer, after the
-    #: ``serialize`` call and converters that built it.
+    #: call + c_call events one more binding adds to the first discovery of a
+    #: generation, handler to document, once its text is on file: a view lookup,
+    #: an append — and no dict.  ``EVENTS_PER_BINDING`` is what a plain dict
+    #: costs the writer, after the ``serialize`` call and converters that built it.
     EVENTS_PER_STORED_BINDING = 4
 
     @staticmethod
     def discovery(answer: int, hosts: int = 64):
         """``edge.handle`` + ``envelope_to_xml`` of a FILTER service bound on *hosts*
-        monitored hosts, the first *answer* of them satisfying."""
+        monitored hosts, the first *answer* of them satisfying, and a sweep that
+        records the same samples as a new NodeState generation."""
         from repro.core.balancer import BalanceMode
         from repro.sim import SimEngine
         from repro.soap import SimTransport
@@ -1036,7 +1037,7 @@ class TestEncodeBudget:
             mode=BalanceMode.FILTER,
             start_monitor=False,
         )
-        registry.node_state.record_sweep(
+        samples = [
             NodeSample(
                 host=host,
                 load=0.01 * n if n < answer else 5.0,
@@ -1045,19 +1046,38 @@ class TestEncodeBudget:
                 updated=clock.now(),
             )
             for n, host in enumerate(names)
-        )
+        ]
+        registry.node_state.record_sweep(samples)
         edge = SoapRegistryBinding(registry)
         request = SoapEnvelope(body=GetServiceBindingsRequest(service_id=service.id))
-        return lambda: envelope_to_xml(SoapEnvelope(body=edge.handle(request)))
+
+        def serve():
+            return envelope_to_xml(SoapEnvelope(body=edge.handle(request)))
+
+        def swept_serve():
+            registry.node_state.record_sweep(samples)
+            return serve()
+
+        return serve, swept_serve
 
     def test_a_stored_answer_costs_a_lookup_per_binding_and_enters_no_encoder(self):
-        three, six = self.discovery(3), self.discovery(6)
+        """A generation's first answer looks each binding's text up once; the
+        kept answer serves that text again with no per-binding work at all."""
+        (three, swept_three), (six, swept_six) = self.discovery(3), self.discovery(6)
         assert six().count("accessUri") == 6 and "host005.bench" in six()
-        counted = [self.calls(three), self.calls(six), self.calls(three), self.calls(six)]
-        assert counted[:2] == counted[2:]
-        added = len(counted[1]) - len(counted[0])
-        assert 0 < added <= 3 * self.EVENTS_PER_STORED_BINDING
-        assert not {"JSONEncoder.encode", "serialize", "write"} & set(counted[1])
+
+        def added(serve_three, serve_six) -> int:
+            """Events three more bindings add, after checking they repeat."""
+            counted = [
+                self.calls(serve_three), self.calls(serve_six),
+                self.calls(serve_three), self.calls(serve_six),
+            ]
+            assert counted[:2] == counted[2:]
+            assert not {"JSONEncoder.encode", "serialize", "write"} & set(counted[1])
+            return len(counted[1]) - len(counted[0])
+
+        assert 0 < added(swept_three, swept_six) <= 3 * self.EVENTS_PER_STORED_BINDING
+        assert added(three, six) == 0
 
     @staticmethod
     def adhoc(registry, session, rows: int):
