@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.persistence.dao import DAORegistry
@@ -89,8 +90,12 @@ class LifeCycleManager:
         self._idempotency_lock = threading.Lock()
         self.idempotent_duplicates = 0
         from repro.registry.versioning import VersionHistory
+        from repro.soap.serializer import admit
 
         self.versions = VersionHistory()
+        #: the store's door, which each object a submit or update stores passes:
+        #: the reader's checks (bound here: no module-level import of repro.soap)
+        self._admit = admit
 
     # -- event bus ----------------------------------------------------------
 
@@ -233,6 +238,7 @@ class LifeCycleManager:
                 obj.owner = obj.owner or session.user_id
                 obj.home = obj.home or self.home
                 self._authorize(session, "create", obj)
+                self._admit(obj)
                 self.daos.dao_for(obj).insert(obj)
                 self._post_insert(session, obj)
                 self._audit(session, EventType.CREATED, obj.id)
@@ -315,12 +321,23 @@ class LifeCycleManager:
         with self._write_scope():
             updated: list[str] = []
             for obj in objects:
+                # before the lookup, which goes by the id the door checks; what
+                # the lines below set comes from the stored version, checked
+                self._admit(obj)
                 # the stored instance itself: the save below replaces it (never
                 # mutates it), so history retains it without a private copy
                 current = self.daos.store.get_view(obj.id)
                 if current is None:
                     raise ObjectNotFoundError(obj.id)
                 self._authorize(session, "update", current)
+                moved = getattr(obj, "service", None)
+                if isinstance(current, ServiceBinding) and moved != current.service:
+                    # discovery files a binding under its service: relocation
+                    # is remove plus submit
+                    raise InvalidRequestError(
+                        f"update cannot change binding {obj.id}'s service "
+                        f"{current.service!r} to {moved!r}"
+                    )
                 self.versions.retain(current, at=self.clock.now())
                 obj.owner = current.owner
                 obj.status = current.status
@@ -558,80 +575,36 @@ class LifeCycleManager:
             # the validator saw a list; a malformed element faults here
             return [deserialize(data) for data in ctx.body.objects]
 
-        def submit(ctx):
-            return RegistryResponse(
-                ids=self.submit_objects(
-                    ctx.session, received_objects(ctx), idempotency_key=request_key(ctx)
-                )
-            )
-
-        def update(ctx):
-            return RegistryResponse(
-                ids=self.update_objects(
-                    ctx.session, received_objects(ctx), idempotency_key=request_key(ctx)
-                )
-            )
-
-        def approve(ctx):
-            return RegistryResponse(
-                ids=self.approve_objects(
-                    ctx.session, ctx.body.ids, idempotency_key=request_key(ctx)
-                )
-            )
-
-        def deprecate(ctx):
-            return RegistryResponse(
-                ids=self.deprecate_objects(
-                    ctx.session, ctx.body.ids, idempotency_key=request_key(ctx)
-                )
-            )
-
-        def undeprecate(ctx):
-            return RegistryResponse(
-                ids=self.undeprecate_objects(
-                    ctx.session, ctx.body.ids, idempotency_key=request_key(ctx)
-                )
-            )
-
-        def remove(ctx):
-            return RegistryResponse(
-                ids=self.remove_objects(
-                    ctx.session, ctx.body.ids, idempotency_key=request_key(ctx)
-                )
+        def answering_ids(write, read=attrgetter("body.ids")):
+            # a write verb whose answer is the ids it wrote
+            return lambda ctx: RegistryResponse(
+                ids=write(ctx.session, read(ctx), idempotency_key=request_key(ctx))
             )
 
         def add_slots(ctx):
-            slots = [
-                Slot(name=s["name"], values=s["values"], slot_type=s.get("slotType"))
-                for s in ctx.body.slots
-            ]
-            self.add_slots(
-                ctx.session,
-                ctx.body.object_id,
-                slots,
-                idempotency_key=request_key(ctx),
-            )
+            slots = [Slot(s["name"], s["values"], s.get("slotType")) for s in ctx.body.slots]
+            self.add_slots(ctx.session, ctx.body.object_id, slots, idempotency_key=request_key(ctx))
             return RegistryResponse(ids=[ctx.body.object_id])
 
         def remove_slots(ctx):
             self.remove_slots(
-                ctx.session,
-                ctx.body.object_id,
-                ctx.body.names,
-                idempotency_key=request_key(ctx),
+                ctx.session, ctx.body.object_id, ctx.body.names, idempotency_key=request_key(ctx)
             )
             return RegistryResponse(ids=[ctx.body.object_id])
 
-        for name, request_type, handler in (
-            ("submitObjects", messages.SubmitObjectsRequest, submit),
-            ("updateObjects", messages.UpdateObjectsRequest, update),
-            ("approveObjects", messages.ApproveObjectsRequest, approve),
-            ("deprecateObjects", messages.DeprecateObjectsRequest, deprecate),
-            ("undeprecateObjects", messages.UndeprecateObjectsRequest, undeprecate),
-            ("removeObjects", messages.RemoveObjectsRequest, remove),
-            ("addSlots", messages.AddSlotsRequest, add_slots),
-            ("removeSlots", messages.RemoveSlotsRequest, remove_slots),
+        # each operation's request message is named after it: submitObjects's is
+        # SubmitObjectsRequest
+        for name, handler in (
+            ("submitObjects", answering_ids(self.submit_objects, received_objects)),
+            ("updateObjects", answering_ids(self.update_objects, received_objects)),
+            ("approveObjects", answering_ids(self.approve_objects)),
+            ("deprecateObjects", answering_ids(self.deprecate_objects)),
+            ("undeprecateObjects", answering_ids(self.undeprecate_objects)),
+            ("removeObjects", answering_ids(self.remove_objects)),
+            ("addSlots", add_slots),
+            ("removeSlots", remove_slots),
         ):
+            request_type = getattr(messages, f"{name[0].upper()}{name[1:]}Request")
             kernel.register_operation(
                 OperationSpec(
                     name=name,

@@ -23,7 +23,9 @@ subclass's own lists, see :class:`OnFirstRead`) are made on their first read
 and kept from then on, so an object that never has a slot never pays for a
 slot map; code that must only read a stored object looks in ``vars(obj)``
 instead.  Each class checks its own attributes in ``_check``, which its
-``__init__`` ends by calling by class name, and the wire's reader calls too.
+``__init__`` ends by calling by class name.  The wire's reader and the store's
+door (``serializer.admit``, run on each object a submit or update stores) call
+the whole chain, and test the text attributes, which no constructor does.
 """
 
 from __future__ import annotations

@@ -68,15 +68,6 @@ class ServiceBinding(RegistryObject):
         **kwargs,
     ) -> None:
         super().__init__(id, **kwargs)
-        # discovery splits the access URI and joins on the ids, so each is
-        # text or null; the wire reader tests that as it reads (``_text``)
-        for name, value in (
-            ("service", service),
-            ("access_uri", access_uri),
-            ("target_binding", target_binding),
-        ):
-            if value is not None and not isinstance(value, str):
-                raise InvalidRequestError(f"service binding {name} must be a string: {value!r}")
         self.service = service
         self.access_uri = access_uri
         self.target_binding = target_binding

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.errors import InvalidRequestError
+from repro.util.errors import InvalidRequestError, MalformedValueError
 
 
 @dataclass
@@ -21,9 +21,20 @@ class Slot:
     slot_type: str | None = None
 
     def __post_init__(self) -> None:
+        # the one test of a slot's parts: in process and on the wire's reader
+        values, slot_type = self.values, self.slot_type
+        if not (
+            isinstance(self.name, str)
+            and isinstance(values, list)
+            and all(isinstance(value, str) for value in values)
+            and (slot_type is None or isinstance(slot_type, str))
+        ):
+            raise MalformedValueError(
+                f"{self!r} is not a slot: a name, a list of strings and a type or null"
+            )
         if not self.name:
             raise InvalidRequestError("slot name must be non-empty")
-        self.values = list(self.values)
+        self.values = values[:]
 
     @property
     def value(self) -> str | None:
@@ -31,7 +42,7 @@ class Slot:
         return self.values[0] if self.values else None
 
     def copy(self) -> "Slot":
-        return Slot(name=self.name, values=list(self.values), slot_type=self.slot_type)
+        return Slot(self.name, self.values, self.slot_type)
 
 
 class SlotMap:

@@ -16,7 +16,8 @@ the wire writes it.
 
 A field with no converter holds text unless its default is a bool or a number:
 a string or null (the model's checks refuse a null it cannot hold); any other
-value is malformed.
+value is malformed.  The store's door, :func:`admit`, tests an object made in
+process by the same rule and the same ``_check`` chain as the reader.
 
 One representation rule: a key at its default is not written.  A field's
 ``default`` is the wire value a freshly constructed object holds — ``lid`` holds
@@ -69,7 +70,7 @@ from repro.rim import (
     VersionInfo,
 )
 from repro.rim.status import ObjectStatus
-from repro.util.errors import InvalidRequestError
+from repro.util.errors import InvalidRequestError, MalformedValueError
 
 SerializedObject = dict[str, Any]
 
@@ -79,8 +80,8 @@ _REQUIRED = object()
 #: the default of ``lid``: the object's own id
 _OWN_ID = object()
 #: what reading a dict this module did not write raises, short of the model's
-#: own refusals (``RegistryError``, which pass through)
-_MALFORMED = (LookupError, TypeError, ValueError, AttributeError)
+#: own refusals (``RegistryError``, which pass through) other than a value's type
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, MalformedValueError)
 _tuple = tuple.__new__
 
 
@@ -172,10 +173,8 @@ def _slots(slots: SlotMap) -> list[dict[str, Any]]:
 def _slots_back(data: list[dict[str, Any]]) -> SlotMap:
     out = SlotMap()
     for slot in data:
-        name, slot_type = slot["name"], slot["slotType"]
-        if not (isinstance(name, str) and (slot_type is None or isinstance(slot_type, str))):
-            raise TypeError(f"{slot!r} is not a slot")
-        out.add(Slot(name, _strings(slot["values"]), slot_type))
+        # the slot tests its own parts; what it refuses is malformed here
+        out.add(Slot(slot["name"], slot["values"], slot["slotType"]))
     return out
 
 
@@ -487,8 +486,9 @@ class _Codec:
     it built holds them, one per container present and each class's ``_check``,
     with the converters bound by position and a text field's string test in
     place; and :func:`json_writer`'s f-string for a written dict's JSON text.
-    A container the object never made (:attr:`RegistryObject.LAZY`) is at its
-    default: the writer skips it unread.
+    The check chain and text attributes are also :func:`admit`'s.  A container
+    the object never made (:attr:`RegistryObject.LAZY`) is at its default: the
+    writer skips it unread.
     """
 
     def __init__(self, cls: type[RegistryObject]) -> None:
@@ -503,6 +503,13 @@ class _Codec:
             {field.wire for field in fields if field.default is not _REQUIRED},
             _type=f'"{cls.__name__}"',
         )
+        # every class's own checks, base first, and the text attributes: what the
+        # reader tests as it fills an object, and :func:`admit` tests of one made
+        self.checks = tuple(
+            vars(base)["_check"] for base in cls.__mro__[::-1] if "_check" in vars(base)
+        )
+        self.texts = tuple(field.attr for field in fields if field.decode is _text)
+        self.text_values = attrgetter(*self.texts)
         # the prototype: the order the constructor stores attributes in, and their defaults
         made = cls(**{f.attr: f.example for f in fields if f.example is not _REQUIRED})
         scope: dict[str, Any] = {"new": cls.__new__, "cls": cls}
@@ -546,8 +553,8 @@ class _Codec:
                 scope[f"make_{attr}"] = type(held)
                 value = f"make_{attr}({', '.join(value)})"
             reads.append(f"    obj.{attr} = {value}\n")
-        for n, base in enumerate(base for base in cls.__mro__[::-1] if "_check" in vars(base)):
-            scope[f"check{n}"] = vars(base)["_check"]
+        for n, check in enumerate(self.checks):
+            scope[f"check{n}"] = check
             tail.append(f"    check{n}(obj)\n")
         exec(
             f"def write(obj):\n    held = obj.__dict__\n    x = {{{', '.join(display)}}}\n"
@@ -577,13 +584,31 @@ _BY_CLASS = {cls: _BY_NAME[cls.__name__] for cls in _TYPE_FIELDS}
 _BY_CLASS[RegistryObject] = _Codec(RegistryObject)
 
 
-def serialize(obj: RegistryObject) -> SerializedObject:
-    """Flatten one RIM object to a transport dict: its keys not at their default."""
+def _codec_of(obj: RegistryObject) -> _Codec:
     codec = _BY_CLASS.get(type(obj))
     if codec is None:
         # an unlisted subclass travels as its nearest listed ancestor
         codec = next(_BY_CLASS[base] for base in type(obj).__mro__ if base in _BY_CLASS)
-    return codec.write(obj)
+    return codec
+
+
+def serialize(obj: RegistryObject) -> SerializedObject:
+    """Flatten one RIM object to a transport dict: its keys not at their default."""
+    return _codec_of(obj).write(obj)
+
+
+def admit(obj: RegistryObject) -> None:
+    """The store's door, which a submit or update passes each object it stores
+    through: refuse what the reader would have refused, a text attribute that holds
+    neither a string nor null (naming it) or a class's own check."""
+    codec = _codec_of(obj)
+    for attr, value in zip(codec.texts, codec.text_values(obj)):
+        if value is not None and type(value) is not str:
+            raise MalformedValueError(
+                f"{type(obj).__name__} {attr} must be a string or null: {value!r}"
+            )
+    for check in codec.checks:
+        check(obj)
 
 
 def object_json(data: Any) -> str:

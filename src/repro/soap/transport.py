@@ -181,17 +181,6 @@ class SimTransport:
 
     # -- stats accessors ---------------------------------------------------------
 
-    def endpoint_stats(self, uri: str) -> dict[str, int | float]:
-        """Attempt/failure/retry accounting for one endpoint URI."""
-        return {
-            "requests": self.stats.per_endpoint.get(uri, 0),
-            "failures": self.stats.per_endpoint_failures.get(uri, 0),
-            "retries": self.stats.per_endpoint_retries.get(uri, 0),
-            "backoff_s": self.stats.per_endpoint_backoff.get(uri, 0.0),
-            "recovered_after_retry": self.stats.per_endpoint_recovered.get(uri, 0),
-            "exhausted_retries": self.stats.per_endpoint_exhausted.get(uri, 0),
-        }
-
     def transport_stats(self) -> dict[str, Any]:
         """The full accounting snapshot (the telemetry surface)."""
         snap = self.stats.snapshot()

@@ -80,6 +80,13 @@ class InvalidRequestError(RegistryError):
     code = "urn:repro:error:InvalidRequest"
 
 
+class MalformedValueError(InvalidRequestError):
+    """Raised for a value of the wrong type, such as a number where text goes;
+    the wire's reader reports it as a malformed field."""
+
+    code = "urn:repro:error:MalformedValue"
+
+
 class QuerySyntaxError(RegistryError):
     """Raised by the AdhocQuery engine for unparsable or unsupported queries."""
 

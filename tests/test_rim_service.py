@@ -86,10 +86,32 @@ class TestServiceBinding:
         assert b.host == "thermo.sdsu.edu"
 
     @pytest.mark.parametrize("name", ["service", "access_uri", "target_binding"])
-    def test_a_value_neither_text_nor_null_is_refused(self, name):
-        fields = {"service": ids.new_id(), "access_uri": "http://h/x", name: 5}
-        with pytest.raises(InvalidRequestError, match=f"binding {name} must be a string"):
-            ServiceBinding(ids.new_id(), **fields)
+    def test_a_value_neither_text_nor_null_is_refused(self, registry, session, name):
+        """Set after construction, on a new binding or a stored one: the store's door
+        refuses it on submit and on update, and discovery answers as it did."""
+        _, service = publish_service_with_bindings(registry, session)
+        uris, version = registry.qm.get_access_uris(service.id), registry.store.version
+        new = ServiceBinding(registry.ids.new_id(), service=service.id, access_uri="http://h/x")
+        stored = registry.store.get_object(registry.store.get_object(service.id).binding_ids[0])
+        lcm = registry.lcm
+        for binding, write in ((new, lcm.submit_objects), (stored, lcm.update_objects)):
+            setattr(binding, name, 5)
+            with pytest.raises(InvalidRequestError, match=f"{name} must be a string"):
+                write(session, [binding])
+            assert registry.store.version == version
+            assert registry.qm.get_access_uris(service.id) == uris
+
+    def test_an_update_cannot_move_a_binding_to_another_service(self, registry, session):
+        """Relocation is remove plus submit: both services answer as before."""
+        _, first = publish_service_with_bindings(registry, session, hosts=["a.x", "b.x"])
+        _, second = publish_service_with_bindings(registry, session, hosts=["c.x"])
+        before = [registry.qm.get_access_uris(s.id) for s in (first, second)]
+        binding = registry.store.get_object(registry.store.get_object(first.id).binding_ids[0])
+        binding.service = second.id
+        with pytest.raises(InvalidRequestError, match="service"):
+            registry.lcm.update_objects(session, [binding])
+        assert [registry.qm.get_access_uris(s.id) for s in (first, second)] == before
+        assert registry.store.get_object(binding.id).service == first.id
 
     def test_an_ill_typed_uri_faults_and_discovery_still_answers(self, registry, session):
         _, service = publish_service_with_bindings(registry, session)

@@ -154,22 +154,12 @@ class TestEndpointFailureAttribution:
                 transport.request("http://a.x:8080/svc", "ping")
         transport.request("http://b.x:8080/svc", "ping")
         assert transport.endpoint_failures() == {"http://a.x:8080/svc": 2}
-        assert transport.endpoint_stats("http://a.x:8080/svc") == {
-            "requests": 2,
-            "failures": 2,
-            "retries": 0,
-            "backoff_s": 0.0,
-            "recovered_after_retry": 0,
-            "exhausted_retries": 0,
-        }
-        assert transport.endpoint_stats("http://b.x:8080/svc") == {
-            "requests": 1,
-            "failures": 0,
-            "retries": 0,
-            "backoff_s": 0.0,
-            "recovered_after_retry": 0,
-            "exhausted_retries": 0,
-        }
+        stats, a, b = transport.transport_stats(), "http://a.x:8080/svc", "http://b.x:8080/svc"
+        assert stats["per_endpoint"] == {a: 2, b: 1}
+        assert stats["per_endpoint_failures"] == {a: 2}
+        # no retry, backoff, recovery or exhausted budget on either: 0 for both
+        for key in ("retries", "backoff_s", "recovered", "exhausted"):
+            assert stats[f"per_endpoint_{key}"] == {}, key
 
     def test_unknown_endpoint_failure_attributed(self, transport):
         with pytest.raises(TransportError, match="no endpoint"):
@@ -183,7 +173,7 @@ class TestEndpointFailureAttribution:
         )
         with pytest.raises(TransportError, match="boom"):
             t.request("http://a.x/svc", "ping")
-        assert t.endpoint_stats("http://a.x/svc")["failures"] == 1
+        assert t.transport_stats()["per_endpoint_failures"]["http://a.x/svc"] == 1
 
     def test_never_failed_endpoint_absent_from_failures(self, transport):
         transport.request("http://a.x:8080/svc", "ping")
