@@ -158,11 +158,6 @@ class ExperimentConfig:
     #: SLOs to evaluate during the run (each monitor period); their alert
     #: timeline lands in :attr:`ExperimentResult.slo_timeline`
     slos: tuple[SLO, ...] = ()
-    #: follower registries tailing the primary's changelog over federation
-    #: ReplicationLinks (0 = single registry, the seed behaviour); after the
-    #: run the links are pumped and convergence lands in
-    #: :attr:`ExperimentResult.replication`
-    read_replicas: int = 0
 
     def with_policy(self, policy: str) -> "ExperimentConfig":
         return replace(self, policy=policy)
@@ -187,8 +182,6 @@ class ExperimentResult:
     slo_timeline: list = field(default_factory=list)
     #: final alert state per configured SLO
     slo_states: dict = field(default_factory=dict)
-    #: replication-link watermarks/lag + replica convergence (read_replicas)
-    replication: dict = field(default_factory=dict)
 
 
 class ExperimentHarness:
@@ -222,25 +215,6 @@ class ExperimentHarness:
             self.engine.schedule_periodic(
                 config.monitor_period, telemetry.slos.evaluate
             )
-        self.federation = None
-        self.replicas: list[RegistryServer] = []
-        if config.read_replicas > 0:
-            from repro.registry.federation import RegistryFederation
-
-            self.federation = RegistryFederation("mtc-replication")
-            self.federation.join(self.registry)
-            for index in range(config.read_replicas):
-                replica = RegistryServer(
-                    RegistryConfig(
-                        seed=config.seed + 1000 + index,
-                        home=f"http://replica{index}.mtc:8080/omar/registry",
-                    ),
-                    clock=self.clock,
-                    monotonic=self.clock,
-                )
-                self.federation.join(replica)
-                self.federation.link(self.registry, replica)
-                self.replicas.append(replica)
         self._register_monitors()
         self.session = self._admin_session()
         self.service_id = self._publish_services()
@@ -425,24 +399,6 @@ class ExperimentHarness:
             makespan=self.engine.now - cfg.start_of_day,
             per_host_completed=per_host_completed,
         )
-        replication: dict = {}
-        if self.federation is not None:
-            pumps = 0
-            while self.federation.replication_lag() > 0 and pumps < 8:
-                self.federation.pump_replication()
-                pumps += 1
-            replication = {
-                "links": [link.stats() for link in self.federation.links()],
-                "lag": self.federation.replication_lag(),
-                "pumps": pumps,
-                "replica_objects": {
-                    replica.home: replica.store.count() for replica in self.replicas
-                },
-                "converged": all(
-                    replica.store.contains(self.service_id)
-                    for replica in self.replicas
-                ),
-            }
         return ExperimentResult(
             config=cfg,
             metrics=metrics,
@@ -458,7 +414,6 @@ class ExperimentHarness:
             telemetry=self.registry.telemetry_snapshot(),
             slo_timeline=list(self.registry.telemetry.slos.timeline),
             slo_states=self.registry.telemetry.slos.states(),
-            replication=replication,
         )
 
 

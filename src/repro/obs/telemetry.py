@@ -307,7 +307,7 @@ class Telemetry:
         """Add one traced request's span tree to :meth:`attribution_stats`.
 
         Called by the kernel as the root span closes, its stages done.  The
-        stage spans nest in chain order, each the ``stage:`` child of the one
+        stage spans nest in pipeline order, each the ``stage:`` child of the one
         before; a stage's exclusive time is its span's duration less its
         inner stage's, and less a forward hop tagged on it (the route
         stage).  The fold starts at ``stage:account``, whose span less the

@@ -1,6 +1,6 @@
 """Tracer — per-request span trees over the injectable Clock protocol.
 
-A :class:`Span` covers one stage of work (a kernel interceptor stage, a DAO
+A :class:`Span` covers one stage of work (a kernel pipeline stage, a DAO
 resolve, a LoadStatus ranking, a transport attempt, a TimeHits sweep) and
 nests children; the :class:`Tracer` maintains the active span stack and
 keeps finished **root** spans in a bounded deque.  Time comes from a
@@ -281,7 +281,7 @@ class Tracer:
     def current_span(self) -> Span | None:
         """The calling thread's active span (None when disabled or idle).
 
-        Lets in-stage code — the route interceptor timing its forward hop —
+        Lets in-stage code — the route step timing its forward hop —
         tag the span the kernel opened for its own stage.
         """
         if not self.enabled:

@@ -10,8 +10,8 @@ from repro.registry.federation import (
     FederatedRow,
     RegistryFederation,
     ReplicationLink,
-    RouteInterceptor,
     ShardMap,
+    ShardRouter,
 )
 from repro.registry.kernel import (
     EdgeProfile,
@@ -35,8 +35,8 @@ __all__ = [
     "FederatedRow",
     "RegistryFederation",
     "ReplicationLink",
-    "RouteInterceptor",
     "ShardMap",
+    "ShardRouter",
     "EdgeProfile",
     "OperationSpec",
     "RegistryKernel",

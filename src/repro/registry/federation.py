@@ -15,13 +15,14 @@ writes, and serves discovery from any member:
   bounded lag (``last_seq - watermark``).  A pump applies whole source
   commits, each as one follower transaction, so a replica only ever holds
   the source's state at some commit; ``max_records`` rounds up to one.
-* :class:`RouteInterceptor` — a ``route`` stage inserted into the kernel
-  chain between ``resolve`` and ``dispatch``.  Any protocol edge of any
+* :class:`ShardRouter` — the kernel's one optional stage, ``route``,
+  between ``resolve`` and ``authenticate``.  Any protocol edge of any
   member serves locally-held objects directly and transparently forwards
   misses to the owning member over the shared SOAP transport (the
   transport's :class:`~repro.soap.transport.RetryPolicy` applies).
   Forwarding is single-hop: forwarded envelopes carry a marker header and
-  are always served locally by the receiver.
+  are always served locally by the receiver.  A registry routes for one
+  federation at a time.
 * :class:`RegistryFederation` — membership, the shared transport with one
   SOAP endpoint per member, federated queries and cross-registry resolve
   that go **through the kernel pipeline** (so federated reads appear in
@@ -217,21 +218,20 @@ _ROUTABLE_OPERATIONS = {
 }
 
 
-class RouteInterceptor:
-    """The ``route`` kernel stage: serve local objects, forward shard misses.
+class ShardRouter:
+    """The ``route`` kernel step: serve local objects, forward shard misses.
 
-    Sits between ``resolve`` and ``dispatch`` in the owning member's chain.
-    Requests for objects present in the local store (natively owned *or*
-    replicated in — replication makes every member a read replica with
-    bounded staleness) proceed to local dispatch; requests for objects this
-    member does not hold are forwarded to the shard owner's SOAP endpoint
-    over the federation transport, and the owner's response is returned as
-    this request's response.  Remote faults re-raise as their typed
-    :class:`~repro.util.errors.RegistryError`, so the local edge's fault
-    mapper renders them exactly as a locally-raised fault.
+    Runs between ``resolve`` and ``authenticate`` on a member's kernel
+    (``kernel.router``).  Requests for objects present in the local store
+    (natively owned *or* replicated in — replication makes every member a
+    read replica with bounded staleness) go on to local dispatch; requests
+    for objects this member does not hold are forwarded to the shard
+    owner's SOAP endpoint over the federation transport, and the owner's
+    response is returned as this request's response.  Remote faults
+    re-raise as their typed :class:`~repro.util.errors.RegistryError`, so
+    the local edge's fault mapper renders them exactly as a locally-raised
+    fault.
     """
-
-    name = "route"
 
     def __init__(self, federation: "RegistryFederation", registry: RegistryServer) -> None:
         from repro.soap.envelope import SoapEnvelope, SoapFault
@@ -248,37 +248,34 @@ class RouteInterceptor:
         #: traced request's spans carry; += is near-exact under the GIL)
         self.forward_hop_total_s = 0.0
 
-    def __call__(
-        self, kernel: "RegistryKernel", ctx: "RequestContext", proceed: Any
-    ) -> Any:
+    def route(self, kernel: "RegistryKernel", ctx: "RequestContext") -> bool:
+        """Forward *ctx*'s request to its shard owner when this member does
+        not hold the object: True when it did, the owner's answer then in
+        ``ctx.response``; False lets the request go on to local dispatch."""
         spec = ctx.spec
         extract = _ROUTABLE_OPERATIONS.get(spec.name) if spec is not None else None
         if extract is None:
-            return proceed()
+            return False
         if ctx.tags.get("forwarded_by"):
             # single-hop forwarding: the sender already decided we own this
             self.forwarded_served += 1
             ctx.tags["route"] = "forwarded-serve"
-            return proceed()
+            return False
         object_id = extract(ctx.body)
         if not isinstance(object_id, str):
-            return proceed()  # malformed: the validate stage faults it
-        if self.registry.store.contains(object_id):
-            self.local += 1
-            ctx.tags["route"] = "local"
-            return proceed()
-        owner = self.federation.shard_map.owner(object_id)
-        if owner is None or owner == self.registry.home:
-            # authoritative miss: we own the shard (or there is no ring) —
-            # dispatch locally and let the operation fault as it would alone
-            self.local += 1
-            ctx.tags["route"] = "local"
-            return proceed()
-        endpoint = self.federation.endpoint_for(owner)
+            return False  # malformed: the validate stage faults it
+        owner = endpoint = None
+        if not self.registry.store.contains(object_id):
+            owner = self.federation.shard_map.owner(object_id)
+            if owner is not None and owner != self.registry.home:
+                endpoint = self.federation.endpoint_for(owner)
         if endpoint is None:
+            # held here, or an authoritative miss (we own the shard, or there
+            # is no ring or endpoint): dispatch locally and let the operation
+            # fault as it would alone
             self.local += 1
             ctx.tags["route"] = "local"
-            return proceed()
+            return False
         ctx.tags["route"] = "forwarded"
         ctx.tags["route_owner"] = owner
         self.forwarded[owner] = self.forwarded.get(owner, 0) + 1
@@ -308,7 +305,7 @@ class RouteInterceptor:
             self.forward_faults += 1
             response.raise_()
         ctx.response = response
-        return response
+        return True
 
     @staticmethod
     def _traceparent(kernel: "RegistryKernel") -> str | None:
@@ -335,19 +332,19 @@ class RouteInterceptor:
 class _Member:
     registry: RegistryServer
     endpoint: str
-    router: RouteInterceptor = field(repr=False, default=None)  # type: ignore[assignment]
+    router: ShardRouter = field(repr=False, default=None)  # type: ignore[assignment]
 
 
 class RegistryFederation:
     """A named group of cooperating registries sharing one SOAP transport.
 
     Joining a member registers its SOAP binding on the shared transport,
-    adds it to the consistent-hash :class:`ShardMap`, and installs a
-    :class:`RouteInterceptor` between ``resolve`` and ``dispatch`` in its
-    kernel chain — after which every member transparently serves or
-    forwards any routable request.  Replication links are created with
-    :meth:`link` (or :meth:`link_all` for the full mesh) and pumped with
-    :meth:`pump_replication`.
+    adds it to the consistent-hash :class:`ShardMap`, and sets a
+    :class:`ShardRouter` as its kernel's router — after which every member
+    transparently serves or forwards any routable request.  A registry
+    routes for one federation at a time: joining a second is refused.
+    Replication links are created with :meth:`link` (or :meth:`link_all`
+    for the full mesh) and pumped with :meth:`pump_replication`.
     """
 
     def __init__(
@@ -374,12 +371,11 @@ class RegistryFederation:
     def join(self, registry: RegistryServer) -> None:
         from repro.soap.binding import SoapRegistryBinding
 
-        if registry.home in self._members:
+        if registry.home in self._members or registry.kernel.router is not None:
             raise InvalidRequestError(f"registry already federated: {registry.home}")
         binding = SoapRegistryBinding(registry)
         self.transport.register_endpoint(binding.endpoint_uri, binding.handle)
-        router = RouteInterceptor(self, registry)
-        registry.kernel.add_interceptor(router, after="resolve")
+        router = registry.kernel.router = ShardRouter(self, registry)
         registry.telemetry.register_source("route", router.stats)
         self._members[registry.home] = _Member(
             registry=registry, endpoint=binding.endpoint_uri, router=router
@@ -392,7 +388,7 @@ class RegistryFederation:
             return
         self.shard_map.remove_member(registry.home)
         self.transport.unregister_endpoint(member.endpoint)
-        registry.kernel.remove_interceptor("route")
+        registry.kernel.router = None
         registry.telemetry.unregister_source("route")
         self._links = [
             link
@@ -411,7 +407,7 @@ class RegistryFederation:
         member = self._members.get(home)
         return member.endpoint if member is not None else None
 
-    def router_for(self, home: str) -> RouteInterceptor | None:
+    def router_for(self, home: str) -> ShardRouter | None:
         member = self._members.get(home)
         return member.router if member is not None else None
 

@@ -1,22 +1,23 @@
-"""Registry kernel — the unified request pipeline behind every protocol edge.
+"""Registry kernel — the one request pipeline behind every protocol edge.
 
 Historically each protocol entry point (``SoapRegistryBinding._dispatch``,
 ``HttpGetBinding``, the JAXR ``Connection`` local-call branches) hand-rolled
 its own session lookup, authorization, fault mapping, and dispatch.  The
 kernel centralizes that shape: a :class:`RequestContext` is created once at
-the protocol edge and flows through an ordered **interceptor chain**
+the protocol edge and runs through a fixed sequence of stages
 
-    account → fault-map → admit → resolve → authenticate → authorize →
-    validate → dispatch
+    account → fault-map → admit → resolve → [route] → authenticate →
+    authorize → validate → dispatch
 
-where ``account`` and ``fault-map`` are wrapping stages (they observe every
-outcome, success or fault) and the inner stages follow the classic
-authenticate → authorize → validate → dispatch request progression.  Edges
-(SOAP, HTTP GET, in-process JAXR) differ only in an :class:`EdgeProfile`:
-how a session is established, whether the read gate applies at the edge,
-and how a :class:`~repro.util.errors.RegistryError` is mapped onto the wire
-(SOAP/HTTP serialize faults; the local edge re-raises, preserving the
-pre-kernel in-process semantics).
+where ``account`` and ``fault-map`` wrap the rest (they observe every
+outcome, success or fault) and the others are steps run in a straight line.
+``route`` runs only on a federation member (``kernel.router`` set), and a
+step that answers the request ends the run: ``route`` when it forwards, and
+``dispatch``.  Edges (SOAP, HTTP GET, in-process JAXR) differ only in an
+:class:`EdgeProfile`: how a session is established, whether the read gate
+applies at the edge, and how a :class:`~repro.util.errors.RegistryError` is
+mapped onto the wire (SOAP/HTTP serialize faults; the local edge re-raises,
+preserving the pre-kernel in-process semantics).
 
 Operations are *declared*, not if/elif'd: :class:`OperationSpec` records the
 operation name, the protocol request type it binds to, whether it requires
@@ -30,16 +31,13 @@ The kernel is also the observability seam: the account stage records each
 finished request once, into the telemetry facade's request-latency
 histogram (and its fault-code counter on a fault), and :meth:`RegistryKernel.
 pipeline_stats` reads per-edge, per-operation request counts, latency
-aggregates, and fault tallies by error code back off those series; custom
-interceptors can be inserted anywhere in the chain (timing, admission
-control, retries) without touching any binding.  Latency accounting runs
-over an injectable
-:class:`~repro.util.clock.Clock` (default: the monotonic
-:class:`~repro.util.clock.PerfClock`), shared with the telemetry tracer so
-pipeline latencies and span trees agree on one time source — deterministic
-under ``ManualClock`` or simulation time.  With tracing enabled, every
-request produces a span tree: one root ``request`` span with stage spans
-nested in chain order (custom interceptors included), which the
+aggregates, and fault tallies by error code back off those series.  Latency
+accounting runs over an injectable :class:`~repro.util.clock.Clock`
+(default: the monotonic :class:`~repro.util.clock.PerfClock`), shared with
+the telemetry tracer so pipeline latencies and span trees agree on one time
+source — deterministic under ``ManualClock`` or simulation time.  With
+tracing enabled, a request runs the same stages, each in a ``stage:<name>``
+span nested in that order under one root ``request`` span, which the
 :class:`~repro.obs.telemetry.Telemetry` facade folds into its per-stage
 sums once the root closes, and keeps in its slow-request log when the
 request exceeds its threshold.
@@ -52,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.util.clock import Clock, PerfClock
 from repro.util.errors import InvalidRequestError, RegistryError
@@ -60,6 +58,8 @@ from repro.util.workers import current_worker_label
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
+    from repro.obs.trace import Tracer
+    from repro.registry.federation import ShardRouter
     from repro.registry.server import RegistryServer
     from repro.security.authn import Session
 
@@ -74,7 +74,7 @@ class RequestContext:
     Created at the protocol edge, enriched stage by stage: ``resolve`` sets
     :attr:`spec`, ``authenticate`` sets :attr:`session`, ``dispatch`` sets
     :attr:`response`.  The :attr:`tags` bag is free-form per-request state
-    for custom interceptors (the observability seam).
+    the edges and stages hand each other (routing, worker, queue wait).
     """
 
     edge: "EdgeProfile"
@@ -100,17 +100,13 @@ class RequestContext:
     #: trace id the root span runs under (None while tracing is disabled);
     #: adopted from the client's traceparent header when one arrived
     trace_id: str | None = None
-    #: free-form per-request tag bag for interceptors
+    #: free-form per-request tag bag
     tags: dict[str, Any] = field(default_factory=dict)
 
     @property
     def operation(self) -> str:
         """Resolved operation name, or a placeholder before/without resolve."""
         return self.spec.name if self.spec is not None else UNRESOLVED_OPERATION
-
-    @property
-    def latency(self) -> float:
-        return self.finished - self.started
 
 
 #: stats key for requests that fault before operation resolution
@@ -203,66 +199,20 @@ def fold_operation_stats(trees: Iterable[StatsTree]) -> StatsTree:
     return {edge: dict(sorted(ops.items())) for edge, ops in sorted(merged.items())}
 
 
-# -- interceptors --------------------------------------------------------------
+# -- the pipeline --------------------------------------------------------------
+#
+# ``account`` and ``fault-map`` are kernel methods written around a straight
+# run of the steps below.  A step does its work on the context; a step that
+# answers the request (``route`` when it forwards, ``dispatch``) returns True,
+# which ends the run.
 
 
-Proceed = Callable[[], Any]
-
-
-class Interceptor(Protocol):  # pragma: no cover - typing aid
-    name: str
-
-    def __call__(self, kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
-        ...
-
-
-@dataclass(frozen=True)
-class _Stage:
-    """A named default stage, in one of two shapes.
-
-    A **step** is linear: it does its work on the context and falls through
-    to whatever follows, so consecutive steps can run back to back inside
-    one layer.  A **wrapping** stage (``account``, ``fault-map``) owns a
-    ``try`` block around the rest of the chain and therefore takes the
-    ``proceed`` continuation, exactly like a custom :class:`Interceptor`.
-    """
-
-    name: str
-    step: Callable[["RegistryKernel", RequestContext], None] | None = None
-    wrap: Callable[["RegistryKernel", RequestContext, Proceed], Any] | None = None
-
-
-def _account_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
-    ctx.started = kernel.clock.now()
-    # an edge that runs requests on threads it does not own (the serving
-    # gate's inline runs) names the worker itself, keeping labels bounded
-    if "worker" not in ctx.tags:
-        ctx.tags["worker"] = current_worker_label()
-    try:
-        return proceed()
-    finally:
-        ctx.finished = kernel.clock.now()
-        kernel.telemetry.record_request(ctx)
-
-
-def _fault_map_stage(kernel: "RegistryKernel", ctx: RequestContext, proceed: Proceed) -> Any:
-    try:
-        return proceed()
-    except RegistryError as error:
-        ctx.error = error
-        if ctx.edge.fault_mapper is None:
-            raise
-        fault = ctx.edge.fault_mapper(error)
-        ctx.response = fault
-        return fault
-
-
-def _admit_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
+def _admit(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     if ctx.edge.admit is not None:
         ctx.edge.admit(ctx)
 
 
-def _resolve_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
+def _resolve(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     if ctx.spec is None:
         if ctx.via_http:
             spec = kernel.operation_for_http_method(ctx.http_method)
@@ -273,48 +223,49 @@ def _resolve_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
             ctx.spec = kernel.operation_for_body(ctx.body)
 
 
-def _authenticate_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
+def _route(kernel: "RegistryKernel", ctx: RequestContext) -> bool:
+    # read once: a member leaving its federation clears the slot
+    router = kernel.router
+    return router is not None and router.route(kernel, ctx)
+
+
+def _authenticate(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
     ctx.session = ctx.edge.authenticate(ctx, ctx.spec)
 
 
-def _authorize_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
+def _authorize(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
     if ctx.spec.read_gate and ctx.edge.enforce_read_gate:
         kernel.server.check_read(ctx.session)
 
 
-def _validate_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
+def _validate(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
     if ctx.spec.validator is not None:
         ctx.spec.validator(ctx)
 
 
-def _dispatch_step(kernel: "RegistryKernel", ctx: RequestContext) -> None:
+def _dispatch(kernel: "RegistryKernel", ctx: RequestContext) -> bool:
     assert ctx.spec is not None
     ctx.response = ctx.spec.handler(ctx)
+    return True
 
 
-#: the default chain, outermost first; account/fault-map wrap everything
-DEFAULT_CHAIN: tuple[_Stage, ...] = (
-    _Stage("account", wrap=_account_stage),
-    _Stage("fault-map", wrap=_fault_map_stage),
-    _Stage("admit", step=_admit_step),
-    _Stage("resolve", step=_resolve_step),
-    _Stage("authenticate", step=_authenticate_step),
-    _Stage("authorize", step=_authorize_step),
-    _Stage("validate", step=_validate_step),
-    _Stage("dispatch", step=_dispatch_step),
+Steps = tuple[tuple[str, Callable[["RegistryKernel", RequestContext], Any]], ...]
+
+#: the steps inside fault-map, in order, on a kernel with a router
+_ROUTED_STEPS: Steps = (
+    ("admit", _admit),
+    ("resolve", _resolve),
+    ("route", _route),
+    ("authenticate", _authenticate),
+    ("authorize", _authorize),
+    ("validate", _validate),
+    ("dispatch", _dispatch),
 )
-
-#: the stage that ends every request: it never proceeds, so whatever follows
-#: it in the chain is unreachable
-_DISPATCH = DEFAULT_CHAIN[-1]
-
-
-def _terminal(ctx: RequestContext) -> Any:
-    return ctx.response
-
+#: ... and on one without: every registry outside a federation
+_LOCAL_STEPS: Steps = tuple(step for step in _ROUTED_STEPS if step[0] != "route")
 
 #: request tags copied onto a traced request's root span
 _ROOT_TAGS = ("route", "route_owner", "forwarded_by", "queue_wait_s", "forward_hop_s")
@@ -342,12 +293,9 @@ class RegistryKernel:
         self._by_request_type: dict[str, OperationSpec] = {}
         self._by_http_method: dict[str, OperationSpec] = {}
         self._by_name: dict[str, OperationSpec] = {}
-        self._chain: list[Interceptor] = list(DEFAULT_CHAIN)
-        #: lazily (re)composed chain per tracing state.  Benign race under
-        #: concurrent execute: two threads may compose equivalent callables
-        #: and one wins — chain *edits* (add/remove_interceptor) are
-        #: configuration-time only.
-        self._composed: dict[bool, Callable[[RequestContext], Any]] = {}
+        #: the federation's shard router while this registry is a member;
+        #: the ``route`` step runs only while it is set
+        self.router: "ShardRouter | None" = None
         #: atomic under the GIL — a single next() per request, so concurrent
         #: execute() calls can never mint duplicate request ids
         self._request_counter = itertools.count(1)
@@ -379,109 +327,6 @@ class RegistryKernel:
             raise InvalidRequestError(f"unknown HTTP method parameter: {method!r}")
         return spec
 
-    # -- interceptor chain -----------------------------------------------------
-
-    def interceptor_names(self) -> list[str]:
-        return [stage.name for stage in self._chain]
-
-    def add_interceptor(
-        self,
-        interceptor: Interceptor,
-        *,
-        before: str | None = None,
-        after: str | None = None,
-    ) -> None:
-        """Insert a custom interceptor into the chain.
-
-        ``before``/``after`` name an existing stage; default appends at the
-        innermost position (just around dispatch's slot, i.e. chain end).
-        """
-        if before is not None and after is not None:
-            raise ValueError("pass at most one of before/after")
-        index = len(self._chain)
-        anchor = before or after
-        if anchor is not None:
-            names = self.interceptor_names()
-            if anchor not in names:
-                raise ValueError(f"unknown pipeline stage: {anchor!r}")
-            index = names.index(anchor) + (1 if after else 0)
-        self._chain.insert(index, interceptor)
-        self._composed = {}
-
-    def remove_interceptor(self, name: str) -> bool:
-        for i, stage in enumerate(self._chain):
-            if getattr(stage, "name", None) == name and stage not in DEFAULT_CHAIN:
-                del self._chain[i]
-                self._composed = {}
-                return True
-        return False
-
-    def _compose(self, tracing: bool) -> Callable[[RequestContext], Any]:
-        """Fold the chain into one callable for one tracing state.
-
-        What a layer needs is decided here, once per composition, not per
-        request.  There are two kinds of layer: a run of default steps
-        called back to back, and a wrapping stage or custom interceptor
-        handed ``proceed``.  With tracing off, every stretch of consecutive
-        steps is one run, split only where the chain puts a wrapper or an
-        interceptor.  With tracing on, every stage — default or custom — is
-        a layer of its own inside a span named after it (nesting naturally:
-        account's span contains fault-map's, and so on down to dispatch).
-        """
-        composed: Callable[[RequestContext], Any] = _terminal
-        run: list[Callable[["RegistryKernel", RequestContext], None]] = []
-
-        def close_run() -> None:
-            nonlocal composed, run
-            if run:
-                composed = self._fused(tuple(run), composed)
-                run = []
-
-        for stage in reversed(self._chain[: self._chain.index(_DISPATCH) + 1]):
-            if isinstance(stage, _Stage) and stage.step is not None:
-                run.insert(0, stage.step)
-            else:
-                close_run()
-                composed = self._wrapped(
-                    stage.wrap if isinstance(stage, _Stage) else stage, composed
-                )
-            if tracing:
-                close_run()
-                composed = self._traced(getattr(stage, "name", "interceptor"), composed)
-        close_run()
-        return composed
-
-    def _fused(
-        self,
-        steps: tuple[Callable[["RegistryKernel", RequestContext], None], ...],
-        following: Callable[[RequestContext], Any],
-    ) -> Callable[[RequestContext], Any]:
-        def layer(ctx: RequestContext) -> Any:
-            for step in steps:
-                step(self, ctx)
-            return following(ctx)
-
-        return layer
-
-    def _wrapped(
-        self, run: Interceptor, following: Callable[[RequestContext], Any]
-    ) -> Callable[[RequestContext], Any]:
-        def layer(ctx: RequestContext) -> Any:
-            return run(self, ctx, lambda: following(ctx))
-
-        return layer
-
-    def _traced(
-        self, name: str, inner: Callable[[RequestContext], Any]
-    ) -> Callable[[RequestContext], Any]:
-        span_name = "stage:" + name
-
-        def layer(ctx: RequestContext) -> Any:
-            with self.telemetry.tracer.span(span_name):
-                return inner(ctx)
-
-        return layer
-
     # -- execution -------------------------------------------------------------
 
     def new_request_id(self) -> str:
@@ -510,14 +355,12 @@ class RegistryKernel:
         caller's trace instead of starting its own, so client transport
         spans and server pipeline spans share one trace id.  ``tags`` seeds
         the per-request tag bag before any stage runs — protocol edges use
-        it to hand interceptors wire-level context (e.g. the SOAP binding
-        marks requests another cluster member forwarded, so the ``route``
-        interceptor serves them locally instead of forwarding again).
+        it to hand stages wire-level context (e.g. the SOAP binding marks
+        requests another cluster member forwarded, so the ``route`` step
+        serves them locally instead of forwarding again).
         """
         telemetry = self.telemetry
-        # the only read of the flag this request makes: the chain composed
-        # for this state carries no check of its own
-        tracing = telemetry.tracer.enabled
+        tracer = telemetry.tracer
         ctx = RequestContext(
             edge=edge,
             request_id=self.new_request_id(),
@@ -530,17 +373,18 @@ class RegistryKernel:
             spec=spec,
             tags=dict(tags) if tags else {},
         )
-        composed = self._composed.get(tracing)
-        if composed is None:
-            composed = self._composed[tracing] = self._compose(tracing)
-        if not tracing:
-            return composed(ctx)
-        with telemetry.tracer.span_in_trace(
+        steps = _LOCAL_STEPS if self.router is None else _ROUTED_STEPS
+        # the only read of the flag this request makes, so a flip between
+        # two stages cannot leave half a span tree
+        if not tracer.enabled:
+            return self._account(ctx, steps, None)
+        with tracer.span_in_trace(
             "request", traceparent, edge=edge.name, request_id=ctx.request_id
         ) as root:
             ctx.trace_id = root.trace_id
             try:
-                result = composed(ctx)
+                with tracer.span("stage:account"):
+                    result = self._account(ctx, steps, tracer)
             finally:
                 root.tags["operation"] = ctx.operation
                 # routing identity and the two times no stage span holds
@@ -556,6 +400,48 @@ class RegistryKernel:
         if slow_entry is not None:
             slow_entry["trace"] = root.to_dict()
         return result
+
+    def _account(self, ctx: RequestContext, steps: Steps, tracer: "Tracer | None") -> Any:
+        """The ``account`` stage: time the request and record it once,
+        whatever its outcome."""
+        ctx.started = self.clock.now()
+        # an edge that runs requests on threads it does not own (the serving
+        # gate's inline runs) names the worker itself, keeping labels bounded
+        if "worker" not in ctx.tags:
+            ctx.tags["worker"] = current_worker_label()
+        try:
+            if tracer is None:
+                return self._fault_map(ctx, steps, None)
+            with tracer.span("stage:fault-map"):
+                return self._fault_map(ctx, steps, tracer)
+        finally:
+            ctx.finished = self.clock.now()
+            self.telemetry.record_request(ctx)
+
+    def _fault_map(self, ctx: RequestContext, steps: Steps, tracer: "Tracer | None") -> Any:
+        """The ``fault-map`` stage: run the steps, and turn a RegistryError
+        into the edge's fault (or re-raise it where the edge maps none)."""
+        try:
+            if tracer is None:
+                for _name, step in steps:
+                    if step(self, ctx):
+                        break
+            else:
+                self._spanned(ctx, steps, tracer)
+        except RegistryError as error:
+            ctx.error = error
+            if ctx.edge.fault_mapper is None:
+                raise
+            ctx.response = ctx.edge.fault_mapper(error)
+        return ctx.response
+
+    def _spanned(self, ctx: RequestContext, steps: Steps, tracer: "Tracer") -> None:
+        """The same run, each step in a ``stage:<name>`` span that holds the
+        spans of the steps after it."""
+        (name, step), rest = steps[0], steps[1:]
+        with tracer.span("stage:" + name):
+            if not step(self, ctx) and rest:
+                self._spanned(ctx, rest, tracer)
 
     # -- observability ---------------------------------------------------------
 

@@ -318,6 +318,7 @@ class LifeCycleManager:
         replay = self._idempotent_replay(session, idempotency_key, "updateObjects")
         if replay is not self._MISS:
             return replay
+        superseded: list[RegistryObject] = []
         with self._write_scope():
             updated: list[str] = []
             for obj in objects:
@@ -338,13 +339,18 @@ class LifeCycleManager:
                         f"update cannot change binding {obj.id}'s service "
                         f"{current.service!r} to {moved!r}"
                     )
-                self.versions.retain(current, at=self.clock.now())
+                superseded.append(current)
                 obj.owner = current.owner
                 obj.status = current.status
                 obj.version = current.version.next()
                 self.daos.dao_for(obj).save(obj)
                 self._audit(session, EventType.UPDATED, obj.id)
                 updated.append(obj.id)
+        # history keeps what a committed update replaced, as listeners get its
+        # events: after the commit, and never for a rolled-back update
+        at = self.clock.now()
+        for current in superseded:
+            self.versions.retain(current, at=at)
         self._idempotent_record(
             session, idempotency_key, "updateObjects", list(updated)
         )

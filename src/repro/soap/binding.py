@@ -3,8 +3,8 @@
 Both bindings are thin protocol edges over the registry kernel
 (:mod:`repro.registry.kernel`): they decode the wire form (envelope body /
 URL query string), describe themselves to the kernel as an
-:class:`~repro.registry.kernel.EdgeProfile`, and let the shared interceptor
-chain do session lookup, authorization, operation dispatch, fault mapping,
+:class:`~repro.registry.kernel.EdgeProfile`, and let the kernel's one
+pipeline do session lookup, authorization, operation dispatch, fault mapping,
 and accounting.
 
 * :class:`SoapRegistryBinding` exposes one RegistryServer at a SOAP endpoint:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs.trace import format_traceparent
 from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
-from repro.registry.kernel import EdgeProfile, RequestContext
+from repro.registry.kernel import EdgeProfile
 from repro.rim import Organization
 from repro.serving import ServingConfig, ServingSupervisor
 from repro.serving.worker import RegistryWorker, WorkItem
@@ -59,15 +59,6 @@ def _publish(registry, name="AttributedOrg", object_id=None):
 
 #: the families the retired cost-attribution histograms exported
 RETIRED_FAMILIES = ("repro_request_cost_seconds", "repro_request_stage_seconds")
-
-
-class Tagger:
-    """A custom interceptor: its own ``stage:tagger`` span when tracing."""
-
-    name = "tagger"
-
-    def __call__(self, kernel, ctx: RequestContext, proceed):
-        return proceed()
 
 
 def walk(roots):
@@ -167,8 +158,6 @@ class TestAttributionSplit:
         registry = RegistryServer(
             RegistryConfig(seed=5), clock=ManualClock(), monotonic=TickingClock()
         )
-        # outside account: its span is not part of any request's stage time
-        registry.kernel.add_interceptor(Tagger(), before="account")
         registry.enable_tracing()
         org = _publish(registry)
         # a fault comes back as the response, as on the SOAP edge
@@ -188,7 +177,6 @@ class TestAttributionSplit:
         for key, seconds in sums.items():
             assert stats[key] == pytest.approx(seconds)
         assert stats["stages"] == pytest.approx(stages)
-        assert "tagger" not in stats["stages"]
         assert sum(stats["stages"].values()) == pytest.approx(stats["stage_s"])
         assert stats["attributed_s"] == (
             stats["queue_wait_s"] + stats["stage_s"] + stats["forward_hop_s"]

@@ -76,6 +76,22 @@ class TestMembership:
         fed, registries = federation
         fed.leave(registries[0])
         assert len(fed.members()) == 1
+        assert registries[0].kernel.router is None
+
+    def test_a_member_routes_for_one_federation(self, federation):
+        fed, (reg0, reg1) = federation
+        other = RegistryFederation("other-fed")
+        with pytest.raises(InvalidRequestError):
+            other.join(reg0)
+        assert other.members() == []
+        assert reg0.kernel.router is fed.router_for(reg0.home)
+        # the first federation still forwards a miss
+        object_id = _id_owned_by(fed, reg1)
+        _publish(reg1, "kept", object_id)
+        response = _ask(fed, reg0, object_id)
+        assert not isinstance(response, SoapFault)
+        assert response.objects[0]["id"] == object_id
+        assert fed.router_for(reg0.home).stats()["forwarded"] == 1
 
 
 class TestFederatedQuery:

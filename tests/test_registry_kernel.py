@@ -1,4 +1,4 @@
-"""Tests for the registry kernel: pipeline stages, stats, interceptors."""
+"""Tests for the registry kernel: pipeline stages, stats, call budgets."""
 
 import dataclasses
 import gc
@@ -57,8 +57,13 @@ class TestOperationRegistry:
         assert not registry.kernel.operation("executeQuery").requires_session
         assert registry.kernel.operation("executeQuery").read_gate
 
-    def test_default_chain_order(self, registry):
-        assert registry.kernel.interceptor_names() == [
+    def test_default_chain_order(self, registry, session):
+        """A traced hit passes every stage of a plain registry, in order."""
+        org, _svc = publish_service_with_bindings(registry, session)
+        registry.enable_tracing()
+        binding = SoapRegistryBinding(registry)
+        binding.handle(SoapEnvelope(body=GetRegistryObjectRequest(object_id=org.id)))
+        assert _stage_spans(registry) == [
             "account",
             "fault-map",
             "admit",
@@ -119,45 +124,7 @@ class TestPipelineStats:
             assert stats[edge]["getRegistryObject"]["count"] == 1
 
 
-class TestCustomInterceptors:
-    def test_tag_bag_and_insertion_order(self, registry, session, binding):
-        seen = []
-
-        class Tagger:
-            name = "tagger"
-
-            def __call__(self, kernel, ctx, proceed):
-                ctx.tags["traced"] = True
-                seen.append((ctx.request_id, ctx.operation))
-                return proceed()
-
-        registry.kernel.add_interceptor(Tagger(), after="resolve")
-        assert "tagger" in registry.kernel.interceptor_names()
-        publish_service_with_bindings(registry, session)
-        binding.handle(
-            SoapEnvelope(body=AdhocQueryRequest(query="SELECT name FROM Organization"))
-        )
-        assert len(seen) == 1
-        # inserted after resolve: the operation is already known
-        assert seen[0][1] == "executeQuery"
-        assert registry.kernel.remove_interceptor("tagger")
-        assert "tagger" not in registry.kernel.interceptor_names()
-
-    def test_cannot_remove_builtin_stage(self, registry):
-        assert not registry.kernel.remove_interceptor("dispatch")
-
-    def test_unknown_anchor_rejected(self, registry):
-        class Noop:
-            name = "noop"
-
-            def __call__(self, kernel, ctx, proceed):
-                return proceed()
-
-        with pytest.raises(ValueError, match="unknown pipeline stage"):
-            registry.kernel.add_interceptor(Noop(), before="nonexistent")
-
-
-DEFAULT_STAGES = (
+LOCAL_STAGES = (
     "account",
     "fault-map",
     "admit",
@@ -167,61 +134,76 @@ DEFAULT_STAGES = (
     "validate",
     "dispatch",
 )
-
-#: tracing off and on — the uninstrumented composition first
-FLAG_STATES = (False, True)
-
-#: where the tagger goes: nowhere, then before/after each default stage
-POSITIONS = (None,) + tuple(
-    (side, anchor) for anchor in DEFAULT_STAGES for side in ("before", "after")
-)
+#: a federation member's stages: ``route`` runs after ``resolve``
+ROUTED_STAGES = LOCAL_STAGES[:4] + ("route",) + LOCAL_STAGES[4:]
 
 
-class RecordingTagger:
-    name = "tagger"
-
-    def __init__(self) -> None:
-        self.seen = []
-
-    def __call__(self, kernel, ctx, proceed):
-        ctx.tags["tagged"] = True
-        before = (ctx.operation, ctx.session is not None, ctx.response is None)
-        try:
-            result = proceed()
-        except Exception as error:
-            self.seen.append((before, type(error).__name__))
-            raise
-        self.seen.append((before, type(result).__name__))
-        return result
+def _stage_spans(registry):
+    """The stage names of *registry*'s last trace, outermost first."""
+    return [
+        span.name[len("stage:") :]
+        for span in registry.telemetry.tracer.last_trace().iter_spans()
+        if span.name.startswith("stage:")
+    ]
 
 
-def _reached(names, last):
-    """The chain as far as a request that ends in stage *last* gets."""
-    return names[: names.index(last) + 1]
+def _reached(stages, last):
+    """The stages as far as a request that ends in stage *last* gets."""
+    return list(stages[: stages.index(last) + 1])
 
 
-def _run_composition(position, tracing):
-    """Three requests through one chain in one tracing state."""
+def _plain_registry():
     registry = RegistryServer(
         RegistryConfig(seed=42), clock=ManualClock(), monotonic=TickingClock()
     )
     _, credential = registry.register_user("composer")
     org = Organization(registry.ids.new_id(), name="Composed")
     registry.lcm.submit_objects(registry.login(credential), [org])
-    tagger = RecordingTagger()
-    if position is not None:
-        side, anchor = position
-        registry.kernel.add_interceptor(tagger, **{side: anchor})
-    registry.enable_tracing(tracing)
-    binding = SoapRegistryBinding(registry)
-    names = registry.kernel.interceptor_names()
-    tracer = registry.telemetry.tracer
-    outcomes, split = [], None
-    for body, last in (
+    # a hit, a miss that faults locally, and a body of no known type
+    requests = (
         (GetRegistryObjectRequest(object_id=org.id), "dispatch"),
         (GetRegistryObjectRequest(object_id="urn:uuid:missing"), "dispatch"),
         (object(), "resolve"),
-    ):
+    )
+    return registry, LOCAL_STAGES, requests
+
+
+def _federation_member():
+    from repro.registry import RegistryFederation
+
+    federation = RegistryFederation("composed")
+    members = []
+    for n in range(2):
+        member = RegistryServer(
+            RegistryConfig(seed=42 + n, home=f"http://member{n}.test:8080/omar/registry"),
+            clock=ManualClock(),
+            monotonic=TickingClock(),
+        )
+        federation.join(member)
+        _, credential = member.register_user("composer")
+        session = member.login(credential)
+        object_id = member.ids.new_id()
+        while federation.shard_map.owner(object_id) != member.home:
+            object_id = member.ids.new_id()
+        member.lcm.submit_objects(session, [Organization(object_id, name=f"Org{n}")])
+        members.append((member, object_id))
+    (registry, held), (_other, remote) = members
+    # a hit, a miss the route step forwards, and a body of no known type
+    requests = (
+        (GetRegistryObjectRequest(object_id=held), "dispatch"),
+        (GetRegistryObjectRequest(object_id=remote), "route"),
+        (object(), "resolve"),
+    )
+    return registry, ROUTED_STAGES, requests
+
+
+def _run_pipeline(build, tracing):
+    """Three requests through one registry's pipeline in one tracing state."""
+    registry, stages, requests = build()
+    registry.enable_tracing(tracing)
+    binding = SoapRegistryBinding(registry)
+    outcomes = []
+    for body, last in requests:
         response = binding.handle(SoapEnvelope(body=body))
         outcomes.append(
             dataclasses.asdict(response)
@@ -229,63 +211,50 @@ def _run_composition(position, tracing):
             else (response.status, response.objects)
         )
         if tracing:
-            spans = [
-                span.name
-                for span in tracer.last_trace().iter_spans()
-                if span.name.startswith("stage:")
-            ]
-            assert spans == ["stage:" + name for name in _reached(names, last)]
-        if tracing and split is None:
-            # after the success request only: every stage account encloses
-            # and the request reached took time
-            split = registry.telemetry.attribution_stats()
-            accounted = _reached(names, "dispatch")[names.index("account") :]
-            assert list(split["stages"]) == sorted(accounted)
-            assert split["attributed_s"] == pytest.approx(
-                split["queue_wait_s"] + split["stage_s"] + split["forward_hop_s"]
-            )
-            assert sum(split["stages"].values()) == pytest.approx(split["stage_s"])
+            assert _stage_spans(registry) == _reached(stages, last)
+    if tracing:
+        split = registry.telemetry.attribution_stats()
+        assert split["attributed_s"] == pytest.approx(
+            split["queue_wait_s"] + split["stage_s"] + split["forward_hop_s"]
+        )
+        assert sum(split["stages"].values()) == pytest.approx(split["stage_s"])
+    tracer = registry.telemetry.tracer
     assert tracer.stats()["traces_kept"] == (3 if tracing else 0)
     assert registry.telemetry.attribution_stats()["requests"] == (3 if tracing else 0)
     counts = {
         operation: (stats["count"], stats["faults"], stats["fault_codes"])
         for operation, stats in registry.pipeline_stats()["soap"].items()
     }
-    return outcomes, counts, names, tagger.seen
+    return outcomes, counts
 
 
 class TestCompositionEquivalence:
-    """The fused and the instrumented composition are one chain."""
+    """Traced and untraced requests run one pipeline."""
 
     @pytest.mark.parametrize(
-        "position", POSITIONS, ids=lambda p: "default" if p is None else "-".join(p)
+        "build", (_plain_registry, _federation_member), ids=("default", "member")
     )
-    def test_every_flag_state_behaves_alike(self, position):
-        plain, traced = [
-            _run_composition(position, tracing) for tracing in FLAG_STATES
-        ]
+    def test_every_flag_state_behaves_alike(self, build):
+        plain, traced = [_run_pipeline(build, tracing) for tracing in (False, True)]
         assert traced == plain
-        outcomes, counts, names, seen = plain
-        expected = list(DEFAULT_STAGES)
-        if position is not None:
-            side, anchor = position
-            expected.insert(expected.index(anchor) + (side == "after"), "tagger")
-        assert names == expected
+        outcomes, counts = plain
         status, objects = outcomes[0]
         assert status == "Success" and len(objects) == 1
-        assert outcomes[1]["fault_code"] == "urn:repro:error:ObjectNotFound"
         assert outcomes[2]["fault_code"] == "urn:repro:error:InvalidRequest"
-        assert counts == {
-            "getRegistryObject": (2, 1, {"urn:repro:error:ObjectNotFound": 1}),
-            UNRESOLVED_OPERATION: (1, 1, {"urn:repro:error:InvalidRequest": 1}),
-        }
-        if position is None or position == ("after", "dispatch"):
-            # dispatch ends the request: nothing placed after it is reached
-            assert seen == []
+        if build is _plain_registry:
+            assert outcomes[1]["fault_code"] == "urn:repro:error:ObjectNotFound"
+            assert counts == {
+                "getRegistryObject": (2, 1, {"urn:repro:error:ObjectNotFound": 1}),
+                UNRESOLVED_OPERATION: (1, 1, {"urn:repro:error:InvalidRequest": 1}),
+            }
         else:
-            # the unknown type faults in resolve, before a later tagger
-            reached_by_all = names.index("tagger") < names.index("resolve")
-            assert len(seen) == (3 if reached_by_all else 2)
+            # the forwarded miss comes back as the owner's answer
+            status, objects = outcomes[1]
+            assert status == "Success" and objects[0]["name"][0]["value"] == "Org1"
+            assert counts == {
+                "getRegistryObject": (2, 0, {}),
+                UNRESOLVED_OPERATION: (1, 1, {"urn:repro:error:InvalidRequest": 1}),
+            }
 
     def test_flag_flips_reach_the_next_request(self, registry, binding):
         """No recomposition call: execute reads the flag per request, and
@@ -315,8 +284,11 @@ class TestCallBudget:
     #: before the chain was fused (CPython 3.11)
     UNFUSED_EVENTS = 90
     #: the same request now (57 while the account stage wrote every request
-    #: into PipelineStats as well as the latency histogram)
-    RECORDED_ONCE_EVENTS = 47
+    #: into PipelineStats as well as the latency histogram; 47 while the
+    #: stages were an interceptor chain, whose three composed layers, two
+    #: ``proceed`` lambdas, terminal and per-tracing-state cache lookup the
+    #: fixed pipeline does not have)
+    RECORDED_ONCE_EVENTS = 40
 
     @staticmethod
     def call_events(run) -> int:
@@ -348,7 +320,7 @@ class TestCallBudget:
 
         Observability is at its defaults (tracing off), the
         handler does nothing, so every event counted is the fixed path:
-        context, chain, stages, read decision, accounting.
+        context, stages, read decision, accounting.
         """
         edge = ServingSupervisor(registry).edge
         noop = OperationSpec(name="noop", handler=lambda ctx: None, read_gate=True)

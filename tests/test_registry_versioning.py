@@ -63,6 +63,22 @@ class TestRetention:
     def test_history_len(self, registry, versioned_org):
         assert len(registry.lcm.versions) == 2
 
+    def test_rolled_back_update_retains_nothing(self, registry, session):
+        org = Organization(registry.ids.new_id(), name="before")
+        registry.lcm.submit_objects(session, [org])
+        renamed = registry.daos.organizations.require(org.id)
+        renamed.name.set("after")
+        unknown = Organization(registry.ids.new_id(), name="never stored")
+        with pytest.raises(ObjectNotFoundError):
+            registry.lcm.update_objects(session, [renamed, unknown])
+        stored = registry.daos.organizations.require(org.id)
+        assert stored.version.version_name == "1.1"
+        assert registry.lcm.versions.versions_of(org.lid) == []
+        # the next committed update retains 1.1 once
+        registry.lcm.update_objects(session, [stored])
+        records = registry.lcm.versions.versions_of(org.lid)
+        assert [r.version_name for r in records] == ["1.1"]
+
 
 class TestRetentionSharesTheStoredInstance:
     """History keeps the instance the store replaced — no private clone.
