@@ -12,14 +12,16 @@ wire modes:
   optimization of §2.2.1).
 
 Both paths are implemented so tests can assert they are observably
-equivalent.
+equivalent.  Both run the registry kernel's one session rule: a connection's
+session is the one ``registry.login`` recorded in the registry's
+authenticator, and it holds on either path until the authenticator closes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.registry.kernel import EdgeProfile, OperationSpec, RequestContext
+from repro.registry.kernel import EdgeProfile, OperationSpec
 from repro.registry.server import RegistryServer
 from repro.rim import (
     Association,
@@ -45,24 +47,12 @@ from repro.soap.messages import (
 from repro.soap.serializer import deserialize, serialize
 from repro.soap.transport import SimTransport
 from repro.soap.xml_binding import envelope_from_xml, envelope_to_xml
-from repro.util.errors import AuthenticationError, InvalidRequestError, RegistryError
-
-
-def _local_authenticate(ctx: RequestContext, spec: OperationSpec):
-    """The in-process edge trusts the connection's established session."""
-    if spec.requires_session and ctx.session is None:
-        raise AuthenticationError("this operation requires an authenticated connection")
-    return ctx.session
+from repro.util.errors import InvalidRequestError, RegistryError
 
 
 #: the in-process JAXR edge: trusted localCall path — no read gate, and
 #: faults re-raise unchanged (fault_mapper None) instead of serializing
-LOCAL_EDGE = EdgeProfile(
-    name="local",
-    authenticate=_local_authenticate,
-    fault_mapper=None,
-    enforce_read_gate=False,
-)
+LOCAL_EDGE = EdgeProfile(name="local", fault_mapper=None, enforce_read_gate=False)
 
 
 @dataclass
@@ -109,8 +99,6 @@ class ConnectionFactory:
         session: Session | None = None
         if credential is not None:
             session = self.registry.login(credential)
-            if self.binding is not None:
-                self.binding.register_session(session)
         return Connection(factory=self, session=session)
 
 
@@ -160,17 +148,13 @@ class Connection:
             response.raise_()
         return response
 
-    def _require_session(self) -> Session:
-        if self.session is None:
-            raise AuthenticationError("this operation requires an authenticated connection")
-        return self.session
-
     def _invoke_local(self, name: str, call, *, requires_session: bool = False):
         """Run one local-call operation through the registry kernel.
 
         The kernel's local edge preserves the pre-kernel in-process
-        semantics exactly (no read gate, no serialization, faults re-raise
-        unchanged) while the pipeline accounts the request under the
+        semantics (no read gate, no serialization, faults re-raise
+        unchanged) while the pipeline authenticates the connection's session
+        as it would its SOAP token and accounts the request under the
         ``local`` protocol edge in ``pipeline_stats()``.
         """
         spec = OperationSpec(

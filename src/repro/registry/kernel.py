@@ -13,9 +13,14 @@ where ``account`` and ``fault-map`` wrap the rest (they observe every
 outcome, success or fault) and the others are steps run in a straight line.
 ``route`` runs only on a federation member (``kernel.router`` set), and a
 step that answers the request ends the run: ``route`` when it forwards, and
-``dispatch``.  Edges (SOAP, HTTP GET, in-process JAXR) differ only in an
-:class:`EdgeProfile`: how a session is established, whether the read gate
-applies at the edge, and how a :class:`~repro.util.errors.RegistryError` is
+``dispatch``.  ``authenticate`` is the registry's one session rule, the
+same at every edge: a session handed in-process (the JAXR local edge) is
+honoured while the registry's :class:`~repro.security.authn.Authenticator`
+still holds its token, otherwise the request's token is looked up there; an
+operation that requires a session faults without one, any other runs as
+guest.  Edges (SOAP, HTTP GET, serving, in-process JAXR) differ only in an
+:class:`EdgeProfile`: whether the read gate applies at the edge, what runs
+before resolution, and how a :class:`~repro.util.errors.RegistryError` is
 mapped onto the wire (SOAP/HTTP serialize faults; the local edge re-raises,
 preserving the pre-kernel in-process semantics).
 
@@ -53,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.util.clock import Clock, PerfClock
-from repro.util.errors import InvalidRequestError, RegistryError
+from repro.util.errors import AuthenticationError, InvalidRequestError, RegistryError
 from repro.util.workers import current_worker_label
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,6 +95,8 @@ class RequestContext:
     via_http: bool = False
     #: session token presented by the client (SOAP header)
     token: str | None = None
+    #: handed in by an in-process edge; ``authenticate`` replaces it with the
+    #: session the registry holds for the request
     session: "Session | None" = None
     spec: "OperationSpec | None" = None
     response: Any = None
@@ -147,8 +154,7 @@ class OperationSpec:
 class EdgeProfile:
     """How one protocol edge plugs into the shared pipeline.
 
-    ``authenticate(ctx, spec)`` must return the session for the request (or
-    raise).  ``fault_mapper`` maps a RegistryError to the edge's wire fault
+    ``fault_mapper`` maps a RegistryError to the edge's wire fault
     representation; ``None`` means re-raise unchanged (the in-process JAXR
     edge, which must preserve exact exception semantics).  ``admit`` runs
     before operation resolution (the HTTP edge's anonymous read gate +
@@ -158,7 +164,6 @@ class EdgeProfile:
     """
 
     name: str
-    authenticate: Callable[[RequestContext, OperationSpec], "Session | None"]
     fault_mapper: Callable[[RegistryError], Any] | None = None
     enforce_read_gate: bool = True
     admit: Callable[[RequestContext], None] | None = None
@@ -231,7 +236,17 @@ def _route(kernel: "RegistryKernel", ctx: RequestContext) -> bool:
 
 def _authenticate(kernel: "RegistryKernel", ctx: RequestContext) -> None:
     assert ctx.spec is not None
-    ctx.session = ctx.edge.authenticate(ctx, ctx.spec)
+    authenticator = kernel.server.authenticator
+    handed = ctx.session
+    token = handed.token if handed is not None else ctx.token
+    session = authenticator.session_for(token) if token else None
+    if session is None:
+        if ctx.spec.requires_session:
+            raise AuthenticationError(
+                "LifeCycleManager access requires an authenticated session"
+            )
+        session = authenticator.guest_session()
+    ctx.session = session
 
 
 def _authorize(kernel: "RegistryKernel", ctx: RequestContext) -> None:

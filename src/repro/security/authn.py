@@ -6,6 +6,13 @@ credential from its keystore; the registry verifies (1) the certificate
 fingerprint matches its user record and (2) the certificate chains to the
 ``registryOperator``.  Successful authentication yields a :class:`Session`
 that carries the User identity into authorization and audit.
+
+The :class:`Authenticator` is the registry's one token → session table:
+every protocol edge resolves a request's session through it (the kernel's
+``authenticate`` step), so :meth:`Authenticator.close` ends a session at
+every edge at once.  :meth:`Authenticator.adopt` makes a session another
+federation member issued valid here, so a read forwarded to its owner runs
+as the same user.
 """
 
 from __future__ import annotations
@@ -111,6 +118,14 @@ class Authenticator:
         )
         self._sessions[token] = session
         return session
+
+    def adopt(self, session: Session) -> None:
+        """Honour a session another registry issued (a federation peer)."""
+        self._sessions[session.token] = session
+
+    def session_for(self, token: str) -> Session | None:
+        """The open session *token* names, or None."""
+        return self._sessions.get(token)
 
     def guest_session(self) -> Session:
         """Anonymous read-only session (unauthenticated QueryManager access)."""

@@ -123,9 +123,10 @@ class ClusterSupervisor:
         return self._supervisors.get(home)
 
     def register_session(self, session: "Session") -> None:
-        """Make one session token valid at every member's serving edge."""
-        for supervisor in self._supervisors.values():
-            supervisor.register_session(session)
+        """Make one session valid at every member: each authenticator adopts
+        it, so its token also holds on a read forwarded to the owner."""
+        for registry in self.federation.members():
+            registry.authenticator.adopt(session)
 
     # -- admission -------------------------------------------------------------
 

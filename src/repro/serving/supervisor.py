@@ -29,10 +29,9 @@ and a future cancelled before pick-up is dropped at dequeue, never executed
 (``cancelled``) — while an inline run, like a request a worker has started,
 runs to completion.
 
-Requests execute through the ``serving`` protocol edge, which follows the
-SOAP edge's session discipline: an explicit token resolves against
-sessions registered via :meth:`register_session`, everything else falls
-back to the guest session unless the operation requires authentication.
+Requests execute through the ``serving`` protocol edge, which keeps no
+sessions: the kernel's ``authenticate`` step resolves a request's token
+against the registry's authenticator, exactly as for the SOAP edge.
 Faults map through :class:`~repro.soap.envelope.SoapFault` so a serving
 response is shaped exactly like its single-threaded SOAP twin
 (``test_inline_queued_and_soap_answers_are_equal`` compares them).
@@ -52,10 +51,9 @@ from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.telemetry import Export
-from repro.registry.kernel import EdgeProfile, OperationSpec, RequestContext
+from repro.registry.kernel import EdgeProfile
 from repro.serving.worker import SHUTDOWN, RegistryWorker, WorkItem
 from repro.soap.envelope import SoapFault
-from repro.util.errors import AuthenticationError
 from repro.util.workers import CALLER_WORKER_LABEL
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -193,29 +191,12 @@ class ServingSupervisor:
         self.kernel = registry.kernel
         self._queue = DispatchQueue(self.config.queue_capacity, permits=self.config.workers)
         self._workers: list[RegistryWorker] = []
-        #: token → session, maintained via register_session (SOAP discipline)
-        self._sessions: dict[str, "Session"] = {}
-        self.edge = EdgeProfile(
-            name="serving",
-            authenticate=self._authenticate,
-            fault_mapper=SoapFault.from_error,
-        )
+        self.edge = EdgeProfile(name="serving", fault_mapper=SoapFault.from_error)
         registry.telemetry.register_source("serving", self.serving_stats, exports=_SERVING_EXPORTS)
 
-    # -- session plumbing ------------------------------------------------------
-
     def register_session(self, session: "Session") -> None:
-        self._sessions[session.token] = session
-
-    def _authenticate(self, ctx: RequestContext, spec: OperationSpec) -> "Session":
-        token = ctx.token
-        if token and token in self._sessions:
-            return self._sessions[token]
-        if spec.requires_session:
-            raise AuthenticationError(
-                "serving edge write access requires a registered session"
-            )
-        return self.registry.guest()
+        """Kept for callers that still register: the registry's own adopt."""
+        self.registry.authenticator.adopt(session)
 
     # -- lifecycle -------------------------------------------------------------
 

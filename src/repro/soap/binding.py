@@ -5,12 +5,13 @@ Both bindings are thin protocol edges over the registry kernel
 URL query string), describe themselves to the kernel as an
 :class:`~repro.registry.kernel.EdgeProfile`, and let the kernel's one
 pipeline do session lookup, authorization, operation dispatch, fault mapping,
-and accounting.
+and accounting.  Neither keeps sessions: the kernel resolves a token against
+the registry's :class:`~repro.security.authn.Authenticator`.
 
 * :class:`SoapRegistryBinding` exposes one RegistryServer at a SOAP endpoint:
   the kernel authenticates the envelope's session token and dispatches each
   ebRS request message to the LifeCycleManager or QueryManager operation
-  registered for its type.  LifeCycleManager requests without a valid
+  registered for its type.  LifeCycleManager requests without an open
   session fault with an authentication error; QueryManager requests fall
   back to the guest session (§1.3.2.4's public read access).
 * :class:`HttpGetBinding` implements the mandatory REST-ish HTTP interface
@@ -29,9 +30,9 @@ from typing import TYPE_CHECKING
 
 from urllib.parse import parse_qs, urlparse
 
-from repro.registry.kernel import EdgeProfile, OperationSpec, RequestContext
+from repro.registry.kernel import EdgeProfile, RequestContext
 from repro.soap.envelope import SoapEnvelope, SoapFault
-from repro.util.errors import AuthenticationError, InvalidRequestError
+from repro.util.errors import InvalidRequestError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.registry.server import RegistryServer
@@ -47,33 +48,16 @@ class SoapRegistryBinding:
     def __init__(self, registry: RegistryServer) -> None:
         self.registry = registry
         self.kernel = registry.kernel
-        #: token → session, maintained on login through this binding
-        self._sessions: dict[str, Session] = {}
-        self.edge = EdgeProfile(
-            name="soap",
-            authenticate=self._authenticate,
-            fault_mapper=SoapFault.from_error,
-        )
+        self.edge = EdgeProfile(name="soap", fault_mapper=SoapFault.from_error)
 
     @property
     def endpoint_uri(self) -> str:
         base = self.registry.home.split("/omar/", 1)[0]
         return base + SOAP_PATH
 
-    # -- session plumbing ----------------------------------------------------
-
     def register_session(self, session: Session) -> None:
-        self._sessions[session.token] = session
-
-    def _authenticate(self, ctx: RequestContext, spec: OperationSpec) -> Session:
-        token = ctx.token
-        if token and token in self._sessions:
-            return self._sessions[token]
-        if spec.requires_session:
-            raise AuthenticationError(
-                "LifeCycleManager access requires an authenticated session"
-            )
-        return self.registry.guest()
+        """Kept for callers that still register: the registry's own adopt."""
+        self.registry.authenticator.adopt(session)
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -113,7 +97,6 @@ class HttpGetBinding:
         self.kernel = registry.kernel
         self.edge = EdgeProfile(
             name="http",
-            authenticate=self._authenticate,
             fault_mapper=SoapFault.from_error,
             # the admit hook already gated the anonymous read below
             enforce_read_gate=False,
@@ -128,9 +111,6 @@ class HttpGetBinding:
             raise InvalidRequestError(
                 "HTTP interface binds only the QueryManager (read-only access)"
             )
-
-    def _authenticate(self, ctx: RequestContext, spec: OperationSpec) -> Session:
-        return self.registry.guest()
 
     def get(
         self, url: str, headers: dict[str, str] | None = None

@@ -98,11 +98,7 @@ class TestTopExemplars:
         session = registry.login(credential)
         org = Organization(registry.ids.new_id(), name="ExemplarOrg")
         registry.lcm.submit_objects(session, [org])
-        edge = EdgeProfile(
-            name="test",
-            authenticate=lambda ctx, spec: registry.guest(),
-            enforce_read_gate=False,
-        )
+        edge = EdgeProfile(name="test", enforce_read_gate=False)
         registry.kernel.execute(edge, body=GetRegistryObjectRequest(org.id))
         return registry
 

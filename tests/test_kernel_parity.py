@@ -388,7 +388,8 @@ class TestJaxrLocalParity:
         assert excinfo.value.object_id == "urn:missing"
         blm = conn.get_registry_service().get_business_life_cycle_manager()
         with pytest.raises(
-            AuthenticationError, match="requires an authenticated connection"
+            AuthenticationError,
+            match="LifeCycleManager access requires an authenticated session",
         ):
             blm.save_objects([blm.create_organization("X")])
 

@@ -40,13 +40,8 @@ class TickingClock:
         self.t += seconds
 
 
-def _edge(registry):
-    """A minimal trusted edge (guest session, no read gate)."""
-    return EdgeProfile(
-        name="test",
-        authenticate=lambda ctx, spec: registry.guest(),
-        enforce_read_gate=False,
-    )
+#: a minimal trusted edge (tokenless requests run as guest, no read gate)
+_EDGE = EdgeProfile(name="test", enforce_read_gate=False)
 
 
 def _publish(registry, name="AttributedOrg", object_id=None):
@@ -95,7 +90,7 @@ class TestAttributionSplit:
     def test_disabled_by_default(self):
         registry = RegistryServer(RegistryConfig(seed=5), monotonic=ManualClock())
         org = _publish(registry)
-        registry.kernel.execute(_edge(registry), body=GetRegistryObjectRequest(org.id))
+        registry.kernel.execute(_EDGE, body=GetRegistryObjectRequest(org.id))
         stats = registry.telemetry.attribution_stats()
         assert stats["enabled"] is False
         assert stats["requests"] == 0
@@ -106,7 +101,7 @@ class TestAttributionSplit:
         registry.enable_tracing()
         org = _publish(registry)
         registry.kernel.execute(
-            _edge(registry),
+            _EDGE,
             body=GetRegistryObjectRequest(org.id),
             tags={"queue_wait_s": 2.0},
         )
@@ -126,7 +121,7 @@ class TestAttributionSplit:
         registry = RegistryServer(RegistryConfig(seed=5), monotonic=TickingClock())
         registry.enable_tracing()
         org = _publish(registry)
-        registry.kernel.execute(_edge(registry), body=GetRegistryObjectRequest(org.id))
+        registry.kernel.execute(_EDGE, body=GetRegistryObjectRequest(org.id))
         stats = registry.telemetry.attribution_stats()
         assert stats["stage_s"] > 0.0
         # telescoped exclusives: the stages re-sum to the account span
@@ -140,7 +135,7 @@ class TestAttributionSplit:
         registry.enable_history()
         org = _publish(registry)
         registry.kernel.execute(
-            _edge(registry),
+            _EDGE,
             body=GetRegistryObjectRequest(org.id),
             tags={"queue_wait_s": 0.5},
         )
@@ -161,7 +156,7 @@ class TestAttributionSplit:
         registry.enable_tracing()
         org = _publish(registry)
         # a fault comes back as the response, as on the SOAP edge
-        edge = dataclasses.replace(_edge(registry), fault_mapper=lambda error: error)
+        edge = dataclasses.replace(_EDGE, fault_mapper=lambda error: error)
         for body, tags in (
             (GetRegistryObjectRequest(org.id), {"queue_wait_s": 0.125}),
             (GetRegistryObjectRequest("urn:uuid:missing"), None),
@@ -318,7 +313,7 @@ class TestTraceRestart:
         registry.enable_tracing()
         org = _publish(registry)
         registry.kernel.execute(
-            _edge(registry),
+            _EDGE,
             body=GetRegistryObjectRequest(org.id),
             traceparent="not-a-traceparent",
         )
@@ -335,7 +330,7 @@ class TestTraceRestart:
         org = _publish(registry)
         valid = format_traceparent("ab" * 16, "cd" * 8)
         registry.kernel.execute(
-            _edge(registry),
+            _EDGE,
             body=GetRegistryObjectRequest(org.id),
             traceparent=valid,
         )

@@ -285,11 +285,7 @@ def test_manual_clock_replay_equals_the_recorded_snapshot():
             raise ctx.params["error"]("replayed fault")
 
     edges = {
-        name: EdgeProfile(
-            name=name,
-            authenticate=lambda ctx, spec: None,
-            fault_mapper=lambda error: error,
-        )
+        name: EdgeProfile(name=name, fault_mapper=lambda error: error)
         for name in ("front", "back")
     }
     specs = {

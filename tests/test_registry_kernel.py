@@ -287,8 +287,9 @@ class TestCallBudget:
     #: into PipelineStats as well as the latency histogram; 47 while the
     #: stages were an interceptor chain, whose three composed layers, two
     #: ``proceed`` lambdas, terminal and per-tracing-state cache lookup the
-    #: fixed pipeline does not have)
-    RECORDED_ONCE_EVENTS = 40
+    #: fixed pipeline does not have; 40 while each edge's own authenticate
+    #: callback fetched the guest session through ``registry.guest()``)
+    RECORDED_ONCE_EVENTS = 38
 
     @staticmethod
     def call_events(run) -> int:

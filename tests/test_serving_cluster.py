@@ -17,20 +17,26 @@ from repro.util.errors import InvalidRequestError
 from conftest import Gated
 
 
-@pytest.fixture
-def federation():
+def _federation(registry_type="public"):
     fed = RegistryFederation("cluster-fed")
     registries = []
     for i in range(2):
         reg = RegistryServer(
             RegistryConfig(
-                seed=300 + i, home=f"http://member{i}.cluster:8080/omar/registry"
+                seed=300 + i,
+                home=f"http://member{i}.cluster:8080/omar/registry",
+                registry_type=registry_type,
             ),
             clock=ManualClock(),
         )
         fed.join(reg)
         registries.append(reg)
     return fed, registries
+
+
+@pytest.fixture
+def federation():
+    return _federation()
 
 
 @pytest.fixture
@@ -201,6 +207,34 @@ class TestAdmission:
                     )
                 )
         assert all(result.status == "Success" for result in results)
+
+    def test_registered_session_holds_on_a_forwarded_read(self):
+        """A private federation denies guests, so the read member0 forwards
+        to member1 answers only if member1 knows the session's token."""
+        fed, (r0, r1) = _federation("private")
+        _, cred = r0.register_user("reader")
+        session = r0.login(cred)
+        org, _ = _publish(r1, "OwnedByOne", _id_owned_by(fed, r1))
+        cluster = ClusterSupervisor(fed, ClusterConfig(serving=ServingConfig(workers=1)))
+        try:
+            with cluster:
+                cluster.register_session(session)
+                answers = [
+                    cluster.supervisor(home).call(
+                        body=GetRegistryObjectRequest(object_id=org.id),
+                        token=session.token,
+                        timeout=30.0,
+                    )
+                    for home in (r0.home, r1.home)
+                ]
+        finally:
+            cluster.close()
+        # a fault has no status: it stands in the list as itself
+        assert [getattr(answer, "status", answer) for answer in answers] == ["Success"] * 2
+        assert answers[0].objects[0]["id"] == org.id
+        assert fed.router_for(r0.home).stats()["forwarded"] == 1
+        assert fed.router_for(r1.home).stats()["forwarded_served"] == 1
+        assert r1.pipeline_stats()["soap"]["getRegistryObject"]["faults"] == 0
 
 
 class TestReplicationPumping:
