@@ -254,7 +254,8 @@ class ShardRouter:
         ``ctx.response``; False lets the request go on to local dispatch."""
         spec = ctx.spec
         extract = _ROUTABLE_OPERATIONS.get(spec.name) if spec is not None else None
-        if extract is None:
+        if extract is None or ctx.body is None:
+            # not routable, or no wire body to forward (an in-process call)
             return False
         if ctx.tags.get("forwarded_by"):
             # single-hop forwarding: the sender already decided we own this

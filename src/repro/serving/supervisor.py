@@ -72,6 +72,9 @@ _SERVING_EXPORTS = (
     Export("rejected", "repro_serving_rejected_total", "Requests shed at a full queue."),
 )
 
+#: the tags of an inline run the caller gave none
+_CALLER_TAGS = {"worker": CALLER_WORKER_LABEL}
+
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -94,7 +97,8 @@ class DispatchQueue:
     ``permits`` bounds for an inline run, and the admission counters — under
     one plain lock that is only ever held for a few integer updates.  Its
     condition is waited on only by a :meth:`put` blocked on a full queue
-    and by :meth:`join`.
+    and by :meth:`join`, which count themselves in ``_waiting`` under that
+    lock, so a finished request notifies nobody unless one of them waits.
     """
 
     def __init__(self, capacity: int, permits: int) -> None:
@@ -109,6 +113,8 @@ class DispatchQueue:
         self.depth = self.depth_high_water = 0
         #: admitted, not yet reported :meth:`done`
         self._unfinished = 0
+        #: blocked puts and joins (an overcount costs a notify, never a lost wake-up)
+        self._waiting = 0
         self.accepted = self.rejected = self.served_inline = 0
 
     def _count_in(self) -> None:
@@ -138,7 +144,9 @@ class DispatchQueue:
                 if not block:
                     self.rejected += 1
                     return False
+                self._waiting += 1
                 self._changed.wait()
+                self._waiting -= 1
             self._count_in()
             self.depth += 1
             if self.depth > self.depth_high_water:
@@ -162,13 +170,15 @@ class DispatchQueue:
         with self._lock:
             self.served_inline += inline
             self._unfinished -= 1
-            if not self._unfinished:
+            if not self._unfinished and self._waiting:
                 self._changed.notify_all()
 
     def join(self, timeout: float | None = None) -> None:
         """Block until every request admitted so far has been reported done."""
         with self._lock:
+            self._waiting += 1
             self._changed.wait_for(lambda: not self._unfinished, timeout)
+            self._waiting -= 1
 
     def shut_down(self, workers: int) -> None:
         """Stop admitting; one exit sentinel per worker, behind every item."""
@@ -260,7 +270,9 @@ class ServingSupervisor:
         queue = self._queue
         if queue.admit_inline():
             # one worker label for every inline run, whichever thread called
-            kwargs["tags"] = {**(kwargs.get("tags") or {}), "worker": CALLER_WORKER_LABEL}
+            # (the kernel copies tags into its context, so one dict serves all)
+            tags = kwargs.get("tags")
+            kwargs["tags"] = {**tags, "worker": CALLER_WORKER_LABEL} if tags else _CALLER_TAGS
             try:
                 return self.kernel.execute(self.edge, **kwargs)
             finally:

@@ -26,11 +26,12 @@ The decode rule: ``envelope_from_xml`` reads a document in one pass, without a
 parser, only if it is a message document as written above — that root, that
 ``Header`` (entry names and values printable ASCII with no reference), one
 ``ns1:<MessageType>`` whose text is ASCII, holds no ``<`` or ``>`` and no
-reference but ``&amp; &lt; &gt;``, un-escapes to JSON and builds the message,
-then exactly the closing tags.  Such a text is well-formed by construction and
-a parser would find the same headers and the same payload in it.  Every other
-text — faults, other prefixes or spellings, whitespace, comments, CDATA, a
-DOCTYPE, anything malformed — goes to the ElementTree decoder, which raises
+reference but ``&amp; &lt; &gt;``, un-escapes to one JSON object that one scan
+reads to its last character and builds the message, then exactly the closing
+tags.  Such a text is well-formed by construction and a parser would find the
+same headers and the same payload in it.  Every other text — faults, other
+prefixes or spellings, whitespace (around the payload too), comments, CDATA,
+a DOCTYPE, anything malformed — goes to the ElementTree decoder, which raises
 every error a caller can see.  Nothing selects between the two but the text.
 
 The encode rule: ``envelope_to_xml`` writes a message's JSON, and that of every

@@ -150,6 +150,8 @@ class SimTransport:
         self.client_host = client_host
         self.retry = retry
         self._endpoints: dict[str, Handler] = {}
+        #: each registered endpoint's host, resolved once at registration
+        self._hosts: dict[str, str] = {}
         self._down: set[str] = set()
         self.stats = TransportStats()
         #: optional telemetry tracer; spans each wire attempt when enabled
@@ -159,11 +161,13 @@ class SimTransport:
 
     def register_endpoint(self, uri: str, handler: Handler) -> None:
         self._endpoints[uri] = handler
+        self._hosts[uri] = host_of_uri(uri)
 
     def unregister_endpoint(self, uri: str) -> None:
         """Remove the endpoint and what was attributed to it: the per-endpoint
         maps hold the endpoints that exist, not every one that ever did."""
         self._endpoints.pop(uri, None)
+        self._hosts.pop(uri, None)
         self.stats.forget(uri)
 
     def endpoints(self) -> list[str]:
@@ -258,7 +262,7 @@ class SimTransport:
     def _attempt(self, uri: str, payload: Any, *, source: str | None = None) -> Any:
         """One wire attempt: route, sample latency, account."""
         source = source or self.client_host
-        target_host = host_of_uri(uri)
+        target_host = self._hosts.get(uri) or host_of_uri(uri)
         rtt = self.latency.sample(source, target_host) * 2.0
         if target_host in self._down:
             self.stats.record(uri, rtt, ok=False)

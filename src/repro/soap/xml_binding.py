@@ -8,10 +8,12 @@ pass of string assembly that copies nothing: the JSON of a message and of the
 object dicts it carries is written from field tables, any other value by the
 serializer's one sorted-key encoder.  Decoding reads a message
 document this writer could have written in one pass over the frame — prefix,
-header entries, message element, suffix — and hands everything else (faults,
-other prefixes, whitespace, comments, any reference but ``&amp; &lt; &gt;``)
-to a full expat parse, which stays the judge of well-formedness and raises
-every error.  Wire contract, encode and decode rules: :mod:`repro.soap.envelope`.
+header entries, message element, suffix — and one call of the C JSON scanner,
+which must read the payload's one object to its last character; it hands
+everything else (faults, other prefixes, whitespace, comments, any reference
+but ``&amp; &lt; &gt;``) to a full expat parse, which stays the judge of
+well-formedness and raises every error.  Wire contract, encode and decode
+rules: :mod:`repro.soap.envelope`.
 """
 
 from __future__ import annotations
@@ -69,10 +71,12 @@ def envelope_to_xml(envelope: SoapEnvelope) -> str:
     message = envelope.body
     type_name = type(message).__name__
     writer = _WRITERS.get(type(message))
-    headers = "".join(
-        _element("ns1:HeaderEntry", value, f' name="{_escape(key, _ATTR_REFS)}"')
-        for key, value in sorted(envelope.headers.items())
-    )
+    headers = ""
+    if envelope.headers:
+        headers = "".join(
+            _element("ns1:HeaderEntry", value, f' name="{_escape(key, _ATTR_REFS)}"')
+            for key, value in sorted(envelope.headers.items())
+        )
     if writer is not None:
         # the structured payload travels as canonical JSON inside the
         # message element — the registry protocol's "attachment"
@@ -107,6 +111,8 @@ _HEADER_ENTRY = re.compile(
     rf'<ns1:HeaderEntry name="({_PLAIN}+)"(?: />|>({_PLAIN}*)</ns1:HeaderEntry>)'
 )
 _FOREIGN_REFERENCE = re.compile("&(?!amp;|lt;|gt;)")
+#: the C scanner behind ``json.loads``, called without its whitespace and type wrappers
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _scan_envelope(text: str) -> SoapEnvelope | None:
@@ -114,8 +120,9 @@ def _scan_envelope(text: str) -> SoapEnvelope | None:
 
     ``None`` for any other text, well-formed or not: the frame is matched
     exactly, the payload must hold no markup and only the writer's three
-    references, and it must build the message.  What passes is ASCII without
-    ``<`` or ``>`` between fixed tags, so a parser would find the same text.
+    references, be one JSON object read to its last character, and build
+    the message.  What passes is ASCII without ``<`` or ``>`` between fixed
+    tags, so a parser would find the same text.
     """
     headers: dict[str, str] = {}
     if text.startswith(_BARE_OPEN):
@@ -143,8 +150,12 @@ def _scan_envelope(text: str) -> SoapEnvelope | None:
             return None
         payload = payload.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
     try:
-        return SoapEnvelope(_MESSAGE_TYPES[name](**json.loads(payload)), headers)
-    except (ValueError, TypeError):
+        # one JSON value read to the last character; ``**`` refuses a non-object
+        fields, read_to = _scan_json(payload, 0)
+        if read_to != len(payload):
+            return None
+        return SoapEnvelope(_MESSAGE_TYPES[name](**fields), headers)
+    except (StopIteration, ValueError, TypeError):
         return None
 
 

@@ -5,6 +5,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
+from conftest import HOSTS, publish_service_with_bindings
+from repro.client.jaxr import ConnectionFactory
 from repro.registry import RegistryConfig, RegistryFederation, RegistryServer
 from repro.registry.federation import ReplicationLink, ShardMap
 from repro.rim import Organization, Service, ServiceBinding
@@ -493,6 +495,34 @@ class TestShardRouting:
         response = fed.transport.request(fed.endpoint_for(r1.home), envelope)
         assert response.status == "Success"
         assert fed.router_for(r1.home).stats()["forwarded_served"] == 1
+
+
+class TestLocalCalls:
+    """A JAXR ``local_call`` connection carries no wire body to forward: a
+    member answers it from its own store, routable operation or not."""
+
+    @staticmethod
+    def _query_manager(reg):
+        connection = ConnectionFactory(reg, local_call=True).create_connection()
+        return connection.get_registry_service().get_business_query_manager()
+
+    def test_a_held_object_comes_back(self, federation):
+        fed, (r0, r1) = federation
+        org, _ = _publish(r0, "OrgZero", object_id=_id_owned_by(fed, r1))
+        assert self._query_manager(r0).get_registry_object(org.id).id == org.id
+        assert fed.router_for(r0.home).stats()["forwarded"] == 0
+
+    def test_a_discovery_answer_comes_back(self, federation):
+        fed, (r0, _) = federation
+        _, cred = r0.register_user("publisher")
+        _, service = publish_service_with_bindings(r0, r0.login(cred))
+        uris = self._query_manager(r0).get_access_uris(service.id)
+        assert sorted(host_of_uri(uri) for uri in uris) == sorted(HOSTS)
+
+    def test_a_missing_id_is_object_not_found(self, federation):
+        fed, (r0, r1) = federation
+        with pytest.raises(ObjectNotFoundError):
+            self._query_manager(r0).get_registry_object(_id_owned_by(fed, r1))
 
 
 class TestPipelineVisibility:

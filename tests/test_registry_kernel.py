@@ -336,11 +336,19 @@ class TestCallBudget:
         # one accounting call per request: a second record cannot come back
         assert first <= self.RECORDED_ONCE_EVENTS
 
-    def test_inline_serving_call_adds_at_most_twelve_events_and_no_hand_off(
+    #: what `supervisor.call` with a free permit adds to the kernel's own count
+    #: (CPython 3.11): its frame, a ``dict.get``, the gate's ``admit_inline``,
+    #: ``_count_in`` and ``done`` with their two lock exits, less the five
+    #: events of the worker-label lookup its tags spare the kernel.  7 while
+    #: every call built a tag dict and ``done`` notified a condition nobody
+    #: waited on
+    INLINE_EVENTS = 2
+
+    def test_inline_call_adds_at_most_two_events_and_no_hand_off(
         self, registry, monkeypatch
     ):
         """The serving layer's own cost on the path `call` takes when a permit
-        is free: no Future, no WorkItem, no second thread."""
+        is free: no Future, no WorkItem, no second thread, no notify."""
         from repro.serving import supervisor as serving
 
         built: list[str] = []
@@ -370,7 +378,7 @@ class TestCallBudget:
             assert supervisor.submit(body=body, spec=noop).result(timeout=30.0) is None
             assert supervisor.serving_stats()["served_inline"] == 8
         assert first == second
-        assert first - kernel_events <= 12
+        assert first - kernel_events <= self.INLINE_EVENTS
         assert built == ["Future", "WorkItem"]  # the submit, and only it
         assert set(ran_on[:-1]) == {threading.get_ident()} != {ran_on[-1]}
 

@@ -25,6 +25,7 @@ from repro.soap.serializer import serialize
 from repro.soap.xml_binding import envelope_from_xml, envelope_to_xml
 from repro.rim import Organization
 from repro.util.errors import QuerySyntaxError
+from repro.util.workers import CALLER_WORKER_LABEL
 
 from conftest import HOSTS, Gated, publish_service_with_bindings
 
@@ -69,6 +70,20 @@ def _stall_pick_up(sup: ServingSupervisor) -> threading.Event:
 
     sup._queue._items = Stalled()
     return pick_up
+
+
+def _count_waits(sup: ServingSupervisor) -> threading.Semaphore:
+    """Release the returned semaphore each time a thread waits on the gate's
+    condition (a blocked put, a join), once it is counted as waiting."""
+    waits = threading.Semaphore(0)
+
+    class Signalling(threading.Condition):
+        def wait(self, timeout=None):
+            waits.release()
+            return super().wait(timeout)
+
+    sup._queue._changed = Signalling(sup._queue._lock)
+    return waits
 
 
 class TestLifecycle:
@@ -622,3 +637,87 @@ class TestInlineGate:
             stats = sup.serving_stats()
             sup.close()
         assert stats["served_inline"] == stats["served_per_worker"]["worker-0"] == len(requests)
+
+
+class TestGateWakesItsWaiters:
+    """Whoever waits on the gate (a drain, a blocked submit) is woken, though
+    a finished request notifies only while someone waits."""
+
+    def test_a_drain_waiting_on_an_inline_call_returns_when_the_call_ends(self, registry):
+        gated = Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1))
+        waits = _count_waits(sup)
+        caller = threading.Thread(target=sup.call, kwargs={"spec": gated.spec}, daemon=True)
+        drainer = threading.Thread(target=sup.drain, daemon=True)
+        try:
+            with sup:
+                caller.start()
+                assert gated.entered.acquire(timeout=30.0)
+                drainer.start()
+                # drain() holds the lock until it waits, so the call cannot end first
+                assert waits.acquire(timeout=30.0)
+                assert drainer.is_alive()
+                gated.release.set()
+                for thread in (caller, drainer):
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+                stats = sup.serving_stats()
+        finally:
+            gated.release.set()
+            sup.close()
+        assert (stats["accepted"], stats["served_inline"]) == (1, 1)
+
+    def test_a_submit_blocked_on_a_full_queue_proceeds_at_a_pick_up(self, registry):
+        gated = Gated()
+        sup = ServingSupervisor(registry, ServingConfig(workers=1, queue_capacity=1))
+        waits = _count_waits(sup)
+        blocked: list = []
+        submitter = threading.Thread(
+            target=lambda: blocked.append(sup.submit(spec=NOOP)), daemon=True
+        )
+        try:
+            with sup:
+                held = sup.submit(spec=gated.spec)
+                # the worker has picked it up, so the one slot is free again
+                assert gated.entered.acquire(timeout=30.0)
+                queued = sup.submit(spec=NOOP)
+                submitter.start()
+                assert waits.acquire(timeout=30.0)
+                assert blocked == [] and sup.serving_stats()["queue_depth"] == 1
+                # the worker finishes the held request, then picks the queued one up
+                gated.release.set()
+                submitter.join(30.0)
+                assert not submitter.is_alive()
+                assert held.result(timeout=30.0) == "done"
+                assert queued.result(timeout=30.0) is None
+                assert blocked[0].result(timeout=30.0) is None
+                stats = sup.serving_stats()
+        finally:
+            gated.release.set()
+            sup.close()
+        assert (stats["accepted"], stats["rejected"], stats["served_inline"]) == (3, 0, 0)
+        assert stats["queue_depth_high_water"] == 1
+
+    def test_two_inline_calls_do_not_share_a_tag_dict(self, registry):
+        entered: list[dict] = []
+        seen: list[dict] = []
+
+        def mark(ctx):
+            entered.append(dict(ctx.tags))
+            seen.append(ctx.tags)
+            ctx.tags["mark"] = len(seen)
+
+        spec = OperationSpec(name="mark", handler=mark)
+        given = {"origin": "test"}
+        with ServingSupervisor(registry, ServingConfig(workers=1)) as sup:
+            for tags in (None, None, given):
+                sup.call(spec=spec, tags=tags)
+            served_inline = sup.serving_stats()["served_inline"]
+            sup.close()
+        assert served_inline == 3
+        first, second, third = seen
+        assert first is not second
+        assert (first["mark"], second["mark"]) == (1, 2)
+        assert "mark" not in entered[1] and "mark" not in entered[2]
+        assert {tags["worker"] for tags in entered} == {CALLER_WORKER_LABEL}
+        assert entered[2]["origin"] == "test" and given == {"origin": "test"}

@@ -732,8 +732,39 @@ def mutated(draw, document):
     return document[:at] + draw(splices) + document[at + (kind == "replace") :]
 
 
+#: the payload of a written ``GetServiceBindingsRequest(service_id="svc")``
+WRITTEN_PAYLOAD = '{"service_id": "svc"}'
+#: payloads the scanner leaves to the tree, each inside the writer's own frame
+DECLINED_PAYLOADS = {
+    "leading-whitespace": " " + WRITTEN_PAYLOAD,
+    "trailing-whitespace": WRITTEN_PAYLOAD + "\n",
+    "trailing-data": WRITTEN_PAYLOAD + '{"service_id": "other"}',
+    "array": "[1]",
+    "string": '"x"',
+    "number": "3",
+    "nan": "NaN",
+    "unknown-field": '{"bogus": 1, "service_id": "svc"}',
+    "missing-field": "{}",
+}
+
+
 class TestScannerMatchesTree:
     """``envelope_from_xml`` is the tree decoder, on every text, error for error."""
+
+    @pytest.mark.parametrize("headers", [{}, {"name": "value"}], ids=["no-headers", "headers"])
+    @pytest.mark.parametrize(
+        "payload",
+        [WRITTEN_PAYLOAD, *DECLINED_PAYLOADS.values()],
+        ids=["as-written", *DECLINED_PAYLOADS],
+    )
+    def test_the_scanner_reads_a_payload_only_as_the_writer_wrote_it(self, payload, headers):
+        written = envelope_to_xml(
+            SoapEnvelope(body=GetServiceBindingsRequest(service_id="svc"), headers=headers)
+        )
+        assert written.count(WRITTEN_PAYLOAD) == 1
+        document = written.replace(WRITTEN_PAYLOAD, payload)
+        assert outcome(envelope_from_xml, document) == outcome(_parse_envelope, document)
+        assert (xml_binding._scan_envelope(document) is None) == (payload != WRITTEN_PAYLOAD)
 
     @settings(max_examples=300, deadline=None)
     @given(body=bodies(), headers=any_headers)
@@ -827,6 +858,10 @@ class TestDecodeBudget:
     #: show the tree going away — the parse counter below does — but they do
     #: bound the Python-level work the scanner may add in its place.
     TREE_EVENTS = 23
+    #: the same decode by the scanner: 21 while it read the payload through
+    #: ``json.loads``, whose wrappers (type test, two whitespace matches,
+    #: ``decode`` and ``raw_decode``) cost 9 events around the one C scan
+    SCANNED_EVENTS = 12
 
     @pytest.fixture
     def tree_parses(self, monkeypatch):
@@ -884,7 +919,8 @@ class TestDecodeBudget:
         document = envelope_to_xml(
             SoapEnvelope(body=GetServiceBindingsRequest(service_id=_SERVICE_ID))
         )
-        assert self.call_events(envelope_from_xml, document) < self.TREE_EVENTS
+        events = self.call_events(envelope_from_xml, document)
+        assert events <= self.SCANNED_EVENTS < self.TREE_EVENTS
 
     #: call + c_call events of ``deserialize`` of one published binding dict (CPython
     #: 3.11, the profiler switch included): the generated fill stores every attribute
@@ -994,6 +1030,20 @@ class TestEncodeBudget:
         per_binding, remainder = divmod(len(six) - len(three), 3)
         assert remainder == 0 and per_binding <= self.EVENTS_PER_BINDING
         assert len(none) <= len(three) - 3 * per_binding < self.PARENT_EVENTS
+
+    #: call + c_call events of encoding one header-less GetServiceBindingsRequest
+    #: (CPython 3.11, the profiler switch included): 13 while an empty header
+    #: dict still went through ``sorted``, a generator and ``join``
+    REQUEST_EVENTS = 9
+
+    def test_a_header_less_discovery_request_builds_no_header_entries(self):
+        request = SoapEnvelope(body=GetServiceBindingsRequest(service_id=_SERVICE_ID))
+        names = self.calls(envelope_to_xml, request)
+        assert len(names) <= self.REQUEST_EVENTS, names
+        assert "sorted" not in names
+        # the counter counts: a header makes the entries, and only then
+        request.headers[SoapEnvelope.SESSION_HEADER] = "token"
+        assert "sorted" in self.calls(envelope_to_xml, request)
 
     def test_no_encoder_is_built_and_table_shaped_objects_need_none(self):
         discovery = self.response(3)
